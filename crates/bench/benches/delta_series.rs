@@ -20,9 +20,13 @@
 //!   records that overhead; it must stay within a few percent of the
 //!   batch path.
 //!
-//! Both paths are property-tested bit-identical (`tests/delta_series.rs`);
-//! this bench tracks the wall-clock side in `BENCH_series.json` at the
-//! repo root.
+//! The batch path is a local baseline built from the engine's public
+//! per-state pieces (`state_geometry` + `breakdown_with`). The delta path
+//! is property-tested bit-identical to `series_distances_seq`
+//! (`tests/delta_series.rs`), and the baseline is checked bit-identical to
+//! the delta path here on a series prefix before anything is timed; this
+//! bench tracks the wall-clock side in `BENCH_series.json` at the repo
+//! root.
 //!
 //! Scale knobs (env): `SND_BENCH_NODES` (default 10000),
 //! `SND_BENCH_SNAPSHOTS` (default 12), `SND_BENCH_CLUSTERS` (default 64).
@@ -30,7 +34,8 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use snd_core::{ClusterSpec, GammaPolicy, SndConfig, SndEngine};
+use rayon::prelude::*;
+use snd_core::{ClusterSpec, GammaPolicy, SndConfig, SndEngine, StateGeometry};
 use snd_data::{generate_series, GraphSpec, ModelSpec, Scenario, SyntheticSeriesConfig};
 use snd_models::dynamics::VotingConfig;
 use snd_models::NetworkState;
@@ -50,6 +55,36 @@ fn mean_adjacent_flips(states: &[NetworkState]) -> usize {
         .map(|t| states[t - 1].diff_count(&states[t]))
         .sum();
     total / (states.len() - 1)
+}
+
+/// The pre-delta batch series path: geometries for a window of states
+/// computed concurrently, then every transition fanned out over the
+/// thread pool. Windows bound the live bundles (each holds geometries
+/// plus cached SSSP rows, O(n) apiece) to `GEOMETRY_WINDOW`; the one
+/// overlap state per window boundary is recomputed.
+fn series_distances_batch(engine: &SndEngine, states: &[NetworkState]) -> Vec<f64> {
+    const GEOMETRY_WINDOW: usize = 33;
+    let mut out = Vec::with_capacity(states.len().saturating_sub(1));
+    let mut lo = 0usize;
+    while lo + 1 < states.len() {
+        let hi = (lo + GEOMETRY_WINDOW - 1).min(states.len() - 1);
+        let geoms: Vec<StateGeometry> = states[lo..=hi]
+            .par_iter()
+            .map(|s| engine.state_geometry(s))
+            .collect();
+        let window: Vec<f64> = (lo + 1..hi + 1)
+            .into_par_iter()
+            .map(|t| {
+                let (a, b) = (&states[t - 1], &states[t]);
+                engine
+                    .breakdown_with(a, b, &geoms[t - 1 - lo], &geoms[t - lo])
+                    .total()
+            })
+            .collect();
+        out.extend(window);
+        lo = hi;
+    }
+    out
 }
 
 fn bench_delta_series(c: &mut Criterion) {
@@ -101,6 +136,18 @@ fn bench_delta_series(c: &mut Criterion) {
         rayon::current_num_threads()
     );
 
+    // Bit-identity gate: the baseline and the delta path must agree
+    // exactly before either is timed. A three-snapshot prefix covers both
+    // churn regimes at a fraction of a full series' cost.
+    for (engine, states) in [(&low_engine, &low.states), (&high_engine, &high.states)] {
+        let prefix = &states[..3];
+        assert_eq!(
+            series_distances_batch(engine, prefix),
+            engine.series_distances(prefix),
+            "batch baseline and delta path disagree"
+        );
+    }
+
     let label = format!("n{}_t{}", nodes, snapshots);
     let mut group = c.benchmark_group("delta_series");
     group
@@ -109,7 +156,7 @@ fn bench_delta_series(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
 
     group.bench_with_input(BenchmarkId::new("batch_low_churn", &label), &(), |b, ()| {
-        b.iter(|| low_engine.series_distances_batch(&low.states))
+        b.iter(|| series_distances_batch(&low_engine, &low.states))
     });
     group.bench_with_input(BenchmarkId::new("delta_low_churn", &label), &(), |b, ()| {
         b.iter(|| low_engine.series_distances(&low.states))
@@ -117,7 +164,7 @@ fn bench_delta_series(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("batch_high_churn", &label),
         &(),
-        |b, ()| b.iter(|| high_engine.series_distances_batch(&high.states)),
+        |b, ()| b.iter(|| series_distances_batch(&high_engine, &high.states)),
     );
     group.bench_with_input(
         BenchmarkId::new("delta_high_churn", &label),

@@ -5,12 +5,12 @@
 //! Two paths over the identical workload (bit-identity asserted in-bench
 //! and property-tested in `tests/candidate_pricing.rs`):
 //!
-//! * `scratch` — the pre-refactor shape: materialize a full
-//!   `NetworkState` clone per candidate and price it through
-//!   `OrderedSnd::distances_to`, whose `emd_star_term` front half scans
-//!   all `n` users per term to classify residuals and bank bins. Cost per
-//!   candidate: `O(n)` clone + `O(n)` classification, regardless of how
-//!   few users actually flipped.
+//! * `scratch` — the pre-refactor shape, built locally from public
+//!   pieces: materialize a full `NetworkState` clone per candidate and
+//!   price it through `sparse::emd_star_term` against the anchor's two
+//!   geometries, whose front half scans all `n` users per term to
+//!   classify residuals and bank bins. Cost per candidate: `O(n)` clone +
+//!   `O(n)` classification, regardless of how few users actually flipped.
 //! * `delta` — `CandidateEvaluator::price_candidates` over flip-lists:
 //!   classification is derived from precomputed anchor stats in
 //!   `O(flips + active)` and funnels into the same reduced solve. No
@@ -31,7 +31,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use snd_core::{CandidateEvaluator, OrderedSnd, SndConfig, SndEngine};
+use rayon::prelude::*;
+use snd_core::sparse::emd_star_term;
+use snd_core::{CandidateEvaluator, GroundGeometry, RowCache, SndConfig, SndEngine};
 use snd_graph::generators::barabasi_albert;
 use snd_graph::NodeId;
 use snd_models::{apply_flips, NetworkState, Opinion};
@@ -41,6 +43,42 @@ fn env_usize(key: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// The scratch baseline: ordered SND from `anchor` to every candidate by
+/// the full `O(n)` scan of `emd_star_term`, both opinion terms joined per
+/// candidate and candidates fanned out over the pool, with every
+/// evaluation drawing SSSP rows from one shared cache.
+fn scratch_prices(
+    engine: &SndEngine,
+    anchor: &NetworkState,
+    geoms: &[GroundGeometry; 2],
+    cache: &RowCache,
+    candidates: &[NetworkState],
+) -> Vec<f64> {
+    let (g, clustering, config) = (engine.graph(), engine.clustering(), engine.config());
+    let term = |to: &NetworkState, i: usize, op: Opinion| {
+        emd_star_term(
+            g,
+            clustering,
+            &geoms[i],
+            anchor,
+            to,
+            op,
+            config,
+            Some(cache),
+        )
+    };
+    candidates
+        .par_iter()
+        .map(|to| {
+            let (pos, neg) = rayon::join(
+                || term(to, 0, Opinion::Positive),
+                || term(to, 1, Opinion::Negative),
+            );
+            pos + neg
+        })
+        .collect()
 }
 
 fn bench_predict_search(c: &mut Criterion) {
@@ -88,7 +126,8 @@ fn bench_predict_search(c: &mut Criterion) {
         .collect();
 
     let engine = SndEngine::new(&graph, SndConfig::default());
-    let ordered = OrderedSnd::new(&engine, anchor.clone());
+    let geoms = [Opinion::Positive, Opinion::Negative].map(|op| engine.geometry(&anchor, op));
+    let cache = RowCache::new(graph.node_count());
     let evaluator = CandidateEvaluator::new(&engine, anchor.clone());
 
     // Bit-identity gate: the two paths must agree exactly before either
@@ -97,7 +136,7 @@ fn bench_predict_search(c: &mut Criterion) {
         .iter()
         .map(|f| apply_flips(&anchor, f))
         .collect();
-    let reference = ordered.distances_to(&scratch_states);
+    let reference = scratch_prices(&engine, &anchor, &geoms, &cache, &scratch_states);
     let delta = evaluator.price_candidates(&assignments);
     assert_eq!(reference.len(), delta.len());
     for i in 0..reference.len() {
@@ -130,7 +169,7 @@ fn bench_predict_search(c: &mut Criterion) {
                 .iter()
                 .map(|f| apply_flips(&anchor, f))
                 .collect();
-            ordered.distances_to(&states)
+            scratch_prices(&engine, &anchor, &geoms, &cache, &states)
         })
     });
     group.bench_with_input(BenchmarkId::new("delta", &label), &(), |b, ()| {

@@ -18,7 +18,7 @@ use snd_analysis::{
 use snd_baselines::predict::{community_lp, detect_communities, nhood_voting};
 use snd_baselines::{Hamming, QuadForm, StateDistance, WalkDist};
 use snd_bench::harness::{banner, Args};
-use snd_core::{CandidateEvaluator, OrderedSnd, SndConfig, SndEngine};
+use snd_core::{CandidateEvaluator, SndConfig, SndEngine};
 use snd_data::{generate_series, simulate_twitter, SyntheticSeriesConfig, TwitterSimConfig};
 use snd_graph::{CsrGraph, NodeId};
 use snd_models::dynamics::VotingConfig;
@@ -101,10 +101,11 @@ fn run_dataset(
     let engine = SndEngine::new(graph, SndConfig::default());
 
     // Ordered-SND history distances (3 most recent complete states).
-    let ord1 = OrderedSnd::new(&engine, states[t - 3].clone());
-    let snd_d1 = ord1.distance_to(&states[t - 2]);
-    let ord2 = OrderedSnd::new(&engine, states[t - 2].clone());
-    let snd_d2 = ord2.distance_to(&states[t - 1]);
+    let ordered = |from: &NetworkState, to: &NetworkState| {
+        CandidateEvaluator::new(&engine, from.clone()).price(&flips_between(from, to))
+    };
+    let snd_d1 = ordered(&states[t - 3], &states[t - 2]);
+    let snd_d2 = ordered(&states[t - 2], &states[t - 1]);
     let snd_dstar = extrapolate_linear(&[snd_d1, snd_d2]).expect("two-point series");
     let anchored = CandidateEvaluator::new(&engine, states[t - 1].clone());
 

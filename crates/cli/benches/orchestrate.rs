@@ -215,9 +215,10 @@ fn write_results(nodes: usize, snapshots: usize, tile: usize, ref_wall: f64, run
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"orchestrate\",\n");
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     json.push_str(&format!(
         "  \"config\": {{\"nodes\": {nodes}, \"snapshots\": {snapshots}, \"tile\": {tile}, \
-         \"cores\": 1}},\n"
+         \"cores\": {cores}}},\n"
     ));
     json.push_str(&format!(
         "  \"reference\": {{\"mode\": \"shard 0/1 single process\", \"wall_s\": {ref_wall:.3}}},\n"

@@ -11,8 +11,8 @@ use snd_analysis::{
 };
 use snd_baselines::{Hamming, QuadForm, StateDistance, WalkDist};
 use snd_core::{
-    auto_tile, ApproxConfig, CandidateEvaluator, ClusterSpec, OrderedSnd, ShardPlan, SndConfig,
-    SndEngine, TileGrid, TileSet,
+    auto_tile, ApproxConfig, CandidateEvaluator, ClusterSpec, ShardPlan, SndConfig, SndEngine,
+    TileGrid, TileSet,
 };
 use snd_data::{
     find_scenario, generate_series, registry, simulate_twitter, SyntheticSeries,
@@ -24,22 +24,24 @@ use snd_models::{flips_between, GroundCostConfig, NetworkState, Opinion};
 
 use crate::dataset::{Dataset, ModelRecord};
 
-/// `--flag value` lookup over raw arguments.
-pub(crate) fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// `--flag value` lookup over raw arguments: `Ok(None)` when the flag is
+/// absent, and an error naming the flag when its value is missing or does
+/// not parse — a malformed value never silently becomes the default.
+pub(crate) fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    if !flag(args, name) {
+        return Ok(None);
+    }
+    let raw = opt_raw(args, name).ok_or(format!("{name} needs a value"))?;
+    raw.parse()
+        .map(Some)
+        .map_err(|_| format!("bad {name} '{raw}' (want {})", std::any::type_name::<T>()))
 }
 
 pub(crate) fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Raw `--flag value` lookup (no parsing). [`opt`] silently falls back to
-/// the default on a malformed value; flags where that would mask a user
-/// error (the approximate-tier knobs) go through this and parse explicitly
-/// so `--epsilon abc` is a structured error, not a silent default.
+/// Raw `--flag value` lookup (no parsing).
 pub(crate) fn opt_raw<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -66,23 +68,14 @@ fn approx_config(args: &[String]) -> Result<Option<ApproxConfig>, String> {
         min_nodes: 0,
         ..Default::default()
     };
-    if flag(args, "--epsilon") {
-        let raw = opt_raw(args, "--epsilon").ok_or("--epsilon needs a value")?;
-        approx.epsilon = raw
-            .parse::<f64>()
-            .map_err(|_| format!("bad --epsilon '{raw}' (want a finite number >= 0)"))?;
+    if let Some(epsilon) = opt(args, "--epsilon")? {
+        approx.epsilon = epsilon;
     }
-    if flag(args, "--landmarks") {
-        let raw = opt_raw(args, "--landmarks").ok_or("--landmarks needs a value")?;
-        approx.max_landmarks = raw
-            .parse()
-            .map_err(|_| format!("bad --landmarks '{raw}' (want a positive integer)"))?;
+    if let Some(landmarks) = opt(args, "--landmarks")? {
+        approx.max_landmarks = landmarks;
     }
-    if flag(args, "--budget") {
-        let raw = opt_raw(args, "--budget").ok_or("--budget needs a value")?;
-        approx.budget = raw
-            .parse()
-            .map_err(|_| format!("bad --budget '{raw}' (want an integer)"))?;
+    if let Some(budget) = opt(args, "--budget")? {
+        approx.budget = budget;
     }
     // Library-level validation (NaN / infinite / negative ε, zero
     // landmarks) surfaces as the same structured error the API returns.
@@ -92,12 +85,12 @@ fn approx_config(args: &[String]) -> Result<Option<ApproxConfig>, String> {
 
 /// `snd generate`: writes a synthetic or simulated-Twitter dataset.
 pub fn generate(args: &[String]) -> Result<(), String> {
-    let out: String = opt(args, "--out").ok_or("missing --out FILE")?;
-    let seed = opt(args, "--seed").unwrap_or(7u64);
+    let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
+    let seed = opt(args, "--seed")?.unwrap_or(7u64);
     let dataset = if flag(args, "--twitter") {
         let sim = simulate_twitter(&TwitterSimConfig {
-            users: opt(args, "--nodes").unwrap_or(4000),
-            avg_degree: opt(args, "--avg-degree").unwrap_or(50),
+            users: opt(args, "--nodes")?.unwrap_or(4000),
+            avg_degree: opt(args, "--avg-degree")?.unwrap_or(50),
             seed,
             ..Default::default()
         });
@@ -111,21 +104,21 @@ pub fn generate(args: &[String]) -> Result<(), String> {
             model: None,
         }
     } else {
-        let steps = opt(args, "--steps").unwrap_or(20usize);
-        let p_nbr = opt(args, "--p-nbr").unwrap_or(0.12);
-        let p_ext = opt(args, "--p-ext").unwrap_or(0.01);
+        let steps = opt(args, "--steps")?.unwrap_or(20usize);
+        let p_nbr = opt(args, "--p-nbr")?.unwrap_or(0.12);
+        let p_ext = opt(args, "--p-ext")?.unwrap_or(0.01);
         // Structured validation: a bad --p-nbr/--p-ext split comes back as
         // a printable CLI error, not a library panic.
         let normal = VotingConfig::new(p_nbr, p_ext).map_err(|e| e.to_string())?;
         let anomalous = VotingConfig::new(
-            opt(args, "--p-nbr-anomalous").unwrap_or(0.08),
-            opt(args, "--p-ext-anomalous").unwrap_or(0.05),
+            opt(args, "--p-nbr-anomalous")?.unwrap_or(0.08),
+            opt(args, "--p-ext-anomalous")?.unwrap_or(0.05),
         )
         .map_err(|e| e.to_string())?;
         let series = generate_series(&SyntheticSeriesConfig {
-            nodes: opt(args, "--nodes").unwrap_or(2000),
+            nodes: opt(args, "--nodes")?.unwrap_or(2000),
             steps,
-            initial_adopters: opt(args, "--seeds").unwrap_or(100),
+            initial_adopters: opt(args, "--seeds")?.unwrap_or(100),
             normal,
             anomalous,
             anomalous_steps: vec![steps / 3, (2 * steps) / 3],
@@ -185,17 +178,17 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let name: String =
-        opt(args, "--scenario").ok_or("missing --scenario NAME (see snd simulate --list)")?;
+        opt(args, "--scenario")?.ok_or("missing --scenario NAME (see snd simulate --list)")?;
     let mut scenario = find_scenario(&name)
         .ok_or_else(|| format!("unknown scenario '{name}' (see snd simulate --list)"))?;
-    if let Some(nodes) = opt(args, "--nodes") {
+    if let Some(nodes) = opt(args, "--nodes")? {
         scenario.nodes = nodes;
     }
-    if let Some(steps) = opt(args, "--steps") {
+    if let Some(steps) = opt(args, "--steps")? {
         scenario.steps = steps;
     }
-    let seed = opt(args, "--seed").unwrap_or(7u64);
-    let out: String = opt(args, "--out").ok_or("missing --out FILE")?;
+    let seed = opt(args, "--seed")?.unwrap_or(7u64);
+    let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
 
     let series = scenario.run(seed).map_err(|e| e.to_string())?;
     // Record the simulated model so later `--ground icc|ltc` runs reprice
@@ -285,15 +278,11 @@ pub(crate) fn engine_config(
     graph: &snd_graph::CsrGraph,
     recorded: Option<&ModelRecord>,
 ) -> Result<SndConfig, String> {
-    let mut config = match opt::<String>(args, "--ground") {
+    let mut config = match opt::<String>(args, "--ground")? {
         Some(name) => SndConfig::with_ground(ground_config_for(&name, graph, recorded)?),
         None => SndConfig::default(),
     };
-    if flag(args, "--clusters") {
-        let raw = opt_raw(args, "--clusters").ok_or("--clusters needs a value")?;
-        let clusters: usize = raw
-            .parse()
-            .map_err(|_| format!("bad --clusters '{raw}' (want a positive integer)"))?;
+    if let Some(clusters) = opt(args, "--clusters")? {
         if clusters == 0 {
             return Err("--clusters must be at least 1".into());
         }
@@ -314,12 +303,12 @@ pub(crate) fn engine_config(
 /// `snd distance`: all measures between two states of a dataset, or —
 /// with `--series` — every adjacent transition of the series.
 pub fn distance(args: &[String]) -> Result<(), String> {
-    let path: String = opt(args, "--data").ok_or("missing --data FILE")?;
+    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     if flag(args, "--series") {
         return distance_series(args, &path);
     }
-    let t1 = opt(args, "--t1").unwrap_or(0usize);
-    let t2 = opt(args, "--t2").unwrap_or(1usize);
+    let t1 = opt(args, "--t1")?.unwrap_or(0usize);
+    let t2 = opt(args, "--t2")?.unwrap_or(1usize);
     let dataset = Dataset::load(&path)?;
     let graph = dataset.graph();
     let states = dataset.network_states();
@@ -393,7 +382,8 @@ fn distance_series(args: &[String], path: &str) -> Result<(), String> {
 
 /// `snd anomaly`: score every transition of the dataset's series.
 pub fn anomaly(args: &[String]) -> Result<(), String> {
-    let path: String = opt(args, "--data").ok_or("missing --data FILE")?;
+    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
+    let top: Option<usize> = opt(args, "--top")?;
     let dataset = Dataset::load(&path)?;
     let graph = dataset.graph();
     let states = dataset.network_states();
@@ -419,8 +409,7 @@ pub fn anomaly(args: &[String]) -> Result<(), String> {
     };
     let processed = processed_series(&raw, &states);
     let scores = anomaly_scores(&processed);
-    let k =
-        opt(args, "--top").unwrap_or_else(|| dataset.labels.iter().filter(|&&l| l).count().max(1));
+    let k = top.unwrap_or_else(|| dataset.labels.iter().filter(|&&l| l).count().max(1));
     println!("{:>4} {:>10} {:>10}  label", "t", "SND", "score");
     for t in 0..processed.len() {
         let label = dataset.labels.get(t).copied().unwrap_or(false);
@@ -461,11 +450,12 @@ pub fn shard(args: &[String]) -> Result<(), String> {
     if args.first().is_some_and(|a| a == "merge") {
         return shard_merge(&args[1..]);
     }
-    let path: String = opt(args, "--data").ok_or("missing --data FILE")?;
-    let checkpoint: String = opt(args, "--checkpoint").ok_or("missing --checkpoint FILE")?;
-    let spec: String = opt(args, "--shard").unwrap_or_else(|| "0/1".to_string());
+    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
+    let checkpoint: String = opt(args, "--checkpoint")?.ok_or("missing --checkpoint FILE")?;
+    let spec: String = opt(args, "--shard")?.unwrap_or_else(|| "0/1".to_string());
     let (index, count) = parse_shard_spec(&spec)?;
-    if opt::<usize>(args, "--tile") == Some(0) {
+    let tile: Option<usize> = opt(args, "--tile")?;
+    if tile == Some(0) {
         return Err("--tile must be at least 1".into());
     }
 
@@ -481,7 +471,7 @@ pub fn shard(args: &[String]) -> Result<(), String> {
     // derives the same grid as long as all pass the same (or no) --tile.
     // A pre-existing checkpoint wins over the heuristic: resuming a run
     // started under a different default must not invalidate its tiles.
-    let tile: usize = match opt(args, "--tile") {
+    let tile: usize = match tile {
         Some(t) => t,
         None => match TileSet::load(Path::new(&checkpoint)) {
             Ok(existing) => existing.grid().tile_size(),
@@ -513,7 +503,7 @@ pub fn shard(args: &[String]) -> Result<(), String> {
 /// `snd shard merge`: reassemble shard artifacts, validate overlap/holes,
 /// and write the full matrix as JSON.
 fn shard_merge(args: &[String]) -> Result<(), String> {
-    let out: String = opt(args, "--out").ok_or("missing --out FILE")?;
+    let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
     let mut parts: Vec<&String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -601,9 +591,10 @@ fn parse_shard_spec(spec: &str) -> Result<(usize, usize), String> {
 /// `snd predict`: hide random active users in the final state and recover
 /// their opinions with SND.
 pub fn predict(args: &[String]) -> Result<(), String> {
-    let path: String = opt(args, "--data").ok_or("missing --data FILE")?;
-    let n_targets = opt(args, "--targets").unwrap_or(20usize);
-    let candidates = opt(args, "--candidates").unwrap_or(100usize);
+    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
+    let n_targets = opt(args, "--targets")?.unwrap_or(20usize);
+    let candidates = opt(args, "--candidates")?.unwrap_or(100usize);
+    let seed = opt(args, "--seed")?.unwrap_or(5u64);
     let dataset = Dataset::load(&path)?;
     let graph = dataset.graph();
     let states = dataset.network_states();
@@ -613,7 +604,7 @@ pub fn predict(args: &[String]) -> Result<(), String> {
     }
     let t = states.len() - 1;
     let truth: &NetworkState = &states[t];
-    let mut rng = SmallRng::seed_from_u64(opt(args, "--seed").unwrap_or(5u64));
+    let mut rng = SmallRng::seed_from_u64(seed);
     let targets = select_targets(truth, n_targets, &mut rng);
     let mut known = truth.clone();
     for &u in &targets {
@@ -621,8 +612,11 @@ pub fn predict(args: &[String]) -> Result<(), String> {
     }
 
     let engine = SndEngine::new(&graph, SndConfig::default());
-    let d1 = OrderedSnd::new(&engine, states[t - 3].clone()).distance_to(&states[t - 2]);
-    let d2 = OrderedSnd::new(&engine, states[t - 2].clone()).distance_to(&states[t - 1]);
+    let ordered = |from: &NetworkState, to: &NetworkState| {
+        CandidateEvaluator::new(&engine, from.clone()).price(&flips_between(from, to))
+    };
+    let d1 = ordered(&states[t - 3], &states[t - 2]);
+    let d2 = ordered(&states[t - 2], &states[t - 1]);
     let d_star = extrapolate_linear(&[d1, d2]).map_err(|e| e.to_string())?;
     println!("history: {d1:.2}, {d2:.2} -> d* = {d_star:.2}");
 
@@ -662,22 +656,22 @@ pub fn predict(args: &[String]) -> Result<(), String> {
 /// placements) minimizing expected delta-SND drift on a registry scenario.
 pub fn intervene(args: &[String]) -> Result<(), String> {
     let name: String =
-        opt(args, "--scenario").ok_or("missing --scenario NAME (see snd simulate --list)")?;
+        opt(args, "--scenario")?.ok_or("missing --scenario NAME (see snd simulate --list)")?;
     let mut scenario = find_scenario(&name)
         .ok_or_else(|| format!("unknown scenario '{name}' (see snd simulate --list)"))?;
-    if let Some(nodes) = opt(args, "--nodes") {
+    if let Some(nodes) = opt(args, "--nodes")? {
         scenario.nodes = nodes;
     }
-    if let Some(steps) = opt(args, "--steps") {
+    if let Some(steps) = opt(args, "--steps")? {
         scenario.steps = steps;
     }
-    let seed = opt(args, "--seed").unwrap_or(7u64);
+    let seed = opt(args, "--seed")?.unwrap_or(7u64);
     let defaults = InterventionConfig::default();
     let cfg = InterventionConfig {
-        budget: opt(args, "--budget").unwrap_or(defaults.budget),
-        beam: opt(args, "--beam").unwrap_or(defaults.beam),
-        rollouts: opt(args, "--rollouts").unwrap_or(defaults.rollouts),
-        horizon: opt(args, "--horizon").unwrap_or(defaults.horizon),
+        budget: opt(args, "--budget")?.unwrap_or(defaults.budget),
+        beam: opt(args, "--beam")?.unwrap_or(defaults.beam),
+        rollouts: opt(args, "--rollouts")?.unwrap_or(defaults.rollouts),
+        horizon: opt(args, "--horizon")?.unwrap_or(defaults.horizon),
         seed,
         ..defaults
     };
@@ -733,6 +727,62 @@ mod tests {
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn opt_distinguishes_absent_valid_and_malformed_values() {
+        let args = argv(&["--nodes", "300", "--p-nbr", "0.25", "--steps"]);
+        assert_eq!(opt::<usize>(&args, "--nodes"), Ok(Some(300)));
+        assert_eq!(opt::<f64>(&args, "--p-nbr"), Ok(Some(0.25)));
+        assert_eq!(opt::<usize>(&args, "--seeds"), Ok(None));
+        assert!(opt::<usize>(&args, "--steps")
+            .unwrap_err()
+            .contains("--steps"));
+        assert!(opt::<u64>(&args, "--p-nbr")
+            .unwrap_err()
+            .contains("--p-nbr"));
+    }
+
+    /// Every numeric flag of the dataset commands: a malformed or missing
+    /// value is an error naming the flag, raised before any work is done
+    /// (no dataset written or loaded, no scenario run) — never a silent
+    /// default.
+    #[test]
+    fn malformed_numeric_flags_are_errors_naming_the_flag() {
+        type Command = fn(&[String]) -> Result<(), String>;
+        let scenario = registry()[0].name;
+        let out = std::env::temp_dir().join(format!("snd_cli_flags_{}.json", std::process::id()));
+        let out = out.to_str().expect("utf-8 temp dir");
+        let data = "no-such-dir/no-such-dataset.json";
+        let cases: [(Command, String, &str); 7] = [
+            (
+                generate,
+                format!("--out {out}"),
+                "--seed --nodes --steps --p-nbr --p-ext --p-nbr-anomalous --p-ext-anomalous --seeds",
+            ),
+            (generate, format!("--twitter --out {out}"), "--seed --nodes --avg-degree"),
+            (simulate, format!("--scenario {scenario} --out {out}"), "--nodes --steps --seed"),
+            (distance, format!("--data {data}"), "--t1 --t2"),
+            (anomaly, format!("--data {data}"), "--top"),
+            (predict, format!("--data {data}"), "--targets --candidates --seed"),
+            (
+                intervene,
+                format!("--scenario {scenario}"),
+                "--nodes --steps --seed --budget --beam --rollouts --horizon",
+            ),
+        ];
+        for (command, base, flags) in &cases {
+            for name in flags.split_whitespace() {
+                for bad in [Some("abc"), Some("x2"), Some("1.5e"), Some(""), None] {
+                    let mut args: Vec<String> = base.split_whitespace().map(String::from).collect();
+                    args.push(name.to_string());
+                    args.extend(bad.map(String::from));
+                    let err = command(&args).expect_err("malformed value must be rejected");
+                    assert!(err.contains(name), "{args:?}: {err}");
+                }
+            }
+        }
+        assert!(!Path::new(out).exists(), "no dataset may be written");
     }
 
     #[test]

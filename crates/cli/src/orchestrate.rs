@@ -16,7 +16,7 @@ use snd_orchestrate::{
     orchestrate_tile, report_line, run_worker, Coordinator, CoordinatorOpts, Endpoint, WorkerOpts,
 };
 
-use crate::commands::{engine_config, flag, opt_raw, write_matrix_json};
+use crate::commands::{engine_config, flag, opt, opt_raw, write_matrix_json};
 use crate::dataset::Dataset;
 
 /// Validated `snd orchestrate` flags.
@@ -54,16 +54,10 @@ pub(crate) struct WorkFlags {
 /// Parses a `--flag SECONDS` duration: explicit, finite, non-negative —
 /// a malformed value is a structured error, never a silent default.
 fn seconds_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
-    if !flag(args, name) {
-        return Ok(default);
-    }
-    let raw = opt_raw(args, name).ok_or(format!("{name} needs a value"))?;
-    let secs: f64 = raw
-        .parse()
-        .map_err(|_| format!("bad {name} '{raw}' (want seconds, a finite number >= 0)"))?;
+    let secs = opt(args, name)?.unwrap_or(default);
     if !secs.is_finite() || secs < 0.0 {
         return Err(format!(
-            "bad {name} '{raw}' (want seconds, a finite number >= 0)"
+            "bad {name} '{secs}' (want seconds, a finite number >= 0)"
         ));
     }
     Ok(secs)
@@ -73,59 +67,29 @@ fn seconds_flag(args: &[String], name: &str, default: f64) -> Result<f64, String
 /// `--approx`, … — are validated separately by [`engine_config`] once the
 /// dataset is loaded).
 pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, String> {
-    let data: String = opt_raw(args, "--data")
-        .ok_or("missing --data FILE")?
-        .to_string();
-    let checkpoint: String = opt_raw(args, "--checkpoint")
-        .ok_or("missing --checkpoint FILE")?
-        .to_string();
-    let listen = match flag(args, "--listen") {
-        true => Some(
-            opt_raw(args, "--listen")
-                .ok_or("--listen needs an address (host:port or a socket path)")?
-                .to_string(),
-        ),
-        false => None,
-    };
+    let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
+    let checkpoint: String = opt(args, "--checkpoint")?.ok_or("missing --checkpoint FILE")?;
+    let listen: Option<String> = opt(args, "--listen")?;
     if let Some(addr) = &listen {
         // Fail on a bad address before touching the dataset.
         Endpoint::parse(addr).map_err(|e| e.to_string())?;
     }
-    let workers = match flag(args, "--workers") {
-        true => {
-            let raw = opt_raw(args, "--workers").ok_or("--workers needs a value")?;
-            raw.parse::<usize>()
-                .map_err(|_| format!("bad --workers '{raw}' (want an integer >= 0)"))?
-        }
-        false => 0,
-    };
+    let workers = opt(args, "--workers")?.unwrap_or(0usize);
     if listen.is_none() && workers == 0 {
         return Err(
             "need --workers N (local fleet) and/or --listen ADDR (external workers)".into(),
         );
     }
-    let tile = match flag(args, "--tile") {
-        true => {
-            let raw = opt_raw(args, "--tile").ok_or("--tile needs a value")?;
-            let t: usize = raw
-                .parse()
-                .map_err(|_| format!("bad --tile '{raw}' (want a positive integer)"))?;
-            if t == 0 {
-                return Err("--tile must be at least 1".into());
-            }
-            Some(t)
-        }
-        false => None,
-    };
+    let tile: Option<usize> = opt(args, "--tile")?;
+    if tile == Some(0) {
+        return Err("--tile must be at least 1".into());
+    }
     let lease_timeout = seconds_flag(args, "--lease-timeout", 30.0)?;
     let target_lease = seconds_flag(args, "--target-lease", 2.0)?;
     if target_lease <= 0.0 {
         return Err("--target-lease must be positive".into());
     }
-    let out = opt_raw(args, "--out").map(str::to_string);
-    if flag(args, "--out") && out.is_none() {
-        return Err("--out needs a value".into());
-    }
+    let out: Option<String> = opt(args, "--out")?;
     Ok(OrchestrateFlags {
         data,
         checkpoint,
@@ -141,12 +105,9 @@ pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, Str
 
 /// Validates `snd work` arguments.
 pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
-    let data: String = opt_raw(args, "--data")
-        .ok_or("missing --data FILE")?
-        .to_string();
-    let addr: String = opt_raw(args, "--addr")
-        .ok_or("missing --addr ADDR (the coordinator's address)")?
-        .to_string();
+    let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
+    let addr: String =
+        opt(args, "--addr")?.ok_or("missing --addr ADDR (the coordinator's address)")?;
     Endpoint::parse(&addr).map_err(|e| e.to_string())?;
     let throttle = match std::env::var("SND_WORK_THROTTLE_MS") {
         Ok(raw) => {
@@ -367,45 +328,20 @@ pub fn work(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
+    /// Splits a space-separated invocation into argv.
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
     }
 
-    const FULL_ORCH: &[&str] = &[
-        "--data",
-        "data.json",
-        "--checkpoint",
-        "run.snd",
-        "--listen",
-        "127.0.0.1:7070",
-        "--workers",
-        "2",
-        "--tile",
-        "4",
-        "--lease-timeout",
-        "15",
-        "--target-lease",
-        "1.5",
-        "--out",
-        "matrix.json",
-        "--no-overlap",
-    ];
+    const FULL_ORCH: &str = "--data data.json --checkpoint run.snd --listen 127.0.0.1:7070 \
+        --workers 2 --tile 4 --lease-timeout 15 --target-lease 1.5 --out matrix.json --no-overlap";
 
-    const FULL_WORK: &[&str] = &[
-        "--data",
-        "data.json",
-        "--addr",
-        "127.0.0.1:7070",
-        "--connect-retry",
-        "3",
-        "--read-timeout",
-        "60",
-        "--no-overlap",
-    ];
+    const FULL_WORK: &str =
+        "--data data.json --addr 127.0.0.1:7070 --connect-retry 3 --read-timeout 60 --no-overlap";
 
     #[test]
     fn orchestrate_flags_parse_the_full_invocation() {
-        let f = orchestrate_flags(&argv(FULL_ORCH)).unwrap();
+        let f = orchestrate_flags(&words(FULL_ORCH)).unwrap();
         assert_eq!(
             f,
             OrchestrateFlags {
@@ -421,23 +357,21 @@ mod tests {
             }
         );
         // A local-fleet run needs no --listen: a private socket is used.
-        let f = orchestrate_flags(&argv(&[
-            "--data",
-            "d.json",
-            "--checkpoint",
-            "c.snd",
-            "--workers",
-            "1",
-        ]))
-        .unwrap();
+        let f = orchestrate_flags(&words("--data d.json --checkpoint c.snd --workers 1")).unwrap();
         assert_eq!(f.listen, None);
         assert_eq!(f.workers, 1);
         assert_eq!(f.lease_timeout, 30.0);
+        // The benchmark's fleet invocation: sub-millisecond target lease.
+        let f = orchestrate_flags(&words(
+            "--data d.json --checkpoint c.snd --workers 2 --tile 2 --target-lease 0.001",
+        ))
+        .unwrap();
+        assert_eq!((f.workers, f.tile, f.target_lease), (2, Some(2), 0.001));
     }
 
     #[test]
     fn work_flags_parse_the_full_invocation() {
-        let f = work_flags(&argv(FULL_WORK)).unwrap();
+        let f = work_flags(&words(FULL_WORK)).unwrap();
         assert_eq!(f.data, "data.json");
         assert_eq!(f.addr, "127.0.0.1:7070");
         assert!(f.no_overlap);
@@ -447,171 +381,42 @@ mod tests {
     }
 
     /// Every malformed invocation must come back as a structured `Err` —
-    /// never a panic, never a silent default (the PR 6 approx-flag fuzz
-    /// pattern applied to the orchestrator commands).
+    /// never a panic, never a silent default.
     #[test]
     fn malformed_orchestrate_flags_surface_structured_errors_not_panics() {
-        let bad: &[&[&str]] = &[
-            &[],                                                         // nothing
-            &["--checkpoint", "c.snd", "--workers", "2"],                // no --data
-            &["--data", "d.json", "--workers", "2"],                     // no --checkpoint
-            &["--data", "d.json", "--checkpoint", "c.snd"],              // no fleet, no listen
-            &["--data", "d.json", "--checkpoint", "c.snd", "--workers"], // dangling value
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "two",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "-1",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1.5",
-            ],
-            &["--data", "d.json", "--checkpoint", "c.snd", "--listen"],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--listen",
-                "nonsense",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--listen",
-                "host:notaport",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--listen",
-                "host:99999",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--tile",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--tile",
-                "0",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--tile",
-                "big",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--lease-timeout",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--lease-timeout",
-                "NaN",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--lease-timeout",
-                "-5",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--lease-timeout",
-                "soon",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--target-lease",
-                "0",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--target-lease",
-                "inf",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--checkpoint",
-                "c.snd",
-                "--workers",
-                "1",
-                "--out",
-            ],
+        const BASE: &str = "--data d.json --checkpoint c.snd";
+        let bad = [
+            "".to_string(),                               // nothing
+            "--checkpoint c.snd --workers 2".to_string(), // no --data
+            "--data d.json --workers 2".to_string(),      // no --checkpoint
+            BASE.to_string(),                             // no fleet, no listen
+            format!("{BASE} --workers"),                  // dangling value
+            format!("{BASE} --workers two"),
+            format!("{BASE} --workers -1"),
+            format!("{BASE} --workers 1.5"),
+            format!("{BASE} --listen"),
+            format!("{BASE} --listen nonsense"),
+            format!("{BASE} --listen host:notaport"),
+            format!("{BASE} --listen host:99999"),
+            format!("{BASE} --workers 1 --tile"),
+            format!("{BASE} --workers 1 --tile 0"),
+            format!("{BASE} --workers 1 --tile big"),
+            format!("{BASE} --workers 1 --lease-timeout"),
+            format!("{BASE} --workers 1 --lease-timeout NaN"),
+            format!("{BASE} --workers 1 --lease-timeout -5"),
+            format!("{BASE} --workers 1 --lease-timeout soon"),
+            format!("{BASE} --workers 1 --target-lease 0"),
+            format!("{BASE} --workers 1 --target-lease inf"),
+            format!("{BASE} --workers 1 --out"),
         ];
-        for case in bad {
-            let err = orchestrate_flags(&argv(case));
+        for case in &bad {
+            let err = orchestrate_flags(&words(case));
             assert!(err.is_err(), "{case:?} must be rejected, got {err:?}");
             assert!(!err.unwrap_err().is_empty());
         }
         // Every prefix truncation of the full valid invocation either
         // parses or errors cleanly — no index panics on dangling flags.
-        let full = argv(FULL_ORCH);
+        let full = words(FULL_ORCH);
         for len in 0..=full.len() {
             let _ = orchestrate_flags(&full[..len]);
         }
@@ -619,92 +424,47 @@ mod tests {
 
     #[test]
     fn malformed_work_flags_surface_structured_errors_not_panics() {
-        let bad: &[&[&str]] = &[
-            &[],
-            &["--addr", "127.0.0.1:7070"],                // no --data
-            &["--data", "d.json"],                        // no --addr
-            &["--data", "d.json", "--addr"],              // dangling value
-            &["--data", "d.json", "--addr", "nonsense"],  // not host:port or path
-            &["--data", "d.json", "--addr", ":7070"],     // empty host
-            &["--data", "d.json", "--addr", "host:port"], // non-numeric port
-            &["--data", "d.json", "--addr", "127.0.0.1:70000"], // port overflow
-            &[
-                "--data",
-                "d.json",
-                "--addr",
-                "127.0.0.1:7070",
-                "--connect-retry",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--addr",
-                "127.0.0.1:7070",
-                "--connect-retry",
-                "-1",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--addr",
-                "127.0.0.1:7070",
-                "--read-timeout",
-                "long",
-            ],
-            &[
-                "--data",
-                "d.json",
-                "--addr",
-                "127.0.0.1:7070",
-                "--read-timeout",
-                "NaN",
-            ],
+        const BASE: &str = "--data d.json --addr 127.0.0.1:7070";
+        let bad = [
+            "".to_string(),
+            "--addr 127.0.0.1:7070".to_string(), // no --data
+            "--data d.json".to_string(),         // no --addr
+            "--data d.json --addr".to_string(),  // dangling value
+            "--data d.json --addr nonsense".to_string(), // not host:port or path
+            "--data d.json --addr :7070".to_string(), // empty host
+            "--data d.json --addr host:port".to_string(), // non-numeric port
+            "--data d.json --addr 127.0.0.1:70000".to_string(), // port overflow
+            format!("{BASE} --connect-retry"),
+            format!("{BASE} --connect-retry -1"),
+            format!("{BASE} --read-timeout long"),
+            format!("{BASE} --read-timeout NaN"),
         ];
-        for case in bad {
-            let err = work_flags(&argv(case));
+        for case in &bad {
+            let err = work_flags(&words(case));
             assert!(err.is_err(), "{case:?} must be rejected, got {err:?}");
             assert!(!err.unwrap_err().is_empty());
         }
-        let full = argv(FULL_WORK);
+        let full = words(FULL_WORK);
         for len in 0..=full.len() {
             let _ = work_flags(&full[..len]);
         }
         // A Unix socket path is a valid --addr too.
-        let f = work_flags(&argv(&["--data", "d.json", "--addr", "/tmp/coord.sock"])).unwrap();
+        let f = work_flags(&words("--data d.json --addr /tmp/coord.sock")).unwrap();
         assert_eq!(f.addr, "/tmp/coord.sock");
     }
 
     #[test]
     fn tier_flags_are_forwarded_to_spawned_workers_verbatim() {
-        let args = argv(&[
-            "--data",
-            "d.json",
-            "--checkpoint",
-            "c.snd",
-            "--workers",
-            "2",
-            "--approx",
-            "--epsilon",
-            "0.05",
-            "--landmarks",
-            "8",
-            "--ground",
-            "icc",
-        ]);
+        let args = words(
+            "--data d.json --checkpoint c.snd --workers 2 --approx --epsilon 0.05 --landmarks 8 \
+             --ground icc",
+        );
         let fwd = forwarded_tier_flags(&args);
         assert_eq!(
             fwd,
-            argv(&[
-                "--ground",
-                "icc",
-                "--epsilon",
-                "0.05",
-                "--landmarks",
-                "8",
-                "--approx"
-            ])
+            words("--ground icc --epsilon 0.05 --landmarks 8 --approx")
         );
         // No tier flags, nothing forwarded.
-        assert!(forwarded_tier_flags(&argv(&["--data", "d.json"])).is_empty());
+        assert!(forwarded_tier_flags(&words("--data d.json")).is_empty());
     }
 }

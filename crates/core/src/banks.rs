@@ -6,7 +6,7 @@
 //! the opinion being transported, not on the pair of states under
 //! comparison — so it is computed once per `(state, opinion)` and reused
 //! across comparisons ([`crate::SndEngine::series_distances`],
-//! [`crate::OrderedSnd`]).
+//! [`crate::CandidateEvaluator`]).
 //!
 //! Cluster-bank geometry is embarrassingly parallel across clusters: each
 //! cluster's inter-cluster row and γ need only that cluster's SSSPs.

@@ -9,9 +9,7 @@
 //! [`pairwise_distances`](SndEngine::pairwise_distances) fans comparisons
 //! out over all cores. [`series_distances`](SndEngine::series_distances)
 //! instead walks the series *incrementally* (delta-aware, see
-//! [`crate::delta`]) with per-transition parallelism only —
-//! [`series_distances_batch`](SndEngine::series_distances_batch) keeps the
-//! windowed cross-transition fan-out for multi-core runs. Results are
+//! [`crate::delta`]) with per-transition parallelism only. Results are
 //! bit-identical to a sequential evaluation either way: every term is an
 //! independent exact computation and reductions happen in a fixed order.
 //!
@@ -732,50 +730,6 @@ impl<'g> SndEngine<'g> {
     /// geometry bundles are live at any point.
     pub fn series_distances(&self, states: &[NetworkState]) -> Vec<f64> {
         crate::delta::SeriesEvaluator::new(self).distances(states)
-    }
-
-    /// The pre-delta batch series path: geometries for a window of states
-    /// computed concurrently, then every transition fanned out over the
-    /// thread pool. Kept as the wall-clock baseline the delta path is
-    /// benchmarked against (`BENCH_series.json`) and for multi-core runs
-    /// where cross-transition parallelism can beat incremental repair.
-    /// Bit-identical to [`series_distances_seq`](Self::series_distances_seq).
-    pub fn series_distances_batch(&self, states: &[NetworkState]) -> Vec<f64> {
-        use rayon::prelude::*;
-        if states.len() < 2 {
-            return Vec::new();
-        }
-        // Evaluate in windows so at most GEOMETRY_WINDOW bundles (each
-        // holding geometries plus cached SSSP rows, O(n) apiece) are live
-        // at once — a long series on a large graph must not hold T bundles
-        // simultaneously. The one overlap state per window boundary is
-        // recomputed, which is deterministic and amortized by the window.
-        const GEOMETRY_WINDOW: usize = 33;
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut lo = 0usize;
-        while lo + 1 < states.len() {
-            let hi = (lo + GEOMETRY_WINDOW - 1).min(states.len() - 1);
-            let geoms: Vec<StateGeometry> = states[lo..=hi]
-                .par_iter()
-                .map(|s| self.state_geometry(s))
-                .collect();
-            out.extend(
-                (lo + 1..hi + 1)
-                    .into_par_iter()
-                    .map(|t| {
-                        self.breakdown_with(
-                            &states[t - 1],
-                            &states[t],
-                            &geoms[t - 1 - lo],
-                            &geoms[t - lo],
-                        )
-                        .total()
-                    })
-                    .collect::<Vec<f64>>(),
-            );
-            lo = hi;
-        }
-        out
     }
 
     /// Sequential reference implementation of

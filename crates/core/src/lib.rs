@@ -27,7 +27,7 @@
 //! [`GroundGeometry`] (per state and opinion) carries the edge costs, the
 //! per-cluster bank distances γ, and the inter-cluster distance matrix; it
 //! is reusable across comparisons involving the same state — see
-//! [`SndEngine::series_distances`] and [`OrderedSnd`].
+//! [`SndEngine::series_distances`] and [`CandidateEvaluator`].
 //!
 //! # The delta pipeline (time-series workloads)
 //!
@@ -141,7 +141,7 @@ pub use batch::DistanceMatrix;
 pub use config::{ClusterSpec, GammaPolicy, SndConfig};
 pub use delta::{DeltaStateGeometry, SeriesEvaluator, SketchRows, REPAIR_EDGE_FRACTION};
 pub use engine::{SndBreakdown, SndEngine, StateGeometry};
-pub use ordered::{CandidateEvaluator, OrderedSnd};
+pub use ordered::CandidateEvaluator;
 pub use shard::{
     auto_tile, interval_line, parse_interval_line, parse_tile_line, parse_timing_line,
     states_fingerprint, tile_line, timing_line, Checkpoint, ShardError, ShardPlan, TileGrid,

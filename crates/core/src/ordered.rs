@@ -10,111 +10,43 @@
 //!
 //! The §6.3 predictor and the intervention-search workload evaluate
 //! hundreds of candidate `to` states that each differ from the anchor by a
-//! handful of flips. Two evaluators serve that shape:
+//! handful of flips. [`CandidateEvaluator`] serves that shape: the
+//! anchor's geometry is carried in one repairable [`DeltaStateGeometry`]
+//! bundle, and a candidate is a compact **flip-list** `&[(node, opinion)]`
+//! relative to the anchor — no per-candidate `NetworkState` clone, no
+//! `O(n)` state scan. Because the ordered ground distance is anchored at
+//! the *from* state, a candidate changes only the `Q` side of each EMD\*
+//! term: the classification (residuals, totals, lighter-side bank bins) is
+//! derived from precomputed anchor stats in `O(flips + active)`, then
+//! funnels into the same assembly/solve (`sparse::solve_reduced_term`)
+//! the `O(n)`-scan path uses — so prices are **bit-identical** to the
+//! sequential scan reference: [`SndEngine::geometry_seq`] of the anchor
+//! plus [`emd_star_term`](crate::sparse::emd_star_term) summed over both
+//! opinions (property-tested across every registry scenario in
+//! `tests/candidate_pricing.rs`).
 //!
-//! * [`CandidateEvaluator`] — the delta-priced path. The anchor's
-//!   geometry is carried in one repairable
-//!   [`DeltaStateGeometry`](crate::delta::DeltaStateGeometry) bundle, and
-//!   a candidate is a compact **flip-list** `&[(node, opinion)]` relative
-//!   to the anchor — no per-candidate `NetworkState` clone, no `O(n)`
-//!   state scan. Because the ordered ground distance is anchored at the
-//!   *from* state, a candidate changes only the `Q` side of each EMD\*
-//!   term: the classification (residuals, totals, lighter-side bank bins)
-//!   is derived from precomputed anchor stats in `O(flips + active)`, then
-//!   funnels into the same assembly/solve
-//!   ([`solve_reduced_term`](crate::sparse::solve_reduced_term)) the
-//!   `O(n)`-scan path uses — so prices are **bit-identical** to
-//!   [`OrderedSnd`] (property-tested across every registry scenario in
-//!   `tests/candidate_pricing.rs`).
+//! When the *anchor itself* moves (greedy intervention search commits an
+//! action), [`patch`](CandidateEvaluator::patch) advances the bundle
+//! through the delta repair machinery — touched-edge cost rederivation
+//! plus [`repair_row`](snd_graph::repair_row) on exactly the cluster rows
+//! the change index says can move, untouched rows carried over as `O(1)`
+//! `Arc` bumps — and pushes the previous bundle on a stack, so
+//! [`unpatch`](CandidateEvaluator::unpatch) is an `O(1)` restore of the
+//! exact previous geometry (copy-on-write rows, never mutated in place).
 //!
-//!   When the *anchor itself* moves (greedy intervention search commits an
-//!   action), [`patch`](CandidateEvaluator::patch) advances the bundle
-//!   through the PR 6 repair machinery — touched-edge cost rederivation
-//!   plus [`repair_row`](snd_graph::repair_row) on exactly the cluster
-//!   rows the change index says can move, untouched rows carried over as
-//!   `O(1)` `Arc` bumps — and pushes the previous bundle on a stack, so
-//!   [`unpatch`](CandidateEvaluator::unpatch) is an `O(1)` restore of the
-//!   exact previous geometry (copy-on-write rows, never mutated in place).
-//!
-//!   Flip-lists express *state* changes only. Topology edits (edge
-//!   insert/delete) cannot be patched: edge ids are CSR positions, so an
-//!   insertion renumbers the cost/row indexing the bundle is built on.
-//!   Callers handle those via the documented **rebuild fallback** —
-//!   reconstruct the graph, a fresh engine, and a fresh evaluator (see
-//!   `snd_analysis::intervene`).
-//!
-//! * [`OrderedSnd`] — the scratch reference path: fixes a *from* state,
-//!   precomputes its two geometries, and prices each candidate through the
-//!   full `O(n)` classification of
-//!   [`emd_star_term`](crate::sparse::emd_star_term) with a shared SSSP
-//!   row cache. Kept as the bit-identical sequential-classification
-//!   reference the property suite and `BENCH_predict.json` compare
-//!   against.
+//! Flip-lists express *state* changes only. Topology edits (edge
+//! insert/delete) cannot be patched: edge ids are CSR positions, so an
+//! insertion renumbers the cost/row indexing the bundle is built on.
+//! Callers handle those via the documented **rebuild fallback** —
+//! reconstruct the graph, a fresh engine, and a fresh evaluator (see
+//! `snd_analysis::intervene`).
 
 use snd_graph::{Clustering, NodeId};
 use snd_models::{apply_flips, normalize_flips, NetworkState, Opinion, StateDelta};
 
 use crate::delta::DeltaStateGeometry;
-use crate::engine::{SndEngine, StateGeometry};
-use crate::sparse::{emd_star_term, solve_reduced_term, BankBins, ReducedTerm, RowCache};
-
-/// Ordered-SND evaluator anchored at a fixed "from" state.
-pub struct OrderedSnd<'e, 'g> {
-    engine: &'e SndEngine<'g>,
-    from: NetworkState,
-    geometry: StateGeometry,
-}
-
-impl<'e, 'g> OrderedSnd<'e, 'g> {
-    /// Builds the evaluator (computes the two geometries of `from`).
-    pub fn new(engine: &'e SndEngine<'g>, from: NetworkState) -> Self {
-        let geometry = engine.state_geometry(&from);
-        OrderedSnd {
-            engine,
-            from,
-            geometry,
-        }
-    }
-
-    /// The anchored state.
-    pub fn from_state(&self) -> &NetworkState {
-        &self.from
-    }
-
-    /// Ordered SND from the anchored state to `to`.
-    pub fn distance_to(&self, to: &NetworkState) -> f64 {
-        let term = |geom, op| {
-            emd_star_term(
-                self.engine.graph(),
-                self.engine.clustering(),
-                geom,
-                &self.from,
-                to,
-                op,
-                self.engine.config(),
-                Some(&self.geometry.cache),
-            )
-        };
-        let (pos, neg) = rayon::join(
-            || term(&self.geometry.pos, Opinion::Positive),
-            || term(&self.geometry.neg, Opinion::Negative),
-        );
-        pos + neg
-    }
-
-    /// Ordered SND to every candidate, fanned out over the thread pool.
-    /// All evaluations share the anchored geometry and row cache; the
-    /// result order matches `candidates`.
-    pub fn distances_to(&self, candidates: &[NetworkState]) -> Vec<f64> {
-        use rayon::prelude::*;
-        candidates.par_iter().map(|c| self.distance_to(c)).collect()
-    }
-
-    /// Number of SSSP rows currently cached.
-    pub fn cached_rows(&self) -> usize {
-        self.geometry.cached_rows()
-    }
-}
+use crate::engine::SndEngine;
+use crate::sparse::{solve_reduced_term, BankBins, ReducedTerm, RowCache};
 
 /// Index of an opinion into the per-opinion stat arrays.
 #[inline]
@@ -189,11 +121,11 @@ struct Frame {
 
 /// Delta-priced ordered-SND evaluator: candidates are flip-lists against
 /// a patchable anchor geometry. See the module docs for the protocol and
-/// the bit-identity contract with [`OrderedSnd`].
+/// the bit-identity contract with the sequential scan.
 pub struct CandidateEvaluator<'e, 'g> {
     engine: &'e SndEngine<'g>,
     anchor: NetworkState,
-    /// The anchor's repairable geometry bundle (PR 6 machinery): both
+    /// The anchor's repairable geometry bundle (delta machinery): both
     /// opinion geometries plus the `Arc`-shared cluster rows `patch`
     /// repairs instead of recomputing.
     bundle: DeltaStateGeometry,
@@ -242,8 +174,8 @@ impl<'e, 'g> CandidateEvaluator<'e, 'g> {
 
     /// Ordered SND from the anchor to the candidate described by `flips`
     /// (`(node, new opinion)`, any order, last-wins on duplicates, no-op
-    /// entries ignored). Bit-identical to
-    /// `OrderedSnd::distance_to(&apply_flips(anchor, flips))`.
+    /// entries ignored). Bit-identical to the sequential scan of
+    /// `apply_flips(anchor, flips)` against the anchor's geometry.
     pub fn price(&self, flips: &[(NodeId, Opinion)]) -> f64 {
         let flips = normalize_flips(&self.anchor, flips);
         self.price_normalized(&flips, true)
@@ -417,13 +349,32 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use snd_graph::generators::{barabasi_albert, path_graph};
 
+    /// The sequential scan reference: `from`'s geometry per opinion and
+    /// the `O(n)` classification of [`crate::sparse::emd_star_term`],
+    /// both opinions summed.
+    fn scan_prices(engine: &SndEngine, from: &NetworkState, to: &[NetworkState]) -> Vec<f64> {
+        let geoms =
+            [Opinion::Positive, Opinion::Negative].map(|op| (op, engine.geometry_seq(from, op)));
+        let (g, clustering, config) = (engine.graph(), engine.clustering(), engine.config());
+        to.iter()
+            .map(|to| {
+                let term = |(op, geom): &(Opinion, _)| {
+                    crate::sparse::emd_star_term(g, clustering, geom, from, to, *op, config, None)
+                };
+                term(&geoms[0]) + term(&geoms[1])
+            })
+            .collect()
+    }
+
     #[test]
     fn ordered_distance_is_zero_for_same_state() {
         let g = path_graph(6);
         let engine = SndEngine::new(&g, SndConfig::default());
         let s = NetworkState::from_values(&[1, 0, -1, 0, 1, 0]);
-        let ordered = OrderedSnd::new(&engine, s.clone());
-        assert_eq!(ordered.distance_to(&s), 0.0);
+        assert_eq!(
+            scan_prices(&engine, &s, std::slice::from_ref(&s)),
+            vec![0.0]
+        );
         let evaluator = CandidateEvaluator::new(&engine, s);
         assert_eq!(evaluator.price(&[]), 0.0);
     }
@@ -433,17 +384,17 @@ mod tests {
         let g = path_graph(8);
         let engine = SndEngine::new(&g, SndConfig::default());
         let from = NetworkState::from_values(&[1, 1, 0, 0, 0, 0, -1, 0]);
-        let ordered = OrderedSnd::new(&engine, from);
-        let mut to_a = NetworkState::from_values(&[1, 1, 0, 1, 0, 0, -1, 0]);
-        let _ = ordered.distance_to(&to_a);
-        let rows_after_first = ordered.cached_rows();
+        let evaluator = CandidateEvaluator::new(&engine, from);
+        let mut flips = vec![(3, Opinion::Positive)];
+        let _ = evaluator.price(&flips);
+        let rows_after_first = evaluator.cached_rows();
         // Same differing users => no new rows.
-        let _ = ordered.distance_to(&to_a);
-        assert_eq!(ordered.cached_rows(), rows_after_first);
+        let _ = evaluator.price(&flips);
+        assert_eq!(evaluator.cached_rows(), rows_after_first);
         // One extra differing user => at most a few more rows.
-        to_a.set(4, Opinion::Negative);
-        let _ = ordered.distance_to(&to_a);
-        assert!(ordered.cached_rows() >= rows_after_first);
+        flips.push((4, Opinion::Negative));
+        let _ = evaluator.price(&flips);
+        assert!(evaluator.cached_rows() >= rows_after_first);
     }
 
     #[test]
@@ -454,8 +405,8 @@ mod tests {
         let engine = SndEngine::new(&g, SndConfig::default());
         let a = NetworkState::from_values(&[1, 0, 0, -1, 0, 0, 1, 0]);
         let b = NetworkState::from_values(&[1, 1, 0, -1, -1, 0, 0, 0]);
-        let ordered = OrderedSnd::new(&engine, a.clone());
-        let got = ordered.distance_to(&b);
+        let evaluator = CandidateEvaluator::new(&engine, a.clone());
+        let got = evaluator.price(&snd_models::flips_between(&a, &b));
         let breakdown = engine.breakdown(&a, &b);
         let expected = breakdown.forward_pos + breakdown.forward_neg;
         assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
@@ -466,17 +417,12 @@ mod tests {
         let g = path_graph(10);
         let engine = SndEngine::new(&g, SndConfig::default());
         let from = NetworkState::from_values(&[1, 1, 0, 0, 0, 0, 0, 0, -1, 0]);
-        let ordered = OrderedSnd::new(&engine, from);
-        let candidates: Vec<NetworkState> = (0..6)
-            .map(|i| {
-                let mut s = ordered.from_state().clone();
-                s.set(i as u32 + 2, Opinion::Positive);
-                s
-            })
-            .collect();
-        let batch = ordered.distances_to(&candidates);
+        let evaluator = CandidateEvaluator::new(&engine, from);
+        let candidates: Vec<Vec<(NodeId, Opinion)>> =
+            (0..6).map(|i| vec![(i + 2, Opinion::Positive)]).collect();
+        let batch = evaluator.price_candidates(&candidates);
         for (c, &d) in candidates.iter().zip(&batch) {
-            assert_eq!(d, ordered.distance_to(c), "batch equals single eval");
+            assert_eq!(d, evaluator.price(c), "batch equals single eval");
         }
     }
 
@@ -513,20 +459,19 @@ mod tests {
     }
 
     #[test]
-    fn flip_pricing_is_bit_identical_to_scratch_ordered_snd() {
+    fn flip_pricing_is_bit_identical_to_the_sequential_scan() {
         let mut rng = SmallRng::seed_from_u64(51);
         let g = barabasi_albert(30, 2, &mut rng);
         for config in test_configs() {
             let engine = SndEngine::new(&g, config);
             let anchor = random_state(30, &mut rng);
-            let ordered = OrderedSnd::new(&engine, anchor.clone());
             let evaluator = CandidateEvaluator::new(&engine, anchor.clone());
             let candidates: Vec<Vec<(NodeId, Opinion)>> = (0..12)
                 .map(|t| random_flips(30, 1 + t % 5, &mut rng))
                 .collect();
             let states: Vec<NetworkState> =
                 candidates.iter().map(|f| apply_flips(&anchor, f)).collect();
-            let scratch = ordered.distances_to(&states);
+            let scratch = scan_prices(&engine, &anchor, &states);
             let par = evaluator.price_candidates(&candidates);
             let seq = evaluator.price_candidates_seq(&candidates);
             for i in 0..candidates.len() {

@@ -55,7 +55,7 @@ pub(crate) fn with_sssp_scratch<R>(f: impl FnOnce(&mut SsspScratch) -> R) -> R {
 
 /// Thread-safe cache of clamped SSSP rows for one ground state, shared
 /// across every comparison grounded in that state (series evaluation,
-/// all-pairs matrices, [`crate::OrderedSnd`] candidate search).
+/// all-pairs matrices, [`crate::CandidateEvaluator`] candidate search).
 ///
 /// Layout: four lazily-allocated dense planes — one per `(opinion,
 /// direction)` — each a slab of [`OnceLock`] slots indexed directly by

@@ -12,10 +12,10 @@
 //!   configuration-model scale-free graphs with a prescribed exponent,
 //!   Barabási–Albert preferential attachment, Erdős–Rényi, and small
 //!   deterministic topologies for tests.
-//! * Single-source shortest paths: binary-heap Dijkstra, Dial's bucket queue
-//!   and a radix-heap Dijkstra (both exploiting the paper's Assumption 2 that
-//!   edge costs are integers bounded by a constant `U`), plus Bellman–Ford
-//!   and Floyd–Warshall used as test oracles.
+//! * Single-source shortest paths: one Dial bucket-queue kernel (exploiting
+//!   the paper's Assumption 2 that edge costs are integers bounded by a
+//!   constant `U`) with in-place row repair and landmark sketches on top,
+//!   plus Bellman–Ford and Floyd–Warshall used as test oracles.
 //! * Clustering (label propagation and BFS partitioning) used by EMD\* to
 //!   place local bank bins.
 //! * Graph Laplacian quadratic forms for the quadratic-form baseline.
@@ -37,7 +37,6 @@ pub use csr::{CsrGraph, EdgeId, GraphBuilder, NodeId};
 pub use laplacian::{dense_laplacian, laplacian_quadratic_form};
 pub use shortest_paths::{
     bellman_ford, dial, dial_bounded_scratch, dial_reverse, dial_reverse_scratch, dial_scratch,
-    dijkstra, dijkstra_reverse, dijkstra_scratch, floyd_warshall, radix_dijkstra, repair_row,
-    select_landmarks, CostChange, Dist, GroupAggregate, LandmarkSketch, RepairScratch, SsspScratch,
-    UNREACHABLE,
+    floyd_warshall, repair_row, select_landmarks, CostChange, Dist, GroupAggregate, LandmarkSketch,
+    RepairScratch, SsspScratch, UNREACHABLE,
 };

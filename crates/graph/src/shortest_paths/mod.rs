@@ -1,13 +1,14 @@
 //! Single-source and all-pairs shortest paths.
 //!
 //! SND's ground distance is a shortest-path metric over integer edge costs
-//! bounded by a constant `U` (the paper's Assumption 2). Three SSSP engines
-//! are provided:
-//!
-//! * [`dijkstra`] — binary-heap Dijkstra, the robust default;
-//! * [`dial`] — Dial's bucket queue, `O(m + n·U)`-ish for small `U`;
-//! * [`radix_dijkstra`] — monotone radix-heap Dijkstra in the spirit of
-//!   Ahuja–Mehlhorn–Orlin–Tarjan, the structure Theorem 4 cites.
+//! bounded by a constant `U` (the paper's Assumption 2). Theorem 4's linear
+//! bound rests on a bounded-cost SSSP: the paper cites the monotone radix
+//! heap of Ahuja–Mehlhorn–Orlin–Tarjan, and for constant `U` Dial's bucket
+//! queue gives the same `O(m + n·U)` bound with a simpler structure. Every
+//! SSSP row in the workspace runs one Dial kernel ([`dial_scratch`] and its
+//! reverse, capacity-bounded and allocating wrappers); [`repair_row`]
+//! updates such a row in place after edge-cost changes, and
+//! [`LandmarkSketch`] bounds distances from a few precomputed rows.
 //!
 //! [`bellman_ford`] and [`floyd_warshall`] are slow reference oracles used by
 //! tests. All functions accept a weight slice aligned with the graph's
@@ -15,22 +16,16 @@
 //! queries (distance from the *set* of sources), which SND uses both for
 //! cluster-to-node distances and for the ICC model's seed-set distances.
 
-mod dial_queue;
-mod dijkstra_impl;
 mod landmarks;
 mod oracle;
-mod radix_heap;
 mod repair;
 mod scratch;
 
-pub use dial_queue::{dial, dial_reverse};
-pub use dijkstra_impl::{dijkstra, dijkstra_bounded, dijkstra_reverse};
 pub use landmarks::{select_landmarks, GroupAggregate, LandmarkSketch};
 pub use oracle::{bellman_ford, floyd_warshall};
-pub use radix_heap::{radix_dijkstra, RadixHeap};
 pub use repair::{repair_row, CostChange, RepairScratch};
 pub use scratch::{
-    dial_bounded_scratch, dial_reverse_scratch, dial_scratch, dijkstra_scratch, SsspScratch,
+    dial, dial_bounded_scratch, dial_reverse, dial_reverse_scratch, dial_scratch, SsspScratch,
 };
 
 /// Distance type. Path costs fit easily: at most `(n-1) * U`.
@@ -43,7 +38,7 @@ pub const UNREACHABLE: Dist = u64::MAX;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::CsrGraph;
+    use crate::csr::{CsrGraph, NodeId};
     use crate::generators;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -61,39 +56,28 @@ mod tests {
     #[test]
     fn line_distances() {
         let (g, w) = line_graph();
-        let d = dijkstra(&g, &w, &[0]);
-        assert_eq!(d, vec![0, 1, 3, 6]);
-        let d = dial(&g, &w, &[0], 3);
-        assert_eq!(d, vec![0, 1, 3, 6]);
-        let d = radix_dijkstra(&g, &w, &[0]);
-        assert_eq!(d, vec![0, 1, 3, 6]);
+        assert_eq!(dial(&g, &w, &[0], 3), vec![0, 1, 3, 6]);
     }
 
     #[test]
     fn unreachable_nodes() {
         let g = CsrGraph::from_edges(3, &[(0, 1)]);
         let w = vec![5u32];
-        let d = dijkstra(&g, &w, &[0]);
-        assert_eq!(d[2], UNREACHABLE);
         let d = dial(&g, &w, &[0], 5);
-        assert_eq!(d[2], UNREACHABLE);
-        let d = radix_dijkstra(&g, &w, &[0]);
         assert_eq!(d[2], UNREACHABLE);
     }
 
     #[test]
     fn multi_source() {
         let (g, w) = line_graph();
-        let d = dijkstra(&g, &w, &[0, 2]);
-        assert_eq!(d, vec![0, 1, 0, 3]);
+        assert_eq!(dial(&g, &w, &[0, 2], 3), vec![0, 1, 0, 3]);
     }
 
     #[test]
     fn reverse_distances_match_reversed_graph() {
         let (g, w) = line_graph();
         // Distance from every node TO node 3.
-        let d = dijkstra_reverse(&g, &w, &[3]);
-        assert_eq!(d, vec![6, 5, 3, 0]);
+        assert_eq!(dial_reverse(&g, &w, &[3], 3), vec![6, 5, 3, 0]);
     }
 
     #[test]
@@ -105,12 +89,8 @@ mod tests {
             let w: Vec<u32> = (0..g.edge_count()).map(|_| rng.gen_range(1..=9)).collect();
             let src = rng.gen_range(0..n as u32);
             let bf = bellman_ford(&g, &w, src);
-            let dj = dijkstra(&g, &w, &[src]);
             let di = dial(&g, &w, &[src], 9);
-            let rx = radix_dijkstra(&g, &w, &[src]);
-            assert_eq!(dj, bf, "dijkstra vs bellman-ford, trial {trial}");
             assert_eq!(di, bf, "dial vs bellman-ford, trial {trial}");
-            assert_eq!(rx, bf, "radix vs bellman-ford, trial {trial}");
             let fw = floyd_warshall(&g, &w);
             for v in 0..n {
                 assert_eq!(fw[src as usize][v], bf[v]);
@@ -118,17 +98,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounded_dijkstra_stops_early_but_correct_for_settled() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let g = generators::erdos_renyi_gnp(50, 0.1, true, &mut rng);
-        let w: Vec<u32> = (0..g.edge_count()).map(|_| rng.gen_range(1..=5)).collect();
-        let full = dijkstra(&g, &w, &[0]);
-        let targets: Vec<u32> = vec![3, 17, 41];
-        let bounded = dijkstra_bounded(&g, &w, &[0], &targets);
-        for &t in &targets {
-            assert_eq!(bounded[t as usize], full[t as usize]);
+    /// The radius a capacity-bounded run must return: one past the first
+    /// distance `d` at which the weight of nodes with distance `<= d`
+    /// (saturating) reaches `cap`, or [`UNREACHABLE`] if it never does.
+    fn expected_radius(full: &[Dist], target_weight: &[u64], cap: u64) -> Dist {
+        let mut by_dist: Vec<(Dist, u64)> = full
+            .iter()
+            .zip(target_weight)
+            .filter(|(&d, _)| d != UNREACHABLE)
+            .map(|(&d, &t)| (d, t))
+            .collect();
+        by_dist.sort_unstable();
+        let mut settled = 0u64;
+        for (i, &(d, t)) in by_dist.iter().enumerate() {
+            settled = settled.saturating_add(t);
+            let boundary = by_dist.get(i + 1).is_none_or(|&(next, _)| next > d);
+            if boundary && settled >= cap {
+                return d + 1;
+            }
         }
+        UNREACHABLE
+    }
+
+    /// Runs one capacity-bounded search and checks its radius against
+    /// [`expected_radius`] and its entries against the full distances.
+    fn check_bounded(
+        g: &CsrGraph,
+        w: &[u32],
+        src: NodeId,
+        target_weight: &[u64],
+        cap: u64,
+        scratch: &mut SsspScratch,
+        what: &str,
+    ) -> Dist {
+        let n = g.node_count();
+        let full = bellman_ford(g, w, src);
+        let radius = dial_bounded_scratch(g, w, &[src], 6, false, target_weight, cap, scratch);
+        assert_eq!(radius, expected_radius(&full, target_weight, cap), "{what}");
+        for v in 0..n as u32 {
+            let got = scratch.dist(v);
+            if got < radius {
+                assert_eq!(got, full[v as usize], "settled exact, {what}");
+            } else {
+                assert!(full[v as usize] >= radius, "radius floor, {what}");
+                assert!(got >= full[v as usize], "tentative upper, {what}");
+            }
+        }
+        // The scratch must be reusable after an early stop.
+        dial_scratch(g, w, &[src], 6, scratch);
+        let again: Vec<_> = scratch.distances(n).collect();
+        assert_eq!(again, full, "scratch reusable after bounded run, {what}");
+        radius
     }
 
     #[test]
@@ -140,32 +160,67 @@ mod tests {
             let g = generators::erdos_renyi_gnp(n, 0.15, true, &mut rng);
             let w: Vec<u32> = (0..g.edge_count()).map(|_| rng.gen_range(0..=6)).collect();
             let src = rng.gen_range(0..n as u32);
-            let full = dial(&g, &w, &[src], 6);
+            let full = bellman_ford(&g, &w, src);
+            let what = |case: &str| format!("{case}, trial {trial}");
+
             // Every node is a unit target; stop once a third are settled.
-            let target_weight = vec![1u64; n];
-            let radius = dial_bounded_scratch(
+            let unit = vec![1u64; n];
+            check_bounded(
                 &g,
                 &w,
-                &[src],
-                6,
-                false,
-                &target_weight,
+                src,
+                &unit,
                 n as u64 / 3,
                 &mut scratch,
+                &what("third"),
             );
-            for v in 0..n as u32 {
-                let got = scratch.dist(v);
-                if got < radius {
-                    assert_eq!(got, full[v as usize], "settled exact, trial {trial}");
-                } else {
-                    assert!(full[v as usize] >= radius, "radius floor, trial {trial}");
-                    assert!(got >= full[v as usize], "tentative upper, trial {trial}");
-                }
+
+            // Zero capacity stops at the first boundary: only the source's
+            // zero-distance bucket is certified.
+            let r = check_bounded(&g, &w, src, &unit, 0, &mut scratch, &what("zero"));
+            assert_eq!(r, 1, "{}", what("zero"));
+
+            // Capacity exactly the total reachable weight stops at the last
+            // boundary; one more never stops and drains the queue.
+            let reachable: Vec<u64> = full.iter().map(|&d| u64::from(d != UNREACHABLE)).collect();
+            let total: u64 = reachable.iter().sum();
+            let max_dist = full.iter().copied().filter(|&d| d != UNREACHABLE).max();
+            let r = check_bounded(&g, &w, src, &reachable, total, &mut scratch, &what("exact"));
+            assert_eq!(r, max_dist.unwrap() + 1, "{}", what("exact"));
+            let r = check_bounded(
+                &g,
+                &w,
+                src,
+                &reachable,
+                total + 1,
+                &mut scratch,
+                &what("over"),
+            );
+            assert_eq!(r, UNREACHABLE, "{}", what("over"));
+
+            // Weights that saturate u64: the run stops once both heavy
+            // nodes are settled, and the sum never wraps.
+            let far = (0..n as u32)
+                .filter(|&v| full[v as usize] != UNREACHABLE)
+                .max_by_key(|&v| (full[v as usize], v))
+                .unwrap();
+            let mut heavy = vec![1u64; n];
+            heavy[src as usize] = u64::MAX / 2 + 1;
+            heavy[far as usize] = u64::MAX / 2 + 1;
+            let r = check_bounded(&g, &w, src, &heavy, u64::MAX, &mut scratch, &what("sat"));
+            if far != src {
+                assert_eq!(r, full[far as usize] + 1, "{}", what("sat"));
             }
-            // The scratch must be reusable after an early stop.
-            dial_scratch(&g, &w, &[src], 6, &mut scratch);
-            let again: Vec<_> = scratch.distances(n).collect();
-            assert_eq!(again, full, "scratch reusable after bounded run {trial}");
+            heavy[far as usize] = u64::MAX;
+            check_bounded(
+                &g,
+                &w,
+                src,
+                &heavy,
+                u64::MAX,
+                &mut scratch,
+                &what("saturated"),
+            );
         }
     }
 
@@ -173,8 +228,6 @@ mod tests {
     fn zero_weight_edges_allowed() {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let w = vec![0u32, 0u32];
-        assert_eq!(dijkstra(&g, &w, &[0]), vec![0, 0, 0]);
         assert_eq!(dial(&g, &w, &[0], 1), vec![0, 0, 0]);
-        assert_eq!(radix_dijkstra(&g, &w, &[0]), vec![0, 0, 0]);
     }
 }

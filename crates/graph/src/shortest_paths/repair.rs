@@ -332,7 +332,7 @@ pub fn repair_row(
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::shortest_paths::{dial, dial_reverse, UNREACHABLE};
+    use crate::shortest_paths::{bellman_ford, dial, dial_reverse, UNREACHABLE};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -415,6 +415,54 @@ mod tests {
             };
             let truly_moved = before.iter().zip(&expect).filter(|(a, b)| a != b).count();
             assert_eq!(moved, truly_moved, "trial {trial}: exact changed count");
+        }
+    }
+
+    #[test]
+    fn repairs_across_the_epoch_wrap_match_bellman_ford() {
+        let mut rng = SmallRng::seed_from_u64(91);
+        let g = generators::erdos_renyi_gnp(20, 0.2, true, &mut rng);
+        const MAX_W: u32 = 6;
+        let inf = MAX_W * 20 + 1;
+        let clamp = |d: Vec<u64>| -> Vec<u32> {
+            d.iter()
+                .map(|&d| if d >= inf as u64 { inf } else { d as u32 })
+                .collect()
+        };
+        let mut w: Vec<u32> = (0..g.edge_count())
+            .map(|_| rng.gen_range(1..=MAX_W))
+            .collect();
+        let mut row = clamp(bellman_ford(&g, &w, 0));
+        let mut scratch = RepairScratch::new();
+        // Raising every edge marks most of the row affected at epoch 1 —
+        // the epoch the wrap resets to, so run 2 below sees those stamps
+        // as live unless the wrap clears them.
+        let mut changes: Vec<CostChange> = Vec::new();
+        for e in 0..g.edge_count() as EdgeId {
+            changes.push((e, w[e as usize]));
+            w[e as usize] = MAX_W;
+        }
+        repair_row(&g, &w, &changes, &[0], false, inf, &mut row, &mut scratch);
+        assert_eq!(row, clamp(bellman_ford(&g, &w, 0)), "warm-up run");
+        assert_eq!(scratch.epoch, 1);
+
+        scratch.epoch = u32::MAX - 2;
+        for run in 0..6 {
+            // Re-draw every edge cost, so each run repairs most of the row.
+            let changes: Vec<CostChange> = (0..g.edge_count() as EdgeId)
+                .map(|e| {
+                    let old = std::mem::replace(&mut w[e as usize], rng.gen_range(1..=MAX_W));
+                    (e, old)
+                })
+                .collect();
+            let before = row.clone();
+            let moved = repair_row(&g, &w, &changes, &[0], false, inf, &mut row, &mut scratch);
+            assert_eq!(row, clamp(bellman_ford(&g, &w, 0)), "run {run}");
+            let truly_moved = before.iter().zip(&row).filter(|(a, b)| a != b).count();
+            assert_eq!(moved, truly_moved, "run {run}: exact changed count");
+            if run == 2 {
+                assert_eq!(scratch.epoch, 1, "run 2 is the first after the wrap");
+            }
         }
     }
 

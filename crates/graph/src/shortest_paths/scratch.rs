@@ -1,37 +1,39 @@
-//! Allocation-free SSSP: reusable scratch buffers for batch row
-//! computation.
+//! Dial's bucket-queue SSSP for integer weights bounded by `U`, run into
+//! reusable scratch buffers.
+//!
+//! With edge weights in `[0, U]`, tentative distances in the priority queue
+//! always span a window of at most `U + 1` consecutive values, so a circular
+//! array of `U + 1` buckets replaces the heap. Extraction is `O(1)` amortized
+//! plus the cost of scanning empty buckets, giving `O(m + D)` total where `D`
+//! is the largest finite distance — exactly the regime of the paper's
+//! Assumption 2.
 //!
 //! SND's sparse path runs one bounded-cost SSSP per residual user — for
-//! all-pairs workloads that is thousands of runs over the same graph. The
-//! plain [`dial`](super::dial)/[`dijkstra`](super::dijkstra) entry points
-//! allocate a fresh `vec![UNREACHABLE; n]` (plus bucket arrays) per call;
-//! at `n = 10⁴…10⁶` the zeroing alone rivals the traversal cost.
+//! all-pairs workloads that is thousands of runs over the same graph, and
+//! allocating a fresh `vec![UNREACHABLE; n]` (plus bucket arrays) per run
+//! would rival the traversal cost at `n = 10⁴…10⁶`. [`SsspScratch`] holds
+//! the distance array, a timestamp array and the bucket ring. Resetting
+//! between runs is O(1): the epoch counter is bumped and stale entries are
+//! recognized by their timestamp instead of being rewritten. Buckets drain
+//! to empty as a side effect of each run, so only their capacity persists.
 //!
-//! [`SsspScratch`] holds the distance array, a timestamp array, the Dial
-//! bucket ring, and the Dijkstra heap. Resetting between runs is O(1): the
-//! epoch counter is bumped and stale entries are recognized by their
-//! timestamp instead of being rewritten. Buckets and heap drain to empty as
-//! a side effect of each run, so only their capacity persists.
-//!
-//! Intended use is one scratch per worker thread, reused across every row
-//! that thread computes (see `snd-core`'s row cache).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Every entry point — [`dial_scratch`], [`dial_reverse_scratch`],
+//! [`dial_bounded_scratch`] and the allocating [`dial`]/[`dial_reverse`] —
+//! runs the same bucket loop. Intended use is one scratch per worker
+//! thread, reused across every row that thread computes (see `snd-core`'s
+//! row cache).
 
 use super::{Dist, UNREACHABLE};
 use crate::csr::{CsrGraph, NodeId};
 
-/// Reusable state for [`dial_scratch`] / [`dial_reverse_scratch`] /
-/// [`dijkstra_scratch`]. Construction is cheap; buffers grow on first use
-/// and are retained across runs.
+/// Reusable state for the Dial entry points. Construction is cheap;
+/// buffers grow on first use and are retained across runs.
 #[derive(Default)]
 pub struct SsspScratch {
     dist: Vec<Dist>,
     stamp: Vec<u32>,
     epoch: u32,
     buckets: Vec<Vec<NodeId>>,
-    heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
 }
 
 impl SsspScratch {
@@ -57,6 +59,14 @@ impl SsspScratch {
         (0..n as NodeId).map(|v| self.dist(v))
     }
 
+    /// The distance array of a scratch that has run exactly once. That run
+    /// sized it to the graph and filled it with [`UNREACHABLE`], so every
+    /// entry the run did not write already reads as unreachable.
+    fn into_first_run(self) -> Vec<Dist> {
+        debug_assert_eq!(self.epoch, 1, "first run of a fresh scratch");
+        self.dist
+    }
+
     /// Starts a new run: O(1) reset via epoch bump, growing buffers to
     /// cover `n` nodes and `span` Dial buckets.
     fn begin(&mut self, n: usize, span: usize) {
@@ -68,7 +78,6 @@ impl SsspScratch {
             self.buckets.resize_with(span, Vec::new);
         }
         debug_assert!(self.buckets.iter().all(|b| b.is_empty()), "drained");
-        self.heap.clear();
         if self.epoch == u32::MAX {
             // Epoch wrap: invalidate everything explicitly once per 2³²
             // runs, then resume O(1) resets.
@@ -99,8 +108,30 @@ impl SsspScratch {
     }
 }
 
+/// Multi-source Dial's algorithm. `max_weight` must bound every entry of
+/// `weights` (checked in debug builds). Allocates a fresh scratch per
+/// call; batch callers reuse one through [`dial_scratch`].
+pub fn dial(g: &CsrGraph, weights: &[u32], sources: &[NodeId], max_weight: u32) -> Vec<Dist> {
+    let mut scratch = SsspScratch::new();
+    dial_scratch(g, weights, sources, max_weight, &mut scratch);
+    scratch.into_first_run()
+}
+
+/// Dial's algorithm over reversed edges: `result[v]` is the distance from
+/// `v` to the closest node of `sources` along forward edges.
+pub fn dial_reverse(
+    g: &CsrGraph,
+    weights: &[u32],
+    sources: &[NodeId],
+    max_weight: u32,
+) -> Vec<Dist> {
+    let mut scratch = SsspScratch::new();
+    dial_reverse_scratch(g, weights, sources, max_weight, &mut scratch);
+    scratch.into_first_run()
+}
+
 /// Multi-source Dial's algorithm into caller-provided scratch. Semantics
-/// match [`dial`](super::dial); read results via [`SsspScratch::dist`].
+/// match [`dial`]; read results via [`SsspScratch::dist`].
 pub fn dial_scratch(
     g: &CsrGraph,
     weights: &[u32],
@@ -108,7 +139,7 @@ pub fn dial_scratch(
     max_weight: u32,
     scratch: &mut SsspScratch,
 ) {
-    dial_scratch_impl(g, weights, sources, max_weight, false, scratch)
+    dial_run(g, weights, sources, max_weight, false, None, scratch);
 }
 
 /// Reverse-edge counterpart of [`dial_scratch`] (distance *to* the source
@@ -120,62 +151,7 @@ pub fn dial_reverse_scratch(
     max_weight: u32,
     scratch: &mut SsspScratch,
 ) {
-    dial_scratch_impl(g, weights, sources, max_weight, true, scratch)
-}
-
-fn dial_scratch_impl(
-    g: &CsrGraph,
-    weights: &[u32],
-    sources: &[NodeId],
-    max_weight: u32,
-    reverse: bool,
-    scratch: &mut SsspScratch,
-) {
-    debug_assert_eq!(weights.len(), g.edge_count());
-    debug_assert!(weights.iter().all(|&w| w <= max_weight));
-    let n = g.node_count();
-    let span = max_weight as usize + 1;
-    scratch.begin(n, span);
-    let mut in_queue = 0usize;
-
-    for &s in sources {
-        if scratch.get(s) != 0 {
-            scratch.set(s, 0);
-            scratch.buckets[0].push(s);
-            in_queue += 1;
-        }
-    }
-
-    let mut current: Dist = 0;
-    while in_queue > 0 {
-        let slot = (current % span as Dist) as usize;
-        // Buckets may hold stale entries whose distance improved since
-        // insertion; they are skipped on extraction, exactly as in `dial`.
-        while let Some(u) = scratch.buckets[slot].pop() {
-            in_queue -= 1;
-            if scratch.get(u) != current {
-                continue; // stale
-            }
-            let mut relax = |e: u32, v: NodeId, scratch: &mut SsspScratch| {
-                let nd = current + weights[e as usize] as Dist;
-                if nd < scratch.get(v) {
-                    scratch.set(v, nd);
-                    scratch.buckets[(nd % span as Dist) as usize].push(v);
-                    in_queue += 1;
-                }
-            };
-            if reverse {
-                for (e, v) in g.in_edges(u) {
-                    relax(e, v, scratch);
-                }
-            } else {
-                for (e, v) in g.out_edges(u) {
-                    relax(e, v, scratch);
-                }
-            }
-        }
-        current += 1;
-    }
+    dial_run(g, weights, sources, max_weight, true, None, scratch);
 }
 
 /// Dial's algorithm with an early exit once enough *target capacity* has
@@ -207,12 +183,28 @@ pub fn dial_bounded_scratch(
     stop_capacity: u64,
     scratch: &mut SsspScratch,
 ) -> Dist {
-    debug_assert_eq!(weights.len(), g.edge_count());
     debug_assert_eq!(target_weight.len(), g.node_count());
+    let stop = Some((target_weight, stop_capacity));
+    dial_run(g, weights, sources, max_weight, reverse, stop, scratch)
+}
+
+/// The bucket loop behind every entry point. `stop` is the optional
+/// `(target_weight, stop_capacity)` early-exit rule of
+/// [`dial_bounded_scratch`]; without it no settled weight is accumulated
+/// and the run always drains, returning [`UNREACHABLE`].
+fn dial_run(
+    g: &CsrGraph,
+    weights: &[u32],
+    sources: &[NodeId],
+    max_weight: u32,
+    reverse: bool,
+    stop: Option<(&[u64], u64)>,
+    scratch: &mut SsspScratch,
+) -> Dist {
+    debug_assert_eq!(weights.len(), g.edge_count());
     debug_assert!(weights.iter().all(|&w| w <= max_weight));
-    let n = g.node_count();
     let span = max_weight as usize + 1;
-    scratch.begin(n, span);
+    scratch.begin(g.node_count(), span);
     let mut in_queue = 0usize;
     let mut settled: u64 = 0;
 
@@ -227,12 +219,16 @@ pub fn dial_bounded_scratch(
     let mut current: Dist = 0;
     while in_queue > 0 {
         let slot = (current % span as Dist) as usize;
+        // Buckets may hold stale entries whose distance improved since
+        // insertion; they are skipped on extraction.
         while let Some(u) = scratch.buckets[slot].pop() {
             in_queue -= 1;
             if scratch.get(u) != current {
                 continue; // stale
             }
-            settled = settled.saturating_add(target_weight[u as usize]);
+            if let Some((target_weight, _)) = stop {
+                settled = settled.saturating_add(target_weight[u as usize]);
+            }
             let mut relax = |e: u32, v: NodeId, scratch: &mut SsspScratch| {
                 let nd = current + weights[e as usize] as Dist;
                 if nd < scratch.get(v) {
@@ -255,58 +251,40 @@ pub fn dial_bounded_scratch(
         // Stop only at bucket boundaries: everything at distance
         // `< current` is now settled, so `current` is a sound radius even
         // with zero-weight edges (same-bucket chains drain above).
-        if settled >= stop_capacity {
-            if in_queue > 0 {
-                for b in scratch.buckets.iter_mut() {
-                    b.clear();
+        if let Some((_, stop_capacity)) = stop {
+            if settled >= stop_capacity {
+                if in_queue > 0 {
+                    for b in scratch.buckets.iter_mut() {
+                        b.clear();
+                    }
                 }
+                return current;
             }
-            return current;
         }
     }
     UNREACHABLE
-}
-
-/// Multi-source binary-heap Dijkstra into caller-provided scratch.
-/// Semantics match [`dijkstra`](super::dijkstra).
-pub fn dijkstra_scratch(
-    g: &CsrGraph,
-    weights: &[u32],
-    sources: &[NodeId],
-    scratch: &mut SsspScratch,
-) {
-    debug_assert_eq!(weights.len(), g.edge_count());
-    scratch.begin(g.node_count(), 0);
-    for &s in sources {
-        if scratch.get(s) != 0 {
-            scratch.set(s, 0);
-            scratch.heap.push(Reverse((0, s)));
-        }
-    }
-    while let Some(Reverse((d, u))) = scratch.heap.pop() {
-        if d > scratch.get(u) {
-            continue; // stale entry
-        }
-        for (e, v) in g.out_edges(u) {
-            let nd = d + weights[e as usize] as Dist;
-            if nd < scratch.get(v) {
-                scratch.set(v, nd);
-                scratch.heap.push(Reverse((nd, v)));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::shortest_paths::{dial, dial_reverse, dijkstra};
+    use crate::shortest_paths::bellman_ford;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// Bellman–Ford over the reversed graph: distance *to* `target`.
+    fn bellman_ford_reverse(g: &CsrGraph, w: &[u32], target: NodeId) -> Vec<Dist> {
+        let rev = g.reversed();
+        let mut rw = vec![0u32; rev.edge_count()];
+        for (e, (u, v)) in g.edges().enumerate() {
+            rw[rev.find_edge(v, u).unwrap() as usize] = w[e];
+        }
+        bellman_ford(&rev, &rw, target)
+    }
+
     #[test]
-    fn scratch_variants_match_allocating_variants_across_reuse() {
+    fn scratch_runs_match_bellman_ford_across_reuse() {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut scratch = SsspScratch::new();
         // One scratch reused across many graphs and runs — the regime the
@@ -318,19 +296,13 @@ mod tests {
             let src = rng.gen_range(0..n as u32);
 
             dial_scratch(&g, &w, &[src], 7, &mut scratch);
-            let expect = dial(&g, &w, &[src], 7);
             let got: Vec<_> = scratch.distances(n).collect();
-            assert_eq!(got, expect, "dial trial {trial}");
+            assert_eq!(got, bellman_ford(&g, &w, src), "dial trial {trial}");
 
             dial_reverse_scratch(&g, &w, &[src], 7, &mut scratch);
-            let expect = dial_reverse(&g, &w, &[src], 7);
             let got: Vec<_> = scratch.distances(n).collect();
+            let expect = bellman_ford_reverse(&g, &w, src);
             assert_eq!(got, expect, "dial_reverse trial {trial}");
-
-            dijkstra_scratch(&g, &w, &[src], &mut scratch);
-            let expect = dijkstra(&g, &w, &[src]);
-            let got: Vec<_> = scratch.distances(n).collect();
-            assert_eq!(got, expect, "dijkstra trial {trial}");
         }
     }
 
@@ -354,13 +326,55 @@ mod tests {
     }
 
     #[test]
+    fn runs_across_the_epoch_wrap_match_bellman_ford() {
+        // Two components, so alternating sources leave most of the graph
+        // unreached and any leaked distance from an earlier run shows.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut edges = Vec::new();
+        for _ in 0..40 {
+            let (u, v) = (rng.gen_range(0..8u32), rng.gen_range(0..8u32));
+            edges.push((u, v));
+            edges.push((u + 8, v + 8));
+        }
+        let g = CsrGraph::from_edges(16, &edges);
+        let w: Vec<u32> = (0..g.edge_count()).map(|_| rng.gen_range(0..=5)).collect();
+
+        let mut scratch = SsspScratch::new();
+        // Stamps at epoch 1 from a run in the second component: the wrap
+        // resets the epoch to 1, so run 2 (the third run in the first
+        // component) reads them as live unless the wrap clears every stamp.
+        dial_scratch(&g, &w, &[8], 5, &mut scratch);
+        scratch.epoch = u32::MAX - 2;
+        for (run, src) in [0u32, 3, 5, 12, 2, 8].into_iter().enumerate() {
+            dial_scratch(&g, &w, &[src], 5, &mut scratch);
+            let got: Vec<_> = scratch.distances(16).collect();
+            assert_eq!(got, bellman_ford(&g, &w, src), "run {run} from {src}");
+            if run == 2 {
+                assert_eq!(scratch.epoch, 1, "run 2 is the first after the wrap");
+            }
+        }
+    }
+
+    #[test]
     fn multi_source_and_zero_weights() {
         let g = crate::csr::CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let w = vec![0u32, 0];
         let mut scratch = SsspScratch::new();
         dial_scratch(&g, &w, &[0], 1, &mut scratch);
         assert_eq!(scratch.distances(3).collect::<Vec<_>>(), vec![0, 0, 0]);
-        dijkstra_scratch(&g, &w, &[0, 2], &mut scratch);
+        dial_scratch(&g, &w, &[0, 2], 1, &mut scratch);
         assert_eq!(scratch.distances(3).collect::<Vec<_>>(), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn stale_entries_are_skipped() {
+        // 0 ->(9) 1, 0 ->(1) 2, 2 ->(1) 1 : node 1 first queued at 9 then
+        // improved to 2; the bucket at 9 must skip the stale entry.
+        let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2), (2, 1)]);
+        let mut w = vec![0u32; 3];
+        w[g.find_edge(0, 1).unwrap() as usize] = 9;
+        w[g.find_edge(0, 2).unwrap() as usize] = 1;
+        w[g.find_edge(2, 1).unwrap() as usize] = 1;
+        assert_eq!(dial(&g, &w, &[0], 9), vec![0, 2, 1]);
     }
 }

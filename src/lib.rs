@@ -88,8 +88,10 @@
 //! * [`CandidateEvaluator::price_candidates`](core::CandidateEvaluator::price_candidates)
 //!   — a batch of flip-list candidates priced in parallel against one
 //!   anchored delta geometry (the opinion-prediction search loop and the
-//!   [`analysis::intervene`] planner), bit-identical to the scratch
-//!   [`OrderedSnd`](core::OrderedSnd) reference.
+//!   [`analysis::intervene`] planner), bit-identical to the sequential
+//!   scan reference (the anchor's
+//!   [`geometry_seq`](core::SndEngine::geometry_seq) plus
+//!   [`emd_star_term`](core::sparse::emd_star_term) over both opinions).
 //!
 //! ```
 //! use snd::core::{SndConfig, SndEngine};

@@ -1,7 +1,8 @@
 //! Guarantees of the delta-priced candidate path: for every registry
 //! scenario and every bank mode, `CandidateEvaluator::price_candidates`
 //! (flip-list classification against precomputed anchor stats) is
-//! **bit-identical** to the scratch `OrderedSnd` reference and to its own
+//! **bit-identical** to the sequential scan reference (the anchor's
+//! `geometry_seq` plus `sparse::emd_star_term`) and to its own
 //! sequential variant — across single- and multi-flip candidates, both
 //! opinions, patch→unpatch→repatch round trips, and edge-edit
 //! interventions checked against a fresh-engine rebuild.
@@ -9,7 +10,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snd::analysis::{search_interventions, Intervention, InterventionConfig};
-use snd::core::{CandidateEvaluator, ClusterSpec, GammaPolicy, OrderedSnd, SndConfig, SndEngine};
+use snd::core::sparse::emd_star_term;
+use snd::core::{CandidateEvaluator, ClusterSpec, GammaPolicy, SndConfig, SndEngine};
 use snd::data::registry;
 use snd::graph::{CsrGraph, NodeId};
 use snd::models::process::Voting;
@@ -26,6 +28,23 @@ fn bank_modes() -> Vec<SndConfig> {
             ..Default::default()
         },
     ]
+}
+
+/// The sequential scan reference for ordered SND: `from`'s geometry per
+/// opinion and the `O(n)` classification of `emd_star_term`, summed over
+/// both opinions.
+fn scan_prices(engine: &SndEngine, from: &NetworkState, to: &[NetworkState]) -> Vec<f64> {
+    let geoms =
+        [Opinion::Positive, Opinion::Negative].map(|op| (op, engine.geometry_seq(from, op)));
+    let (g, clustering, config) = (engine.graph(), engine.clustering(), engine.config());
+    to.iter()
+        .map(|to| {
+            let term = |(op, geom): &(Opinion, _)| {
+                emd_star_term(g, clustering, geom, from, to, *op, config, None)
+            };
+            term(&geoms[0]) + term(&geoms[1])
+        })
+        .collect()
 }
 
 /// Random candidate flip-lists exercising both opinions, deactivation,
@@ -59,12 +78,11 @@ fn flip_pricing_is_bit_identical_on_every_registry_scenario() {
         let mut rng = SmallRng::seed_from_u64(29);
         for config in bank_modes() {
             let engine = SndEngine::new(&series.graph, config);
-            let ordered = OrderedSnd::new(&engine, anchor.clone());
             let evaluator = CandidateEvaluator::new(&engine, anchor.clone());
             let candidates = random_candidates(n, 10, &mut rng);
             let states: Vec<NetworkState> =
                 candidates.iter().map(|f| apply_flips(&anchor, f)).collect();
-            let scratch = ordered.distances_to(&states);
+            let scratch = scan_prices(&engine, &anchor, &states);
             let par = evaluator.price_candidates(&candidates);
             let seq = evaluator.price_candidates_seq(&candidates);
             for i in 0..candidates.len() {
@@ -103,7 +121,7 @@ fn patch_round_trip_is_bit_identical_on_every_registry_scenario() {
             let before = evaluator.price_candidates_seq(&probes);
 
             // Patch to a flipped anchor: prices now match a *fresh*
-            // evaluator (and the scratch reference) at the new anchor.
+            // evaluator (and the scan reference) at the new anchor.
             let move_flips: Vec<(NodeId, Opinion)> = (0..4)
                 .map(|_| {
                     (
@@ -116,12 +134,15 @@ fn patch_round_trip_is_bit_identical_on_every_registry_scenario() {
             let patched_anchor = evaluator.anchor().clone();
             assert_eq!(patched_anchor, apply_flips(&anchor, &move_flips));
             let patched = evaluator.price_candidates_seq(&probes);
-            let reference = OrderedSnd::new(&engine, patched_anchor.clone());
-            for (i, probe) in probes.iter().enumerate() {
-                let scratch = reference.distance_to(&apply_flips(&patched_anchor, probe));
+            let probe_states: Vec<NetworkState> = probes
+                .iter()
+                .map(|probe| apply_flips(&patched_anchor, probe))
+                .collect();
+            let reference = scan_prices(&engine, &patched_anchor, &probe_states);
+            for i in 0..probes.len() {
                 assert_eq!(
                     patched[i].to_bits(),
-                    scratch.to_bits(),
+                    reference[i].to_bits(),
                     "{}: patched probe {i}",
                     scenario.name
                 );
@@ -194,13 +215,13 @@ fn edge_edit_interventions_match_a_fresh_engine_rebuild() {
     let engine_b = SndEngine::new(&g_b, SndConfig::default());
     let eval_a = CandidateEvaluator::new(&engine_a, state.clone());
     let eval_b = CandidateEvaluator::new(&engine_b, state.clone());
-    let ordered_b = OrderedSnd::new(&engine_b, state.clone());
     let candidates = random_candidates(60, 8, &mut rng);
     let a = eval_a.price_candidates(&candidates);
     let b = eval_b.price_candidates_seq(&candidates);
-    for (i, c) in candidates.iter().enumerate() {
+    let states: Vec<NetworkState> = candidates.iter().map(|c| apply_flips(&state, c)).collect();
+    let scan = scan_prices(&engine_b, &state, &states);
+    for i in 0..candidates.len() {
         assert_eq!(a[i].to_bits(), b[i].to_bits(), "rebuild A vs B {i}");
-        let scratch = ordered_b.distance_to(&apply_flips(&state, c));
-        assert_eq!(a[i].to_bits(), scratch.to_bits(), "rebuild vs scratch {i}");
+        assert_eq!(a[i].to_bits(), scan[i].to_bits(), "rebuild vs scan {i}");
     }
 }

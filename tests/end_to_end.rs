@@ -8,11 +8,12 @@ use snd::analysis::{
     select_targets, top_k_anomalies,
 };
 use snd::baselines::{Hamming, StateDistance};
-use snd::core::{CandidateEvaluator, OrderedSnd, SndConfig, SndEngine};
+use snd::core::sparse::emd_star_term;
+use snd::core::{CandidateEvaluator, SndConfig, SndEngine};
 use snd::data::{generate_series, simulate_twitter, SyntheticSeriesConfig, TwitterSimConfig};
 use snd::graph::NodeId;
 use snd::models::dynamics::VotingConfig;
-use snd::models::{flips_between, Opinion};
+use snd::models::{flips_between, NetworkState, Opinion};
 
 fn anomaly_series() -> snd::data::SyntheticSeries {
     generate_series(&SyntheticSeriesConfig {
@@ -104,8 +105,11 @@ fn prediction_pipeline_beats_coin_flipping() {
     let mut rng = SmallRng::seed_from_u64(99);
 
     let engine = SndEngine::new(&series.graph, SndConfig::default());
-    let d1 = OrderedSnd::new(&engine, states[t - 3].clone()).distance_to(&states[t - 2]);
-    let d2 = OrderedSnd::new(&engine, states[t - 2].clone()).distance_to(&states[t - 1]);
+    let ordered = |from: &NetworkState, to: &NetworkState| {
+        CandidateEvaluator::new(&engine, from.clone()).price(&flips_between(from, to))
+    };
+    let d1 = ordered(&states[t - 3], &states[t - 2]);
+    let d2 = ordered(&states[t - 2], &states[t - 1]);
     let d_star = extrapolate_linear(&[d1, d2]).expect("two-point series");
     let anchored = CandidateEvaluator::new(&engine, states[t - 1].clone());
 
@@ -142,15 +146,26 @@ fn prediction_pipeline_beats_coin_flipping() {
     );
 }
 
+/// Ordered SND by the sequential scan: `from`'s geometry per opinion and
+/// the `O(n)` classification of `emd_star_term`, both opinions summed.
+fn scan_price(engine: &SndEngine, from: &NetworkState, to: &NetworkState) -> f64 {
+    let term = |op| {
+        let geom = engine.geometry_seq(from, op);
+        let (g, clustering, config) = (engine.graph(), engine.clustering(), engine.config());
+        emd_star_term(g, clustering, &geom, from, to, op, config, None)
+    };
+    term(Opinion::Positive) + term(Opinion::Negative)
+}
+
 #[test]
 fn ordered_snd_scales_with_divergence() {
     // The farther a candidate state drifts from the anchor, the larger the
     // ordered distance — monotonicity the prediction search relies on.
     let series = anomaly_series();
     let engine = SndEngine::new(&series.graph, SndConfig::default());
-    let anchored = OrderedSnd::new(&engine, series.states[4].clone());
-    let d_near = anchored.distance_to(&series.states[5]);
-    let d_far = anchored.distance_to(&series.states[10]);
+    let from = &series.states[4];
+    let d_near = scan_price(&engine, from, &series.states[5]);
+    let d_far = scan_price(&engine, from, &series.states[10]);
     assert!(
         d_far > d_near,
         "10-step drift ({d_far}) should exceed 1-step drift ({d_near})"
