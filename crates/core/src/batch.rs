@@ -23,11 +23,14 @@
 //! order. The property tests in `tests/batch_parallel.rs` assert this.
 //!
 //! In the *warm* regime (`pairwise_distances_with` over pre-filled
-//! bundles) every SSSP row is a cache hit and the per-term cost is almost
-//! entirely the exact transportation solve — which is why the solver layer
-//! (per-instance `Solver::Auto` selection, anti-cycling block-priced
-//! simplex) is the lever for this path; see `BENCH_pairwise.json` /
-//! `BENCH_solver.json` for the tracked numbers.
+//! bundles) every SSSP row is a cache hit, so a term costs its exact
+//! transportation solve plus the assembly of its reduced cost matrix. The
+//! solve is the larger part but no longer the whole: on the repo
+//! benchmark's `pairwise` workload (`perfbench --trace 1`, 2 vCPUs) the
+//! transport layer takes about 0.34 s of self time against 0.04 s of
+//! assembly, while the cold run's SSSP rows take about 1.2 s. The
+//! per-layer numbers come from that trace; `BENCH_solver.json` tracks the
+//! solvers by instance shape.
 
 use rayon::prelude::*;
 use snd_models::NetworkState;

@@ -5,9 +5,10 @@
 //! results are exact and platform-independent. Three independent solvers are
 //! provided and cross-validated against each other:
 //!
-//! * [`simplex`] — the transportation simplex (least-cost start, MODI
-//!   pivoting with block pricing). Default: fastest in practice on the dense
-//!   bipartite problems SND produces.
+//! * [`simplex`] — the transportation simplex (row-minimum start, MODI
+//!   pivoting with block pricing on an incrementally maintained basis
+//!   tree). Default: fastest in practice on the dense bipartite problems
+//!   SND produces.
 //! * [`ssp`] — successive shortest paths with Johnson potentials; compact
 //!   and obviously-correct, used as an oracle.
 //! * [`cost_scaling`] — Goldberg–Tarjan cost-scaling push–relabel, the
@@ -70,21 +71,22 @@ pub const WIDE_ASPECT: usize = 128;
 /// threshold actually consults them — the current thresholds are purely
 /// shape-based, so selection is `O(1)`.
 ///
-/// Calibrated against the `solver_scaling` bench (`BENCH_solver.json`) on
-/// the dense bipartite shapes SND produces:
+/// Calibrated against the `solver_scaling` bench (`BENCH_solver.json`, 2
+/// threads, so the 128×128 shapes price on the pool) on the dense
+/// bipartite shapes SND produces:
 ///
 /// * The transportation simplex wins every near-square shape at every
-///   measured size and cost magnitude — ~2× over SSP at 4×4 growing to
-///   ~5–6× at 128×128, and 1.2–2× over cost-scaling there — so it is the
-///   default.
-/// * Cost-scaling wins *column-heavy* shapes, `cols ≳ 128·rows` (2.6× at
-///   4×1024 with a margin that grows with the aspect ratio; ~40× at
-///   1×4096): the simplex's row-minimum start scans every open column per
-///   allocation, degrading toward `O(cols²)` when rows are few. These
-///   shapes are real in the warm path — a nearly-identical snapshot pair
-///   has few residual rows but bank columns on every active bin. The
-///   transposed case (`rows ≫ cols`) stays with the simplex, whose start
-///   is cheap there (measured 5× faster than cost-scaling at 256×4).
+///   measured size and cost magnitude — ~1.7× over SSP at 4×4 growing to
+///   ~8× at 128×128, and 1.6× (small costs) to 3.3× (huge costs) over
+///   cost-scaling there — so it is the default.
+/// * Cost-scaling wins *column-heavy* shapes, `cols ≳ 128·rows` (1.4× at
+///   2×256 and at 4×1024): the simplex's row-minimum start scans every
+///   open column per allocation, degrading toward `O(cols²)` when rows are
+///   few. These shapes are real in the warm path — a nearly-identical
+///   snapshot pair has few residual rows but bank columns on every active
+///   bin. At 8×512 (aspect 64) the simplex is 2.5× faster. The transposed
+///   case (`rows ≫ cols`) stays with the simplex, whose start is cheap
+///   there (measured 5× faster than cost-scaling at 256×4).
 /// * SSP never wins a measured shape; it remains the cross-validation
 ///   oracle and the structured fallback for beyond-`i64` masses.
 ///
@@ -343,6 +345,66 @@ mod tests {
         let cost = DenseCost::from_rows(&[&[u32::MAX / 4][..]]);
         let plan = solve_balanced(&[big], &[big], &cost, Solver::Simplex);
         assert_eq!(plan.total_cost, (big as i128) * ((u32::MAX / 4) as i128));
+    }
+
+    /// Solves through every other solver — `Auto` routes these shapes to
+    /// the simplex — and checks each against SSP.
+    fn assert_solvers_match_ssp(supplies: &[Mass], demands: &[Mass], cost: &DenseCost) {
+        let reference = solve_balanced(supplies, demands, cost, Solver::Ssp);
+        verify_feasible(&reference, supplies, demands, cost).unwrap();
+        for s in [Solver::Simplex, Solver::Auto, Solver::CostScaling] {
+            let plan = solve_balanced(supplies, demands, cost, s);
+            verify_feasible(&plan, supplies, demands, cost).unwrap();
+            assert_eq!(plan.total_cost, reference.total_cost, "solver {s:?}");
+        }
+    }
+
+    #[test]
+    fn total_supply_of_exactly_i64_max() {
+        let h = i64::MAX as Mass;
+        let supplies = [h / 3, h / 3, h - 2 * (h / 3)];
+        let demands = [h / 2, h / 4, h - h / 2 - h / 4];
+        let cost = DenseCost::from_rows(&[&[9u32, 1, 4][..], &[2, 8, 3][..], &[5, 6, 1][..]]);
+        assert_solvers_match_ssp(&supplies, &demands, &cost);
+    }
+
+    #[test]
+    fn total_supply_just_past_i64_max() {
+        let half = 1u64 << 62; // two of these sum to i64::MAX + 1
+        let supplies = [half, half];
+        let demands = [half / 2, half, half / 2];
+        let cost = DenseCost::from_rows(&[&[1u32, 7, 3][..], &[2, 1, 9][..]]);
+        assert_eq!(supplies.iter().sum::<Mass>(), i64::MAX as Mass + 1);
+        assert_solvers_match_ssp(&supplies, &demands, &cost);
+    }
+
+    /// The "−" cells of a pivot cycle sit in at least two distinct rows, so
+    /// θ is at most half the total mass: with every line positive, the
+    /// largest θ a pivot can move is `Mass::MAX / 2 = i64::MAX`, and
+    /// `Mass::MAX` itself is out of reach. The first instance's only pivot
+    /// moves exactly that θ (its row-minimum start ships row 0 along the
+    /// diagonal, and the optimum ships `i64::MAX` off it); the second
+    /// raises a basic cell to `Mass::MAX − 1`.
+    #[test]
+    fn pivots_at_the_mass_boundary() {
+        let theta = i64::MAX as Mass;
+        let cost = DenseCost::from_rows(&[&[1u32, 2][..], &[2, 100][..]]);
+        let lines = [theta + 1, theta];
+        assert_eq!(lines.iter().sum::<Mass>(), Mass::MAX);
+        assert_solvers_match_ssp(&lines, &lines, &cost);
+        let plan = solve_balanced(&lines, &lines, &cost, Solver::Simplex);
+        assert_eq!(plan.total_cost, 1 + 4 * theta as i128);
+        assert!(plan.flows.contains(&FlowEntry {
+            row: 0,
+            col: 1,
+            flow: theta,
+        }));
+
+        let cost = DenseCost::from_rows(&[&[0u32, 5][..], &[1, 10][..]]);
+        let (supplies, demands) = ([Mass::MAX - 1, 1], [1, Mass::MAX - 1]);
+        assert_solvers_match_ssp(&supplies, &demands, &cost);
+        let plan = solve_balanced(&supplies, &demands, &cost, Solver::Simplex);
+        assert!(plan.flows.iter().any(|f| f.flow == Mass::MAX - 1));
     }
 
     #[test]

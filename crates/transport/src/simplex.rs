@@ -12,6 +12,20 @@
 //!   one-line-per-allocation method yields a triangular (spanning-tree)
 //!   basis, and row-minimum is markedly better than northwest-corner at no
 //!   asymptotic cost.
+//! * Basis tree: the tree is rooted at supplier 0 and maintained across
+//!   pivots, never rebuilt. Each node keeps its parent cell, its depth, its
+//!   incident basic cells and one dual potential (`u` for suppliers, `v`
+//!   for consumers, with `u[0] = 0`).
+//!   - The pivot cycle of an entering cell `(i, j)` is found by walking
+//!     supplier `i` and consumer `j` up to their lowest common ancestor, so
+//!     finding it costs the cycle's length.
+//!   - After the flow update the leaving cell is cut, and the subtree it
+//!     separated from the root is re-hung below the entering cell. Depths
+//!     and potentials are re-derived inside that subtree only.
+//!
+//!   Given `u[0] = 0` the duals of a spanning tree are unique, so they
+//!   equal a full recomputation exactly; debug builds re-check the tree
+//!   after every pivot.
 //! * Pricing: block search à la LEMON's network simplex — scan cells in
 //!   blocks of ≈√(mn), entering on the most negative reduced cost seen in
 //!   the first block that contains one. Optimality is declared only after a
@@ -31,6 +45,10 @@
 //!   objective and are therefore finite in number, and between two of them
 //!   at most `streak_limit` block-priced degenerate pivots are followed by
 //!   Bland-priced pivots, which cannot cycle.
+//!
+//! The pivot rule (entering cell, leaving cell, tie-breaks) depends only on
+//! the basis and its duals, never on how the tree is stored or traversed,
+//! so the returned plan is a function of the instance alone.
 
 use crate::dense::DenseCost;
 use crate::plan::{FlowEntry, TransportPlan};
@@ -108,16 +126,10 @@ fn solve_impl(
     debug_assert!(supplies.iter().all(|&s| s > 0));
     debug_assert!(demands.iter().all(|&d| d > 0));
 
-    let mut basis = initial_basis(supplies, demands, cost);
+    let basis = initial_basis(supplies, demands, cost);
     debug_assert_eq!(basis.len(), m + n - 1);
-
-    // Node indexing for the basis tree: suppliers 0..m, consumers m..m+n.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); m + n];
-    let mut u = vec![0i64; m];
-    let mut v = vec![0i64; n];
-    let mut visit = vec![false; m + n];
-    let mut parent_cell = vec![u32::MAX; m + n];
-    let mut queue: Vec<u32> = Vec::with_capacity(m + n);
+    let mut tree = BasisTree::new(basis, cost, m);
+    let mut path: Vec<u32> = Vec::with_capacity(m + n);
 
     let cells_total = m * n;
     let block = ((cells_total as f64).sqrt() as usize)
@@ -129,36 +141,17 @@ fn solve_impl(
     let mut bland = false;
 
     loop {
-        for list in adj.iter_mut() {
-            list.clear();
-        }
-        for (k, cell) in basis.iter().enumerate() {
-            adj[cell.row as usize].push(k as u32);
-            // lint:allow(lossy-cast) u32 column id → usize index; not mass/cost arithmetic
-            adj[m + cell.col as usize].push(k as u32);
-        }
-        compute_duals(
-            &basis, &adj, cost, m, &mut u, &mut v, &mut visit, &mut queue,
-        );
-
+        let (u, v) = tree.pot.split_at(m);
         let entering = if bland {
-            price_bland(cost, &u, &v, m, n)
+            price_bland(cost, u, v)
         } else {
-            price_blocks(cost, &u, &v, n, block, &mut scan_pos, parallel)
+            price_blocks(cost, u, v, n, block, &mut scan_pos, parallel)
         };
         let Some((ei, ej)) = entering else {
             break; // optimal
         };
 
-        let path = tree_path(
-            &basis,
-            &adj,
-            m,
-            ei as u32,
-            (m + ej) as u32,
-            &mut parent_cell,
-            &mut queue,
-        );
+        let split = tree.cycle(ei, m + ej, &mut path);
 
         // The entering cell (ei, ej) is a "+" edge of the pivot cycle.
         // Walking the tree path from supplier ei towards consumer ej, the
@@ -169,6 +162,7 @@ fn solve_impl(
         // in Bland mode, θ-ties on the leaving edge break by smallest
         // (row, col) — the same variable order `price_bland` scans — rather
         // than by path position.
+        let basis = &mut tree.cells;
         let mut theta = Mass::MAX;
         let mut leaving_pos = usize::MAX;
         for (idx, &cell_id) in path.iter().enumerate() {
@@ -198,12 +192,16 @@ fn solve_impl(
                 cell.flow += theta;
             }
         }
-        let leaving_id = path[leaving_pos] as usize;
-        basis[leaving_id] = BasisCell {
+        // Cutting the leaving cell separates the endpoint of the entering
+        // cell that sits on the same side of the LCA as the leaving cell.
+        let entering = BasisCell {
             row: ei as u32,
             col: ej as u32,
             flow: theta,
         };
+        tree.exchange(path[leaving_pos], entering, leaving_pos < split, cost);
+        #[cfg(debug_assertions)]
+        tree.check(cost);
 
         // Anti-cycling bookkeeping: a long run of degenerate (θ = 0) pivots
         // is the only way the simplex can stall, so Bland's rule takes over
@@ -219,7 +217,8 @@ fn solve_impl(
         }
     }
 
-    let mut flows: Vec<FlowEntry> = basis
+    let mut flows: Vec<FlowEntry> = tree
+        .cells
         .iter()
         .filter(|c| c.flow > 0)
         .map(|c| FlowEntry {
@@ -238,6 +237,195 @@ fn solve_impl(
         flows,
         total_cost,
         total_flow,
+    }
+}
+
+/// Parent-cell marker of the root (supplier 0); never a cell id, because a
+/// basis has `m + n − 1 < u32::MAX` cells.
+const ROOT: u32 = u32::MAX;
+
+/// The basis as a spanning tree rooted at supplier 0. Node ids: suppliers
+/// `0..m`, consumers `m..m + n`; cell ids index `cells`.
+struct BasisTree {
+    cells: Vec<BasisCell>,
+    /// Basic cells incident to each node.
+    adj: Vec<Vec<u32>>,
+    /// The cell joining each node to its parent ([`ROOT`] at the root).
+    parent: Vec<u32>,
+    depth: Vec<u32>,
+    /// Dual potentials: `u` for suppliers, then `v` for consumers.
+    pot: Vec<i64>,
+    m: usize,
+    /// Scratch: the consumer-side half of a cycle, and the re-hang stack.
+    consumer_side: Vec<u32>,
+    stack: Vec<u32>,
+}
+
+impl BasisCell {
+    /// The cell's supplier and consumer node ids.
+    fn nodes(self, m: usize) -> (usize, usize) {
+        let (row, col) = (self.row as usize, self.col as usize);
+        (row, m + col)
+    }
+
+    fn cost(self, cost: &DenseCost) -> i64 {
+        i64::from(cost.at(self.row as usize, self.col as usize))
+    }
+}
+
+impl BasisTree {
+    fn new(cells: Vec<BasisCell>, cost: &DenseCost, m: usize) -> Self {
+        let nodes = cells.len() + 1;
+        let mut adj = vec![Vec::new(); nodes];
+        for (id, cell) in (0u32..).zip(&cells) {
+            let (a, b) = cell.nodes(m);
+            adj[a].push(id);
+            adj[b].push(id);
+        }
+        let mut tree = BasisTree {
+            cells,
+            adj,
+            parent: vec![ROOT; nodes],
+            depth: vec![0; nodes],
+            pot: vec![0; nodes],
+            m,
+            consumer_side: Vec::with_capacity(nodes),
+            stack: Vec::with_capacity(nodes),
+        };
+        tree.hang(0, cost);
+        #[cfg(debug_assertions)]
+        tree.check(cost);
+        tree
+    }
+
+    /// The node at the other end of `node`'s parent cell.
+    fn up(&self, node: usize) -> usize {
+        let (a, b) = self.cells[self.parent[node] as usize].nodes(self.m);
+        if a == node {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// Fills `path` with the cells of the tree path from supplier `from` to
+    /// consumer `to`, ordered from the `from` end, and returns how many of
+    /// them lie between `from` and the lowest common ancestor.
+    fn cycle(&mut self, from: usize, to: usize, path: &mut Vec<u32>) -> usize {
+        path.clear();
+        self.consumer_side.clear();
+        let (mut a, mut b) = (from, to);
+        while self.depth[a] > self.depth[b] {
+            path.push(self.parent[a]);
+            a = self.up(a);
+        }
+        while self.depth[b] > self.depth[a] {
+            self.consumer_side.push(self.parent[b]);
+            b = self.up(b);
+        }
+        while a != b {
+            path.push(self.parent[a]);
+            a = self.up(a);
+            self.consumer_side.push(self.parent[b]);
+            b = self.up(b);
+        }
+        let split = path.len();
+        path.extend(self.consumer_side.iter().rev());
+        split
+    }
+
+    /// Replaces basic cell `leaving` by `entering`. The subtree cut off by
+    /// `leaving` holds the entering cell's supplier when `supplier_side`,
+    /// else its consumer; it is re-hung below the other endpoint.
+    fn exchange(
+        &mut self,
+        leaving: u32,
+        entering: BasisCell,
+        supplier_side: bool,
+        cost: &DenseCost,
+    ) {
+        let (a, b) = self.cells[leaving as usize].nodes(self.m);
+        for node in [a, b] {
+            let list = &mut self.adj[node];
+            if let Some(k) = list.iter().position(|&id| id == leaving) {
+                list.swap_remove(k);
+            }
+        }
+        self.cells[leaving as usize] = entering;
+        let (row, col) = entering.nodes(self.m);
+        self.adj[row].push(leaving);
+        self.adj[col].push(leaving);
+        let (low, high) = if supplier_side {
+            (row, col)
+        } else {
+            (col, row)
+        };
+        self.parent[low] = leaving;
+        self.depth[low] = self.depth[high] + 1;
+        self.pot[low] = entering.cost(cost) - self.pot[high];
+        self.hang(low, cost);
+    }
+
+    /// Re-derives parent cell, depth and potential of every node below
+    /// `top`, walking away from `top`'s own parent cell.
+    fn hang(&mut self, top: usize, cost: &DenseCost) {
+        let BasisTree {
+            cells,
+            adj,
+            parent,
+            depth,
+            pot,
+            m,
+            stack,
+            ..
+        } = self;
+        stack.clear();
+        stack.push(top as u32);
+        while let Some(node) = stack.pop() {
+            let node = node as usize;
+            for &id in &adj[node] {
+                if id == parent[node] {
+                    continue;
+                }
+                let cell = cells[id as usize];
+                let (a, b) = cell.nodes(*m);
+                let child = if a == node { b } else { a };
+                parent[child] = id;
+                depth[child] = depth[node] + 1;
+                pot[child] = cell.cost(cost) - pot[node];
+                stack.push(child as u32);
+            }
+        }
+    }
+
+    /// Debug-build audit of the incremental bookkeeping: every basic cell
+    /// has zero reduced cost, every non-root node hangs from a basic cell
+    /// one level above it, and the root keeps `u[0] = 0`.
+    #[cfg(debug_assertions)]
+    fn check(&self, cost: &DenseCost) {
+        for cell in &self.cells {
+            let (a, b) = cell.nodes(self.m);
+            debug_assert_eq!(
+                cell.cost(cost) - self.pot[a] - self.pot[b],
+                0,
+                "basic cell ({}, {}) has a nonzero reduced cost",
+                cell.row,
+                cell.col
+            );
+        }
+        debug_assert_eq!((self.parent[0], self.depth[0], self.pot[0]), (ROOT, 0, 0));
+        for node in 1..self.parent.len() {
+            let id = self.parent[node];
+            debug_assert!(
+                self.adj[node].contains(&id),
+                "node {node} hangs from non-basic cell {id}"
+            );
+            debug_assert_eq!(
+                self.depth[node],
+                self.depth[self.up(node)] + 1,
+                "node {node} has a stale depth"
+            );
+        }
     }
 }
 
@@ -303,55 +491,10 @@ fn initial_basis(supplies: &[Mass], demands: &[Mass], cost: &DenseCost) -> Vec<B
     basis
 }
 
-/// Computes duals `u`, `v` with `u[i] + v[j] = c[i][j]` on basic cells by
-/// BFS over the basis spanning tree rooted at supplier 0.
-#[allow(clippy::too_many_arguments)]
-fn compute_duals(
-    basis: &[BasisCell],
-    adj: &[Vec<u32>],
-    cost: &DenseCost,
-    m: usize,
-    u: &mut [i64],
-    v: &mut [i64],
-    visit: &mut [bool],
-    queue: &mut Vec<u32>,
-) {
-    for x in visit.iter_mut() {
-        *x = false;
-    }
-    u[0] = 0;
-    visit[0] = true;
-    queue.clear();
-    queue.push(0);
-    let mut head = 0;
-    while head < queue.len() {
-        let node = queue[head] as usize;
-        head += 1;
-        for &cell_id in &adj[node] {
-            let cell = basis[cell_id as usize];
-            let row_node = cell.row as usize;
-            // lint:allow(lossy-cast) u32 column id → usize index; not mass/cost arithmetic
-            let col_node = m + cell.col as usize;
-            let other = if node == row_node { col_node } else { row_node };
-            if !visit[other] {
-                visit[other] = true;
-                let c = cost.at(cell.row as usize, cell.col as usize) as i64;
-                if other == col_node {
-                    v[cell.col as usize] = c - u[row_node];
-                } else {
-                    u[cell.row as usize] = c - v[cell.col as usize];
-                }
-                queue.push(other as u32);
-            }
-        }
-    }
-    debug_assert_eq!(queue.len(), adj.len(), "basis must be a spanning tree");
-}
-
 /// Scans scan-order offsets `lo..hi` (relative to `start`, wrapping at
 /// `total`) and returns the most negative reduced cost with the earliest
 /// offset achieving it. The shared kernel of both pricing paths.
-#[allow(clippy::too_many_arguments)] // mirrors compute_duals: hot-loop slices stay unbundled
+#[allow(clippy::too_many_arguments)] // hot-loop slices stay unbundled
 fn scan_cells(
     cost: &DenseCost,
     u: &[i64],
@@ -370,8 +513,7 @@ fn scan_cells(
         }
         let i = pos / n;
         let j = pos - i * n;
-        // lint:allow(lossy-cast) cost entries are u32; u32 → i64 is exact
-        let r = cost.at(i, j) as i64 - u[i] - v[j];
+        let r = i64::from(cost.at(i, j)) - u[i] - v[j];
         if r < 0 && best.is_none_or(|(b, _)| r < b) {
             best = Some((r, off));
         }
@@ -438,83 +580,16 @@ fn price_blocks(
 }
 
 /// Bland's rule: first negative reduced-cost cell in index order.
-fn price_bland(
-    cost: &DenseCost,
-    u: &[i64],
-    v: &[i64],
-    m: usize,
-    _n: usize,
-) -> Option<(usize, usize)> {
-    for (i, &ui) in u.iter().enumerate().take(m) {
+fn price_bland(cost: &DenseCost, u: &[i64], v: &[i64]) -> Option<(usize, usize)> {
+    for (i, &ui) in u.iter().enumerate() {
         let row = cost.row(i);
         for (j, &c) in row.iter().enumerate() {
-            if (c as i64) - ui - v[j] < 0 {
+            if i64::from(c) - ui - v[j] < 0 {
                 return Some((i, j));
             }
         }
     }
     None
-}
-
-/// Returns the basis-cell ids along the unique tree path from node `from`
-/// to node `to` (node ids: suppliers `0..m`, consumers `m..m+n`), ordered
-/// from the `from` end.
-fn tree_path(
-    basis: &[BasisCell],
-    adj: &[Vec<u32>],
-    m: usize,
-    from: u32,
-    to: u32,
-    parent_cell: &mut [u32],
-    queue: &mut Vec<u32>,
-) -> Vec<u32> {
-    const UNVISITED: u32 = u32::MAX;
-    const ROOT: u32 = u32::MAX - 1;
-    for x in parent_cell.iter_mut() {
-        *x = UNVISITED;
-    }
-    parent_cell[from as usize] = ROOT;
-    queue.clear();
-    queue.push(from);
-    let mut head = 0;
-    while head < queue.len() {
-        let node = queue[head] as usize;
-        head += 1;
-        // lint:allow(lossy-cast) tree nodes index m + n u32 ids, so they fit u32
-        if node as u32 == to {
-            break;
-        }
-        for &cell_id in &adj[node] {
-            let cell = basis[cell_id as usize];
-            let row_node = cell.row as usize;
-            // lint:allow(lossy-cast) u32 column id → usize index; not mass/cost arithmetic
-            let col_node = m + cell.col as usize;
-            let other = if node == row_node { col_node } else { row_node };
-            if parent_cell[other] == UNVISITED {
-                parent_cell[other] = cell_id;
-                queue.push(other as u32);
-            }
-        }
-    }
-    debug_assert!(
-        parent_cell[to as usize] != UNVISITED,
-        "tree must connect nodes"
-    );
-
-    // Walk parents back from `to`, then reverse to get from-first order.
-    let mut path = Vec::new();
-    let mut node = to as usize;
-    while parent_cell[node] != ROOT {
-        let cell_id = parent_cell[node];
-        path.push(cell_id);
-        let cell = basis[cell_id as usize];
-        let row_node = cell.row as usize;
-        // lint:allow(lossy-cast) u32 column id → usize index; not mass/cost arithmetic
-        let col_node = m + cell.col as usize;
-        node = if node == row_node { col_node } else { row_node };
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]
@@ -589,13 +664,18 @@ mod tests {
 
     /// Bland's rule is exercised directly by forcing the streak limit to
     /// zero: the very first degenerate pivot flips pricing over, and the
-    /// result must still be the optimum.
+    /// result must still be the optimum. The last trial is a
+    /// production-sized 20 × 200 shape, whose deep trees and large re-hung
+    /// subtrees the debug-build tree audit re-checks after every pivot.
     #[test]
     fn bland_fallback_is_optimal() {
         let mut rng = SmallRng::seed_from_u64(11);
-        for trial in 0..20 {
-            let m = rng.gen_range(2..6);
-            let n = rng.gen_range(2..6);
+        for trial in 0..21 {
+            let (m, n) = if trial == 20 {
+                (20, 200)
+            } else {
+                (rng.gen_range(2..6), rng.gen_range(2..6))
+            };
             let cost = DenseCost::random(m, n, 0..4, &mut rng);
             let mut supplies = vec![2u64; m];
             let mut demands = vec![2u64; n];

@@ -1,15 +1,19 @@
 //! Cross-solver fuzz harness: every solver (and `Solver::Auto`) must agree
 //! on the optimal cost of randomized instances spanning the shapes the SND
 //! pipeline produces — zero-heavy supplies, `u32::MAX` costs, single-cell
-//! and single-line instances — and every returned plan must be feasible.
+//! and single-line instances, and the per-bin bank shape of a reduced
+//! EMD\* term (up to 60 rows against 300 bank columns) — and every
+//! returned plan must be feasible.
 //!
 //! The seed is fixed, so CI explores the same instance stream on every run;
 //! bump `FUZZ_ROUNDS` locally for a deeper sweep.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use snd::emd::{proportional_split, DEFAULT_SCALE};
 use snd::transport::{
     solve_balanced, solve_unbalanced, verify_feasible, DenseCost, Mass, Solver, TransportPlan,
+    WIDE_ASPECT,
 };
 
 const FUZZ_SEED: u64 = 0x5eed_2026;
@@ -31,9 +35,16 @@ struct Family {
     cost_hi: u32,
     mass_hi: u64,
     zero_p: f64,
+    /// Per-bin bank shape: the last `banks` columns are bank columns at
+    /// distance `gamma` (0 for the uniform families).
+    banks: usize,
+    gamma: u32,
 }
 
 fn random_family(rng: &mut SmallRng) -> Family {
+    if rng.gen_range(0..5) == 0 {
+        return bank_family(rng);
+    }
     let (cost_lo, cost_hi) = match rng.gen_range(0..4) {
         0 => (0u32, 8),                 // heavy ties
         1 => (0, 1_000),                // typical SSSP-row magnitudes
@@ -47,6 +58,30 @@ fn random_family(rng: &mut SmallRng) -> Family {
         cost_hi,
         mass_hi: [5u64, 50, 1 << 40][rng.gen_range(0..3)],
         zero_p: [0.0, 0.3, 0.7][rng.gen_range(0..3)],
+        banks: 0,
+        gamma: 0,
+    }
+}
+
+/// The reduced EMD\* shape SND prices in per-bin mode: 2–60 heavy-side
+/// residual rows, fewer lighter-side residual columns, and 50–300 bank
+/// columns, capped so that `cols < WIDE_ASPECT · rows` keeps `Auto` on the
+/// simplex (aspect ratios up to 127).
+fn bank_family(rng: &mut SmallRng) -> Family {
+    let m = rng.gen_range(2..=60);
+    let residual_cols = rng.gen_range(0..m);
+    let banks = rng
+        .gen_range(50..=300)
+        .min((WIDE_ASPECT - 1) * m - residual_cols);
+    Family {
+        m,
+        n: residual_cols + banks,
+        cost_lo: 0,
+        cost_hi: [8u32, 1_000][rng.gen_range(0..2)],
+        mass_hi: [3u64, DEFAULT_SCALE][rng.gen_range(0..2)],
+        zero_p: 0.0,
+        banks,
+        gamma: [1u32, 8][rng.gen_range(0..2)],
     }
 }
 
@@ -63,12 +98,43 @@ fn random_masses(rng: &mut SmallRng, len: usize, fam: &Family) -> Vec<Mass> {
 }
 
 fn random_instance(rng: &mut SmallRng, fam: &Family) -> (Vec<Mass>, Vec<Mass>, DenseCost) {
+    if fam.banks > 0 {
+        return bank_instance(rng, fam);
+    }
     let data: Vec<u32> = (0..fam.m * fam.n)
         .map(|_| rng.gen_range(fam.cost_lo..=fam.cost_hi))
         .collect();
     let cost = DenseCost::from_vec(fam.m, fam.n, data);
     let supplies = random_masses(rng, fam.m, fam);
     let demands = random_masses(rng, fam.n, fam);
+    (supplies, demands, cost)
+}
+
+/// A balanced per-bin bank instance: every row supplies one `scale` unit
+/// (`mass_hi`), every residual column takes one, and the bank columns
+/// split the surplus as `proportional_split` does over equal bin masses.
+/// Costs are SSSP-like distances, `γ` further for bank columns, with an
+/// occasional unreachable (`u32::MAX`) pair.
+fn bank_instance(rng: &mut SmallRng, fam: &Family) -> (Vec<Mass>, Vec<Mass>, DenseCost) {
+    let scale = fam.mass_hi;
+    let residual_cols = fam.n - fam.banks;
+    let mut data = Vec::with_capacity(fam.m * fam.n);
+    for _ in 0..fam.m {
+        for j in 0..fam.n {
+            let d = if rng.gen_bool(0.02) {
+                u32::MAX
+            } else {
+                rng.gen_range(fam.cost_lo..=fam.cost_hi)
+            };
+            let bank = if j < residual_cols { 0 } else { fam.gamma };
+            data.push(d.saturating_add(bank));
+        }
+    }
+    let cost = DenseCost::from_vec(fam.m, fam.n, data);
+    let supplies = vec![scale; fam.m];
+    let mut demands = vec![scale; residual_cols];
+    let surplus = (fam.m - residual_cols) as Mass * scale;
+    demands.extend(proportional_split(surplus, &vec![scale; fam.banks]));
     (supplies, demands, cost)
 }
 

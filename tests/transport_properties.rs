@@ -1,6 +1,8 @@
 //! Property-based cross-validation of the transportation solvers.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use snd::transport::{
     simplex, solve_balanced, solve_unbalanced, verify_feasible, DenseCost, Solver,
 };
@@ -50,19 +52,27 @@ proptest! {
     /// The parallel pricing path returns the *bit-identical* plan of the
     /// sequential reference path — same entering cells, same basis walk,
     /// same flow list — on shapes spanning both sides of the block size.
+    /// One case in six is scaled past the parallel-pricing threshold
+    /// (16–39 rows, ≥ 16,384 cells), where basis trees are deep and
+    /// pivots re-hang large subtrees.
     #[test]
     fn parallel_simplex_pricing_is_bit_identical(
         m in 1usize..24,
         n in 1usize..24,
-        raw_s in proptest::collection::vec(0u64..60, 24),
-        raw_d in proptest::collection::vec(0u64..60, 24),
-        raw_c in proptest::collection::vec(0u32..80, 576),
+        large in 0u32..6,
+        seed in 0u64..1 << 32,
     ) {
-        let (mut supplies, mut demands, cost) = balanced_instance(m, n, &raw_s, &raw_d, &raw_c);
-        // The simplex entry points require all-positive lines; bump every
-        // entry then rebalance exactly.
-        for s in supplies.iter_mut() { *s += 1; }
-        for d in demands.iter_mut() { *d += 1; }
+        let (m, n) = if large == 0 {
+            let rows = m + 16;
+            (rows, (1 << 14) / rows + 24 * n)
+        } else {
+            (m, n)
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cost = DenseCost::random(m, n, 0..80, &mut rng);
+        // The simplex entry points require all-positive lines.
+        let mut supplies: Vec<u64> = (0..m).map(|_| rng.gen_range(1..61)).collect();
+        let mut demands: Vec<u64> = (0..n).map(|_| rng.gen_range(1..61)).collect();
         let (ts, td): (u64, u64) = (supplies.iter().sum(), demands.iter().sum());
         if ts > td { demands[n - 1] += ts - td; } else { supplies[m - 1] += td - ts; }
         let seq = simplex::solve_seq(&supplies, &demands, &cost);
