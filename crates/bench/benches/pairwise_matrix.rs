@@ -7,9 +7,11 @@
 //!   geometry recomputed per pair, every SSSP row recomputed per pair, no
 //!   threads. The seed's only option, and the baseline the tentpole is
 //!   measured against.
-//! * `batch_cold` — `pairwise_distances`: geometry once per state, SSSP
-//!   rows computed at most once per ground state into shared caches, all
-//!   EMD\* terms fanned out over the thread pool. Caches start empty.
+//! * `batch_cold` — `pairwise_distances`: geometry once per state, each
+//!   SSSP row written at most once per ground state into shared caches —
+//!   one fresh Dial run per `(opinion, direction, user)`, the user's rows
+//!   in later ground states repaired from it — and all EMD\* terms fanned
+//!   out over the thread pool. Caches start empty.
 //! * `batch_warm` — `pairwise_distances_with` over pre-filled bundles:
 //!   the re-pricing regime (same snapshots, new query) where every row is
 //!   a cache hit and only the transportation solves remain.
@@ -21,8 +23,12 @@
 //!   both shards touch, plus the merge — that distributing across
 //!   machines pays for.
 //!
-//! After measuring, the bench writes `BENCH_pairwise.json` at the repo
-//! root — the perf-trajectory artifact tracked across PRs.
+//! Before any timing the bench asserts that `batch_cold` equals
+//! `sequential_naive` and that the sharded merge equals `batch_cold`, bit
+//! for bit, so a run that records a speedup has also checked it. After
+//! measuring, it writes `BENCH_pairwise.json` at the repo root — the
+//! perf-trajectory artifact tracked across PRs — with the thread count and
+//! the split of the matrix's SSSP rows into fresh and repaired ones.
 //!
 //! Scale knobs (env): `SND_BENCH_NODES` (default 10000),
 //! `SND_BENCH_SNAPSHOTS` (default 32), `SND_BENCH_SHARDS` (default 2).
@@ -69,6 +75,41 @@ fn bench_pairwise_matrix(c: &mut Criterion) {
         rayon::current_num_threads()
     );
 
+    let shards = env_usize("SND_BENCH_SHARDS", 2).max(2);
+    let tile = auto_tile(states.len(), nodes);
+    let grid = TileGrid::new(states.len(), tile);
+    let sharded = || {
+        let parts: Vec<TileSet> = (0..shards)
+            .map(|s| {
+                let plan = ShardPlan::round_robin(grid, s, shards).expect("valid plan");
+                engine.pairwise_tiles(states, &plan)
+            })
+            .collect();
+        TileSet::merge(parts)
+            .expect("disjoint shards merge")
+            .to_matrix()
+            .expect("round-robin plans cover the grid")
+    };
+
+    // The gate: every timed variant computes the same matrix.
+    let cold = engine.pairwise_distances(states);
+    assert_eq!(
+        cold,
+        engine.pairwise_distances_seq(states),
+        "batch_cold must equal sequential_naive bit for bit"
+    );
+    assert_eq!(
+        sharded(),
+        cold,
+        "the sharded merge must equal batch_cold bit for bit"
+    );
+
+    let warm: Vec<StateGeometry> = states.iter().map(|s| engine.state_geometry(s)).collect();
+    engine.pairwise_distances_with(states, &warm); // fill the caches
+    let rows: usize = warm.iter().map(StateGeometry::cached_rows).sum();
+    let repaired: usize = warm.iter().map(StateGeometry::repaired_rows).sum();
+    println!("pairwise_matrix: {rows} SSSP rows, {repaired} of them repaired");
+
     let mut group = c.benchmark_group("pairwise_matrix");
     group
         .sample_size(2)
@@ -83,40 +124,40 @@ fn bench_pairwise_matrix(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("batch_cold", &label), &(), |b, ()| {
         b.iter(|| engine.pairwise_distances(states))
     });
-    let warm: Vec<StateGeometry> = states.iter().map(|s| engine.state_geometry(s)).collect();
-    engine.pairwise_distances_with(states, &warm); // fill the caches
     group.bench_with_input(BenchmarkId::new("batch_warm", &label), &(), |b, ()| {
         b.iter(|| engine.pairwise_distances_with(states, &warm))
     });
-
-    let shards = env_usize("SND_BENCH_SHARDS", 2).max(2);
-    let tile = auto_tile(states.len(), nodes);
-    let grid = TileGrid::new(states.len(), tile);
     group.bench_with_input(
         BenchmarkId::new(format!("sharded_{shards}"), &label),
         &(),
-        |b, ()| {
-            b.iter(|| {
-                let parts: Vec<TileSet> = (0..shards)
-                    .map(|s| {
-                        let plan = ShardPlan::round_robin(grid, s, shards).expect("valid plan");
-                        engine.pairwise_tiles(states, &plan)
-                    })
-                    .collect();
-                TileSet::merge(parts)
-                    .expect("disjoint shards merge")
-                    .to_matrix()
-                    .expect("round-robin plans cover the grid")
-            })
-        },
+        |b, ()| b.iter(sharded),
     );
     group.finish();
 
-    write_history(nodes, snapshots, series.graph.edge_count(), shards, tile);
+    write_history(&Record {
+        nodes,
+        snapshots,
+        edges: series.graph.edge_count(),
+        shards,
+        tile,
+        rows_fresh: rows - repaired,
+        rows_repaired: repaired,
+    });
+}
+
+/// The run's shape and row split, recorded next to the timings.
+struct Record {
+    nodes: usize,
+    snapshots: usize,
+    edges: usize,
+    shards: usize,
+    tile: usize,
+    rows_fresh: usize,
+    rows_repaired: usize,
 }
 
 /// Records the measurements as `BENCH_pairwise.json` at the repo root.
-fn write_history(nodes: usize, snapshots: usize, edges: usize, shards: usize, tile: usize) {
+fn write_history(r: &Record) {
     let measurements = criterion::take_measurements();
     let mean = |needle: &str| {
         measurements
@@ -139,12 +180,20 @@ fn write_history(nodes: usize, snapshots: usize, edges: usize, shards: usize, ti
     let json = format!(
         "{{\n  \"bench\": \"pairwise_matrix\",\n  \"unix_time\": {stamp},\n  \
          \"nodes\": {nodes},\n  \"snapshots\": {snapshots},\n  \"edges\": {edges},\n  \
-         \"threads\": {threads},\n  \"sequential_naive_s\": {seq:.4},\n  \
+         \"threads\": {threads},\n  \"rows_fresh\": {fresh},\n  \
+         \"rows_repaired\": {repaired},\n  \"sequential_naive_s\": {seq:.4},\n  \
          \"batch_cold_s\": {cold:.4},\n  \"batch_warm_s\": {warm:.4},\n  \
          \"sharded_shards\": {shards},\n  \"sharded_tile\": {tile},\n  \
          \"sharded_total_s\": {sharded:.4},\n  \
          \"sharded_overhead_vs_cold\": {so:.2},\n  \
          \"speedup_cold\": {sc:.2},\n  \"speedup_warm\": {sw:.2}\n}}\n",
+        nodes = r.nodes,
+        snapshots = r.snapshots,
+        edges = r.edges,
+        shards = r.shards,
+        tile = r.tile,
+        fresh = r.rows_fresh,
+        repaired = r.rows_repaired,
         threads = rayon::current_num_threads(),
         so = sharded / cold,
         sc = seq / cold,

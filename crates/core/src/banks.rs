@@ -56,6 +56,26 @@ impl GroundGeometry {
             d as u32
         }
     }
+
+    /// True when the clamp domain over an `n`-node graph is lossless: the
+    /// sentinel is exactly `U·n + 1`, above every simple path's cost, so
+    /// every finite distance is kept exactly. False when the sentinel had
+    /// to be capped at `u32::MAX / 4`. Row repair
+    /// ([`snd_graph::repair_row`]) is exact only in a lossless domain, so
+    /// this is the precondition of every repair path.
+    pub fn is_lossless(&self, n: usize) -> bool {
+        self.unreachable as u64 == self.max_edge_cost as u64 * n as u64 + 1
+    }
+}
+
+/// The finite unreachable sentinel of an `n`-node graph with edge costs at
+/// most `U`: `U·n + 1`, capped at `u32::MAX / 4` so sums of a few
+/// distances stay inside `u32`.
+pub(crate) fn sentinel(max_edge_cost: u32, n: usize) -> u32 {
+    ((max_edge_cost as u64)
+        .saturating_mul(n as u64)
+        .saturating_add(1))
+    .min(u32::MAX as u64 / 4) as u32
 }
 
 /// Computes the geometry for `(state, op)`: one multi-source bounded-cost
@@ -96,10 +116,7 @@ fn build_geometry(
     let costs = edge_costs(g, state, op, &config.ground);
     let max_edge_cost = config.ground.max_edge_cost();
     let n = g.node_count();
-    let unreachable = ((max_edge_cost as u64)
-        .saturating_mul(n as u64)
-        .saturating_add(1))
-    .min(u32::MAX as u64 / 4) as u32;
+    let unreachable = sentinel(max_edge_cost, n);
 
     if matches!(config.clusters, crate::config::ClusterSpec::PerBin) {
         assert!(

@@ -11,30 +11,55 @@
 //! [`SndEngine::pairwise_distances`] restructures this around the
 //! per-state [`StateGeometry`] bundle: geometries are computed once per
 //! state (in parallel across states), and every `(ground state, opinion,
-//! direction, node)` SSSP row is computed at most once — concurrent terms
-//! pull rows from the bundle's shared [`RowCache`](crate::sparse::RowCache).
-//! The `4·T·(T−1)/2` EMD\* terms then fan out over the thread pool
-//! individually, which load-balances well because term cost varies with
-//! the pair's residual size.
+//! direction, user)` SSSP row is written at most once into the bundle's
+//! shared [`RowCache`](crate::sparse::RowCache). The exact tier then runs
+//! in three phases; the tile loop of [`crate::shard`] runs the same three
+//! per tile.
+//!
+//! 1. **Keys.** Every EMD\* term is classified
+//!    (`sparse::classify_term`) and only its row keys are kept: ground
+//!    state, opinion, direction and the heavier side's residual users.
+//! 2. **Rows.** The keys are grouped by `(opinion, direction, user)` and
+//!    the groups run in parallel. A group walks its ground states in
+//!    ascending snapshot order. Its first row is a cache hit or one fresh
+//!    Dial run. Each later row is the previous row passed through
+//!    [`snd_graph::repair_row`] with the edge-cost changes between the two
+//!    ground states. Snapshots of one series differ in a handful of users,
+//!    so a repair touches a small region where a Dial run touches the
+//!    whole graph. A row is computed fresh instead when the clamp domain
+//!    is not lossless ([`GroundGeometry::is_lossless`]) or when more than
+//!    `m / REPAIR_EDGE_FRACTION` edge costs differ.
+//! 3. **Solve.** The `4·T·(T−1)/2` EMD\* terms fan out over the thread
+//!    pool individually through [`sparse::emd_star_term`], and every row
+//!    is now a cache hit. Fanning out per term load-balances well because
+//!    term cost varies with the pair's residual size.
 //!
 //! Results are **bit-identical** to the sequential naive loop: each term is
-//! an exact integer transportation solve, cached rows hold exactly what
-//! recomputation would produce, and per-pair terms are reduced in a fixed
-//! order. The property tests in `tests/batch_parallel.rs` assert this.
+//! an exact integer transportation solve, cached rows — fresh or repaired
+//! — hold exactly what recomputation would produce (shortest-path
+//! distances are unique), and per-pair terms are reduced in a fixed order.
+//! The property tests in `tests/batch_parallel.rs` assert this.
 //!
-//! In the *warm* regime (`pairwise_distances_with` over pre-filled
-//! bundles) every SSSP row is a cache hit, so a term costs its exact
-//! transportation solve plus the assembly of its reduced cost matrix. The
-//! solve is the larger part but no longer the whole: on the repo
-//! benchmark's `pairwise` workload (`perfbench --trace 1`, 2 vCPUs) the
-//! transport layer takes about 0.34 s of self time against 0.04 s of
-//! assembly, while the cold run's SSSP rows take about 1.2 s. The
-//! per-layer numbers come from that trace; `BENCH_solver.json` tracks the
-//! solvers by instance shape.
+//! On the repo benchmark's `pairwise` workload (10,000 users, 12
+//! snapshots, seed 1) the 1,320 rows belong to 220 `(opinion, direction,
+//! user)` groups, so phase 2 runs 220 Dial runs and 1,100 repairs where a
+//! term-by-term fill ran 1,320 Dial runs;
+//! [`RowCache::repaired_rows`](crate::sparse::RowCache::repaired_rows)
+//! reports the split. In the *warm* regime (`pairwise_distances_with` over
+//! pre-filled bundles) phase 2 finds only cache hits, and a term costs its
+//! exact transportation solve plus the assembly of its reduced cost
+//! matrix.
+//!
+//! [`GroundGeometry::is_lossless`]: crate::banks::GroundGeometry::is_lossless
+
+use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 use rayon::prelude::*;
-use snd_models::NetworkState;
+use snd_graph::{repair_row, CostChange, EdgeId, NodeId, RepairScratch};
+use snd_models::{NetworkState, Opinion};
 
+use crate::delta::REPAIR_EDGE_FRACTION;
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
 use crate::sparse;
 
@@ -92,9 +117,9 @@ impl DistanceMatrix {
 
 impl<'g> SndEngine<'g> {
     /// All-pairs SND matrix over a snapshot set: geometry computed once per
-    /// state, SSSP rows computed at most once per ground state and shared
-    /// through thread-safe caches, all `4·T·(T−1)/2` EMD\* terms fanned out
-    /// over the thread pool.
+    /// state, each SSSP row computed or repaired at most once per ground
+    /// state into the bundles' caches (see the module docs), all
+    /// `4·T·(T−1)/2` EMD\* terms fanned out over the thread pool.
     pub fn pairwise_distances(&self, states: &[NetworkState]) -> DistanceMatrix {
         let geoms: Vec<StateGeometry> = states.par_iter().map(|s| self.state_geometry(s)).collect();
         self.pairwise_distances_with(states, &geoms)
@@ -113,6 +138,7 @@ impl<'g> SndEngine<'g> {
         let pairs: Vec<(usize, usize)> = (0..k)
             .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
             .collect();
+        self.fill_pair_rows(states, |s| &geoms[s], &pairs);
         // Fan out at term granularity (4 independent EMD* solves per pair):
         // term cost varies wildly with the pair's residual size, so finer
         // work items load-balance better than whole pairs.
@@ -189,13 +215,9 @@ impl<'g> SndEngine<'g> {
         gb: &StateGeometry,
         which: usize,
     ) -> (f64, f64) {
-        use snd_models::Opinion;
-        let (ground, p, q, geom, op) = match which {
-            0 => (ga, a, b, &ga.pos, Opinion::Positive),
-            1 => (ga, a, b, &ga.neg, Opinion::Negative),
-            2 => (gb, b, a, &gb.pos, Opinion::Positive),
-            _ => (gb, b, a, &gb.neg, Opinion::Negative),
-        };
+        let (forward, op) = term_role(which);
+        let (ground, p, q) = if forward { (ga, a, b) } else { (gb, b, a) };
+        let geom = ground.plane(op);
         // Same tier routing as `SndEngine::terms`: an active approximate
         // tier prices the term as a certified interval, drawing landmark
         // rows from the bundle's delta-repaired sketch when it carries one.
@@ -218,6 +240,247 @@ impl<'g> SndEngine<'g> {
         );
         (v, v)
     }
+
+    /// Phases 1 and 2 of the exact all-pairs path (see the module docs):
+    /// writes into the ground states' caches every SSSP row the terms of
+    /// `pairs` will read, repairing rows along the snapshot order where it
+    /// can. `geom(s)` is state `s`'s bundle and must exist for every state
+    /// in `pairs`. Does nothing under an active approximate tier, which
+    /// prices from landmark rows instead.
+    pub(crate) fn fill_pair_rows<'a, G>(
+        &self,
+        states: &[NetworkState],
+        geom: G,
+        pairs: &[(usize, usize)],
+    ) where
+        G: Fn(usize) -> &'a StateGeometry + Sync,
+    {
+        if self.approx_if_active().is_some() {
+            return;
+        }
+        let g = self.graph();
+        let n = g.node_count();
+
+        // Phase 1: every term's row keys as (negative opinion, reverse,
+        // user, ground state). Sorted, they are grouped by (opinion,
+        // direction, user) in ascending snapshot order. A term's bank
+        // lists are dropped as soon as its keys are read off.
+        let keys: Vec<Vec<(bool, bool, NodeId, usize)>> = (0..pairs.len() * 4)
+            .into_par_iter()
+            .map(|t| {
+                let (i, j) = pairs[t / 4];
+                let (forward, op) = term_role(t % 4);
+                let (ground, other) = if forward { (i, j) } else { (j, i) };
+                let term = sparse::classify_term(
+                    self.clustering(),
+                    geom(ground).plane(op).per_bin,
+                    &states[ground],
+                    &states[other],
+                    op,
+                    self.config().scale,
+                );
+                let reverse = term.rows_reversed();
+                let users = if reverse {
+                    term.residual_q
+                } else {
+                    term.residual_p
+                };
+                let neg = op == Opinion::Negative;
+                users
+                    .into_iter()
+                    .map(|u| (neg, reverse, u, ground))
+                    .collect()
+            })
+            .collect();
+        let mut keys: Vec<(bool, bool, NodeId, usize)> = keys.into_iter().flatten().collect();
+        keys.sort_unstable();
+        keys.dedup();
+
+        // Phase 2 plan, on the calling thread: each group's steps, and one
+        // change list per (opinion, a, b) shared by every group repairing
+        // across it.
+        let limit = g.edge_count() / REPAIR_EDGE_FRACTION;
+        let mut change_ids: HashMap<(bool, usize, usize), Option<usize>> = HashMap::new();
+        let mut changes: Vec<Vec<CostChange>> = Vec::new();
+        let mut groups: Vec<RowGroup<'a>> = Vec::new();
+        for run in keys.chunk_by(|x, y| (x.0, x.1, x.2) == (y.0, y.1, y.2)) {
+            let (neg, reverse, node, _) = run[0];
+            let op = if neg {
+                Opinion::Negative
+            } else {
+                Opinion::Positive
+            };
+            let mut steps = Vec::with_capacity(run.len());
+            let mut writes = 0;
+            // The previous step's ground state and row.
+            let mut prev: Option<(usize, RowSource<'a>)> = None;
+            for &(.., ground) in run {
+                let bundle = geom(ground);
+                if let Some(row) = bundle.cache.get(op, reverse, node) {
+                    steps.push(Step::Hit);
+                    prev = Some((ground, RowSource::Cached(row)));
+                    continue;
+                }
+                let plane = bundle.plane(op);
+                let repair = prev.filter(|_| plane.is_lossless(n)).and_then(|(a, from)| {
+                    let id = *change_ids.entry((neg, a, ground)).or_insert_with(|| {
+                        let list =
+                            cost_changes(&geom(a).plane(op).edge_costs, &plane.edge_costs, limit)?;
+                        changes.push(list);
+                        Some(changes.len() - 1)
+                    });
+                    id.map(|changes| (from, changes))
+                });
+                steps.push(match repair {
+                    Some((from, changes)) => Step::Repair {
+                        ground,
+                        from,
+                        changes,
+                    },
+                    None => Step::Fresh(ground),
+                });
+                prev = Some((ground, RowSource::Row(writes)));
+                writes += 1;
+            }
+            if writes > 0 {
+                groups.push(RowGroup {
+                    op,
+                    reverse,
+                    node,
+                    steps,
+                    rows: Mutex::default(),
+                });
+            }
+        }
+        // One row buffer per step that writes a row, allocated here rather
+        // than in the pool and after the plan, so the rows the caches keep
+        // sit together in one heap arena. Allocating them in the workers
+        // fragmented the per-thread arenas and raised peak RSS.
+        for grp in &mut groups {
+            let writes = grp.steps.iter().filter(|s| !matches!(s, Step::Hit)).count();
+            *grp.rows.get_mut().unwrap_or_else(PoisonError::into_inner) =
+                (0..writes).map(|_| vec![0; n].into_boxed_slice()).collect();
+        }
+
+        // Phase 2: the groups in parallel, each walking its steps in order
+        // with its own repair scratch.
+        groups.par_iter().for_each(|grp| {
+            let mut rows = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut scratch = RepairScratch::new();
+            let mut k = 0; // the next row buffer to write
+            for step in &grp.steps {
+                match *step {
+                    Step::Hit => continue,
+                    Step::Fresh(ground) => {
+                        let plane = geom(ground).plane(grp.op);
+                        sparse::compute_row(g, plane, grp.reverse, grp.node, &mut rows[k]);
+                    }
+                    Step::Repair {
+                        ground,
+                        from,
+                        changes: id,
+                    } => {
+                        let plane = geom(ground).plane(grp.op);
+                        let (done, rest) = rows.split_at_mut(k);
+                        let out = &mut rest[0];
+                        out.copy_from_slice(match from {
+                            RowSource::Cached(row) => row,
+                            RowSource::Row(i) => &done[i],
+                        });
+                        repair_row(
+                            g,
+                            &plane.edge_costs,
+                            &changes[id],
+                            &[grp.node],
+                            grp.reverse,
+                            plane.unreachable,
+                            out,
+                            &mut scratch,
+                        );
+                    }
+                }
+                k += 1;
+            }
+        });
+
+        for grp in groups {
+            let rows = grp
+                .rows
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
+            let written = grp.steps.iter().filter_map(|step| match *step {
+                Step::Hit => None,
+                Step::Fresh(ground) => Some((ground, false)),
+                Step::Repair { ground, .. } => Some((ground, true)),
+            });
+            for ((ground, repaired), row) in written.zip(rows) {
+                geom(ground)
+                    .cache
+                    .insert(grp.op, grp.reverse, grp.node, row, repaired);
+            }
+        }
+    }
+}
+
+/// Term `which` of a pair `(a, b)` in [`SndBreakdown`] order (forward +,
+/// forward −, backward +, backward −): whether it is grounded in `a` (so
+/// `P = a`, `Q = b`), and the opinion it transports.
+fn term_role(which: usize) -> (bool, Opinion) {
+    match which {
+        0 => (true, Opinion::Positive),
+        1 => (true, Opinion::Negative),
+        2 => (false, Opinion::Positive),
+        _ => (false, Opinion::Negative),
+    }
+}
+
+/// The rows of one `(opinion, direction, user)` key across its ground
+/// states, in ascending snapshot order.
+struct RowGroup<'a> {
+    op: Opinion,
+    reverse: bool,
+    node: NodeId,
+    steps: Vec<Step<'a>>,
+    /// One buffer per non-hit step, in step order.
+    rows: Mutex<Vec<Box<[u32]>>>,
+}
+
+/// How one ground state's row of a [`RowGroup`] is obtained.
+enum Step<'a> {
+    /// Already cached.
+    Hit,
+    /// One fresh Dial run in this ground state.
+    Fresh(usize),
+    /// The previous step's row, repaired with change list `changes`.
+    Repair {
+        ground: usize,
+        from: RowSource<'a>,
+        changes: usize,
+    },
+}
+
+/// Where a repair's starting row lives.
+#[derive(Clone, Copy)]
+enum RowSource<'a> {
+    /// In a ground state's cache already.
+    Cached(&'a [u32]),
+    /// In the group's own row buffers, at this index.
+    Row(usize),
+}
+
+/// The edges whose cost differs between two ground states, as
+/// `(edge, old cost)`, or `None` once more than `limit` differ.
+fn cost_changes(old: &[u32], new: &[u32], limit: usize) -> Option<Vec<CostChange>> {
+    let mut out = Vec::new();
+    for (e, (&o, &c)) in old.iter().zip(new).enumerate() {
+        if o != c {
+            if out.len() == limit {
+                return None;
+            }
+            out.push((e as EdgeId, o));
+        }
+    }
+    Some(out)
 }
 
 #[cfg(test)]

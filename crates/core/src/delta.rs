@@ -37,7 +37,8 @@
 //!
 //! * more than [`REPAIR_EDGE_FRACTION`]⁻¹ of the edges were touched
 //!   (high-churn dynamics like random activation), or
-//! * the clamp domain is capped (`U·n + 1 > u32::MAX / 4`), or
+//! * the clamp domain is capped (`U·n + 1 > u32::MAX / 4`; see
+//!   [`GroundGeometry::is_lossless`]), or
 //! * the γ policy is `HalfExactDiameter` (its `O(|members|)` SSSPs per
 //!   cluster are not cached).
 //!
@@ -494,21 +495,12 @@ fn member_ecc(row: &[u32], members: &[NodeId]) -> u32 {
 }
 
 impl OpGeometry {
-    /// True when the clamp domain is lossless — every real path cost fits
-    /// strictly below the sentinel, the precondition for row repair.
-    fn lossless(unreachable: u32, max_edge_cost: u32, n: usize) -> bool {
-        unreachable as u64 == (max_edge_cost as u64) * (n as u64) + 1
-    }
-
-    /// Whether this engine/policy combination caches (and repairs) rows.
-    fn caches_rows(engine: &SndEngine<'_>, unreachable: u32) -> bool {
+    /// Whether this engine/policy combination caches (and repairs) rows
+    /// for a geometry with this clamp domain.
+    fn caches_rows(engine: &SndEngine<'_>, geom: &GroundGeometry) -> bool {
         !matches!(engine.config().clusters, crate::config::ClusterSpec::PerBin)
             && !matches!(engine.config().gamma, GammaPolicy::HalfExactDiameter)
-            && Self::lossless(
-                unreachable,
-                engine.config().ground.max_edge_cost(),
-                engine.graph().node_count(),
-            )
+            && geom.is_lossless(engine.graph().node_count())
     }
 
     /// Builds the geometry from scratch, retaining the SSSP rows for
@@ -526,12 +518,20 @@ impl OpGeometry {
         let clustering = engine.clustering();
         let n = g.node_count();
         let max_edge_cost = config.ground.max_edge_cost();
-        let unreachable = ((max_edge_cost as u64)
-            .saturating_mul(n as u64)
-            .saturating_add(1))
-        .min(u32::MAX as u64 / 4) as u32;
+        let unreachable = crate::banks::sentinel(max_edge_cost, n);
+        let per_bin = matches!(config.clusters, crate::config::ClusterSpec::PerBin);
+        // Gammas and inter-cluster distances are filled in below (cluster
+        // mode only); the scalars already answer the lossless question.
+        let mut geom = GroundGeometry {
+            edge_costs: costs,
+            max_edge_cost,
+            unreachable,
+            per_bin,
+            gammas: Vec::new(),
+            inter_cluster: DenseCost::filled(0, 0, 0),
+        };
 
-        if matches!(config.clusters, crate::config::ClusterSpec::PerBin) {
+        if per_bin {
             assert!(
                 config.per_bin_gamma > 0,
                 "per-bin gamma must be positive (identity of indiscernibles)"
@@ -540,13 +540,13 @@ impl OpGeometry {
             // the costs — only in a lossless clamp domain, the repair
             // precondition (otherwise the approx path falls back to cache
             // fetches, still certified).
-            let sketch = if Self::lossless(unreachable, max_edge_cost, n) {
+            let sketch = if geom.is_lossless(n) {
                 engine.delta_sketch_ctx().map(|ctx| {
                     let landmarks = ctx.landmarks.clone();
                     let count = landmarks.len();
                     SketchRows::build(
                         g,
-                        &costs,
+                        &geom.edge_costs,
                         max_edge_cost,
                         unreachable,
                         landmarks,
@@ -558,14 +558,7 @@ impl OpGeometry {
                 None
             };
             return OpGeometry {
-                geom: GroundGeometry {
-                    edge_costs: costs,
-                    max_edge_cost,
-                    unreachable,
-                    per_bin: true,
-                    gammas: Vec::new(),
-                    inter_cluster: DenseCost::filled(0, 0, 0),
-                },
+                geom,
                 cluster_rows: Vec::new(),
                 row_gens: Vec::new(),
                 ecc_fwd: Vec::new(),
@@ -575,7 +568,8 @@ impl OpGeometry {
         }
 
         let nc = clustering.cluster_count();
-        let keep_rows = Self::caches_rows(engine, unreachable);
+        let keep_rows = Self::caches_rows(engine, &geom);
+        let costs = &geom.edge_costs;
         let want_ecc = keep_rows && matches!(config.gamma, GammaPolicy::Eccentricity);
 
         // One work item per cluster, mirroring `compute_geometry`'s
@@ -592,16 +586,16 @@ impl OpGeometry {
             .map(|c| {
                 with_sssp_scratch(|scratch| {
                     let members = clustering.members(c as u32);
-                    dial_scratch(g, &costs, members, max_edge_cost, scratch);
+                    dial_scratch(g, costs, members, max_edge_cost, scratch);
                     let row = clamped_row(scratch, n, unreachable);
                     let min_row = min_reduce(&row, &clustering.labels, nc, unreachable);
                     let (base, ecc_fwd, ecc_rev) = match config.gamma {
                         GammaPolicy::Constant(v) => (v, Vec::new(), Vec::new()),
                         GammaPolicy::Eccentricity => {
                             let rep = members[0];
-                            dial_scratch(g, &costs, &[rep], max_edge_cost, scratch);
+                            dial_scratch(g, costs, &[rep], max_edge_cost, scratch);
                             let fwd = clamped_row(scratch, n, unreachable);
-                            dial_reverse_scratch(g, &costs, &[rep], max_edge_cost, scratch);
+                            dial_reverse_scratch(g, costs, &[rep], max_edge_cost, scratch);
                             let rev = clamped_row(scratch, n, unreachable);
                             let base = member_ecc(&fwd, members).max(member_ecc(&rev, members));
                             if want_ecc {
@@ -613,7 +607,7 @@ impl OpGeometry {
                         GammaPolicy::HalfExactDiameter => {
                             let mut diam = 0u32;
                             for &p in members {
-                                dial_scratch(g, &costs, &[p], max_edge_cost, scratch);
+                                dial_scratch(g, costs, &[p], max_edge_cost, scratch);
                                 for &q in members {
                                     diam = diam.max(clamp(scratch.dist(q), unreachable));
                                 }
@@ -663,15 +657,10 @@ impl OpGeometry {
             }
         }
 
+        geom.gammas = gammas;
+        geom.inter_cluster = inter;
         OpGeometry {
-            geom: GroundGeometry {
-                edge_costs: costs,
-                max_edge_cost,
-                unreachable,
-                per_bin: false,
-                gammas,
-                inter_cluster: inter,
-            },
+            geom,
             cluster_rows,
             row_gens,
             ecc_fwd,

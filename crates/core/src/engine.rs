@@ -102,9 +102,24 @@ impl StateGeometry {
         self
     }
 
-    /// Number of SSSP rows computed into this bundle's cache so far.
+    /// Number of SSSP rows written into this bundle's cache so far, fresh
+    /// or repaired ([`RowCache::computed_rows`]).
     pub fn cached_rows(&self) -> usize {
         self.cache.computed_rows()
+    }
+
+    /// How many of the [`cached_rows`](Self::cached_rows) were repaired
+    /// from another ground state's row ([`RowCache::repaired_rows`]).
+    pub fn repaired_rows(&self) -> usize {
+        self.cache.repaired_rows()
+    }
+
+    /// The ground geometry of one opinion plane.
+    pub(crate) fn plane(&self, op: Opinion) -> &GroundGeometry {
+        match op {
+            Opinion::Positive => &self.pos,
+            _ => &self.neg,
+        }
     }
 
     /// Bundles alive right now (process-wide).

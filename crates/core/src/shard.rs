@@ -1260,20 +1260,21 @@ impl<'g> SndEngine<'g> {
             }
 
             let pairs = grid.pairs(id);
-            // Term-granularity fan-out, exactly like `pairwise_distances`:
-            // the four EMD* solves of a pair are independent, and finer
-            // work items load-balance better than whole pairs.
+            // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
+            let bundle = |s: usize| geoms[s].as_ref().expect("geometry materialized");
+            // The three phases of `pairwise_distances` over this tile's
+            // pairs: row keys; then every row the tile's terms read (a hit
+            // when an earlier tile already wrote it into a live bundle,
+            // else fresh or repaired from the same user's row in the
+            // tile's previous ground state); then one work item per term,
+            // as the four EMD* solves of a pair are independent and finer
+            // items load-balance better than whole pairs.
+            self.fill_pair_rows(states, bundle, &pairs);
             let terms: Vec<(f64, f64)> = (0..pairs.len() * 4)
                 .into_par_iter()
                 .map(|t| {
                     let (i, j) = pairs[t / 4];
-                    let (ga, gb) = (
-                        // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
-                        geoms[i].as_ref().expect("geometry materialized"),
-                        // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
-                        geoms[j].as_ref().expect("geometry materialized"),
-                    );
-                    self.pair_term_interval(&states[i], &states[j], ga, gb, t % 4)
+                    self.pair_term_interval(&states[i], &states[j], bundle(i), bundle(j), t % 4)
                 })
                 .collect();
             let (values, intervals) = fold_tile_terms(&terms, certified);

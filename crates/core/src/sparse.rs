@@ -14,9 +14,11 @@
 //!    always columns and the number of SSSP runs is always the residual
 //!    count of the *heavier* side.
 //! 3. **Rows** — one Dial's-algorithm run per row node over the bounded
-//!    integer costs; bank columns come from the precomputed
-//!    [`GroundGeometry`] (`γ + inter-cluster distance`), needing no
-//!    per-comparison SSSP.
+//!    integer costs, unless the [`RowCache`] already holds the row (the
+//!    all-pairs path fills it ahead of the solves, repairing rows across
+//!    ground states — see [`crate::batch`]); bank columns come from the
+//!    precomputed [`GroundGeometry`] (`γ + inter-cluster distance`),
+//!    needing no per-comparison SSSP.
 //! 4. **Exact solve** — the reduced problem (balanced by construction) goes
 //!    to the configured transportation solver. Under the default
 //!    `Solver::Auto` the choice is sized per reduced instance: single-line
@@ -53,31 +55,38 @@ pub(crate) fn with_sssp_scratch<R>(f: impl FnOnce(&mut SsspScratch) -> R) -> R {
     SSSP_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
+/// One cached row slot: filled exactly once with the clamped SSSP row.
+type RowSlot = OnceLock<Box<[u32]>>;
+
 /// Thread-safe cache of clamped SSSP rows for one ground state, shared
 /// across every comparison grounded in that state (series evaluation,
 /// all-pairs matrices, [`crate::CandidateEvaluator`] candidate search).
 ///
 /// Layout: four lazily-allocated dense planes — one per `(opinion,
 /// direction)` — each a slab of [`OnceLock`] slots indexed directly by
-/// node id. Dense indexing replaces the old
-/// `HashMap<(i8, bool, NodeId), _>`: lookups are two array indexes, and
-/// synchronization is per *row* (each slot is its own lock), so concurrent
-/// readers of different rows never contend and concurrent requests for the
-/// same row compute it exactly once. A plane's slot slab (`n` slots,
-/// ~24 B each) is only allocated when the first row of that
-/// `(opinion, direction)` is requested — a typical comparison touches one
-/// direction per opinion, so usually two of the four planes stay empty.
+/// node id. Lookups are two array indexes, and synchronization is per
+/// *row* (each slot is its own lock), so concurrent readers of different
+/// rows never contend and concurrent requests for the same row compute it
+/// exactly once. A plane's slot slab (`n` slots, ~24 B each) is only
+/// allocated when the first row of that `(opinion, direction)` is
+/// requested — a typical comparison touches one direction per opinion, so
+/// usually two of the four planes stay empty. Rows are always full-length
+/// (`n` entries), so a row cached by one query serves every later one.
 ///
-/// [`computed_rows`](RowCache::computed_rows) counts actual SSSP runs —
-/// the observability hook the cache-reuse tests assert on.
-/// One cached row slot: filled exactly once with the clamped SSSP row.
-type RowSlot = OnceLock<Box<[u32]>>;
-
+/// A row gets into the cache one of two ways: a fresh Dial run when a
+/// term asks for a row the cache lacks, or a row the all-pairs
+/// path built ahead of its solves — fresh, or *repaired* from the same
+/// user's row under another ground state with [`snd_graph::repair_row`]
+/// (see [`crate::batch`]). Both kinds are exact, so readers cannot tell
+/// them apart. [`computed_rows`](RowCache::computed_rows) counts every
+/// row written, fresh or repaired; [`repaired_rows`](RowCache::repaired_rows)
+/// counts the repaired subset. A cache hit moves neither.
 #[derive(Debug)]
 pub struct RowCache {
     planes: [OnceLock<Box<[RowSlot]>>; 4],
     n: usize,
     computed: AtomicUsize,
+    repaired: AtomicUsize,
 }
 
 impl RowCache {
@@ -87,10 +96,11 @@ impl RowCache {
             planes: std::array::from_fn(|_| OnceLock::new()),
             n,
             computed: AtomicUsize::new(0),
+            repaired: AtomicUsize::new(0),
         }
     }
 
-    /// Number of cached rows (equals the number of SSSP runs performed).
+    /// Number of cached rows.
     pub fn len(&self) -> usize {
         self.computed_rows()
     }
@@ -100,11 +110,17 @@ impl RowCache {
         self.len() == 0
     }
 
-    /// Number of SSSP row computations this cache has performed — a second
-    /// request for any `(opinion, direction, node)` row is a hit and does
-    /// not increment this.
+    /// Number of rows written into this cache — fresh SSSP runs plus
+    /// repaired rows. A second request for any `(opinion, direction,
+    /// node)` row is a hit and does not increment this.
     pub fn computed_rows(&self) -> usize {
         self.computed.load(Ordering::Relaxed)
+    }
+
+    /// How many of the [`computed_rows`](Self::computed_rows) were
+    /// repaired from another ground state's row instead of run fresh.
+    pub fn repaired_rows(&self) -> usize {
+        self.repaired.load(Ordering::Relaxed)
     }
 
     fn plane(op: Opinion, reverse: bool) -> usize {
@@ -127,27 +143,63 @@ impl RowCache {
         reverse: bool,
         node: NodeId,
     ) -> &[u32] {
+        self.slot(op, reverse, node).get_or_init(|| {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            let mut row = vec![0; self.n].into_boxed_slice();
+            compute_row(g, geom, reverse, node, &mut row);
+            row
+        })
+    }
+
+    /// The cached row, if any — never computes.
+    pub(crate) fn get(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<&[u32]> {
+        self.slot(op, reverse, node).get().map(|r| &r[..])
+    }
+
+    /// Stores a row built outside the cache (fresh or `repaired`). A slot
+    /// that is already filled keeps its row — both are exact, so nothing
+    /// is lost — and the counters do not move.
+    pub(crate) fn insert(
+        &self,
+        op: Opinion,
+        reverse: bool,
+        node: NodeId,
+        row: Box<[u32]>,
+        repaired: bool,
+    ) {
+        debug_assert_eq!(row.len(), self.n, "rows are full-length");
+        if self.slot(op, reverse, node).set(row).is_ok() {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            self.repaired
+                .fetch_add(usize::from(repaired), Ordering::Relaxed);
+        }
+    }
+
+    fn slot(&self, op: Opinion, reverse: bool, node: NodeId) -> &RowSlot {
         let slots = self.planes[Self::plane(op, reverse)]
             .get_or_init(|| (0..self.n).map(|_| OnceLock::new()).collect());
-        slots[node as usize].get_or_init(|| {
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            compute_row(g, geom, reverse, node)
-        })
+        &slots[node as usize]
     }
 }
 
-/// One clamped SSSP row, computed on the calling thread's reusable scratch.
-fn compute_row(g: &CsrGraph, geom: &GroundGeometry, reverse: bool, node: NodeId) -> Box<[u32]> {
+/// One clamped SSSP row written into `out` (length `n`), computed on the
+/// calling thread's reusable scratch.
+pub(crate) fn compute_row(
+    g: &CsrGraph,
+    geom: &GroundGeometry,
+    reverse: bool,
+    node: NodeId,
+    out: &mut [u32],
+) {
     with_sssp_scratch(|scratch| {
         if reverse {
             dial_reverse_scratch(g, &geom.edge_costs, &[node], geom.max_edge_cost, scratch);
         } else {
             dial_scratch(g, &geom.edge_costs, &[node], geom.max_edge_cost, scratch);
         }
-        scratch
-            .distances(g.node_count())
-            .map(|d| geom.clamp(d))
-            .collect()
+        for (o, d) in out.iter_mut().zip(scratch.distances(g.node_count())) {
+            *o = geom.clamp(d);
+        }
     })
 }
 
@@ -178,6 +230,15 @@ pub(crate) struct ReducedTerm {
     pub banks: BankBins,
 }
 
+impl ReducedTerm {
+    /// Orientation: `true` when `Q` is the heavier side, so the SSSP rows
+    /// are the residual consumers' reverse rows (banks always end up as
+    /// columns). The row nodes are then `residual_q`, else `residual_p`.
+    pub(crate) fn rows_reversed(&self) -> bool {
+        self.total_p < self.total_q
+    }
+}
+
 /// Computes one EMD\* term `EMD*(Pᵒᵖ, Qᵒᵖ, D(ground, op))` where the ground
 /// geometry was built from the same state/opinion. `cache` (optional) reuses
 /// SSSP rows across calls sharing this geometry — a shared reference, so
@@ -196,7 +257,24 @@ pub fn emd_star_term(
     let n = g.node_count();
     assert_eq!(p_state.len(), n, "state size mismatch");
     assert_eq!(q_state.len(), n, "state size mismatch");
-    let scale = config.scale;
+    let term = classify_term(clustering, geom.per_bin, p_state, q_state, op, config.scale);
+    solve_reduced_term(g, clustering, geom, op, config, cache, term)
+}
+
+/// Lemma 1/2 classification of one EMD\* term by an `O(n)` scan of both
+/// states: the residual users (the symmetric difference), the scaled
+/// totals, and the lighter side's bank inputs. The front half of
+/// [`emd_star_term`]; the all-pairs path also runs it alone to learn which
+/// SSSP rows a term will read.
+pub(crate) fn classify_term(
+    clustering: &Clustering,
+    per_bin: bool,
+    p_state: &NetworkState,
+    q_state: &NetworkState,
+    op: Opinion,
+    scale: Mass,
+) -> ReducedTerm {
+    let n = p_state.len();
     let nc = clustering.cluster_count();
 
     // Classify users; Lemma 2 leaves only the symmetric difference.
@@ -228,7 +306,7 @@ pub fn emd_star_term(
     let p_is_lighter = total_p < total_q;
     let banks = if total_p == total_q {
         BankBins::Balanced
-    } else if geom.per_bin {
+    } else if per_bin {
         BankBins::PerBin(if p_is_lighter { active_p } else { active_q })
     } else {
         let counts = if p_is_lighter {
@@ -238,21 +316,13 @@ pub fn emd_star_term(
         };
         BankBins::Cluster(counts.iter().map(|&c| c * scale).collect())
     };
-    solve_reduced_term(
-        g,
-        clustering,
-        geom,
-        op,
-        config,
-        cache,
-        ReducedTerm {
-            residual_p,
-            residual_q,
-            total_p,
-            total_q,
-            banks,
-        },
-    )
+    ReducedTerm {
+        residual_p,
+        residual_q,
+        total_p,
+        total_q,
+        banks,
+    }
 }
 
 /// Assembles and solves one classified EMD\* term: bank capacities from
@@ -274,6 +344,7 @@ pub(crate) fn solve_reduced_term(
     let scale = config.scale;
     let nc = clustering.cluster_count();
     let nb = config.banks_per_cluster.max(1);
+    let reverse = term.rows_reversed();
     let ReducedTerm {
         residual_p,
         residual_q,
@@ -285,7 +356,6 @@ pub(crate) fn solve_reduced_term(
         return 0.0;
     }
     let delta = total_p.abs_diff(total_q);
-    let p_is_lighter = total_p < total_q;
 
     // Bank bins on the lighter side, capacities from the *full* (unreduced)
     // masses. Per-bin mode: one bank per active bin of the lighter
@@ -321,10 +391,10 @@ pub(crate) fn solve_reduced_term(
     // Orientation: banks always end up as columns (rows are the heavier
     // side's residual bins, one SSSP each — forward when P is heavier,
     // reversed when Q is).
-    let (row_nodes, col_nodes, reverse) = if !p_is_lighter {
-        (residual_p, residual_q, false)
+    let (row_nodes, col_nodes) = if reverse {
+        (residual_q, residual_p)
     } else {
-        (residual_q, residual_p, true)
+        (residual_p, residual_q)
     };
     if row_nodes.is_empty() {
         debug_assert!(col_nodes.is_empty() && delta == 0);
@@ -344,12 +414,17 @@ pub(crate) fn solve_reduced_term(
 
     // Assemble the reduced cost matrix: one SSSP row per heavy-side node.
     let mut data = Vec::with_capacity(n_rows * n_cols);
-    let mut local_row; // fallback storage when no cache was provided
+    // Fallback storage when no cache was provided.
+    let mut local_row = if cache.is_none() {
+        vec![0; n]
+    } else {
+        Vec::new()
+    };
     for &node in &row_nodes {
         let row: &[u32] = match cache {
             Some(c) => c.get_or_compute(g, geom, op, reverse, node),
             None => {
-                local_row = compute_row(g, geom, reverse, node);
+                compute_row(g, geom, reverse, node, &mut local_row);
                 &local_row
             }
         };

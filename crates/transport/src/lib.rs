@@ -407,6 +407,32 @@ mod tests {
         assert!(plan.flows.iter().any(|f| f.flow == Mass::MAX - 1));
     }
 
+    /// `solve_unbalanced` pads the lighter side with a zero-cost dummy
+    /// line carrying the difference, so the padded problem moves the
+    /// heavier total. Here that total is `i64::MAX` exactly, then one unit
+    /// past it (supply-heavy), and `i64::MAX` again on the demand side.
+    /// Every solver must move the lighter total at SSP's cost.
+    #[test]
+    fn unbalanced_totals_at_the_i64_max_edge() {
+        let h = i64::MAX as Mass;
+        let cost = DenseCost::from_rows(&[&[4u32, 1, 7][..], &[2, 9, 3][..]]);
+        let cases: [([Mass; 2], [Mass; 3]); 3] = [
+            ([h / 2, h - h / 2], [h / 8, h / 4, h / 8]),
+            ([1 << 62, 1 << 62], [3, 1 << 61, 5]),
+            ([h / 4, 7], [h / 2, h / 4, h - h / 2 - h / 4]),
+        ];
+        for (supplies, demands) in cases {
+            let moved = supplies.iter().sum::<Mass>().min(demands.iter().sum());
+            let reference = solve_unbalanced(&supplies, &demands, &cost, Solver::Ssp);
+            assert_eq!(reference.total_flow, moved);
+            for s in [Solver::Simplex, Solver::Auto, Solver::CostScaling] {
+                let plan = solve_unbalanced(&supplies, &demands, &cost, s);
+                assert_eq!(plan.total_flow, moved, "solver {s:?}");
+                assert_eq!(plan.total_cost, reference.total_cost, "solver {s:?}");
+            }
+        }
+    }
+
     #[test]
     fn auto_line_shortcut_matches_solvers() {
         // 1×n and m×1 shapes: Auto's forced plan equals a real solve.

@@ -73,9 +73,11 @@
 //! * [`SndEngine::pairwise_distances`](core::SndEngine::pairwise_distances)
 //!   — full `T × T` [`DistanceMatrix`](core::DistanceMatrix): ground
 //!   geometry computed once per state, every `(ground state, opinion,
-//!   direction, node)` SSSP row computed at most once into a shared
-//!   [`RowCache`](core::RowCache), and all `4·T·(T−1)/2` EMD\* terms
-//!   fanned out over the thread pool.
+//!   direction, node)` SSSP row written at most once into a shared
+//!   [`RowCache`](core::RowCache) — one fresh Dial run per `(opinion,
+//!   direction, node)`, that node's rows in later ground states
+//!   *repaired* from it ([`graph::repair_row`]) — and all `4·T·(T−1)/2`
+//!   EMD\* terms fanned out over the thread pool.
 //! * [`SndEngine::series_distances`](core::SndEngine::series_distances) —
 //!   the adjacent-pair series, evaluated **delta-aware**
 //!   ([`core::delta`]): edge costs re-derived only on the edges a

@@ -170,3 +170,43 @@ fn superdiagonal_plan_reproduces_the_series() {
         .collect();
     assert_eq!(series, engine.series_distances_seq(&states));
 }
+
+/// On a low-churn series the tile loop repairs SSSP rows along the
+/// snapshot order — within a tile, and from rows cached by earlier tiles
+/// whose bundles are still alive — and must still reproduce the batch
+/// matrix exactly, at every tile size and in both bank modes.
+#[test]
+fn low_churn_tiles_merge_to_the_batch_matrix() {
+    let mut rng = SmallRng::seed_from_u64(400);
+    let n = 400;
+    let g = barabasi_albert(n, 3, &mut rng);
+    let mut states = vec![NetworkState::from_values(
+        &(0..n)
+            .map(|_| [1, -1, 0, 0, 0, 0, 0, 0][rng.gen_range(0..8)])
+            .collect::<Vec<i8>>(),
+    )];
+    for _ in 1..8 {
+        let mut next = states[states.len() - 1].clone();
+        for _ in 0..rng.gen_range(2..=5) {
+            let u = rng.gen_range(0..n as u32);
+            next.set(u, Opinion::from_value(rng.gen_range(-1..=1)));
+        }
+        states.push(next);
+    }
+    for clusters in [
+        ClusterSpec::PerBin,
+        ClusterSpec::BfsPartition { clusters: 6 },
+    ] {
+        let config = SndConfig {
+            clusters: clusters.clone(),
+            ..Default::default()
+        };
+        let engine = SndEngine::new(&g, config);
+        let batch = engine.pairwise_distances(&states);
+        for tile in [1, 3, 8] {
+            let plan = ShardPlan::full(TileGrid::new(states.len(), tile));
+            let merged = engine.pairwise_tiles(&states, &plan).to_matrix().unwrap();
+            assert_eq!(merged, batch, "mode {clusters:?}, tile {tile}");
+        }
+    }
+}
