@@ -12,9 +12,12 @@
 //! per-state [`StateGeometry`] bundle: geometries are computed once per
 //! state (in parallel across states), and every `(ground state, opinion,
 //! direction, user)` SSSP row is written at most once into the bundle's
-//! shared [`RowCache`](crate::sparse::RowCache). The exact tier then runs
-//! in three phases; the tile loop of [`crate::shard`] runs the same three
-//! per tile.
+//! shared [`RowCache`](crate::sparse::RowCache). Pairs are then priced in
+//! one place, `SndEngine::price_pairs`, which runs three phases. The
+//! matrix calls it once over all pairs; every tile of a
+//! [`ShardPlan`](crate::shard::ShardPlan) and every series tile calls it
+//! once over the tile's pairs. Pairs of identical states price to zero
+//! without a solve.
 //!
 //! 1. **Keys.** Every EMD\* term is classified
 //!    (`sparse::classify_term`) and only its row keys are kept: ground
@@ -29,10 +32,12 @@
 //!    whole graph. A row is computed fresh instead when the clamp domain
 //!    is not lossless ([`GroundGeometry::is_lossless`]) or when more than
 //!    `m / REPAIR_EDGE_FRACTION` edge costs differ.
-//! 3. **Solve.** The `4·T·(T−1)/2` EMD\* terms fan out over the thread
-//!    pool individually through [`sparse::emd_star_term`], and every row
-//!    is now a cache hit. Fanning out per term load-balances well because
-//!    term cost varies with the pair's residual size.
+//! 3. **Solve.** The four EMD\* terms of every pair fan out over the
+//!    thread pool individually through [`sparse::emd_star_term`], and
+//!    every row is now a cache hit. Fanning out per term load-balances
+//!    well because term cost varies with the pair's residual size. Each
+//!    term comes back as a `[lo, hi]` envelope (zero width on the exact
+//!    tier); `fold_terms` turns four envelopes into one distance.
 //!
 //! Results are **bit-identical** to the sequential naive loop: each term is
 //! an exact integer transportation solve, cached rows — fresh or repaired
@@ -138,30 +143,8 @@ impl<'g> SndEngine<'g> {
         let pairs: Vec<(usize, usize)> = (0..k)
             .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
             .collect();
-        self.fill_pair_rows(states, |s| &geoms[s], &pairs);
-        // Fan out at term granularity (4 independent EMD* solves per pair):
-        // term cost varies wildly with the pair's residual size, so finer
-        // work items load-balance better than whole pairs.
-        let terms: Vec<f64> = (0..pairs.len() * 4)
-            .into_par_iter()
-            .map(|t| {
-                let (i, j) = pairs[t / 4];
-                self.pair_term(&states[i], &states[j], &geoms[i], &geoms[j], t % 4)
-            })
-            .collect();
-        let upper: Vec<f64> = terms
-            .chunks_exact(4)
-            .map(|t| {
-                SndBreakdown {
-                    forward_pos: t[0],
-                    forward_neg: t[1],
-                    backward_pos: t[2],
-                    backward_neg: t[3],
-                }
-                .total()
-            })
-            .collect();
-        DistanceMatrix::from_upper(k, &upper)
+        let terms = self.price_pairs(states, |s| &geoms[s], &pairs);
+        DistanceMatrix::from_upper(k, &fold_terms(&terms, false).0)
     }
 
     /// The naive sequential all-pairs loop (no sharing, no threads):
@@ -179,34 +162,45 @@ impl<'g> SndEngine<'g> {
         DistanceMatrix::from_upper(k, &upper)
     }
 
+    /// The three phases of the module docs over `pairs`: every SSSP row
+    /// the pairs' terms read is written into the ground states' caches,
+    /// then every term is priced as one work item. Returns four `[lo, hi]`
+    /// envelopes per pair in [`SndBreakdown`] order; [`fold_terms`] turns
+    /// them into distances. `bundle(s)` is state `s`'s bundle and must
+    /// exist for every state in `pairs`. The matrix, every tile plan and
+    /// the series tiles all price through here.
+    pub(crate) fn price_pairs<'a, G>(
+        &self,
+        states: &[NetworkState],
+        bundle: G,
+        pairs: &[(usize, usize)],
+    ) -> Vec<(f64, f64)>
+    where
+        G: Fn(usize) -> &'a StateGeometry + Sync,
+    {
+        self.fill_pair_rows(states, &bundle, pairs);
+        // Fan out at term granularity (4 independent EMD* solves per pair):
+        // term cost varies wildly with the pair's residual size, so finer
+        // work items load-balance better than whole pairs.
+        (0..pairs.len() * 4)
+            .into_par_iter()
+            .map(|t| {
+                let (i, j) = pairs[t / 4];
+                // Identical states price to exactly zero (every EMD* term
+                // of an equal pair vanishes): skip their solves.
+                if states[i] == states[j] {
+                    return (0.0, 0.0);
+                }
+                self.pair_term_interval(&states[i], &states[j], bundle(i), bundle(j), t % 4)
+            })
+            .collect()
+    }
+
     /// One of the four Eq. 3 terms of pair `(a, b)` given the two states'
     /// bundles, drawing rows from the ground state's shared cache. Term
     /// order matches [`SndBreakdown`]: forward +, forward −, backward +,
-    /// backward −. Shared with the tile-based shard path
-    /// ([`crate::shard`]).
-    pub(crate) fn pair_term(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        ga: &StateGeometry,
-        gb: &StateGeometry,
-        which: usize,
-    ) -> f64 {
-        let (lo, hi) = self.pair_term_interval(a, b, ga, gb, which);
-        // Zero-width (exact-tier) envelopes return the value itself so the
-        // scalar stays bit-identical to the sparse path; the midpoint of a
-        // genuine interval is the approximate tier's scalar estimate.
-        if lo == hi {
-            return lo;
-        }
-        0.5 * (lo + hi)
-    }
-
-    /// [`pair_term`](Self::pair_term) keeping the certified envelope: the
-    /// exact tier returns a zero-width interval, an active approximate
-    /// tier the term's `[lower, upper]` (whose midpoint is exactly what
-    /// [`pair_term`](Self::pair_term) reports). The tile checkpoint path
-    /// persists these so merged shard matrices stay re-certifiable.
+    /// backward −. The exact tier returns a zero-width interval, an active
+    /// approximate tier the term's certified `[lower, upper]`.
     pub(crate) fn pair_term_interval(
         &self,
         a: &NetworkState,
@@ -241,18 +235,14 @@ impl<'g> SndEngine<'g> {
         (v, v)
     }
 
-    /// Phases 1 and 2 of the exact all-pairs path (see the module docs):
+    /// Phases 1 and 2 of [`price_pairs`](Self::price_pairs):
     /// writes into the ground states' caches every SSSP row the terms of
     /// `pairs` will read, repairing rows along the snapshot order where it
     /// can. `geom(s)` is state `s`'s bundle and must exist for every state
     /// in `pairs`. Does nothing under an active approximate tier, which
     /// prices from landmark rows instead.
-    pub(crate) fn fill_pair_rows<'a, G>(
-        &self,
-        states: &[NetworkState],
-        geom: G,
-        pairs: &[(usize, usize)],
-    ) where
+    fn fill_pair_rows<'a, G>(&self, states: &[NetworkState], geom: G, pairs: &[(usize, usize)])
+    where
         G: Fn(usize) -> &'a StateGeometry + Sync,
     {
         if self.approx_if_active().is_some() {
@@ -432,6 +422,47 @@ fn term_role(which: usize) -> (bool, Opinion) {
         2 => (false, Opinion::Positive),
         _ => (false, Opinion::Negative),
     }
+}
+
+/// The scalar of one term envelope: the exact value when the envelope has
+/// zero width (the exact tier), its midpoint otherwise (the approximate
+/// tier's estimate). The only rule that turns an envelope into a value.
+pub(crate) fn term_value((lo, hi): (f64, f64)) -> f64 {
+    if lo == hi {
+        lo
+    } else {
+        0.5 * (lo + hi)
+    }
+}
+
+/// Folds per-term envelopes (four per pair, in [`SndBreakdown`] order, as
+/// [`SndEngine::price_pairs`] returns them) into one distance per pair
+/// through [`term_value`], plus, when `certified`, the per-pair `[lo, hi]`
+/// the `I` checkpoint lines persist.
+pub(crate) fn fold_terms(
+    terms: &[(f64, f64)],
+    certified: bool,
+) -> (Vec<f64>, Option<Vec<(f64, f64)>>) {
+    fn breakdown(t: &[(f64, f64)], pick: impl Fn((f64, f64)) -> f64) -> f64 {
+        SndBreakdown {
+            forward_pos: pick(t[0]),
+            forward_neg: pick(t[1]),
+            backward_pos: pick(t[2]),
+            backward_neg: pick(t[3]),
+        }
+        .total()
+    }
+    let values = terms
+        .chunks_exact(4)
+        .map(|t| breakdown(t, term_value))
+        .collect();
+    let intervals = certified.then(|| {
+        terms
+            .chunks_exact(4)
+            .map(|t| (breakdown(t, |(lo, _)| lo), breakdown(t, |(_, hi)| hi)))
+            .collect()
+    });
+    (values, intervals)
 }
 
 /// The rows of one `(opinion, direction, user)` key across its ground

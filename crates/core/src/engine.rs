@@ -26,6 +26,7 @@ use snd_models::{NetworkState, Opinion};
 
 use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval};
 use crate::banks::{compute_geometry, GroundGeometry};
+use crate::batch::term_value;
 use crate::config::{ClusterSpec, SndConfig};
 use crate::sparse::RowCache;
 use crate::{approx, dense, sparse};
@@ -365,8 +366,8 @@ impl<'g> SndEngine<'g> {
     ) -> SndBreakdown {
         // `Solver::Auto`-style tier routing: when the approximate tier is
         // active for this engine (configured, supported bank mode, graph at
-        // least `min_nodes`), every scalar term is the midpoint of its
-        // certified interval; otherwise the exact sparse path runs.
+        // least `min_nodes`), every scalar term is read off its certified
+        // interval by `term_value`; otherwise the exact sparse path runs.
         let approx = self.approx_if_active();
         let term = |geom: &GroundGeometry,
                     cache: Option<&RowCache>,
@@ -375,8 +376,7 @@ impl<'g> SndEngine<'g> {
                     q: &NetworkState,
                     op: Opinion| {
             if let Some(a_cfg) = &approx {
-                let (lo, hi) = self.approx_term(geom, cache, sketch, p, q, op, a_cfg);
-                return 0.5 * (lo + hi);
+                return term_value(self.approx_term(geom, cache, sketch, p, q, op, a_cfg));
             }
             sparse::emd_star_term(
                 self.graph,
@@ -741,10 +741,50 @@ impl<'g> SndEngine<'g> {
     /// short-circuit to zero — with an automatic fallback to a fresh
     /// rebuild on high-churn transitions (see [`crate::delta`]). Returns
     /// `states.len() − 1` values, bit-identical to
-    /// [`series_distances_seq`](Self::series_distances_seq); at most two
-    /// geometry bundles are live at any point.
+    /// [`series_distances_seq`](Self::series_distances_seq). Exactly two
+    /// repairable geometry bundles (and two row caches) are live at any
+    /// point; the geometries are *borrowed* into the term evaluation —
+    /// never cloned per transition.
     pub fn series_distances(&self, states: &[NetworkState]) -> Vec<f64> {
-        crate::delta::SeriesEvaluator::new(self).distances(states)
+        if states.len() < 2 {
+            return Vec::new();
+        }
+        let n = self.graph.node_count();
+        let mut out = Vec::with_capacity(states.len() - 1);
+        let mut prev = crate::delta::DeltaStateGeometry::fresh(self, &states[0]);
+        let mut prev_rows = RowCache::new(n);
+        for t in 1..states.len() {
+            let delta = snd_models::StateDelta::between(self.graph, &states[t - 1], &states[t]);
+            if delta.is_empty() {
+                // Identical states: every EMD* term is exactly zero, and
+                // the geometry (hence the caches) carries over untouched.
+                out.push(SndBreakdown::default().total());
+                continue;
+            }
+            let cur = prev.step(self, &states[t], &delta);
+            let cur_rows = RowCache::new(n);
+            let breakdown = self.terms_sketched(
+                &states[t - 1],
+                &states[t],
+                [&prev.pos.geom, &prev.neg.geom, &cur.pos.geom, &cur.neg.geom],
+                [
+                    Some(&prev_rows),
+                    Some(&prev_rows),
+                    Some(&cur_rows),
+                    Some(&cur_rows),
+                ],
+                [
+                    prev.pos.sketch.as_ref(),
+                    prev.neg.sketch.as_ref(),
+                    cur.pos.sketch.as_ref(),
+                    cur.neg.sketch.as_ref(),
+                ],
+            );
+            out.push(breakdown.total());
+            prev = cur;
+            prev_rows = cur_rows; // the old cache drops here
+        }
+        out
     }
 
     /// Sequential reference implementation of

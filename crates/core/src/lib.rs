@@ -44,7 +44,8 @@
 //! consecutive states short-circuit to zero. The checkpoint-backed series
 //! path ([`SndEngine::series_tiles_checkpointed`], surfaced as
 //! `snd_analysis::resume::series_distances_checkpointed`) advances the
-//! same repairable bundles along the series.
+//! same repairable bundles along the series, and prices each tile through
+//! the same tile loop and pair pricing as the all-pairs matrix.
 //!
 //! Every fast path is **exact** (shortest-path distances are the unique
 //! relaxation fixpoint, so repaired geometry is bit-identical to a
@@ -139,7 +140,7 @@ pub use approx::{ApproxConfig, ApproxError, SndInterval};
 pub use banks::GroundGeometry;
 pub use batch::DistanceMatrix;
 pub use config::{ClusterSpec, GammaPolicy, SndConfig};
-pub use delta::{DeltaStateGeometry, SeriesEvaluator, SketchRows, REPAIR_EDGE_FRACTION};
+pub use delta::{DeltaStateGeometry, SketchRows, REPAIR_EDGE_FRACTION};
 pub use engine::{SndBreakdown, SndEngine, StateGeometry};
 pub use ordered::CandidateEvaluator;
 pub use shard::{

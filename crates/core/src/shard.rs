@@ -11,12 +11,16 @@
 //! means for a given `(k, tile)`.
 //!
 //! [`SndEngine::pairwise_tiles`] computes any subset of tiles selected by
-//! a [`ShardPlan`]: EMD\* terms fan out over the rayon pool *inside* each
-//! tile, per-state geometry bundles (and their SSSP row caches) are shared
-//! across every tile of the run and dropped as soon as no remaining tile
-//! needs them, and each finished tile can be appended to a checkpoint file
-//! so an interrupted run resumes without recomputation
-//! ([`SndEngine::pairwise_tiles_checkpointed`]).
+//! a [`ShardPlan`]. Every entry point runs one tile loop, which prices
+//! each tile's pairs exactly as [`SndEngine::pairwise_distances`] prices
+//! all pairs (see [`crate::batch`]): EMD\* terms fan out over the rayon
+//! pool *inside* each tile, per-state geometry bundles (and their SSSP row
+//! caches) are shared across every tile of the run and dropped as soon as
+//! no remaining tile needs them, and each finished tile can be appended to
+//! a checkpoint file so an interrupted run resumes without recomputation
+//! ([`SndEngine::pairwise_tiles_checkpointed`]). The series entry point
+//! ([`SndEngine::series_tiles_checkpointed`]) runs the same loop over the
+//! superdiagonal tiles and only builds the bundles differently.
 //!
 //! # Shard plans
 //!
@@ -98,11 +102,12 @@ use std::ops::Range;
 use std::path::Path;
 
 use rayon::prelude::*;
-use snd_models::NetworkState;
+use snd_models::{NetworkState, StateDelta};
 
 use crate::approx::SndInterval;
-use crate::batch::DistanceMatrix;
-use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
+use crate::batch::{fold_terms, DistanceMatrix};
+use crate::delta::DeltaStateGeometry;
+use crate::engine::{SndEngine, StateGeometry};
 
 /// Default tile edge (states per block): `8 × 8` tiles hold up to 64
 /// pairs — coarse enough that checkpoint appends are rare, fine enough
@@ -144,6 +149,9 @@ pub fn auto_tile(states: usize, nodes: usize) -> usize {
 
 const MAGIC: &str = "SNDSHARD v1";
 
+/// The most missing tile IDs a [`ShardError::Holes`] lists.
+const HOLES_LISTED: usize = 1 << 16;
+
 /// Hook invoked with each finished tile before it is recorded — the
 /// checkpoint append point. The third argument is the tile's certified
 /// `[lo, hi]` pairs when the approximate tier produced them; the fourth
@@ -153,17 +161,6 @@ const MAGIC: &str = "SNDSHARD v1";
 /// feeds on.
 pub type OnTile<'a> =
     dyn FnMut(usize, &[f64], Option<&[(f64, f64)]>, f64) -> Result<(), ShardError> + 'a;
-
-/// Tile-computation callee plugged into the shared checkpointed-run
-/// skeleton (`SndEngine::run_checkpointed`): the batch plan path or the
-/// delta-advanced series path.
-type TileCompute<'g> = fn(
-    &SndEngine<'g>,
-    &[NetworkState],
-    &ShardPlan,
-    &mut TileSet,
-    &mut OnTile<'_>,
-) -> Result<(), ShardError>;
 
 /// Errors from shard planning, checkpoint IO, and merging.
 #[derive(Debug)]
@@ -183,7 +180,8 @@ pub enum ShardError {
     },
     /// Tiles missing from a merge that must cover the full matrix.
     Holes {
-        /// Missing tile IDs (truncated to the first few for display).
+        /// Missing tile IDs, ascending: all of them, or the first 65,536
+        /// when there are more (display shows the first few).
         missing: Vec<usize>,
     },
 }
@@ -200,7 +198,12 @@ impl fmt::Display for ShardError {
             }
             ShardError::Holes { missing } => write!(
                 f,
-                "matrix has {} missing tile(s), first: {:?}",
+                "matrix has {}{} missing tile(s), first: {:?}",
+                if missing.len() == HOLES_LISTED {
+                    "at least "
+                } else {
+                    ""
+                },
                 missing.len(),
                 &missing[..missing.len().min(8)]
             ),
@@ -226,9 +229,32 @@ pub struct TileGrid {
 
 impl TileGrid {
     /// Grid over `k` states with `tile × tile` blocks (`tile ≥ 1`).
+    ///
+    /// # Panics
+    /// If `tile` is zero, or if `k` is so large that the grid's counts
+    /// overflow `usize` (`k²` is not representable).
     pub fn new(k: usize, tile: usize) -> Self {
         assert!(tile >= 1, "tile size must be at least 1");
-        TileGrid { k, tile }
+        match Self::checked(k, tile) {
+            Some(grid) => grid,
+            None => panic!("a tile grid over {k} states overflows usize"),
+        }
+    }
+
+    /// [`new`](Self::new) returning `None` instead of panicking. Every
+    /// count a grid reports — pairs per tile, tiles, pairs — is at most
+    /// `k²` or `nb·(nb + 1)` for `nb` blocks per axis, so the grid fits
+    /// when both are representable. Checkpoint headers are read through
+    /// here: a header claiming a grid that does not fit is a format
+    /// error, never an overflow.
+    pub(crate) fn checked(k: usize, tile: usize) -> Option<Self> {
+        if tile == 0 {
+            return None;
+        }
+        let nb = k.div_ceil(tile);
+        k.checked_mul(k)?;
+        nb.checked_mul(nb + 1)?;
+        Some(TileGrid { k, tile })
     }
 
     /// Number of states (`k`).
@@ -687,8 +713,13 @@ impl TileSet {
 
     /// The full [`DistanceMatrix`], validating that every tile is present.
     pub fn to_matrix(&self) -> Result<DistanceMatrix, ShardError> {
-        let missing = self.missing_tiles();
-        if !missing.is_empty() {
+        // Count the holes before listing any: a header can claim far more
+        // tiles than a file holds, so the list stops at `HOLES_LISTED`.
+        if self.tiles.len() < self.grid.tile_count() {
+            let missing = (0..self.grid.tile_count())
+                .filter(|id| !self.tiles.contains_key(id))
+                .take(HOLES_LISTED)
+                .collect();
             return Err(ShardError::Holes { missing });
         }
         let k = self.grid.k;
@@ -973,14 +1004,14 @@ fn parse_header(line: &str) -> Option<(TileGrid, u64)> {
         return None;
     }
     let tile: usize = t.next()?.parse().ok()?;
-    if t.next()? != "fingerprint" || tile == 0 {
+    if t.next()? != "fingerprint" {
         return None;
     }
     let fingerprint = u64::from_str_radix(t.next()?, 16).ok()?;
     if t.next().is_some() {
         return None;
     }
-    Some((TileGrid::new(k, tile), fingerprint))
+    Some((TileGrid::checked(k, tile)?, fingerprint))
 }
 
 /// Parses one `T` line against `grid` (ID range and pair count must
@@ -999,7 +1030,8 @@ pub fn parse_tile_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<f64>)>
     if count != grid.pair_count(id) {
         return None;
     }
-    let mut values = Vec::with_capacity(count);
+    // No capacity from `count`: the line, not the claim, bounds the values.
+    let mut values = Vec::new();
     for _ in 0..count {
         values.push(f64::from_bits(u64::from_str_radix(t.next()?, 16).ok()?));
     }
@@ -1023,7 +1055,7 @@ pub fn parse_interval_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<(f
     if count != grid.pair_count(id) {
         return None;
     }
-    let mut intervals = Vec::with_capacity(count);
+    let mut intervals = Vec::new();
     for _ in 0..count {
         let lo = f64::from_bits(u64::from_str_radix(t.next()?, 16).ok()?);
         let hi = f64::from_bits(u64::from_str_radix(t.next()?, 16).ok()?);
@@ -1052,35 +1084,6 @@ pub fn parse_timing_line(line: &str, grid: &TileGrid) -> Option<(usize, f64)> {
         return None;
     }
     Some((id, secs))
-}
-
-/// Folds a tile's per-term `[lo, hi]` envelopes (four per pair, in
-/// [`SndBreakdown`] order) into the tile's scalar values — bit-identical
-/// to what [`SndEngine::pair_term`] reports, since each term collapses to
-/// its exact value when the envelope is zero-width and to its midpoint
-/// otherwise — plus, when `certified`, the per-pair `[lo, hi]` list the
-/// `I` checkpoint lines persist.
-fn fold_tile_terms(terms: &[(f64, f64)], certified: bool) -> (Vec<f64>, Option<Vec<(f64, f64)>>) {
-    fn breakdown(t: &[(f64, f64)], pick: impl Fn(&(f64, f64)) -> f64) -> f64 {
-        SndBreakdown {
-            forward_pos: pick(&t[0]),
-            forward_neg: pick(&t[1]),
-            backward_pos: pick(&t[2]),
-            backward_neg: pick(&t[3]),
-        }
-        .total()
-    }
-    let values = terms
-        .chunks_exact(4)
-        .map(|t| breakdown(t, |&(lo, hi)| if lo == hi { lo } else { 0.5 * (lo + hi) }))
-        .collect();
-    let intervals = certified.then(|| {
-        terms
-            .chunks_exact(4)
-            .map(|t| (breakdown(t, |&(lo, _)| lo), breakdown(t, |&(_, hi)| hi)))
-            .collect()
-    });
-    (values, intervals)
 }
 
 /// Outcome of a checkpointed shard run: the plan's tiles plus how much of
@@ -1123,7 +1126,7 @@ impl<'g> SndEngine<'g> {
     /// [`pairwise_distances_seq`](Self::pairwise_distances_seq).
     pub fn pairwise_tiles(&self, states: &[NetworkState], plan: &ShardPlan) -> TileSet {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_plan_tiles(states, plan, &mut set, &mut |_, _, _, _| Ok(()))
+        self.compute_tiles(states, plan, false, &mut set, &mut |_, _, _, _| Ok(()))
             // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
             .expect("in-memory tile computation performs no IO");
         set
@@ -1143,7 +1146,7 @@ impl<'g> SndEngine<'g> {
         on_tile: &mut OnTile<'_>,
     ) -> Result<TileSet, ShardError> {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_plan_tiles(states, plan, &mut set, on_tile)?;
+        self.compute_tiles(states, plan, false, &mut set, on_tile)?;
         Ok(set)
     }
 
@@ -1158,20 +1161,21 @@ impl<'g> SndEngine<'g> {
         plan: &ShardPlan,
         path: &Path,
     ) -> Result<ShardRun, ShardError> {
-        self.run_checkpointed(states, plan, path, Self::compute_plan_tiles)
+        self.run_checkpointed(states, plan, false, path)
     }
 
     /// The shared checkpointed-run skeleton: open/validate/resume the
-    /// checkpoint, hand the missing tiles to `compute` with the
-    /// append-and-flush hook, and account for the run. Both the batch
-    /// tile path and the delta series path go through here, so the
-    /// checkpoint handling can never diverge between them.
+    /// checkpoint, hand the missing tiles to
+    /// [`compute_tiles`](Self::compute_tiles) with the append-and-flush
+    /// hook, and account for the run. Both the plan path and the series
+    /// path go through here, so the checkpoint handling can never diverge
+    /// between them.
     fn run_checkpointed(
         &self,
         states: &[NetworkState],
         plan: &ShardPlan,
+        delta: bool,
         path: &Path,
-        compute: TileCompute<'g>,
     ) -> Result<ShardRun, ShardError> {
         let (mut set, mut ckpt) =
             Checkpoint::open(path, *plan.grid(), self.shard_fingerprint(states))?;
@@ -1180,10 +1184,10 @@ impl<'g> SndEngine<'g> {
             .iter()
             .filter(|id| set.contains(**id))
             .count();
-        compute(
-            self,
+        self.compute_tiles(
             states,
             plan,
+            delta,
             &mut set,
             &mut |id, values, ivs, secs| ckpt.append(id, values, ivs, Some(secs)),
         )?;
@@ -1194,12 +1198,28 @@ impl<'g> SndEngine<'g> {
         })
     }
 
-    /// Computes the plan's tiles missing from `set`, invoking `on_tile`
-    /// (the checkpoint append hook) before recording each one.
-    fn compute_plan_tiles(
+    /// The one tile loop: computes the plan's tiles missing from `set` in
+    /// ascending ID order, invoking `on_tile` (the checkpoint append hook)
+    /// before recording each one. Every tile is priced with
+    /// `price_pairs` over its pairs, exactly as the matrix prices all
+    /// pairs (see [`crate::batch`]): rows an earlier tile wrote into a
+    /// live bundle are hits, the rest are fresh or repaired along the
+    /// snapshot order.
+    ///
+    /// A state's geometry bundle is built when the first tile needing it
+    /// comes up and dropped after the last, so a shard never holds
+    /// bundles for states only other shards touch. `delta` picks how a
+    /// missing bundle is built: `false` builds every missing bundle of the
+    /// tile from scratch in parallel; `true` advances one
+    /// [`DeltaStateGeometry`] chain through each [`StateDelta`]
+    /// (touched-edge cost rederivation plus cluster-row repair, see
+    /// [`crate::delta`]), which pays off when the plan walks the states
+    /// monotonically, as a superdiagonal plan does.
+    fn compute_tiles(
         &self,
         states: &[NetworkState],
         plan: &ShardPlan,
+        delta: bool,
         set: &mut TileSet,
         on_tile: &mut OnTile<'_>,
     ) -> Result<(), ShardError> {
@@ -1219,9 +1239,6 @@ impl<'g> SndEngine<'g> {
         // envelope; persist those alongside the scalar tile values.
         let certified = self.approx_if_active().is_some();
 
-        // A state's geometry bundle stays alive from the first tile that
-        // needs it to the last, then is dropped — a shard never holds
-        // bundles for states only other shards touch.
         let mut last_use = vec![usize::MAX; states.len()];
         let tile_states: Vec<Vec<usize>> = todo
             .iter()
@@ -1239,6 +1256,11 @@ impl<'g> SndEngine<'g> {
             }
         }
 
+        // The delta chain: the most recently built state's repairable
+        // geometry. Advancing it one transition costs the touched-edge
+        // sweep plus row repair; a gap longer than two blocks (resumed
+        // tiles) is cheaper to cross with a fresh build.
+        let mut chain: Option<(usize, DeltaStateGeometry)> = None;
         let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
         // Per-tile wall clock for the `W` checkpoint lines: geometry
         // materialization counts against the tile that triggered it —
@@ -1251,33 +1273,40 @@ impl<'g> SndEngine<'g> {
                 .copied()
                 .filter(|&s| geoms[s].is_none())
                 .collect();
-            let computed: Vec<(usize, StateGeometry)> = needed
-                .par_iter()
-                .map(|&s| (s, self.state_geometry(&states[s])))
-                .collect();
-            for (s, g) in computed {
-                geoms[s] = Some(g);
+            if delta {
+                for &s in &needed {
+                    let cache = match chain.take() {
+                        Some((at, mut cache)) if at < s && s - at <= 2 * grid.tile_size() => {
+                            for k in at + 1..=s {
+                                let step =
+                                    StateDelta::between(self.graph(), &states[k - 1], &states[k]);
+                                if !step.is_empty() {
+                                    cache = cache.step(self, &states[k], &step);
+                                }
+                            }
+                            cache
+                        }
+                        Some((at, cache)) if at == s => cache,
+                        _ => DeltaStateGeometry::fresh(self, &states[s]),
+                    };
+                    geoms[s] = Some(cache.bundle(self));
+                    chain = Some((s, cache));
+                }
+            } else {
+                let built: Vec<(usize, StateGeometry)> = needed
+                    .par_iter()
+                    .map(|&s| (s, self.state_geometry(&states[s])))
+                    .collect();
+                for (s, g) in built {
+                    geoms[s] = Some(g);
+                }
             }
 
             let pairs = grid.pairs(id);
             // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
             let bundle = |s: usize| geoms[s].as_ref().expect("geometry materialized");
-            // The three phases of `pairwise_distances` over this tile's
-            // pairs: row keys; then every row the tile's terms read (a hit
-            // when an earlier tile already wrote it into a live bundle,
-            // else fresh or repaired from the same user's row in the
-            // tile's previous ground state); then one work item per term,
-            // as the four EMD* solves of a pair are independent and finer
-            // items load-balance better than whole pairs.
-            self.fill_pair_rows(states, bundle, &pairs);
-            let terms: Vec<(f64, f64)> = (0..pairs.len() * 4)
-                .into_par_iter()
-                .map(|t| {
-                    let (i, j) = pairs[t / 4];
-                    self.pair_term_interval(&states[i], &states[j], bundle(i), bundle(j), t % 4)
-                })
-                .collect();
-            let (values, intervals) = fold_tile_terms(&terms, certified);
+            let terms = self.price_pairs(states, bundle, &pairs);
+            let (values, intervals) = fold_terms(&terms, certified);
 
             let secs = mark.elapsed().as_secs_f64();
             on_tile(id, &values, intervals.as_deref(), secs)?;
@@ -1296,13 +1325,12 @@ impl<'g> SndEngine<'g> {
         Ok(())
     }
 
-    /// Checkpoint-backed **series** run through the delta path: computes
-    /// (or resumes) exactly the superdiagonal tiles, building each
-    /// state's geometry bundle by *advancing* the previous state's bundle
-    /// through their [`StateDelta`](snd_models::StateDelta) — touched-edge
-    /// cost rederivation plus SSSP row repair (see [`crate::delta`]) —
-    /// instead of rebuilding it from scratch. Tile values, the checkpoint
-    /// format, and the fingerprint are bit-identical to
+    /// Checkpoint-backed **series** run: computes (or resumes) exactly the
+    /// superdiagonal tiles through the one tile loop (`compute_tiles`)
+    /// with delta-built bundles — each state's bundle is the previous
+    /// state's advanced through their [`StateDelta`] rather than rebuilt
+    /// from scratch. Pricing is the plan path's, so tile values, the
+    /// checkpoint format and the fingerprint are bit-identical to
     /// [`pairwise_tiles_checkpointed`](Self::pairwise_tiles_checkpointed)
     /// over [`ShardPlan::superdiagonal`]; checkpoints written by either
     /// path resume under the other, and a later full-matrix run reuses
@@ -1313,125 +1341,8 @@ impl<'g> SndEngine<'g> {
         tile: usize,
         path: &Path,
     ) -> Result<ShardRun, ShardError> {
-        let grid = TileGrid::new(states.len(), tile);
-        let plan = ShardPlan::superdiagonal(grid);
-        self.run_checkpointed(states, &plan, path, Self::compute_series_tiles)
-    }
-
-    /// Computes the plan's missing tiles with delta-advanced geometry
-    /// bundles. Tiles are visited in ascending ID order, which for a
-    /// superdiagonal plan walks the states monotonically — the delta
-    /// chain advances one transition at a time and jumps (fresh rebuild)
-    /// across long resumed stretches.
-    fn compute_series_tiles(
-        &self,
-        states: &[NetworkState],
-        plan: &ShardPlan,
-        set: &mut TileSet,
-        on_tile: &mut OnTile<'_>,
-    ) -> Result<(), ShardError> {
-        use crate::delta::DeltaStateGeometry;
-        use snd_models::StateDelta;
-
-        let grid = plan.grid();
-        assert_eq!(
-            grid.states(),
-            states.len(),
-            "tile grid sized for a different snapshot set"
-        );
-        let todo: Vec<usize> = plan
-            .tile_ids()
-            .iter()
-            .copied()
-            .filter(|id| !set.contains(*id))
-            .collect();
-        let certified = self.approx_if_active().is_some();
-
-        let mut last_use = vec![usize::MAX; states.len()];
-        let tile_states: Vec<Vec<usize>> = todo
-            .iter()
-            .map(|&id| {
-                let mut touched: Vec<usize> =
-                    grid.pairs(id).iter().flat_map(|&(i, j)| [i, j]).collect();
-                touched.sort_unstable();
-                touched.dedup();
-                touched
-            })
-            .collect();
-        for (pos, touched) in tile_states.iter().enumerate() {
-            for &s in touched {
-                last_use[s] = pos;
-            }
-        }
-
-        // The delta chain: the most recently materialized state's
-        // repairable geometry. Advancing it one transition costs the
-        // touched-edge sweep plus row repair; a gap longer than two
-        // blocks (resumed tiles) is cheaper to cross with a fresh build.
-        let mut chain: Option<(usize, DeltaStateGeometry)> = None;
-        let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
-        let mut mark = std::time::Instant::now();
-        for (pos, (&id, touched)) in todo.iter().zip(&tile_states).enumerate() {
-            for &s in touched {
-                if geoms[s].is_some() {
-                    continue;
-                }
-                let cache = match chain.take() {
-                    Some((at, cache)) if at < s && s - at <= 2 * grid.tile_size() => {
-                        let mut cache = cache;
-                        for k in at + 1..=s {
-                            let delta =
-                                StateDelta::between(self.graph(), &states[k - 1], &states[k]);
-                            if !delta.is_empty() {
-                                cache = cache.step(self, &states[k], &delta);
-                            }
-                        }
-                        cache
-                    }
-                    Some((at, cache)) if at == s => cache,
-                    _ => DeltaStateGeometry::fresh(self, &states[s]),
-                };
-                geoms[s] = Some(cache.bundle(self));
-                chain = Some((s, cache));
-            }
-
-            let pairs = grid.pairs(id);
-            // Identical states price to exactly zero (every EMD* term of
-            // an equal pair vanishes) — skip their solves outright.
-            let equal: Vec<bool> = pairs.iter().map(|&(i, j)| states[i] == states[j]).collect();
-            let terms: Vec<(f64, f64)> = (0..pairs.len() * 4)
-                .into_par_iter()
-                .map(|t| {
-                    if equal[t / 4] {
-                        return (0.0, 0.0);
-                    }
-                    let (i, j) = pairs[t / 4];
-                    let (ga, gb) = (
-                        // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
-                        geoms[i].as_ref().expect("geometry materialized"),
-                        // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
-                        geoms[j].as_ref().expect("geometry materialized"),
-                    );
-                    self.pair_term_interval(&states[i], &states[j], ga, gb, t % 4)
-                })
-                .collect();
-            let (values, intervals) = fold_tile_terms(&terms, certified);
-
-            let secs = mark.elapsed().as_secs_f64();
-            on_tile(id, &values, intervals.as_deref(), secs)?;
-            match intervals {
-                Some(ivs) => set.insert_certified(id, values, ivs),
-                None => set.insert(id, values),
-            }
-            set.set_timing(id, secs);
-            for &s in touched {
-                if last_use[s] == pos {
-                    geoms[s] = None;
-                }
-            }
-            mark = std::time::Instant::now();
-        }
-        Ok(())
+        let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
+        self.run_checkpointed(states, &plan, true, path)
     }
 }
 
@@ -1933,6 +1844,42 @@ mod tests {
         // the same plan) restores full certification.
         let recertified = TileSet::merge([merged, fresh_part]).unwrap();
         assert_eq!(recertified.certified_tile_count(), recertified.tile_count());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn hostile_headers_are_errors_not_panics() {
+        let path =
+            std::env::temp_dir().join(format!("snd_shard_hostile_{}.ckpt", std::process::id()));
+        let header = |k: &str, tile: &str| format!("{MAGIC}\nk {k} tile {tile} fingerprint 0\n");
+        let cases = [
+            // Grids whose counts overflow usize: refused at the header.
+            header("4294967296", "4294967296") + "T 0 9223372034707292160 0\n",
+            header("18446744073709551615", "1"),
+            header("8589934592", "8589934592"),
+            header("4294967296", "1"),
+            // Grids that fit, with counts far beyond what the file holds:
+            // a tile line claiming ~2^62 values, and ~2^62 tiles of
+            // which none is present.
+            header("3037000499", "3037000499") + "T 0 4611686013944624251 0\n",
+            header("3037000499", "1"),
+        ];
+        for (n, text) in cases.iter().enumerate() {
+            std::fs::write(&path, text).unwrap();
+            match TileSet::load(&path) {
+                Err(e) => assert!(matches!(e, ShardError::Format(_)), "case {n}: {e}"),
+                Ok(set) => {
+                    assert!(n >= 4, "case {n} loaded a grid that does not fit");
+                    assert_eq!(set.tile_count(), 0, "case {n}");
+                    let Err(ShardError::Holes { missing }) = set.to_matrix() else {
+                        panic!("case {n}: an empty set has holes");
+                    };
+                    assert_eq!(missing.len(), set.grid().tile_count().min(HOLES_LISTED));
+                    assert_eq!(missing[0], 0);
+                }
+            }
+        }
+        assert!(TileGrid::checked(4, 0).is_none());
         std::fs::remove_file(&path).unwrap();
     }
 

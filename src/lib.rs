@@ -77,7 +77,10 @@
 //!   [`RowCache`](core::RowCache) — one fresh Dial run per `(opinion,
 //!   direction, node)`, that node's rows in later ground states
 //!   *repaired* from it ([`graph::repair_row`]) — and all `4·T·(T−1)/2`
-//!   EMD\* terms fanned out over the thread pool.
+//!   EMD\* terms fanned out over the thread pool. Every tile of a
+//!   [`ShardPlan`](core::shard::ShardPlan) and every series tile is priced
+//!   by the same three phases over its own pairs, so a merged shard
+//!   matrix is bit-identical to this one.
 //! * [`SndEngine::series_distances`](core::SndEngine::series_distances) —
 //!   the adjacent-pair series, evaluated **delta-aware**
 //!   ([`core::delta`]): edge costs re-derived only on the edges a

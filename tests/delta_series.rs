@@ -119,6 +119,12 @@ fn empty_delta_short_circuit_is_exact_in_every_path() {
         assert_eq!(seq[3], 0.0);
         assert!(seq[2] > 0.0 && seq[4] > 0.0);
         assert_eq!(engine.series_distances(&states), seq);
+        // The matrix path skips the solves of equal pairs; it still
+        // matches the naive loop, which solves them.
+        assert_eq!(
+            engine.pairwise_distances(&states),
+            engine.pairwise_distances_seq(&states)
+        );
 
         let path = temp_path("empty_delta.ckpt", 3);
         let _ = std::fs::remove_file(&path);

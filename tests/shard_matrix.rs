@@ -210,3 +210,70 @@ fn low_churn_tiles_merge_to_the_batch_matrix() {
         }
     }
 }
+
+/// The series tile path (bundles advanced along the delta chain) and the
+/// plan path over `ShardPlan::superdiagonal` (bundles built from scratch)
+/// write the same checkpoint, byte for byte apart from the advisory `W`
+/// timing lines — on the exact tier in both bank modes and on the
+/// approximate tier, whose `I` lines must match too.
+#[test]
+fn series_tiles_equal_the_superdiagonal_plan_tiles_byte_for_byte() {
+    let mut scenario = snd::data::registry()
+        .into_iter()
+        .next()
+        .expect("non-empty registry");
+    scenario.nodes = 300;
+    scenario.steps = 9;
+    let series = scenario.run(7).expect("registry scenario runs");
+    let states = &series.states;
+    let configs = [
+        SndConfig::default(),
+        SndConfig {
+            clusters: ClusterSpec::BfsPartition { clusters: 4 },
+            gamma: GammaPolicy::Eccentricity,
+            ..Default::default()
+        },
+        SndConfig {
+            approx: Some(snd::core::ApproxConfig {
+                epsilon: 0.5,
+                min_nodes: 0,
+                ..Default::default()
+            }),
+            ..Default::default()
+        },
+    ];
+    let without_timings = |path: &std::path::Path| -> String {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .filter(|l| !l.starts_with("W "))
+            .flat_map(|l| [l, "\n"])
+            .collect()
+    };
+    for (c, config) in configs.into_iter().enumerate() {
+        let engine = SndEngine::new(&series.graph, config);
+        for tile in 1..=4 {
+            let series_path = temp_path("series_tiles.ckpt", (c * 10 + tile) as u64);
+            let plan_path = temp_path("plan_tiles.ckpt", (c * 10 + tile) as u64);
+            let _ = std::fs::remove_file(&series_path);
+            let _ = std::fs::remove_file(&plan_path);
+            engine
+                .series_tiles_checkpointed(states, tile, &series_path)
+                .unwrap();
+            let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
+            engine
+                .pairwise_tiles_checkpointed(states, &plan, &plan_path)
+                .unwrap();
+            let (a, b) = (without_timings(&series_path), without_timings(&plan_path));
+            assert!(a.lines().any(|l| l.starts_with("T ")));
+            assert_eq!(
+                a.lines().any(|l| l.starts_with("I ")),
+                c == 2,
+                "config {c}: interval lines exactly on the approximate tier"
+            );
+            assert_eq!(a, b, "config {c}, tile {tile}");
+            std::fs::remove_file(&series_path).unwrap();
+            std::fs::remove_file(&plan_path).unwrap();
+        }
+    }
+}
