@@ -19,7 +19,7 @@
 //! Both share the anchor's SSSP row cache (few distinct targets → few
 //! distinct rows), so the measured gap is exactly the per-candidate
 //! classification + materialization the refactor deletes. Results land in
-//! `BENCH_predict.json` at the repo root.
+//! `BENCH_predict_search.json` at the repo root.
 //!
 //! Scale knobs (env): `SND_BENCH_PREDICT_NODES` (default 120000),
 //! `SND_BENCH_PREDICT_CANDIDATES` (default 256),
@@ -32,18 +32,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use snd_bench::record::{knob, Record};
 use snd_core::sparse::emd_star_term;
 use snd_core::{CandidateEvaluator, GroundGeometry, RowCache, SndConfig, SndEngine};
 use snd_graph::generators::barabasi_albert;
 use snd_graph::NodeId;
 use snd_models::{apply_flips, NetworkState, Opinion};
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The scratch baseline: ordered SND from `anchor` to every candidate by
 /// the full `O(n)` scan of `emd_star_term`, both opinion terms joined per
@@ -82,10 +76,10 @@ fn scratch_prices(
 }
 
 fn bench_predict_search(c: &mut Criterion) {
-    let nodes = env_usize("SND_BENCH_PREDICT_NODES", 120_000).max(100);
-    let candidates = env_usize("SND_BENCH_PREDICT_CANDIDATES", 256).max(1);
-    let targets = env_usize("SND_BENCH_PREDICT_TARGETS", 16).max(1);
-    let active = env_usize("SND_BENCH_PREDICT_ACTIVE", 40).max(1);
+    let nodes = knob("SND_BENCH_PREDICT_NODES", 120_000usize).max(100);
+    let candidates = knob("SND_BENCH_PREDICT_CANDIDATES", 256usize).max(1);
+    let targets = knob("SND_BENCH_PREDICT_TARGETS", 16usize).max(1);
+    let active = knob("SND_BENCH_PREDICT_ACTIVE", 40usize).max(1);
 
     let mut rng = SmallRng::seed_from_u64(63);
     let graph = barabasi_albert(nodes, 3, &mut rng);
@@ -177,41 +171,17 @@ fn bench_predict_search(c: &mut Criterion) {
     });
     group.finish();
 
-    write_history(nodes, graph.edge_count(), candidates, targets, active);
-}
-
-/// Records the measurements as `BENCH_predict.json` at the repo root.
-fn write_history(nodes: usize, edges: usize, candidates: usize, targets: usize, active: usize) {
-    let measurements = criterion::take_measurements();
-    let mean = |needle: &str| {
-        measurements
-            .iter()
-            .find(|m| m.id.contains(needle))
-            .map(|m| m.mean_s)
-    };
-    let (Some(scratch), Some(delta)) = (mean("scratch"), mean("delta")) else {
-        return;
-    };
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let json = format!(
-        "{{\n  \"bench\": \"predict_search\",\n  \"unix_time\": {stamp},\n  \
-         \"nodes\": {nodes},\n  \"edges\": {edges},\n  \
-         \"candidates\": {candidates},\n  \"targets\": {targets},\n  \
-         \"active_per_side\": {active},\n  \"threads\": {threads},\n  \
-         \"scratch_s\": {scratch:.4},\n  \
-         \"delta_s\": {delta:.4},\n  \
-         \"speedup\": {sp:.2}\n}}\n",
-        threads = rayon::current_num_threads(),
-        sp = scratch / delta,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_predict.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let mut record = Record::new("predict_search");
+    let speedup = record.mean_s(&format!("predict_search/scratch/{label}"))
+        / record.mean_s(&format!("predict_search/delta/{label}"));
+    record
+        .param("nodes", nodes)
+        .param("edges", graph.edge_count())
+        .param("candidates", candidates)
+        .param("targets", targets)
+        .param("active_per_side", active)
+        .derived("speedup", speedup)
+        .write();
 }
 
 criterion_group!(benches, bench_predict_search);

@@ -1,11 +1,12 @@
 //! The approximate tier at scale: landmark-sketch + coarsening SND vs
 //! the exact Theorem 4 path as the graph grows to 10⁶ nodes.
 //!
-//! Three measurements, recorded in `BENCH_scale.json` at the repo root:
+//! Three measurements, recorded in `BENCH_scale_approx.json` at the repo
+//! root:
 //!
 //! * **Crossover** — exact and approximate `distance` timed side by side
 //!   on a ladder of graphs at fixed n∆ (spatial grid by default, see
-//!   [`graph_kind`]); the crossover is the first size where the certified
+//!   [`build_graph`]); the crossover is the first size where the certified
 //!   interval is cheaper than the exact answer.
 //! * **Measured error** — on a subsampled instance small enough to price
 //!   exactly, the interval must bracket the exact value and the midpoint's
@@ -21,29 +22,16 @@
 //! `SND_BENCH_GRAPH` (`grid`/`ba`), `SND_BENCH_LADDER` (comma-separated
 //! rung sizes), `SND_BENCH_MILLION` (node count for the headline run).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use snd_bench::record::{knob, Record};
 use snd_core::{ApproxConfig, SndConfig, SndEngine};
 use snd_graph::generators::{barabasi_albert, grid_graph};
 use snd_graph::CsrGraph;
 use snd_models::NetworkState;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// A state pair differing on `n_delta` users with *balanced* drift: for
 /// each polar opinion, as many users adopt it as abandon it between the
@@ -121,12 +109,8 @@ struct SizedInstance {
 /// bounds degenerate (`|d(a,l) − d(l,b)| ≈ 0` when `l` is a hub near
 /// both), and the certificate must buy exact rows instead — the
 /// adversarial topology for certified approximation.
-fn graph_kind() -> String {
-    std::env::var("SND_BENCH_GRAPH").unwrap_or_else(|_| "grid".into())
-}
-
-fn build_graph(nodes: usize, rng: &mut SmallRng) -> CsrGraph {
-    match graph_kind().as_str() {
+fn build_graph(kind: &str, nodes: usize, rng: &mut SmallRng) -> CsrGraph {
+    match kind {
         "ba" => barabasi_albert(nodes, 3, rng),
         "grid" => {
             let side = (nodes as f64).sqrt().round() as usize;
@@ -136,9 +120,9 @@ fn build_graph(nodes: usize, rng: &mut SmallRng) -> CsrGraph {
     }
 }
 
-fn instance(nodes: usize, n_delta: usize, seed: u64) -> SizedInstance {
+fn instance(kind: &str, nodes: usize, n_delta: usize, seed: u64) -> SizedInstance {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let graph = build_graph(nodes, &mut rng);
+    let graph = build_graph(kind, nodes, &mut rng);
     let n = graph.node_count();
     let (a, b) = state_pair(n, n_delta, &mut rng);
     SizedInstance { graph, a, b }
@@ -148,21 +132,27 @@ fn bench_scale_approx(c: &mut Criterion) {
     // --test mode shrinks every size so the CI smoke finishes in seconds;
     // the recorded history comes from a full run.
     let test = criterion::is_test_mode();
-    let n_delta = env_usize("SND_BENCH_DELTA", if test { 64 } else { 1024 });
-    let epsilon = env_f64("SND_BENCH_EPSILON", 0.2);
-    let landmarks = env_usize("SND_BENCH_LANDMARKS", 8);
-    let ladder: Vec<usize> = std::env::var("SND_BENCH_LADDER")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .unwrap_or_else(|| {
-            if test {
-                vec![800, 2_000]
-            } else {
-                vec![2_000, 10_000, 50_000, 100_000]
-            }
-        });
-    let ladder = ladder.as_slice();
-    let million = env_usize("SND_BENCH_MILLION", if test { 10_000 } else { 1_000_000 });
+    let kind = knob("SND_BENCH_GRAPH", "grid".to_string());
+    let n_delta = knob("SND_BENCH_DELTA", if test { 64usize } else { 1024 });
+    let epsilon = knob("SND_BENCH_EPSILON", 0.2f64);
+    let landmarks = knob("SND_BENCH_LANDMARKS", 8usize);
+    let default_ladder = if test {
+        "800,2000"
+    } else {
+        "2000,10000,50000,100000"
+    };
+    let ladder: Vec<usize> = knob("SND_BENCH_LADDER", default_ladder.to_string())
+        .split(',')
+        .map(|rung| {
+            rung.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("SND_BENCH_LADDER: bad rung size {rung:?}"))
+        })
+        .collect();
+    let million = knob(
+        "SND_BENCH_MILLION",
+        if test { 10_000usize } else { 1_000_000 },
+    );
     let error_nodes = if test { 1_000 } else { 10_000 };
 
     let mut group = c.benchmark_group("scale_approx");
@@ -173,8 +163,8 @@ fn bench_scale_approx(c: &mut Criterion) {
 
     // Crossover ladder: exact vs approximate at each rung.
     let mut ladder_edges = Vec::new();
-    for &nodes in ladder {
-        let inst = instance(nodes, n_delta, 2017);
+    for &nodes in &ladder {
+        let inst = instance(&kind, nodes, n_delta, 2017);
         println!(
             "scale_approx: ladder rung n={nodes} ({} edges) built",
             inst.graph.edge_count()
@@ -189,10 +179,25 @@ fn bench_scale_approx(c: &mut Criterion) {
             b.iter(|| approx_engine.distance_interval(&inst.a, &inst.b).unwrap())
         });
     }
-    group.finish();
 
-    // Measured error on an instance small enough to price exactly.
-    let err_inst = instance(error_nodes, n_delta, 4242);
+    // The 10⁶-node run: approximate tier only.
+    let big = instance(&kind, million, n_delta, 7);
+    println!(
+        "scale_approx: headline instance n={million} ({} edges) built, pricing…",
+        big.graph.edge_count()
+    );
+    let big_engine = SndEngine::new(&big.graph, approx_config(epsilon, landmarks));
+    let mut big_iv = None;
+    group.bench_with_input(BenchmarkId::new("approx_million", million), &(), |b, ()| {
+        b.iter(|| big_iv = Some(big_engine.distance_interval(&big.a, &big.b).unwrap()))
+    });
+    group.finish();
+    let big_iv = big_iv.expect("the headline run priced at least once");
+
+    // Measured error on an instance small enough to price exactly. The
+    // grid rounds its side, so the trials take their size from the graph.
+    let err_inst = instance(&kind, error_nodes, n_delta, 4242);
+    let err_n = err_inst.graph.node_count();
     let exact_engine = SndEngine::new(&err_inst.graph, SndConfig::default());
     let approx_engine = SndEngine::new(&err_inst.graph, approx_config(epsilon, landmarks));
     let mut max_rel_error = 0.0f64;
@@ -202,7 +207,7 @@ fn bench_scale_approx(c: &mut Criterion) {
         let (a, b) = if trial == 0 {
             (err_inst.a.clone(), err_inst.b.clone())
         } else {
-            state_pair(error_nodes, n_delta, &mut rng)
+            state_pair(err_n, n_delta, &mut rng)
         };
         let exact = exact_engine.distance(&a, &b);
         let iv = approx_engine.distance_interval(&a, &b).unwrap();
@@ -212,124 +217,40 @@ fn bench_scale_approx(c: &mut Criterion) {
         }
     }
     println!(
-        "scale_approx: error check at n={error_nodes}: max relative error {max_rel_error:.5} \
+        "scale_approx: error check at n={err_n}: max relative error {max_rel_error:.5} \
          (ε = {epsilon}), intervals bracket exact: {bracketed}"
     );
 
-    // The 10⁶-node run: approximate tier only.
-    let big = instance(million, n_delta, 7);
-    println!(
-        "scale_approx: headline instance n={million} ({} edges) built, pricing…",
-        big.graph.edge_count()
-    );
-    let big_engine = SndEngine::new(&big.graph, approx_config(epsilon, landmarks));
-    let t0 = Instant::now();
-    let big_iv = big_engine.distance_interval(&big.a, &big.b).unwrap();
-    let million_s = t0.elapsed().as_secs_f64();
-    println!(
-        "scale_approx: n={million} ({} edges): SND in [{:.4}, {:.4}] (width {:.4}) in {million_s:.2}s",
-        big.graph.edge_count(),
-        big_iv.lower,
-        big_iv.upper,
-        big_iv.width()
-    );
-
-    write_history(
-        ladder,
-        &ladder_edges,
-        n_delta,
-        epsilon,
-        landmarks,
-        error_nodes,
-        max_rel_error,
-        bracketed,
-        million,
-        big.graph.edge_count(),
-        million_s,
-        (big_iv.lower, big_iv.upper),
-    );
-}
-
-/// Records the measurements as `BENCH_scale.json` at the repo root.
-#[allow(clippy::too_many_arguments)]
-fn write_history(
-    ladder: &[usize],
-    ladder_edges: &[usize],
-    n_delta: usize,
-    epsilon: f64,
-    landmarks: usize,
-    error_nodes: usize,
-    max_rel_error: f64,
-    bracketed: bool,
-    million: usize,
-    million_edges: usize,
-    million_s: f64,
-    million_interval: (f64, f64),
-) {
-    let measurements = criterion::take_measurements();
-    let mean = |needle: &str| {
-        measurements
-            .iter()
-            .find(|m| m.id.contains(needle))
-            .map(|m| m.mean_s)
-    };
-    let mut rungs = String::new();
-    let mut crossover: Option<usize> = None;
-    for (&nodes, &edges) in ladder.iter().zip(ladder_edges) {
-        let (Some(exact_s), Some(approx_s)) = (
-            mean(&format!("exact/{nodes}")),
-            mean(&format!("approx/{nodes}")),
-        ) else {
-            return;
-        };
-        if approx_s < exact_s && crossover.is_none() {
-            crossover = Some(nodes);
-        }
-        if !rungs.is_empty() {
-            rungs.push_str(",\n");
-        }
-        rungs.push_str(&format!(
-            "    {{\"nodes\": {nodes}, \"edges\": {edges}, \"exact_s\": {exact_s:.4}, \
-             \"approx_s\": {approx_s:.4}, \"speedup\": {:.2}}}",
-            exact_s / approx_s
-        ));
-    }
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let json = format!(
-        "{{\n  \"bench\": \"scale_approx\",\n  \"unix_time\": {stamp},\n  \
-         \"graph\": \"{kind}\",\n  \
-         \"n_delta\": {n_delta},\n  \"epsilon\": {epsilon},\n  \
-         \"landmarks\": {landmarks},\n  \"threads\": {threads},\n  \
-         \"ladder\": [\n{rungs}\n  ],\n  \
-         \"crossover_nodes\": {crossover},\n  \
-         \"error_check_nodes\": {error_nodes},\n  \
-         \"max_relative_error\": {max_rel_error:.5},\n  \
-         \"intervals_bracket_exact\": {bracketed},\n  \
-         \"million\": {{\"nodes\": {million}, \"edges\": {million_edges}, \
-         \"approx_s\": {million_s:.2}, \"lower\": {lo:.4}, \"upper\": {hi:.4}}}\n}}\n",
-        kind = graph_kind(),
-        threads = rayon::current_num_threads(),
-        crossover = crossover.map_or("null".to_string(), |c| c.to_string()),
-        lo = million_interval.0,
-        hi = million_interval.1,
-    );
-    let path = snd_bench::scale_record::scale_json_path();
-    // The `"series"` member belongs to the scale_series bench — keep it
-    // when rewriting the ladder half of the file.
-    let json = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|old| snd_bench::scale_record::extract_series(&old))
-    {
-        Some(block) => snd_bench::scale_record::splice_series(&json, &block),
-        None => json,
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let mut record = Record::new("scale_approx");
+    let speedups: Vec<f64> = ladder
+        .iter()
+        .map(|n| {
+            record.mean_s(&format!("scale_approx/exact/{n}"))
+                / record.mean_s(&format!("scale_approx/approx/{n}"))
+        })
+        .collect();
+    let crossover = ladder
+        .iter()
+        .zip(&speedups)
+        .find(|(_, &s)| s > 1.0)
+        .map(|(&n, _)| n);
+    record
+        .param("graph", kind.as_str())
+        .param("n_delta", n_delta)
+        .param("epsilon", epsilon)
+        .param("landmarks", landmarks)
+        .param("ladder", ladder)
+        .param("ladder_edges", ladder_edges)
+        .param("million_nodes", million)
+        .param("million_edges", big.graph.edge_count())
+        .param("error_check_nodes", err_n)
+        .derived("speedups", speedups)
+        .derived("crossover_nodes", crossover)
+        .derived("max_relative_error", max_rel_error)
+        .derived("intervals_bracket_exact", bracketed)
+        .derived("million_lower", big_iv.lower)
+        .derived("million_upper", big_iv.upper)
+        .write();
 }
 
 criterion_group!(benches, bench_scale_approx);

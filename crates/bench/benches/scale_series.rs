@@ -12,8 +12,7 @@
 //! subsampled instance small enough to price exactly checks that the
 //! delta path's intervals still bracket the exact SND.
 //!
-//! Results are spliced into `BENCH_scale.json` (repo root) as the
-//! `"series"` member, preserving the `scale_approx` ladder around it.
+//! Results land in `BENCH_scale_series.json` at the repo root.
 //!
 //! Scale knobs (env): `SND_BENCH_SERIES_NODES` (default ~10⁵),
 //! `SND_BENCH_SERIES_STEPS` (snapshots − 1, default 24),
@@ -32,31 +31,14 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use snd_bench::record::{knob, Record};
 use snd_core::{ApproxConfig, SndConfig, SndEngine};
 use snd_graph::generators::{barabasi_albert, grid_graph};
 use snd_graph::CsrGraph;
 use snd_models::NetworkState;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn graph_kind() -> String {
-    std::env::var("SND_BENCH_GRAPH").unwrap_or_else(|_| "ba".into())
-}
-
-fn build_graph(nodes: usize, rng: &mut SmallRng) -> CsrGraph {
-    match graph_kind().as_str() {
+fn build_graph(kind: &str, nodes: usize, rng: &mut SmallRng) -> CsrGraph {
+    match kind {
         "ba" => barabasi_albert(nodes, 3, rng),
         "grid" => {
             let side = (nodes as f64).sqrt().round() as usize;
@@ -181,14 +163,18 @@ fn approx_config(epsilon: f64, landmarks: usize) -> SndConfig {
 
 fn bench_scale_series(c: &mut Criterion) {
     let test = criterion::is_test_mode();
-    let nodes = env_usize("SND_BENCH_SERIES_NODES", if test { 2_500 } else { 99_856 });
-    let steps = env_usize("SND_BENCH_SERIES_STEPS", if test { 3 } else { 24 });
-    let n_delta = env_usize("SND_BENCH_DELTA", if test { 64 } else { 256 });
-    let epsilon = env_f64("SND_BENCH_EPSILON", 0.5);
-    let landmarks = env_usize("SND_BENCH_LANDMARKS", 24);
+    let kind = knob("SND_BENCH_GRAPH", "ba".to_string());
+    let nodes = knob(
+        "SND_BENCH_SERIES_NODES",
+        if test { 2_500usize } else { 99_856 },
+    );
+    let steps = knob("SND_BENCH_SERIES_STEPS", if test { 3usize } else { 24 });
+    let n_delta = knob("SND_BENCH_DELTA", if test { 64usize } else { 256 });
+    let epsilon = knob("SND_BENCH_EPSILON", 0.5f64);
+    let landmarks = knob("SND_BENCH_LANDMARKS", 24usize);
 
     let mut rng = SmallRng::seed_from_u64(2017);
-    let graph = build_graph(nodes, &mut rng);
+    let graph = build_graph(&kind, nodes, &mut rng);
     let n = graph.node_count();
     let states = series_states(&graph, steps, n_delta, &mut rng);
     println!(
@@ -215,7 +201,7 @@ fn bench_scale_series(c: &mut Criterion) {
     // exactly: delta-path intervals must bracket the exact series.
     let check_nodes = if test { 900 } else { 10_000 };
     let mut rng = SmallRng::seed_from_u64(4242);
-    let small_graph = build_graph(check_nodes, &mut rng);
+    let small_graph = build_graph(&kind, check_nodes, &mut rng);
     let small_states = series_states(&small_graph, steps.min(4), n_delta, &mut rng);
     let exact = SndEngine::new(&small_graph, SndConfig::default()).series_distances(&small_states);
     let intervals = SndEngine::new(&small_graph, approx_config(epsilon, landmarks))
@@ -230,63 +216,23 @@ fn bench_scale_series(c: &mut Criterion) {
         small_graph.node_count()
     );
 
-    write_history(
-        n,
-        graph.edge_count(),
-        states.len(),
-        n_delta,
-        epsilon,
-        landmarks,
-        check_nodes,
-        bracketed,
-    );
-}
-
-/// Splices the measurements into `BENCH_scale.json` as the `"series"`
-/// member, leaving the `scale_approx` ladder in place.
-#[allow(clippy::too_many_arguments)]
-fn write_history(
-    nodes: usize,
-    edges: usize,
-    snapshots: usize,
-    n_delta: usize,
-    epsilon: f64,
-    landmarks: usize,
-    check_nodes: usize,
-    bracketed: bool,
-) {
-    let measurements = criterion::take_measurements();
-    let mean = |needle: &str| {
-        measurements
-            .iter()
-            .find(|m| m.id.contains(needle))
-            .map(|m| m.mean_s)
-    };
-    let (Some(fresh_s), Some(delta_s)) = (mean("fresh"), mean("delta")) else {
-        return;
-    };
-    let speedup = fresh_s / delta_s;
+    let mut record = Record::new("scale_series");
+    let speedup = record.mean_s("scale_series/fresh") / record.mean_s("scale_series/delta");
     if speedup < 3.0 {
         println!("scale_series: WARNING speedup {speedup:.2}× below the 3× target");
     }
-    let block = format!(
-        "{{\"graph\": \"{kind}\", \"nodes\": {nodes}, \"edges\": {edges}, \
-         \"snapshots\": {snapshots}, \"n_delta_per_step\": {n_delta}, \
-         \"epsilon\": {epsilon}, \"landmarks\": {landmarks}, \
-         \"threads\": {threads}, \"fresh_s\": {fresh_s:.4}, \
-         \"delta_s\": {delta_s:.4}, \"speedup\": {speedup:.2}, \
-         \"bracket_check_nodes\": {check_nodes}, \
-         \"intervals_bracket_exact\": {bracketed}}}",
-        kind = graph_kind(),
-        threads = rayon::current_num_threads(),
-    );
-    let path = snd_bench::scale_record::scale_json_path();
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    let json = snd_bench::scale_record::splice_series(&text, &block);
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote series block to {path}:\n  \"series\": {block}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record
+        .param("graph", kind.as_str())
+        .param("nodes", n)
+        .param("edges", graph.edge_count())
+        .param("snapshots", states.len())
+        .param("n_delta_per_step", n_delta)
+        .param("epsilon", epsilon)
+        .param("landmarks", landmarks)
+        .param("bracket_check_nodes", small_graph.node_count())
+        .derived("speedup", speedup)
+        .derived("intervals_bracket_exact", bracketed)
+        .write();
 }
 
 criterion_group!(benches, bench_scale_series);

@@ -5,7 +5,7 @@
 //! model stepping is now a production path (dataset generation feeds every
 //! `snd` subcommand). This bench builds one Barabási–Albert graph, seeds
 //! adopters, and times a fixed number of transitions per model, recording
-//! steps/s to `BENCH_sim.json` at the repo root — the artifact that keeps
+//! steps/s to `BENCH_simulate.json` at the repo root — the artifact that keeps
 //! per-model simulation cost visible across PRs.
 //!
 //! Scale knobs (env): `SND_BENCH_SIM_NODES` (default 10000),
@@ -14,17 +14,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use snd_bench::record::{knob, Record};
 use snd_data::ModelSpec;
 use snd_graph::generators::barabasi_albert;
 use snd_models::dynamics::seed_initial_adopters;
 use snd_models::simulate_series;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One spec per model family, at registry-like parameters.
 fn specs() -> Vec<ModelSpec> {
@@ -55,8 +49,8 @@ fn specs() -> Vec<ModelSpec> {
 }
 
 fn bench_simulate(c: &mut Criterion) {
-    let nodes = env_usize("SND_BENCH_SIM_NODES", 10_000).max(100);
-    let steps = env_usize("SND_BENCH_SIM_STEPS", 8).max(1);
+    let nodes = knob("SND_BENCH_SIM_NODES", 10_000usize).max(100);
+    let steps = knob("SND_BENCH_SIM_STEPS", 8usize).max(1);
 
     let mut seed_rng = SmallRng::seed_from_u64(2017);
     let graph = barabasi_albert(nodes, 3, &mut seed_rng);
@@ -89,46 +83,17 @@ fn bench_simulate(c: &mut Criterion) {
     }
     group.finish();
 
-    write_history(nodes, steps, graph.edge_count());
-}
-
-/// Records per-model steps/s as `BENCH_sim.json` at the repo root.
-fn write_history(nodes: usize, steps: usize, edges: usize) {
-    let measurements = criterion::take_measurements();
-    if measurements.is_empty() {
-        return;
+    let mut record = Record::new("simulate");
+    record
+        .param("nodes", nodes)
+        .param("edges", graph.edge_count())
+        .param("steps_per_iter", steps);
+    for spec in specs() {
+        let family = spec.family();
+        let mean_s = record.mean_s(&format!("simulate/{family}/n{nodes}"));
+        record.derived(&format!("steps_per_s.{family}"), steps as f64 / mean_s);
     }
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut json = format!(
-        "{{\n  \"bench\": \"simulate\",\n  \"unix_time\": {stamp},\n  \"nodes\": {nodes},\n  \
-         \"edges\": {edges},\n  \"steps_per_iter\": {steps},\n  \"models\": {{\n"
-    );
-    for (i, spec) in specs().iter().enumerate() {
-        let name = spec.family();
-        let Some(m) = measurements.iter().find(|m| {
-            m.id.split('/')
-                .nth(1)
-                .is_some_and(|benched| benched == name)
-        }) else {
-            continue;
-        };
-        let steps_per_s = steps as f64 / m.mean_s;
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "    \"{name}\": {{\"steps_per_s\": {steps_per_s:.2}}}"
-        ));
-    }
-    json.push_str("\n  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record.write();
 }
 
 criterion_group!(benches, bench_simulate);

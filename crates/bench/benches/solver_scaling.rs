@@ -11,8 +11,8 @@
 //! don't move any solver's pivot/augmentation counts, so the grid doesn't
 //! sweep them.
 //!
-//! After measuring, the bench writes `BENCH_solver.json` at the repo root
-//! (skipped in `--test` smoke mode, which CI runs on every push).
+//! After measuring, the bench writes `BENCH_solver_scaling.json` at the
+//! repo root (skipped in `--test` smoke mode, which CI runs on every push).
 //!
 //! Scale knob (env): `SND_BENCH_SOLVER_MAX` caps the largest size
 //! (default 128).
@@ -22,6 +22,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use snd_bench::record::{knob, Record};
 use snd_transport::{solve_balanced, DenseCost, Solver};
 
 const SIZES: [usize; 5] = [4, 8, 16, 48, 128];
@@ -55,10 +56,7 @@ const SOLVERS: [(&str, Solver); 4] = [
 ];
 
 fn bench_solver_scaling(c: &mut Criterion) {
-    let max_size: usize = std::env::var("SND_BENCH_SOLVER_MAX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128);
+    let max_size = knob("SND_BENCH_SOLVER_MAX", 128usize);
     let mut group = c.benchmark_group("solver_scaling");
     group
         .sample_size(3)
@@ -94,44 +92,9 @@ fn bench_solver_scaling(c: &mut Criterion) {
         }
     }
     group.finish();
-    write_history();
-}
-
-/// Records the measurements as `BENCH_solver.json` at the repo root.
-fn write_history() {
-    let measurements = criterion::take_measurements();
-    if measurements.is_empty() {
-        return; // --test smoke mode
-    }
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut rows = String::new();
-    for (k, m) in measurements.iter().enumerate() {
-        // id = "solver_scaling/<solver>_<family>/<size>"
-        let mut parts = m.id.split('/').skip(1);
-        let (Some(key), Some(size)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        let (solver, family) = key.rsplit_once('_').unwrap_or((key, "?"));
-        rows.push_str(&format!(
-            "    {{ \"solver\": \"{solver}\", \"family\": \"{family}\", \
-             \"shape\": \"{size}\", \"mean_s\": {:.6} }}{}\n",
-            m.mean_s,
-            if k + 1 == measurements.len() { "" } else { "," }
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"solver_scaling\",\n  \"unix_time\": {stamp},\n  \
-         \"threads\": {},\n  \"results\": [\n{rows}  ]\n}}\n",
-        rayon::current_num_threads(),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    Record::new("solver_scaling")
+        .param("max_size", max_size)
+        .write();
 }
 
 criterion_group!(benches, bench_solver_scaling);

@@ -23,14 +23,23 @@ impl Args {
         self.raw.iter().any(|a| a == name)
     }
 
-    /// Value of `--name value`, parsed, or the default.
+    /// Value of `--name value`, parsed, or the default when the flag is
+    /// absent. A missing or malformed value prints an error naming the
+    /// flag and exits 1.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.raw
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.lookup(name, default).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    }
+
+    fn lookup<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        let Some(i) = self.raw.iter().position(|a| a == name) else {
+            return Ok(default);
+        };
+        let raw = self.raw.get(i + 1).ok_or(format!("{name} needs a value"))?;
+        raw.parse()
+            .map_err(|_| format!("bad {name} '{raw}' (want {})", std::any::type_name::<T>()))
     }
 }
 
@@ -63,6 +72,17 @@ mod tests {
         assert_eq!(args.get("--steps", 40usize), 40);
         assert!(args.flag("--paper"));
         assert!(!args.flag("--quick"));
+
+        let malformed = Args {
+            raw: vec!["--nodes".into(), "5k".into()],
+        };
+        let err = malformed.lookup("--nodes", 10usize).unwrap_err();
+        assert!(err.contains("--nodes") && err.contains("5k"), "{err}");
+        let trailing = Args {
+            raw: vec!["--paper".into(), "--nodes".into()],
+        };
+        let err = trailing.lookup("--nodes", 10usize).unwrap_err();
+        assert!(err.contains("--nodes"), "{err}");
     }
 
     #[test]

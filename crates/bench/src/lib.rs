@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries; see `src/bin/` for the
-//! per-figure regenerators and `benches/` for criterion micro-benchmarks.
+//! Shared helpers for the experiment binaries (`src/bin/`, the
+//! per-figure regenerators) and the criterion benches (`benches/`).
 pub mod harness;
-pub mod scale_record;
+pub mod record;

@@ -177,30 +177,42 @@ fn spawned_worker_fleet_completes_and_matches_the_reference() {
     let dir = workdir("fleet");
     let tile = 2;
     let (data, reference) = dataset_and_reference(&dir, tile);
-    let ckpt = dir.join("orch.snd");
-    let merged = dir.join("orch.json");
+    let ckpt = |tag: &str| dir.join(format!("orch_{tag}.snd"));
 
-    let stdout = snd_ok(&[
-        "orchestrate",
-        "--data",
-        data.to_str().unwrap(),
-        "--checkpoint",
-        ckpt.to_str().unwrap(),
-        "--workers",
-        "2",
-        "--tile",
-        &tile.to_string(),
-        "--out",
-        merged.to_str().unwrap(),
-    ]);
-    assert!(stdout.contains("orchestrate: complete"), "{stdout}");
-    // Both spawned workers print their reports through the shared stdout.
-    assert!(
-        stdout.lines().filter(|l| l.starts_with("work:")).count() >= 1,
-        "{stdout}"
-    );
-    let merged_bytes = std::fs::read(&merged).expect("orchestrated matrix");
-    assert_eq!(merged_bytes, reference);
+    // The worker-count curve plus the streaming-overlap ablation.
+    for (workers, overlap) in [(1, true), (2, true), (4, true), (2, false)] {
+        let tag = format!("w{workers}{}", if overlap { "" } else { "_noovl" });
+        let (ckpt_path, merged) = (ckpt(&tag), dir.join(format!("orch_{tag}.json")));
+        let (workers_s, tile_s) = (workers.to_string(), tile.to_string());
+        let mut args = vec![
+            "orchestrate",
+            "--data",
+            data.to_str().unwrap(),
+            "--checkpoint",
+            ckpt_path.to_str().unwrap(),
+            "--workers",
+            &workers_s,
+            "--tile",
+            &tile_s,
+            "--out",
+            merged.to_str().unwrap(),
+        ];
+        if !overlap {
+            args.push("--no-overlap");
+        }
+        let stdout = snd_ok(&args);
+        assert!(stdout.contains("orchestrate: complete"), "{tag}: {stdout}");
+        // Spawned workers print their reports through the shared stdout.
+        assert!(
+            stdout.lines().filter(|l| l.starts_with("work:")).count() >= 1,
+            "{tag}: {stdout}"
+        );
+        let merged_bytes = std::fs::read(&merged).expect("orchestrated matrix");
+        assert_eq!(
+            merged_bytes, reference,
+            "{tag}: orchestrated matrix differs from the single-process shard path"
+        );
+    }
 
     // Resuming the complete checkpoint is a no-op run: 0 computed.
     let resumed = snd_ok(&[
@@ -208,7 +220,7 @@ fn spawned_worker_fleet_completes_and_matches_the_reference() {
         "--data",
         data.to_str().unwrap(),
         "--checkpoint",
-        ckpt.to_str().unwrap(),
+        ckpt("w2").to_str().unwrap(),
         "--workers",
         "1",
         "--tile",

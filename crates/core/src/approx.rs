@@ -88,9 +88,11 @@ pub struct ApproxConfig {
     /// ([`distance_interval`](crate::SndEngine::distance_interval)) ignore
     /// this and always run the approximate machinery.
     ///
-    /// The default is the measured `BENCH_scale.json` crossover: below
-    /// 5·10⁴ nodes the sketch tier runs at 0.84–0.90× of exact, at the
-    /// crossover and above it wins (2.9× at 5·10⁴, 5.1× at 10⁵).
+    /// The default is the crossover the `scale_approx` bench measured on
+    /// one thread: 0.84–0.90× of exact below 5·10⁴ nodes, 2.9× at 5·10⁴.
+    /// Its two-thread record, `BENCH_scale_approx.json`, moves the
+    /// crossover down: 1.01× at 2·10³, 1.42× at 10⁴, 4.1× at 5·10⁴ and
+    /// 6.3× at 10⁵. The default is unchanged until it is retuned.
     pub min_nodes: usize,
 }
 

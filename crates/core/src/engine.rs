@@ -842,10 +842,10 @@ mod tests {
 
     #[test]
     fn approx_activation_honors_the_measured_min_nodes_crossover() {
-        // BENCH_scale.json: the approximate tier's speedup crosses 1×
-        // between 10⁴ and 5·10⁴ nodes, so the default floor keeps smaller
-        // graphs on the faster exact tier. This pins both the constant
-        // and the boundary it gates.
+        // The default floor is the one-thread scale_approx crossover
+        // (between 10⁴ and 5·10⁴ nodes); BENCH_scale_approx.json, on two
+        // threads, already measures 1.42× at 10⁴ (see `min_nodes`). This
+        // pins both the constant and the boundary it gates.
         assert_eq!(ApproxConfig::default().min_nodes, 50_000);
         let config = SndConfig {
             approx: Some(ApproxConfig::default()),

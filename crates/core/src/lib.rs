@@ -56,8 +56,8 @@
 //! (high-churn dynamics), when the clamped `u32` distance domain would be
 //! lossy (`U·n + 1` past the sentinel cap), or under the
 //! `HalfExactDiameter` γ policy (whose per-member SSSPs are not cached).
-//! Measured effect on the 10k-node series workload: `BENCH_series.json`
-//! (regenerate with `cargo bench -p snd-bench --bench delta_series`).
+//! The repo benchmark's `series` and `series_rebuild` workloads
+//! (`python3 perfbench/run.py --workload series`) time both regimes.
 //!
 //! # The approximate tier (million-node graphs)
 //!

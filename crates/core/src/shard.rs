@@ -292,17 +292,22 @@ impl TileGrid {
         bi * nb - bi * (bi.saturating_sub(1)) / 2 - bi + bj
     }
 
-    /// Block coordinates `(bi, bj)` of a tile ID.
+    /// Block coordinates `(bi, bj)` of a tile ID, in O(1).
     pub fn coords(&self, id: usize) -> (usize, usize) {
-        assert!(id < self.tile_count(), "tile id out of range");
-        let nb = self.blocks();
-        let mut bi = 0;
-        let mut start = 0;
-        while start + (nb - bi) <= id {
-            start += nb - bi;
-            bi += 1;
+        let count = self.tile_count();
+        assert!(id < count, "tile id out of range");
+        // Counted back from the last tile, block row `nb − 1 − t` holds
+        // ranks `t(t+1)/2 ..= t(t+1)/2 + t`, so the row is the largest `t`
+        // with `t(t+1)/2 ≤ rank`: `isqrt(2·rank)` or one less. Integer
+        // `isqrt` stays exact where `f64` would not (ids reach ~2^62), and
+        // `t(t+1) ≤ nb(nb+1)` cannot overflow a grid that `checked` let in.
+        let rank = count - 1 - id;
+        let mut t = (2 * rank).isqrt();
+        if t * (t + 1) / 2 > rank {
+            t -= 1;
         }
-        (bi, bi + (id - start))
+        let nb = self.blocks();
+        (nb - 1 - t, nb - 1 - (rank - t * (t + 1) / 2))
     }
 
     /// The `(i, j)` pairs (`i < j`) of one tile, in the fixed row-major
@@ -1400,11 +1405,21 @@ mod tests {
 
     #[test]
     fn tile_ids_roundtrip_and_cover_every_pair() {
-        for (k, tile) in [(0, 3), (1, 2), (5, 2), (7, 3), (8, 8), (9, 4)] {
+        let shapes = [(0, 3), (1, 2), (5, 2), (7, 3), (8, 8), (9, 4)];
+        // Plus every grid of 1–64 blocks.
+        for (k, tile) in shapes.into_iter().chain((1..=64).map(|nb| (nb, 1))) {
             let grid = TileGrid::new(k, tile);
+            let nb = grid.blocks();
+            // Reference for `coords`: walk the block rows.
+            let (mut row, mut row_start) = (0, 0);
             let mut seen = std::collections::BTreeSet::new();
             for id in 0..grid.tile_count() {
+                while row_start + (nb - row) <= id {
+                    row_start += nb - row;
+                    row += 1;
+                }
                 let (bi, bj) = grid.coords(id);
+                assert_eq!((bi, bj), (row, row + id - row_start), "k={k} tile={tile}");
                 assert_eq!(grid.id(bi, bj), id, "k={k} tile={tile}");
                 let pairs = grid.pairs(id);
                 assert_eq!(pairs.len(), grid.pair_count(id));
@@ -1415,6 +1430,12 @@ mod tests {
             }
             assert_eq!(seen.len(), k * k.saturating_sub(1) / 2, "k={k} tile={tile}");
         }
+        // ~2^61 tiles: exact where an `f64` square root would not be.
+        let huge = TileGrid::new(1 << 31, 1);
+        let last = (1 << 31) - 1;
+        assert_eq!(huge.coords(huge.tile_count() - 1), (last, last));
+        assert_eq!(huge.coords(huge.tile_count() - 2), (last - 1, last));
+        assert_eq!(huge.coords(0), (0, 0));
     }
 
     #[test]
@@ -1863,6 +1884,8 @@ mod tests {
             // which none is present.
             header("3037000499", "3037000499") + "T 0 4611686013944624251 0\n",
             header("3037000499", "1"),
+            // The last of ~2^61 tiles: `coords` must not walk 2^31 rows.
+            header("2147483648", "1") + "T 2305843010287435775 0\n",
         ];
         for (n, text) in cases.iter().enumerate() {
             std::fs::write(&path, text).unwrap();
@@ -1870,11 +1893,14 @@ mod tests {
                 Err(e) => assert!(matches!(e, ShardError::Format(_)), "case {n}: {e}"),
                 Ok(set) => {
                     assert!(n >= 4, "case {n} loaded a grid that does not fit");
-                    assert_eq!(set.tile_count(), 0, "case {n}");
+                    // Only the last case names a tile, and an empty one.
+                    let present = set.tile_count();
+                    assert_eq!(present, usize::from(n == 6), "case {n}");
                     let Err(ShardError::Holes { missing }) = set.to_matrix() else {
-                        panic!("case {n}: an empty set has holes");
+                        panic!("case {n}: a near-empty set has holes");
                     };
-                    assert_eq!(missing.len(), set.grid().tile_count().min(HOLES_LISTED));
+                    let absent = set.grid().tile_count() - present;
+                    assert_eq!(missing.len(), absent.min(HOLES_LISTED));
                     assert_eq!(missing[0], 0);
                 }
             }

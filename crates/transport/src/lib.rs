@@ -71,20 +71,20 @@ pub const WIDE_ASPECT: usize = 128;
 /// threshold actually consults them — the current thresholds are purely
 /// shape-based, so selection is `O(1)`.
 ///
-/// Calibrated against the `solver_scaling` bench (`BENCH_solver.json`, 2
-/// threads, so the 128×128 shapes price on the pool) on the dense
-/// bipartite shapes SND produces:
+/// Calibrated against the `solver_scaling` bench
+/// (`BENCH_solver_scaling.json`, 2 threads, so the 128×128 shapes price on
+/// the pool) on the dense bipartite shapes SND produces:
 ///
 /// * The transportation simplex wins every near-square shape at every
-///   measured size and cost magnitude — ~1.7× over SSP at 4×4 growing to
-///   ~8× at 128×128, and 1.6× (small costs) to 3.3× (huge costs) over
+///   measured size and cost magnitude — ~1.8× over SSP at 4×4 growing to
+///   ~7× at 128×128, and 1.5× (small costs) to 2.7× (huge costs) over
 ///   cost-scaling there — so it is the default.
-/// * Cost-scaling wins *column-heavy* shapes, `cols ≳ 128·rows` (1.4× at
-///   2×256 and at 4×1024): the simplex's row-minimum start scans every
+/// * Cost-scaling wins *column-heavy* shapes, `cols ≳ 128·rows` (1.5× at
+///   2×256, 1.7× at 4×1024): the simplex's row-minimum start scans every
 ///   open column per allocation, degrading toward `O(cols²)` when rows are
 ///   few. These shapes are real in the warm path — a nearly-identical
 ///   snapshot pair has few residual rows but bank columns on every active
-///   bin. At 8×512 (aspect 64) the simplex is 2.5× faster. The transposed
+///   bin. At 8×512 (aspect 64) the simplex is 2.3× faster. The transposed
 ///   case (`rows ≫ cols`) stays with the simplex, whose start is cheap
 ///   there (measured 5× faster than cost-scaling at 256×4).
 /// * SSP never wins a measured shape; it remains the cross-validation

@@ -141,8 +141,8 @@
 //! lines, expired leases are re-dispatched (first result wins), and
 //! per-tile `W` timings drive a measurement-based lease autotuner. The
 //! merged matrix stays bit-identical to the sequential loop regardless
-//! of worker count or failure timing (`BENCH_orchestrate.json` records
-//! the worker-count curve and streaming-overlap ablation).
+//! of worker count or failure timing (`crates/cli/tests/orchestrate_e2e.rs`
+//! checks 1, 2 and 4 workers, `--no-overlap` and a killed worker).
 //!
 //! ## Threading model
 //!
@@ -160,10 +160,9 @@
 //!
 //! Per-thread SSSP scratch buffers
 //! ([`SsspScratch`](graph::SsspScratch)) make row computation
-//! allocation-free after warmup; the measured effect of caching + fan-out
-//! on the 32-snapshot × 10k-node all-pairs workload is recorded in
-//! `BENCH_pairwise.json` at the repo root (regenerate with
-//! `cargo bench -p snd-bench --bench pairwise_matrix`).
+//! allocation-free after warmup; the repo benchmark's `pairwise` workload
+//! (`python3 perfbench/run.py --workload pairwise`) measures the all-pairs
+//! matrix end to end.
 
 pub use snd_analysis as analysis;
 pub use snd_baselines as baselines;
