@@ -45,7 +45,7 @@ pub struct MedoidClustering {
 /// until no single-swap improvement exists (or `max_iters`).
 ///
 /// A NaN distance (e.g. from an unreachable-node geometry upstream) never
-/// panics the run — [`distance_cmp`] orders NaN above every real distance,
+/// panics the run — `distance_cmp` orders NaN above every real distance,
 /// so it simply loses every `min`.
 pub fn k_medoids(distances: &[Vec<f64>], k: usize, max_iters: usize) -> MedoidClustering {
     let n = distances.len();
@@ -126,7 +126,7 @@ pub fn k_medoids(distances: &[Vec<f64>], k: usize, max_iters: usize) -> MedoidCl
 }
 
 /// Index of the state in `haystack` closest to `query` (linear scan).
-/// NaN distances order above every real distance ([`distance_cmp`])
+/// NaN distances order above every real distance (`distance_cmp`)
 /// instead of panicking.
 pub fn nearest_neighbor<D: StateDistance>(
     dist: &D,
@@ -142,7 +142,7 @@ pub fn nearest_neighbor<D: StateDistance>(
 
 /// 1-nearest-neighbor classification: returns the label of the closest
 /// labelled exemplar. NaN distances order above every real distance
-/// ([`distance_cmp`]) instead of panicking.
+/// (`distance_cmp`) instead of panicking.
 pub fn classify_1nn<D: StateDistance, L: Clone>(
     dist: &D,
     exemplars: &[(NetworkState, L)],

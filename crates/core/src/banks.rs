@@ -8,21 +8,23 @@
 //! across comparisons ([`crate::SndEngine::series_distances`],
 //! [`crate::CandidateEvaluator`]).
 //!
-//! Cluster-bank geometry is embarrassingly parallel across clusters: each
-//! cluster's inter-cluster row and γ need only that cluster's SSSPs.
-//! [`compute_geometry`] fans the per-cluster work out over the rayon pool
-//! (each worker reuses its thread-local SSSP scratch);
-//! [`compute_geometry_seq`] is the kept sequential reference, and the two
-//! are property-tested bit-identical (`tests/shard_matrix.rs`).
+//! `build_geometry` is the one fresh builder of cluster-bank geometry:
+//! per cluster, one multi-source SSSP for its inter-cluster row and the
+//! γ policy's runs for its bank distances (Theorems 3–4 of the paper rest
+//! on both). The work is embarrassingly parallel across clusters;
+//! [`compute_geometry`] fans it out over the rayon pool (each worker
+//! reuses its thread-local SSSP scratch), [`compute_geometry_seq`] is the
+//! kept sequential reference, and the two are property-tested
+//! bit-identical (`tests/shard_matrix.rs`). The delta series path
+//! ([`crate::delta`]) calls the same builder and asks it to keep the SSSP
+//! rows it later repairs.
 
 use rayon::prelude::*;
-use snd_graph::{
-    dial_reverse_scratch, dial_scratch, Clustering, CsrGraph, SsspScratch, UNREACHABLE,
-};
+use snd_graph::{dial_reverse_scratch, dial_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
 use snd_models::{edge_costs, NetworkState, Opinion};
 use snd_transport::DenseCost;
 
-use crate::config::{GammaPolicy, SndConfig};
+use crate::config::{ClusterSpec, GammaPolicy, SndConfig};
 use crate::sparse::with_sssp_scratch;
 
 /// Opinion-dependent ground geometry for one network state.
@@ -50,11 +52,7 @@ impl GroundGeometry {
     /// Clamps a raw SSSP distance into the bounded `u32` cost domain.
     #[inline]
     pub fn clamp(&self, d: u64) -> u32 {
-        if d >= self.unreachable as u64 {
-            self.unreachable
-        } else {
-            d as u32
-        }
+        clamp(d, self.unreachable)
     }
 
     /// True when the clamp domain over an `n`-node graph is lossless: the
@@ -78,6 +76,65 @@ pub(crate) fn sentinel(max_edge_cost: u32, n: usize) -> u32 {
     .min(u32::MAX as u64 / 4) as u32
 }
 
+/// Clamps a raw SSSP distance (`UNREACHABLE` included) to the sentinel.
+#[inline]
+pub(crate) fn clamp(d: u64, unreachable: u32) -> u32 {
+    if d >= unreachable as u64 {
+        unreachable
+    } else {
+        d as u32
+    }
+}
+
+/// Collects the scratch's last run as a clamped row.
+pub(crate) fn clamped_row(scratch: &SsspScratch, n: usize, unreachable: u32) -> Vec<u32> {
+    scratch
+        .distances(n)
+        .map(|d| clamp(d, unreachable))
+        .collect()
+}
+
+/// Per-cluster minimum of a clamped row — one inter-cluster distance row.
+pub(crate) fn min_reduce(
+    row: impl Iterator<Item = u32>,
+    clustering: &Clustering,
+    unreachable: u32,
+) -> Vec<u32> {
+    let mut mins = vec![unreachable; clustering.cluster_count()];
+    for (x, d) in row.enumerate() {
+        let c = clustering.labels[x] as usize;
+        mins[c] = mins[c].min(d);
+    }
+    mins
+}
+
+/// Largest clamped distance `dist(m)` over a member set (0 when empty).
+pub(crate) fn member_ecc(members: &[NodeId], dist: impl Fn(NodeId) -> u32) -> u32 {
+    members.iter().map(|&m| dist(m)).max().unwrap_or(0)
+}
+
+/// The eccentricity policy's SSSP source set: the cluster's first member,
+/// or none for an empty cluster (whose γ is then 0).
+pub(crate) fn representative(members: &[NodeId]) -> &[NodeId] {
+    &members[..members.len().min(1)]
+}
+
+/// Writes cluster `c`'s inter-cluster row, with its zero diagonal.
+pub(crate) fn write_inter_row(inter: &mut DenseCost, c: usize, mins: &[u32]) {
+    for (c2, &d) in mins.iter().enumerate() {
+        *inter.at_mut(c, c2) = d;
+    }
+    *inter.at_mut(c, c) = 0;
+}
+
+/// The bank distances of one cluster: `base·(b+1)` for each of `nb` banks,
+/// capped at the sentinel.
+pub(crate) fn bank_gammas(base: u32, nb: usize, unreachable: u32) -> Vec<u32> {
+    (0..nb)
+        .map(|b| base.saturating_mul(b as u32 + 1).min(unreachable))
+        .collect()
+}
+
 /// Computes the geometry for `(state, op)`: one multi-source bounded-cost
 /// SSSP per cluster for the inter-cluster matrix, plus the γ policy's runs.
 /// Per-cluster work fans out over the rayon pool; the result is
@@ -89,7 +146,8 @@ pub fn compute_geometry(
     op: Opinion,
     config: &SndConfig,
 ) -> GroundGeometry {
-    build_geometry(g, clustering, state, op, config, true)
+    let costs = edge_costs(g, state, op, &config.ground);
+    build_geometry(g, clustering, costs, config, true, false).0
 }
 
 /// Fully sequential [`compute_geometry`]: one scratch, one cluster at a
@@ -102,213 +160,149 @@ pub fn compute_geometry_seq(
     op: Opinion,
     config: &SndConfig,
 ) -> GroundGeometry {
-    build_geometry(g, clustering, state, op, config, false)
+    let costs = edge_costs(g, state, op, &config.ground);
+    build_geometry(g, clustering, costs, config, false, false).0
 }
 
-fn build_geometry(
+/// SSSP rows a fresh build keeps for later repair, one entry per cluster:
+/// the clamped multi-source row and, under the eccentricity policy, the
+/// representative's forward and reverse rows.
+#[derive(Default)]
+pub(crate) struct KeptRows {
+    pub(crate) cluster: Vec<Vec<u32>>,
+    pub(crate) ecc_fwd: Vec<Vec<u32>>,
+    pub(crate) ecc_rev: Vec<Vec<u32>>,
+}
+
+/// One cluster's share of a build: its inter-cluster row, base γ and the
+/// rows it keeps, if any.
+struct ClusterOut {
+    mins: Vec<u32>,
+    base: u32,
+    row: Option<Vec<u32>>,
+    ecc: Option<(Vec<u32>, Vec<u32>)>,
+}
+
+/// The fresh geometry builder over already-derived edge costs. Cluster
+/// work fans out over the rayon pool when `parallel`, else runs on one
+/// scratch; both orders give identical outputs. With `keep_rows`, the
+/// rows come back too — but only when the geometry is repairable: cluster
+/// banks, a lossless clamp domain, and a γ policy other than
+/// `HalfExactDiameter` (its `O(|members|)` SSSPs per cluster are not
+/// kept). Otherwise the returned [`KeptRows`] is empty.
+pub(crate) fn build_geometry(
     g: &CsrGraph,
     clustering: &Clustering,
-    state: &NetworkState,
-    op: Opinion,
+    costs: Vec<u32>,
     config: &SndConfig,
     parallel: bool,
-) -> GroundGeometry {
-    let costs = edge_costs(g, state, op, &config.ground);
+    keep_rows: bool,
+) -> (GroundGeometry, KeptRows) {
     let max_edge_cost = config.ground.max_edge_cost();
     let n = g.node_count();
     let unreachable = sentinel(max_edge_cost, n);
-
-    if matches!(config.clusters, crate::config::ClusterSpec::PerBin) {
+    let per_bin = matches!(config.clusters, ClusterSpec::PerBin);
+    let mut geom = GroundGeometry {
+        edge_costs: costs,
+        max_edge_cost,
+        unreachable,
+        per_bin,
+        gammas: Vec::new(),
+        inter_cluster: DenseCost::filled(0, 0, 0),
+    };
+    let mut kept = KeptRows::default();
+    if per_bin {
         assert!(
             config.per_bin_gamma > 0,
             "per-bin gamma must be positive (identity of indiscernibles)"
         );
-        return GroundGeometry {
-            edge_costs: costs,
-            max_edge_cost,
-            unreachable,
-            per_bin: true,
-            gammas: Vec::new(),
-            inter_cluster: DenseCost::filled(0, 0, 0),
-        };
+        return (geom, kept);
     }
 
+    let keep =
+        keep_rows && !matches!(config.gamma, GammaPolicy::HalfExactDiameter) && geom.is_lossless(n);
     let nc = clustering.cluster_count();
-    // One inter-cluster row plus one base γ per cluster, each needing only
-    // that cluster's SSSPs — independent work items, identical outputs in
-    // either evaluation order.
-    let per_cluster: Vec<(Vec<u32>, u32)> = if parallel {
+    let costs = &geom.edge_costs;
+    let work = |c: usize, scratch: &mut SsspScratch| {
+        cluster_geometry(g, clustering, costs, config, unreachable, keep, c, scratch)
+    };
+    let per_cluster: Vec<ClusterOut> = if parallel {
         (0..nc)
             .into_par_iter()
-            .map(|c| {
-                with_sssp_scratch(|scratch| {
-                    cluster_geometry(
-                        g,
-                        clustering,
-                        &costs,
-                        max_edge_cost,
-                        unreachable,
-                        config,
-                        c,
-                        scratch,
-                    )
-                })
-            })
+            .map(|c| with_sssp_scratch(|scratch| work(c, scratch)))
             .collect()
     } else {
         // One scratch serves every SSSP this geometry needs — no per-run
         // `dist` allocation.
         let mut scratch = SsspScratch::new();
-        (0..nc)
-            .map(|c| {
-                cluster_geometry(
-                    g,
-                    clustering,
-                    &costs,
-                    max_edge_cost,
-                    unreachable,
-                    config,
-                    c,
-                    &mut scratch,
-                )
-            })
-            .collect()
+        (0..nc).map(|c| work(c, &mut scratch)).collect()
     };
 
-    let mut inter = DenseCost::filled(nc, nc, unreachable);
     let nb = config.banks_per_cluster.max(1);
-    let mut gammas = Vec::with_capacity(nc);
-    for (c, (row, base)) in per_cluster.into_iter().enumerate() {
-        for (c2, &d) in row.iter().enumerate() {
-            *inter.at_mut(c, c2) = d;
+    let mut inter = DenseCost::filled(nc, nc, unreachable);
+    for (c, out) in per_cluster.into_iter().enumerate() {
+        write_inter_row(&mut inter, c, &out.mins);
+        geom.gammas.push(bank_gammas(out.base, nb, unreachable));
+        kept.cluster.extend(out.row);
+        if let Some((fwd, rev)) = out.ecc {
+            kept.ecc_fwd.push(fwd);
+            kept.ecc_rev.push(rev);
         }
-        *inter.at_mut(c, c) = 0;
-        gammas.push(
-            (0..nb)
-                .map(|b| base.saturating_mul(b as u32 + 1).min(unreachable))
-                .collect(),
-        );
     }
-
-    GroundGeometry {
-        edge_costs: costs,
-        max_edge_cost,
-        unreachable,
-        per_bin: false,
-        gammas,
-        inter_cluster: inter,
-    }
+    geom.inter_cluster = inter;
+    (geom, kept)
 }
 
-/// Cluster `c`'s inter-cluster distance row plus its base γ — the unit of
-/// per-cluster fan-out.
+/// Cluster `c`'s inter-cluster row and base γ — the unit of per-cluster
+/// fan-out — plus its rows when `keep`.
 #[allow(clippy::too_many_arguments)] // internal helper mirroring the geometry inputs
 fn cluster_geometry(
     g: &CsrGraph,
     clustering: &Clustering,
     costs: &[u32],
-    max_edge_cost: u32,
-    unreachable: u32,
     config: &SndConfig,
+    unreachable: u32,
+    keep: bool,
     c: usize,
     scratch: &mut SsspScratch,
-) -> (Vec<u32>, u32) {
-    dial_scratch(
-        g,
-        costs,
-        clustering.members(c as u32),
-        max_edge_cost,
-        scratch,
-    );
-    let row = per_cluster_min(scratch, g.node_count(), clustering, unreachable);
-    let base = base_gamma(
-        g,
-        clustering,
-        costs,
-        max_edge_cost,
-        unreachable,
-        config,
-        c,
-        scratch,
-    );
-    (row, base)
-}
+) -> ClusterOut {
+    let n = g.node_count();
+    let max_edge_cost = config.ground.max_edge_cost();
+    let members = clustering.members(c as u32);
+    let dist = |scratch: &SsspScratch, m: NodeId| clamp(scratch.dist(m), unreachable);
+    let kept_row = |scratch: &SsspScratch| keep.then(|| clamped_row(scratch, n, unreachable));
 
-/// Reduces the scratch's last run to the minimum distance per cluster.
-fn per_cluster_min(
-    scratch: &SsspScratch,
-    n: usize,
-    clustering: &Clustering,
-    unreachable: u32,
-) -> Vec<u32> {
-    let mut mins = vec![unreachable; clustering.cluster_count()];
-    for (x, d) in scratch.distances(n).enumerate() {
-        if d != UNREACHABLE {
-            let c = clustering.labels[x] as usize;
-            let clamped = (d.min(unreachable as u64)) as u32;
-            if clamped < mins[c] {
-                mins[c] = clamped;
-            }
-        }
-    }
-    mins
-}
-
-/// The γ policy's base value for one cluster.
-#[allow(clippy::too_many_arguments)] // internal helper mirroring the geometry inputs
-fn base_gamma(
-    g: &CsrGraph,
-    clustering: &Clustering,
-    costs: &[u32],
-    max_edge_cost: u32,
-    unreachable: u32,
-    config: &SndConfig,
-    c: usize,
-    scratch: &mut SsspScratch,
-) -> u32 {
-    // Eccentricity of the scratch's last run over a cluster's members.
-    let member_ecc = |scratch: &SsspScratch, members: &[snd_graph::NodeId]| {
-        members
-            .iter()
-            .map(|&m| {
-                let d = scratch.dist(m);
-                if d == UNREACHABLE {
-                    unreachable as u64
-                } else {
-                    d.min(unreachable as u64)
-                }
-            })
-            .max()
-            .unwrap_or(0) as u32
-    };
-    match config.gamma {
+    dial_scratch(g, costs, members, max_edge_cost, scratch);
+    let clamped = scratch.distances(n).map(|d| clamp(d, unreachable));
+    let mins = min_reduce(clamped, clustering, unreachable);
+    let row = kept_row(scratch);
+    let mut ecc = None;
+    let base = match config.gamma {
         GammaPolicy::Constant(v) => v,
         GammaPolicy::Eccentricity => {
-            let members = clustering.members(c as u32);
-            let rep = members[0];
-            dial_scratch(g, costs, &[rep], max_edge_cost, scratch);
-            let fwd = member_ecc(scratch, members);
-            dial_reverse_scratch(g, costs, &[rep], max_edge_cost, scratch);
-            let bwd = member_ecc(scratch, members);
-            fwd.max(bwd)
+            let rep = representative(members);
+            dial_scratch(g, costs, rep, max_edge_cost, scratch);
+            let fwd = member_ecc(members, |m| dist(scratch, m));
+            let fwd_row = kept_row(scratch);
+            dial_reverse_scratch(g, costs, rep, max_edge_cost, scratch);
+            let rev = member_ecc(members, |m| dist(scratch, m));
+            ecc = fwd_row.zip(kept_row(scratch));
+            fwd.max(rev)
         }
         GammaPolicy::HalfExactDiameter => {
-            let members = clustering.members(c as u32);
-            let mut diam = 0u64;
+            let mut diam = 0u32;
             for &p in members {
                 dial_scratch(g, costs, &[p], max_edge_cost, scratch);
-                for &q in members {
-                    let d = scratch.dist(q);
-                    let d = if d == UNREACHABLE {
-                        unreachable as u64
-                    } else {
-                        d.min(unreachable as u64)
-                    };
-                    diam = diam.max(d);
-                }
+                diam = diam.max(member_ecc(members, |q| dist(scratch, q)));
             }
-            (diam.div_ceil(2)).min(unreachable as u64) as u32
+            diam.div_ceil(2)
         }
+    };
+    ClusterOut {
+        mins,
+        base,
+        row,
+        ecc,
     }
 }
 
@@ -412,6 +406,35 @@ mod tests {
                 let seq = compute_geometry_seq(&g, &clustering, &state, op, &config);
                 assert_eq!(par, seq, "policy {gamma:?}, opinion {op:?}");
             }
+        }
+    }
+
+    #[test]
+    fn empty_graph_prices_to_zero_under_every_gamma_policy() {
+        // `ClusterSpec::Single` on a 0-node graph is one cluster with no
+        // members: no representative to run eccentricity SSSPs from.
+        let g = CsrGraph::from_edges(0, &[]);
+        let states = vec![NetworkState::new_neutral(0); 3];
+        for gamma in [
+            GammaPolicy::Constant(2),
+            GammaPolicy::Eccentricity,
+            GammaPolicy::HalfExactDiameter,
+        ] {
+            let config = SndConfig {
+                clusters: crate::config::ClusterSpec::Single,
+                gamma,
+                ..Default::default()
+            };
+            let engine = crate::SndEngine::new(&g, config);
+            for op in [Opinion::Positive, Opinion::Negative] {
+                let geom = engine.geometry(&states[0], op);
+                assert_eq!(geom, engine.geometry_seq(&states[0], op), "{gamma:?}");
+                assert!(geom.edge_costs.is_empty(), "{gamma:?}");
+            }
+            assert_eq!(engine.distance(&states[0], &states[1]), 0.0, "{gamma:?}");
+            assert_eq!(engine.series_distances(&states), vec![0.0; 2], "{gamma:?}");
+            let matrix = engine.pairwise_distances(&states);
+            assert_eq!(matrix.to_rows(), vec![vec![0.0; 3]; 3], "{gamma:?}");
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Delta-aware series evaluation: incremental geometry between
-//! consecutive snapshots.
+//! Delta-aware series evaluation: row repair between consecutive
+//! snapshots.
 //!
 //! The series workloads (anomaly detection over `d(G_t, G_{t+1})`,
 //! prediction, the paper's Fig. 10–12) price *consecutive* snapshots of
@@ -7,19 +7,23 @@
 //! yet the batch path rebuilds each state's full ground geometry — per
 //! opinion: an `O(m)` edge-cost sweep, plus (in cluster-bank mode) one
 //! multi-source SSSP per cluster and two eccentricity SSSPs per cluster —
-//! from scratch. This module exploits snapshot locality end to end:
+//! from scratch. A series builds fresh geometry only for its first state
+//! and past the fallback conditions below, through the one fresh builder
+//! `banks::build_geometry`, which keeps the SSSP rows it can repair. This
+//! module owns what happens between snapshots — row repair:
 //!
 //! 1. **Edge costs** ([`snd_models::StateDelta`]): only the touched edges
 //!    (incident to flipped nodes, plus receiver-side aggregate spill for
 //!    activity flips) are re-derived, bit-identical to the full sweep.
-//! 2. **Cluster geometry** ([`DeltaStateGeometry`]): the per-cluster SSSP
-//!    rows (sources = the cluster's members — *static* across snapshots)
-//!    are kept alive and repaired with
-//!    [`snd_graph::repair_row`] instead of recomputed; a cluster whose
-//!    rows the repair reports unchanged reuses its previous inter-cluster
-//!    row and γ verbatim. Repaired geometry is bit-identical to
+//! 2. **Cluster geometry** ([`DeltaStateGeometry`]): the kept per-cluster
+//!    SSSP rows (sources = the cluster's members — *static* across
+//!    snapshots) are repaired with [`snd_graph::repair_row`] instead of
+//!    recomputed; a cluster whose rows the repair reports unchanged
+//!    reuses its previous inter-cluster row and γ verbatim. Repaired
+//!    geometry is bit-identical to
 //!    [`compute_geometry`](crate::banks::compute_geometry) because
-//!    shortest-path distances are unique.
+//!    shortest-path distances are unique. Landmark sketch rows
+//!    ([`SketchRows`], approximate tier) are repaired the same way.
 //! 3. **Transitions** ([`SndEngine::series_distances`]): identical
 //!    consecutive states (empty delta) short-circuit to
 //!    [`SndBreakdown::default`](crate::SndBreakdown); otherwise the four
@@ -57,12 +61,14 @@ use std::sync::Arc;
 use rayon::prelude::*;
 use snd_graph::{
     dial_reverse_scratch, dial_scratch, repair_row, CostChange, CsrGraph, NodeId, RepairScratch,
-    SsspScratch, UNREACHABLE,
 };
 use snd_models::{edge_costs, update_edge_costs, NetworkState, Opinion, StateDelta};
 use snd_transport::DenseCost;
 
-use crate::banks::GroundGeometry;
+use crate::banks::{
+    bank_gammas, build_geometry, clamped_row, member_ecc, min_reduce, representative,
+    write_inter_row, GroundGeometry,
+};
 use crate::config::GammaPolicy;
 use crate::engine::{SndEngine, StateGeometry};
 use crate::sparse::{with_sssp_scratch, RowCache};
@@ -120,12 +126,12 @@ pub(crate) struct OpGeometry {
 /// `to[l][v] = d̂(v → l)` and forward row `from[l][v] = d̂(l → v)` — exactly
 /// what a [`LandmarkSketch`](snd_graph::LandmarkSketch) borrows. Rows are
 /// `Arc`-shared so a transition that provably cannot perturb one (same
-/// [`ChangeIndex::fires`] contract as the cluster rows) carries it into
+/// `ChangeIndex::fires` contract as the cluster rows) carries it into
 /// the next bundle in `O(1)`; the rest are repaired with [`repair_row`],
 /// which is bit-identical to a fresh SSSP because the clamp domain is
 /// lossless whenever a sketch exists (`tests/sketch_repair.rs`).
 ///
-/// Adaptive landmark placement ([`DeltaStateGeometry::adapt_sketch`])
+/// Adaptive landmark placement (`DeltaStateGeometry::adapt_sketch`)
 /// appends and evicts whole row pairs between snapshots; the usefulness
 /// clock (`last_useful` / `tick`) travels with the bundle, including
 /// through the high-churn fresh-rebuild fallback.
@@ -330,25 +336,8 @@ impl SketchRows {
         changes: &[CostChange],
         unreachable: u32,
     ) -> SketchRows {
-        let index = ChangeIndex::new(g, changes, new_costs);
+        let index = ChangeIndex::new(g, changes, new_costs, unreachable);
         let want = self.repair_wanted();
-        let repair = |prev: &Arc<Vec<u32>>, l: NodeId, reverse: bool| -> Arc<Vec<u32>> {
-            REPAIR_SCRATCH.with(|cell| {
-                let scratch = &mut cell.borrow_mut();
-                let mut row = (**prev).clone();
-                repair_row(
-                    g,
-                    new_costs,
-                    changes,
-                    &[l],
-                    reverse,
-                    unreachable,
-                    &mut row,
-                    scratch,
-                );
-                Arc::new(row)
-            })
-        };
         // Per pair: (to, from, repaired, reused, went_stale).
         type Advanced = (Arc<Vec<u32>>, Arc<Vec<u32>>, usize, usize, bool);
         let pairs: Vec<Advanced> =
@@ -361,19 +350,19 @@ impl SketchRows {
                             return (Arc::clone(t), Arc::clone(f), 0, 0, true);
                         }
                         let l = self.landmarks[i];
-                        let fires_to = index.fires(t, unreachable, true);
-                        let fires_from = index.fires(f, unreachable, false);
+                        let fires_to = index.fires(t, true);
+                        let fires_from = index.fires(f, false);
                         let fired = usize::from(fires_to) + usize::from(fires_from);
                         if fired > 0 && !want[i] {
                             return (Arc::clone(t), Arc::clone(f), 0, 0, true);
                         }
                         let t = if fires_to {
-                            repair(t, l, true)
+                            index.repair(t, &[l], true).0
                         } else {
                             Arc::clone(t)
                         };
                         let f = if fires_from {
-                            repair(f, l, false)
+                            index.repair(f, &[l], false).0
                         } else {
                             Arc::clone(f)
                         };
@@ -405,20 +394,33 @@ impl SketchRows {
     }
 }
 
-/// Per-transition index of the changed edges in relaxation terms:
+/// One transition's exact change batch, indexed in relaxation terms:
 /// `(tail, head, old, new)` per change, endpoints precomputed once in
 /// forward orientation. High-cluster-count configs previously paid an
 /// `O(n)` row clone plus a [`repair_row`] invocation per cluster per
 /// transition just to *discover* that the batch was a no-op for that
 /// cluster; [`fires`](ChangeIndex::fires) discovers it in `O(|changes|)`
-/// without touching the row, so unchanged clusters are skipped outright.
-struct ChangeIndex {
+/// without touching the row, so unchanged rows are shared outright.
+struct ChangeIndex<'a> {
+    g: &'a CsrGraph,
+    new_costs: &'a [u32],
+    changes: &'a [CostChange],
+    unreachable: u32,
     entries: Vec<(NodeId, NodeId, u32, u32)>,
 }
 
-impl ChangeIndex {
-    fn new(g: &CsrGraph, changes: &[CostChange], new_costs: &[u32]) -> ChangeIndex {
+impl<'a> ChangeIndex<'a> {
+    fn new(
+        g: &'a CsrGraph,
+        changes: &'a [CostChange],
+        new_costs: &'a [u32],
+        unreachable: u32,
+    ) -> ChangeIndex<'a> {
         ChangeIndex {
+            g,
+            new_costs,
+            changes,
+            unreachable,
             entries: changes
                 .iter()
                 .map(|&(e, old)| {
@@ -442,7 +444,8 @@ impl ChangeIndex {
     /// supported its head's distance (`dist[tail] + old == dist[head]`).
     /// With no trigger, the repair's affected set and settle heap both
     /// stay empty and the row is untouched.
-    fn fires(&self, dist: &[u32], inf: u32, reverse: bool) -> bool {
+    fn fires(&self, dist: &[u32], reverse: bool) -> bool {
+        let inf = self.unreachable;
         self.entries.iter().any(|&(s, t, old, new)| {
             let (tail, head) = if reverse { (t, s) } else { (s, t) };
             let dt = dist[tail as usize];
@@ -457,215 +460,84 @@ impl ChangeIndex {
             }
         })
     }
-}
 
-/// Clamps a raw scratch distance into the bounded domain.
-#[inline]
-fn clamp(d: u64, unreachable: u32) -> u32 {
-    if d == UNREACHABLE || d >= unreachable as u64 {
-        unreachable
-    } else {
-        d as u32
-    }
-}
-
-/// Collects the scratch's last run as a clamped row.
-fn clamped_row(scratch: &SsspScratch, n: usize, unreachable: u32) -> Vec<u32> {
-    scratch
-        .distances(n)
-        .map(|d| clamp(d, unreachable))
-        .collect()
-}
-
-/// Per-cluster minimum of a clamped row — the inter-cluster distance row.
-fn min_reduce(row: &[u32], labels: &[u32], nc: usize, unreachable: u32) -> Vec<u32> {
-    let mut mins = vec![unreachable; nc];
-    for (x, &d) in row.iter().enumerate() {
-        let c = labels[x] as usize;
-        if d < mins[c] {
-            mins[c] = d;
+    /// Carries `prev` — the clamped row of an SSSP from `sources`, in the
+    /// direction given by `reverse` — across the batch: the same `Arc`
+    /// when no change [`fires`](Self::fires), else a repaired copy.
+    /// Returns the row and the number of nodes whose distance moved.
+    fn advance(
+        &self,
+        prev: &Arc<Vec<u32>>,
+        sources: &[NodeId],
+        reverse: bool,
+    ) -> (Arc<Vec<u32>>, usize) {
+        if self.fires(prev, reverse) {
+            self.repair(prev, sources, reverse)
+        } else {
+            (Arc::clone(prev), 0)
         }
     }
-    mins
-}
 
-/// Eccentricity of a clamped row over a member set.
-fn member_ecc(row: &[u32], members: &[NodeId]) -> u32 {
-    members.iter().map(|&m| row[m as usize]).max().unwrap_or(0)
+    /// A [`repair_row`]ed copy of `prev` and its moved-node count.
+    fn repair(&self, prev: &[u32], sources: &[NodeId], reverse: bool) -> (Arc<Vec<u32>>, usize) {
+        REPAIR_SCRATCH.with(|cell| {
+            let mut row = prev.to_vec();
+            let moved = repair_row(
+                self.g,
+                self.new_costs,
+                self.changes,
+                sources,
+                reverse,
+                self.unreachable,
+                &mut row,
+                &mut cell.borrow_mut(),
+            );
+            (Arc::new(row), moved)
+        })
+    }
 }
 
 impl OpGeometry {
-    /// Whether this engine/policy combination caches (and repairs) rows
-    /// for a geometry with this clamp domain.
-    fn caches_rows(engine: &SndEngine<'_>, geom: &GroundGeometry) -> bool {
-        !matches!(engine.config().clusters, crate::config::ClusterSpec::PerBin)
-            && !matches!(engine.config().gamma, GammaPolicy::HalfExactDiameter)
-            && geom.is_lossless(engine.graph().node_count())
-    }
-
     /// Builds the geometry from scratch, retaining the SSSP rows for
     /// later repair. Bit-identical to
     /// [`compute_geometry`](crate::banks::compute_geometry).
     fn fresh(engine: &SndEngine<'_>, state: &NetworkState, op: Opinion) -> OpGeometry {
         let costs = edge_costs(engine.graph(), state, op, &engine.config().ground);
-        Self::from_costs(engine, op, costs)
+        Self::from_costs(engine, costs)
     }
 
-    /// Builds the geometry from already-derived edge costs.
-    fn from_costs(engine: &SndEngine<'_>, _op: Opinion, costs: Vec<u32>) -> OpGeometry {
+    /// Builds the geometry from already-derived edge costs through the
+    /// one fresh builder, keeping its rows (when repairable) as shared,
+    /// generation-tagged rows. Approximate-tier engines in per-bin mode
+    /// get a live sketch bundle alongside the costs — only in a lossless
+    /// clamp domain, the repair precondition (otherwise the approx path
+    /// falls back to cache fetches, still certified).
+    fn from_costs(engine: &SndEngine<'_>, costs: Vec<u32>) -> OpGeometry {
         let g = engine.graph();
-        let config = engine.config();
-        let clustering = engine.clustering();
-        let n = g.node_count();
-        let max_edge_cost = config.ground.max_edge_cost();
-        let unreachable = crate::banks::sentinel(max_edge_cost, n);
-        let per_bin = matches!(config.clusters, crate::config::ClusterSpec::PerBin);
-        // Gammas and inter-cluster distances are filled in below (cluster
-        // mode only); the scalars already answer the lossless question.
-        let mut geom = GroundGeometry {
-            edge_costs: costs,
-            max_edge_cost,
-            unreachable,
-            per_bin,
-            gammas: Vec::new(),
-            inter_cluster: DenseCost::filled(0, 0, 0),
-        };
-
-        if per_bin {
-            assert!(
-                config.per_bin_gamma > 0,
-                "per-bin gamma must be positive (identity of indiscernibles)"
-            );
-            // Approximate-tier engines get a live sketch bundle alongside
-            // the costs — only in a lossless clamp domain, the repair
-            // precondition (otherwise the approx path falls back to cache
-            // fetches, still certified).
-            let sketch = if geom.is_lossless(n) {
-                engine.delta_sketch_ctx().map(|ctx| {
-                    let landmarks = ctx.landmarks.clone();
-                    let count = landmarks.len();
-                    SketchRows::build(
-                        g,
-                        &geom.edge_costs,
-                        max_edge_cost,
-                        unreachable,
-                        landmarks,
-                        vec![0; count],
-                        0,
-                    )
-                })
-            } else {
-                None
-            };
-            return OpGeometry {
-                geom,
-                cluster_rows: Vec::new(),
-                row_gens: Vec::new(),
-                ecc_fwd: Vec::new(),
-                ecc_rev: Vec::new(),
-                sketch,
-            };
-        }
-
-        let nc = clustering.cluster_count();
-        let keep_rows = Self::caches_rows(engine, &geom);
-        let costs = &geom.edge_costs;
-        let want_ecc = keep_rows && matches!(config.gamma, GammaPolicy::Eccentricity);
-
-        // One work item per cluster, mirroring `compute_geometry`'s
-        // fan-out; additionally retains the clamped rows when repairable.
-        struct ClusterOut {
-            row: Vec<u32>,
-            min_row: Vec<u32>,
-            base: u32,
-            ecc_fwd: Vec<u32>,
-            ecc_rev: Vec<u32>,
-        }
-        let per_cluster: Vec<ClusterOut> = (0..nc)
-            .into_par_iter()
-            .map(|c| {
-                with_sssp_scratch(|scratch| {
-                    let members = clustering.members(c as u32);
-                    dial_scratch(g, costs, members, max_edge_cost, scratch);
-                    let row = clamped_row(scratch, n, unreachable);
-                    let min_row = min_reduce(&row, &clustering.labels, nc, unreachable);
-                    let (base, ecc_fwd, ecc_rev) = match config.gamma {
-                        GammaPolicy::Constant(v) => (v, Vec::new(), Vec::new()),
-                        GammaPolicy::Eccentricity => {
-                            let rep = members[0];
-                            dial_scratch(g, costs, &[rep], max_edge_cost, scratch);
-                            let fwd = clamped_row(scratch, n, unreachable);
-                            dial_reverse_scratch(g, costs, &[rep], max_edge_cost, scratch);
-                            let rev = clamped_row(scratch, n, unreachable);
-                            let base = member_ecc(&fwd, members).max(member_ecc(&rev, members));
-                            if want_ecc {
-                                (base, fwd, rev)
-                            } else {
-                                (base, Vec::new(), Vec::new())
-                            }
-                        }
-                        GammaPolicy::HalfExactDiameter => {
-                            let mut diam = 0u32;
-                            for &p in members {
-                                dial_scratch(g, costs, &[p], max_edge_cost, scratch);
-                                for &q in members {
-                                    diam = diam.max(clamp(scratch.dist(q), unreachable));
-                                }
-                            }
-                            (
-                                ((diam as u64).div_ceil(2).min(unreachable as u64)) as u32,
-                                Vec::new(),
-                                Vec::new(),
-                            )
-                        }
-                    };
-                    ClusterOut {
-                        row: if keep_rows { row } else { Vec::new() },
-                        min_row,
-                        base,
-                        ecc_fwd,
-                        ecc_rev,
-                    }
-                })
-            })
-            .collect();
-
-        let nb = config.banks_per_cluster.max(1);
-        let mut inter = DenseCost::filled(nc, nc, unreachable);
-        let mut gammas = Vec::with_capacity(nc);
-        let mut cluster_rows = Vec::with_capacity(if keep_rows { nc } else { 0 });
-        let mut row_gens = Vec::with_capacity(if keep_rows { nc } else { 0 });
-        let mut ecc_fwd = Vec::new();
-        let mut ecc_rev = Vec::new();
-        for (c, out) in per_cluster.into_iter().enumerate() {
-            for (c2, &d) in out.min_row.iter().enumerate() {
-                *inter.at_mut(c, c2) = d;
-            }
-            *inter.at_mut(c, c) = 0;
-            gammas.push(
-                (0..nb)
-                    .map(|b| out.base.saturating_mul(b as u32 + 1).min(unreachable))
-                    .collect(),
-            );
-            if keep_rows {
-                cluster_rows.push(Arc::new(out.row));
-                row_gens.push(next_row_gen());
-            }
-            if want_ecc {
-                ecc_fwd.push(Arc::new(out.ecc_fwd));
-                ecc_rev.push(Arc::new(out.ecc_rev));
-            }
-        }
-
-        geom.gammas = gammas;
-        geom.inter_cluster = inter;
+        let (geom, kept) =
+            build_geometry(g, engine.clustering(), costs, engine.config(), true, true);
+        let sketch = (geom.per_bin && geom.is_lossless(g.node_count()))
+            .then(|| engine.delta_sketch_ctx())
+            .flatten()
+            .map(|ctx| {
+                SketchRows::build(
+                    g,
+                    &geom.edge_costs,
+                    geom.max_edge_cost,
+                    geom.unreachable,
+                    ctx.landmarks.clone(),
+                    vec![0; ctx.landmarks.len()],
+                    0,
+                )
+            });
+        let shared = |rows: Vec<Vec<u32>>| rows.into_iter().map(Arc::new).collect();
         OpGeometry {
+            row_gens: kept.cluster.iter().map(|_| next_row_gen()).collect(),
+            cluster_rows: shared(kept.cluster),
+            ecc_fwd: shared(kept.ecc_fwd),
+            ecc_rev: shared(kept.ecc_rev),
             geom,
-            cluster_rows,
-            row_gens,
-            ecc_fwd,
-            ecc_rev,
-            sketch: None,
+            sketch,
         }
     }
 
@@ -682,7 +554,6 @@ impl OpGeometry {
         let config = engine.config();
         let clustering = engine.clustering();
         let nc = clustering.cluster_count();
-        let nb = config.banks_per_cluster.max(1);
         let unreachable = self.geom.unreachable;
         debug_assert!(!self.geom.per_bin && self.cluster_rows.len() == nc);
 
@@ -690,7 +561,7 @@ impl OpGeometry {
             row: Arc<Vec<u32>>,
             /// Generation of `row`: fresh on repair, carried over on reuse.
             gen: u64,
-            min_row: Option<Vec<u32>>, // None: unchanged, reuse previous
+            mins: Option<Vec<u32>>, // None: unchanged, reuse previous
             base: Option<u32>,
             ecc_fwd: Arc<Vec<u32>>,
             ecc_rev: Arc<Vec<u32>>,
@@ -699,75 +570,48 @@ impl OpGeometry {
         // Index the batch once; each cluster then answers "can any change
         // touch my rows?" in O(|changes|) instead of cloning and repairing
         // just to find out.
-        let index = ChangeIndex::new(g, changes, &new_costs);
+        let index = ChangeIndex::new(g, changes, &new_costs, unreachable);
         let empty = Arc::new(Vec::new());
         let per_cluster: Vec<ClusterOut> = (0..nc)
             .into_par_iter()
             .map(|c| {
-                REPAIR_SCRATCH.with(|cell| {
-                    let scratch = &mut cell.borrow_mut();
-                    let members = clustering.members(c as u32);
-                    let (row, gen, min_row) =
-                        if index.fires(&self.cluster_rows[c], unreachable, false) {
-                            let mut row = (*self.cluster_rows[c]).clone();
-                            let moved = repair_row(
-                                g,
-                                &new_costs,
-                                changes,
-                                members,
-                                false,
-                                unreachable,
-                                &mut row,
-                                scratch,
-                            );
-                            let min_row = (moved > 0)
-                                .then(|| min_reduce(&row, &clustering.labels, nc, unreachable));
-                            (Arc::new(row), next_row_gen(), min_row)
-                        } else {
-                            // Provable no-op: share the previous row (O(1)),
-                            // generation carried forward with it.
-                            (Arc::clone(&self.cluster_rows[c]), self.row_gens[c], None)
-                        };
-                    let (base, ecc_fwd, ecc_rev) = if want_ecc {
-                        let rep = members[0];
-                        let mut repair_ecc = |prev: &Arc<Vec<u32>>, reverse: bool| {
-                            if !index.fires(prev, unreachable, reverse) {
-                                return (Arc::clone(prev), 0);
-                            }
-                            let mut r = (**prev).clone();
-                            let moved = repair_row(
-                                g,
-                                &new_costs,
-                                changes,
-                                &[rep],
-                                reverse,
-                                unreachable,
-                                &mut r,
-                                scratch,
-                            );
-                            (Arc::new(r), moved)
-                        };
-                        let (fwd, moved_f) = repair_ecc(&self.ecc_fwd[c], false);
-                        let (rev, moved_r) = repair_ecc(&self.ecc_rev[c], true);
-                        let base = (moved_f + moved_r > 0)
-                            .then(|| member_ecc(&fwd, members).max(member_ecc(&rev, members)));
-                        (base, fwd, rev)
-                    } else {
-                        // Constant policy: γ never moves.
-                        (None, Arc::clone(&empty), Arc::clone(&empty))
-                    };
-                    ClusterOut {
-                        row,
-                        gen,
-                        min_row,
-                        base,
-                        ecc_fwd,
-                        ecc_rev,
-                    }
-                })
+                let members = clustering.members(c as u32);
+                let prev = &self.cluster_rows[c];
+                let (row, moved) = index.advance(prev, members, false);
+                // A provable no-op shares the previous row (O(1)), its
+                // generation carried forward with it.
+                let gen = if Arc::ptr_eq(&row, prev) {
+                    self.row_gens[c]
+                } else {
+                    next_row_gen()
+                };
+                let mins =
+                    (moved > 0).then(|| min_reduce(row.iter().copied(), clustering, unreachable));
+                let (base, ecc_fwd, ecc_rev) = if want_ecc {
+                    let rep = representative(members);
+                    let (fwd, moved_f) = index.advance(&self.ecc_fwd[c], rep, false);
+                    let (rev, moved_r) = index.advance(&self.ecc_rev[c], rep, true);
+                    let base = (moved_f + moved_r > 0).then(|| {
+                        member_ecc(members, |m| fwd[m as usize])
+                            .max(member_ecc(members, |m| rev[m as usize]))
+                    });
+                    (base, fwd, rev)
+                } else {
+                    // Constant policy: γ never moves.
+                    (None, Arc::clone(&empty), Arc::clone(&empty))
+                };
+                ClusterOut {
+                    row,
+                    gen,
+                    mins,
+                    base,
+                    ecc_fwd,
+                    ecc_rev,
+                }
             })
             .collect();
 
+        let nb = config.banks_per_cluster.max(1);
         let mut inter = DenseCost::filled(nc, nc, unreachable);
         let mut gammas = Vec::with_capacity(nc);
         let mut cluster_rows = Vec::with_capacity(nc);
@@ -783,29 +627,14 @@ impl OpGeometry {
                 "cluster {c}: repaired row reuses generation {} — stale-row hazard",
                 out.gen
             );
-            match out.min_row {
-                Some(mins) => {
-                    for (c2, &d) in mins.iter().enumerate() {
-                        *inter.at_mut(c, c2) = d;
-                    }
-                    *inter.at_mut(c, c) = 0;
-                }
-                None => {
-                    // Rows untouched by the repair: the previous state's
-                    // inter-cluster row is reused verbatim.
-                    for c2 in 0..nc {
-                        *inter.at_mut(c, c2) = self.geom.inter_cluster.at(c, c2);
-                    }
-                }
-            }
-            match out.base {
-                Some(base) => gammas.push(
-                    (0..nb)
-                        .map(|b| base.saturating_mul(b as u32 + 1).min(unreachable))
-                        .collect(),
-                ),
-                None => gammas.push(self.geom.gammas[c].clone()),
-            }
+            // Rows untouched by the repair reuse the previous state's
+            // inter-cluster row verbatim.
+            let prev = self.geom.inter_cluster.row(c);
+            write_inter_row(&mut inter, c, out.mins.as_deref().unwrap_or(prev));
+            gammas.push(match out.base {
+                Some(base) => bank_gammas(base, nb, unreachable),
+                None => self.geom.gammas[c].clone(),
+            });
             cluster_rows.push(out.row);
             row_gens.push(out.gen);
             if want_ecc {
@@ -876,47 +705,8 @@ impl DeltaStateGeometry {
                 delta.touched_edges(),
                 &mut new_costs,
             );
-            if prev.geom.per_bin {
-                // No cluster geometry to repair: the costs are the
-                // geometry. A live sketch bundle advances under the same
-                // contract as cluster rows — Arc-share provable no-ops,
-                // repair the rest, fresh rebuild past the churn threshold.
-                let sketch = prev.sketch.as_ref().map(|s| {
-                    if high_churn {
-                        return s.rebuilt(
-                            g,
-                            &new_costs,
-                            prev.geom.max_edge_cost,
-                            prev.geom.unreachable,
-                        );
-                    }
-                    let changes: Vec<CostChange> = delta
-                        .touched_edges()
-                        .iter()
-                        .filter(|&&e| new_costs[e as usize] != prev.geom.edge_costs[e as usize])
-                        .map(|&e| (e, prev.geom.edge_costs[e as usize]))
-                        .collect();
-                    if changes.is_empty() {
-                        crate::approx::record_sketch_step(0, s.live_count() * 2, 0);
-                        s.clone()
-                    } else {
-                        s.advanced(g, &new_costs, &changes, prev.geom.unreachable)
-                    }
-                });
-                return OpGeometry {
-                    geom: GroundGeometry {
-                        edge_costs: new_costs,
-                        ..prev.geom.clone_scalars()
-                    },
-                    cluster_rows: Vec::new(),
-                    row_gens: Vec::new(),
-                    ecc_fwd: Vec::new(),
-                    ecc_rev: Vec::new(),
-                    sketch,
-                };
-            }
-            if high_churn || prev.cluster_rows.is_empty() {
-                return OpGeometry::from_costs(engine, op, new_costs);
+            if !prev.geom.per_bin && (high_churn || prev.cluster_rows.is_empty()) {
+                return OpGeometry::from_costs(engine, new_costs);
             }
             let changes: Vec<CostChange> = delta
                 .touched_edges()
@@ -924,21 +714,40 @@ impl DeltaStateGeometry {
                 .filter(|&&e| new_costs[e as usize] != prev.geom.edge_costs[e as usize])
                 .map(|&e| (e, prev.geom.edge_costs[e as usize]))
                 .collect();
-            if changes.is_empty() {
-                // Costs identical for this opinion: geometry carries over.
-                return OpGeometry {
-                    geom: GroundGeometry {
-                        edge_costs: new_costs,
-                        ..prev.geom.clone_scalars()
-                    },
-                    cluster_rows: prev.cluster_rows.clone(),
-                    row_gens: prev.row_gens.clone(),
-                    ecc_fwd: prev.ecc_fwd.clone(),
-                    ecc_rev: prev.ecc_rev.clone(),
-                    sketch: None,
-                };
+            if !prev.geom.per_bin && !changes.is_empty() {
+                return prev.advanced(engine, new_costs, &changes);
             }
-            prev.advanced(engine, new_costs, &changes)
+            // Per-bin banks (the costs are the geometry) or no cost moved
+            // for this opinion: the cluster geometry carries over. A live
+            // sketch bundle advances under the same contract as cluster
+            // rows — Arc-share provable no-ops, repair the rest, fresh
+            // rebuild past the churn threshold.
+            let (max_edge_cost, unreachable) = (prev.geom.max_edge_cost, prev.geom.unreachable);
+            let sketch = prev.sketch.as_ref().map(|s| {
+                if high_churn {
+                    s.rebuilt(g, &new_costs, max_edge_cost, unreachable)
+                } else if changes.is_empty() {
+                    crate::approx::record_sketch_step(0, s.live_count() * 2, 0);
+                    s.clone()
+                } else {
+                    s.advanced(g, &new_costs, &changes, unreachable)
+                }
+            });
+            OpGeometry {
+                geom: GroundGeometry {
+                    edge_costs: new_costs,
+                    max_edge_cost,
+                    unreachable,
+                    per_bin: prev.geom.per_bin,
+                    gammas: prev.geom.gammas.clone(),
+                    inter_cluster: prev.geom.inter_cluster.clone(),
+                },
+                cluster_rows: prev.cluster_rows.clone(),
+                row_gens: prev.row_gens.clone(),
+                ecc_fwd: prev.ecc_fwd.clone(),
+                ecc_rev: prev.ecc_rev.clone(),
+                sketch,
+            }
         };
 
         let (pos, neg) = rayon::join(
@@ -1058,21 +867,6 @@ impl DeltaStateGeometry {
             sketch.last_useful.push(tick);
             sketch.stale.push(false);
             promoted += 1;
-        }
-    }
-}
-
-impl GroundGeometry {
-    /// A copy carrying everything except the edge costs (which every
-    /// delta step replaces).
-    fn clone_scalars(&self) -> GroundGeometry {
-        GroundGeometry {
-            edge_costs: Vec::new(),
-            max_edge_cost: self.max_edge_cost,
-            unreachable: self.unreachable,
-            per_bin: self.per_bin,
-            gammas: self.gammas.clone(),
-            inter_cluster: self.inter_cluster.clone(),
         }
     }
 }

@@ -101,26 +101,96 @@ mod tests {
 
     #[test]
     fn inter_cluster_matrix_agrees_with_full_matrix() {
-        // The geometry's multi-source inter-cluster distances must equal the
-        // min-pair distances read off the full matrix.
-        let g = path_graph(9);
-        let clustering = bfs_partition(&g, 3);
-        let config = SndConfig {
-            clusters: snd_core_cluster_spec(3),
-            ..Default::default()
-        };
-        let state = NetworkState::from_values(&[1, -1, 0, 0, 1, 0, 0, 0, -1]);
-        let geom = compute_geometry(&g, &clustering, &state, Opinion::Negative, &config);
-        let dense = full_ground_matrix(&g, &geom);
-        for c in 0..clustering.cluster_count() {
-            for c2 in 0..clustering.cluster_count() {
-                let mut expected = u32::MAX;
-                for &p in clustering.members(c as u32) {
-                    for &q in clustering.members(c2 as u32) {
-                        expected = expected.min(dense.at(p as usize, q as usize));
+        // The geometry read off the full matrix is the oracle for both the
+        // batch build and the delta path's fresh build: inter-cluster
+        // distances are min-pair distances, and each γ policy's base is
+        // what its definition says — the constant, the representative's
+        // two-way eccentricity, or half the exact diameter rounded up.
+        use crate::config::{ClusterSpec, GammaPolicy};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let ba = snd_graph::generators::barabasi_albert(30, 2, &mut rng);
+        // Directed: drop one direction of every third tie.
+        let arcs: Vec<(NodeId, NodeId)> = (0..ba.edge_count() as u32)
+            .map(|e| (ba.edge_source(e), ba.edge_target(e)))
+            .filter(|&(u, v)| u < v || (u + v) % 3 != 0)
+            .collect();
+        let two_components = CsrGraph::from_edges(
+            8,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (3, 1),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (7, 4),
+            ],
+        );
+        let inputs = [
+            (path_graph(9), 3),
+            (CsrGraph::from_edges(30, &arcs), 4),
+            (two_components, 3),
+        ];
+        for (g, k) in inputs {
+            let n = g.node_count();
+            let values: Vec<i8> = (0..n).map(|i| (i % 3) as i8 - 1).collect();
+            let state = NetworkState::from_values(&values);
+            for gamma in [
+                GammaPolicy::Constant(3),
+                GammaPolicy::Eccentricity,
+                GammaPolicy::HalfExactDiameter,
+            ] {
+                let config = SndConfig {
+                    clusters: ClusterSpec::BfsPartition { clusters: k },
+                    gamma,
+                    banks_per_cluster: 2,
+                    ..Default::default()
+                };
+                let engine = crate::SndEngine::new(&g, config.clone());
+                let clustering = engine.clustering();
+                let bundle = crate::delta::DeltaStateGeometry::fresh(&engine, &state);
+                for (op, fresh) in [
+                    (Opinion::Positive, &bundle.pos.geom),
+                    (Opinion::Negative, &bundle.neg.geom),
+                ] {
+                    let geom = compute_geometry(&g, clustering, &state, op, &config);
+                    let dense = full_ground_matrix(&g, &geom);
+                    let d = |p: NodeId, q: NodeId| dense.at(p as usize, q as usize);
+                    for built in [&geom, fresh] {
+                        for c in 0..clustering.cluster_count() {
+                            let members = clustering.members(c as u32);
+                            for c2 in 0..clustering.cluster_count() {
+                                let mut expected = u32::MAX;
+                                for &p in members {
+                                    for &q in clustering.members(c2 as u32) {
+                                        expected = expected.min(d(p, q));
+                                    }
+                                }
+                                assert_eq!(built.inter_cluster.at(c, c2), expected, "({c},{c2})");
+                            }
+                            let rep = members[0];
+                            let base = match gamma {
+                                GammaPolicy::Constant(v) => v,
+                                GammaPolicy::Eccentricity => members
+                                    .iter()
+                                    .map(|&m| d(rep, m).max(d(m, rep)))
+                                    .fold(0, u32::max),
+                                GammaPolicy::HalfExactDiameter => {
+                                    let diam = members
+                                        .iter()
+                                        .flat_map(|&p| members.iter().map(move |&q| (p, q)))
+                                        .map(|(p, q)| d(p, q))
+                                        .fold(0, u32::max);
+                                    diam.div_ceil(2)
+                                }
+                            };
+                            let banks = vec![base, (2 * base).min(geom.unreachable)];
+                            assert_eq!(built.gammas[c], banks, "{gamma:?} {op:?} cluster {c}");
+                        }
                     }
                 }
-                assert_eq!(geom.inter_cluster.at(c, c2), expected, "({c},{c2})");
             }
         }
     }

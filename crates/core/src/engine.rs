@@ -532,7 +532,7 @@ impl<'g> SndEngine<'g> {
     /// sketch rows are *repaired* across each transition instead of
     /// recomputed. After each priced transition the refinement loop's
     /// worst-cell feedback adapts the next ground state's landmark set
-    /// ([`DeltaStateGeometry::adapt_sketch`](crate::delta::DeltaStateGeometry::adapt_sketch)).
+    /// (`DeltaStateGeometry::adapt_sketch`).
     pub fn series_intervals(
         &self,
         states: &[NetworkState],

@@ -424,17 +424,16 @@ impl Scenario {
             None => vec![false; self.steps],
         };
         let mut states = Vec::with_capacity(self.steps + 1);
-        states.push(current);
         for &anomalous in &labels {
-            let mut next = states.last().expect("series starts non-empty").clone();
-            if anomalous {
-                let (injected, _) = anomaly.as_ref().expect("labelled runs carry a model");
-                injected.step(&graph, &mut next, &mut rng);
-            } else {
-                model.step(&graph, &mut next, &mut rng);
+            let mut next = current.clone();
+            // Only a run with an anomaly model has anomalous labels.
+            match (&anomaly, anomalous) {
+                (Some((injected, _)), true) => injected.step(&graph, &mut next, &mut rng),
+                _ => model.step(&graph, &mut next, &mut rng),
             }
-            states.push(next);
+            states.push(std::mem::replace(&mut current, next));
         }
+        states.push(current);
         Ok(SyntheticSeries {
             graph,
             states,

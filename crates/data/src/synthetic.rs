@@ -56,8 +56,14 @@ impl Default for SyntheticSeriesConfig {
             exponent: -2.3,
             initial_adopters: 300,
             steps: 40,
-            normal: VotingConfig::new(0.12, 0.01).expect("valid voting parameters"),
-            anomalous: VotingConfig::new(0.08, 0.05).expect("valid voting parameters"),
+            normal: VotingConfig {
+                p_nbr: 0.12,
+                p_ext: 0.01,
+            },
+            anomalous: VotingConfig {
+                p_nbr: 0.08,
+                p_ext: 0.05,
+            },
             anomalous_steps: vec![10, 25],
             chance_fraction: 0.12,
             burn_in: 4,
@@ -128,15 +134,15 @@ pub fn generate_series(config: &SyntheticSeriesConfig) -> SyntheticSeries {
         config.initial_adopters.min(config.nodes),
         &mut rng,
     )
+    // lint:allow(no-unwrap) the adopter count is clamped to the population just above
     .expect("adopter count clamped to the population");
     for _ in 0..config.burn_in {
         normal.step(&graph, &mut current, &mut rng);
     }
 
     let mut states = Vec::with_capacity(config.steps + 1);
-    states.push(current);
     for &anomalous in &labels {
-        let mut next = states.last().unwrap().clone();
+        let mut next = current.clone();
         if anomalous {
             // Volume calibration: match the expected activation count of a
             // normal step at the current density.
@@ -152,8 +158,9 @@ pub fn generate_series(config: &SyntheticSeriesConfig) -> SyntheticSeries {
         } else {
             normal.step(&graph, &mut next, &mut rng);
         }
-        states.push(next);
+        states.push(std::mem::replace(&mut current, next));
     }
+    states.push(current);
     SyntheticSeries {
         graph,
         states,

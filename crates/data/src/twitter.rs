@@ -81,7 +81,10 @@ impl Default for TwitterSimConfig {
             users: 10_000,
             avg_degree: 130,
             quarters: 13,
-            baseline: VotingConfig::new(0.10, 0.01).expect("valid voting parameters"),
+            baseline: VotingConfig {
+                p_nbr: 0.10,
+                p_ext: 0.01,
+            },
             chance_fraction: 0.06,
             churn: 0.08,
             events: default_timeline(),
@@ -186,13 +189,12 @@ pub fn simulate_twitter(config: &TwitterSimConfig) -> TwitterSim {
     let chances = ((config.users as f64) * config.chance_fraction).round() as usize;
     let mut states = Vec::with_capacity(config.quarters);
     let mut labels = vec![false; config.quarters - 1];
-    states.push(
-        seed_initial_adopters(config.users, config.users / 20, &mut rng)
-            .expect("seed count is a twentieth of the population"),
-    );
+    let mut current = seed_initial_adopters(config.users, config.users / 20, &mut rng)
+        // lint:allow(no-unwrap) a twentieth of the population never exceeds it
+        .expect("seed count is a twentieth of the population");
 
     for q in 1..config.quarters {
-        let mut state = states.last().unwrap().clone();
+        let mut state = current.clone();
         // Churn: some active users tweet nothing this quarter.
         for u in 0..config.users as NodeId {
             if state.opinion(u).is_active() && rng.gen_bool(config.churn) {
@@ -214,8 +216,9 @@ pub fn simulate_twitter(config: &TwitterSimConfig) -> TwitterSim {
                 state = voting_step_sampled(&graph, &state, &config.baseline, chances, &mut rng);
             }
         }
-        states.push(state);
+        states.push(std::mem::replace(&mut current, state));
     }
+    states.push(current);
 
     TwitterSim {
         graph,

@@ -15,7 +15,7 @@
 //! | L1 `float-cmp` | no `partial_cmp` — float orderings must be NaN-total (`total_cmp`) | workspace, vendor exempt |
 //! | L2 `thread-spawn` | no `std::thread` spawns — all fan-out goes through the rayon pool | workspace except `vendor/rayon`, `vendor/interleave` |
 //! | L3 `par-seq` | every exported `*_par` entry point has a `*_seq` counterpart, and every exported `*_seq` reference path is exercised by at least one test | library code, vendor exempt |
-//! | L4 `no-unwrap` | no `unwrap()`/`expect()` in library code of `snd-{core,graph,transport,emd,analysis,orchestrate}` | those crates' `src/`, test regions exempt |
+//! | L4 `no-unwrap` | no `unwrap()`/`expect()` in library code of `snd-{core,graph,transport,emd,models,analysis,orchestrate,data}` | those crates' `src/`, test regions exempt |
 //! | L5 `lossy-cast` | no lossy `as` casts participating in mass/cost arithmetic | `snd-transport`/`snd-emd` `src/` |
 //! | L6 `safety-comment` | every `unsafe` carries a `// SAFETY:` comment | workspace, vendor included |
 //!

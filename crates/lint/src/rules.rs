@@ -23,15 +23,18 @@ pub const SAFETY_COMMENT: &str = "safety-comment";
 /// intervention entry points run on user-supplied CLI inputs, so
 /// degenerate data must surface as `AnalysisError`, not panics) and the
 /// orchestration layer (it parses wire bytes from arbitrary peers, so a
-/// malformed line must come back as `OrchestrateError`, never a panic).
+/// malformed line must come back as `OrchestrateError`, never a panic),
+/// and the model and dataset crates every series flows through.
 /// CLI, benches, and tests stay exempt.
-const NO_UNWRAP_CRATES: [&str; 6] = [
+const NO_UNWRAP_CRATES: [&str; 8] = [
     "snd-core",
     "snd-graph",
     "snd-transport",
     "snd-emd",
+    "snd-models",
     "snd-analysis",
     "snd-orchestrate",
+    "snd-data",
 ];
 
 /// Crates whose mass-and-cost arithmetic is covered by L5.

@@ -62,12 +62,13 @@ pub fn simulate_series(
     rng: &mut dyn RngCore,
 ) -> Vec<NetworkState> {
     let mut states = Vec::with_capacity(steps + 1);
-    states.push(initial);
+    let mut current = initial;
     for _ in 0..steps {
-        let mut next = states.last().expect("series starts non-empty").clone();
+        let mut next = current.clone();
         model.step(g, &mut next, rng);
-        states.push(next);
+        states.push(std::mem::replace(&mut current, next));
     }
+    states.push(current);
     states
 }
 

@@ -19,7 +19,7 @@
 //! there). [`solve`] now checks the headroom up front and *widens*: the
 //! common case runs the network on `i64` arithmetic, and instances whose
 //! potential bound does not fit run the identical algorithm on `i128`
-//! ([`CostInt`] abstracts the scalar). Instances whose *total* mass does
+//! (`CostInt` abstracts the scalar). Instances whose *total* mass does
 //! not fit in the `i64` excess/residual counters (transient node excess is
 //! bounded by total supply, not by any single mass) take a structured
 //! fallback to the [`crate::ssp`] solver, whose arithmetic is unsigned
