@@ -11,16 +11,23 @@
 //! `build_geometry` is the one fresh builder of cluster-bank geometry:
 //! per cluster, one multi-source SSSP for its inter-cluster row and the
 //! γ policy's runs for its bank distances (Theorems 3–4 of the paper rest
-//! on both). The work is embarrassingly parallel across clusters;
-//! [`compute_geometry`] fans it out over the rayon pool (each worker
-//! reuses its thread-local SSSP scratch), [`compute_geometry_seq`] is the
-//! kept sequential reference, and the two are property-tested
-//! bit-identical (`tests/shard_matrix.rs`). The delta series path
-//! ([`crate::delta`]) calls the same builder and asks it to keep the SSSP
-//! rows it later repairs.
+//! on both). γ only reads member-to-member distances, so every γ run is
+//! *member-bounded* ([`snd_graph::dial_bounded_scratch`] with unit weight
+//! on the members): it stops at the first bucket boundary where every
+//! member is settled instead of settling the whole graph. The work is
+//! embarrassingly parallel across clusters; [`compute_geometry`] fans it
+//! out over the rayon pool (each worker reuses its thread-local SSSP
+//! scratch and member weights), [`compute_geometry_seq`] is the kept
+//! sequential reference, and the two are property-tested bit-identical
+//! (`tests/shard_matrix.rs`). The delta series path ([`crate::delta`])
+//! calls the same builder and asks it to keep the per-cluster rows it
+//! later repairs; γ is recomputed from the same bounded runs at every
+//! step, so no γ rows are kept.
+
+use std::cell::RefCell;
 
 use rayon::prelude::*;
-use snd_graph::{dial_reverse_scratch, dial_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
+use snd_graph::{dial_bounded_scratch, dial_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
 use snd_models::{edge_costs, NetworkState, Opinion};
 use snd_transport::DenseCost;
 
@@ -108,15 +115,74 @@ pub(crate) fn min_reduce(
     mins
 }
 
-/// Largest clamped distance `dist(m)` over a member set (0 when empty).
-pub(crate) fn member_ecc(members: &[NodeId], dist: impl Fn(NodeId) -> u32) -> u32 {
-    members.iter().map(|&m| dist(m)).max().unwrap_or(0)
+thread_local! {
+    /// Per-thread target weights of the member-bounded γ runs: all zero
+    /// between runs, so marking and clearing one cluster's members costs
+    /// `O(|members|)`, never an `O(n)` allocation.
+    static MEMBER_WEIGHTS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The eccentricity policy's SSSP source set: the cluster's first member,
-/// or none for an empty cluster (whose γ is then 0).
-pub(crate) fn representative(members: &[NodeId]) -> &[NodeId] {
-    &members[..members.len().min(1)]
+/// Cluster base γ under `config.gamma`, over edge costs `costs`:
+///
+/// * `Constant(v)`: `v`;
+/// * `Eccentricity`: the larger of the forward and reverse eccentricity
+///   of the representative `members[0]` within the cluster (0 for an
+///   empty cluster);
+/// * `HalfExactDiameter`: `⌈diam/2⌉` of the intra-cluster diameter.
+///
+/// Every run is a Dial from one member that stops once all members are
+/// settled, so each member's distance is exact; a member the source
+/// cannot reach drains the run and reads the sentinel. Bit-identical to
+/// reading the members' entries of full SSSP rows.
+pub(crate) fn base_gamma(
+    g: &CsrGraph,
+    costs: &[u32],
+    config: &SndConfig,
+    members: &[NodeId],
+    unreachable: u32,
+    scratch: &mut SsspScratch,
+) -> u32 {
+    if let GammaPolicy::Constant(v) = config.gamma {
+        return v;
+    }
+    let max_edge_cost = config.ground.max_edge_cost();
+    MEMBER_WEIGHTS.with(|cell| {
+        let mut weights = cell.borrow_mut();
+        // Entries are zero between runs, so resizing keeps the invariant.
+        weights.resize(g.node_count(), 0);
+        for &m in members {
+            weights[m as usize] = 1;
+        }
+        let mut ecc = |src: NodeId, reverse: bool| {
+            let cap = members.len() as u64;
+            dial_bounded_scratch(
+                g,
+                costs,
+                &[src],
+                max_edge_cost,
+                reverse,
+                &weights,
+                cap,
+                scratch,
+            );
+            let dist = |m: NodeId| clamp(scratch.dist(m), unreachable);
+            members.iter().map(|&m| dist(m)).max().unwrap_or(0)
+        };
+        let base = match (config.gamma, members.first()) {
+            (GammaPolicy::Eccentricity, Some(&rep)) => ecc(rep, false).max(ecc(rep, true)),
+            (GammaPolicy::HalfExactDiameter, _) => members
+                .iter()
+                .map(|&p| ecc(p, false))
+                .max()
+                .unwrap_or(0)
+                .div_ceil(2),
+            _ => 0,
+        };
+        for &m in members {
+            weights[m as usize] = 0;
+        }
+        base
+    })
 }
 
 /// Writes cluster `c`'s inter-cluster row, with its zero diagonal.
@@ -164,32 +230,22 @@ pub fn compute_geometry_seq(
     build_geometry(g, clustering, costs, config, false, false).0
 }
 
-/// SSSP rows a fresh build keeps for later repair, one entry per cluster:
-/// the clamped multi-source row and, under the eccentricity policy, the
-/// representative's forward and reverse rows.
-#[derive(Default)]
-pub(crate) struct KeptRows {
-    pub(crate) cluster: Vec<Vec<u32>>,
-    pub(crate) ecc_fwd: Vec<Vec<u32>>,
-    pub(crate) ecc_rev: Vec<Vec<u32>>,
-}
-
-/// One cluster's share of a build: its inter-cluster row, base γ and the
-/// rows it keeps, if any.
+/// One cluster's share of a build: its inter-cluster row, base γ and,
+/// when kept, its clamped multi-source row.
 struct ClusterOut {
     mins: Vec<u32>,
     base: u32,
     row: Option<Vec<u32>>,
-    ecc: Option<(Vec<u32>, Vec<u32>)>,
 }
 
 /// The fresh geometry builder over already-derived edge costs. Cluster
 /// work fans out over the rayon pool when `parallel`, else runs on one
 /// scratch; both orders give identical outputs. With `keep_rows`, the
-/// rows come back too — but only when the geometry is repairable: cluster
-/// banks, a lossless clamp domain, and a γ policy other than
-/// `HalfExactDiameter` (its `O(|members|)` SSSPs per cluster are not
-/// kept). Otherwise the returned [`KeptRows`] is empty.
+/// per-cluster clamped multi-source rows (the ones the delta path
+/// repairs) come back too, one per cluster — but only when the geometry
+/// is repairable: cluster banks and a lossless clamp domain. Otherwise
+/// the returned rows are empty. γ needs no kept rows under any policy:
+/// its member-bounded runs are cheap enough to redo at every step.
 pub(crate) fn build_geometry(
     g: &CsrGraph,
     clustering: &Clustering,
@@ -197,7 +253,7 @@ pub(crate) fn build_geometry(
     config: &SndConfig,
     parallel: bool,
     keep_rows: bool,
-) -> (GroundGeometry, KeptRows) {
+) -> (GroundGeometry, Vec<Vec<u32>>) {
     let max_edge_cost = config.ground.max_edge_cost();
     let n = g.node_count();
     let unreachable = sentinel(max_edge_cost, n);
@@ -210,7 +266,7 @@ pub(crate) fn build_geometry(
         gammas: Vec::new(),
         inter_cluster: DenseCost::filled(0, 0, 0),
     };
-    let mut kept = KeptRows::default();
+    let mut kept = Vec::new();
     if per_bin {
         assert!(
             config.per_bin_gamma > 0,
@@ -219,8 +275,7 @@ pub(crate) fn build_geometry(
         return (geom, kept);
     }
 
-    let keep =
-        keep_rows && !matches!(config.gamma, GammaPolicy::HalfExactDiameter) && geom.is_lossless(n);
+    let keep = keep_rows && geom.is_lossless(n);
     let nc = clustering.cluster_count();
     let costs = &geom.edge_costs;
     let work = |c: usize, scratch: &mut SsspScratch| {
@@ -243,18 +298,14 @@ pub(crate) fn build_geometry(
     for (c, out) in per_cluster.into_iter().enumerate() {
         write_inter_row(&mut inter, c, &out.mins);
         geom.gammas.push(bank_gammas(out.base, nb, unreachable));
-        kept.cluster.extend(out.row);
-        if let Some((fwd, rev)) = out.ecc {
-            kept.ecc_fwd.push(fwd);
-            kept.ecc_rev.push(rev);
-        }
+        kept.extend(out.row);
     }
     geom.inter_cluster = inter;
     (geom, kept)
 }
 
 /// Cluster `c`'s inter-cluster row and base γ — the unit of per-cluster
-/// fan-out — plus its rows when `keep`.
+/// fan-out — plus its multi-source row when `keep`.
 #[allow(clippy::too_many_arguments)] // internal helper mirroring the geometry inputs
 fn cluster_geometry(
     g: &CsrGraph,
@@ -267,43 +318,13 @@ fn cluster_geometry(
     scratch: &mut SsspScratch,
 ) -> ClusterOut {
     let n = g.node_count();
-    let max_edge_cost = config.ground.max_edge_cost();
     let members = clustering.members(c as u32);
-    let dist = |scratch: &SsspScratch, m: NodeId| clamp(scratch.dist(m), unreachable);
-    let kept_row = |scratch: &SsspScratch| keep.then(|| clamped_row(scratch, n, unreachable));
-
-    dial_scratch(g, costs, members, max_edge_cost, scratch);
+    dial_scratch(g, costs, members, config.ground.max_edge_cost(), scratch);
     let clamped = scratch.distances(n).map(|d| clamp(d, unreachable));
     let mins = min_reduce(clamped, clustering, unreachable);
-    let row = kept_row(scratch);
-    let mut ecc = None;
-    let base = match config.gamma {
-        GammaPolicy::Constant(v) => v,
-        GammaPolicy::Eccentricity => {
-            let rep = representative(members);
-            dial_scratch(g, costs, rep, max_edge_cost, scratch);
-            let fwd = member_ecc(members, |m| dist(scratch, m));
-            let fwd_row = kept_row(scratch);
-            dial_reverse_scratch(g, costs, rep, max_edge_cost, scratch);
-            let rev = member_ecc(members, |m| dist(scratch, m));
-            ecc = fwd_row.zip(kept_row(scratch));
-            fwd.max(rev)
-        }
-        GammaPolicy::HalfExactDiameter => {
-            let mut diam = 0u32;
-            for &p in members {
-                dial_scratch(g, costs, &[p], max_edge_cost, scratch);
-                diam = diam.max(member_ecc(members, |q| dist(scratch, q)));
-            }
-            diam.div_ceil(2)
-        }
-    };
-    ClusterOut {
-        mins,
-        base,
-        row,
-        ecc,
-    }
+    let row = keep.then(|| clamped_row(scratch, n, unreachable));
+    let base = base_gamma(g, costs, config, members, unreachable, scratch);
+    ClusterOut { mins, base, row }
 }
 
 #[cfg(test)]
@@ -436,5 +457,151 @@ mod tests {
             let matrix = engine.pairwise_distances(&states);
             assert_eq!(matrix.to_rows(), vec![vec![0.0; 3]; 3], "{gamma:?}");
         }
+    }
+
+    /// γ read off full, unbounded `dial`/`dial_reverse` rows: the
+    /// reference the member-bounded runs of `base_gamma` must reproduce.
+    fn full_row_gamma(
+        g: &CsrGraph,
+        costs: &[u32],
+        max_edge_cost: u32,
+        members: &[NodeId],
+        gamma: GammaPolicy,
+        unreachable: u32,
+    ) -> u32 {
+        let ecc = |row: Vec<u64>| {
+            let capped = |m: &NodeId| row[*m as usize].min(unreachable as u64) as u32;
+            members.iter().map(capped).max().unwrap_or(0)
+        };
+        let fwd = |p: NodeId| ecc(snd_graph::dial(g, costs, &[p], max_edge_cost));
+        let rev = |p: NodeId| ecc(snd_graph::dial_reverse(g, costs, &[p], max_edge_cost));
+        match gamma {
+            GammaPolicy::Constant(v) => v,
+            GammaPolicy::Eccentricity => members.first().map_or(0, |&r| fwd(r).max(rev(r))),
+            GammaPolicy::HalfExactDiameter => members
+                .iter()
+                .map(|&p| fwd(p))
+                .max()
+                .unwrap_or(0)
+                .div_ceil(2),
+        }
+    }
+
+    /// Builds the geometry both ways (parallel and sequential) and checks
+    /// every cluster's γ against [`full_row_gamma`]. Returns the number
+    /// of clusters whose γ is the sentinel (a member the source cannot
+    /// reach).
+    fn check_gammas_against_full_rows(
+        g: &CsrGraph,
+        clustering: &Clustering,
+        costs: &[u32],
+        config: &SndConfig,
+        what: &str,
+    ) -> usize {
+        let mut sentinel_gammas = 0;
+        for parallel in [true, false] {
+            let (geom, _) = build_geometry(g, clustering, costs.to_vec(), config, parallel, false);
+            for c in 0..clustering.cluster_count() {
+                let members = clustering.members(c as u32);
+                let base = full_row_gamma(
+                    g,
+                    costs,
+                    geom.max_edge_cost,
+                    members,
+                    config.gamma,
+                    geom.unreachable,
+                );
+                let expect = base.min(geom.unreachable);
+                assert_eq!(
+                    geom.gammas[c][0],
+                    expect,
+                    "{what}, {:?}, cluster {c} of {} members, parallel {parallel}",
+                    config.gamma,
+                    members.len()
+                );
+                sentinel_gammas += usize::from(expect == geom.unreachable);
+            }
+        }
+        sentinel_gammas
+    }
+
+    #[test]
+    fn bounded_gammas_match_full_row_oracle_on_random_graphs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut sentinel_gammas = 0;
+        for trial in 0..30 {
+            let n = 8 + trial % 25;
+            // Sparse directed graphs: some members are unreachable from
+            // their cluster's representative.
+            let g = snd_graph::generators::erdos_renyi_gnp(n, 0.12, false, &mut rng);
+            for gamma in [GammaPolicy::Eccentricity, GammaPolicy::HalfExactDiameter] {
+                let config = SndConfig {
+                    clusters: ClusterSpec::BfsPartition { clusters: 4 },
+                    gamma,
+                    ..Default::default()
+                };
+                let max = config.ground.max_edge_cost();
+                // Two in five edges cost 0: members tie with non-members
+                // inside one bucket, so the stop lands on a bucket
+                // boundary reached through zero-weight chains.
+                let costs: Vec<u32> = (0..g.edge_count())
+                    .map(|_| {
+                        if rng.gen_bool(0.4) {
+                            0
+                        } else {
+                            rng.gen_range(1..=max)
+                        }
+                    })
+                    .collect();
+                // Nodes 0 and 1 are singletons; the rest spread over four
+                // clusters; one extra cluster has no members at all.
+                let labels: Vec<u32> = (0..n as u32)
+                    .map(|v| if v < 2 { 10 + v } else { rng.gen_range(0..4) })
+                    .collect();
+                let mut clustering = Clustering::from_labels(&labels);
+                clustering.clusters.push(Vec::new());
+                let what = format!("trial {trial}");
+                sentinel_gammas +=
+                    check_gammas_against_full_rows(&g, &clustering, &costs, &config, &what);
+            }
+        }
+        assert!(sentinel_gammas > 0, "no trial had an unreachable member");
+    }
+
+    #[test]
+    fn bounded_gammas_match_full_row_oracle_in_a_capped_domain() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // U·n + 1 past `u32::MAX / 4`: a 2¹⁵-node graph with U ≥ 2¹⁵.
+        // A 40-node random core carries every edge; the other nodes are
+        // isolated and join cluster 0, whose representative therefore
+        // cannot reach most of its members.
+        let n = 1usize << 15;
+        let core = 40u32;
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut edges = Vec::new();
+        for _ in 0..120 {
+            edges.push((rng.gen_range(0..core), rng.gen_range(0..core)));
+        }
+        let g = CsrGraph::from_edges(n, &edges);
+        let mut config = SndConfig {
+            clusters: ClusterSpec::BfsPartition { clusters: 4 },
+            ..Default::default()
+        };
+        config.ground.communication = Some(vec![1 << 15; g.edge_count()]);
+        let costs: Vec<u32> = (0..g.edge_count()).map(|_| rng.gen_range(0..=6)).collect();
+        let labels: Vec<u32> = (0..n as u32)
+            .map(|v| if v < core { rng.gen_range(0..4) } else { 0 })
+            .collect();
+        let clustering = Clustering::from_labels(&labels);
+        let (geom, kept) = build_geometry(&g, &clustering, costs.clone(), &config, true, true);
+        assert!(!geom.is_lossless(n), "sentinel must be capped");
+        assert_eq!(geom.unreachable, u32::MAX / 4);
+        assert!(kept.is_empty(), "a capped domain keeps no rows");
+        let sentinel_gammas =
+            check_gammas_against_full_rows(&g, &clustering, &costs, &config, "capped");
+        assert!(sentinel_gammas > 0, "cluster 0 must read the sentinel");
     }
 }

@@ -6,11 +6,11 @@
 //! one evolving network. A simulation step flips a handful of opinions,
 //! yet the batch path rebuilds each state's full ground geometry — per
 //! opinion: an `O(m)` edge-cost sweep, plus (in cluster-bank mode) one
-//! multi-source SSSP per cluster and two eccentricity SSSPs per cluster —
+//! multi-source SSSP per cluster and the γ policy's member-bounded runs —
 //! from scratch. A series builds fresh geometry only for its first state
 //! and past the fallback conditions below, through the one fresh builder
-//! `banks::build_geometry`, which keeps the SSSP rows it can repair. This
-//! module owns what happens between snapshots — row repair:
+//! `banks::build_geometry`, which keeps the per-cluster rows it can
+//! repair. This module owns what happens between snapshots — row repair:
 //!
 //! 1. **Edge costs** ([`snd_models::StateDelta`]): only the touched edges
 //!    (incident to flipped nodes, plus receiver-side aggregate spill for
@@ -18,9 +18,12 @@
 //! 2. **Cluster geometry** ([`DeltaStateGeometry`]): the kept per-cluster
 //!    SSSP rows (sources = the cluster's members — *static* across
 //!    snapshots) are repaired with [`snd_graph::repair_row`] instead of
-//!    recomputed; a cluster whose rows the repair reports unchanged
-//!    reuses its previous inter-cluster row and γ verbatim. Repaired
-//!    geometry is bit-identical to
+//!    recomputed; a cluster whose row the repair reports unchanged
+//!    reuses its previous inter-cluster row verbatim. γ keeps no rows: it
+//!    is recomputed at every step from the same member-bounded runs the
+//!    fresh builder uses (`banks::base_gamma`), which settle only until
+//!    every member of the cluster is settled. Repaired geometry is
+//!    bit-identical to
 //!    [`compute_geometry`](crate::banks::compute_geometry) because
 //!    shortest-path distances are unique. Landmark sketch rows
 //!    ([`SketchRows`], approximate tier) are repaired the same way.
@@ -42,9 +45,7 @@
 //! * more than [`REPAIR_EDGE_FRACTION`]⁻¹ of the edges were touched
 //!   (high-churn dynamics like random activation), or
 //! * the clamp domain is capped (`U·n + 1 > u32::MAX / 4`; see
-//!   [`GroundGeometry::is_lossless`]), or
-//! * the γ policy is `HalfExactDiameter` (its `O(|members|)` SSSPs per
-//!   cluster are not cached).
+//!   [`GroundGeometry::is_lossless`]).
 //!
 //! Per-bin mode (the default [`ClusterSpec`](crate::ClusterSpec)) has no
 //! cluster SSSPs at all; its delta win is the touched-edge cost sweep and
@@ -66,10 +67,9 @@ use snd_models::{edge_costs, update_edge_costs, NetworkState, Opinion, StateDelt
 use snd_transport::DenseCost;
 
 use crate::banks::{
-    bank_gammas, build_geometry, clamped_row, member_ecc, min_reduce, representative,
-    write_inter_row, GroundGeometry,
+    bank_gammas, base_gamma, build_geometry, clamped_row, min_reduce, write_inter_row,
+    GroundGeometry,
 };
-use crate::config::GammaPolicy;
 use crate::engine::{SndEngine, StateGeometry};
 use crate::sparse::{with_sssp_scratch, RowCache};
 
@@ -105,16 +105,12 @@ fn next_row_gen() -> u64 {
 pub(crate) struct OpGeometry {
     pub(crate) geom: GroundGeometry,
     /// Per-cluster clamped multi-source SSSP row (empty when rows are not
-    /// cached: per-bin mode, lossy clamp domain, `HalfExactDiameter`).
+    /// cached: per-bin mode or a lossy clamp domain).
     cluster_rows: Vec<Arc<Vec<u32>>>,
     /// Generation tag per cached row, parallel to `cluster_rows`. Repair
     /// issues a fresh tag from [`ROW_GEN`]; reuse carries the tag forward,
     /// so equal tags across bundles always mean the same `Arc`.
     row_gens: Vec<u64>,
-    /// Eccentricity-policy representative rows (forward / reverse), one
-    /// pair per cluster; empty unless the policy is `Eccentricity`.
-    ecc_fwd: Vec<Arc<Vec<u32>>>,
-    ecc_rev: Vec<Arc<Vec<u32>>>,
     /// Approximate-tier landmark rows (per-bin mode with an approx config
     /// and a lossless clamp domain only), repaired across steps like the
     /// cluster rows above.
@@ -514,7 +510,7 @@ impl OpGeometry {
     /// falls back to cache fetches, still certified).
     fn from_costs(engine: &SndEngine<'_>, costs: Vec<u32>) -> OpGeometry {
         let g = engine.graph();
-        let (geom, kept) =
+        let (geom, rows) =
             build_geometry(g, engine.clustering(), costs, engine.config(), true, true);
         let sketch = (geom.per_bin && geom.is_lossless(g.node_count()))
             .then(|| engine.delta_sketch_ctx())
@@ -530,20 +526,19 @@ impl OpGeometry {
                     0,
                 )
             });
-        let shared = |rows: Vec<Vec<u32>>| rows.into_iter().map(Arc::new).collect();
         OpGeometry {
-            row_gens: kept.cluster.iter().map(|_| next_row_gen()).collect(),
-            cluster_rows: shared(kept.cluster),
-            ecc_fwd: shared(kept.ecc_fwd),
-            ecc_rev: shared(kept.ecc_rev),
+            row_gens: rows.iter().map(|_| next_row_gen()).collect(),
+            cluster_rows: rows.into_iter().map(Arc::new).collect(),
             geom,
             sketch,
         }
     }
 
     /// Advances to the next state by repairing the cached rows with the
-    /// actually-changed edge costs. Caller guarantees `changes` is exact
-    /// (see [`DeltaStateGeometry::step`]) and that rows are cached.
+    /// actually-changed edge costs, and recomputing every cluster's γ
+    /// from member-bounded runs over `new_costs`. Caller guarantees
+    /// `changes` is exact (see [`DeltaStateGeometry::step`]) and that rows
+    /// are cached.
     fn advanced(
         &self,
         engine: &SndEngine<'_>,
@@ -562,16 +557,12 @@ impl OpGeometry {
             /// Generation of `row`: fresh on repair, carried over on reuse.
             gen: u64,
             mins: Option<Vec<u32>>, // None: unchanged, reuse previous
-            base: Option<u32>,
-            ecc_fwd: Arc<Vec<u32>>,
-            ecc_rev: Arc<Vec<u32>>,
+            base: u32,
         }
-        let want_ecc = matches!(config.gamma, GammaPolicy::Eccentricity);
         // Index the batch once; each cluster then answers "can any change
-        // touch my rows?" in O(|changes|) instead of cloning and repairing
+        // touch my row?" in O(|changes|) instead of cloning and repairing
         // just to find out.
         let index = ChangeIndex::new(g, changes, &new_costs, unreachable);
-        let empty = Arc::new(Vec::new());
         let per_cluster: Vec<ClusterOut> = (0..nc)
             .into_par_iter()
             .map(|c| {
@@ -587,26 +578,14 @@ impl OpGeometry {
                 };
                 let mins =
                     (moved > 0).then(|| min_reduce(row.iter().copied(), clustering, unreachable));
-                let (base, ecc_fwd, ecc_rev) = if want_ecc {
-                    let rep = representative(members);
-                    let (fwd, moved_f) = index.advance(&self.ecc_fwd[c], rep, false);
-                    let (rev, moved_r) = index.advance(&self.ecc_rev[c], rep, true);
-                    let base = (moved_f + moved_r > 0).then(|| {
-                        member_ecc(members, |m| fwd[m as usize])
-                            .max(member_ecc(members, |m| rev[m as usize]))
-                    });
-                    (base, fwd, rev)
-                } else {
-                    // Constant policy: γ never moves.
-                    (None, Arc::clone(&empty), Arc::clone(&empty))
-                };
+                let base = with_sssp_scratch(|scratch| {
+                    base_gamma(g, &new_costs, config, members, unreachable, scratch)
+                });
                 ClusterOut {
                     row,
                     gen,
                     mins,
                     base,
-                    ecc_fwd,
-                    ecc_rev,
                 }
             })
             .collect();
@@ -616,8 +595,6 @@ impl OpGeometry {
         let mut gammas = Vec::with_capacity(nc);
         let mut cluster_rows = Vec::with_capacity(nc);
         let mut row_gens = Vec::with_capacity(nc);
-        let mut ecc_fwd = Vec::new();
-        let mut ecc_rev = Vec::new();
         for (c, out) in per_cluster.into_iter().enumerate() {
             // The soundness of O(1) reuse, stated as a check: a carried
             // generation must mean a carried Arc. Repaired rows got a fresh
@@ -631,16 +608,9 @@ impl OpGeometry {
             // inter-cluster row verbatim.
             let prev = self.geom.inter_cluster.row(c);
             write_inter_row(&mut inter, c, out.mins.as_deref().unwrap_or(prev));
-            gammas.push(match out.base {
-                Some(base) => bank_gammas(base, nb, unreachable),
-                None => self.geom.gammas[c].clone(),
-            });
+            gammas.push(bank_gammas(out.base, nb, unreachable));
             cluster_rows.push(out.row);
             row_gens.push(out.gen);
-            if want_ecc {
-                ecc_fwd.push(out.ecc_fwd);
-                ecc_rev.push(out.ecc_rev);
-            }
         }
 
         OpGeometry {
@@ -654,8 +624,6 @@ impl OpGeometry {
             },
             cluster_rows,
             row_gens,
-            ecc_fwd,
-            ecc_rev,
             sketch: None,
         }
     }
@@ -744,8 +712,6 @@ impl DeltaStateGeometry {
                 },
                 cluster_rows: prev.cluster_rows.clone(),
                 row_gens: prev.row_gens.clone(),
-                ecc_fwd: prev.ecc_fwd.clone(),
-                ecc_rev: prev.ecc_rev.clone(),
                 sketch,
             }
         };
@@ -874,7 +840,7 @@ impl DeltaStateGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ClusterSpec, SndConfig};
+    use crate::config::{ClusterSpec, GammaPolicy, SndConfig};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use snd_graph::generators::barabasi_albert;

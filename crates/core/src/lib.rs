@@ -40,7 +40,9 @@
 //! per-cluster SSSP rows behind the cluster-bank geometry are *repaired*
 //! ([`snd_graph::repair_row`], Ramalingam–Reps style) rather than
 //! recomputed — clusters whose rows the repair leaves untouched reuse
-//! their previous inter-cluster row and γ verbatim — and identical
+//! their previous inter-cluster row verbatim, and γ comes from
+//! member-bounded runs that stop once the cluster's members are
+//! settled — and identical
 //! consecutive states short-circuit to zero. The checkpoint-backed series
 //! path ([`SndEngine::series_tiles_checkpointed`], surfaced as
 //! `snd_analysis::resume::series_distances_checkpointed`) advances the
@@ -53,9 +55,8 @@
 //! [`SndEngine::series_distances_seq`] across every registry scenario),
 //! and the path **falls back** to a fresh rebuild per transition when the
 //! touched-edge count exceeds `1/`[`REPAIR_EDGE_FRACTION`] of the edges
-//! (high-churn dynamics), when the clamped `u32` distance domain would be
-//! lossy (`U·n + 1` past the sentinel cap), or under the
-//! `HalfExactDiameter` γ policy (whose per-member SSSPs are not cached).
+//! (high-churn dynamics) or when the clamped `u32` distance domain would
+//! be lossy (`U·n + 1` past the sentinel cap).
 //! The repo benchmark's `series` and `series_rebuild` workloads
 //! (`python3 perfbench/run.py --workload series`) time both regimes.
 //!

@@ -19,15 +19,21 @@ fn temp_path(name: &str, seed: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("snd_delta_{}_{seed}_{name}", std::process::id()))
 }
 
-/// The two bank modes the delta path specializes: per-bin (default; no
+/// The bank modes the delta path specializes: per-bin (default; no
 /// cluster SSSPs, delta wins on the cost sweep) and cluster-bank
-/// (repairable per-cluster rows, the big win).
+/// (repairable per-cluster rows, the big win) under both γ policies
+/// whose member-bounded runs are recomputed at every step.
 fn bank_modes() -> Vec<SndConfig> {
     vec![
         SndConfig::default(),
         SndConfig {
             clusters: ClusterSpec::BfsPartition { clusters: 4 },
             gamma: GammaPolicy::Eccentricity,
+            ..Default::default()
+        },
+        SndConfig {
+            clusters: ClusterSpec::BfsPartition { clusters: 4 },
+            gamma: GammaPolicy::HalfExactDiameter,
             ..Default::default()
         },
     ]
@@ -131,6 +137,59 @@ fn empty_delta_short_circuit_is_exact_in_every_path() {
         let ckpt = series_distances_checkpointed(&engine, &states, 2, &path).unwrap();
         assert_eq!(ckpt, seq);
         std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// A disconnected graph whose terms go through cluster banks: a
+/// bidirected component, a component of one-way edges whose BFS cluster's
+/// representative cannot reach the other members, and an isolated node.
+/// The representative's eccentricity reads the sentinel; the delta
+/// series, the pairwise matrix and the references agree bit for bit, and
+/// every value stays finite.
+#[test]
+fn disconnected_graph_with_unreachable_members_prices_through_banks() {
+    let mut rng = SmallRng::seed_from_u64(17);
+    let core = barabasi_albert(30, 2, &mut rng);
+    let mut edges: Vec<(u32, u32)> = core.edges().collect();
+    // Nodes 30..42 form a path whose edges all point back toward 30.
+    edges.extend((30..41u32).map(|v| (v + 1, v)));
+    let n = 43; // node 42 is isolated
+    let g = snd::graph::CsrGraph::from_edges(n, &edges);
+    let config = SndConfig {
+        clusters: ClusterSpec::BfsPartition { clusters: 4 },
+        gamma: GammaPolicy::Eccentricity,
+        ..Default::default()
+    };
+    let engine = SndEngine::new(&g, config);
+
+    let mut states = vec![NetworkState::from_values(
+        &(0..n).map(|_| rng.gen_range(-1..=1)).collect::<Vec<i8>>(),
+    )];
+    for _ in 0..6 {
+        let mut next = states.last().unwrap().clone();
+        for _ in 0..2 {
+            let u = rng.gen_range(0..n as u32);
+            next.set(u, Opinion::from_value(rng.gen_range(-1..=1)));
+        }
+        states.push(next);
+    }
+
+    let geom = engine.geometry(&states[0], Opinion::Positive);
+    assert!(
+        geom.gammas.iter().any(|gs| gs[0] == geom.unreachable),
+        "some cluster's representative must miss a member"
+    );
+
+    let series = engine.series_distances(&states);
+    assert_eq!(series, engine.series_distances_seq(&states));
+    assert!(series.iter().all(|d| d.is_finite()), "{series:?}");
+    let matrix = engine.pairwise_distances(&states);
+    for (i, a) in states.iter().enumerate() {
+        for (j, b) in states.iter().enumerate() {
+            let d = matrix.at(i, j);
+            assert!(d.is_finite(), "({i}, {j})");
+            assert_eq!(d, engine.distance_seq(a, b), "({i}, {j})");
+        }
     }
 }
 
