@@ -20,9 +20,11 @@
 //! scratch and member weights), [`compute_geometry_seq`] is the kept
 //! sequential reference, and the two are property-tested bit-identical
 //! (`tests/shard_matrix.rs`). The delta series path ([`crate::delta`])
-//! calls the same builder and asks it to keep the per-cluster rows it
-//! later repairs; γ is recomputed from the same bounded runs at every
-//! step, so no γ rows are kept.
+//! calls the same builder and asks it to keep what it later repairs: each
+//! cluster's multi-source row and, under `Eccentricity` γ, the *balls* of
+//! its two bounded runs — the settled nodes with their exact distances
+//! and the run's radius, collected in `O(|ball|)` from the scratch's
+//! settle order. No full γ rows are kept.
 
 use std::cell::RefCell;
 
@@ -122,6 +124,112 @@ thread_local! {
     static MEMBER_WEIGHTS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
+/// One member-bounded `Eccentricity` γ run, kept so the delta path can
+/// repair it instead of re-running it: the nodes the run settled, with
+/// their exact clamped distances, and its radius. Every node outside the
+/// ball is at least `radius` away. A run that drained its queue (a member
+/// the source cannot reach) has the sentinel as radius, and its ball is
+/// every node the source reaches.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Ball {
+    pub(crate) nodes: Vec<(NodeId, u32)>,
+    pub(crate) radius: u32,
+}
+
+impl Ball {
+    /// The ball of the scratch's last bounded run, which returned `radius`.
+    fn collect(scratch: &SsspScratch, radius: u64, unreachable: u32) -> Ball {
+        let nodes = scratch.settled().iter();
+        Ball {
+            nodes: nodes
+                .map(|&v| (v, clamp(scratch.dist(v), unreachable)))
+                .collect(),
+            radius: clamp(radius, unreachable),
+        }
+    }
+}
+
+/// What the delta path keeps of one cluster to repair it at the next
+/// step: the clamped multi-source row and, under `Eccentricity` γ, the
+/// forward and reverse γ balls of the representative `members[0]`
+/// (empty under any other policy and for an empty cluster).
+#[derive(Clone, Debug)]
+pub(crate) struct KeptCluster {
+    pub(crate) row: Vec<u32>,
+    pub(crate) balls: Vec<Ball>,
+}
+
+/// One Dial from `src` (distances *to* it when `reverse`) that stops once
+/// every member is settled: returns the members' largest clamped distance
+/// (0 without members) and the run's raw radius.
+#[allow(clippy::too_many_arguments)] // the bounded run's inputs plus the member set
+fn member_ecc(
+    g: &CsrGraph,
+    costs: &[u32],
+    max_edge_cost: u32,
+    src: NodeId,
+    reverse: bool,
+    members: &[NodeId],
+    unreachable: u32,
+    scratch: &mut SsspScratch,
+) -> (u32, u64) {
+    MEMBER_WEIGHTS.with(|cell| {
+        let mut weights = cell.borrow_mut();
+        // Entries are zero between runs, so resizing keeps the invariant.
+        weights.resize(g.node_count(), 0);
+        for &m in members {
+            weights[m as usize] = 1;
+        }
+        let cap = members.len() as u64;
+        let radius = dial_bounded_scratch(
+            g,
+            costs,
+            &[src],
+            max_edge_cost,
+            reverse,
+            &weights,
+            cap,
+            scratch,
+        );
+        for &m in members {
+            weights[m as usize] = 0;
+        }
+        let dist = |m: NodeId| clamp(scratch.dist(m), unreachable);
+        (members.iter().map(|&m| dist(m)).max().unwrap_or(0), radius)
+    })
+}
+
+/// One `Eccentricity` γ run of the non-empty cluster `members`, from its
+/// representative `members[0]` (distances *to* it when `reverse`): the
+/// representative's eccentricity in that direction and, with `keep`, the
+/// run's ball.
+#[allow(clippy::too_many_arguments)] // the bounded run's inputs plus what to keep
+pub(crate) fn ecc_run(
+    g: &CsrGraph,
+    costs: &[u32],
+    max_edge_cost: u32,
+    members: &[NodeId],
+    reverse: bool,
+    unreachable: u32,
+    keep: bool,
+    scratch: &mut SsspScratch,
+) -> (u32, Option<Ball>) {
+    let (ecc, radius) = member_ecc(
+        g,
+        costs,
+        max_edge_cost,
+        members[0],
+        reverse,
+        members,
+        unreachable,
+        scratch,
+    );
+    (
+        ecc,
+        keep.then(|| Ball::collect(scratch, radius, unreachable)),
+    )
+}
+
 /// Cluster base γ under `config.gamma`, over edge costs `costs`:
 ///
 /// * `Constant(v)`: `v`;
@@ -133,56 +241,56 @@ thread_local! {
 /// Every run is a Dial from one member that stops once all members are
 /// settled, so each member's distance is exact; a member the source
 /// cannot reach drains the run and reads the sentinel. Bit-identical to
-/// reading the members' entries of full SSSP rows.
+/// reading the members' entries of full SSSP rows. With `keep_balls`,
+/// the two `Eccentricity` runs come back as the forward and reverse
+/// [`Ball`]; no other policy returns any.
+#[allow(clippy::too_many_arguments)] // the geometry inputs plus what to keep
 pub(crate) fn base_gamma(
     g: &CsrGraph,
     costs: &[u32],
     config: &SndConfig,
     members: &[NodeId],
     unreachable: u32,
+    keep_balls: bool,
     scratch: &mut SsspScratch,
-) -> u32 {
-    if let GammaPolicy::Constant(v) = config.gamma {
-        return v;
-    }
+) -> (u32, Vec<Ball>) {
     let max_edge_cost = config.ground.max_edge_cost();
-    MEMBER_WEIGHTS.with(|cell| {
-        let mut weights = cell.borrow_mut();
-        // Entries are zero between runs, so resizing keeps the invariant.
-        weights.resize(g.node_count(), 0);
-        for &m in members {
-            weights[m as usize] = 1;
+    match (config.gamma, members.is_empty()) {
+        (GammaPolicy::Constant(v), _) => (v, Vec::new()),
+        (GammaPolicy::Eccentricity, false) => {
+            let [(fwd, fwd_ball), (rev, rev_ball)] = [false, true].map(|reverse| {
+                ecc_run(
+                    g,
+                    costs,
+                    max_edge_cost,
+                    members,
+                    reverse,
+                    unreachable,
+                    keep_balls,
+                    scratch,
+                )
+            });
+            (fwd.max(rev), fwd_ball.into_iter().chain(rev_ball).collect())
         }
-        let mut ecc = |src: NodeId, reverse: bool| {
-            let cap = members.len() as u64;
-            dial_bounded_scratch(
-                g,
-                costs,
-                &[src],
-                max_edge_cost,
-                reverse,
-                &weights,
-                cap,
-                scratch,
-            );
-            let dist = |m: NodeId| clamp(scratch.dist(m), unreachable);
-            members.iter().map(|&m| dist(m)).max().unwrap_or(0)
-        };
-        let base = match (config.gamma, members.first()) {
-            (GammaPolicy::Eccentricity, Some(&rep)) => ecc(rep, false).max(ecc(rep, true)),
-            (GammaPolicy::HalfExactDiameter, _) => members
-                .iter()
-                .map(|&p| ecc(p, false))
-                .max()
-                .unwrap_or(0)
-                .div_ceil(2),
-            _ => 0,
-        };
-        for &m in members {
-            weights[m as usize] = 0;
+        (GammaPolicy::HalfExactDiameter, _) => {
+            let mut forward = |p: NodeId| {
+                member_ecc(
+                    g,
+                    costs,
+                    max_edge_cost,
+                    p,
+                    false,
+                    members,
+                    unreachable,
+                    scratch,
+                )
+                .0
+            };
+            let diam = members.iter().map(|&p| forward(p)).max().unwrap_or(0);
+            (diam.div_ceil(2), Vec::new())
         }
-        base
-    })
+        (GammaPolicy::Eccentricity, true) => (0, Vec::new()),
+    }
 }
 
 /// Writes cluster `c`'s inter-cluster row, with its zero diagonal.
@@ -231,21 +339,21 @@ pub fn compute_geometry_seq(
 }
 
 /// One cluster's share of a build: its inter-cluster row, base γ and,
-/// when kept, its clamped multi-source row.
+/// when kept, its repair state.
 struct ClusterOut {
     mins: Vec<u32>,
     base: u32,
-    row: Option<Vec<u32>>,
+    kept: Option<KeptCluster>,
 }
 
 /// The fresh geometry builder over already-derived edge costs. Cluster
 /// work fans out over the rayon pool when `parallel`, else runs on one
-/// scratch; both orders give identical outputs. With `keep_rows`, the
-/// per-cluster clamped multi-source rows (the ones the delta path
-/// repairs) come back too, one per cluster — but only when the geometry
-/// is repairable: cluster banks and a lossless clamp domain. Otherwise
-/// the returned rows are empty. γ needs no kept rows under any policy:
-/// its member-bounded runs are cheap enough to redo at every step.
+/// scratch; both orders give identical outputs. With `keep_rows`, each
+/// cluster's repair state comes back too ([`KeptCluster`]: the clamped
+/// multi-source row the delta path repairs and, under `Eccentricity` γ,
+/// the γ balls it repairs) — but only when the geometry is repairable:
+/// cluster banks and a lossless clamp domain. Otherwise the returned
+/// state is empty.
 pub(crate) fn build_geometry(
     g: &CsrGraph,
     clustering: &Clustering,
@@ -253,7 +361,7 @@ pub(crate) fn build_geometry(
     config: &SndConfig,
     parallel: bool,
     keep_rows: bool,
-) -> (GroundGeometry, Vec<Vec<u32>>) {
+) -> (GroundGeometry, Vec<KeptCluster>) {
     let max_edge_cost = config.ground.max_edge_cost();
     let n = g.node_count();
     let unreachable = sentinel(max_edge_cost, n);
@@ -298,14 +406,14 @@ pub(crate) fn build_geometry(
     for (c, out) in per_cluster.into_iter().enumerate() {
         write_inter_row(&mut inter, c, &out.mins);
         geom.gammas.push(bank_gammas(out.base, nb, unreachable));
-        kept.extend(out.row);
+        kept.extend(out.kept);
     }
     geom.inter_cluster = inter;
     (geom, kept)
 }
 
 /// Cluster `c`'s inter-cluster row and base γ — the unit of per-cluster
-/// fan-out — plus its multi-source row when `keep`.
+/// fan-out — plus its repair state when `keep`.
 #[allow(clippy::too_many_arguments)] // internal helper mirroring the geometry inputs
 fn cluster_geometry(
     g: &CsrGraph,
@@ -323,12 +431,13 @@ fn cluster_geometry(
     let clamped = scratch.distances(n).map(|d| clamp(d, unreachable));
     let mins = min_reduce(clamped, clustering, unreachable);
     let row = keep.then(|| clamped_row(scratch, n, unreachable));
-    let base = base_gamma(g, costs, config, members, unreachable, scratch);
-    ClusterOut { mins, base, row }
+    let (base, balls) = base_gamma(g, costs, config, members, unreachable, keep, scratch);
+    let kept = row.map(|row| KeptCluster { row, balls });
+    ClusterOut { mins, base, kept }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use snd_graph::{bfs_partition, generators::path_graph};
     use snd_models::NetworkState;
@@ -460,8 +569,9 @@ mod tests {
     }
 
     /// γ read off full, unbounded `dial`/`dial_reverse` rows: the
-    /// reference the member-bounded runs of `base_gamma` must reproduce.
-    fn full_row_gamma(
+    /// reference the member-bounded runs of `base_gamma` and the repaired
+    /// γ balls of the delta path must reproduce.
+    pub(crate) fn full_row_gamma(
         g: &CsrGraph,
         costs: &[u32],
         max_edge_cost: u32,

@@ -9,8 +9,8 @@
 //! multi-source SSSP per cluster and the γ policy's member-bounded runs —
 //! from scratch. A series builds fresh geometry only for its first state
 //! and past the fallback conditions below, through the one fresh builder
-//! `banks::build_geometry`, which keeps the per-cluster rows it can
-//! repair. This module owns what happens between snapshots — row repair:
+//! `banks::build_geometry`, which keeps each cluster's repair state. This
+//! module owns what happens between snapshots — repair:
 //!
 //! 1. **Edge costs** ([`snd_models::StateDelta`]): only the touched edges
 //!    (incident to flipped nodes, plus receiver-side aggregate spill for
@@ -19,11 +19,13 @@
 //!    SSSP rows (sources = the cluster's members — *static* across
 //!    snapshots) are repaired with [`snd_graph::repair_row`] instead of
 //!    recomputed; a cluster whose row the repair reports unchanged
-//!    reuses its previous inter-cluster row verbatim. γ keeps no rows: it
-//!    is recomputed at every step from the same member-bounded runs the
-//!    fresh builder uses (`banks::base_gamma`), which settle only until
-//!    every member of the cluster is settled. Repaired geometry is
-//!    bit-identical to
+//!    reuses its previous inter-cluster row verbatim. Under
+//!    `Eccentricity` γ each cluster also keeps the *balls* of its two
+//!    member-bounded γ runs (`banks::base_gamma`: the nodes a run settled,
+//!    their exact distances and the run's radius) and repairs them the
+//!    same way, re-running a bounded Dial only when a member leaves its
+//!    ball; `HalfExactDiameter` re-runs its bounded Dials at every step.
+//!    Repaired geometry is bit-identical to
 //!    [`compute_geometry`](crate::banks::compute_geometry) because
 //!    shortest-path distances are unique. Landmark sketch rows
 //!    ([`SketchRows`], approximate tier) are repaired the same way.
@@ -33,6 +35,15 @@
 //!    EMD\* terms are evaluated exactly as the batch path would, over the
 //!    incrementally-derived geometries. At most **two** geometry bundles
 //!    are live at any point (asserted by `tests/series_memory.rs`).
+//!
+//! A step advances the repair state **in place**: it moves the cluster
+//! rows and balls out of the previous bundle, which keeps only its
+//! [`GroundGeometry`] for pricing, so each row and ball exists once and a
+//! uniquely owned chain copies none of them. The state is `Arc`-shared
+//! per cluster, so a clone of a bundle (the candidate evaluator's patch)
+//! stays repairable and a step on the clone copies only the clusters a
+//! change reaches. The series loops look one transition ahead and keep
+//! repair state only for a bundle whose next transition repairs.
 //!
 //! # When the fast path falls back
 //!
@@ -56,20 +67,21 @@
 //! across every registry scenario (`tests/delta_series.rs`).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rayon::prelude::*;
 use snd_graph::{
-    dial_reverse_scratch, dial_scratch, repair_row, CostChange, CsrGraph, NodeId, RepairScratch,
+    dial_reverse_scratch, dial_scratch, repair_row, Clustering, CostChange, CsrGraph, NodeId,
+    RepairScratch,
 };
 use snd_models::{edge_costs, update_edge_costs, NetworkState, Opinion, StateDelta};
 use snd_transport::DenseCost;
 
 use crate::banks::{
-    bank_gammas, base_gamma, build_geometry, clamped_row, min_reduce, write_inter_row,
-    GroundGeometry,
+    bank_gammas, base_gamma, build_geometry, clamped_row, ecc_run, min_reduce, write_inter_row,
+    GroundGeometry, KeptCluster,
 };
+use crate::config::SndConfig;
 use crate::engine::{SndEngine, StateGeometry};
 use crate::sparse::{with_sssp_scratch, RowCache};
 
@@ -78,43 +90,79 @@ use crate::sparse::{with_sssp_scratch, RowCache};
 /// region rivals the graph and a fresh rebuild is cheaper.
 pub const REPAIR_EDGE_FRACTION: usize = 4;
 
-thread_local! {
-    static REPAIR_SCRATCH: RefCell<RepairScratch> = RefCell::new(RepairScratch::new());
+/// Whether a transition touching `touched` of the graph's `m` edges is
+/// past the repair threshold and rebuilds fresh.
+pub(crate) fn high_churn(touched: usize, m: usize) -> bool {
+    touched * REPAIR_EDGE_FRACTION > m
 }
 
-/// Process-wide generation counter for cached SSSP rows. Every freshly
-/// computed or repaired row content gets a new generation; a reused row
-/// carries its previous generation forward. The reuse invariant — equal
-/// generations imply the same `Arc` (and therefore identical contents) —
-/// is what makes the `O(1)` carry-over in [`OpGeometry::advanced`] sound,
-/// and it only holds because this bump is atomic across the per-cluster
-/// parallel fan-out.
-static ROW_GEN: AtomicU64 = AtomicU64::new(0);
+/// Whether a series bundle keeps its repair state: only when its next
+/// transition `next` (`(t, delta)`, `None` past the last) repairs instead
+/// of falling back, so a run of fallbacks keeps no rows or balls it never
+/// uses.
+pub(crate) fn keeps_repair_state(g: &CsrGraph, next: Option<&(usize, StateDelta)>) -> bool {
+    next.is_some_and(|(_, d)| !high_churn(d.touched_edges().len(), g.edge_count()))
+}
 
-/// Issues a generation no live row has carried before (never 0, so 0 can
-/// mean "untagged" in scratch states).
-fn next_row_gen() -> u64 {
-    ROW_GEN.fetch_add(1, Ordering::Relaxed) + 1
+thread_local! {
+    static REPAIR_SCRATCH: RefCell<RepairScratch> = RefCell::new(RepairScratch::new());
+    /// Per-thread dense view of one γ ball, paired with its fill value:
+    /// between uses every entry holds the fill (the sentinel of the
+    /// geometry last served), so a ball no change reaches costs
+    /// `O(|ball|)`. A ball a change reaches adds two `O(n)` fills to the
+    /// repair's own work.
+    static BALL_ROW: RefCell<(Vec<u32>, u32)> = const { RefCell::new((Vec::new(), 0)) };
+}
+
+/// How a step advanced the `Eccentricity` γ balls of a bundle, summed over
+/// both opinion planes. All zero for a bundle built fresh, and under any
+/// other γ policy (no balls are kept).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BallSteps {
+    /// Balls no change could reach: kept as they were.
+    pub carried: usize,
+    /// Balls [`repair_row`] advanced with every member still inside.
+    pub repaired: usize,
+    /// Balls a member left: re-run as a fresh member-bounded Dial.
+    pub rerun: usize,
+    /// Balls whose radius is the sentinel after the step: their run
+    /// drained, so they hold every node the representative reaches.
+    pub drained: usize,
+}
+
+impl std::ops::Add for BallSteps {
+    type Output = BallSteps;
+    fn add(self, o: BallSteps) -> BallSteps {
+        BallSteps {
+            carried: self.carried + o.carried,
+            repaired: self.repaired + o.repaired,
+            rerun: self.rerun + o.rerun,
+            drained: self.drained + o.drained,
+        }
+    }
 }
 
 /// The cached, repairable geometry of one `(state, opinion)` pair.
 ///
-/// Rows are `Arc`-shared: a cluster whose rows a transition provably
-/// cannot perturb (see [`ChangeIndex`]) carries its previous rows into
-/// the next bundle as an `O(1)` reference bump instead of an `O(n)` copy.
+/// The repair state is `Arc`-shared per cluster: a step *moves* it out of
+/// the previous bundle and repairs it in place ([`Arc::make_mut`] on a
+/// uniquely owned cluster copies nothing), while the previous bundle
+/// keeps its [`GroundGeometry`] for pricing. A clone (the candidate
+/// evaluator's patch) shares every cluster, and a step on it copies only
+/// the clusters a change reaches.
+#[derive(Clone)]
 pub(crate) struct OpGeometry {
     pub(crate) geom: GroundGeometry,
-    /// Per-cluster clamped multi-source SSSP row (empty when rows are not
-    /// cached: per-bin mode or a lossy clamp domain).
-    cluster_rows: Vec<Arc<Vec<u32>>>,
-    /// Generation tag per cached row, parallel to `cluster_rows`. Repair
-    /// issues a fresh tag from [`ROW_GEN`]; reuse carries the tag forward,
-    /// so equal tags across bundles always mean the same `Arc`.
-    row_gens: Vec<u64>,
+    /// Per-cluster repair state (empty when not kept: per-bin mode, a
+    /// lossy clamp domain, a build whose next transition falls back, or
+    /// a bundle a step already advanced).
+    clusters: Vec<Arc<KeptCluster>>,
     /// Approximate-tier landmark rows (per-bin mode with an approx config
     /// and a lossless clamp domain only), repaired across steps like the
     /// cluster rows above.
     pub(crate) sketch: Option<SketchRows>,
+    /// γ-ball outcomes of the step that produced this geometry.
+    balls: BallSteps,
 }
 
 /// Repair-compatible landmark sketch rows of one `(state, opinion)`
@@ -346,22 +394,21 @@ impl SketchRows {
                             return (Arc::clone(t), Arc::clone(f), 0, 0, true);
                         }
                         let l = self.landmarks[i];
-                        let fires_to = index.fires(t, true);
-                        let fires_from = index.fires(f, false);
+                        let fires_to = index.fires(t, true, unreachable);
+                        let fires_from = index.fires(f, false, unreachable);
                         let fired = usize::from(fires_to) + usize::from(fires_from);
                         if fired > 0 && !want[i] {
                             return (Arc::clone(t), Arc::clone(f), 0, 0, true);
                         }
-                        let t = if fires_to {
-                            index.repair(t, &[l], true).0
-                        } else {
-                            Arc::clone(t)
-                        };
-                        let f = if fires_from {
-                            index.repair(f, &[l], false).0
-                        } else {
-                            Arc::clone(f)
-                        };
+                        // The previous bundle still prices with these rows,
+                        // so a fired row is repaired on a copy.
+                        let (mut t, mut f) = (Arc::clone(t), Arc::clone(f));
+                        if fires_to {
+                            index.repair(Arc::make_mut(&mut t).as_mut_slice(), &[l], true);
+                        }
+                        if fires_from {
+                            index.repair(Arc::make_mut(&mut f).as_mut_slice(), &[l], false);
+                        }
                         (t, f, fired, 2 - fired, false)
                     })
                     .collect()
@@ -392,11 +439,10 @@ impl SketchRows {
 
 /// One transition's exact change batch, indexed in relaxation terms:
 /// `(tail, head, old, new)` per change, endpoints precomputed once in
-/// forward orientation. High-cluster-count configs previously paid an
-/// `O(n)` row clone plus a [`repair_row`] invocation per cluster per
-/// transition just to *discover* that the batch was a no-op for that
-/// cluster; [`fires`](ChangeIndex::fires) discovers it in `O(|changes|)`
-/// without touching the row, so unchanged rows are shared outright.
+/// forward orientation. [`fires`](ChangeIndex::fires) tells in
+/// `O(|changes|)`, without touching the row, whether a batch can move a
+/// row at all, so a cluster or landmark the batch cannot reach skips its
+/// repair outright.
 struct ChangeIndex<'a> {
     g: &'a CsrGraph,
     new_costs: &'a [u32],
@@ -431,87 +477,180 @@ impl<'a> ChangeIndex<'a> {
         }
     }
 
-    /// Whether any change in the batch can perturb `dist` (a clamped row
-    /// in the direction given by `reverse`). `false` guarantees
-    /// [`repair_row`] would report zero moved nodes and leave the row
-    /// bit-identical, because these are exactly its trigger conditions:
-    /// a *decrease* does work only when it strictly improves its head
-    /// from the current tail distance, an *increase* only when the edge
-    /// supported its head's distance (`dist[tail] + old == dist[head]`).
-    /// With no trigger, the repair's affected set and settle heap both
-    /// stay empty and the row is untouched.
-    fn fires(&self, dist: &[u32], reverse: bool) -> bool {
-        let inf = self.unreachable;
+    /// Whether any change in the batch can move an entry of `dist` (a
+    /// clamped row in the direction given by `reverse`) that lies below
+    /// `limit` — the sentinel for a full row, the radius for a γ ball.
+    /// `false` guarantees [`repair_row`] would leave every entry below
+    /// `limit` bit-identical, because these are exactly its trigger
+    /// conditions: a *decrease* does work only when it strictly improves
+    /// its head from the current tail distance, an *increase* only when
+    /// the edge supported its head's distance (`dist[tail] + old ==
+    /// dist[head]`). Tails at or past `limit` only reach heads at or past
+    /// it, and an increase cannot lower anything.
+    fn fires(&self, dist: &[u32], reverse: bool, limit: u32) -> bool {
         self.entries.iter().any(|&(s, t, old, new)| {
             let (tail, head) = if reverse { (t, s) } else { (s, t) };
             let dt = dist[tail as usize];
-            if dt == inf {
-                return false; // nothing propagates through an unreachable tail
+            if dt >= limit {
+                return false;
             }
             let dh = dist[head as usize];
             if new < old {
-                dt.saturating_add(new) < dh
+                dt.saturating_add(new) < dh.min(limit)
             } else {
-                dh != inf && dt.saturating_add(old) == dh
+                dh < limit && dt.saturating_add(old) == dh
             }
         })
     }
 
-    /// Carries `prev` — the clamped row of an SSSP from `sources`, in the
-    /// direction given by `reverse` — across the batch: the same `Arc`
-    /// when no change [`fires`](Self::fires), else a repaired copy.
-    /// Returns the row and the number of nodes whose distance moved.
-    fn advance(
-        &self,
-        prev: &Arc<Vec<u32>>,
-        sources: &[NodeId],
-        reverse: bool,
-    ) -> (Arc<Vec<u32>>, usize) {
-        if self.fires(prev, reverse) {
-            self.repair(prev, sources, reverse)
-        } else {
-            (Arc::clone(prev), 0)
-        }
+    /// [`repair_row`]s `row` — the clamped row of an SSSP from `sources`,
+    /// in the direction given by `reverse` — in place; returns the number
+    /// of nodes whose distance moved.
+    fn repair(&self, row: &mut [u32], sources: &[NodeId], reverse: bool) -> usize {
+        REPAIR_SCRATCH.with(|cell| {
+            let scratch = &mut cell.borrow_mut();
+            self.repair_below(row, sources, reverse, self.unreachable, scratch)
+        })
     }
 
-    /// A [`repair_row`]ed copy of `prev` and its moved-node count.
-    fn repair(&self, prev: &[u32], sources: &[NodeId], reverse: bool) -> (Arc<Vec<u32>>, usize) {
-        REPAIR_SCRATCH.with(|cell| {
-            let mut row = prev.to_vec();
-            let moved = repair_row(
-                self.g,
-                self.new_costs,
-                self.changes,
-                sources,
+    /// [`repair_row`] with `limit` as the row's sentinel: the sentinel
+    /// itself for a full row, a γ ball's radius for a ball.
+    fn repair_below(
+        &self,
+        row: &mut [u32],
+        sources: &[NodeId],
+        reverse: bool,
+        limit: u32,
+        scratch: &mut RepairScratch,
+    ) -> usize {
+        let (g, costs, changes) = (self.g, self.new_costs, self.changes);
+        repair_row(g, costs, changes, sources, reverse, limit, row, scratch)
+    }
+
+    /// Advances one γ ball of the non-empty cluster `members` across the
+    /// batch, in place — copying the cluster's repair state first only
+    /// when it is shared and the ball actually moves. Returns the
+    /// representative's eccentricity in that direction and counts what
+    /// happened in `steps`.
+    ///
+    /// The per-thread dense row reads the sentinel outside the ball, which
+    /// is enough to test whether a change can reach an entry below the
+    /// radius `r`. A ball a change reaches is repaired with every outside
+    /// entry at `r` and `r` passed as the repair's sentinel, so no work
+    /// spreads past `r`. Values below `r` then derive only from entries
+    /// below `r`, which are exact, and the ball held every node below
+    /// `r`; so after the repair the entries below `r` are exactly the
+    /// nodes whose new distance is below `r`, at that distance. They form
+    /// the new ball, found among the old ball and the nodes the repair
+    /// wrote, and γ is exact while every member stays inside. A member at
+    /// or past `r` left the ball and the run is redone (unless the run
+    /// drained: then `r` is the sentinel and exact itself).
+    fn advance_ball(
+        &self,
+        kept: &mut Arc<KeptCluster>,
+        side: usize,
+        members: &[NodeId],
+        max_edge_cost: u32,
+        steps: &mut BallSteps,
+    ) -> u32 {
+        let (g, inf) = (self.g, self.unreachable);
+        let reverse = side == 1;
+        let ecc = |row: &[u32]| members.iter().map(|&m| row[m as usize]).max().unwrap_or(0);
+        let stepped = BALL_ROW.with(|cell| {
+            let (row, fill) = &mut *cell.borrow_mut();
+            if row.len() != g.node_count() || *fill != inf {
+                *row = vec![inf; g.node_count()];
+                *fill = inf;
+            }
+            let ball = &kept.balls[side];
+            let (r, len) = (ball.radius, ball.nodes.len());
+            let scatter = |row: &mut [u32]| {
+                for &(v, d) in &ball.nodes {
+                    row[v as usize] = d;
+                }
+            };
+            scatter(row);
+            if !self.fires(row, reverse, r) {
+                let e = ecc(row);
+                for &(v, _) in &ball.nodes {
+                    row[v as usize] = inf;
+                }
+                steps.carried += 1;
+                return Some(e);
+            }
+            if r < inf {
+                row.fill(r);
+                scatter(row);
+            }
+            REPAIR_SCRATCH.with(|cell| {
+                let scratch = &mut cell.borrow_mut();
+                self.repair_below(row, &members[..1], reverse, r, scratch);
+                if r < inf && members.iter().any(|&m| row[m as usize] >= r) {
+                    row.fill(inf);
+                    return None;
+                }
+                let e = ecc(row);
+                let ball = &mut Arc::make_mut(kept).balls[side];
+                let old = std::mem::replace(&mut ball.nodes, Vec::with_capacity(len));
+                // Gather the entries below `r`, resetting each to the
+                // fill so a node met twice is taken once.
+                for v in old.iter().map(|&(v, _)| v).chain(scratch.touched()) {
+                    let d = std::mem::replace(&mut row[v as usize], inf);
+                    if d < r {
+                        ball.nodes.push((v, d));
+                    }
+                }
+                if r < inf {
+                    row.fill(inf);
+                }
+                steps.repaired += 1;
+                Some(e)
+            })
+        });
+        if let Some(e) = stepped {
+            return e;
+        }
+        steps.rerun += 1;
+        let (e, ball) = with_sssp_scratch(|scratch| {
+            let costs = self.new_costs;
+            ecc_run(
+                g,
+                costs,
+                max_edge_cost,
+                members,
                 reverse,
-                self.unreachable,
-                &mut row,
-                &mut cell.borrow_mut(),
-            );
-            (Arc::new(row), moved)
-        })
+                inf,
+                true,
+                scratch,
+            )
+        });
+        if let Some(ball) = ball {
+            Arc::make_mut(kept).balls[side] = ball;
+        }
+        e
     }
 }
 
 impl OpGeometry {
-    /// Builds the geometry from scratch, retaining the SSSP rows for
-    /// later repair. Bit-identical to
+    /// Builds the geometry from scratch, retaining its repair state when
+    /// `keep`. Bit-identical to
     /// [`compute_geometry`](crate::banks::compute_geometry).
-    fn fresh(engine: &SndEngine<'_>, state: &NetworkState, op: Opinion) -> OpGeometry {
+    fn fresh(engine: &SndEngine<'_>, state: &NetworkState, op: Opinion, keep: bool) -> OpGeometry {
         let costs = edge_costs(engine.graph(), state, op, &engine.config().ground);
-        Self::from_costs(engine, costs)
+        Self::from_costs(engine, costs, keep)
     }
 
     /// Builds the geometry from already-derived edge costs through the
-    /// one fresh builder, keeping its rows (when repairable) as shared,
-    /// generation-tagged rows. Approximate-tier engines in per-bin mode
-    /// get a live sketch bundle alongside the costs — only in a lossless
-    /// clamp domain, the repair precondition (otherwise the approx path
-    /// falls back to cache fetches, still certified).
-    fn from_costs(engine: &SndEngine<'_>, costs: Vec<u32>) -> OpGeometry {
+    /// one fresh builder, keeping its repair state (when `keep` and
+    /// repairable) as shared per-cluster state. Approximate-tier engines
+    /// in per-bin mode get a live sketch bundle alongside the costs —
+    /// only in a lossless clamp domain, the repair precondition
+    /// (otherwise the approx path falls back to cache fetches, still
+    /// certified).
+    fn from_costs(engine: &SndEngine<'_>, costs: Vec<u32>, keep: bool) -> OpGeometry {
         let g = engine.graph();
-        let (geom, rows) =
-            build_geometry(g, engine.clustering(), costs, engine.config(), true, true);
+        let (geom, kept) =
+            build_geometry(g, engine.clustering(), costs, engine.config(), true, keep);
         let sketch = (geom.per_bin && geom.is_lossless(g.node_count()))
             .then(|| engine.delta_sketch_ctx())
             .flatten()
@@ -527,112 +666,115 @@ impl OpGeometry {
                 )
             });
         OpGeometry {
-            row_gens: rows.iter().map(|_| next_row_gen()).collect(),
-            cluster_rows: rows.into_iter().map(Arc::new).collect(),
+            clusters: kept.into_iter().map(Arc::new).collect(),
             geom,
             sketch,
+            balls: BallSteps::default(),
         }
     }
 
-    /// Advances to the next state by repairing the cached rows with the
-    /// actually-changed edge costs, and recomputing every cluster's γ
-    /// from member-bounded runs over `new_costs`. Caller guarantees
-    /// `changes` is exact (see [`DeltaStateGeometry::step`]) and that rows
-    /// are cached.
+    /// Advances `clusters` — the repair state `prev` was built with, moved
+    /// out of it — to the next state: repairs each cluster row and γ ball
+    /// in place with the actually-changed edge costs, and recomputes γ
+    /// from bounded runs where no ball is kept. Caller guarantees
+    /// `changes` is exact (see [`DeltaStateGeometry::step`]) and that
+    /// `clusters` is not empty.
     fn advanced(
-        &self,
-        engine: &SndEngine<'_>,
+        prev: &GroundGeometry,
+        clusters: Vec<Arc<KeptCluster>>,
+        g: &CsrGraph,
+        clustering: &Clustering,
+        config: &SndConfig,
         new_costs: Vec<u32>,
         changes: &[CostChange],
     ) -> OpGeometry {
-        let g = engine.graph();
-        let config = engine.config();
-        let clustering = engine.clustering();
         let nc = clustering.cluster_count();
-        let unreachable = self.geom.unreachable;
-        debug_assert!(!self.geom.per_bin && self.cluster_rows.len() == nc);
+        let unreachable = prev.unreachable;
+        let max_edge_cost = prev.max_edge_cost;
+        debug_assert!(!prev.per_bin && clusters.len() == nc);
 
-        struct ClusterOut {
-            row: Arc<Vec<u32>>,
-            /// Generation of `row`: fresh on repair, carried over on reuse.
-            gen: u64,
-            mins: Option<Vec<u32>>, // None: unchanged, reuse previous
-            base: u32,
-        }
         // Index the batch once; each cluster then answers "can any change
-        // touch my row?" in O(|changes|) instead of cloning and repairing
-        // just to find out.
+        // touch my row?" in O(|changes|) instead of repairing just to
+        // find out.
         let index = ChangeIndex::new(g, changes, &new_costs, unreachable);
-        let per_cluster: Vec<ClusterOut> = (0..nc)
+        // The rayon stand-in lends items only by shared reference; a
+        // per-cluster lock (never contended) hands each worker its own
+        // cluster mutably.
+        let slots: Vec<Mutex<Arc<KeptCluster>>> = clusters.into_iter().map(Mutex::new).collect();
+        // Per cluster: the new inter-cluster row (None: unchanged), base γ
+        // and the γ-ball outcomes.
+        let per_cluster: Vec<(Option<Vec<u32>>, u32, BallSteps)> = (0..nc)
             .into_par_iter()
             .map(|c| {
                 let members = clustering.members(c as u32);
-                let prev = &self.cluster_rows[c];
-                let (row, moved) = index.advance(prev, members, false);
-                // A provable no-op shares the previous row (O(1)), its
-                // generation carried forward with it.
-                let gen = if Arc::ptr_eq(&row, prev) {
-                    self.row_gens[c]
-                } else {
-                    next_row_gen()
-                };
-                let mins =
-                    (moved > 0).then(|| min_reduce(row.iter().copied(), clustering, unreachable));
-                let base = with_sssp_scratch(|scratch| {
-                    base_gamma(g, &new_costs, config, members, unreachable, scratch)
-                });
-                ClusterOut {
-                    row,
-                    gen,
-                    mins,
-                    base,
+                let mut slot = slots[c].lock().unwrap_or_else(PoisonError::into_inner);
+                let kept: &mut Arc<KeptCluster> = &mut slot;
+                let mut mins = None;
+                if index.fires(&kept.row, false, unreachable) {
+                    let row = &mut Arc::make_mut(kept).row;
+                    if index.repair(row, members, false) > 0 {
+                        mins = Some(min_reduce(row.iter().copied(), clustering, unreachable));
+                    }
                 }
+                let mut steps = BallSteps::default();
+                let base = if !kept.balls.is_empty() {
+                    let mut base = 0;
+                    for side in 0..kept.balls.len() {
+                        let e = index.advance_ball(kept, side, members, max_edge_cost, &mut steps);
+                        base = base.max(e);
+                    }
+                    steps.drained = kept
+                        .balls
+                        .iter()
+                        .filter(|b| b.radius == unreachable)
+                        .count();
+                    base
+                } else {
+                    with_sssp_scratch(|scratch| {
+                        base_gamma(g, &new_costs, config, members, unreachable, false, scratch).0
+                    })
+                };
+                (mins, base, steps)
             })
             .collect();
 
         let nb = config.banks_per_cluster.max(1);
         let mut inter = DenseCost::filled(nc, nc, unreachable);
         let mut gammas = Vec::with_capacity(nc);
-        let mut cluster_rows = Vec::with_capacity(nc);
-        let mut row_gens = Vec::with_capacity(nc);
-        for (c, out) in per_cluster.into_iter().enumerate() {
-            // The soundness of O(1) reuse, stated as a check: a carried
-            // generation must mean a carried Arc. Repaired rows got a fresh
-            // atomic bump, so a collision here means the bump was lost.
-            debug_assert!(
-                out.gen != self.row_gens[c] || Arc::ptr_eq(&out.row, &self.cluster_rows[c]),
-                "cluster {c}: repaired row reuses generation {} — stale-row hazard",
-                out.gen
-            );
-            // Rows untouched by the repair reuse the previous state's
+        let mut balls = BallSteps::default();
+        for (c, (mins, base, steps)) in per_cluster.into_iter().enumerate() {
+            // Rows the repair left unchanged reuse the previous state's
             // inter-cluster row verbatim.
-            let prev = self.geom.inter_cluster.row(c);
-            write_inter_row(&mut inter, c, out.mins.as_deref().unwrap_or(prev));
-            gammas.push(bank_gammas(out.base, nb, unreachable));
-            cluster_rows.push(out.row);
-            row_gens.push(out.gen);
+            let prev_mins = prev.inter_cluster.row(c);
+            write_inter_row(&mut inter, c, mins.as_deref().unwrap_or(prev_mins));
+            gammas.push(bank_gammas(base, nb, unreachable));
+            balls = balls + steps;
         }
+        let unlock =
+            |m: Mutex<Arc<KeptCluster>>| m.into_inner().unwrap_or_else(PoisonError::into_inner);
 
         OpGeometry {
             geom: GroundGeometry {
                 edge_costs: new_costs,
-                max_edge_cost: self.geom.max_edge_cost,
+                max_edge_cost,
                 unreachable,
                 per_bin: false,
                 gammas,
                 inter_cluster: inter,
             },
-            cluster_rows,
-            row_gens,
+            clusters: slots.into_iter().map(unlock).collect(),
             sketch: None,
+            balls,
         }
     }
 }
 
 /// The repairable geometry bundle of one state: both opinion geometries
-/// plus the cached SSSP rows they were derived from. The delta-series
-/// unit of reuse — [`step`](Self::step) derives the next state's bundle
-/// from this one.
+/// plus the repair state (cluster rows, γ balls) they were derived from.
+/// The delta-series unit of reuse — [`step`](Self::step) derives the next
+/// state's bundle from this one. Cloning shares the repair state, so a
+/// step on a clone leaves the original repairable.
+#[derive(Clone)]
 pub struct DeltaStateGeometry {
     pub(crate) pos: OpGeometry,
     pub(crate) neg: OpGeometry,
@@ -641,28 +783,57 @@ pub struct DeltaStateGeometry {
 impl DeltaStateGeometry {
     /// Builds the bundle from scratch (both opinions in parallel).
     pub fn fresh(engine: &SndEngine<'_>, state: &NetworkState) -> DeltaStateGeometry {
+        Self::fresh_keeping(engine, state, true)
+    }
+
+    /// [`fresh`](Self::fresh) that keeps the repair state only when
+    /// `keep` — a series loop passes whether its next transition repairs.
+    pub(crate) fn fresh_keeping(
+        engine: &SndEngine<'_>,
+        state: &NetworkState,
+        keep: bool,
+    ) -> DeltaStateGeometry {
         let (pos, neg) = rayon::join(
-            || OpGeometry::fresh(engine, state, Opinion::Positive),
-            || OpGeometry::fresh(engine, state, Opinion::Negative),
+            || OpGeometry::fresh(engine, state, Opinion::Positive, keep),
+            || OpGeometry::fresh(engine, state, Opinion::Negative, keep),
         );
         DeltaStateGeometry { pos, neg }
     }
 
     /// Derives the next state's bundle: touched-edge cost rederivation,
-    /// then row repair — or a fresh rebuild past the fallback conditions
-    /// (see the module docs). Exact either way.
+    /// then row and γ-ball repair — or a fresh rebuild past the fallback
+    /// conditions (see the module docs). Exact either way.
+    ///
+    /// The repair state moves from `self` into the returned bundle and is
+    /// repaired in place; `self` keeps its geometry, so it still prices,
+    /// but a second step from it rebuilds fresh.
     pub fn step(
-        &self,
+        &mut self,
         engine: &SndEngine<'_>,
         next: &NetworkState,
         delta: &StateDelta,
     ) -> DeltaStateGeometry {
-        let g = engine.graph();
-        let m = g.edge_count();
-        let config = engine.config();
-        let high_churn = delta.touched_edges().len() * REPAIR_EDGE_FRACTION > m;
+        self.step_keeping(engine, next, delta, true)
+    }
 
-        let advance_op = |prev: &OpGeometry, op: Opinion| -> OpGeometry {
+    /// [`step`](Self::step) that keeps the repair state in the returned
+    /// bundle only when `keep` — a series loop passes whether its next
+    /// transition repairs, so a run of fallbacks keeps nothing it never
+    /// uses.
+    pub(crate) fn step_keeping(
+        &mut self,
+        engine: &SndEngine<'_>,
+        next: &NetworkState,
+        delta: &StateDelta,
+        keep: bool,
+    ) -> DeltaStateGeometry {
+        let g = engine.graph();
+        let config = engine.config();
+        let high_churn = high_churn(delta.touched_edges().len(), g.edge_count());
+
+        let advance_op = |prev: &mut OpGeometry, op: Opinion| -> OpGeometry {
+            let clusters = std::mem::take(&mut prev.clusters);
+            let prev = &*prev;
             // Touched-edge cost sweep (exact, shared with the fresh path).
             let mut new_costs = prev.geom.edge_costs.clone();
             update_edge_costs(
@@ -673,8 +844,9 @@ impl DeltaStateGeometry {
                 delta.touched_edges(),
                 &mut new_costs,
             );
-            if !prev.geom.per_bin && (high_churn || prev.cluster_rows.is_empty()) {
-                return OpGeometry::from_costs(engine, new_costs);
+            if !prev.geom.per_bin && (high_churn || clusters.is_empty()) {
+                drop(clusters);
+                return OpGeometry::from_costs(engine, new_costs, keep);
             }
             let changes: Vec<CostChange> = delta
                 .touched_edges()
@@ -682,45 +854,57 @@ impl DeltaStateGeometry {
                 .filter(|&&e| new_costs[e as usize] != prev.geom.edge_costs[e as usize])
                 .map(|&e| (e, prev.geom.edge_costs[e as usize]))
                 .collect();
-            if !prev.geom.per_bin && !changes.is_empty() {
-                return prev.advanced(engine, new_costs, &changes);
-            }
-            // Per-bin banks (the costs are the geometry) or no cost moved
-            // for this opinion: the cluster geometry carries over. A live
-            // sketch bundle advances under the same contract as cluster
-            // rows — Arc-share provable no-ops, repair the rest, fresh
-            // rebuild past the churn threshold.
-            let (max_edge_cost, unreachable) = (prev.geom.max_edge_cost, prev.geom.unreachable);
-            let sketch = prev.sketch.as_ref().map(|s| {
-                if high_churn {
-                    s.rebuilt(g, &new_costs, max_edge_cost, unreachable)
-                } else if changes.is_empty() {
-                    crate::approx::record_sketch_step(0, s.live_count() * 2, 0);
-                    s.clone()
-                } else {
-                    s.advanced(g, &new_costs, &changes, unreachable)
+            let mut out = if !prev.geom.per_bin && !changes.is_empty() {
+                let (clustering, geom) = (engine.clustering(), &prev.geom);
+                OpGeometry::advanced(geom, clusters, g, clustering, config, new_costs, &changes)
+            } else {
+                // Per-bin banks (the costs are the geometry) or no cost
+                // moved for this opinion: the cluster geometry carries
+                // over. A live sketch bundle advances under the same
+                // contract as cluster rows — Arc-share provable no-ops,
+                // repair the rest, fresh rebuild past the churn threshold.
+                let (max_edge_cost, unreachable) = (prev.geom.max_edge_cost, prev.geom.unreachable);
+                let sketch = prev.sketch.as_ref().map(|s| {
+                    if high_churn {
+                        s.rebuilt(g, &new_costs, max_edge_cost, unreachable)
+                    } else if changes.is_empty() {
+                        crate::approx::record_sketch_step(0, s.live_count() * 2, 0);
+                        s.clone()
+                    } else {
+                        s.advanced(g, &new_costs, &changes, unreachable)
+                    }
+                });
+                OpGeometry {
+                    geom: GroundGeometry {
+                        edge_costs: new_costs,
+                        max_edge_cost,
+                        unreachable,
+                        per_bin: prev.geom.per_bin,
+                        gammas: prev.geom.gammas.clone(),
+                        inter_cluster: prev.geom.inter_cluster.clone(),
+                    },
+                    clusters,
+                    sketch,
+                    balls: BallSteps::default(),
                 }
-            });
-            OpGeometry {
-                geom: GroundGeometry {
-                    edge_costs: new_costs,
-                    max_edge_cost,
-                    unreachable,
-                    per_bin: prev.geom.per_bin,
-                    gammas: prev.geom.gammas.clone(),
-                    inter_cluster: prev.geom.inter_cluster.clone(),
-                },
-                cluster_rows: prev.cluster_rows.clone(),
-                row_gens: prev.row_gens.clone(),
-                sketch,
+            };
+            if !keep {
+                out.clusters = Vec::new();
             }
+            out
         };
 
+        let (pos, neg) = (&mut self.pos, &mut self.neg);
         let (pos, neg) = rayon::join(
-            || advance_op(&self.pos, Opinion::Positive),
-            || advance_op(&self.neg, Opinion::Negative),
+            || advance_op(pos, Opinion::Positive),
+            || advance_op(neg, Opinion::Negative),
         );
         DeltaStateGeometry { pos, neg }
+    }
+
+    /// How the step that produced this bundle advanced its γ balls.
+    pub fn ball_steps(&self) -> BallSteps {
+        self.pos.balls + self.neg.balls
     }
 
     /// Materializes the batch-path bundle for this state: both geometries
@@ -892,7 +1076,7 @@ mod tests {
             let vals: Vec<i8> = (0..40).map(|_| rng.gen_range(-1..=1)).collect();
             let state = NetworkState::from_values(&vals);
             for op in [Opinion::Positive, Opinion::Negative] {
-                let fresh = OpGeometry::fresh(&engine, &state, op);
+                let fresh = OpGeometry::fresh(&engine, &state, op, true);
                 assert_eq!(fresh.geom, engine.geometry_seq(&state, op));
             }
         }
@@ -953,10 +1137,10 @@ mod tests {
     }
 
     #[test]
-    fn untouched_clusters_share_rows_instead_of_recloning() {
-        // Across a low-churn series, clusters whose rows a transition
-        // provably cannot perturb must carry the *same* allocation into
-        // the next bundle (Arc identity), not a fresh copy — while the
+    fn uniquely_owned_chain_repairs_rows_in_place() {
+        // A step moves the repair state out of the previous bundle and
+        // repairs it in place: on a chain nothing else shares, no cluster
+        // row is copied, so every row keeps its buffer — while the
         // geometry stays bit-identical to a from-scratch build.
         let mut rng = SmallRng::seed_from_u64(77);
         let g = barabasi_albert(48, 2, &mut rng);
@@ -967,29 +1151,196 @@ mod tests {
             ..Default::default()
         };
         let engine = SndEngine::new(&g, config);
+        let rows = |b: &DeltaStateGeometry| -> Vec<(*const u32, Vec<u32>)> {
+            let clusters = b.pos.clusters.iter().chain(&b.neg.clusters);
+            clusters.map(|k| (k.row.as_ptr(), k.row.clone())).collect()
+        };
         let mut cache = DeltaStateGeometry::fresh(&engine, &states[0]);
-        let mut shared = 0usize;
-        let mut total = 0usize;
+        let (mut in_place, mut moved) = (0usize, 0usize);
         for t in 1..states.len() {
             let delta = StateDelta::between(&g, &states[t - 1], &states[t]);
+            let before = rows(&cache);
             let next = cache.step(&engine, &states[t], &delta);
-            for (a, b) in cache.pos.cluster_rows.iter().zip(&next.pos.cluster_rows) {
-                total += 1;
-                if std::sync::Arc::ptr_eq(a, b) {
-                    shared += 1;
+            assert!(cache.pos.clusters.is_empty() && cache.neg.clusters.is_empty());
+            if !high_churn(delta.touched_edges().len(), g.edge_count()) {
+                let after = rows(&next);
+                assert_eq!(after.len(), before.len(), "t={t}");
+                for ((p0, r0), (p1, r1)) in before.iter().zip(&after) {
+                    assert_eq!(p0, p1, "t={t}: a cluster row was copied");
+                    moved += usize::from(r0 != r1);
                 }
+                in_place += 1;
             }
-            assert_eq!(
-                next.pos.geom,
-                engine.geometry_seq(&states[t], Opinion::Positive),
-                "t={t}"
-            );
+            for op in [Opinion::Positive, Opinion::Negative] {
+                let geom = if op == Opinion::Positive {
+                    &next.pos.geom
+                } else {
+                    &next.neg.geom
+                };
+                assert_eq!(*geom, engine.geometry_seq(&states[t], op), "t={t}");
+            }
             cache = next;
         }
-        assert!(
-            shared > 0,
-            "no cluster row was ever shared across {total} cluster-steps"
-        );
+        assert!(in_place > 0, "no transition took the repair path");
+        assert!(moved > 0, "no repaired row changed");
+    }
+
+    /// Draws an edge cost in `[0, max]`, zero two times in five.
+    fn draw_cost(rng: &mut SmallRng, max: u32) -> u32 {
+        if rng.gen_bool(0.4) {
+            0
+        } else {
+            rng.gen_range(1..=max)
+        }
+    }
+
+    /// One random change batch over `costs`: raises on shortest-path tree
+    /// edges of some representative's forward row, decreases, and plain
+    /// redraws. Returns the new costs and the exact change list.
+    fn change_batch(
+        g: &CsrGraph,
+        clustering: &Clustering,
+        costs: &[u32],
+        max: u32,
+        rng: &mut SmallRng,
+    ) -> (Vec<u32>, Vec<CostChange>) {
+        let mut new = costs.to_vec();
+        let reps: Vec<NodeId> = clustering
+            .clusters
+            .iter()
+            .filter_map(|c| c.first().copied())
+            .collect();
+        let rep = reps[rng.gen_range(0..reps.len())];
+        let row = snd_graph::dial(g, costs, &[rep], max);
+        let tree: Vec<usize> = (0..g.edge_count())
+            .filter(|&e| {
+                let (u, v) = (g.edge_source(e as u32), g.edge_target(e as u32));
+                let du = row[u as usize];
+                du != snd_graph::UNREACHABLE && du + costs[e] as u64 == row[v as usize]
+            })
+            .collect();
+        for _ in 0..rng.gen_range(0..4) {
+            if let Some(&e) = tree.get(rng.gen_range(0..tree.len().max(1))) {
+                if costs[e] < max {
+                    new[e] = rng.gen_range(costs[e] + 1..=max);
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let e = rng.gen_range(0..g.edge_count());
+            if costs[e] > 0 {
+                new[e] = rng.gen_range(0..costs[e]);
+            }
+        }
+        for _ in 0..rng.gen_range(0..2) {
+            let e = rng.gen_range(0..g.edge_count());
+            new[e] = draw_cost(rng, max);
+        }
+        let changes = (0..g.edge_count())
+            .filter(|&e| new[e] != costs[e])
+            .map(|e| (e as u32, costs[e]))
+            .collect();
+        (new, changes)
+    }
+
+    #[test]
+    fn repaired_gamma_balls_match_the_full_row_oracle() {
+        // Directed sparse graphs: some members are unreachable from their
+        // representative (drained balls). Nodes 0 and 1 are singletons,
+        // one cluster has no members. Every cost is at most U, far below
+        // the sentinel, so reachability itself is topological; what
+        // crosses a ball's radius both ways is distance: decreases pull
+        // nodes in, tree-edge raises push them out (a member pushed out
+        // forces a rerun).
+        let mut rng = SmallRng::seed_from_u64(2017);
+        let mut seen = BallSteps::default();
+        for trial in 0..40 {
+            let n = 10 + trial % 30;
+            let g = snd_graph::generators::erdos_renyi_gnp(n, 0.15, false, &mut rng);
+            if g.edge_count() == 0 {
+                continue;
+            }
+            let config = SndConfig {
+                clusters: ClusterSpec::BfsPartition { clusters: 4 },
+                gamma: GammaPolicy::Eccentricity,
+                ..Default::default()
+            };
+            let max = config.ground.max_edge_cost();
+            let labels: Vec<u32> = (0..n as u32)
+                .map(|v| if v < 2 { 10 + v } else { rng.gen_range(0..4) })
+                .collect();
+            let mut clustering = Clustering::from_labels(&labels);
+            clustering.clusters.push(Vec::new());
+            let mut costs: Vec<u32> = (0..g.edge_count())
+                .map(|_| draw_cost(&mut rng, max))
+                .collect();
+            let (geom, kept) = build_geometry(&g, &clustering, costs.clone(), &config, true, true);
+            assert!(geom.is_lossless(n));
+            let mut op = OpGeometry {
+                geom,
+                clusters: kept.into_iter().map(Arc::new).collect(),
+                sketch: None,
+                balls: BallSteps::default(),
+            };
+            for step in 0..8 {
+                let (new_costs, changes) = change_batch(&g, &clustering, &costs, max, &mut rng);
+                if changes.is_empty() {
+                    continue;
+                }
+                let clusters = std::mem::take(&mut op.clusters);
+                let next = OpGeometry::advanced(
+                    &op.geom,
+                    clusters,
+                    &g,
+                    &clustering,
+                    &config,
+                    new_costs.clone(),
+                    &changes,
+                );
+                costs = new_costs;
+                let inf = next.geom.unreachable;
+                let what = format!("trial {trial}, step {step}");
+                for (c, kept) in next.clusters.iter().enumerate() {
+                    let members = clustering.members(c as u32);
+                    let expect = crate::banks::tests::full_row_gamma(
+                        &g,
+                        &costs,
+                        max,
+                        members,
+                        GammaPolicy::Eccentricity,
+                        inf,
+                    );
+                    assert_eq!(
+                        next.geom.gammas[c][0],
+                        expect.min(inf),
+                        "{what}, cluster {c}"
+                    );
+                    // Each ball holds exactly the nodes below its radius,
+                    // at their exact distances.
+                    for (side, ball) in kept.balls.iter().enumerate() {
+                        let rep = [members[0]];
+                        let full = if side == 1 {
+                            snd_graph::dial_reverse(&g, &costs, &rep, max)
+                        } else {
+                            snd_graph::dial(&g, &costs, &rep, max)
+                        };
+                        let mut got = ball.nodes.clone();
+                        got.sort_unstable();
+                        let want: Vec<(NodeId, u32)> = (0..n as NodeId)
+                            .map(|v| (v, full[v as usize].min(inf as u64) as u32))
+                            .filter(|&(_, d)| d < ball.radius)
+                            .collect();
+                        assert_eq!(got, want, "{what}, cluster {c}, side {side}");
+                    }
+                }
+                seen = seen + next.balls;
+                op = next;
+            }
+        }
+        assert!(seen.carried > 0, "no ball was carried: {seen:?}");
+        assert!(seen.repaired > 0, "no ball was repaired: {seen:?}");
+        assert!(seen.rerun > 0, "no member ever left its ball: {seen:?}");
+        assert!(seen.drained > 0, "no run drained: {seen:?}");
     }
 
     #[test]

@@ -22,12 +22,13 @@
 use std::sync::OnceLock;
 
 use snd_graph::{bfs_partition, label_propagation, whole_graph_cluster, Clustering, CsrGraph};
-use snd_models::{NetworkState, Opinion};
+use snd_models::{NetworkState, Opinion, StateDelta};
 
 use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval};
 use crate::banks::{compute_geometry, GroundGeometry};
 use crate::batch::term_value;
 use crate::config::{ClusterSpec, SndConfig};
+use crate::delta::{keeps_repair_state, DeltaStateGeometry};
 use crate::sparse::RowCache;
 use crate::{approx, dense, sparse};
 
@@ -92,7 +93,7 @@ impl StateGeometry {
     }
 
     /// Attaches delta-repaired landmark-row bundles (used by
-    /// [`DeltaStateGeometry::bundle`](crate::delta::DeltaStateGeometry)).
+    /// [`DeltaStateGeometry::bundle`]).
     pub(crate) fn with_sketches(
         mut self,
         pos: Option<crate::delta::SketchRows>,
@@ -526,7 +527,7 @@ impl<'g> SndEngine<'g> {
     /// the interval-carrying analogue of
     /// [`series_distances`](Self::series_distances), and like it
     /// **delta-aware**: the series is walked with repairable
-    /// [`DeltaStateGeometry`](crate::delta::DeltaStateGeometry) bundles
+    /// [`DeltaStateGeometry`] bundles
     /// (≤ 2 live), so edge costs are re-derived on touched edges only and
     /// — when the engine carries an approx config — the 2·L landmark
     /// sketch rows are *repaired* across each transition instead of
@@ -541,13 +542,16 @@ impl<'g> SndEngine<'g> {
         if states.len() < 2 {
             return Ok(Vec::new());
         }
-        let g = self.graph;
-        let n = g.node_count();
+        let n = self.graph.node_count();
         let mut out = Vec::with_capacity(states.len() - 1);
-        let mut prev = crate::delta::DeltaStateGeometry::fresh(self, &states[0]);
+        let mut deltas = self.series_deltas(states);
+        let mut prev = DeltaStateGeometry::fresh_keeping(
+            self,
+            &states[0],
+            keeps_repair_state(self.graph, deltas.peek()),
+        );
         let mut prev_rows = RowCache::new(n);
-        for t in 1..states.len() {
-            let delta = snd_models::StateDelta::between(g, &states[t - 1], &states[t]);
+        while let Some((t, delta)) = deltas.next() {
             if delta.is_empty() {
                 out.push(SndInterval {
                     lower: 0.0,
@@ -555,7 +559,12 @@ impl<'g> SndEngine<'g> {
                 });
                 continue;
             }
-            let mut cur = prev.step(self, &states[t], &delta);
+            let mut cur = prev.step_keeping(
+                self,
+                &states[t],
+                &delta,
+                keeps_repair_state(self.graph, deltas.peek()),
+            );
             let cur_rows = RowCache::new(n);
             let (interval, feedback) = self.interval_terms(
                 &states[t - 1],
@@ -735,7 +744,7 @@ impl<'g> SndEngine<'g> {
 
     /// Distances between adjacent states of a series (sparse path),
     /// evaluated **delta-aware**: consecutive snapshots share everything
-    /// their [`StateDelta`](snd_models::StateDelta) leaves untouched —
+    /// their [`StateDelta`] leaves untouched —
     /// edge costs are re-derived only on touched edges, cluster-bank SSSP
     /// rows are *repaired* rather than recomputed, identical states
     /// short-circuit to zero — with an automatic fallback to a fresh
@@ -751,17 +760,26 @@ impl<'g> SndEngine<'g> {
         }
         let n = self.graph.node_count();
         let mut out = Vec::with_capacity(states.len() - 1);
-        let mut prev = crate::delta::DeltaStateGeometry::fresh(self, &states[0]);
+        let mut deltas = self.series_deltas(states);
+        let mut prev = DeltaStateGeometry::fresh_keeping(
+            self,
+            &states[0],
+            keeps_repair_state(self.graph, deltas.peek()),
+        );
         let mut prev_rows = RowCache::new(n);
-        for t in 1..states.len() {
-            let delta = snd_models::StateDelta::between(self.graph, &states[t - 1], &states[t]);
+        while let Some((t, delta)) = deltas.next() {
             if delta.is_empty() {
                 // Identical states: every EMD* term is exactly zero, and
                 // the geometry (hence the caches) carries over untouched.
                 out.push(SndBreakdown::default().total());
                 continue;
             }
-            let cur = prev.step(self, &states[t], &delta);
+            let cur = prev.step_keeping(
+                self,
+                &states[t],
+                &delta,
+                keeps_repair_state(self.graph, deltas.peek()),
+            );
             let cur_rows = RowCache::new(n);
             let breakdown = self.terms_sketched(
                 &states[t - 1],
@@ -785,6 +803,22 @@ impl<'g> SndEngine<'g> {
             prev_rows = cur_rows; // the old cache drops here
         }
         out
+    }
+
+    /// The series' transitions `(t, delta(states[t-1] → states[t]))`,
+    /// computed lazily so a loop can peek one transition ahead.
+    fn series_deltas<'s>(
+        &'s self,
+        states: &'s [NetworkState],
+    ) -> std::iter::Peekable<impl Iterator<Item = (usize, StateDelta)> + 's> {
+        (1..states.len())
+            .map(move |t| {
+                (
+                    t,
+                    StateDelta::between(self.graph, &states[t - 1], &states[t]),
+                )
+            })
+            .peekable()
     }
 
     /// Sequential reference implementation of

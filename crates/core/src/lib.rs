@@ -141,7 +141,7 @@ pub use approx::{ApproxConfig, ApproxError, SndInterval};
 pub use banks::GroundGeometry;
 pub use batch::DistanceMatrix;
 pub use config::{ClusterSpec, GammaPolicy, SndConfig};
-pub use delta::{DeltaStateGeometry, SketchRows, REPAIR_EDGE_FRACTION};
+pub use delta::{BallSteps, DeltaStateGeometry, SketchRows, REPAIR_EDGE_FRACTION};
 pub use engine::{SndBreakdown, SndEngine, StateGeometry};
 pub use ordered::CandidateEvaluator;
 pub use shard::{

@@ -26,13 +26,15 @@
 //! `tests/candidate_pricing.rs`).
 //!
 //! When the *anchor itself* moves (greedy intervention search commits an
-//! action), [`patch`](CandidateEvaluator::patch) advances the bundle
-//! through the delta repair machinery — touched-edge cost rederivation
-//! plus [`repair_row`](snd_graph::repair_row) on exactly the cluster rows
-//! the change index says can move, untouched rows carried over as `O(1)`
-//! `Arc` bumps — and pushes the previous bundle on a stack, so
+//! action), [`patch`](CandidateEvaluator::patch) advances a *clone* of
+//! the bundle through the delta repair machinery — touched-edge cost
+//! rederivation plus [`repair_row`](snd_graph::repair_row) on exactly the
+//! cluster rows and γ balls a change can move. The clone shares the
+//! per-cluster repair state through `Arc`s, so the step copies only the
+//! clusters a change reaches (copy-on-write) and leaves the original
+//! untouched. The original is pushed on a stack, so
 //! [`unpatch`](CandidateEvaluator::unpatch) is an `O(1)` restore of the
-//! exact previous geometry (copy-on-write rows, never mutated in place).
+//! exact previous geometry, still repairable by the next patch.
 //!
 //! Flip-lists express *state* changes only. Topology edits (edge
 //! insert/delete) cannot be patched: edge ids are CSR positions, so an
@@ -126,8 +128,8 @@ pub struct CandidateEvaluator<'e, 'g> {
     engine: &'e SndEngine<'g>,
     anchor: NetworkState,
     /// The anchor's repairable geometry bundle (delta machinery): both
-    /// opinion geometries plus the `Arc`-shared cluster rows `patch`
-    /// repairs instead of recomputing.
+    /// opinion geometries plus the `Arc`-shared cluster rows and γ balls
+    /// `patch` repairs instead of recomputing.
     bundle: DeltaStateGeometry,
     /// SSSP row cache for the *current* bundle's geometry. Swapped (never
     /// reused) across patches: rows priced under old edge costs are
@@ -165,6 +167,13 @@ impl<'e, 'g> CandidateEvaluator<'e, 'g> {
     /// Number of patches currently applied (depth of the unpatch stack).
     pub fn depth(&self) -> usize {
         self.stack.len()
+    }
+
+    /// How the patch that produced the current anchor advanced its γ
+    /// balls (all zero for the initial anchor, and for a patch that fell
+    /// back to a fresh build).
+    pub fn ball_steps(&self) -> crate::BallSteps {
+        self.bundle.ball_steps()
     }
 
     /// Number of SSSP rows computed into the current anchor's cache.
@@ -299,17 +308,19 @@ impl<'e, 'g> CandidateEvaluator<'e, 'g> {
     }
 
     /// Moves the anchor itself: applies `flips` to the anchor and advances
-    /// the geometry bundle through the delta repair machinery
-    /// ([`StateDelta::from_flips`] names the touched edges; cluster rows
-    /// the change index clears are carried over as `O(1)` `Arc` bumps,
-    /// the rest are [`repair_row`](snd_graph::repair_row)-ed on
-    /// copy-on-write clones). The previous evaluation state is pushed on
-    /// the unpatch stack untouched. Prices after a patch are bit-identical
-    /// to a fresh evaluator built at the new anchor.
+    /// a clone of the geometry bundle through the delta repair machinery
+    /// ([`StateDelta::from_flips`] names the touched edges; clusters the
+    /// change index clears stay shared with the original, the rest are
+    /// [`repair_row`](snd_graph::repair_row)-ed on copy-on-write copies).
+    /// The previous evaluation state is pushed on the unpatch stack
+    /// untouched. Prices after a patch are bit-identical to a fresh
+    /// evaluator built at the new anchor.
     pub fn patch(&mut self, flips: &[(NodeId, Opinion)]) {
         let delta = StateDelta::from_flips(self.engine.graph(), &self.anchor, flips);
         let next_anchor = apply_flips(&self.anchor, flips);
-        let next_bundle = self.bundle.step(self.engine, &next_anchor, &delta);
+        // Step a clone: it shares the repair state, so the stacked bundle
+        // stays repairable for the next patch after an unpatch.
+        let next_bundle = self.bundle.clone().step(self.engine, &next_anchor, &delta);
         let next_stats = AnchorStats::new(self.engine.clustering(), &next_anchor);
         // A fresh cache, not a reuse: cached rows were priced under the
         // previous edge costs and would be stale under the new ones.
@@ -325,7 +336,8 @@ impl<'e, 'g> CandidateEvaluator<'e, 'g> {
 
     /// Restores the evaluation state from before the most recent
     /// [`patch`](Self::patch) — an `O(1)` swap back to the stacked frame
-    /// (rows are copy-on-write, so the previous bundle was never mutated).
+    /// (the patch stepped a clone, so the previous bundle was never
+    /// mutated and stays repairable).
     /// Returns `false` when no patch is applied.
     pub fn unpatch(&mut self) -> bool {
         match self.stack.pop() {

@@ -2,7 +2,7 @@
 //! cost changes instead of recomputing it.
 //!
 //! The delta-aware SND series path (`snd-core`) keeps SSSP rows — cluster
-//! geometry rows, eccentricity rows — alive across consecutive snapshots
+//! geometry rows, eccentricity γ balls — alive across consecutive snapshots
 //! of an evolving network. A simulation step changes a handful of edge
 //! costs; the shortest-path tree is intact almost everywhere, so
 //! recomputing the row from scratch (`O(m + n·U)` per Dial run) wastes
@@ -14,8 +14,10 @@
 //!    supported its head's distance (`dist[tail] + old == dist[head]`),
 //!    the head may have lost its shortest path. The affected set grows by
 //!    a support test: a candidate is affected unless some edge from a
-//!    non-affected predecessor still yields exactly its old distance
-//!    under the new costs. When a node is marked, every head it could
+//!    non-affected, *strictly closer* predecessor still yields exactly its
+//!    old distance under the new costs (a zero-cost edge never vouches:
+//!    two nodes on a zero-cost cycle would vouch for each other after
+//!    their common support rose). When a node is marked, every head it could
 //!    have supported (under old *or* new costs — decreased edges can
 //!    carry support too) becomes a candidate in turn. Nodes that never
 //!    fail the test keep provably-correct distances.
@@ -39,11 +41,18 @@
 //!
 //! The row lives in the clamped `u32` domain used by `snd-core`'s
 //! geometry caches: values `< inf` are exact distances, `inf` is the
-//! caller's finite "unreachable" sentinel. The caller must guarantee the
-//! domain is lossless — every true finite distance under either weight
-//! vector is `< inf`. (SND's sentinel `U·n + 1` satisfies this whenever
-//! it is not capped by the `u32` range; the delta path falls back to full
-//! recomputation otherwise.)
+//! caller's finite "unreachable" sentinel. For a bit-identical row the
+//! caller must guarantee the domain is lossless — every true finite
+//! distance under either weight vector is `< inf`. (SND's sentinel
+//! `U·n + 1` satisfies this whenever it is not capped by the `u32` range;
+//! the delta path falls back to full recomputation otherwise.) Without
+//! that guarantee the repair is still exact *below* `inf`: given a row
+//! whose entries below `inf` are exact and whose every other entry is
+//! `inf`, the entries that come out below `inf` are exactly the nodes
+//! whose new distance is below `inf`, at that distance. An entry at
+//! `inf` changes only when it drops below `inf`, so the work stays
+//! inside the old and the new set of nodes below `inf`. `snd-core`
+//! repairs eccentricity γ balls this way, with a ball's radius as `inf`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -95,6 +104,17 @@ impl RepairScratch {
         } else {
             self.epoch += 1;
         }
+    }
+
+    /// The nodes the last [`repair_row`] call wrote: its affected set plus
+    /// every node a relaxation improved. Every other entry of the row kept
+    /// its value, so a caller can gather or reset what the repair changed
+    /// without scanning the row.
+    pub fn touched(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.affected
+            .iter()
+            .map(|&(v, _)| v)
+            .chain(self.improved.iter().copied())
     }
 
     #[inline]
@@ -197,9 +217,13 @@ pub fn repair_row(
         }
         let mut best = inf;
         {
+            // Zero-cost edges are skipped: only a strictly closer
+            // predecessor can vouch (see the module docs). A decrease to
+            // zero is still re-relaxed by the settle phase.
             let support = |e: EdgeId, u: NodeId, best: &mut u32| {
-                if !scratch.is_affected(u) && dist[u as usize] != inf {
-                    *best = (*best).min(dist[u as usize].saturating_add(new_weights[e as usize]));
+                let w = new_weights[e as usize];
+                if w > 0 && !scratch.is_affected(u) && dist[u as usize] != inf {
+                    *best = (*best).min(dist[u as usize].saturating_add(w));
                 }
             };
             if reverse {
@@ -416,6 +440,140 @@ mod tests {
             let truly_moved = before.iter().zip(&expect).filter(|(a, b)| a != b).count();
             assert_eq!(moved, truly_moved, "trial {trial}: exact changed count");
         }
+    }
+
+    #[test]
+    fn zero_cost_edges_repair_bit_identical_to_recompute() {
+        // Two in five edges cost 0, so zero-cost cycles are common; every
+        // entry outside `touched` must keep its value.
+        let mut rng = SmallRng::seed_from_u64(404);
+        let mut scratch = RepairScratch::new();
+        const MAX_W: u32 = 6;
+        for trial in 0..300 {
+            let n = 4 + trial % 20;
+            let g = generators::erdos_renyi_gnp(n, 0.25, false, &mut rng);
+            if g.edge_count() == 0 {
+                continue;
+            }
+            let inf = MAX_W * n as u32 + 1;
+            let draw = |rng: &mut SmallRng| {
+                if rng.gen_bool(0.4) {
+                    0
+                } else {
+                    rng.gen_range(1..=MAX_W)
+                }
+            };
+            let mut w: Vec<u32> = (0..g.edge_count()).map(|_| draw(&mut rng)).collect();
+            let src = rng.gen_range(0..n as NodeId);
+            let reverse = trial % 2 == 1;
+            let mut row = full_row(&g, &w, &[src], MAX_W, reverse, inf);
+            let before = row.clone();
+            let changes: Vec<CostChange> = (0..1 + trial % 4)
+                .map(|_| {
+                    let e = rng.gen_range(0..g.edge_count() as EdgeId);
+                    (e, std::mem::replace(&mut w[e as usize], draw(&mut rng)))
+                })
+                .collect();
+            repair_row(
+                &g,
+                &w,
+                &changes,
+                &[src],
+                reverse,
+                inf,
+                &mut row,
+                &mut scratch,
+            );
+            assert_eq!(
+                row,
+                full_row(&g, &w, &[src], MAX_W, reverse, inf),
+                "trial {trial}"
+            );
+            let touched: std::collections::HashSet<NodeId> = scratch.touched().collect();
+            for v in 0..n as NodeId {
+                if !touched.contains(&v) {
+                    assert_eq!(
+                        row[v as usize], before[v as usize],
+                        "trial {trial}, node {v}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_clamped_below_their_distances_repair_exactly_below_the_clamp() {
+        // `inf` below the longest distance: entries at or past it read
+        // `inf`. After the repair, the entries below `inf` must be exactly
+        // the nodes whose new distance is below `inf`, at that distance.
+        let mut rng = SmallRng::seed_from_u64(1510);
+        let mut scratch = RepairScratch::new();
+        const MAX_W: u32 = 6;
+        for trial in 0..300 {
+            let n = 4 + trial % 24;
+            let g = generators::erdos_renyi_gnp(n, 0.25, false, &mut rng);
+            if g.edge_count() == 0 {
+                continue;
+            }
+            let draw = |rng: &mut SmallRng| rng.gen_range(0..=MAX_W);
+            let mut w: Vec<u32> = (0..g.edge_count()).map(|_| draw(&mut rng)).collect();
+            let src = rng.gen_range(0..n as NodeId);
+            let reverse = trial % 2 == 1;
+            let clamp = rng.gen_range(1..=MAX_W * 3);
+            let mut row = full_row(&g, &w, &[src], MAX_W, reverse, clamp);
+            let changes: Vec<CostChange> = (0..1 + trial % 4)
+                .map(|_| {
+                    let e = rng.gen_range(0..g.edge_count() as EdgeId);
+                    (e, std::mem::replace(&mut w[e as usize], draw(&mut rng)))
+                })
+                .collect();
+            repair_row(
+                &g,
+                &w,
+                &changes,
+                &[src],
+                reverse,
+                clamp,
+                &mut row,
+                &mut scratch,
+            );
+            let expect = full_row(&g, &w, &[src], MAX_W, reverse, clamp);
+            let below = |r: &[u32]| -> Vec<(usize, u32)> {
+                r.iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, d)| d < clamp)
+                    .collect()
+            };
+            assert_eq!(below(&row), below(&expect), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn rising_support_of_a_zero_cost_cycle_raises_the_cycle() {
+        // 0 -1-> 1, 1 -0-> 2, 2 -0-> 1: nodes 1 and 2 each sit at the
+        // other's distance. Raising (0,1) must raise both.
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 1)]);
+        let mut w = vec![0u32; 3];
+        let e = g.find_edge(0, 1).unwrap();
+        w[e as usize] = 1;
+        let inf = 9 * 3 + 1;
+        let mut row = full_row(&g, &w, &[0], 9, false, inf);
+        assert_eq!(row, vec![0, 1, 1]);
+        let old = std::mem::replace(&mut w[e as usize], 5);
+        let mut scratch = RepairScratch::new();
+        let moved = repair_row(
+            &g,
+            &w,
+            &[(e, old)],
+            &[0],
+            false,
+            inf,
+            &mut row,
+            &mut scratch,
+        );
+        assert_eq!(row, vec![0, 5, 5]);
+        assert_eq!(moved, 2);
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub struct SsspScratch {
     stamp: Vec<u32>,
     epoch: u32,
     buckets: Vec<Vec<NodeId>>,
+    /// Nodes the last [`dial_bounded_scratch`] run settled, in settle
+    /// order (left empty by the unbounded entry points).
+    settled: Vec<NodeId>,
 }
 
 impl SsspScratch {
@@ -59,6 +62,13 @@ impl SsspScratch {
         (0..n as NodeId).map(|v| self.dist(v))
     }
 
+    /// The nodes the last [`dial_bounded_scratch`] run settled, in settle
+    /// order: exactly the nodes whose [`dist`](Self::dist) is below the
+    /// radius that run returned. Empty after an unbounded run.
+    pub fn settled(&self) -> &[NodeId] {
+        &self.settled
+    }
+
     /// The distance array of a scratch that has run exactly once. That run
     /// sized it to the graph and filled it with [`UNREACHABLE`], so every
     /// entry the run did not write already reads as unreachable.
@@ -78,6 +88,7 @@ impl SsspScratch {
             self.buckets.resize_with(span, Vec::new);
         }
         debug_assert!(self.buckets.iter().all(|b| b.is_empty()), "drained");
+        self.settled.clear();
         if self.epoch == u32::MAX {
             // Epoch wrap: invalidate everything explicitly once per 2³²
             // runs, then resume O(1) resets.
@@ -161,7 +172,9 @@ pub fn dial_reverse_scratch(
 /// reaches `stop_capacity`.
 ///
 /// Returns the exploration radius `r`. Every node whose entry reads `< r`
-/// via [`SsspScratch::dist`] is settled — the entry is its exact distance.
+/// via [`SsspScratch::dist`] is settled — the entry is its exact distance —
+/// and [`SsspScratch::settled`] lists exactly those nodes, in settle order,
+/// so the settled ball is collected in `O(|ball|)`.
 /// Any other node's true distance is `>= r`, and its entry (when not
 /// [`UNREACHABLE`]) is the best tentative path found, a valid *upper*
 /// bound. A run that drains the queue before reaching the capacity returns
@@ -206,7 +219,7 @@ fn dial_run(
     let span = max_weight as usize + 1;
     scratch.begin(g.node_count(), span);
     let mut in_queue = 0usize;
-    let mut settled: u64 = 0;
+    let mut settled_weight: u64 = 0;
 
     for &s in sources {
         if scratch.get(s) != 0 {
@@ -227,7 +240,8 @@ fn dial_run(
                 continue; // stale
             }
             if let Some((target_weight, _)) = stop {
-                settled = settled.saturating_add(target_weight[u as usize]);
+                settled_weight = settled_weight.saturating_add(target_weight[u as usize]);
+                scratch.settled.push(u);
             }
             let mut relax = |e: u32, v: NodeId, scratch: &mut SsspScratch| {
                 let nd = current + weights[e as usize] as Dist;
@@ -252,7 +266,7 @@ fn dial_run(
         // `< current` is now settled, so `current` is a sound radius even
         // with zero-weight edges (same-bucket chains drain above).
         if let Some((_, stop_capacity)) = stop {
-            if settled >= stop_capacity {
+            if settled_weight >= stop_capacity {
                 if in_queue > 0 {
                     for b in scratch.buckets.iter_mut() {
                         b.clear();
@@ -364,6 +378,38 @@ mod tests {
         assert_eq!(scratch.distances(3).collect::<Vec<_>>(), vec![0, 0, 0]);
         dial_scratch(&g, &w, &[0, 2], 1, &mut scratch);
         assert_eq!(scratch.distances(3).collect::<Vec<_>>(), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn bounded_runs_list_exactly_the_nodes_below_the_radius() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut scratch = SsspScratch::new();
+        for trial in 0..40 {
+            let n = 4 + trial % 20;
+            let g = generators::erdos_renyi_gnp(n, 0.2, false, &mut rng);
+            // Zero-cost edges put settled and unsettled nodes in one bucket.
+            let w: Vec<u32> = (0..g.edge_count()).map(|_| rng.gen_range(0..=4)).collect();
+            let targets: Vec<u64> = (0..n).map(|_| u64::from(rng.gen_bool(0.3))).collect();
+            let cap = rng.gen_range(0..=targets.iter().sum::<u64>() + 1);
+            let src = rng.gen_range(0..n as NodeId);
+            let reverse = trial % 2 == 1;
+            let r = dial_bounded_scratch(&g, &w, &[src], 4, reverse, &targets, cap, &mut scratch);
+            let settled = scratch.settled().to_vec();
+            let mut below: Vec<NodeId> =
+                (0..n as NodeId).filter(|&v| scratch.dist(v) < r).collect();
+            let mut listed = settled.clone();
+            listed.sort_unstable();
+            below.sort_unstable();
+            assert_eq!(
+                listed, below,
+                "trial {trial}: settled list vs entries below r"
+            );
+            let dists: Vec<Dist> = settled.iter().map(|&v| scratch.dist(v)).collect();
+            assert!(dists.windows(2).all(|p| p[0] <= p[1]), "settle order");
+            // An unbounded run records nothing.
+            dial_scratch(&g, &w, &[src], 4, &mut scratch);
+            assert!(scratch.settled().is_empty());
+        }
     }
 
     #[test]

@@ -178,6 +178,38 @@ fn patch_round_trip_is_bit_identical_on_every_registry_scenario() {
 /// a planned edge action by hand and rebuilding graph + engine from
 /// scratch must price candidates identically to a second independent
 /// rebuild — and the planner itself must be deterministic per seed.
+/// A patch steps a clone of the anchor bundle, so the bundle an unpatch
+/// restores still holds its cluster rows and γ balls: patching again
+/// takes the repair path (γ balls carried, repaired or re-run) exactly as
+/// the first patch did, not the fresh-build fallback (no ball steps).
+#[test]
+fn patch_after_unpatch_still_repairs_cluster_banks() {
+    let mut rng = SmallRng::seed_from_u64(8);
+    let g = snd::graph::generators::barabasi_albert(120, 3, &mut rng);
+    let n = g.node_count();
+    let anchor =
+        NetworkState::from_values(&(0..n).map(|_| rng.gen_range(-1..=1)).collect::<Vec<i8>>());
+    let engine = SndEngine::new(&g, bank_modes().swap_remove(1));
+    let mut evaluator = CandidateEvaluator::new(&engine, anchor.clone());
+    let probes = random_candidates(n, 4, &mut rng);
+    let flips = [(5, Opinion::Positive), (77, Opinion::Negative)];
+    let fresh = CandidateEvaluator::new(&engine, apply_flips(&anchor, &flips));
+
+    evaluator.patch(&flips);
+    let first = evaluator.ball_steps();
+    assert!(
+        first.carried + first.repaired + first.rerun > 0,
+        "{first:?}"
+    );
+    assert!(evaluator.unpatch());
+    evaluator.patch(&flips);
+    assert_eq!(evaluator.ball_steps(), first, "second patch repairs again");
+    assert_eq!(
+        evaluator.price_candidates_seq(&probes),
+        fresh.price_candidates_seq(&probes)
+    );
+}
+
 #[test]
 fn edge_edit_interventions_match_a_fresh_engine_rebuild() {
     let mut rng = SmallRng::seed_from_u64(41);

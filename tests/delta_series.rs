@@ -10,7 +10,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snd::analysis::resume::series_distances_checkpointed;
-use snd::core::{ClusterSpec, GammaPolicy, SndConfig, SndEngine};
+use snd::core::{
+    BallSteps, ClusterSpec, DeltaStateGeometry, GammaPolicy, SndConfig, SndEngine,
+    REPAIR_EDGE_FRACTION,
+};
 use snd::data::registry;
 use snd::graph::generators::barabasi_albert;
 use snd::models::{NetworkState, Opinion, StateDelta};
@@ -191,6 +194,116 @@ fn disconnected_graph_with_unreachable_members_prices_through_banks() {
             assert_eq!(d, engine.distance_seq(a, b), "({i}, {j})");
         }
     }
+}
+
+/// `a` with the opinions of a node set negated, chosen so the transition
+/// touches exactly `target` edges. Every node of `a` is active, so each
+/// flip changes polarity only and touches its in- and out-edges. Greedy
+/// over random node orders: a node joins while the union stays at most
+/// `target`; overlapping nodes add fewer new edges, which lets the search
+/// land on the target exactly.
+fn flip_to_touch(
+    g: &snd::graph::CsrGraph,
+    a: &NetworkState,
+    target: usize,
+    rng: &mut SmallRng,
+) -> NetworkState {
+    let n = g.node_count();
+    for _ in 0..1_000 {
+        let mut covered = vec![false; g.edge_count()];
+        let mut count = 0;
+        let mut b = a.clone();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for u in order {
+            let mut incident: Vec<u32> = g
+                .out_edges(u)
+                .chain(g.in_edges(u))
+                .map(|(e, _)| e)
+                .collect();
+            incident.retain(|&e| !covered[e as usize]);
+            incident.sort_unstable();
+            incident.dedup();
+            if count + incident.len() <= target {
+                count += incident.len();
+                for e in incident {
+                    covered[e as usize] = true;
+                }
+                b.set(u, Opinion::from_value(-a.opinion(u).value()));
+            }
+        }
+        if count == target {
+            return b;
+        }
+    }
+    panic!("no flip set touches exactly {target} edges");
+}
+
+/// The repair threshold and the n∆ extremes under cluster banks with
+/// eccentricity γ: a transition touching exactly `m / REPAIR_EDGE_FRACTION`
+/// edges repairs, one more edge falls back to a fresh build, n∆ = 0 is the
+/// empty-delta shortcut and n∆ = n touches every edge. Every case prices
+/// bit-identically to the sequential reference.
+#[test]
+fn repair_threshold_and_n_delta_extremes_match_seq() {
+    let mut rng = SmallRng::seed_from_u64(44);
+    let g = snd::graph::generators::erdos_renyi_gnp(200, 0.02, false, &mut rng);
+    let n = g.node_count();
+    let m = g.edge_count();
+    let engine = SndEngine::new(
+        &g,
+        SndConfig {
+            clusters: ClusterSpec::BfsPartition { clusters: 8 },
+            gamma: GammaPolicy::Eccentricity,
+            ..Default::default()
+        },
+    );
+    let a = NetworkState::from_values(
+        &(0..n)
+            .map(|_| if rng.gen_bool(0.5) { 1 } else { -1 })
+            .collect::<Vec<i8>>(),
+    );
+    let limit = m / REPAIR_EDGE_FRACTION;
+    let all_flipped = NetworkState::from_values(
+        &(0..n as u32)
+            .map(|u| -a.opinion(u).value())
+            .collect::<Vec<i8>>(),
+    );
+    let cases = [
+        (
+            "at the threshold",
+            flip_to_touch(&g, &a, limit, &mut rng),
+            limit,
+            true,
+        ),
+        (
+            "one past it",
+            flip_to_touch(&g, &a, limit + 1, &mut rng),
+            limit + 1,
+            false,
+        ),
+        ("n_delta = n", all_flipped, m, false),
+    ];
+    for (what, b, touched, repairs) in cases {
+        let delta = StateDelta::between(&g, &a, &b);
+        assert_eq!(delta.touched_edges().len(), touched, "{what}");
+        let mut geo = DeltaStateGeometry::fresh(&engine, &a);
+        let steps = geo.step(&engine, &b, &delta).ball_steps();
+        assert_eq!(steps != BallSteps::default(), repairs, "{what}: {steps:?}");
+        let states = [a.clone(), b];
+        assert_eq!(
+            engine.series_distances(&states),
+            engine.series_distances_seq(&states),
+            "{what}"
+        );
+    }
+    // n_delta = 0: the empty delta prices to exactly zero in both paths.
+    let states = [a.clone(), a.clone()];
+    assert!(StateDelta::between(&g, &a, &a).touched_edges().is_empty());
+    assert_eq!(engine.series_distances(&states), vec![0.0]);
+    assert_eq!(engine.series_distances_seq(&states), vec![0.0]);
 }
 
 proptest! {
