@@ -6,9 +6,11 @@
 //! balanced flips around one cascade epicenter.
 //! `SndEngine::series_intervals` advances a single sketch bundle through
 //! each transition (landmark rows repaired through the touched edges,
-//! landmarks adapted from term feedback); the baseline
-//! `SndEngine::series_intervals_fresh` rebuilds geometry and sketches per
-//! snapshot. Both return the same kind of certified intervals, and a
+//! landmarks adapted from term feedback). The baseline, [`fresh_series`],
+//! prices the same transitions as the superdiagonal tiles of a one-state
+//! tile grid: `pairwise_tiles` builds a fresh `state_geometry` per
+//! snapshot and fetches its 2·L landmark rows through the bundle's row
+//! cache, with no adaptation. Both return certified intervals, and a
 //! subsampled instance small enough to price exactly checks that the
 //! delta path's intervals still bracket the exact SND.
 //!
@@ -32,7 +34,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snd_bench::record::{knob, Record};
-use snd_core::{ApproxConfig, SndConfig, SndEngine};
+use snd_core::{ApproxConfig, ShardPlan, SndConfig, SndEngine, SndInterval, TileGrid};
 use snd_graph::generators::{barabasi_albert, grid_graph};
 use snd_graph::CsrGraph;
 use snd_models::NetworkState;
@@ -161,6 +163,23 @@ fn approx_config(epsilon: f64, landmarks: usize) -> SndConfig {
     }
 }
 
+/// The re-sketch baseline: every transition's certified interval read
+/// off the superdiagonal tiles of a one-state grid, each snapshot's
+/// geometry and landmark rows built from scratch.
+fn fresh_series(engine: &SndEngine<'_>, states: &[NetworkState]) -> Vec<SndInterval> {
+    let tiles = engine.pairwise_tiles(
+        states,
+        &ShardPlan::superdiagonal(TileGrid::new(states.len(), 1)),
+    );
+    (1..states.len())
+        .map(|t| {
+            tiles
+                .pair_interval(t - 1, t)
+                .expect("an active approximate tier certifies every tile")
+        })
+        .collect()
+}
+
 fn bench_scale_series(c: &mut Criterion) {
     let test = criterion::is_test_mode();
     let kind = knob("SND_BENCH_GRAPH", "ba".to_string());
@@ -189,9 +208,7 @@ fn bench_scale_series(c: &mut Criterion) {
         .sample_size(2)
         .warmup_time(Duration::from_millis(1))
         .measurement_time(Duration::from_secs(1));
-    group.bench_function("fresh", |b| {
-        b.iter(|| engine.series_intervals_fresh(&states).unwrap())
-    });
+    group.bench_function("fresh", |b| b.iter(|| fresh_series(&engine, &states)));
     group.bench_function("delta", |b| {
         b.iter(|| engine.series_intervals(&states).unwrap())
     });

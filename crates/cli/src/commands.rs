@@ -37,6 +37,35 @@ pub(crate) fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<O
         .map_err(|_| format!("bad {name} '{raw}' (want {})", std::any::type_name::<T>()))
 }
 
+/// Rejects every `--` token of `args` that `command` does not accept:
+/// `accepted` is the command's flag list, given once per subcommand, so a
+/// misspelt flag (`--cluster` for `--clusters`, `--aprox`) is an error
+/// naming it and the command, never silently ignored.
+pub(crate) fn known_flags(
+    command: &str,
+    args: &[String],
+    accepted: &[&[&str]],
+) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.iter().any(|list| list.contains(&a.as_str())))
+    {
+        Some(unknown) => Err(format!("unknown flag '{unknown}' for snd {command}")),
+        None => Ok(()),
+    }
+}
+
+/// The flags [`engine_config`] reads: every command that prices SND
+/// accepts them.
+pub(crate) const TIER_FLAGS: &[&str] = &[
+    "--ground",
+    "--clusters",
+    "--epsilon",
+    "--landmarks",
+    "--budget",
+    "--approx",
+];
+
 pub(crate) fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -85,6 +114,20 @@ fn approx_config(args: &[String]) -> Result<Option<ApproxConfig>, String> {
 
 /// `snd generate`: writes a synthetic or simulated-Twitter dataset.
 pub fn generate(args: &[String]) -> Result<(), String> {
+    const FLAGS: &[&str] = &[
+        "--out",
+        "--seed",
+        "--twitter",
+        "--nodes",
+        "--avg-degree",
+        "--steps",
+        "--p-nbr",
+        "--p-ext",
+        "--p-nbr-anomalous",
+        "--p-ext-anomalous",
+        "--seeds",
+    ];
+    known_flags("generate", args, &[FLAGS])?;
     let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
     let seed = opt(args, "--seed")?.unwrap_or(7u64);
     let dataset = if flag(args, "--twitter") {
@@ -165,6 +208,15 @@ fn dataset_from_series(series: &SyntheticSeries, model: Option<ModelRecord>) -> 
 /// snd simulate --scenario NAME [--nodes N] [--steps T] [--seed S] --out FILE
 /// ```
 pub fn simulate(args: &[String]) -> Result<(), String> {
+    const FLAGS: &[&str] = &[
+        "--list",
+        "--scenario",
+        "--nodes",
+        "--steps",
+        "--seed",
+        "--out",
+    ];
+    known_flags("simulate", args, &[FLAGS])?;
     if flag(args, "--list") {
         println!("{:<22} {:<20} description", "scenario", "model");
         for sc in registry() {
@@ -303,6 +355,8 @@ pub(crate) fn engine_config(
 /// `snd distance`: all measures between two states of a dataset, or —
 /// with `--series` — every adjacent transition of the series.
 pub fn distance(args: &[String]) -> Result<(), String> {
+    const FLAGS: &[&str] = &["--data", "--series", "--t1", "--t2"];
+    known_flags("distance", args, &[FLAGS, TIER_FLAGS])?;
     let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     if flag(args, "--series") {
         return distance_series(args, &path);
@@ -382,6 +436,7 @@ fn distance_series(args: &[String], path: &str) -> Result<(), String> {
 
 /// `snd anomaly`: score every transition of the dataset's series.
 pub fn anomaly(args: &[String]) -> Result<(), String> {
+    known_flags("anomaly", args, &[&["--data", "--top"], TIER_FLAGS])?;
     let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     let top: Option<usize> = opt(args, "--top")?;
     let dataset = Dataset::load(&path)?;
@@ -450,6 +505,8 @@ pub fn shard(args: &[String]) -> Result<(), String> {
     if args.first().is_some_and(|a| a == "merge") {
         return shard_merge(&args[1..]);
     }
+    const FLAGS: &[&str] = &["--data", "--checkpoint", "--shard", "--tile"];
+    known_flags("shard", args, &[FLAGS, TIER_FLAGS])?;
     let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     let checkpoint: String = opt(args, "--checkpoint")?.ok_or("missing --checkpoint FILE")?;
     let spec: String = opt(args, "--shard")?.unwrap_or_else(|| "0/1".to_string());
@@ -503,6 +560,7 @@ pub fn shard(args: &[String]) -> Result<(), String> {
 /// `snd shard merge`: reassemble shard artifacts, validate overlap/holes,
 /// and write the full matrix as JSON.
 fn shard_merge(args: &[String]) -> Result<(), String> {
+    known_flags("shard merge", args, &[&["--out"]])?;
     let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
     let mut parts: Vec<&String> = Vec::new();
     let mut i = 0;
@@ -591,6 +649,8 @@ fn parse_shard_spec(spec: &str) -> Result<(usize, usize), String> {
 /// `snd predict`: hide random active users in the final state and recover
 /// their opinions with SND.
 pub fn predict(args: &[String]) -> Result<(), String> {
+    const FLAGS: &[&str] = &["--data", "--targets", "--candidates", "--seed"];
+    known_flags("predict", args, &[FLAGS])?;
     let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     let n_targets = opt(args, "--targets")?.unwrap_or(20usize);
     let candidates = opt(args, "--candidates")?.unwrap_or(100usize);
@@ -655,6 +715,17 @@ pub fn predict(args: &[String]) -> Result<(), String> {
 /// `snd intervene`: plan a budget of network edits (edge edits, stubborn
 /// placements) minimizing expected delta-SND drift on a registry scenario.
 pub fn intervene(args: &[String]) -> Result<(), String> {
+    const FLAGS: &[&str] = &[
+        "--scenario",
+        "--nodes",
+        "--steps",
+        "--seed",
+        "--budget",
+        "--beam",
+        "--rollouts",
+        "--horizon",
+    ];
+    known_flags("intervene", args, &[FLAGS])?;
     let name: String =
         opt(args, "--scenario")?.ok_or("missing --scenario NAME (see snd simulate --list)")?;
     let mut scenario = find_scenario(&name)
@@ -783,6 +854,25 @@ mod tests {
             }
         }
         assert!(!Path::new(out).exists(), "no dataset may be written");
+
+        // A flag the command does not take is an error naming it and the
+        // command, before any work: `--cluster` would otherwise price
+        // per-bin banks while the user asked for clusters, and `--aprox`
+        // would run exact.
+        let unknown: [(Command, String, &str); 4] = [
+            (distance, format!("--data {data} --cluster 2"), "--cluster"),
+            (distance, format!("--data {data} --aprox"), "--aprox"),
+            (anomaly, format!("--data {data} --series"), "--series"),
+            (predict, format!("--data {data} --approx"), "--approx"),
+        ];
+        for (command, args, name) in &unknown {
+            let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+            let err = command(&args).expect_err("unknown flag must be rejected");
+            assert!(
+                err.contains(name) && err.contains("snd "),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]

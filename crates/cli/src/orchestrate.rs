@@ -16,7 +16,9 @@ use snd_orchestrate::{
     orchestrate_tile, report_line, run_worker, Coordinator, CoordinatorOpts, Endpoint, WorkerOpts,
 };
 
-use crate::commands::{engine_config, flag, opt, opt_raw, write_matrix_json};
+use crate::commands::{
+    engine_config, flag, known_flags, opt, opt_raw, write_matrix_json, TIER_FLAGS,
+};
 use crate::dataset::Dataset;
 
 /// Validated `snd orchestrate` flags.
@@ -67,6 +69,18 @@ fn seconds_flag(args: &[String], name: &str, default: f64) -> Result<f64, String
 /// `--approx`, … — are validated separately by [`engine_config`] once the
 /// dataset is loaded).
 pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, String> {
+    const FLAGS: &[&str] = &[
+        "--data",
+        "--checkpoint",
+        "--listen",
+        "--workers",
+        "--tile",
+        "--lease-timeout",
+        "--target-lease",
+        "--out",
+        "--no-overlap",
+    ];
+    known_flags("orchestrate", args, &[FLAGS, TIER_FLAGS])?;
     let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     let checkpoint: String = opt(args, "--checkpoint")?.ok_or("missing --checkpoint FILE")?;
     let listen: Option<String> = opt(args, "--listen")?;
@@ -105,6 +119,14 @@ pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, Str
 
 /// Validates `snd work` arguments.
 pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
+    const FLAGS: &[&str] = &[
+        "--data",
+        "--addr",
+        "--no-overlap",
+        "--connect-retry",
+        "--read-timeout",
+    ];
+    known_flags("work", args, &[FLAGS, TIER_FLAGS])?;
     let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     let addr: String =
         opt(args, "--addr")?.ok_or("missing --addr ADDR (the coordinator's address)")?;
@@ -133,20 +155,15 @@ pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
 /// fingerprint handshake refuses the pairing.
 fn forwarded_tier_flags(args: &[String]) -> Vec<String> {
     let mut fwd = Vec::new();
-    for name in [
-        "--ground",
-        "--clusters",
-        "--epsilon",
-        "--landmarks",
-        "--budget",
-    ] {
-        if let Some(v) = opt_raw(args, name) {
+    for &name in TIER_FLAGS {
+        if name == "--approx" {
+            if flag(args, name) {
+                fwd.push(name.to_string());
+            }
+        } else if let Some(v) = opt_raw(args, name) {
             fwd.push(name.to_string());
             fwd.push(v.to_string());
         }
-    }
-    if flag(args, "--approx") {
-        fwd.push("--approx".into());
     }
     fwd
 }

@@ -43,6 +43,12 @@
 //! more SSSPs than exactness) short-circuit to the exact sparse path and
 //! return a zero-width interval.
 //!
+//! A term enters this tier only through the engine's one term router,
+//! `SndEngine::price_term`, which every surface calls; the tier shares
+//! the exact path's Lemma 2 classification and bank orientation
+//! (`sparse::classify_term`, `ReducedTerm::orient`) and differs only in
+//! how ground distances are known.
+//!
 //! The tier supports the default [`ClusterSpec::PerBin`] bank mode only;
 //! cluster-bank modes report [`ApproxError::UnsupportedBankMode`].
 
@@ -504,12 +510,19 @@ pub(crate) struct TermOutcome {
 }
 
 impl TermOutcome {
-    fn exact(v: f64) -> TermOutcome {
+    /// A zero-width outcome: the exact tier's, or a term the approximate
+    /// tier answered exactly.
+    pub(crate) fn exact(v: f64) -> TermOutcome {
         TermOutcome {
             lower: v,
             upper: v,
             feedback: TermFeedback::empty(),
         }
+    }
+
+    /// The `[lower, upper]` envelope, feedback dropped.
+    pub(crate) fn envelope(&self) -> (f64, f64) {
+        (self.lower, self.upper)
     }
 }
 
@@ -562,11 +575,13 @@ impl<'c> Group<'c> {
 }
 
 /// Certified `[lower, upper]` for one EMD\* term
-/// `EMD*(Pᵒᵖ, Qᵒᵖ, D(ground, op))` under per-bin banks. Mirrors
-/// [`sparse::emd_star_term`]'s reduction, orientation, and bank
-/// construction exactly; only the per-pair ground distances are replaced
-/// by sketch envelopes that refinement tightens until
-/// `upper − lower ≤ ε · upper` (or the round budget runs out).
+/// `EMD*(Pᵒᵖ, Qᵒᵖ, D(ground, op))` under per-bin banks. The reduction,
+/// orientation and bank capacities are the exact path's own
+/// (`sparse::classify_term`, then `ReducedTerm::orient`); only the
+/// per-pair ground distances are replaced by sketch envelopes that
+/// refinement tightens until `upper − lower ≤ ε · upper` (or the round
+/// budget runs out). Its one caller is the engine's term router,
+/// `SndEngine::price_term`.
 ///
 /// `sketch_rows` supplies prebuilt (delta-repaired) landmark rows; when
 /// absent the rows are fetched through the ground state's shared
@@ -592,60 +607,13 @@ pub(crate) fn emd_star_term_interval<'c>(
     assert_eq!(q_state.len(), n, "state size mismatch");
     let scale = config.scale;
 
-    // Lemma 2 classification — identical to the exact sparse path.
-    let mut residual_p: Vec<NodeId> = Vec::new();
-    let mut residual_q: Vec<NodeId> = Vec::new();
-    let mut active_p: Vec<NodeId> = Vec::new();
-    let mut active_q: Vec<NodeId> = Vec::new();
-    for u in 0..n as NodeId {
-        let in_p = p_state.opinion(u) == op;
-        let in_q = q_state.opinion(u) == op;
-        if in_p {
-            active_p.push(u);
-        }
-        if in_q {
-            active_q.push(u);
-        }
-        if in_p && !in_q {
-            residual_p.push(u);
-        } else if in_q && !in_p {
-            residual_q.push(u);
-        }
-    }
-    let total_p = active_p.len() as u64 * scale;
-    let total_q = active_q.len() as u64 * scale;
-    if total_p == 0 && total_q == 0 {
+    // Lemma 2 classification, bank capacities and orientation through the
+    // exact sparse path's own code: both tiers price one reduced problem.
+    let term = sparse::classify_term(clustering, true, p_state, q_state, op, scale);
+    let Some(term) = term.orient(n, config) else {
         return TermOutcome::exact(0.0);
-    }
-    let delta = total_p.abs_diff(total_q);
-    let p_is_lighter = total_p < total_q;
-
-    // Per-bin banks on the lighter side — same bins and capacities as the
-    // exact path (including the uniform fallback for an empty lighter
-    // histogram).
-    let (bank_bins, bank_caps): (Vec<NodeId>, Vec<Mass>) = if delta == 0 {
-        (Vec::new(), Vec::new())
-    } else {
-        let bins = if p_is_lighter { &active_p } else { &active_q };
-        if bins.is_empty() {
-            let all: Vec<NodeId> = (0..n as NodeId).collect();
-            let caps = snd_emd::proportional_split(delta, &vec![1; n]);
-            (all, caps)
-        } else {
-            let masses = vec![scale; bins.len()];
-            (bins.clone(), snd_emd::proportional_split(delta, &masses))
-        }
     };
-
-    let (row_nodes, col_nodes, reverse) = if !p_is_lighter {
-        (residual_p, residual_q, false)
-    } else {
-        (residual_q, residual_p, true)
-    };
-    if row_nodes.is_empty() {
-        debug_assert!(col_nodes.is_empty() && delta == 0);
-        return TermOutcome::exact(0.0);
-    }
+    let reverse = term.reverse;
 
     // Tiny reduced problems: exact rows cost fewer SSSPs than the sketch
     // would — answer exactly (zero-width interval). The threshold follows
@@ -654,17 +622,8 @@ pub(crate) fn emd_star_term_interval<'c>(
     let n_landmarks = sketch_rows
         .map_or(ctx.landmarks.len(), SketchRows::live_count)
         .max(1);
-    if row_nodes.len() <= 2 * n_landmarks {
-        let v = sparse::emd_star_term(
-            g,
-            clustering,
-            geom,
-            p_state,
-            q_state,
-            op,
-            config,
-            Some(cache),
-        );
+    if term.row_nodes.len() <= 2 * n_landmarks {
+        let v = sparse::solve_oriented(g, clustering, geom, op, config, Some(cache), &term);
         if trace_enabled() {
             TRACE_STATS.tiny_exact.fetch_add(1, Ordering::Relaxed);
         }
@@ -749,10 +708,10 @@ pub(crate) fn emd_star_term_interval<'c>(
                 .collect()
         }
     };
-    let mut rows: Vec<Group> = seed_groups(&row_nodes);
-    let mut cols: Vec<Group> = seed_groups(&col_nodes);
+    let mut rows: Vec<Group> = seed_groups(&term.row_nodes);
+    let mut cols: Vec<Group> = seed_groups(&term.col_nodes);
     cols.extend(
-        partition(&bank_bins, Some(&bank_caps))
+        partition(&term.bank_bins, Some(&term.bank_caps))
             .into_iter()
             .map(|(m, ms)| make_group(m, ms, config.per_bin_gamma, 0)),
     );

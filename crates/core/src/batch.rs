@@ -33,11 +33,14 @@
 //!    is not lossless ([`GroundGeometry::is_lossless`]) or when more than
 //!    `m / REPAIR_EDGE_FRACTION` edge costs differ.
 //! 3. **Solve.** The four EMD\* terms of every pair fan out over the
-//!    thread pool individually through [`sparse::emd_star_term`], and
-//!    every row is now a cache hit. Fanning out per term load-balances
-//!    well because term cost varies with the pair's residual size. Each
-//!    term comes back as a `[lo, hi]` envelope (zero width on the exact
-//!    tier); `fold_terms` turns four envelopes into one distance.
+//!    thread pool individually through the engine's one term router,
+//!    `SndEngine::price_term` (the exact tier runs
+//!    [`sparse::emd_star_term`], and every row is now a cache hit).
+//!    Fanning out per term load-balances well because term cost varies
+//!    with the pair's residual size. Each term comes back as a `[lo, hi]`
+//!    envelope (zero width on the exact tier); `fold_terms` turns four
+//!    envelopes into one distance. Under an active approximate tier,
+//!    phases 1 and 2 are skipped: that tier prices from landmark rows.
 //!
 //! Results are **bit-identical** to the sequential naive loop: each term is
 //! an exact integer transportation solve, cached rows — fresh or repaired
@@ -178,7 +181,12 @@ impl<'g> SndEngine<'g> {
     where
         G: Fn(usize) -> &'a StateGeometry + Sync,
     {
-        self.fill_pair_rows(states, &bundle, pairs);
+        // An active approximate tier prices from landmark rows, not the
+        // heavy side's SSSP rows: it skips phases 1 and 2.
+        let approx = self.approx_if_active();
+        if approx.is_none() {
+            self.fill_pair_rows(states, &bundle, pairs);
+        }
         // Fan out at term granularity (4 independent EMD* solves per pair):
         // term cost varies wildly with the pair's residual size, so finer
         // work items load-balance better than whole pairs.
@@ -191,63 +199,24 @@ impl<'g> SndEngine<'g> {
                 if states[i] == states[j] {
                     return (0.0, 0.0);
                 }
-                self.pair_term_interval(&states[i], &states[j], bundle(i), bundle(j), t % 4)
+                let (forward, op) = term_role(t % 4);
+                let (ground, other) = if forward { (i, j) } else { (j, i) };
+                let (p, q) = (&states[ground], &states[other]);
+                self.price_term(bundle(ground).ground(op), p, q, op, approx.as_ref())
+                    .envelope()
             })
             .collect()
-    }
-
-    /// One of the four Eq. 3 terms of pair `(a, b)` given the two states'
-    /// bundles, drawing rows from the ground state's shared cache. Term
-    /// order matches [`SndBreakdown`]: forward +, forward −, backward +,
-    /// backward −. The exact tier returns a zero-width interval, an active
-    /// approximate tier the term's certified `[lower, upper]`.
-    pub(crate) fn pair_term_interval(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        ga: &StateGeometry,
-        gb: &StateGeometry,
-        which: usize,
-    ) -> (f64, f64) {
-        let (forward, op) = term_role(which);
-        let (ground, p, q) = if forward { (ga, a, b) } else { (gb, b, a) };
-        let geom = ground.plane(op);
-        // Same tier routing as `SndEngine::terms`: an active approximate
-        // tier prices the term as a certified interval, drawing landmark
-        // rows from the bundle's delta-repaired sketch when it carries one.
-        if let Some(a_cfg) = self.approx_if_active() {
-            let sketch = match op {
-                Opinion::Positive => ground.sketch_pos.as_ref(),
-                _ => ground.sketch_neg.as_ref(),
-            };
-            return self.approx_term(geom, Some(&ground.cache), sketch, p, q, op, &a_cfg);
-        }
-        let v = sparse::emd_star_term(
-            self.graph(),
-            self.clustering(),
-            geom,
-            p,
-            q,
-            op,
-            self.config(),
-            Some(&ground.cache),
-        );
-        (v, v)
     }
 
     /// Phases 1 and 2 of [`price_pairs`](Self::price_pairs):
     /// writes into the ground states' caches every SSSP row the terms of
     /// `pairs` will read, repairing rows along the snapshot order where it
     /// can. `geom(s)` is state `s`'s bundle and must exist for every state
-    /// in `pairs`. Does nothing under an active approximate tier, which
-    /// prices from landmark rows instead.
+    /// in `pairs`.
     fn fill_pair_rows<'a, G>(&self, states: &[NetworkState], geom: G, pairs: &[(usize, usize)])
     where
         G: Fn(usize) -> &'a StateGeometry + Sync,
     {
-        if self.approx_if_active().is_some() {
-            return;
-        }
         let g = self.graph();
         let n = g.node_count();
 
@@ -415,7 +384,7 @@ impl<'g> SndEngine<'g> {
 /// Term `which` of a pair `(a, b)` in [`SndBreakdown`] order (forward +,
 /// forward −, backward +, backward −): whether it is grounded in `a` (so
 /// `P = a`, `Q = b`), and the opinion it transports.
-fn term_role(which: usize) -> (bool, Opinion) {
+pub(crate) fn term_role(which: usize) -> (bool, Opinion) {
     match which {
         0 => (true, Opinion::Positive),
         1 => (true, Opinion::Negative),
@@ -443,23 +412,15 @@ pub(crate) fn fold_terms(
     terms: &[(f64, f64)],
     certified: bool,
 ) -> (Vec<f64>, Option<Vec<(f64, f64)>>) {
-    fn breakdown(t: &[(f64, f64)], pick: impl Fn((f64, f64)) -> f64) -> f64 {
-        SndBreakdown {
-            forward_pos: pick(t[0]),
-            forward_neg: pick(t[1]),
-            backward_pos: pick(t[2]),
-            backward_neg: pick(t[3]),
-        }
-        .total()
-    }
+    let total = |t, pick: fn(&(f64, f64)) -> f64| SndBreakdown::from_terms(t, pick).total();
     let values = terms
         .chunks_exact(4)
-        .map(|t| breakdown(t, term_value))
+        .map(|t| total(t, |&e| term_value(e)))
         .collect();
     let intervals = certified.then(|| {
         terms
             .chunks_exact(4)
-            .map(|t| (breakdown(t, |(lo, _)| lo), breakdown(t, |(_, hi)| hi)))
+            .map(|t| (total(t, |e| e.0), total(t, |e| e.1)))
             .collect()
     });
     (values, intervals)

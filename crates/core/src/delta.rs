@@ -29,12 +29,18 @@
 //!    [`compute_geometry`](crate::banks::compute_geometry) because
 //!    shortest-path distances are unique. Landmark sketch rows
 //!    ([`SketchRows`], approximate tier) are repaired the same way.
-//! 3. **Transitions** ([`SndEngine::series_distances`]): identical
-//!    consecutive states (empty delta) short-circuit to
-//!    [`SndBreakdown::default`](crate::SndBreakdown); otherwise the four
-//!    EMD\* terms are evaluated exactly as the batch path would, over the
-//!    incrementally-derived geometries. At most **two** geometry bundles
-//!    are live at any point (asserted by `tests/series_memory.rs`).
+//! 3. **Transitions** ([`SndEngine::series_distances`],
+//!    [`SndEngine::series_intervals`]): one series walker,
+//!    `SndEngine::walk_series`, drives both. Identical consecutive states
+//!    (empty delta) short-circuit to zero; otherwise the four EMD\* terms
+//!    go through the engine's one term router, `SndEngine::price_term`,
+//!    over the incrementally-derived geometries, exactly as a one-off
+//!    distance would. The walker keeps at most **two** of this module's
+//!    bundles (and two row caches) live at any point. It builds no batch
+//!    [`StateGeometry`], which is what `tests/series_memory.rs` checks:
+//!    that test counts live `StateGeometry` bundles, so it guards against
+//!    a series falling back to per-state batch bundles, not the count of
+//!    delta bundles.
 //!
 //! A step advances the repair state **in place**: it moves the cluster
 //! rows and balls out of the previous bundle, which keeps only its
@@ -82,7 +88,7 @@ use crate::banks::{
     GroundGeometry, KeptCluster,
 };
 use crate::config::SndConfig;
-use crate::engine::{SndEngine, StateGeometry};
+use crate::engine::{SndEngine, StateGeometry, TermGround};
 use crate::sparse::{with_sssp_scratch, RowCache};
 
 /// Fallback knob: the repair path engages only when touched edges are at
@@ -163,6 +169,17 @@ pub(crate) struct OpGeometry {
     pub(crate) sketch: Option<SketchRows>,
     /// γ-ball outcomes of the step that produced this geometry.
     balls: BallSteps,
+}
+
+impl OpGeometry {
+    /// This plane as a term ground, its SSSP rows going through `cache`.
+    pub(crate) fn ground<'a>(&'a self, cache: &'a RowCache) -> TermGround<'a> {
+        TermGround {
+            geom: &self.geom,
+            cache: Some(cache),
+            sketch: self.sketch.as_ref(),
+        }
+    }
 }
 
 /// Repair-compatible landmark sketch rows of one `(state, opinion)`

@@ -13,6 +13,20 @@
 //! bit-identical to a sequential evaluation either way: every term is an
 //! independent exact computation and reductions happen in a fixed order.
 //!
+//! # One path per term
+//!
+//! Every EMD\* term of every surface is priced by one router,
+//! `SndEngine::price_term`: it takes the term's ground (geometry, optional
+//! row cache, optional delta-repaired landmark rows), its states, its
+//! opinion and the approximate-tier config, if any, and runs the exact
+//! sparse path or the certified approximate one. The scalar surfaces pass
+//! the config only when the approximate tier is active for this engine;
+//! the interval surfaces always pass it. The four terms of one pair fan
+//! out through one helper, `SndEngine::pair_terms`, and both series
+//! surfaces walk their deltas with one loop, `SndEngine::walk_series`.
+//! The all-pairs path ([`crate::batch`]) prices its terms one work item
+//! at a time through the same router.
+//!
 //! Parallelism nests safely: terms running on the shared rayon pool may
 //! themselves hit the transportation simplex's parallel pricing (large
 //! reduced instances under the default `Solver::Auto`); the pool's
@@ -24,11 +38,11 @@ use std::sync::OnceLock;
 use snd_graph::{bfs_partition, label_propagation, whole_graph_cluster, Clustering, CsrGraph};
 use snd_models::{NetworkState, Opinion, StateDelta};
 
-use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval};
+use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval, TermOutcome};
 use crate::banks::{compute_geometry, GroundGeometry};
-use crate::batch::term_value;
+use crate::batch::{term_role, term_value};
 use crate::config::{ClusterSpec, SndConfig};
-use crate::delta::{keeps_repair_state, DeltaStateGeometry};
+use crate::delta::{keeps_repair_state, DeltaStateGeometry, SketchRows};
 use crate::sparse::RowCache;
 use crate::{approx, dense, sparse};
 
@@ -50,6 +64,54 @@ impl SndBreakdown {
     pub fn total(&self) -> f64 {
         0.5 * (self.forward_pos + self.forward_neg + self.backward_pos + self.backward_neg)
     }
+
+    /// The breakdown of four priced terms in breakdown order (forward +,
+    /// forward −, backward +, backward −), reading each through `value`.
+    pub(crate) fn from_terms<T>(terms: &[T], value: impl Fn(&T) -> f64) -> SndBreakdown {
+        SndBreakdown {
+            forward_pos: value(&terms[0]),
+            forward_neg: value(&terms[1]),
+            backward_pos: value(&terms[2]),
+            backward_neg: value(&terms[3]),
+        }
+    }
+}
+
+/// The scalar breakdown of four priced terms, each read off its envelope
+/// by [`term_value`].
+fn breakdown_of(terms: &[TermOutcome; 4]) -> SndBreakdown {
+    SndBreakdown::from_terms(terms, |t| term_value(t.envelope()))
+}
+
+/// The certified SND interval of four priced terms: `½·Σ` of each
+/// envelope end (interval arithmetic over independent certified bounds).
+fn interval_of(terms: &[TermOutcome; 4]) -> SndInterval {
+    SndInterval {
+        lower: SndBreakdown::from_terms(terms, |t| t.lower).total(),
+        upper: SndBreakdown::from_terms(terms, |t| t.upper).total(),
+    }
+}
+
+/// Where one EMD\* term reads its ground from: the ground geometry, the
+/// row cache its SSSP rows go through (`None`: computed term-locally), and
+/// delta-repaired landmark rows for the approximate tier (`None`: fetched
+/// through the cache).
+#[derive(Clone, Copy)]
+pub(crate) struct TermGround<'a> {
+    pub(crate) geom: &'a GroundGeometry,
+    pub(crate) cache: Option<&'a RowCache>,
+    pub(crate) sketch: Option<&'a SketchRows>,
+}
+
+/// The four term grounds of pair `(a, b)` in [`SndBreakdown`] order, from
+/// the two states' bundles.
+fn pair_grounds<'a>(ga: &'a StateGeometry, gb: &'a StateGeometry) -> [TermGround<'a>; 4] {
+    [
+        ga.ground(Opinion::Positive),
+        ga.ground(Opinion::Negative),
+        gb.ground(Opinion::Positive),
+        gb.ground(Opinion::Negative),
+    ]
 }
 
 /// Per-state evaluation bundle: both opinion geometries plus the shared,
@@ -67,8 +129,8 @@ pub struct StateGeometry {
     pub(crate) cache: RowCache,
     /// Delta-repaired landmark rows per opinion plane (series/tile paths
     /// only — `None` bundles fall back to cache-fetched landmark rows).
-    pub(crate) sketch_pos: Option<crate::delta::SketchRows>,
-    pub(crate) sketch_neg: Option<crate::delta::SketchRows>,
+    pub(crate) sketch_pos: Option<SketchRows>,
+    pub(crate) sketch_neg: Option<SketchRows>,
 }
 
 /// Live [`StateGeometry`] bundles right now — each holds O(n) geometry
@@ -96,8 +158,8 @@ impl StateGeometry {
     /// [`DeltaStateGeometry::bundle`]).
     pub(crate) fn with_sketches(
         mut self,
-        pos: Option<crate::delta::SketchRows>,
-        neg: Option<crate::delta::SketchRows>,
+        pos: Option<SketchRows>,
+        neg: Option<SketchRows>,
     ) -> StateGeometry {
         self.sketch_pos = pos;
         self.sketch_neg = neg;
@@ -121,6 +183,20 @@ impl StateGeometry {
         match op {
             Opinion::Positive => &self.pos,
             _ => &self.neg,
+        }
+    }
+
+    /// One opinion plane as a term ground: its geometry, the shared row
+    /// cache and the plane's landmark rows.
+    pub(crate) fn ground(&self, op: Opinion) -> TermGround<'_> {
+        let (geom, sketch) = match op {
+            Opinion::Positive => (&self.pos, &self.sketch_pos),
+            _ => (&self.neg, &self.sketch_neg),
+        };
+        TermGround {
+            geom,
+            cache: Some(&self.cache),
+            sketch: sketch.as_ref(),
         }
     }
 
@@ -253,8 +329,10 @@ impl<'g> SndEngine<'g> {
         self.breakdown_with_geometry_seq(a, b, [&ga_pos, &ga_neg, &gb_pos, &gb_neg])
     }
 
-    /// Fully sequential
-    /// [`breakdown_with_geometry`](Self::breakdown_with_geometry).
+    /// The four Eq. 3 terms over precomputed geometries
+    /// `[D(a,+), D(a,−), D(b,+), D(b,−)]`, one after another on the
+    /// calling thread, always exact: the sequential reference for
+    /// [`breakdown_with`](Self::breakdown_with).
     pub fn breakdown_with_geometry_seq(
         &self,
         a: &NetworkState,
@@ -299,26 +377,21 @@ impl<'g> SndEngine<'g> {
                 )
             },
         );
-        self.breakdown_with_geometry(a, b, [&ga_pos, &ga_neg, &gb_pos, &gb_neg])
+        let ground = |geom| TermGround {
+            geom,
+            cache: None,
+            sketch: None,
+        };
+        let grounds = [&ga_pos, &ga_neg, &gb_pos, &gb_neg].map(ground);
+        let terms = self.pair_terms(a, b, grounds, self.approx_if_active().as_ref());
+        breakdown_of(&terms)
     }
 
-    /// The four Eq. 3 terms given precomputed geometries
-    /// `[D(a,+), D(a,−), D(b,+), D(b,−)]` — the building block for series
-    /// evaluation where adjacent pairs share ground states. Terms are
-    /// computed concurrently (they are independent transportation solves).
-    pub fn breakdown_with_geometry(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        geoms: [&GroundGeometry; 4],
-    ) -> SndBreakdown {
-        self.terms(a, b, geoms, [None, None, None, None])
-    }
-
-    /// [`breakdown_with_geometry`](Self::breakdown_with_geometry) drawing
-    /// SSSP rows from per-state bundles: `ga` must be `a`'s geometry and
-    /// `gb` must be `b`'s. Rows computed here stay in the bundles' caches
-    /// for later comparisons sharing either ground state.
+    /// [`breakdown`](Self::breakdown) over per-state bundles: `ga` must be
+    /// `a`'s geometry and `gb` must be `b`'s. SSSP rows come from, and
+    /// stay in, the bundles' caches for later comparisons sharing either
+    /// ground state. The bundles' landmark rows are not used: an active
+    /// approximate tier fetches its landmark rows through the caches.
     pub fn breakdown_with(
         &self,
         a: &NetworkState,
@@ -326,90 +399,81 @@ impl<'g> SndEngine<'g> {
         ga: &StateGeometry,
         gb: &StateGeometry,
     ) -> SndBreakdown {
-        self.terms(
-            a,
-            b,
-            [&ga.pos, &ga.neg, &gb.pos, &gb.neg],
-            [
-                Some(&ga.cache),
-                Some(&ga.cache),
-                Some(&gb.cache),
-                Some(&gb.cache),
-            ],
-        )
+        let grounds = pair_grounds(ga, gb).map(|g| TermGround { sketch: None, ..g });
+        let terms = self.pair_terms(a, b, grounds, self.approx_if_active().as_ref());
+        breakdown_of(&terms)
     }
 
-    /// The four Eq. 3 terms over explicit geometries and row caches — the
-    /// borrowing building block behind
-    /// [`breakdown_with`](Self::breakdown_with) and the delta series path
-    /// (which owns its geometries inside repairable bundles and must not
-    /// clone them per transition).
-    pub(crate) fn terms(
+    /// The one EMD\* term router: prices `EMD*(Pᵒᵖ, Qᵒᵖ, D(ground, op))`
+    /// on the exact tier when `approx` is `None` (a zero-width outcome),
+    /// else on the approximate tier (its certified interval plus the
+    /// adaptive-placement feedback). Every surface prices its terms here:
+    /// the scalar ones pass [`approx_if_active`](Self::approx_if_active),
+    /// the interval ones their validated config. Without a row cache the
+    /// approximate tier prices through a term-local one (the interval is
+    /// certified either way; a shared cache just reuses SSSPs).
+    pub(crate) fn price_term(
         &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        geoms: [&GroundGeometry; 4],
-        caches: [Option<&RowCache>; 4],
-    ) -> SndBreakdown {
-        self.terms_sketched(a, b, geoms, caches, [None, None, None, None])
-    }
-
-    /// [`terms`](Self::terms) with optional delta-repaired landmark rows
-    /// per term — the series paths pass their live sketch bundles so the
-    /// approximate tier prices without re-running the 2·L sketch SSSPs.
-    pub(crate) fn terms_sketched(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        geoms: [&GroundGeometry; 4],
-        caches: [Option<&RowCache>; 4],
-        sketches: [Option<&crate::delta::SketchRows>; 4],
-    ) -> SndBreakdown {
-        // `Solver::Auto`-style tier routing: when the approximate tier is
-        // active for this engine (configured, supported bank mode, graph at
-        // least `min_nodes`), every scalar term is read off its certified
-        // interval by `term_value`; otherwise the exact sparse path runs.
-        let approx = self.approx_if_active();
-        let term = |geom: &GroundGeometry,
-                    cache: Option<&RowCache>,
-                    sketch: Option<&crate::delta::SketchRows>,
-                    p: &NetworkState,
-                    q: &NetworkState,
-                    op: Opinion| {
-            if let Some(a_cfg) = &approx {
-                return term_value(self.approx_term(geom, cache, sketch, p, q, op, a_cfg));
-            }
-            sparse::emd_star_term(
+        ground: TermGround<'_>,
+        p: &NetworkState,
+        q: &NetworkState,
+        op: Opinion,
+        approx: Option<&ApproxConfig>,
+    ) -> TermOutcome {
+        let Some(approx_cfg) = approx else {
+            return TermOutcome::exact(sparse::emd_star_term(
                 self.graph,
                 &self.clustering,
-                geom,
+                ground.geom,
                 p,
                 q,
                 op,
                 &self.config,
+                ground.cache,
+            ));
+        };
+        let interval = |cache: &RowCache| {
+            approx::emd_star_term_interval(
+                self.graph,
+                &self.clustering,
+                self.approx_ctx(),
+                ground.geom,
+                p,
+                q,
+                op,
+                &self.config,
+                approx_cfg,
                 cache,
+                ground.sketch,
             )
         };
-        let ((forward_pos, forward_neg), (backward_pos, backward_neg)) = rayon::join(
-            || {
-                rayon::join(
-                    || term(geoms[0], caches[0], sketches[0], a, b, Opinion::Positive),
-                    || term(geoms[1], caches[1], sketches[1], a, b, Opinion::Negative),
-                )
-            },
-            || {
-                rayon::join(
-                    || term(geoms[2], caches[2], sketches[2], b, a, Opinion::Positive),
-                    || term(geoms[3], caches[3], sketches[3], b, a, Opinion::Negative),
-                )
-            },
-        );
-        SndBreakdown {
-            forward_pos,
-            forward_neg,
-            backward_pos,
-            backward_neg,
+        match ground.cache {
+            Some(cache) => interval(cache),
+            None => interval(&RowCache::new(self.graph.node_count())),
         }
+    }
+
+    /// The one four-term fan-out: the Eq. 3 terms of `(a, b)` through
+    /// [`price_term`](Self::price_term), concurrently, in [`SndBreakdown`]
+    /// order. `grounds[which]` is term `which`'s ground — `a`'s planes for
+    /// the forward terms, `b`'s for the backward ones.
+    fn pair_terms(
+        &self,
+        a: &NetworkState,
+        b: &NetworkState,
+        grounds: [TermGround<'_>; 4],
+        approx: Option<&ApproxConfig>,
+    ) -> [TermOutcome; 4] {
+        let term = |which: usize| {
+            let (forward, op) = term_role(which);
+            let (p, q) = if forward { (a, b) } else { (b, a) };
+            self.price_term(grounds[which], p, q, op, approx)
+        };
+        let ((t0, t1), (t2, t3)) = rayon::join(
+            || rayon::join(|| term(0), || term(1)),
+            || rayon::join(|| term(2), || term(3)),
+        );
+        [t0, t1, t2, t3]
     }
 
     /// The approx config when the approximate tier handles this engine's
@@ -450,58 +514,6 @@ impl<'g> SndEngine<'g> {
         Some(self.approx_ctx())
     }
 
-    /// Certified `[lower, upper]` for one EMD\* term via the sketch tier.
-    /// Falls back to a term-local row cache when the caller has none (the
-    /// interval is certified either way; a shared cache just reuses SSSPs).
-    #[allow(clippy::too_many_arguments)] // the exact term surface plus the approx knobs
-    pub(crate) fn approx_term(
-        &self,
-        geom: &GroundGeometry,
-        cache: Option<&RowCache>,
-        sketch: Option<&crate::delta::SketchRows>,
-        p: &NetworkState,
-        q: &NetworkState,
-        op: Opinion,
-        approx_cfg: &ApproxConfig,
-    ) -> (f64, f64) {
-        let outcome = self.approx_term_outcome(geom, cache, sketch, p, q, op, approx_cfg);
-        (outcome.lower, outcome.upper)
-    }
-
-    /// [`approx_term`](Self::approx_term) keeping the adaptive-placement
-    /// feedback — the series interval path consumes it.
-    #[allow(clippy::too_many_arguments)] // the exact term surface plus the approx knobs
-    fn approx_term_outcome(
-        &self,
-        geom: &GroundGeometry,
-        cache: Option<&RowCache>,
-        sketch: Option<&crate::delta::SketchRows>,
-        p: &NetworkState,
-        q: &NetworkState,
-        op: Opinion,
-        approx_cfg: &ApproxConfig,
-    ) -> approx::TermOutcome {
-        let run = |c: &RowCache| {
-            approx::emd_star_term_interval(
-                self.graph,
-                &self.clustering,
-                self.approx_ctx(),
-                geom,
-                p,
-                q,
-                op,
-                &self.config,
-                approx_cfg,
-                c,
-                sketch,
-            )
-        };
-        match cache {
-            Some(c) => run(c),
-            None => run(&RowCache::new(self.graph.node_count())),
-        }
-    }
-
     /// Certified SND interval `lower ≤ SND(a, b) ≤ upper` via the
     /// approximate tier (landmark sketches + coarsening + ε-refinement,
     /// see [`crate::approx`]).
@@ -518,126 +530,40 @@ impl<'g> SndEngine<'g> {
     ) -> Result<SndInterval, ApproxError> {
         let approx_cfg = self.validated_approx()?;
         let (ga, gb) = rayon::join(|| self.state_geometry(a), || self.state_geometry(b));
-        let interval = self.interval_with(a, b, &ga, &gb, &approx_cfg);
+        let terms = self.pair_terms(a, b, pair_grounds(&ga, &gb), Some(&approx_cfg));
         approx::emit_trace_summary("distance_interval");
-        Ok(interval)
+        Ok(interval_of(&terms))
     }
 
     /// Certified intervals for every adjacent transition of a series —
     /// the interval-carrying analogue of
-    /// [`series_distances`](Self::series_distances), and like it
-    /// **delta-aware**: the series is walked with repairable
-    /// [`DeltaStateGeometry`] bundles
-    /// (≤ 2 live), so edge costs are re-derived on touched edges only and
-    /// — when the engine carries an approx config — the 2·L landmark
-    /// sketch rows are *repaired* across each transition instead of
-    /// recomputed. After each priced transition the refinement loop's
-    /// worst-cell feedback adapts the next ground state's landmark set
-    /// (`DeltaStateGeometry::adapt_sketch`).
+    /// [`series_distances`](Self::series_distances), and like it walked
+    /// **delta-aware** by the one series walker (≤ 2 live repairable
+    /// [`DeltaStateGeometry`] bundles), so edge costs are re-derived on
+    /// touched edges only and — when the engine carries an approx config —
+    /// the 2·L landmark sketch rows are *repaired* across each transition
+    /// instead of recomputed. After each priced transition the refinement
+    /// loop's worst-cell feedback adapts the next ground state's landmark
+    /// set (`DeltaStateGeometry::adapt_sketch`).
     pub fn series_intervals(
         &self,
         states: &[NetworkState],
     ) -> Result<Vec<SndInterval>, ApproxError> {
         let approx_cfg = self.validated_approx()?;
-        if states.len() < 2 {
-            return Ok(Vec::new());
-        }
-        let n = self.graph.node_count();
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut deltas = self.series_deltas(states);
-        let mut prev = DeltaStateGeometry::fresh_keeping(
-            self,
-            &states[0],
-            keeps_repair_state(self.graph, deltas.peek()),
-        );
-        let mut prev_rows = RowCache::new(n);
-        while let Some((t, delta)) = deltas.next() {
-            if delta.is_empty() {
-                out.push(SndInterval {
-                    lower: 0.0,
-                    upper: 0.0,
-                });
-                continue;
-            }
-            let mut cur = prev.step_keeping(
-                self,
-                &states[t],
-                &delta,
-                keeps_repair_state(self.graph, deltas.peek()),
-            );
-            let cur_rows = RowCache::new(n);
-            let (interval, feedback) = self.interval_terms(
-                &states[t - 1],
-                &states[t],
-                [&prev.pos.geom, &prev.neg.geom, &cur.pos.geom, &cur.neg.geom],
-                [
-                    Some(&prev_rows),
-                    Some(&prev_rows),
-                    Some(&cur_rows),
-                    Some(&cur_rows),
-                ],
-                [
-                    prev.pos.sketch.as_ref(),
-                    prev.neg.sketch.as_ref(),
-                    cur.pos.sketch.as_ref(),
-                    cur.neg.sketch.as_ref(),
-                ],
-                &approx_cfg,
-            );
-            out.push(interval);
+        let zero = SndInterval {
+            lower: 0.0,
+            upper: 0.0,
+        };
+        let out = self.walk_series(states, Some(&approx_cfg), zero, |terms, cur| {
             // The backward terms ground in `cur`, which is exactly the
             // next transition's forward ground state — fold their hot
             // cells into its landmark set before stepping on.
-            let [_, _, feedback_pos, feedback_neg] = feedback;
-            cur.adapt_sketch(
-                self,
-                Opinion::Positive,
-                &feedback_pos,
-                approx_cfg.max_landmarks,
-            );
-            cur.adapt_sketch(
-                self,
-                Opinion::Negative,
-                &feedback_neg,
-                approx_cfg.max_landmarks,
-            );
-            prev = cur;
-            prev_rows = cur_rows;
-        }
+            let max = approx_cfg.max_landmarks;
+            cur.adapt_sketch(self, Opinion::Positive, &terms[2].feedback, max);
+            cur.adapt_sketch(self, Opinion::Negative, &terms[3].feedback, max);
+            interval_of(&terms)
+        });
         approx::emit_trace_summary("series_intervals");
-        Ok(out)
-    }
-
-    /// The pre-delta interval series baseline: a fresh
-    /// [`state_geometry`](Self::state_geometry) per snapshot, landmark
-    /// rows re-fetched through each bundle's cache (2·L sketch SSSPs per
-    /// plane per snapshot), no adaptation. Certified exactly like
-    /// [`series_intervals`](Self::series_intervals); kept as the
-    /// re-sketch baseline the `scale_series` bench measures the
-    /// delta-repaired path against.
-    pub fn series_intervals_fresh(
-        &self,
-        states: &[NetworkState],
-    ) -> Result<Vec<SndInterval>, ApproxError> {
-        let approx_cfg = self.validated_approx()?;
-        if states.len() < 2 {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut prev = self.state_geometry(&states[0]);
-        for t in 1..states.len() {
-            if states[t - 1] == states[t] {
-                out.push(SndInterval {
-                    lower: 0.0,
-                    upper: 0.0,
-                });
-                continue;
-            }
-            let cur = self.state_geometry(&states[t]);
-            out.push(self.interval_with(&states[t - 1], &states[t], &prev, &cur, &approx_cfg));
-            prev = cur;
-        }
-        approx::emit_trace_summary("series_intervals_fresh");
         Ok(out)
     }
 
@@ -650,83 +576,6 @@ impl<'g> SndEngine<'g> {
             return Err(ApproxError::UnsupportedBankMode(mode));
         }
         Ok(approx_cfg)
-    }
-
-    /// Sums the four per-term intervals into the Eq. 3 SND interval
-    /// (`½·Σ` of each envelope — interval arithmetic over independent
-    /// certified bounds), keeping each term's adaptive-placement feedback
-    /// in breakdown order (forward+, forward−, backward+, backward−).
-    /// Terms run concurrently like [`terms`](Self::terms).
-    fn interval_terms(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        geoms: [&GroundGeometry; 4],
-        caches: [Option<&RowCache>; 4],
-        sketches: [Option<&crate::delta::SketchRows>; 4],
-        approx_cfg: &ApproxConfig,
-    ) -> (SndInterval, [approx::TermFeedback; 4]) {
-        let term = |geom: &GroundGeometry,
-                    cache: Option<&RowCache>,
-                    sketch: Option<&crate::delta::SketchRows>,
-                    p: &NetworkState,
-                    q: &NetworkState,
-                    op| {
-            self.approx_term_outcome(geom, cache, sketch, p, q, op, approx_cfg)
-        };
-        let ((fp, fn_), (bp, bn)) = rayon::join(
-            || {
-                rayon::join(
-                    || term(geoms[0], caches[0], sketches[0], a, b, Opinion::Positive),
-                    || term(geoms[1], caches[1], sketches[1], a, b, Opinion::Negative),
-                )
-            },
-            || {
-                rayon::join(
-                    || term(geoms[2], caches[2], sketches[2], b, a, Opinion::Positive),
-                    || term(geoms[3], caches[3], sketches[3], b, a, Opinion::Negative),
-                )
-            },
-        );
-        let interval = SndInterval {
-            lower: 0.5 * (fp.lower + fn_.lower + bp.lower + bn.lower),
-            upper: 0.5 * (fp.upper + fn_.upper + bp.upper + bn.upper),
-        };
-        (
-            interval,
-            [fp.feedback, fn_.feedback, bp.feedback, bn.feedback],
-        )
-    }
-
-    /// [`interval_terms`](Self::interval_terms) over two per-state
-    /// bundles, feedback discarded — the pair-query surface.
-    fn interval_with(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        ga: &StateGeometry,
-        gb: &StateGeometry,
-        approx_cfg: &ApproxConfig,
-    ) -> SndInterval {
-        let (interval, _) = self.interval_terms(
-            a,
-            b,
-            [&ga.pos, &ga.neg, &gb.pos, &gb.neg],
-            [
-                Some(&ga.cache),
-                Some(&ga.cache),
-                Some(&gb.cache),
-                Some(&gb.cache),
-            ],
-            [
-                ga.sketch_pos.as_ref(),
-                ga.sketch_neg.as_ref(),
-                gb.sketch_pos.as_ref(),
-                gb.sketch_neg.as_ref(),
-            ],
-            approx_cfg,
-        );
-        interval
     }
 
     /// SND via the dense reference path (full APSP + full extended LP).
@@ -755,70 +604,62 @@ impl<'g> SndEngine<'g> {
     /// point; the geometries are *borrowed* into the term evaluation —
     /// never cloned per transition.
     pub fn series_distances(&self, states: &[NetworkState]) -> Vec<f64> {
+        let approx = self.approx_if_active();
+        self.walk_series(states, approx.as_ref(), 0.0, |terms, _| {
+            breakdown_of(&terms).total()
+        })
+    }
+
+    /// The one delta-series walker behind
+    /// [`series_distances`](Self::series_distances) and
+    /// [`series_intervals`](Self::series_intervals). It builds the first
+    /// state's bundle fresh, steps it through each transition's
+    /// [`StateDelta`] — keeping repair state only when the next transition
+    /// (peeked one ahead) repairs — and prices the four terms through
+    /// [`pair_terms`](Self::pair_terms) with one fresh row cache per
+    /// ground state. `fold` turns them into the transition's value and may
+    /// update the new bundle before it becomes the next ground state. An
+    /// empty delta yields `zero`: every EMD\* term over equal states is
+    /// exactly zero, and the bundle and its cache carry over untouched. At
+    /// most two bundles and two caches are live at any point.
+    fn walk_series<T: Copy>(
+        &self,
+        states: &[NetworkState],
+        approx: Option<&ApproxConfig>,
+        zero: T,
+        mut fold: impl FnMut([TermOutcome; 4], &mut DeltaStateGeometry) -> T,
+    ) -> Vec<T> {
         if states.len() < 2 {
             return Vec::new();
         }
-        let n = self.graph.node_count();
+        let g = self.graph;
         let mut out = Vec::with_capacity(states.len() - 1);
-        let mut deltas = self.series_deltas(states);
-        let mut prev = DeltaStateGeometry::fresh_keeping(
-            self,
-            &states[0],
-            keeps_repair_state(self.graph, deltas.peek()),
-        );
-        let mut prev_rows = RowCache::new(n);
+        let mut deltas = (1..states.len())
+            .map(|t| (t, StateDelta::between(g, &states[t - 1], &states[t])))
+            .peekable();
+        let keep = keeps_repair_state(g, deltas.peek());
+        let mut prev = DeltaStateGeometry::fresh_keeping(self, &states[0], keep);
+        let mut prev_rows = RowCache::new(g.node_count());
         while let Some((t, delta)) = deltas.next() {
             if delta.is_empty() {
-                // Identical states: every EMD* term is exactly zero, and
-                // the geometry (hence the caches) carries over untouched.
-                out.push(SndBreakdown::default().total());
+                out.push(zero);
                 continue;
             }
-            let cur = prev.step_keeping(
-                self,
-                &states[t],
-                &delta,
-                keeps_repair_state(self.graph, deltas.peek()),
-            );
-            let cur_rows = RowCache::new(n);
-            let breakdown = self.terms_sketched(
-                &states[t - 1],
-                &states[t],
-                [&prev.pos.geom, &prev.neg.geom, &cur.pos.geom, &cur.neg.geom],
-                [
-                    Some(&prev_rows),
-                    Some(&prev_rows),
-                    Some(&cur_rows),
-                    Some(&cur_rows),
-                ],
-                [
-                    prev.pos.sketch.as_ref(),
-                    prev.neg.sketch.as_ref(),
-                    cur.pos.sketch.as_ref(),
-                    cur.neg.sketch.as_ref(),
-                ],
-            );
-            out.push(breakdown.total());
+            let keep = keeps_repair_state(g, deltas.peek());
+            let mut cur = prev.step_keeping(self, &states[t], &delta, keep);
+            let cur_rows = RowCache::new(g.node_count());
+            let grounds = [
+                prev.pos.ground(&prev_rows),
+                prev.neg.ground(&prev_rows),
+                cur.pos.ground(&cur_rows),
+                cur.neg.ground(&cur_rows),
+            ];
+            let terms = self.pair_terms(&states[t - 1], &states[t], grounds, approx);
+            out.push(fold(terms, &mut cur));
             prev = cur;
             prev_rows = cur_rows; // the old cache drops here
         }
         out
-    }
-
-    /// The series' transitions `(t, delta(states[t-1] → states[t]))`,
-    /// computed lazily so a loop can peek one transition ahead.
-    fn series_deltas<'s>(
-        &'s self,
-        states: &'s [NetworkState],
-    ) -> std::iter::Peekable<impl Iterator<Item = (usize, StateDelta)> + 's> {
-        (1..states.len())
-            .map(move |t| {
-                (
-                    t,
-                    StateDelta::between(self.graph, &states[t - 1], &states[t]),
-                )
-            })
-            .peekable()
     }
 
     /// Sequential reference implementation of
@@ -964,7 +805,8 @@ mod tests {
         let geoms = [&ga_pos, &ga_neg, &gb_pos, &gb_neg];
 
         let seq = engine.breakdown_with_geometry_seq(&a, &b, geoms);
-        let par = engine.breakdown_with_geometry(&a, &b, geoms);
+        let (ba, bb) = (engine.state_geometry(&a), engine.state_geometry(&b));
+        let par = engine.breakdown_with(&a, &b, &ba, &bb);
         // Bit identity, not tolerance: the parallel fan-out must change
         // nothing about the arithmetic.
         assert_eq!(seq.total().to_bits(), par.total().to_bits());

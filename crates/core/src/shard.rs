@@ -1019,9 +1019,18 @@ fn parse_header(line: &str) -> Option<(TileGrid, u64)> {
     Some((TileGrid::checked(k, tile)?, fingerprint))
 }
 
+/// One hex-encoded `f64` field that is a valid SND value: finite and
+/// non-negative. A NaN, an infinity or a negative distance is a
+/// malformation like any other.
+fn parse_value(field: &str) -> Option<f64> {
+    let v = f64::from_bits(u64::from_str_radix(field, 16).ok()?);
+    (v.is_finite() && v >= 0.0).then_some(v)
+}
+
 /// Parses one `T` line against `grid` (ID range and pair count must
-/// match). `None` on any malformation — callers treat that as a truncated
-/// checkpoint tail or a protocol violation, never a panic.
+/// match, every value finite and non-negative). `None` on any
+/// malformation — callers treat that as a truncated checkpoint tail or a
+/// protocol violation, never a panic.
 pub fn parse_tile_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<f64>)> {
     let mut t = line.split_ascii_whitespace();
     if t.next()? != "T" {
@@ -1038,7 +1047,7 @@ pub fn parse_tile_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<f64>)>
     // No capacity from `count`: the line, not the claim, bounds the values.
     let mut values = Vec::new();
     for _ in 0..count {
-        values.push(f64::from_bits(u64::from_str_radix(t.next()?, 16).ok()?));
+        values.push(parse_value(t.next()?)?);
     }
     if t.next().is_some() {
         return None;
@@ -1046,7 +1055,8 @@ pub fn parse_tile_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<f64>)>
     Some((id, values))
 }
 
-/// Parses one `I` line against `grid`. `None` on any malformation.
+/// Parses one `I` line against `grid` (endpoints finite, non-negative
+/// and ordered, `lo ≤ hi`). `None` on any malformation.
 pub fn parse_interval_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<(f64, f64)>)> {
     let mut t = line.split_ascii_whitespace();
     if t.next()? != "I" {
@@ -1062,8 +1072,11 @@ pub fn parse_interval_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<(f
     }
     let mut intervals = Vec::new();
     for _ in 0..count {
-        let lo = f64::from_bits(u64::from_str_radix(t.next()?, 16).ok()?);
-        let hi = f64::from_bits(u64::from_str_radix(t.next()?, 16).ok()?);
+        let lo = parse_value(t.next()?)?;
+        let hi = parse_value(t.next()?)?;
+        if lo > hi {
+            return None;
+        }
         intervals.push((lo, hi));
     }
     if t.next().is_some() {
@@ -1084,8 +1097,8 @@ pub fn parse_timing_line(line: &str, grid: &TileGrid) -> Option<(usize, f64)> {
     if id >= grid.tile_count() {
         return None;
     }
-    let secs = f64::from_bits(u64::from_str_radix(t.next()?, 16).ok()?);
-    if t.next().is_some() || !secs.is_finite() || secs < 0.0 {
+    let secs = parse_value(t.next()?)?;
+    if t.next().is_some() {
         return None;
     }
     Some((id, secs))
@@ -1906,6 +1919,53 @@ mod tests {
             }
         }
         assert!(TileGrid::checked(4, 0).is_none());
+
+        // Value lines that are no SND end the valid prefix like a torn
+        // append: a NaN, infinite or negative tile value drops its tile
+        // and everything after it, and an interval with `lo > hi` (5 > 1)
+        // leaves its tile uncertified. `k 2 tile 1` has tiles 0 and 2
+        // (no pairs) and tile 1 (the one pair).
+        let header = header("2", "1");
+        let cases = [
+            (
+                header.clone() + "T 0 0\nT 1 1 7ff8000000000000\nT 2 0\n",
+                1,
+                0,
+            ),
+            (
+                header.clone() + "T 0 0\nT 1 1 7ff0000000000000\nT 2 0\n",
+                1,
+                0,
+            ),
+            (
+                header.clone() + "T 0 0\nT 1 1 bff0000000000000\nT 2 0\n",
+                1,
+                0,
+            ),
+            (
+                header.clone()
+                    + "T 0 0\nT 1 1 4014000000000000\n\
+                       I 1 1 4014000000000000 3ff0000000000000\nT 2 0\n",
+                2,
+                0,
+            ),
+            (
+                header.clone()
+                    + "T 0 0\nT 1 1 4014000000000000\n\
+                       I 1 1 3ff0000000000000 4014000000000000\nT 2 0\n",
+                3,
+                1,
+            ),
+        ];
+        for (n, (text, tiles, certified)) in cases.iter().enumerate() {
+            std::fs::write(&path, text).unwrap();
+            let set = TileSet::load(&path).unwrap();
+            assert_eq!(set.tile_count(), *tiles, "value case {n}");
+            assert_eq!(set.certified_tile_count(), *certified, "value case {n}");
+            if *tiles < 3 {
+                assert!(matches!(set.to_matrix(), Err(ShardError::Holes { .. })));
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

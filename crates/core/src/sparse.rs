@@ -237,6 +237,96 @@ impl ReducedTerm {
     pub(crate) fn rows_reversed(&self) -> bool {
         self.total_p < self.total_q
     }
+
+    /// Bank capacities and orientation, shared by both tiers: the bank
+    /// bins of the lighter side with capacities from its *full*
+    /// (unreduced) masses, and the heavier side's residual users as rows.
+    /// `None` when the term is zero without a solve (both histograms
+    /// empty, or no residual user at all).
+    pub(crate) fn orient(self, n: usize, config: &SndConfig) -> Option<OrientedTerm> {
+        let scale = config.scale;
+        let reverse = self.rows_reversed();
+        let ReducedTerm {
+            residual_p,
+            residual_q,
+            total_p,
+            total_q,
+            banks,
+        } = self;
+        if total_p == 0 && total_q == 0 {
+            return None;
+        }
+        let delta = total_p.abs_diff(total_q);
+
+        // Per-bin mode: one bank per active bin of the lighter histogram,
+        // each at distance `per_bin_gamma` from its bin; cluster mode: `nb`
+        // banks per cluster at the precomputed γ / inter-cluster distances.
+        let (bank_bins, bank_caps): (Vec<NodeId>, Vec<Mass>) = match banks {
+            BankBins::Balanced => {
+                debug_assert_eq!(delta, 0, "balanced term must carry no surplus");
+                (Vec::new(), Vec::new())
+            }
+            BankBins::PerBin(bins) => {
+                if bins.is_empty() {
+                    // The lighter histogram is empty: the capacity rule
+                    // degenerates to a uniform spread over every bin
+                    // (matching the dense-path `proportional_split`
+                    // fallback on all-zero weights).
+                    let all: Vec<NodeId> = (0..n as NodeId).collect();
+                    let caps = snd_emd::proportional_split(delta, &vec![1; n]);
+                    (all, caps)
+                } else {
+                    let masses = vec![scale; bins.len()];
+                    let caps = snd_emd::proportional_split(delta, &masses);
+                    (bins, caps)
+                }
+            }
+            BankBins::Cluster(lighter_cluster_masses) => (
+                Vec::new(),
+                bank_capacities_from_cluster_masses(
+                    delta,
+                    &lighter_cluster_masses,
+                    config.banks_per_cluster.max(1),
+                ),
+            ),
+        };
+
+        // Banks always end up as columns: rows are the heavier side's
+        // residual bins, one SSSP each — forward when P is heavier,
+        // reversed when Q is.
+        let (row_nodes, col_nodes) = if reverse {
+            (residual_q, residual_p)
+        } else {
+            (residual_p, residual_q)
+        };
+        if row_nodes.is_empty() {
+            debug_assert!(col_nodes.is_empty() && delta == 0);
+            return None;
+        }
+        Some(OrientedTerm {
+            row_nodes,
+            col_nodes,
+            bank_bins,
+            bank_caps,
+            reverse,
+        })
+    }
+}
+
+/// A [`ReducedTerm`] after [`orient`](ReducedTerm::orient): the reduced
+/// transportation problem's rows and columns, banks always last among the
+/// columns.
+pub(crate) struct OrientedTerm {
+    /// The heavier side's residual users, one SSSP row each.
+    pub(crate) row_nodes: Vec<NodeId>,
+    /// The lighter side's residual users.
+    pub(crate) col_nodes: Vec<NodeId>,
+    /// Per-bin mode: the bin of each bank column (empty in cluster mode).
+    pub(crate) bank_bins: Vec<NodeId>,
+    /// One capacity per bank column.
+    pub(crate) bank_caps: Vec<Mass>,
+    /// Rows are reverse SSSP rows (`Q` is the heavier side).
+    pub(crate) reverse: bool,
 }
 
 /// Computes one EMD\* term `EMD*(Pᵒᵖ, Qᵒᵖ, D(ground, op))` where the ground
@@ -325,12 +415,11 @@ pub(crate) fn classify_term(
     }
 }
 
-/// Assembles and solves one classified EMD\* term: bank capacities from
-/// the lighter side's inputs, orientation (banks always columns), one SSSP
-/// row per heavy-side residual node, exact transportation solve. This is
-/// the shared back half of [`emd_star_term`] — every classification route
-/// funnels through it, so a flip-derived [`ReducedTerm`] that matches the
-/// scan-derived one is priced through literally the same arithmetic.
+/// Solves one classified EMD\* term: [`orient`](ReducedTerm::orient),
+/// then [`solve_oriented`]. This is the shared back half of
+/// [`emd_star_term`] — every classification route funnels through it, so
+/// a flip-derived [`ReducedTerm`] that matches the scan-derived one is
+/// priced through literally the same arithmetic.
 pub(crate) fn solve_reduced_term(
     g: &CsrGraph,
     clustering: &Clustering,
@@ -340,72 +429,34 @@ pub(crate) fn solve_reduced_term(
     cache: Option<&RowCache>,
     term: ReducedTerm,
 ) -> f64 {
+    term.orient(g.node_count(), config).map_or(0.0, |term| {
+        solve_oriented(g, clustering, geom, op, config, cache, &term)
+    })
+}
+
+/// Assembles and solves one oriented EMD\* term: one SSSP row per row
+/// node, bank columns from the precomputed geometry, exact transportation
+/// solve. The approximate tier's tiny-problem shortcut solves here too.
+pub(crate) fn solve_oriented(
+    g: &CsrGraph,
+    clustering: &Clustering,
+    geom: &GroundGeometry,
+    op: Opinion,
+    config: &SndConfig,
+    cache: Option<&RowCache>,
+    term: &OrientedTerm,
+) -> f64 {
     let n = g.node_count();
     let scale = config.scale;
     let nc = clustering.cluster_count();
     let nb = config.banks_per_cluster.max(1);
-    let reverse = term.rows_reversed();
-    let ReducedTerm {
-        residual_p,
-        residual_q,
-        total_p,
-        total_q,
-        banks,
-    } = term;
-    if total_p == 0 && total_q == 0 {
-        return 0.0;
-    }
-    let delta = total_p.abs_diff(total_q);
-
-    // Bank bins on the lighter side, capacities from the *full* (unreduced)
-    // masses. Per-bin mode: one bank per active bin of the lighter
-    // histogram, each at distance `per_bin_gamma` from its bin; cluster
-    // mode: `nb` banks per cluster at the precomputed γ / inter-cluster
-    // distances.
-    let (bank_bins, bank_caps): (Vec<NodeId>, Vec<Mass>) = match banks {
-        BankBins::Balanced => {
-            debug_assert_eq!(delta, 0, "balanced term must carry no surplus");
-            (Vec::new(), Vec::new())
-        }
-        BankBins::PerBin(bins) => {
-            if bins.is_empty() {
-                // The lighter histogram is empty: the capacity rule
-                // degenerates to a uniform spread over every bin (matching
-                // the dense-path `proportional_split` fallback on all-zero
-                // weights).
-                let all: Vec<NodeId> = (0..n as NodeId).collect();
-                let caps = snd_emd::proportional_split(delta, &vec![1; n]);
-                (all, caps)
-            } else {
-                let masses = vec![scale; bins.len()];
-                let caps = snd_emd::proportional_split(delta, &masses);
-                (bins, caps)
-            }
-        }
-        BankBins::Cluster(lighter_cluster_masses) => (
-            Vec::new(),
-            bank_capacities_from_cluster_masses(delta, &lighter_cluster_masses, nb),
-        ),
-    };
-
-    // Orientation: banks always end up as columns (rows are the heavier
-    // side's residual bins, one SSSP each — forward when P is heavier,
-    // reversed when Q is).
-    let (row_nodes, col_nodes) = if reverse {
-        (residual_q, residual_p)
-    } else {
-        (residual_p, residual_q)
-    };
-    if row_nodes.is_empty() {
-        debug_assert!(col_nodes.is_empty() && delta == 0);
-        return 0.0;
-    }
+    let (row_nodes, col_nodes, bank_caps) = (&term.row_nodes, &term.col_nodes, &term.bank_caps);
 
     let n_rows = row_nodes.len();
     let n_cols = col_nodes.len() + bank_caps.len();
     let supplies = vec![scale; n_rows];
     let mut demands: Vec<Mass> = vec![scale; col_nodes.len()];
-    demands.extend_from_slice(&bank_caps);
+    demands.extend_from_slice(bank_caps);
     debug_assert_eq!(
         supplies.iter().sum::<u64>(),
         demands.iter().sum::<u64>(),
@@ -420,15 +471,15 @@ pub(crate) fn solve_reduced_term(
     } else {
         Vec::new()
     };
-    for &node in &row_nodes {
+    for &node in row_nodes {
         let row: &[u32] = match cache {
-            Some(c) => c.get_or_compute(g, geom, op, reverse, node),
+            Some(c) => c.get_or_compute(g, geom, op, term.reverse, node),
             None => {
-                compute_row(g, geom, reverse, node, &mut local_row);
+                compute_row(g, geom, term.reverse, node, &mut local_row);
                 &local_row
             }
         };
-        for &cn in &col_nodes {
+        for &cn in col_nodes {
             data.push(row[cn as usize]);
         }
         if bank_caps.is_empty() {
@@ -437,7 +488,7 @@ pub(crate) fn solve_reduced_term(
             // Forward: D̃[node, bank(u)] = γ + D(node, u) — read off the
             // forward row. Transposed: D̃[bank(u), node] = γ + D(u, node) —
             // read off the reverse row. Either way it is `row[u] + γ`.
-            for &u in &bank_bins {
+            for &u in &term.bank_bins {
                 // Matches the dense path's `γ + D(·,·)` exactly, including
                 // `γ + sentinel` for unreachable pairs (saturating).
                 data.push(row[u as usize].saturating_add(config.per_bin_gamma));
@@ -447,7 +498,7 @@ pub(crate) fn solve_reduced_term(
             for c in 0..nc {
                 // Forward: D̃[node, bank(c,b)] = γ_c[b] + d(cluster(node), c).
                 // Transposed: D̃[bank(c,b), node] = γ_c[b] + d(c, cluster(node)).
-                let d_cc = if reverse {
+                let d_cc = if term.reverse {
                     geom.inter_cluster.at(c, node_cluster)
                 } else {
                     geom.inter_cluster.at(node_cluster, c)

@@ -280,7 +280,7 @@ mod tests {
             WorkerMsg::Next,
             WorkerMsg::Tile {
                 id: 1,
-                values: vec![1.5, -0.25, f64::MAX, 3.0],
+                values: vec![1.5, 0.25, f64::MAX, 3.0],
             },
             WorkerMsg::Interval {
                 id: 1,
@@ -341,6 +341,14 @@ mod tests {
             "T 1 2 0000000000000000",   // count mismatch (tile 1 has 4 pairs)
             "T 1 4 0000000000000000 nonsense aaaaaaaaaaaaaaaa bbbbbbbbbbbbbbbb",
             "I 1 4 0000000000000000", // too few words
+            // Values that are no SND: NaN, +inf and negative distances,
+            // and an interval whose lower end exceeds its upper end.
+            "T 1 4 7ff8000000000000 0000000000000000 0000000000000000 0000000000000000",
+            "T 1 4 0000000000000000 7ff0000000000000 0000000000000000 0000000000000000",
+            "T 1 4 0000000000000000 0000000000000000 bff0000000000000 0000000000000000",
+            "I 1 4 4014000000000000 3ff0000000000000 0 0 0 0 0 0",
+            "I 1 4 0 0 7ff8000000000000 7ff8000000000000 0 0 0 0",
+            "I 1 4 0 0 0 0 bff0000000000000 0000000000000000 0 0",
             "W 1 zzzz",
             "W 1 fff0000000000000", // -inf: non-finite timing
             "LEASE 1 1 0",          // coordinator verb on worker channel

@@ -147,3 +147,29 @@ fn epsilon_zero_series_midpoints_match_the_exact_series() {
         }
     }
 }
+
+/// The scalar series routes each term exactly as a one-off distance does:
+/// with the approximate tier active for scalar queries (`min_nodes` 0),
+/// every transition of `series_distances` — priced over delta-repaired
+/// sketch rows — equals `distance` on the same pair, which fetches fresh
+/// landmark rows, bit for bit.
+#[test]
+fn active_tier_series_equals_pairwise_distance_bit_for_bit() {
+    for mut sc in registry().into_iter().take(4) {
+        sc.nodes = 300;
+        sc.steps = 6;
+        let series = sc.run(3).expect(sc.name);
+        let engine = SndEngine::new(&series.graph, approx(0.2, 4));
+        let values = engine.series_distances(&series.states);
+        assert_eq!(values.len(), series.states.len() - 1);
+        for (t, (w, v)) in series.states.windows(2).zip(&values).enumerate() {
+            let d = engine.distance(&w[0], &w[1]);
+            assert_eq!(
+                v.to_bits(),
+                d.to_bits(),
+                "{} t={t}: series {v} vs distance {d}",
+                sc.name
+            );
+        }
+    }
+}
