@@ -37,12 +37,12 @@ pub fn pairwise_distances_checkpointed(
 
 /// Adjacent-transition distances `d(G_t, G_{t+1})` with checkpoint/resume:
 /// computes only the tiles covering the superdiagonal, so a series run
-/// prices `O(k·tile)` pairs instead of the full matrix — and computes
-/// them through the **delta path** (`snd_core::delta`): each state's
-/// geometry bundle is advanced from the previous one via touched-edge
-/// cost rederivation and SSSP row repair instead of rebuilt from scratch.
-/// The checkpoint format and values are bit-identical to the batch tile
-/// path, so old checkpoints resume here, and a later
+/// prices `O(k·tile)` pairs instead of the full matrix. It is the
+/// superdiagonal plan of the one tile path, which walks the states in
+/// order, so each state's geometry bundle is advanced from the previous
+/// one via touched-edge cost rederivation and SSSP row repair
+/// (`snd_core::delta`) instead of rebuilt from scratch. Old checkpoints
+/// resume here, and a later
 /// `pairwise_distances_checkpointed` call over the same checkpoint reuses
 /// these tiles. Bit-identical to `SndEngine::series_distances`.
 pub fn series_distances_checkpointed(

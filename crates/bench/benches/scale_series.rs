@@ -7,12 +7,12 @@
 //! `SndEngine::series_intervals` advances a single sketch bundle through
 //! each transition (landmark rows repaired through the touched edges,
 //! landmarks adapted from term feedback). The baseline, [`fresh_series`],
-//! prices the same transitions as the superdiagonal tiles of a one-state
-//! tile grid: `pairwise_tiles` builds a fresh `state_geometry` per
-//! snapshot and fetches its 2·L landmark rows through the bundle's row
-//! cache, with no adaptation. Both return certified intervals, and a
-//! subsampled instance small enough to price exactly checks that the
-//! delta path's intervals still bracket the exact SND.
+//! builds a fresh `state_geometry` per snapshot (two live at a time) and
+//! prices each transition with `pairwise_distances_with` over its two
+//! bundles, which fetches the 2·L landmark rows through the bundles' row
+//! caches, with no adaptation. Both price every term as a certified
+//! envelope, and a subsampled instance small enough to price exactly
+//! checks that the delta path's intervals still bracket the exact SND.
 //!
 //! Results land in `BENCH_scale_series.json` at the repo root.
 //!
@@ -34,7 +34,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snd_bench::record::{knob, Record};
-use snd_core::{ApproxConfig, ShardPlan, SndConfig, SndEngine, SndInterval, TileGrid};
+use snd_core::{ApproxConfig, SndConfig, SndEngine};
 use snd_graph::generators::{barabasi_albert, grid_graph};
 use snd_graph::CsrGraph;
 use snd_models::NetworkState;
@@ -163,21 +163,21 @@ fn approx_config(epsilon: f64, landmarks: usize) -> SndConfig {
     }
 }
 
-/// The re-sketch baseline: every transition's certified interval read
-/// off the superdiagonal tiles of a one-state grid, each snapshot's
-/// geometry and landmark rows built from scratch.
-fn fresh_series(engine: &SndEngine<'_>, states: &[NetworkState]) -> Vec<SndInterval> {
-    let tiles = engine.pairwise_tiles(
-        states,
-        &ShardPlan::superdiagonal(TileGrid::new(states.len(), 1)),
-    );
-    (1..states.len())
-        .map(|t| {
-            tiles
-                .pair_interval(t - 1, t)
-                .expect("an active approximate tier certifies every tile")
-        })
-        .collect()
+/// The re-sketch baseline: every snapshot's geometry and landmark rows
+/// built from scratch, each transition priced over its two bundles.
+fn fresh_series(engine: &SndEngine<'_>, states: &[NetworkState]) -> Vec<f64> {
+    let mut live = vec![engine.state_geometry(&states[0])];
+    let mut out = Vec::with_capacity(states.len() - 1);
+    for t in 1..states.len() {
+        live.push(engine.state_geometry(&states[t]));
+        out.push(
+            engine
+                .pairwise_distances_with(&states[t - 1..=t], &live)
+                .at(0, 1),
+        );
+        live.remove(0);
+    }
+    out
 }
 
 fn bench_scale_series(c: &mut Criterion) {

@@ -9,10 +9,11 @@
 //! grounded in that state.
 //!
 //! [`SndEngine::pairwise_distances`] restructures this around the
-//! per-state [`StateGeometry`] bundle: geometries are computed once per
-//! state (in parallel across states), and every `(ground state, opinion,
-//! direction, user)` SSSP row is written at most once into the bundle's
-//! shared [`RowCache`](crate::sparse::RowCache). Pairs are then priced in
+//! per-state [`StateGeometry`] bundle: geometries are built once per
+//! state, each stepped from the previous state's through their delta
+//! (`delta::BundleChain`), and every `(ground state, opinion, direction,
+//! user)` SSSP row is written at most once into the bundle's shared
+//! [`RowCache`](crate::sparse::RowCache). Pairs are then priced in
 //! one place, `SndEngine::price_pairs`, which runs three phases. The
 //! matrix calls it once over all pairs; every tile of a
 //! [`ShardPlan`](crate::shard::ShardPlan) and every series tile calls it
@@ -67,7 +68,7 @@ use rayon::prelude::*;
 use snd_graph::{repair_row, CostChange, EdgeId, NodeId, RepairScratch};
 use snd_models::{NetworkState, Opinion};
 
-use crate::delta::REPAIR_EDGE_FRACTION;
+use crate::delta::{BundleChain, REPAIR_EDGE_FRACTION};
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
 use crate::sparse;
 
@@ -124,12 +125,15 @@ impl DistanceMatrix {
 }
 
 impl<'g> SndEngine<'g> {
-    /// All-pairs SND matrix over a snapshot set: geometry computed once per
-    /// state, each SSSP row computed or repaired at most once per ground
-    /// state into the bundles' caches (see the module docs), all
-    /// `4·T·(T−1)/2` EMD\* terms fanned out over the thread pool.
+    /// All-pairs SND matrix over a snapshot set: geometry stepped once per
+    /// state along the snapshot order, each SSSP row computed or repaired
+    /// at most once per ground state into the bundles' caches (see the
+    /// module docs), all `4·T·(T−1)/2` EMD\* terms fanned out over the
+    /// thread pool.
     pub fn pairwise_distances(&self, states: &[NetworkState]) -> DistanceMatrix {
-        let geoms: Vec<StateGeometry> = states.par_iter().map(|s| self.state_geometry(s)).collect();
+        let mut chain = BundleChain::new(self, states, 1);
+        let geoms: Vec<StateGeometry> = (0..states.len()).map(|s| chain.bundle(s)).collect();
+        drop(chain);
         self.pairwise_distances_with(states, &geoms)
     }
 

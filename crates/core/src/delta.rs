@@ -1038,6 +1038,57 @@ impl DeltaStateGeometry {
     }
 }
 
+/// The one snapshot-ordered bundle materializer: hands out batch
+/// [`StateGeometry`] bundles for the matrix, every tile plan and the
+/// series tiles. It keeps the last handed-out state's
+/// [`DeltaStateGeometry`] as the chain head. A state at most `max_gap`
+/// past the head is reached by stepping the head through each non-empty
+/// [`StateDelta`]; a state behind the head or further ahead is built
+/// fresh. Either way the geometry is bit-identical to
+/// [`SndEngine::state_geometry`]'s, and an approximate-tier engine's
+/// bundles carry the chain's live sketch rows.
+pub(crate) struct BundleChain<'a, 'g> {
+    engine: &'a SndEngine<'g>,
+    states: &'a [NetworkState],
+    max_gap: usize,
+    head: Option<(usize, DeltaStateGeometry)>,
+}
+
+impl<'a, 'g> BundleChain<'a, 'g> {
+    pub(crate) fn new(
+        engine: &'a SndEngine<'g>,
+        states: &'a [NetworkState],
+        max_gap: usize,
+    ) -> Self {
+        BundleChain {
+            engine,
+            states,
+            max_gap,
+            head: None,
+        }
+    }
+
+    /// State `s`'s bundle, which becomes the new chain head.
+    pub(crate) fn bundle(&mut self, s: usize) -> StateGeometry {
+        let (engine, states) = (self.engine, self.states);
+        let head = match self.head.take() {
+            Some((at, mut head)) if at < s && s - at <= self.max_gap => {
+                for t in at + 1..=s {
+                    let step = StateDelta::between(engine.graph(), &states[t - 1], &states[t]);
+                    if !step.is_empty() {
+                        head = head.step(engine, &states[t], &step);
+                    }
+                }
+                head
+            }
+            _ => DeltaStateGeometry::fresh(engine, &states[s]),
+        };
+        let bundle = head.bundle(engine);
+        self.head = Some((s, head));
+        bundle
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

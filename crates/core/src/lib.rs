@@ -43,11 +43,12 @@
 //! their previous inter-cluster row verbatim, and γ comes from
 //! member-bounded runs that stop once the cluster's members are
 //! settled — and identical
-//! consecutive states short-circuit to zero. The checkpoint-backed series
-//! path ([`SndEngine::series_tiles_checkpointed`], surfaced as
-//! `snd_analysis::resume::series_distances_checkpointed`) advances the
-//! same repairable bundles along the series, and prices each tile through
-//! the same tile loop and pair pricing as the all-pairs matrix.
+//! consecutive states short-circuit to zero. The all-pairs matrix and
+//! every tile plan, the checkpoint-backed series path
+//! ([`SndEngine::series_tiles_checkpointed`], surfaced as
+//! `snd_analysis::resume::series_distances_checkpointed`) included,
+//! advance the same repairable bundles along the snapshot order and
+//! price through one tile loop.
 //!
 //! Every fast path is **exact** (shortest-path distances are the unique
 //! relaxation fixpoint, so repaired geometry is bit-identical to a

@@ -18,9 +18,11 @@
 //! caches) are shared across every tile of the run and dropped as soon as
 //! no remaining tile needs them, and each finished tile can be appended to
 //! a checkpoint file so an interrupted run resumes without recomputation
-//! ([`SndEngine::pairwise_tiles_checkpointed`]). The series entry point
-//! ([`SndEngine::series_tiles_checkpointed`]) runs the same loop over the
-//! superdiagonal tiles and only builds the bundles differently.
+//! ([`SndEngine::pairwise_tiles_checkpointed`]). Bundles come from the
+//! matrix's snapshot-ordered materializer: each is the previous one
+//! advanced through their delta where the plan walks forward, and built
+//! fresh where it jumps. The series entry point
+//! ([`SndEngine::series_tiles_checkpointed`]) is the superdiagonal plan.
 //!
 //! # Shard plans
 //!
@@ -101,12 +103,11 @@ use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::Path;
 
-use rayon::prelude::*;
-use snd_models::{NetworkState, StateDelta};
+use snd_models::NetworkState;
 
 use crate::approx::SndInterval;
 use crate::batch::{fold_terms, DistanceMatrix};
-use crate::delta::DeltaStateGeometry;
+use crate::delta::BundleChain;
 use crate::engine::{SndEngine, StateGeometry};
 
 /// Default tile edge (states per block): `8 × 8` tiles hold up to 64
@@ -547,14 +548,6 @@ impl TileSet {
     /// Whether a tile is present.
     pub fn contains(&self, id: usize) -> bool {
         self.tiles.contains_key(&id)
-    }
-
-    /// IDs of grid tiles not present — the holes a full matrix still
-    /// needs.
-    pub fn missing_tiles(&self) -> Vec<usize> {
-        (0..self.grid.tile_count())
-            .filter(|id| !self.tiles.contains_key(id))
-            .collect()
     }
 
     /// Distance of pair `(i, j)` if its tile is present (`Some(0.0)` on
@@ -1143,11 +1136,9 @@ impl<'g> SndEngine<'g> {
     /// plan partition, merged, is bit-identical to
     /// [`pairwise_distances_seq`](Self::pairwise_distances_seq).
     pub fn pairwise_tiles(&self, states: &[NetworkState], plan: &ShardPlan) -> TileSet {
-        let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_tiles(states, plan, false, &mut set, &mut |_, _, _, _| Ok(()))
+        self.pairwise_tiles_with(states, plan, &mut |_, _, _, _| Ok(()))
             // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
-            .expect("in-memory tile computation performs no IO");
-        set
+            .expect("in-memory tile computation performs no IO")
     }
 
     /// [`pairwise_tiles`](Self::pairwise_tiles) with a per-tile hook:
@@ -1164,7 +1155,7 @@ impl<'g> SndEngine<'g> {
         on_tile: &mut OnTile<'_>,
     ) -> Result<TileSet, ShardError> {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_tiles(states, plan, false, &mut set, on_tile)?;
+        self.compute_tiles(states, plan, &mut set, on_tile)?;
         Ok(set)
     }
 
@@ -1179,22 +1170,6 @@ impl<'g> SndEngine<'g> {
         plan: &ShardPlan,
         path: &Path,
     ) -> Result<ShardRun, ShardError> {
-        self.run_checkpointed(states, plan, false, path)
-    }
-
-    /// The shared checkpointed-run skeleton: open/validate/resume the
-    /// checkpoint, hand the missing tiles to
-    /// [`compute_tiles`](Self::compute_tiles) with the append-and-flush
-    /// hook, and account for the run. Both the plan path and the series
-    /// path go through here, so the checkpoint handling can never diverge
-    /// between them.
-    fn run_checkpointed(
-        &self,
-        states: &[NetworkState],
-        plan: &ShardPlan,
-        delta: bool,
-        path: &Path,
-    ) -> Result<ShardRun, ShardError> {
         let (mut set, mut ckpt) =
             Checkpoint::open(path, *plan.grid(), self.shard_fingerprint(states))?;
         let resumed = plan
@@ -1202,13 +1177,9 @@ impl<'g> SndEngine<'g> {
             .iter()
             .filter(|id| set.contains(**id))
             .count();
-        self.compute_tiles(
-            states,
-            plan,
-            delta,
-            &mut set,
-            &mut |id, values, ivs, secs| ckpt.append(id, values, ivs, Some(secs)),
-        )?;
+        self.compute_tiles(states, plan, &mut set, &mut |id, values, ivs, secs| {
+            ckpt.append(id, values, ivs, Some(secs))
+        })?;
         Ok(ShardRun {
             tiles: set.restrict(plan.tile_ids()),
             resumed,
@@ -1226,18 +1197,15 @@ impl<'g> SndEngine<'g> {
     ///
     /// A state's geometry bundle is built when the first tile needing it
     /// comes up and dropped after the last, so a shard never holds
-    /// bundles for states only other shards touch. `delta` picks how a
-    /// missing bundle is built: `false` builds every missing bundle of the
-    /// tile from scratch in parallel; `true` advances one
-    /// [`DeltaStateGeometry`] chain through each [`StateDelta`]
-    /// (touched-edge cost rederivation plus cluster-row repair, see
-    /// [`crate::delta`]), which pays off when the plan walks the states
-    /// monotonically, as a superdiagonal plan does.
+    /// bundles for states only other shards touch. Bundles come from the
+    /// one snapshot-ordered materializer (`delta::BundleChain`): a state
+    /// up to two blocks past the last one built is reached by delta
+    /// steps, anything else (a resumed gap, a round-robin plan jumping
+    /// back) is built fresh.
     fn compute_tiles(
         &self,
         states: &[NetworkState],
         plan: &ShardPlan,
-        delta: bool,
         set: &mut TileSet,
         on_tile: &mut OnTile<'_>,
     ) -> Result<(), ShardError> {
@@ -1274,11 +1242,9 @@ impl<'g> SndEngine<'g> {
             }
         }
 
-        // The delta chain: the most recently built state's repairable
-        // geometry. Advancing it one transition costs the touched-edge
-        // sweep plus row repair; a gap longer than two blocks (resumed
-        // tiles) is cheaper to cross with a fresh build.
-        let mut chain: Option<(usize, DeltaStateGeometry)> = None;
+        // Crossing a gap longer than two blocks (resumed tiles) costs
+        // more in steps than one fresh build.
+        let mut chain = BundleChain::new(self, states, 2 * grid.tile_size());
         let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
         // Per-tile wall clock for the `W` checkpoint lines: geometry
         // materialization counts against the tile that triggered it —
@@ -1286,37 +1252,9 @@ impl<'g> SndEngine<'g> {
         // autotuner planning leases needs.
         let mut mark = std::time::Instant::now();
         for (pos, (&id, touched)) in todo.iter().zip(&tile_states).enumerate() {
-            let needed: Vec<usize> = touched
-                .iter()
-                .copied()
-                .filter(|&s| geoms[s].is_none())
-                .collect();
-            if delta {
-                for &s in &needed {
-                    let cache = match chain.take() {
-                        Some((at, mut cache)) if at < s && s - at <= 2 * grid.tile_size() => {
-                            for k in at + 1..=s {
-                                let step =
-                                    StateDelta::between(self.graph(), &states[k - 1], &states[k]);
-                                if !step.is_empty() {
-                                    cache = cache.step(self, &states[k], &step);
-                                }
-                            }
-                            cache
-                        }
-                        Some((at, cache)) if at == s => cache,
-                        _ => DeltaStateGeometry::fresh(self, &states[s]),
-                    };
-                    geoms[s] = Some(cache.bundle(self));
-                    chain = Some((s, cache));
-                }
-            } else {
-                let built: Vec<(usize, StateGeometry)> = needed
-                    .par_iter()
-                    .map(|&s| (s, self.state_geometry(&states[s])))
-                    .collect();
-                for (s, g) in built {
-                    geoms[s] = Some(g);
+            for &s in touched {
+                if geoms[s].is_none() {
+                    geoms[s] = Some(chain.bundle(s));
                 }
             }
 
@@ -1344,15 +1282,13 @@ impl<'g> SndEngine<'g> {
     }
 
     /// Checkpoint-backed **series** run: computes (or resumes) exactly the
-    /// superdiagonal tiles through the one tile loop (`compute_tiles`)
-    /// with delta-built bundles — each state's bundle is the previous
-    /// state's advanced through their [`StateDelta`] rather than rebuilt
-    /// from scratch. Pricing is the plan path's, so tile values, the
-    /// checkpoint format and the fingerprint are bit-identical to
+    /// superdiagonal tiles, as
     /// [`pairwise_tiles_checkpointed`](Self::pairwise_tiles_checkpointed)
-    /// over [`ShardPlan::superdiagonal`]; checkpoints written by either
-    /// path resume under the other, and a later full-matrix run reuses
-    /// the series tiles.
+    /// over [`ShardPlan::superdiagonal`]. The plan walks the states in
+    /// order, so every bundle but the first is the previous one advanced
+    /// through their [`StateDelta`](snd_models::StateDelta). Checkpoints
+    /// written by either entry point resume under the other, and a later
+    /// full-matrix run reuses the series tiles.
     pub fn series_tiles_checkpointed(
         &self,
         states: &[NetworkState],
@@ -1360,7 +1296,7 @@ impl<'g> SndEngine<'g> {
         path: &Path,
     ) -> Result<ShardRun, ShardError> {
         let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
-        self.run_checkpointed(states, &plan, true, path)
+        self.pairwise_tiles_checkpointed(states, &plan, path)
     }
 }
 
@@ -1497,6 +1433,85 @@ mod tests {
             .collect();
         let merged = TileSet::merge(parts).unwrap().to_matrix().unwrap();
         assert_eq!(merged, engine.pairwise_distances_seq(&s));
+    }
+
+    /// Plans that request states out of snapshot order: round-robin shards
+    /// skip blocks and jump back to earlier rows, and a resume over a
+    /// checkpoint holding every other tile leaves gaps in the order the
+    /// states are needed. Bundles reached by delta steps and bundles built
+    /// fresh must price the same matrix.
+    #[test]
+    fn out_of_order_plans_match_the_sequential_matrix() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let n = 400;
+        let mut rng = SmallRng::seed_from_u64(31);
+        let g = snd_graph::generators::barabasi_albert(n, 3, &mut rng);
+        let mut vals: Vec<i8> = (0..n)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => 1,
+                1 => -1,
+                _ => 0,
+            })
+            .collect();
+        let mut s = vec![NetworkState::from_values(&vals)];
+        for t in 1..9 {
+            // Snapshot 4 repeats snapshot 3: an empty delta on the chain.
+            let flips = if t == 4 { 0 } else { rng.gen_range(2..6) };
+            for _ in 0..flips {
+                vals[rng.gen_range(0..n)] = rng.gen_range(-1..=1);
+            }
+            s.push(NetworkState::from_values(&vals));
+        }
+        let engine = SndEngine::new(
+            &g,
+            SndConfig {
+                clusters: crate::config::ClusterSpec::BfsPartition { clusters: 6 },
+                gamma: crate::config::GammaPolicy::Eccentricity,
+                ..Default::default()
+            },
+        );
+        let seq = engine.pairwise_distances_seq(&s);
+        assert_eq!(engine.pairwise_distances(&s), seq);
+
+        for tile in 1..=3 {
+            let grid = TileGrid::new(s.len(), tile);
+            for shards in [2, 3] {
+                let parts: Vec<TileSet> = (0..shards)
+                    .map(|i| {
+                        let plan = ShardPlan::round_robin(grid, i, shards).unwrap();
+                        engine.pairwise_tiles(&s, &plan)
+                    })
+                    .collect();
+                let merged = TileSet::merge(parts).unwrap().to_matrix().unwrap();
+                assert_eq!(merged, seq, "tile {tile}, {shards} shards");
+            }
+            for parity in [0, 1] {
+                let path = std::env::temp_dir().join(format!(
+                    "snd_shard_gaps_{tile}_{parity}_{}.ckpt",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_file(&path);
+                let every_other: Vec<usize> = (0..grid.tile_count())
+                    .filter(|id| id % 2 == parity)
+                    .collect();
+                let half = ShardPlan::explicit(grid, every_other).unwrap();
+                engine
+                    .pairwise_tiles_checkpointed(&s, &half, &path)
+                    .unwrap();
+                let run = engine
+                    .pairwise_tiles_checkpointed(&s, &ShardPlan::full(grid), &path)
+                    .unwrap();
+                assert_eq!(run.resumed, half.tile_ids().len());
+                assert_eq!(
+                    run.tiles.to_matrix().unwrap(),
+                    seq,
+                    "tile {tile}, resumed parity {parity}"
+                );
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
     }
 
     #[test]

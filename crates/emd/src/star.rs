@@ -436,12 +436,6 @@ impl EmdStar {
     pub fn distance(&self, p: &Histogram, q: &Histogram, ground: &DenseCost) -> f64 {
         emd_star(p, q, ground, &self.geometry, self.solver)
     }
-
-    /// [`distance`](Self::distance) through the net-mass-reduced instance
-    /// ([`emd_star_reduced`]) — exact on triangle-inequality grounds.
-    pub fn distance_reduced(&self, p: &Histogram, q: &Histogram, ground: &DenseCost) -> f64 {
-        emd_star_reduced(p, q, ground, &self.geometry, self.solver)
-    }
 }
 
 #[cfg(test)]

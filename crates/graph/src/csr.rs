@@ -210,13 +210,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds edges in both directions (an undirected social tie).
-    pub fn add_undirected(&mut self, u: NodeId, v: NodeId) -> &mut Self {
-        self.edges.push((u, v));
-        self.edges.push((v, u));
-        self
-    }
-
     /// Adds the reverse of every edge currently present.
     pub fn symmetrize(&mut self) -> &mut Self {
         let rev: Vec<(NodeId, NodeId)> = self.edges.iter().map(|&(u, v)| (v, u)).collect();

@@ -10,7 +10,7 @@
 //! across the high-churn boundary where the repair path gives way to the
 //! fresh-rebuild fallback.
 
-use snd::core::{ApproxConfig, DeltaStateGeometry, SndConfig, SndEngine};
+use snd::core::{ApproxConfig, DeltaStateGeometry, ShardPlan, SndConfig, SndEngine, TileGrid};
 use snd::data::registry;
 use snd::models::{NetworkState, Opinion, StateDelta};
 
@@ -172,4 +172,39 @@ fn active_tier_series_equals_pairwise_distance_bit_for_bit() {
             );
         }
     }
+}
+
+/// The tile path keeps a fresh-bundle reference: with the approximate
+/// tier active, every pair's certified interval in a full-plan tile set
+/// — priced over bundles built along the snapshot order — equals
+/// `distance_interval` on the same pair, which builds both bundles from
+/// scratch, bit for bit.
+#[test]
+fn full_plan_tile_intervals_equal_fresh_distance_intervals_bit_for_bit() {
+    let mut widened = 0;
+    for mut sc in registry().into_iter().take(3) {
+        sc.nodes = 200;
+        sc.steps = 5;
+        let series = sc.run(11).expect(sc.name);
+        let s = &series.states;
+        let engine = SndEngine::new(&series.graph, approx(0.5, 4));
+        let tiles = engine.pairwise_tiles(s, &ShardPlan::full(TileGrid::new(s.len(), 2)));
+        for i in 0..s.len() {
+            for j in i + 1..s.len() {
+                let tile = tiles
+                    .pair_interval(i, j)
+                    .expect("an active approximate tier certifies every tile");
+                let fresh = engine.distance_interval(&s[i], &s[j]).unwrap();
+                widened += usize::from(fresh.width() > 0.0);
+                assert_eq!(
+                    (tile.lower.to_bits(), tile.upper.to_bits()),
+                    (fresh.lower.to_bits(), fresh.upper.to_bits()),
+                    "{} ({i},{j}): tile {tile:?} vs fresh {fresh:?}",
+                    sc.name
+                );
+            }
+        }
+    }
+    // The sketch tier, not only its tiny-problem exact shortcut, ran.
+    assert!(widened > 0, "no pair was priced as a proper interval");
 }
