@@ -9,16 +9,15 @@
 //! grounded in that state.
 //!
 //! [`SndEngine::pairwise_distances`] restructures this around the
-//! per-state [`StateGeometry`] bundle: geometries are built once per
-//! state, each stepped from the previous state's through their delta
-//! (`delta::BundleChain`), and every `(ground state, opinion, direction,
-//! user)` SSSP row is written at most once into the bundle's shared
-//! [`RowCache`](crate::sparse::RowCache). Pairs are then priced in
-//! one place, `SndEngine::price_pairs`, which runs three phases. The
-//! matrix calls it once over all pairs; every tile of a
-//! [`ShardPlan`](crate::shard::ShardPlan) and every series tile calls it
-//! once over the tile's pairs. Pairs of identical states price to zero
-//! without a solve.
+//! per-state [`StateGeometry`] bundle. It is the full
+//! [`ShardPlan`] over one tile: geometries are
+//! built once per state, each stepped from the previous state's through
+//! their delta (`delta::chain_geometry`), and every `(ground state,
+//! opinion, direction, user)` SSSP row is written at most once into the
+//! bundle's shared [`RowCache`](crate::sparse::RowCache). Pairs are then
+//! priced in one place, `SndEngine::price_pairs`, which runs three
+//! phases, once per tile over the tile's pairs. Pairs of identical
+//! states price to zero without a solve.
 //!
 //! 1. **Keys.** Every EMD\* term is classified
 //!    (`sparse::classify_term`) and only its row keys are kept: ground
@@ -68,8 +67,9 @@ use rayon::prelude::*;
 use snd_graph::{repair_row, CostChange, EdgeId, NodeId, RepairScratch};
 use snd_models::{NetworkState, Opinion};
 
-use crate::delta::{BundleChain, REPAIR_EDGE_FRACTION};
+use crate::delta::REPAIR_EDGE_FRACTION;
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
+use crate::shard::{ShardPlan, TileGrid};
 use crate::sparse;
 
 /// Symmetric all-pairs distance matrix over a snapshot set (row-major,
@@ -125,16 +125,15 @@ impl DistanceMatrix {
 }
 
 impl<'g> SndEngine<'g> {
-    /// All-pairs SND matrix over a snapshot set: geometry stepped once per
-    /// state along the snapshot order, each SSSP row computed or repaired
-    /// at most once per ground state into the bundles' caches (see the
-    /// module docs), all `4·T·(T−1)/2` EMD\* terms fanned out over the
-    /// thread pool.
+    /// All-pairs SND matrix over a snapshot set: the full plan over one
+    /// tile (see the module docs), all `4·T·(T−1)/2` EMD\* terms fanned
+    /// out over the thread pool.
     pub fn pairwise_distances(&self, states: &[NetworkState]) -> DistanceMatrix {
-        let mut chain = BundleChain::new(self, states, 1);
-        let geoms: Vec<StateGeometry> = (0..states.len()).map(|s| chain.bundle(s)).collect();
-        drop(chain);
-        self.pairwise_distances_with(states, &geoms)
+        let grid = TileGrid::new(states.len(), states.len().max(1));
+        self.pairwise_tiles(states, &ShardPlan::full(grid))
+            .to_matrix()
+            // lint:allow(no-unwrap) a full plan computes every tile of its grid
+            .expect("a full plan leaves no holes")
     }
 
     /// [`pairwise_distances`](Self::pairwise_distances) over caller-owned

@@ -1038,54 +1038,40 @@ impl DeltaStateGeometry {
     }
 }
 
-/// The one snapshot-ordered bundle materializer: hands out batch
-/// [`StateGeometry`] bundles for the matrix, every tile plan and the
-/// series tiles. It keeps the last handed-out state's
-/// [`DeltaStateGeometry`] as the chain head. A state at most `max_gap`
-/// past the head is reached by stepping the head through each non-empty
-/// [`StateDelta`]; a state behind the head or further ahead is built
-/// fresh. Either way the geometry is bit-identical to
-/// [`SndEngine::state_geometry`]'s, and an approximate-tier engine's
-/// bundles carry the chain's live sketch rows.
-pub(crate) struct BundleChain<'a, 'g> {
-    engine: &'a SndEngine<'g>,
-    states: &'a [NetworkState],
-    max_gap: usize,
+/// The one snapshot-ordered bundle materializer behind every tile plan
+/// (the matrix, series tiles and orchestrated leases included): state
+/// `s`'s repairable geometry, derived from `head`, the last one built
+/// (`(state, geometry)`). A state at most `max_gap` past the head is
+/// reached by stepping the head through each non-empty [`StateDelta`];
+/// any other state is built fresh. Either way the geometry is
+/// bit-identical to a fresh build, and under an approximate tier it
+/// carries the chain's live sketch rows. As in the series walker, a
+/// geometry keeps its repair state only when the transition right after
+/// it repairs: every later step from it passes through that transition.
+pub(crate) fn chain_geometry(
+    engine: &SndEngine<'_>,
+    states: &[NetworkState],
     head: Option<(usize, DeltaStateGeometry)>,
-}
-
-impl<'a, 'g> BundleChain<'a, 'g> {
-    pub(crate) fn new(
-        engine: &'a SndEngine<'g>,
-        states: &'a [NetworkState],
-        max_gap: usize,
-    ) -> Self {
-        BundleChain {
-            engine,
-            states,
-            max_gap,
-            head: None,
-        }
-    }
-
-    /// State `s`'s bundle, which becomes the new chain head.
-    pub(crate) fn bundle(&mut self, s: usize) -> StateGeometry {
-        let (engine, states) = (self.engine, self.states);
-        let head = match self.head.take() {
-            Some((at, mut head)) if at < s && s - at <= self.max_gap => {
-                for t in at + 1..=s {
-                    let step = StateDelta::between(engine.graph(), &states[t - 1], &states[t]);
-                    if !step.is_empty() {
-                        head = head.step(engine, &states[t], &step);
-                    }
+    s: usize,
+    max_gap: usize,
+) -> DeltaStateGeometry {
+    let g = engine.graph();
+    let delta = |t: usize| StateDelta::between(g, &states[t - 1], &states[t]);
+    let keeps = |t: usize| {
+        let next = (t + 1 < states.len()).then(|| (t + 1, delta(t + 1)));
+        keeps_repair_state(g, next.as_ref())
+    };
+    match head {
+        Some((at, mut head)) if at < s && s - at <= max_gap => {
+            for (t, next) in states.iter().enumerate().take(s + 1).skip(at + 1) {
+                let step = delta(t);
+                if !step.is_empty() {
+                    head = head.step_keeping(engine, next, &step, keeps(t));
                 }
-                head
             }
-            _ => DeltaStateGeometry::fresh(engine, &states[s]),
-        };
-        let bundle = head.bundle(engine);
-        self.head = Some((s, head));
-        bundle
+            head
+        }
+        _ => DeltaStateGeometry::fresh_keeping(engine, &states[s], keeps(s)),
     }
 }
 

@@ -12,16 +12,17 @@
 //!
 //! [`SndEngine::pairwise_tiles`] computes any subset of tiles selected by
 //! a [`ShardPlan`]. Every entry point runs one tile loop, which prices
-//! each tile's pairs exactly as [`SndEngine::pairwise_distances`] prices
-//! all pairs (see [`crate::batch`]): EMD\* terms fan out over the rayon
+//! each tile's pairs as [`SndEngine::pairwise_distances`] prices all
+//! pairs — the matrix is the full plan over a single tile (see
+//! [`crate::batch`]): EMD\* terms fan out over the rayon
 //! pool *inside* each tile, per-state geometry bundles (and their SSSP row
 //! caches) are shared across every tile of the run and dropped as soon as
 //! no remaining tile needs them, and each finished tile can be appended to
 //! a checkpoint file so an interrupted run resumes without recomputation
-//! ([`SndEngine::pairwise_tiles_checkpointed`]). Bundles come from the
-//! matrix's snapshot-ordered materializer: each is the previous one
-//! advanced through their delta where the plan walks forward, and built
-//! fresh where it jumps. The series entry point
+//! ([`SndEngine::pairwise_tiles_checkpointed`]). Bundles come from one
+//! snapshot-ordered materializer: each is the previous one advanced
+//! through their delta where the plan walks forward, and built fresh
+//! where it jumps. The series entry point
 //! ([`SndEngine::series_tiles_checkpointed`]) is the superdiagonal plan.
 //!
 //! # Shard plans
@@ -107,7 +108,7 @@ use snd_models::NetworkState;
 
 use crate::approx::SndInterval;
 use crate::batch::{fold_terms, DistanceMatrix};
-use crate::delta::BundleChain;
+use crate::delta::{chain_geometry, DeltaStateGeometry};
 use crate::engine::{SndEngine, StateGeometry};
 
 /// Default tile edge (states per block): `8 × 8` tiles hold up to 64
@@ -1191,14 +1192,14 @@ impl<'g> SndEngine<'g> {
     /// ascending ID order, invoking `on_tile` (the checkpoint append hook)
     /// before recording each one. Every tile is priced with
     /// `price_pairs` over its pairs, exactly as the matrix prices all
-    /// pairs (see [`crate::batch`]): rows an earlier tile wrote into a
-    /// live bundle are hits, the rest are fresh or repaired along the
-    /// snapshot order.
+    /// pairs (see [`crate::batch`]; the matrix is this loop over one
+    /// tile): rows an earlier tile wrote into a live bundle are hits, the
+    /// rest are fresh or repaired along the snapshot order.
     ///
     /// A state's geometry bundle is built when the first tile needing it
     /// comes up and dropped after the last, so a shard never holds
     /// bundles for states only other shards touch. Bundles come from the
-    /// one snapshot-ordered materializer (`delta::BundleChain`): a state
+    /// one snapshot-ordered materializer (`delta::chain_geometry`): a state
     /// up to two blocks past the last one built is reached by delta
     /// steps, anything else (a resumed gap, a round-robin plan jumping
     /// back) is built fresh.
@@ -1242,9 +1243,10 @@ impl<'g> SndEngine<'g> {
             }
         }
 
-        // Crossing a gap longer than two blocks (resumed tiles) costs
-        // more in steps than one fresh build.
-        let mut chain = BundleChain::new(self, states, 2 * grid.tile_size());
+        // The chain head: the last state built. Crossing a gap longer
+        // than two blocks (resumed tiles) costs more in steps than one
+        // fresh build.
+        let mut head: Option<(usize, DeltaStateGeometry)> = None;
         let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
         // Per-tile wall clock for the `W` checkpoint lines: geometry
         // materialization counts against the tile that triggered it —
@@ -1254,7 +1256,9 @@ impl<'g> SndEngine<'g> {
         for (pos, (&id, touched)) in todo.iter().zip(&tile_states).enumerate() {
             for &s in touched {
                 if geoms[s].is_none() {
-                    geoms[s] = Some(chain.bundle(s));
+                    let geom = chain_geometry(self, states, head.take(), s, 2 * grid.tile_size());
+                    geoms[s] = Some(geom.bundle(self));
+                    head = Some((s, geom));
                 }
             }
 
