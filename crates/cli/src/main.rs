@@ -79,9 +79,9 @@ fn print_usage() {
          \u{20}  snd shard merge --out FILE PART...\n\
          \u{20}  snd orchestrate --data FILE --checkpoint FILE [--workers N] [--listen ADDR]\n\
          \u{20}      [--tile T] [--lease-timeout S] [--target-lease S] [--out FILE]\n\
-         \u{20}      [--no-overlap] [--ground MODEL] [APPROX]\n\
-         \u{20}  snd work --data FILE --addr ADDR [--no-overlap] [--connect-retry S]\n\
-         \u{20}      [--read-timeout S] [--ground MODEL] [APPROX]\n\
+         \u{20}      [--ground MODEL] [APPROX]\n\
+         \u{20}  snd work --data FILE --addr ADDR [--connect-retry S] [--read-timeout S]\n\
+         \u{20}      [--ground MODEL] [APPROX]\n\
          \n\
          APPROX (certified [lower, upper] intervals instead of exact SND):\n\
          \u{20}  --approx [--epsilon E] [--landmarks L] [--budget B]\n"

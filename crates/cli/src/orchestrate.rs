@@ -36,8 +36,6 @@ pub(crate) struct OrchestrateFlags {
     pub target_lease: f64,
     /// Write the merged matrix JSON here once complete.
     pub out: Option<String>,
-    /// Forwarded to spawned workers: disable compute/stream overlap.
-    pub no_overlap: bool,
 }
 
 /// Validated `snd work` flags.
@@ -45,7 +43,6 @@ pub(crate) struct OrchestrateFlags {
 pub(crate) struct WorkFlags {
     pub data: String,
     pub addr: String,
-    pub no_overlap: bool,
     pub connect_retry: f64,
     pub read_timeout: f64,
     /// Artificial per-tile seconds (from `SND_WORK_THROTTLE_MS`), the
@@ -78,7 +75,6 @@ pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, Str
         "--lease-timeout",
         "--target-lease",
         "--out",
-        "--no-overlap",
     ];
     known_flags("orchestrate", args, &[FLAGS, TIER_FLAGS])?;
     let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
@@ -113,19 +109,12 @@ pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, Str
         lease_timeout,
         target_lease,
         out,
-        no_overlap: flag(args, "--no-overlap"),
     })
 }
 
 /// Validates `snd work` arguments.
 pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
-    const FLAGS: &[&str] = &[
-        "--data",
-        "--addr",
-        "--no-overlap",
-        "--connect-retry",
-        "--read-timeout",
-    ];
+    const FLAGS: &[&str] = &["--data", "--addr", "--connect-retry", "--read-timeout"];
     known_flags("work", args, &[FLAGS, TIER_FLAGS])?;
     let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
     let addr: String =
@@ -143,7 +132,6 @@ pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
     Ok(WorkFlags {
         data,
         addr,
-        no_overlap: flag(args, "--no-overlap"),
         connect_retry: seconds_flag(args, "--connect-retry", 10.0)?,
         read_timeout: seconds_flag(args, "--read-timeout", 120.0)?,
         throttle,
@@ -289,9 +277,6 @@ fn spawn_local_workers(
             .arg(addr)
             .args(&fwd)
             .stdin(Stdio::null());
-        if flags.no_overlap {
-            cmd.arg("--no-overlap");
-        }
         children.push(cmd.spawn().map_err(|e| format!("spawning worker: {e}"))?);
     }
     Ok(children)
@@ -328,7 +313,6 @@ pub fn work(args: &[String]) -> Result<(), String> {
     let config = engine_config(args, &graph, dataset.model.as_ref())?;
     let engine = SndEngine::new(&graph, config);
     let opts = WorkerOpts {
-        overlap: !flags.no_overlap,
         connect_retry: Duration::from_secs_f64(flags.connect_retry),
         read_timeout: Duration::from_secs_f64(flags.read_timeout),
         throttle: Duration::from_secs_f64(flags.throttle),
@@ -351,10 +335,10 @@ mod tests {
     }
 
     const FULL_ORCH: &str = "--data data.json --checkpoint run.snd --listen 127.0.0.1:7070 \
-        --workers 2 --tile 4 --lease-timeout 15 --target-lease 1.5 --out matrix.json --no-overlap";
+        --workers 2 --tile 4 --lease-timeout 15 --target-lease 1.5 --out matrix.json";
 
     const FULL_WORK: &str =
-        "--data data.json --addr 127.0.0.1:7070 --connect-retry 3 --read-timeout 60 --no-overlap";
+        "--data data.json --addr 127.0.0.1:7070 --connect-retry 3 --read-timeout 60";
 
     #[test]
     fn orchestrate_flags_parse_the_full_invocation() {
@@ -370,7 +354,6 @@ mod tests {
                 lease_timeout: 15.0,
                 target_lease: 1.5,
                 out: Some("matrix.json".into()),
-                no_overlap: true,
             }
         );
         // A local-fleet run needs no --listen: a private socket is used.
@@ -391,7 +374,6 @@ mod tests {
         let f = work_flags(&words(FULL_WORK)).unwrap();
         assert_eq!(f.data, "data.json");
         assert_eq!(f.addr, "127.0.0.1:7070");
-        assert!(f.no_overlap);
         assert_eq!(f.connect_retry, 3.0);
         assert_eq!(f.read_timeout, 60.0);
         assert_eq!(f.throttle, 0.0);
@@ -425,6 +407,7 @@ mod tests {
             format!("{BASE} --workers 1 --target-lease 0"),
             format!("{BASE} --workers 1 --target-lease inf"),
             format!("{BASE} --workers 1 --out"),
+            format!("{BASE} --workers 1 --no-overlap"), // removed flag
         ];
         for case in &bad {
             let err = orchestrate_flags(&words(case));
@@ -455,6 +438,7 @@ mod tests {
             format!("{BASE} --connect-retry -1"),
             format!("{BASE} --read-timeout long"),
             format!("{BASE} --read-timeout NaN"),
+            format!("{BASE} --no-overlap"), // removed flag
         ];
         for case in &bad {
             let err = work_flags(&words(case));

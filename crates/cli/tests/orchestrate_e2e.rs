@@ -179,12 +179,12 @@ fn spawned_worker_fleet_completes_and_matches_the_reference() {
     let (data, reference) = dataset_and_reference(&dir, tile);
     let ckpt = |tag: &str| dir.join(format!("orch_{tag}.snd"));
 
-    // The worker-count curve plus the streaming-overlap ablation.
-    for (workers, overlap) in [(1, true), (2, true), (4, true), (2, false)] {
-        let tag = format!("w{workers}{}", if overlap { "" } else { "_noovl" });
+    // The worker-count curve.
+    for workers in [1, 2, 4] {
+        let tag = format!("w{workers}");
         let (ckpt_path, merged) = (ckpt(&tag), dir.join(format!("orch_{tag}.json")));
         let (workers_s, tile_s) = (workers.to_string(), tile.to_string());
-        let mut args = vec![
+        let args = vec![
             "orchestrate",
             "--data",
             data.to_str().unwrap(),
@@ -197,9 +197,6 @@ fn spawned_worker_fleet_completes_and_matches_the_reference() {
             "--out",
             merged.to_str().unwrap(),
         ];
-        if !overlap {
-            args.push("--no-overlap");
-        }
         let stdout = snd_ok(&args);
         assert!(stdout.contains("orchestrate: complete"), "{tag}: {stdout}");
         // Spawned workers print their reports through the shared stdout.

@@ -146,8 +146,7 @@ pub use delta::{BallSteps, DeltaStateGeometry, SketchRows, REPAIR_EDGE_FRACTION}
 pub use engine::{SndBreakdown, SndEngine, StateGeometry};
 pub use ordered::CandidateEvaluator;
 pub use shard::{
-    auto_tile, interval_line, parse_interval_line, parse_tile_line, parse_timing_line,
-    states_fingerprint, tile_line, timing_line, Checkpoint, ShardError, ShardPlan, TileGrid,
-    TileSet, DEFAULT_TILE,
+    auto_tile, states_fingerprint, Checkpoint, ShardError, ShardPlan, TileGrid, TileLine, TileSet,
+    DEFAULT_TILE,
 };
 pub use sparse::RowCache;

@@ -66,25 +66,35 @@
 //! serialized as the hex of their IEEE-754 bits — round-trips are exact,
 //! which is what makes resume bit-identical.
 //!
-//! When the approximate tier is active, each `T` line is followed by an
-//! `I` line carrying the tile's certified `[lo, hi]` interval pairs (same
-//! pair order, two hex words per pair), so merged shard matrices stay
-//! re-certifiable ([`TileSet::pair_interval`]). Readers tolerate both
-//! `T`-only files (exact-tier runs and pre-interval checkpoints — the
-//! tile loads with no interval) and a trailing `T` whose `I` line was
-//! lost to a kill.
-//! Each `T` line (after its optional `I` line) may be followed by a `W`
-//! line recording the tile's observed compute wall time in seconds (hex
-//! of the IEEE-754 bits, like distances). Timings are *advisory*: the
-//! orchestrator's autotuner warm-starts its per-tile cost model from
-//! them, but they never participate in artifact identity — two artifacts
-//! with identical tiles and different timings are equal — and readers
-//! predating the `W` line simply treated such files as ending at the
-//! first `W` (new-format files are not readable by old readers; old files
-//! load fine here).
-//! Tile lines are appended (and flushed) one at a time as tiles finish; on
-//! load, a truncated or corrupt trailing line (the half-written remnant of
-//! an interrupted run) is discarded and its tile recomputed.
+//! [`TileLine`] is the one codec for the `T`/`I`/`W` lines: checkpoints,
+//! saved artifacts and the orchestrator's wire all write them with
+//! [`TileLine::write`] and read them with [`TileLine::parse`], which
+//! checks the tile ID and pair count against the grid and takes only
+//! finite, non-negative values (and `lo ≤ hi` intervals).
+//! [`TileSet::accept`] is the one ordering rule: a `T` line only for an
+//! absent tile; an `I` or `W` line at most once, and only for a present
+//! tile.
+//!
+//! * `T` — the tile's values in the grid's pair order.
+//! * `I` — when the approximate tier is active, the tile's certified
+//!   `[lo, hi]` pairs (same pair order, two hex words per pair), so
+//!   merged shard matrices stay re-certifiable
+//!   ([`TileSet::pair_interval`]). `T`-only files (exact-tier runs and
+//!   pre-interval checkpoints) load with no intervals, and a tile whose
+//!   `I` line was lost to a kill loads uncertified.
+//! * `W` — the tile's observed compute wall seconds. Timings are
+//!   *advisory*: the orchestrator's autotuner warm-starts its per-tile
+//!   cost model from them, but they never participate in artifact
+//!   identity — two artifacts with identical tiles and different timings
+//!   are equal. Old `W`-less files load fine here.
+//!
+//! [`Checkpoint::append`] writes a finished tile's lines with one write
+//! and flushes them to the OS, so a killed process loses at most the
+//! lines being written. It does not fsync: a power loss or OS crash may
+//! lose a tail of the file, which then loads like any torn tail. On load,
+//! the first line that is unterminated, not UTF-8, malformed or out of
+//! order ends the valid prefix; it and everything after it is discarded
+//! (resume truncates the file there) and those tiles are recomputed.
 //!
 //! # CLI workflow
 //!
@@ -98,9 +108,9 @@
 //! snd shard merge --out matrix.json part0.snd part1.snd
 //! ```
 
-use std::collections::BTreeMap;
-use std::fmt;
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::fmt::{self, Write as _};
+use std::io::{Seek, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::Path;
 
@@ -154,15 +164,13 @@ const MAGIC: &str = "SNDSHARD v1";
 /// The most missing tile IDs a [`ShardError::Holes`] lists.
 const HOLES_LISTED: usize = 1 << 16;
 
-/// Hook invoked with each finished tile before it is recorded — the
-/// checkpoint append point. The third argument is the tile's certified
-/// `[lo, hi]` pairs when the approximate tier produced them; the fourth
-/// is the tile's observed compute wall time in seconds (geometry
-/// materialization attributed to the tile that triggered it), which the
-/// checkpoint persists as a `W` line and the orchestrator's autotuner
-/// feeds on.
-pub type OnTile<'a> =
-    dyn FnMut(usize, &[f64], Option<&[(f64, f64)]>, f64) -> Result<(), ShardError> + 'a;
+/// Hook invoked with each finished tile's lines before they are recorded
+/// — the checkpoint append point. The lines are the tile's `T` values,
+/// then its `I` certified intervals when the approximate tier produced
+/// them, then its `W` compute wall seconds (geometry materialization
+/// attributed to the tile that triggered it), which the orchestrator's
+/// autotuner feeds on.
+pub type OnTile<'a> = dyn FnMut(&[TileLine]) -> Result<(), ShardError> + 'a;
 
 /// Errors from shard planning, checkpoint IO, and merging.
 #[derive(Debug)]
@@ -466,32 +474,42 @@ fn eat_states(h: &mut Fnv, states: &[NetworkState]) {
 
 /// A set of computed tiles over one grid and dataset: a partial (or full)
 /// all-pairs artifact. Produced by the engine's tile entry points and by
-/// [`TileSet::load`]; reassembled by [`TileSet::merge`].
-#[derive(Clone, Debug)]
+/// [`TileSet::load`]; reassembled by [`TileSet::merge`]. Artifact
+/// identity (equality) is the grid, the dataset fingerprint, and the tile
+/// values and intervals, never the timings.
+#[derive(Clone, Debug, PartialEq)]
 pub struct TileSet {
     grid: TileGrid,
     fingerprint: u64,
-    tiles: BTreeMap<usize, Vec<f64>>,
-    /// Certified `[lo, hi]` envelopes for tiles computed by an active
-    /// approximate tier, keyed like `tiles` (same pair order). Exact-tier
-    /// tiles — and tiles loaded from pre-interval checkpoints — have no
-    /// entry.
-    intervals: BTreeMap<usize, Vec<(f64, f64)>>,
-    /// Observed per-tile compute wall seconds (`W` checkpoint lines) —
-    /// advisory autotuner measurements, never part of artifact identity.
-    timings: BTreeMap<usize, f64>,
+    tiles: BTreeMap<usize, TileRecord>,
 }
 
-/// Artifact identity is the grid, the dataset fingerprint, and the tile
-/// values/intervals. Timings are wall-clock *measurements* — they differ
-/// between bit-identical runs — so equality deliberately ignores them.
-impl PartialEq for TileSet {
+/// What the lines of one tile recorded.
+#[derive(Clone, Debug)]
+struct TileRecord {
+    /// The `T` line's values, in the grid's pair order.
+    values: Vec<f64>,
+    /// The `I` line's certified `[lo, hi]` envelopes (same pair order):
+    /// present for tiles computed by an active approximate tier, absent
+    /// for exact-tier and pre-interval tiles.
+    intervals: Option<Vec<(f64, f64)>>,
+    /// The `W` line's observed compute wall seconds.
+    seconds: Option<f64>,
+}
+
+/// Timings are wall-clock *measurements* — they differ between
+/// bit-identical runs — so equality deliberately ignores them.
+impl PartialEq for TileRecord {
     fn eq(&self, other: &Self) -> bool {
-        self.grid == other.grid
-            && self.fingerprint == other.fingerprint
-            && self.tiles == other.tiles
-            && self.intervals == other.intervals
+        self.values == other.values && self.intervals == other.intervals
     }
+}
+
+/// Whether two value runs carry the same bits — a merge's conflict test.
+fn same_bits(a: impl IntoIterator<Item = f64>, b: impl IntoIterator<Item = f64>) -> bool {
+    a.into_iter()
+        .map(f64::to_bits)
+        .eq(b.into_iter().map(f64::to_bits))
 }
 
 impl TileSet {
@@ -501,8 +519,6 @@ impl TileSet {
             grid,
             fingerprint,
             tiles: BTreeMap::new(),
-            intervals: BTreeMap::new(),
-            timings: BTreeMap::new(),
         }
     }
 
@@ -526,24 +542,21 @@ impl TileSet {
     /// re-certifies; smaller when midpoint-only (old-format or exact-tier)
     /// tiles are mixed in.
     pub fn certified_tile_count(&self) -> usize {
-        self.intervals.len()
+        self.tiles
+            .values()
+            .filter(|r| r.intervals.is_some())
+            .count()
     }
 
     /// Whether a present tile carries certified intervals.
     pub fn is_certified(&self, id: usize) -> bool {
-        self.intervals.contains_key(&id)
+        self.tiles.get(&id).is_some_and(|r| r.intervals.is_some())
     }
 
     /// Observed compute wall seconds of a tile, when a run recorded one
     /// (`W` checkpoint line). Old-format artifacts have none.
     pub fn timing(&self, id: usize) -> Option<f64> {
-        self.timings.get(&id).copied()
-    }
-
-    /// Records a tile's observed compute wall seconds. Advisory: feeds
-    /// the orchestrator's autotuner warm-start, ignored by equality.
-    pub fn set_timing(&mut self, id: usize, seconds: f64) {
-        self.timings.insert(id, seconds);
+        self.tiles.get(&id)?.seconds
     }
 
     /// Whether a tile is present.
@@ -558,7 +571,7 @@ impl TileSet {
             return Some(0.0);
         }
         let (id, idx) = self.pair_slot(i, j)?;
-        Some(self.tiles.get(&id)?[idx])
+        Some(self.tiles.get(&id)?.values[idx])
     }
 
     /// Certified `[lo, hi]` interval of pair `(i, j)`, when its tile both
@@ -573,7 +586,7 @@ impl TileSet {
             });
         }
         let (id, idx) = self.pair_slot(i, j)?;
-        let (lower, upper) = self.intervals.get(&id)?[idx];
+        let (lower, upper) = self.tiles.get(&id)?.intervals.as_ref()?[idx];
         Some(SndInterval { lower, upper })
     }
 
@@ -595,50 +608,49 @@ impl TileSet {
         Some((self.grid.id(bi, bj), idx))
     }
 
-    /// Inserts a completed tile (values in the grid's pair order).
-    pub fn insert(&mut self, id: usize, values: Vec<f64>) {
-        assert_eq!(
-            values.len(),
-            self.grid.pair_count(id),
-            "tile value count must match the grid"
-        );
-        self.tiles.insert(id, values);
-        self.intervals.remove(&id);
-        self.timings.remove(&id);
-    }
-
-    /// [`insert`](Self::insert) with the tile's certified `[lo, hi]`
-    /// envelopes (same pair order) — what the approximate tier records.
-    pub fn insert_certified(&mut self, id: usize, values: Vec<f64>, intervals: Vec<(f64, f64)>) {
-        self.insert(id, values);
-        self.certify(id, intervals);
-    }
-
-    /// Attaches certified `[lo, hi]` envelopes to an already-present tile
-    /// (same pair order) — how the coordinator records an `I` result line
-    /// arriving after its `T` line.
-    ///
-    /// # Panics
-    /// If the tile is absent or the interval count mismatches the grid.
-    pub fn certify(&mut self, id: usize, intervals: Vec<(f64, f64)>) {
-        assert!(
-            self.tiles.contains_key(&id),
-            "certify requires the tile to be present"
-        );
-        assert_eq!(
-            intervals.len(),
-            self.grid.pair_count(id),
-            "tile interval count must match the grid"
-        );
-        self.intervals.insert(id, intervals);
+    /// Records one line under the format's one ordering rule: a `T` line
+    /// only for an absent tile; an `I` or `W` line at most once, and only
+    /// for a present tile. The loader, the engine's tile loop and the
+    /// orchestrator's coordinator all record through here. Returns
+    /// whether the line was recorded; a line that breaks the rule, or
+    /// does not fit the grid, leaves the set unchanged.
+    pub fn accept(&mut self, line: TileLine) -> bool {
+        if !line.fits(&self.grid) {
+            return false;
+        }
+        match line {
+            TileLine::Values { id, values } => match self.tiles.entry(id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(TileRecord {
+                        values,
+                        intervals: None,
+                        seconds: None,
+                    });
+                    true
+                }
+                Entry::Occupied(_) => false,
+            },
+            TileLine::Intervals { id, intervals } => match self.tiles.get_mut(&id) {
+                Some(r) if r.intervals.is_none() => {
+                    r.intervals = Some(intervals);
+                    true
+                }
+                _ => false,
+            },
+            TileLine::Timing { id, seconds } => match self.tiles.get_mut(&id) {
+                Some(r) if r.seconds.is_none() => {
+                    r.seconds = Some(seconds);
+                    true
+                }
+                _ => false,
+            },
+        }
     }
 
     /// Keeps only the listed tiles.
     pub(crate) fn restrict(mut self, ids: &[usize]) -> Self {
         let keep: std::collections::BTreeSet<usize> = ids.iter().copied().collect();
         self.tiles.retain(|id, _| keep.contains(id));
-        self.intervals.retain(|id, _| keep.contains(id));
-        self.timings.retain(|id, _| keep.contains(id));
         self
     }
 
@@ -663,48 +675,39 @@ impl TileSet {
                     part.fingerprint, merged.fingerprint
                 )));
             }
-            for (id, values) in part.tiles {
-                match merged.tiles.get(&id) {
-                    Some(existing) => {
-                        let same = existing.len() == values.len()
-                            && existing
-                                .iter()
-                                .zip(&values)
-                                .all(|(a, b)| a.to_bits() == b.to_bits());
-                        if !same {
+            for (id, record) in part.tiles {
+                let have = match merged.tiles.entry(id) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(record);
+                        continue;
+                    }
+                    Entry::Occupied(slot) => slot.into_mut(),
+                };
+                if !same_bits(have.values.iter().copied(), record.values) {
+                    return Err(ShardError::Overlap { tile: id });
+                }
+                // Certification survives the merge: a tile's intervals
+                // come from whichever part carries them (an old
+                // midpoint-only artifact contributes none), and two
+                // certified copies of the same tile must agree
+                // bit-for-bit — with identical values and fingerprints a
+                // disagreement means a corrupt artifact.
+                if let Some(theirs) = record.intervals {
+                    if let Some(ours) = &have.intervals {
+                        if !same_bits(
+                            ours.iter().flat_map(|&(lo, hi)| [lo, hi]),
+                            theirs.iter().flat_map(|&(lo, hi)| [lo, hi]),
+                        ) {
                             return Err(ShardError::Overlap { tile: id });
                         }
-                    }
-                    None => {
-                        merged.tiles.insert(id, values);
-                    }
-                }
-            }
-            // Certification survives the merge: a tile's intervals come
-            // from whichever part carries them (an old midpoint-only
-            // artifact contributes none), and two certified copies of the
-            // same tile must agree bit-for-bit — with identical values and
-            // fingerprints a disagreement means a corrupt artifact.
-            for (id, ivs) in part.intervals {
-                match merged.intervals.get(&id) {
-                    Some(existing) => {
-                        let same = existing.len() == ivs.len()
-                            && existing.iter().zip(&ivs).all(|(a, b)| {
-                                a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()
-                            });
-                        if !same {
-                            return Err(ShardError::Overlap { tile: id });
-                        }
-                    }
-                    None => {
-                        merged.intervals.insert(id, ivs);
+                    } else {
+                        have.intervals = Some(theirs);
                     }
                 }
-            }
-            // Timings are advisory measurements: first part wins, no
-            // agreement required (two runs legitimately time differently).
-            for (id, secs) in part.timings {
-                merged.timings.entry(id).or_insert(secs);
+                // Timings are advisory measurements: first part wins, no
+                // agreement required (two runs legitimately time
+                // differently).
+                have.seconds = have.seconds.or(record.seconds);
             }
         }
         Ok(merged)
@@ -723,156 +726,245 @@ impl TileSet {
         }
         let k = self.grid.k;
         let mut upper = vec![0.0; k * k.saturating_sub(1) / 2];
-        for (&id, values) in &self.tiles {
-            for ((i, j), &v) in self.grid.pairs(id).iter().zip(values) {
+        for (&id, record) in &self.tiles {
+            for ((i, j), &v) in self.grid.pairs(id).iter().zip(&record.values) {
                 upper[i * k - i * (i + 1) / 2 + (j - i - 1)] = v;
             }
         }
         Ok(DistanceMatrix::from_upper(k, &upper))
     }
 
-    /// Writes the artifact (header + every tile) to `path`, replacing any
-    /// existing file.
+    /// Writes the artifact (header + every tile's lines) to `path`,
+    /// replacing any existing file.
     pub fn save(&self, path: &Path) -> Result<(), ShardError> {
         let mut out = String::new();
         header_lines(&mut out, &self.grid, self.fingerprint);
-        for (&id, values) in &self.tiles {
-            tile_line(&mut out, id, values);
-            if let Some(ivs) = self.intervals.get(&id) {
-                interval_line(&mut out, id, ivs);
-            }
-            if let Some(&secs) = self.timings.get(&id) {
-                timing_line(&mut out, id, secs);
+        for (&id, r) in &self.tiles {
+            let lines = [
+                Some(TileLine::Values {
+                    id,
+                    values: r.values.clone(),
+                }),
+                r.intervals
+                    .clone()
+                    .map(|intervals| TileLine::Intervals { id, intervals }),
+                r.seconds.map(|seconds| TileLine::Timing { id, seconds }),
+            ];
+            for line in lines.iter().flatten() {
+                line.write(&mut out);
             }
         }
         std::fs::write(path, out)?;
         Ok(())
     }
 
-    /// Reads an artifact/checkpoint. A truncated or corrupt trailing tile
-    /// line — the remnant of an interrupted run — is discarded (that tile
-    /// is simply recomputed on resume); header corruption is an error.
+    /// Reads an artifact/checkpoint. A torn trailing tile line — the
+    /// remnant of an interrupted run — is discarded (that tile is simply
+    /// recomputed on resume); header corruption is an error.
     pub fn load(path: &Path) -> Result<TileSet, ShardError> {
-        let mut text = String::new();
-        std::fs::File::open(path)?.read_to_string(&mut text)?;
-        Ok(Self::parse_artifact(&text, path)?.0)
+        Ok(Self::parse_artifact(&std::fs::read(path)?, path)?.0)
     }
 
-    /// Parses an artifact's text, returning the set plus the byte length
+    /// Parses an artifact's bytes, returning the set plus the byte length
     /// of the valid prefix — resume truncates the file there before
     /// appending. Both header lines must be complete
     /// (newline-terminated): appending tiles after a half-written header
     /// would corrupt the file irrecoverably.
-    fn parse_artifact(text: &str, path: &Path) -> Result<(TileSet, u64), ShardError> {
-        let mut offset = 0u64;
-        let mut lines = text.split_inclusive('\n');
-
-        let magic = lines.next().unwrap_or("");
-        if magic != format!("{MAGIC}\n") {
+    fn parse_artifact(bytes: &[u8], path: &Path) -> Result<(TileSet, u64), ShardError> {
+        fn complete(line: &[u8]) -> Option<&str> {
+            std::str::from_utf8(line.strip_suffix(b"\n")?).ok()
+        }
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+        let magic = lines.next().unwrap_or_default();
+        if complete(magic) != Some(MAGIC) {
             return Err(ShardError::Format(format!(
                 "{}: missing '{MAGIC}' header",
                 path.display()
             )));
         }
-        offset += magic.len() as u64;
-        let header = lines.next().unwrap_or("");
-        let (grid, fingerprint) = header
-            .strip_suffix('\n')
-            .and_then(parse_header)
+        let header = lines.next().unwrap_or_default();
+        let (grid, fingerprint) = complete(header)
+            .and_then(TileLine::parse_header)
             .ok_or_else(|| ShardError::Format(format!("{}: bad header line", path.display())))?;
-        offset += header.len() as u64;
+        let mut offset = magic.len() + header.len();
 
+        // A line that is unterminated, not UTF-8, malformed or out of
+        // order is a torn append: drop it and everything after. A tile
+        // whose `I` or `W` line was lost stays valid — uncertified or
+        // untimed — so resume never recomputes it.
         let mut set = TileSet::empty(grid, fingerprint);
         for line in lines {
-            // A line without its trailing newline, or that fails to parse,
-            // is a half-written append: drop it and everything after.
-            let Some(complete) = line.strip_suffix('\n') else {
+            let Some(parsed) = complete(line).and_then(|l| TileLine::parse(l, &grid)) else {
                 break;
             };
-            // An `I` line certifies the tile it names, which must already
-            // be present (its `T` line precedes it) and uncertified. A
-            // tile whose `I` line was lost to a kill stays valid — just
-            // uncertified — so resume never recomputes it.
-            if complete.starts_with('I') {
-                match parse_interval_line(complete, &grid) {
-                    Some((id, ivs))
-                        if set.tiles.contains_key(&id) && !set.intervals.contains_key(&id) =>
-                    {
-                        set.intervals.insert(id, ivs);
-                        offset += line.len() as u64;
-                        continue;
-                    }
-                    _ => break,
-                }
+            if !set.accept(parsed) {
+                break;
             }
-            // A `W` line times the tile it names; like `I`, its tile must
-            // already be present. A lost trailing `W` costs nothing but a
-            // warm-start hint.
-            if complete.starts_with('W') {
-                match parse_timing_line(complete, &grid) {
-                    Some((id, secs))
-                        if set.tiles.contains_key(&id) && !set.timings.contains_key(&id) =>
-                    {
-                        set.timings.insert(id, secs);
-                        offset += line.len() as u64;
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
-            match parse_tile_line(complete, &grid) {
-                Some((id, values)) if !set.tiles.contains_key(&id) => {
-                    set.tiles.insert(id, values);
-                    offset += line.len() as u64;
-                }
-                _ => break,
-            }
+            offset += line.len();
         }
-        Ok((set, offset))
+        Ok((set, offset as u64))
     }
 }
 
 fn header_lines(out: &mut String, grid: &TileGrid, fingerprint: u64) {
     out.push_str(MAGIC);
     out.push('\n');
-    out.push_str(&format!(
-        "k {} tile {} fingerprint {fingerprint:016x}\n",
-        grid.k, grid.tile
-    ));
+    TileLine::write_header(out, grid, fingerprint);
 }
 
-/// Appends one newline-terminated `T` line — a tile's values, hex-exact —
-/// to `out`. Public because the orchestrator wire protocol reuses the
-/// checkpoint line format verbatim as its transfer format.
-pub fn tile_line(out: &mut String, id: usize, values: &[f64]) {
-    out.push_str(&format!("T {id} {}", values.len()));
-    for v in values {
-        out.push_str(&format!(" {:016x}", v.to_bits()));
+/// One result line of the checkpoint/artifact format, and the one codec
+/// for it: checkpoints, saved artifacts and the orchestrator's wire all
+/// write lines with [`write`](Self::write) and read them with
+/// [`parse`](Self::parse). See the [module docs](self) for the format and
+/// [`TileSet::accept`] for the ordering rule.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TileLine {
+    /// `T <id> <count> <hex>...`: a finished tile's values.
+    Values {
+        /// Tile ID.
+        id: usize,
+        /// Values in the grid's pair order.
+        values: Vec<f64>,
+    },
+    /// `I <id> <count> <lo-hex> <hi-hex>...`: the tile's certified
+    /// `[lo, hi]` envelopes.
+    Intervals {
+        /// Tile ID.
+        id: usize,
+        /// Intervals in the grid's pair order.
+        intervals: Vec<(f64, f64)>,
+    },
+    /// `W <id> <hex>`: the tile's observed compute wall seconds.
+    Timing {
+        /// Tile ID.
+        id: usize,
+        /// Wall seconds.
+        seconds: f64,
+    },
+}
+
+impl TileLine {
+    /// The tile the line belongs to.
+    pub fn id(&self) -> usize {
+        match self {
+            TileLine::Values { id, .. }
+            | TileLine::Intervals { id, .. }
+            | TileLine::Timing { id, .. } => *id,
+        }
     }
-    out.push('\n');
-}
 
-/// Appends one newline-terminated `I` line — a tile's certified `[lo, hi]`
-/// pairs — to `out`.
-pub fn interval_line(out: &mut String, id: usize, intervals: &[(f64, f64)]) {
-    out.push_str(&format!("I {id} {}", intervals.len()));
-    for (lo, hi) in intervals {
-        out.push_str(&format!(" {:016x} {:016x}", lo.to_bits(), hi.to_bits()));
+    /// Whether the ID is in the grid and the value count matches the
+    /// tile's pair count.
+    fn fits(&self, grid: &TileGrid) -> bool {
+        let id = self.id();
+        id < grid.tile_count()
+            && match self {
+                TileLine::Values { values, .. } => values.len() == grid.pair_count(id),
+                TileLine::Intervals { intervals, .. } => intervals.len() == grid.pair_count(id),
+                TileLine::Timing { .. } => true,
+            }
     }
-    out.push('\n');
-}
 
-/// Appends one newline-terminated `W` line — a tile's observed compute
-/// wall seconds — to `out`.
-pub fn timing_line(out: &mut String, id: usize, seconds: f64) {
-    out.push_str(&format!("W {id} {:016x}\n", seconds.to_bits()));
+    /// Appends the line, newline-terminated, to `out`; every value is the
+    /// hex of its IEEE-754 bits, so a round trip is exact.
+    pub fn write(&self, out: &mut String) {
+        // Formatting into a `String` cannot fail.
+        let hex = |out: &mut String, v: f64| {
+            let _ = write!(out, " {:016x}", v.to_bits());
+        };
+        match self {
+            TileLine::Values { id, values } => {
+                let _ = write!(out, "T {id} {}", values.len());
+                for &v in values {
+                    hex(out, v);
+                }
+            }
+            TileLine::Intervals { id, intervals } => {
+                let _ = write!(out, "I {id} {}", intervals.len());
+                for &(lo, hi) in intervals {
+                    hex(out, lo);
+                    hex(out, hi);
+                }
+            }
+            TileLine::Timing { id, seconds } => {
+                let _ = write!(out, "W {id}");
+                hex(out, *seconds);
+            }
+        }
+        out.push('\n');
+    }
+
+    /// Parses one line (without its newline) against `grid`: the ID must
+    /// be in range, a `T`/`I` count must match the tile's pair count and
+    /// the words that follow, and every value must be finite and
+    /// non-negative with `lo ≤ hi` — a corrupt timing must not poison the
+    /// autotuner either. `None` on any malformation: callers treat that
+    /// as a torn checkpoint tail or a protocol violation, never a panic.
+    pub fn parse(line: &str, grid: &TileGrid) -> Option<TileLine> {
+        let mut t = line.split_ascii_whitespace();
+        let tag = t.next()?;
+        let id: usize = t.next()?.parse().ok()?;
+        if id >= grid.tile_count() {
+            return None;
+        }
+        let value = |t: &mut Words<'_>| parse_value(t.next()?);
+        let parsed = match tag {
+            "T" => TileLine::Values {
+                id,
+                values: per_pair(&mut t, grid.pair_count(id), value)?,
+            },
+            "I" => TileLine::Intervals {
+                id,
+                intervals: per_pair(&mut t, grid.pair_count(id), |t| {
+                    let (lo, hi) = (value(t)?, value(t)?);
+                    (lo <= hi).then_some((lo, hi))
+                })?,
+            },
+            "W" => TileLine::Timing {
+                id,
+                seconds: value(&mut t)?,
+            },
+            _ => return None,
+        };
+        t.next().is_none().then_some(parsed)
+    }
+
+    /// Appends the header line that follows a checkpoint's magic line —
+    /// and the wire's `GRID` verb — to `out`.
+    pub fn write_header(out: &mut String, grid: &TileGrid, fingerprint: u64) {
+        out.push_str(&format!(
+            "k {} tile {} fingerprint {fingerprint:016x}\n",
+            grid.k, grid.tile
+        ));
+    }
+
+    /// Parses a header line (without its newline). A grid whose counts do
+    /// not fit `usize` is a malformation like any other.
+    pub fn parse_header(line: &str) -> Option<(TileGrid, u64)> {
+        let mut t = line.split_ascii_whitespace();
+        if t.next()? != "k" {
+            return None;
+        }
+        let k: usize = t.next()?.parse().ok()?;
+        if t.next()? != "tile" {
+            return None;
+        }
+        let tile: usize = t.next()?.parse().ok()?;
+        if t.next()? != "fingerprint" {
+            return None;
+        }
+        let fingerprint = u64::from_str_radix(t.next()?, 16).ok()?;
+        if t.next().is_some() {
+            return None;
+        }
+        Some((TileGrid::checked(k, tile)?, fingerprint))
+    }
 }
 
 /// An append-mode handle on a checkpoint/artifact file: the durable side
 /// of a run. [`Checkpoint::open`] validates (or writes) the header,
-/// resumes completed tiles, and truncates a half-written trailing line;
-/// [`Checkpoint::append`] records one finished tile and flushes, so a
-/// kill at any moment loses at most the line being written.
+/// resumes completed tiles, and truncates a torn trailing line;
+/// [`Checkpoint::append`] is the one writer of tile lines.
 ///
 /// The engine's checkpointed entry points use this internally; the
 /// orchestrator coordinator drives it directly, appending results as
@@ -884,7 +976,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Opens (or creates) the checkpoint at `path` for a `(grid,
     /// fingerprint)` run: validates both against an existing file,
-    /// discards a half-written trailing line, and positions the file for
+    /// discards a torn trailing line, and positions the file for
     /// appending. Returns the resumed [`TileSet`] alongside the handle.
     pub fn open(
         path: &Path,
@@ -893,17 +985,16 @@ impl Checkpoint {
     ) -> Result<(TileSet, Checkpoint), ShardError> {
         let mut expected_header = String::new();
         header_lines(&mut expected_header, &grid, fingerprint);
-        let existing = match std::fs::read_to_string(path) {
+        let existing = match std::fs::read(path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
-            Ok(text) if text.is_empty() => None,
-            // A proper prefix of the header this run would write is the
-            // remnant of a kill during the initial header write — no tile
-            // was committed, so start fresh instead of appending tile
-            // lines onto a half-written header.
-            Ok(text) if expected_header.starts_with(&text) => None,
-            Ok(text) => {
-                let (set, clean_len) = TileSet::parse_artifact(&text, path)?;
+            // An empty file, or a proper prefix of the header this run
+            // would write, is the remnant of a kill during the initial
+            // header write — no tile was committed, so start fresh
+            // instead of appending tile lines onto a half-written header.
+            Ok(bytes) if expected_header.as_bytes().starts_with(&bytes) => None,
+            Ok(bytes) => {
+                let (set, clean_len) = TileSet::parse_artifact(&bytes, path)?;
                 if *set.grid() != grid {
                     return Err(ShardError::Mismatch(format!(
                         "checkpoint {} is for k={} tile={}, run wants k={} tile={}",
@@ -928,7 +1019,7 @@ impl Checkpoint {
         };
         match existing {
             Some((set, clean_len)) => {
-                // Truncate away any half-written tail, then append.
+                // Truncate away any torn tail, then append.
                 let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
                 file.set_len(clean_len)?;
                 file.seek(SeekFrom::End(0))?;
@@ -942,75 +1033,42 @@ impl Checkpoint {
         }
     }
 
-    /// Appends one finished tile (plus its certification line when the
-    /// approximate tier produced one, plus its timing line when the run
-    /// observed one) and flushes.
-    pub fn append(
-        &mut self,
-        id: usize,
-        values: &[f64],
-        intervals: Option<&[(f64, f64)]>,
-        seconds: Option<f64>,
-    ) -> Result<(), ShardError> {
-        let mut line = String::new();
-        tile_line(&mut line, id, values);
-        if let Some(ivs) = intervals {
-            interval_line(&mut line, id, ivs);
+    /// Appends lines — a finished tile's, or a single `I`/`W` line that
+    /// arrives after its tile's `T` line — with one write, then flushes
+    /// them to the OS. The caller keeps the order [`TileSet::accept`]
+    /// enforces, so the file loads back as written. Not fsynced: the
+    /// lines survive a killed process, but a power loss or OS crash may
+    /// lose them, leaving a torn tail that resume recomputes.
+    pub fn append(&mut self, lines: &[TileLine]) -> Result<(), ShardError> {
+        let mut out = String::new();
+        for line in lines {
+            line.write(&mut out);
         }
-        if let Some(secs) = seconds {
-            timing_line(&mut line, id, secs);
-        }
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        Ok(())
-    }
-
-    /// Appends a tile's `I` certification line on its own — the
-    /// orchestrated path, where a tile's interval line arrives after its
-    /// value line. The caller must have appended the tile's `T` line
-    /// earlier (and at most one `I` line per tile), matching what the
-    /// loader accepts.
-    pub fn append_intervals(
-        &mut self,
-        id: usize,
-        intervals: &[(f64, f64)],
-    ) -> Result<(), ShardError> {
-        let mut line = String::new();
-        interval_line(&mut line, id, intervals);
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        Ok(())
-    }
-
-    /// Appends a tile's `W` timing line on its own (same contract as
-    /// [`append_intervals`](Self::append_intervals)).
-    pub fn append_timing(&mut self, id: usize, seconds: f64) -> Result<(), ShardError> {
-        let mut line = String::new();
-        timing_line(&mut line, id, seconds);
-        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(out.as_bytes())?;
         self.file.flush()?;
         Ok(())
     }
 }
 
-fn parse_header(line: &str) -> Option<(TileGrid, u64)> {
-    let mut t = line.split_ascii_whitespace();
-    if t.next()? != "k" {
+/// The whitespace-separated words of one line.
+type Words<'a> = std::str::SplitAsciiWhitespace<'a>;
+
+/// A `T`/`I` line's pair count, which must equal the tile's `pairs`, then
+/// one item per pair. No capacity from the count: the line, not the
+/// claim, bounds the items.
+fn per_pair<T>(
+    t: &mut Words<'_>,
+    pairs: usize,
+    item: impl Fn(&mut Words<'_>) -> Option<T>,
+) -> Option<Vec<T>> {
+    if t.next()?.parse::<usize>().ok()? != pairs {
         return None;
     }
-    let k: usize = t.next()?.parse().ok()?;
-    if t.next()? != "tile" {
-        return None;
+    let mut items = Vec::new();
+    for _ in 0..pairs {
+        items.push(item(t)?);
     }
-    let tile: usize = t.next()?.parse().ok()?;
-    if t.next()? != "fingerprint" {
-        return None;
-    }
-    let fingerprint = u64::from_str_radix(t.next()?, 16).ok()?;
-    if t.next().is_some() {
-        return None;
-    }
-    Some((TileGrid::checked(k, tile)?, fingerprint))
+    Some(items)
 }
 
 /// One hex-encoded `f64` field that is a valid SND value: finite and
@@ -1019,83 +1077,6 @@ fn parse_header(line: &str) -> Option<(TileGrid, u64)> {
 fn parse_value(field: &str) -> Option<f64> {
     let v = f64::from_bits(u64::from_str_radix(field, 16).ok()?);
     (v.is_finite() && v >= 0.0).then_some(v)
-}
-
-/// Parses one `T` line against `grid` (ID range and pair count must
-/// match, every value finite and non-negative). `None` on any
-/// malformation — callers treat that as a truncated checkpoint tail or a
-/// protocol violation, never a panic.
-pub fn parse_tile_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<f64>)> {
-    let mut t = line.split_ascii_whitespace();
-    if t.next()? != "T" {
-        return None;
-    }
-    let id: usize = t.next()?.parse().ok()?;
-    if id >= grid.tile_count() {
-        return None;
-    }
-    let count: usize = t.next()?.parse().ok()?;
-    if count != grid.pair_count(id) {
-        return None;
-    }
-    // No capacity from `count`: the line, not the claim, bounds the values.
-    let mut values = Vec::new();
-    for _ in 0..count {
-        values.push(parse_value(t.next()?)?);
-    }
-    if t.next().is_some() {
-        return None;
-    }
-    Some((id, values))
-}
-
-/// Parses one `I` line against `grid` (endpoints finite, non-negative
-/// and ordered, `lo ≤ hi`). `None` on any malformation.
-pub fn parse_interval_line(line: &str, grid: &TileGrid) -> Option<(usize, Vec<(f64, f64)>)> {
-    let mut t = line.split_ascii_whitespace();
-    if t.next()? != "I" {
-        return None;
-    }
-    let id: usize = t.next()?.parse().ok()?;
-    if id >= grid.tile_count() {
-        return None;
-    }
-    let count: usize = t.next()?.parse().ok()?;
-    if count != grid.pair_count(id) {
-        return None;
-    }
-    let mut intervals = Vec::new();
-    for _ in 0..count {
-        let lo = parse_value(t.next()?)?;
-        let hi = parse_value(t.next()?)?;
-        if lo > hi {
-            return None;
-        }
-        intervals.push((lo, hi));
-    }
-    if t.next().is_some() {
-        return None;
-    }
-    Some((id, intervals))
-}
-
-/// Parses one `W` line against `grid` (ID must be in range and the
-/// seconds finite and non-negative — a corrupt timing must not poison the
-/// autotuner's cost model). `None` on any malformation.
-pub fn parse_timing_line(line: &str, grid: &TileGrid) -> Option<(usize, f64)> {
-    let mut t = line.split_ascii_whitespace();
-    if t.next()? != "W" {
-        return None;
-    }
-    let id: usize = t.next()?.parse().ok()?;
-    if id >= grid.tile_count() {
-        return None;
-    }
-    let secs = parse_value(t.next()?)?;
-    if t.next().is_some() {
-        return None;
-    }
-    Some((id, secs))
 }
 
 /// Outcome of a checkpointed shard run: the plan's tiles plus how much of
@@ -1137,15 +1118,14 @@ impl<'g> SndEngine<'g> {
     /// plan partition, merged, is bit-identical to
     /// [`pairwise_distances_seq`](Self::pairwise_distances_seq).
     pub fn pairwise_tiles(&self, states: &[NetworkState], plan: &ShardPlan) -> TileSet {
-        self.pairwise_tiles_with(states, plan, &mut |_, _, _, _| Ok(()))
+        self.pairwise_tiles_with(states, plan, &mut |_| Ok(()))
             // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
             .expect("in-memory tile computation performs no IO")
     }
 
     /// [`pairwise_tiles`](Self::pairwise_tiles) with a per-tile hook:
-    /// `on_tile` sees each finished tile (ID, values, optional certified
-    /// intervals, compute wall seconds) *before* it is recorded in the
-    /// returned set, in ascending tile-ID order. This is the streaming
+    /// `on_tile` sees each finished tile's lines (see [`OnTile`]) *before*
+    /// they are recorded in the returned set, in ascending tile-ID order. This is the streaming
     /// entry point — an orchestrated worker serializes each tile onto its
     /// socket from here, overlapping the send with the next tile's
     /// compute. An error from the hook aborts the run.
@@ -1178,9 +1158,7 @@ impl<'g> SndEngine<'g> {
             .iter()
             .filter(|id| set.contains(**id))
             .count();
-        self.compute_tiles(states, plan, &mut set, &mut |id, values, ivs, secs| {
-            ckpt.append(id, values, ivs, Some(secs))
-        })?;
+        self.compute_tiles(states, plan, &mut set, &mut |lines| ckpt.append(lines))?;
         Ok(ShardRun {
             tiles: set.restrict(plan.tile_ids()),
             resumed,
@@ -1268,13 +1246,16 @@ impl<'g> SndEngine<'g> {
             let terms = self.price_pairs(states, bundle, &pairs);
             let (values, intervals) = fold_terms(&terms, certified);
 
-            let secs = mark.elapsed().as_secs_f64();
-            on_tile(id, &values, intervals.as_deref(), secs)?;
-            match intervals {
-                Some(ivs) => set.insert_certified(id, values, ivs),
-                None => set.insert(id, values),
+            let mut lines = vec![TileLine::Values { id, values }];
+            lines.extend(intervals.map(|intervals| TileLine::Intervals { id, intervals }));
+            lines.push(TileLine::Timing {
+                id,
+                seconds: mark.elapsed().as_secs_f64(),
+            });
+            on_tile(&lines)?;
+            for line in lines {
+                set.accept(line);
             }
-            set.set_timing(id, secs);
             for &s in touched {
                 if last_use[s] == pos {
                     geoms[s] = None;
@@ -1309,6 +1290,19 @@ mod tests {
     use super::*;
     use crate::config::SndConfig;
     use snd_graph::generators::path_graph;
+
+    /// Each present tile's values.
+    fn values(set: &TileSet) -> BTreeMap<usize, &[f64]> {
+        set.tiles
+            .iter()
+            .map(|(&id, r)| (id, &r.values[..]))
+            .collect()
+    }
+
+    /// Number of present tiles carrying a timing.
+    fn timed(set: &TileSet) -> usize {
+        set.tiles.values().filter(|r| r.seconds.is_some()).count()
+    }
 
     fn states(k: usize) -> Vec<NetworkState> {
         (0..k)
@@ -1535,8 +1529,8 @@ mod tests {
         ));
         // Conflicting overlap is rejected; identical overlap is fine.
         let mut conflicting = part0.clone();
-        let (&id, values) = conflicting.tiles.iter_mut().next().unwrap();
-        if let Some(v) = values.first_mut() {
+        let (&id, record) = conflicting.tiles.iter_mut().next().unwrap();
+        if let Some(v) = record.values.first_mut() {
             *v += 1.0;
             assert!(matches!(
                 TileSet::merge([part0.clone(), conflicting]),
@@ -1676,7 +1670,7 @@ mod tests {
         let s = states(4);
         let grid = TileGrid::new(4, 2);
         let new_set = engine.pairwise_tiles(&s, &ShardPlan::full(grid));
-        assert!(!new_set.intervals.is_empty());
+        assert!(new_set.certified_tile_count() > 0);
         let path =
             std::env::temp_dir().join(format!("snd_shard_old_format_{}.ckpt", std::process::id()));
         new_set.save(&path).unwrap();
@@ -1692,8 +1686,8 @@ mod tests {
             .collect();
         std::fs::write(&path, old).unwrap();
         let old_set = TileSet::load(&path).unwrap();
-        assert_eq!(old_set.tiles, new_set.tiles, "midpoints survive");
-        assert!(old_set.intervals.is_empty());
+        assert_eq!(values(&old_set), values(&new_set), "midpoints survive");
+        assert_eq!(old_set.certified_tile_count(), 0);
         assert_eq!(old_set.pair_interval(0, 1), None);
 
         // Merging an old artifact with a certified one re-certifies it.
@@ -1715,7 +1709,7 @@ mod tests {
         let run = engine
             .pairwise_tiles_checkpointed(&s, &ShardPlan::full(grid), &path)
             .unwrap();
-        assert!(run.tiles.intervals.is_empty());
+        assert_eq!(run.tiles.certified_tile_count(), 0);
         assert_eq!(run.tiles.pair_interval(0, 1), None);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.lines().all(|l| !l.starts_with("I ")));
@@ -1742,9 +1736,9 @@ mod tests {
         assert!(cut.lines().last().unwrap().starts_with("W "));
         std::fs::write(&path, cut).unwrap();
         let loaded = TileSet::load(&path).unwrap();
-        assert_eq!(loaded.tiles, set.tiles);
-        assert_eq!(loaded.intervals.len(), set.intervals.len());
-        assert_eq!(loaded.timings.len(), set.timings.len() - 1);
+        assert_eq!(values(&loaded), values(&set));
+        assert_eq!(loaded.certified_tile_count(), set.certified_tile_count());
+        assert_eq!(timed(&loaded), timed(&set) - 1);
 
         // Kill mid-append of an `I` line (no `W` lines written, as under
         // a pre-timing writer): the tile survives uncertified.
@@ -1758,8 +1752,11 @@ mod tests {
         std::fs::write(&path, cut).unwrap();
         let loaded = TileSet::load(&path).unwrap();
         // Every tile survives; only the interrupted certification is lost.
-        assert_eq!(loaded.tiles, set.tiles);
-        assert_eq!(loaded.intervals.len(), set.intervals.len() - 1);
+        assert_eq!(values(&loaded), values(&set));
+        assert_eq!(
+            loaded.certified_tile_count(),
+            set.certified_tile_count() - 1
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1789,7 +1786,7 @@ mod tests {
         }
         // Timings are advisory: equality ignores them entirely...
         let mut retimed = loaded.clone();
-        retimed.set_timing(0, 123.456);
+        retimed.tiles.get_mut(&0).unwrap().seconds = Some(123.456);
         assert_eq!(retimed, loaded);
         // ...and merge keeps the first part's measurement.
         let merged = TileSet::merge([retimed.clone(), loaded.clone()]).unwrap();
@@ -1820,7 +1817,11 @@ mod tests {
                     .iter()
                     .map(|&(i, j)| full.pair(i, j).unwrap())
                     .collect();
-                ckpt.append(id, &values, None, Some(0.25)).unwrap();
+                ckpt.append(&[
+                    TileLine::Values { id, values },
+                    TileLine::Timing { id, seconds: 0.25 },
+                ])
+                .unwrap();
             }
         }
         // The file resumes complete and matches the engine's own artifact.
@@ -1984,6 +1985,89 @@ mod tests {
             if *tiles < 3 {
                 assert!(matches!(set.to_matrix(), Err(ShardError::Holes { .. })));
             }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn accept_is_the_one_ordering_rule() {
+        // `k 3 tile 2`: tile 0 holds the pair (0, 1), tile 1 holds (0, 2)
+        // and (1, 2), tile 2 holds none.
+        let grid = TileGrid::new(3, 2);
+        let mut set = TileSet::empty(grid, 7);
+        let t = |id: usize, n: usize| TileLine::Values {
+            id,
+            values: vec![1.0; n],
+        };
+        let i = |id: usize, n: usize| TileLine::Intervals {
+            id,
+            intervals: vec![(0.5, 1.5); n],
+        };
+        let w = |id: usize| TileLine::Timing { id, seconds: 0.5 };
+        // `I` and `W` only for a present tile.
+        assert!(!set.accept(i(1, 2)));
+        assert!(!set.accept(w(1)));
+        // A line that does not fit the grid is refused.
+        assert!(!set.accept(t(1, 1)));
+        assert!(!set.accept(t(3, 0)));
+        assert!(set.accept(t(1, 2)));
+        // `T` only for an absent tile; `I` and `W` at most once each.
+        assert!(!set.accept(t(1, 2)));
+        assert!(!set.accept(i(1, 1)));
+        assert!(set.accept(i(1, 2)));
+        assert!(!set.accept(i(1, 2)));
+        assert!(set.accept(w(1)));
+        assert!(!set.accept(w(1)));
+        assert!(set.accept(t(0, 1)));
+        assert_eq!(set.tile_count(), 2);
+        assert_eq!(set.certified_tile_count(), 1);
+        assert_eq!(set.timing(1), Some(0.5));
+        assert_eq!(set.timing(0), None);
+
+        // Every accepted line round-trips through the one writer and
+        // parser.
+        for line in [t(1, 2), i(1, 2), w(1), t(2, 0)] {
+            let mut text = String::new();
+            line.write(&mut text);
+            let body = text.strip_suffix('\n').unwrap();
+            assert_eq!(TileLine::parse(body, &grid), Some(line), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn a_torn_non_utf8_tail_resumes_like_any_torn_tail() {
+        let g = path_graph(8);
+        let engine = SndEngine::new(&g, SndConfig::default());
+        let s = states(6);
+        let grid = TileGrid::new(6, 2);
+        let plan = ShardPlan::full(grid);
+        let path =
+            std::env::temp_dir().join(format!("snd_shard_non_utf8_{}.ckpt", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        engine
+            .pairwise_tiles_checkpointed(&s, &ShardPlan::explicit(grid, vec![0]).unwrap(), &path)
+            .unwrap();
+        let clean = std::fs::read(&path).unwrap();
+
+        // A half-written `T` line whose last bytes are no UTF-8, once
+        // unterminated and once newline-terminated.
+        for tail in [&b"T 3 4 00\xff\xfe"[..], b"T 3 4 00\xff\xfe\n"] {
+            std::fs::write(&path, [&clean[..], tail].concat()).unwrap();
+            let loaded = TileSet::load(&path).unwrap();
+            assert_eq!(loaded.tile_count(), 1);
+            let run = engine
+                .pairwise_tiles_checkpointed(&s, &plan, &path)
+                .unwrap();
+            assert_eq!((run.resumed, run.computed), (1, grid.tile_count() - 1));
+            assert_eq!(
+                run.tiles.to_matrix().unwrap(),
+                engine.pairwise_distances_seq(&s)
+            );
+            // Resume truncated the tail before appending.
+            let resumed = std::fs::read(&path).unwrap();
+            assert!(resumed.starts_with(&clean));
+            assert!(std::str::from_utf8(&resumed).is_ok());
+            std::fs::write(&path, &clean).unwrap();
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -161,6 +161,7 @@ impl Autotuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snd_core::TileLine;
 
     #[test]
     fn orchestrate_tile_is_finer_than_auto_tile_never_coarser() {
@@ -247,8 +248,14 @@ mod tests {
         let grid = TileGrid::new(8, 2);
         let mut set = TileSet::empty(grid, 0);
         for id in 0..grid.tile_count() {
-            set.insert(id, vec![0.0; grid.pair_count(id)]);
-            set.set_timing(id, if id == 0 { 2.0 } else { 0.001 });
+            set.accept(TileLine::Values {
+                id,
+                values: vec![0.0; grid.pair_count(id)],
+            });
+            set.accept(TileLine::Timing {
+                id,
+                seconds: if id == 0 { 2.0 } else { 0.001 },
+            });
         }
         let mut tuner = Autotuner::new(grid, 0.1);
         assert_eq!(tuner.predict(0), None, "cold model predicts nothing");

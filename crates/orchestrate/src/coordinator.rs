@@ -18,15 +18,16 @@
 //!   connection dies (EOF) or its deadline passes — whichever is first —
 //!   so a straggler can only waste its own time, never block the run;
 //! * `I`/`W` lines attach only to the tile the same connection just
-//!   submitted, mirroring checkpoint line order — a worker whose tile
-//!   lost the dedup race cannot corrupt the winner's certification.
+//!   submitted, and every result line is recorded through
+//!   [`TileSet::accept`], the loader's own ordering rule — a worker whose
+//!   tile lost the dedup race cannot corrupt the winner's certification.
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use snd_core::{Checkpoint, ShardError, TileGrid, TileSet};
+use snd_core::{Checkpoint, ShardError, TileGrid, TileLine, TileSet};
 
 use crate::autotune::Autotuner;
 use crate::net::{Endpoint, Listener, Stream};
@@ -413,8 +414,7 @@ impl Coordinator {
                 self.conns[i].hello = true;
                 self.workers += 1;
                 let reply = CoordinatorMsg::Grid {
-                    k: self.grid.states(),
-                    tile: self.grid.tile_size(),
+                    grid: self.grid,
                     fingerprint: self.fingerprint,
                 };
                 self.conns[i].send(&reply);
@@ -424,24 +424,7 @@ impl Coordinator {
         match msg {
             WorkerMsg::Hello { .. } => self.reject(i, "duplicate HELLO"),
             WorkerMsg::Next => self.grant(i),
-            WorkerMsg::Tile { id, values } => self.accept_tile(i, id, values)?,
-            WorkerMsg::Interval { id, intervals } => {
-                // Attach only to the tile this connection just won —
-                // once; a deduped duplicate's certification is silently
-                // dropped with it (the loader accepts at most one `I`
-                // line per tile, so the checkpoint must too).
-                if self.conns[i].last_tile == Some(id) && !self.set.is_certified(id) {
-                    self.ckpt.append_intervals(id, &intervals)?;
-                    self.set.certify(id, intervals);
-                }
-            }
-            WorkerMsg::Timing { id, secs } => {
-                if self.conns[i].last_tile == Some(id) && self.set.timing(id).is_none() {
-                    self.tuner.observe(id, secs);
-                    self.set.set_timing(id, secs);
-                    self.ckpt.append_timing(id, secs)?;
-                }
-            }
+            WorkerMsg::Result(line) => self.accept_result(i, line)?,
             WorkerMsg::Bye => {
                 self.conns[i].closing = true;
             }
@@ -484,20 +467,33 @@ impl Coordinator {
         self.conns[i].send(&msg);
     }
 
-    /// Accepts a `T` result line: first result wins, duplicates are
-    /// counted and dropped, accepted tiles go straight to the checkpoint.
-    fn accept_tile(&mut self, i: usize, id: usize, values: Vec<f64>) -> Result<(), ShardError> {
-        if self.set.contains(id) {
-            // First result won — whether from this worker earlier, a
-            // re-dispatched twin, or the resumed checkpoint.
-            self.duplicates += 1;
-            self.conns[i].last_tile = None;
-        } else {
-            self.ckpt.append(id, &values, None, None)?;
-            self.set.insert(id, values);
-            self.computed += 1;
-            self.conns[i].last_tile = Some(id);
+    /// Accepts a result line through [`TileSet::accept`]; accepted lines
+    /// go straight to the checkpoint. For a `T` line the first result
+    /// wins — whether from this worker earlier, a re-dispatched twin, or
+    /// the resumed checkpoint — and later copies are counted and dropped.
+    /// An `I`/`W` line attaches only to the tile this connection just won,
+    /// so a deduped duplicate's certification and timing are dropped with
+    /// it.
+    fn accept_result(&mut self, i: usize, line: TileLine) -> Result<(), ShardError> {
+        let id = line.id();
+        let tile = matches!(line, TileLine::Values { .. });
+        let accepted =
+            (tile || self.conns[i].last_tile == Some(id)) && self.set.accept(line.clone());
+        if accepted {
+            if let TileLine::Timing { seconds, .. } = line {
+                self.tuner.observe(id, seconds);
+            }
+            self.ckpt.append(&[line])?;
         }
+        if !tile {
+            return Ok(());
+        }
+        if accepted {
+            self.computed += 1;
+        } else {
+            self.duplicates += 1;
+        }
+        self.conns[i].last_tile = accepted.then_some(id);
         // Either way the tile is no longer owed by any lease.
         let conn_id = self.conns[i].id;
         let mut finished_pairs = 0usize;

@@ -1,9 +1,10 @@
 //! The line-oriented wire protocol. One message per `\n`-terminated
-//! line, ASCII, human-readable — and the result lines (`T`/`I`/`W`) are
-//! *verbatim* checkpoint lines (`snd_core::shard`), so a worker's stream
-//! is exactly the durable artifact the coordinator appends: hex-exact
-//! f64 bits, validated pair counts, no separate serialization layer to
-//! diverge.
+//! line, ASCII, human-readable — and the wire reuses the checkpoint
+//! codec (`snd_core::shard`): a result line (`T`/`I`/`W`) is a
+//! [`TileLine`] written and parsed by the same code as the checkpoint, so
+//! a worker's stream is exactly the durable artifact the coordinator
+//! appends (hex-exact f64 bits, validated pair counts), and `GRID`
+//! carries the checkpoint's header line.
 //!
 //! ```text
 //! worker → coordinator             coordinator → worker
@@ -21,9 +22,10 @@
 //! `WAIT` (nothing leasable right now — outstanding leases may yet
 //! expire), or `DONE` (matrix complete). Result lines may arrive at any
 //! time after the handshake; an `I`/`W` line must follow the `T` line of
-//! the same tile on the same connection, mirroring checkpoint order.
+//! the same tile on the same connection, under the checkpoint's ordering
+//! rule (`TileSet::accept`).
 
-use snd_core::{parse_interval_line, parse_tile_line, parse_timing_line, TileGrid};
+use snd_core::{TileGrid, TileLine};
 
 use crate::{clip, OrchestrateError};
 
@@ -49,27 +51,9 @@ pub enum WorkerMsg {
     },
     /// Request for work.
     Next,
-    /// A finished tile's values (verbatim checkpoint `T` line).
-    Tile {
-        /// Tile ID.
-        id: usize,
-        /// Values in grid pair order.
-        values: Vec<f64>,
-    },
-    /// Certified `[lo, hi]` pairs for the preceding tile (`I` line).
-    Interval {
-        /// Tile ID.
-        id: usize,
-        /// Intervals in grid pair order.
-        intervals: Vec<(f64, f64)>,
-    },
-    /// Observed compute seconds for the preceding tile (`W` line).
-    Timing {
-        /// Tile ID.
-        id: usize,
-        /// Wall seconds.
-        secs: f64,
-    },
+    /// A result: a finished tile's `T` line, or the `I`/`W` line that
+    /// follows it — a verbatim checkpoint line.
+    Result(TileLine),
     /// Clean disconnect.
     Bye,
 }
@@ -79,10 +63,8 @@ pub enum WorkerMsg {
 pub enum CoordinatorMsg {
     /// Handshake accepted: the grid and fingerprint this run computes.
     Grid {
-        /// Snapshot count.
-        k: usize,
-        /// Tile edge length.
-        tile: usize,
+        /// The run's tile grid.
+        grid: TileGrid,
         /// Dataset fingerprint.
         fingerprint: u64,
     },
@@ -110,19 +92,9 @@ pub fn worker_line(msg: &WorkerMsg) -> String {
             k,
         } => format!("HELLO {version} {fingerprint:016x} k {k}\n"),
         WorkerMsg::Next => "NEXT\n".into(),
-        WorkerMsg::Tile { id, values } => {
+        WorkerMsg::Result(line) => {
             let mut out = String::new();
-            snd_core::tile_line(&mut out, *id, values);
-            out
-        }
-        WorkerMsg::Interval { id, intervals } => {
-            let mut out = String::new();
-            snd_core::interval_line(&mut out, *id, intervals);
-            out
-        }
-        WorkerMsg::Timing { id, secs } => {
-            let mut out = String::new();
-            snd_core::timing_line(&mut out, *id, *secs);
+            line.write(&mut out);
             out
         }
         WorkerMsg::Bye => "BYE\n".into(),
@@ -132,11 +104,11 @@ pub fn worker_line(msg: &WorkerMsg) -> String {
 /// Serializes a coordinator message as one newline-terminated line.
 pub fn coordinator_line(msg: &CoordinatorMsg) -> String {
     match msg {
-        CoordinatorMsg::Grid {
-            k,
-            tile,
-            fingerprint,
-        } => format!("GRID k {k} tile {tile} fingerprint {fingerprint:016x}\n"),
+        CoordinatorMsg::Grid { grid, fingerprint } => {
+            let mut out = "GRID ".to_string();
+            TileLine::write_header(&mut out, grid, *fingerprint);
+            out
+        }
         CoordinatorMsg::Lease { lease, tiles } => {
             let mut out = format!("LEASE {lease} {}", tiles.len());
             for t in tiles {
@@ -159,8 +131,8 @@ fn violation(line: &str, reason: impl Into<String>) -> OrchestrateError {
     }
 }
 
-/// Parses one worker line against the run's grid (`T`/`I`/`W` pair
-/// counts and IDs are validated exactly as checkpoint loading does).
+/// Parses one worker line against the run's grid (a `T`/`I`/`W` line
+/// goes through the checkpoint's own parser, [`TileLine::parse`]).
 /// Malformed lines are structured errors, never panics.
 pub fn parse_worker_msg(line: &str, grid: &TileGrid) -> Result<WorkerMsg, OrchestrateError> {
     match line.split_ascii_whitespace().next() {
@@ -183,15 +155,14 @@ pub fn parse_worker_msg(line: &str, grid: &TileGrid) -> Result<WorkerMsg, Orches
         }
         Some("NEXT") if line.trim_end() == "NEXT" => Ok(WorkerMsg::Next),
         Some("BYE") if line.trim_end() == "BYE" => Ok(WorkerMsg::Bye),
-        Some("T") => parse_tile_line(line, grid)
-            .map(|(id, values)| WorkerMsg::Tile { id, values })
-            .ok_or_else(|| violation(line, "bad tile line (id/count/hex mismatch with grid)")),
-        Some("I") => parse_interval_line(line, grid)
-            .map(|(id, intervals)| WorkerMsg::Interval { id, intervals })
-            .ok_or_else(|| violation(line, "bad interval line (id/count/hex mismatch with grid)")),
-        Some("W") => parse_timing_line(line, grid)
-            .map(|(id, secs)| WorkerMsg::Timing { id, secs })
-            .ok_or_else(|| violation(line, "bad timing line (id/hex/finiteness)")),
+        Some("T" | "I" | "W") => TileLine::parse(line, grid)
+            .map(WorkerMsg::Result)
+            .ok_or_else(|| {
+                violation(
+                    line,
+                    "bad result line (id, pair count or value mismatch with the grid)",
+                )
+            }),
         Some(other) => Err(violation(line, format!("unknown message {other:?}"))),
         None => Err(violation(line, "empty line")),
     }
@@ -202,26 +173,11 @@ pub fn parse_coordinator_msg(line: &str) -> Result<CoordinatorMsg, OrchestrateEr
     let trimmed = line.trim_end();
     match trimmed.split_ascii_whitespace().next() {
         Some("GRID") => {
-            let mut t = trimmed.split_ascii_whitespace().skip(1);
-            let parsed = (|| {
-                if t.next()? != "k" {
-                    return None;
-                }
-                let k: usize = t.next()?.parse().ok()?;
-                if t.next()? != "tile" {
-                    return None;
-                }
-                let tile: usize = t.next()?.parse().ok()?;
-                if tile == 0 || t.next()? != "fingerprint" {
-                    return None;
-                }
-                let fingerprint = u64::from_str_radix(t.next()?, 16).ok()?;
-                t.next().is_none().then_some(CoordinatorMsg::Grid {
-                    k,
-                    tile,
-                    fingerprint,
-                })
-            })();
+            let parsed = trimmed
+                .trim_start()
+                .strip_prefix("GRID")
+                .and_then(TileLine::parse_header)
+                .map(|(grid, fingerprint)| CoordinatorMsg::Grid { grid, fingerprint });
             parsed.ok_or_else(|| {
                 violation(
                     line,
@@ -234,7 +190,9 @@ pub fn parse_coordinator_msg(line: &str) -> Result<CoordinatorMsg, OrchestrateEr
             let parsed = (|| {
                 let lease: u64 = t.next()?.parse().ok()?;
                 let n: usize = t.next()?.parse().ok()?;
-                let mut tiles = Vec::with_capacity(n.min(1 << 20));
+                // No capacity from `n`: the line, not the claim, bounds
+                // the tiles.
+                let mut tiles = Vec::new();
                 for _ in 0..n {
                     tiles.push(t.next()?.parse().ok()?);
                 }
@@ -278,15 +236,18 @@ mod tests {
                 k: 6,
             },
             WorkerMsg::Next,
-            WorkerMsg::Tile {
+            WorkerMsg::Result(TileLine::Values {
                 id: 1,
                 values: vec![1.5, 0.25, f64::MAX, 3.0],
-            },
-            WorkerMsg::Interval {
+            }),
+            WorkerMsg::Result(TileLine::Intervals {
                 id: 1,
                 intervals: vec![(1.0, 2.0), (0.0, 0.5), (1.0, 1.0), (2.0, 4.0)],
-            },
-            WorkerMsg::Timing { id: 1, secs: 0.125 },
+            }),
+            WorkerMsg::Result(TileLine::Timing {
+                id: 1,
+                seconds: 0.125,
+            }),
             WorkerMsg::Bye,
         ];
         for msg in msgs {
@@ -301,8 +262,7 @@ mod tests {
     fn coordinator_messages_roundtrip() {
         let msgs = [
             CoordinatorMsg::Grid {
-                k: 6,
-                tile: 2,
+                grid: TileGrid::new(6, 2),
                 fingerprint: 42,
             },
             CoordinatorMsg::Lease {
@@ -366,9 +326,11 @@ mod tests {
             "GRID",
             "GRID k 6 tile 0 fingerprint 00", // zero tile
             "GRID k 6 tile 2 fingerprint xyz",
+            "GRID k 4294967296 tile 1 fingerprint 00", // k² overflows usize
             "LEASE 1",
-            "LEASE 1 2 0",   // promises 2 tiles, carries 1
-            "LEASE 1 1 0 9", // trailing junk
+            "LEASE 1 2 0",     // promises 2 tiles, carries 1
+            "LEASE 1 1 0 9",   // trailing junk
+            "LEASE 1 1048576", // claims a million tiles, carries none
             "WAIT",
             "WAIT soon",
             "DONE now",

@@ -6,14 +6,12 @@
 //! socket buffer does the sending, so tile *k*'s flush overlaps tile
 //! *k+1*'s compute with no second thread. Whatever the drain could not
 //! place is settled by one blocking flush at lease end; the time spent
-//! there is the `flush_wait_s` the bench ablation measures (with
-//! `overlap: false` every tile is flushed blocking, which is the
-//! ablation baseline).
+//! there is the reported `flush_wait_s`.
 
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
-use snd_core::{ShardPlan, SndEngine, TileGrid};
+use snd_core::{ShardPlan, SndEngine, TileGrid, TileLine};
 use snd_models::NetworkState;
 
 use crate::net::{connect, Endpoint, Stream};
@@ -25,9 +23,6 @@ use crate::OrchestrateError;
 /// Worker tuning knobs.
 #[derive(Clone, Debug)]
 pub struct WorkerOpts {
-    /// Overlap result streaming with compute (the double-buffered
-    /// writer). `false` flushes each tile blocking — the bench ablation.
-    pub overlap: bool,
     /// How long to retry the initial connect (workers usually start
     /// before the coordinator binds).
     pub connect_retry: Duration,
@@ -43,7 +38,6 @@ pub struct WorkerOpts {
 impl Default for WorkerOpts {
     fn default() -> Self {
         WorkerOpts {
-            overlap: true,
             connect_retry: Duration::from_secs(10),
             read_timeout: Duration::from_secs(120),
             throttle: Duration::ZERO,
@@ -60,7 +54,7 @@ pub struct WorkerReport {
     pub tiles: usize,
     /// Seconds inside the engine's tile computation.
     pub compute_s: f64,
-    /// Seconds blocked flushing results (what overlap eliminates).
+    /// Seconds blocked in the end-of-lease flush of results.
     pub flush_wait_s: f64,
 }
 
@@ -93,18 +87,18 @@ pub fn run_worker(
     let mut inbuf = Vec::new();
     let grid = match read_msg(&mut stream, &mut inbuf)? {
         CoordinatorMsg::Grid {
-            k,
-            tile,
+            grid,
             fingerprint: fp,
         } => {
-            if k != states.len() || fp != fingerprint {
+            if grid.states() != states.len() || fp != fingerprint {
                 return Err(OrchestrateError::Handshake(format!(
-                    "coordinator run (k={k}, fingerprint {fp:016x}) does not match this \
+                    "coordinator run (k={}, fingerprint {fp:016x}) does not match this \
                      worker's dataset (k={}, fingerprint {fingerprint:016x})",
+                    grid.states(),
                     states.len()
                 )));
             }
-            TileGrid::new(k, tile)
+            grid
         }
         CoordinatorMsg::Err(m) => return Err(OrchestrateError::Handshake(m)),
         other => {
@@ -153,34 +147,30 @@ fn compute_lease(
     let plan = ShardPlan::explicit(*grid, tiles)?;
     let mut outbuf: Vec<u8> = Vec::new();
     let mut io_err: Option<std::io::Error> = None;
-    let flush_before = report.flush_wait_s;
     let compute_started = Instant::now();
-    let result = engine.pairwise_tiles_with(states, &plan, &mut |id, values, ivs, secs| {
+    let result = engine.pairwise_tiles_with(states, &plan, &mut |lines| {
         if !opts.throttle.is_zero() {
             // Deterministic straggler hook for kill/re-dispatch tests.
             std::thread::sleep(opts.throttle);
         }
-        let mut lines = String::new();
-        snd_core::tile_line(&mut lines, id, values);
-        if let Some(ivs) = ivs {
-            snd_core::interval_line(&mut lines, id, ivs);
+        let mut text = String::new();
+        for line in lines {
+            match *line {
+                // The straggler's sleep counts in its reported timing.
+                TileLine::Timing { id, seconds } => TileLine::Timing {
+                    id,
+                    seconds: seconds + opts.throttle.as_secs_f64(),
+                }
+                .write(&mut text),
+                _ => line.write(&mut text),
+            }
         }
-        snd_core::timing_line(&mut lines, id, secs + opts.throttle.as_secs_f64());
-        outbuf.extend_from_slice(lines.as_bytes());
+        outbuf.extend_from_slice(text.as_bytes());
         report.tiles += 1;
-        let drained = if opts.overlap {
-            // Double-buffered: push what fits into the kernel's socket
-            // buffer and return to computing; the remainder rides along
-            // with the next tile or the end-of-lease flush.
-            drain_nonblocking(stream, &mut outbuf)
-        } else {
-            // Ablation baseline: settle every tile before computing on.
-            let t0 = Instant::now();
-            let r = drain_blocking(stream, &mut outbuf);
-            report.flush_wait_s += t0.elapsed().as_secs_f64();
-            r
-        };
-        if let Err(e) = drained {
+        // Double-buffered: push what fits into the kernel's socket buffer
+        // and return to computing; the remainder rides along with the
+        // next tile or the end-of-lease flush.
+        if let Err(e) = drain_nonblocking(stream, &mut outbuf) {
             io_err = Some(e);
             // Any shard error aborts the engine loop; the real cause is
             // restored below.
@@ -198,11 +188,11 @@ fn compute_lease(
         }
     }
     // End-of-lease settlement: everything the overlapped drain couldn't
-    // place goes out now, blocking. With overlap this is usually empty.
+    // place goes out now, blocking. This is usually empty.
     let t0 = Instant::now();
     drain_blocking(stream, &mut outbuf)?;
-    report.flush_wait_s += t0.elapsed().as_secs_f64();
-    let lease_flush = report.flush_wait_s - flush_before;
+    let lease_flush = t0.elapsed().as_secs_f64();
+    report.flush_wait_s += lease_flush;
     report.compute_s += (compute_started.elapsed().as_secs_f64() - lease_flush).max(0.0);
     Ok(())
 }

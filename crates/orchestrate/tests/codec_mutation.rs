@@ -1,0 +1,120 @@
+//! Seeded mutation test over the one tile-line codec. An approximate-tier
+//! checkpoint (`T`, `I` and `W` lines) is cut at every byte and hit with
+//! a fixed budget of single-byte mutations. Every variant must load to
+//! `Ok` or a `ShardError` — never a panic — and an `Ok` set must survive
+//! `save` then `load` unchanged. The same lines, fed to the worker-wire
+//! parser, must each give `Ok` or a protocol error.
+
+use snd_core::{ApproxConfig, ShardPlan, SndConfig, SndEngine, TileGrid, TileSet};
+use snd_graph::generators::path_graph;
+use snd_models::NetworkState;
+use snd_orchestrate::protocol::parse_worker_msg;
+use snd_orchestrate::OrchestrateError;
+
+/// Single-byte mutations applied on top of the truncations.
+const MUTATIONS: usize = 2_000;
+
+/// Bytes a mutation writes: line and word breaks, a non-UTF-8 byte, and
+/// characters the format gives meaning to. Every fourth mutation writes a
+/// random byte instead.
+const HOSTILE: &[u8] = b"\n \xff0fTIW-+";
+
+/// SplitMix64: a fixed-seed generator with no dependency.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+#[test]
+fn mutated_checkpoints_and_wire_lines_never_panic() {
+    let g = path_graph(8);
+    let config = SndConfig {
+        approx: Some(ApproxConfig {
+            epsilon: 0.5,
+            min_nodes: 0,
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let engine = SndEngine::new(&g, config);
+    let states: Vec<NetworkState> = (0..5)
+        .map(|t| {
+            let vals: Vec<i8> = (0..8).map(|u| ((u + t) % 3) as i8 - 1).collect();
+            NetworkState::from_values(&vals)
+        })
+        .collect();
+    let grid = TileGrid::new(states.len(), 2);
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let (base, mutated, resaved) = (
+        dir.join(format!("snd_codec_base_{pid}.ckpt")),
+        dir.join(format!("snd_codec_mutated_{pid}.ckpt")),
+        dir.join(format!("snd_codec_resaved_{pid}.ckpt")),
+    );
+    let _ = std::fs::remove_file(&base);
+    engine
+        .pairwise_tiles_checkpointed(&states, &ShardPlan::full(grid), &base)
+        .expect("approximate-tier checkpoint");
+    let bytes = std::fs::read(&base).expect("read checkpoint");
+    let text = String::from_utf8_lossy(&bytes);
+    for tag in ["T ", "I ", "W "] {
+        assert!(text.lines().any(|l| l.starts_with(tag)), "no {tag}line");
+    }
+
+    let mut rng = SplitMix(0x5eed);
+    let truncations = (0..=bytes.len()).map(|cut| bytes[..cut].to_vec());
+    let mutations = (0..MUTATIONS).map(|n| {
+        let mut v = bytes.clone();
+        let at = rng.below(v.len());
+        v[at] = if n % 4 == 3 {
+            rng.next() as u8
+        } else {
+            HOSTILE[rng.below(HOSTILE.len())]
+        };
+        v
+    });
+    let (mut loaded, mut refused) = (0, 0);
+    for case in truncations.chain(mutations) {
+        std::fs::write(&mutated, &case).expect("write variant");
+        match TileSet::load(&mutated) {
+            Ok(set) => {
+                loaded += 1;
+                set.save(&resaved).expect("save");
+                let back = TileSet::load(&resaved).expect("reload a saved set");
+                assert_eq!(back, set, "{:?}", String::from_utf8_lossy(&case));
+                for id in 0..set.grid().tile_count() {
+                    assert_eq!(
+                        back.timing(id).map(f64::to_bits),
+                        set.timing(id).map(f64::to_bits)
+                    );
+                }
+            }
+            Err(_) => refused += 1,
+        }
+        for line in case.split(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(line);
+            match parse_worker_msg(line.trim_end(), &grid) {
+                Ok(_) | Err(OrchestrateError::Protocol { .. }) => {}
+                Err(e) => panic!("{line:?}: {e}"),
+            }
+        }
+    }
+    assert!(
+        loaded > 0 && refused > 0,
+        "{loaded} loaded, {refused} refused"
+    );
+    for path in [&base, &mutated, &resaved] {
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -10,7 +10,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use snd_core::{DistanceMatrix, ShardPlan, SndConfig, SndEngine, TileGrid, TileSet};
+use snd_core::{DistanceMatrix, ShardPlan, SndConfig, SndEngine, TileGrid, TileLine, TileSet};
 use snd_graph::generators::path_graph;
 use snd_models::NetworkState;
 use snd_orchestrate::protocol::{parse_coordinator_msg, worker_line};
@@ -49,12 +49,10 @@ fn tile_lines(
     let plan = ShardPlan::explicit(grid, ids.to_vec()).expect("plan");
     let mut out = String::new();
     engine
-        .pairwise_tiles_with(states, &plan, &mut |id, values, ivs, secs| {
-            snd_core::tile_line(&mut out, id, values);
-            if let Some(ivs) = ivs {
-                snd_core::interval_line(&mut out, id, ivs);
+        .pairwise_tiles_with(states, &plan, &mut |lines| {
+            for line in lines {
+                line.write(&mut out);
             }
-            snd_core::timing_line(&mut out, id, secs);
             Ok(())
         })
         .expect("tiles");
@@ -133,11 +131,10 @@ impl Fake {
         }));
         match self.read_msg(coord) {
             CoordinatorMsg::Grid {
-                k: gk,
+                grid,
                 fingerprint: fp,
-                ..
             } => {
-                assert_eq!(gk, k);
+                assert_eq!(grid.states(), k);
                 assert_eq!(fp, fingerprint);
             }
             other => panic!("expected GRID, got {other:?}"),
@@ -294,7 +291,11 @@ fn duplicate_results_keep_the_first_bits_and_certification_attribution() {
     let honest = tile_lines(&engine, &s, grid, &[0]);
     fake.send(&honest);
     let mut poison = String::new();
-    snd_core::tile_line(&mut poison, 0, &vec![42.0; grid.pair_count(0)]);
+    TileLine::Values {
+        id: 0,
+        values: vec![42.0; grid.pair_count(0)],
+    }
+    .write(&mut poison);
     fake.send(&poison);
 
     // Tile 1 arrives, then a duplicate, then an interval line: the
@@ -303,19 +304,19 @@ fn duplicate_results_keep_the_first_bits_and_certification_attribution() {
     let mut t1 = String::new();
     let plan = ShardPlan::explicit(grid, vec![1]).expect("plan");
     engine
-        .pairwise_tiles_with(&s, &plan, &mut |id, values, _ivs, _secs| {
-            snd_core::tile_line(&mut t1, id, values);
+        .pairwise_tiles_with(&s, &plan, &mut |lines| {
+            lines[0].write(&mut t1);
             Ok(())
         })
         .expect("tile 1");
     fake.send(&t1);
     fake.send(&t1);
     let mut stray_interval = String::new();
-    snd_core::interval_line(
-        &mut stray_interval,
-        1,
-        &vec![(0.0, 1.0); grid.pair_count(1)],
-    );
+    TileLine::Intervals {
+        id: 1,
+        intervals: vec![(0.0, 1.0); grid.pair_count(1)],
+    }
+    .write(&mut stray_interval);
     fake.send(&stray_interval);
 
     // Remaining tiles, then drain to DONE.
@@ -428,7 +429,7 @@ fn tcp_endpoint_handshakes_like_unix() {
         k: 6,
     }));
     match fake.read_msg(&mut coord) {
-        CoordinatorMsg::Grid { k, .. } => assert_eq!(k, 6),
+        CoordinatorMsg::Grid { grid, .. } => assert_eq!(grid.states(), 6),
         other => panic!("expected GRID, got {other:?}"),
     }
     let _ = std::fs::remove_file(&ckpt);
@@ -496,7 +497,6 @@ fn real_worker_loop_completes_against_a_live_coordinator() {
             &s,
             &addr,
             &WorkerOpts {
-                overlap: true,
                 connect_retry: Duration::from_secs(5),
                 read_timeout: Duration::from_secs(30),
                 throttle: Duration::ZERO,

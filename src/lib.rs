@@ -138,11 +138,11 @@
 //! a coordinator/worker system: `snd orchestrate` owns the grid and
 //! hands out tile *leases* over TCP or Unix sockets, `snd work`
 //! processes compute leased tiles and stream back verbatim checkpoint
-//! lines, expired leases are re-dispatched (first result wins), and
+//! lines ([`TileLine`](core::TileLine)), expired leases are re-dispatched (first result wins), and
 //! per-tile `W` timings drive a measurement-based lease autotuner. The
 //! merged matrix stays bit-identical to the sequential loop regardless
 //! of worker count or failure timing (`crates/cli/tests/orchestrate_e2e.rs`
-//! checks 1, 2 and 4 workers, `--no-overlap` and a killed worker).
+//! checks 1, 2 and 4 workers and a killed worker).
 //!
 //! ## Threading model
 //!
