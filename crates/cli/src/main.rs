@@ -61,29 +61,46 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    eprintln!(
-        "snd — Social Network Distance (ICDE 2017 reproduction)\n\
-         \n\
-         USAGE:\n\
-         \u{20}  snd generate [--nodes N] [--steps S] [--twitter] [--seed K] --out FILE\n\
-         \u{20}  snd simulate --scenario NAME [--nodes N] [--steps T] [--seed S] --out FILE\n\
-         \u{20}  snd simulate --list\n\
-         \u{20}  snd distance --data FILE [--t1 I] [--t2 J] [--ground MODEL] [APPROX]\n\
-         \u{20}  snd distance --data FILE --series [--ground MODEL] [APPROX]\n\
-         \u{20}  snd anomaly  --data FILE [--top K] [--ground MODEL] [APPROX]\n\
-         \u{20}      (--ground: agnostic | icc | ltc | a model family from --list)\n\
-         \u{20}  snd predict  --data FILE [--targets K] [--candidates C]\n\
-         \u{20}  snd intervene --scenario NAME [--budget K] [--beam B] [--nodes N]\n\
-         \u{20}      [--steps T] [--rollouts R] [--horizon H] [--seed S]\n\
-         \u{20}  snd shard    --data FILE --shard I/N --checkpoint FILE [--tile T] [APPROX]\n\
-         \u{20}  snd shard merge --out FILE PART...\n\
-         \u{20}  snd orchestrate --data FILE --checkpoint FILE [--workers N] [--listen ADDR]\n\
-         \u{20}      [--tile T] [--lease-timeout S] [--target-lease S] [--out FILE]\n\
-         \u{20}      [--ground MODEL] [APPROX]\n\
-         \u{20}  snd work --data FILE --addr ADDR [--connect-retry S] [--read-timeout S]\n\
-         \u{20}      [--ground MODEL] [APPROX]\n\
-         \n\
-         APPROX (certified [lower, upper] intervals instead of exact SND):\n\
-         \u{20}  --approx [--epsilon E] [--landmarks L] [--budget B]\n"
-    );
+    eprintln!("{USAGE}");
+}
+
+const USAGE: &str = "snd — Social Network Distance (ICDE 2017 reproduction)\n\
+     \n\
+     USAGE:\n\
+     \u{20}  snd generate [--nodes N] [--steps S] [--twitter] [--seed K] --out FILE\n\
+     \u{20}  snd simulate --scenario NAME [--nodes N] [--steps T] [--seed S] --out FILE\n\
+     \u{20}  snd simulate --list\n\
+     \u{20}  snd distance --data FILE [--t1 I] [--t2 J] [--ground MODEL] [--clusters K] [APPROX]\n\
+     \u{20}  snd distance --data FILE --series [--ground MODEL] [--clusters K] [APPROX]\n\
+     \u{20}  snd anomaly  --data FILE [--top K] [--ground MODEL] [--clusters K] [APPROX]\n\
+     \u{20}      (--ground: agnostic | icc | ltc | a model family from --list;\n\
+     \u{20}       --clusters: K BFS cluster banks instead of one bank per bin)\n\
+     \u{20}  snd predict  --data FILE [--targets K] [--candidates C]\n\
+     \u{20}  snd intervene --scenario NAME [--budget K] [--beam B] [--nodes N]\n\
+     \u{20}      [--steps T] [--rollouts R] [--horizon H] [--seed S]\n\
+     \u{20}  snd shard    --data FILE --shard I/N --checkpoint FILE [--tile T]\n\
+     \u{20}      [--ground MODEL] [--clusters K] [APPROX]\n\
+     \u{20}  snd shard merge --out FILE PART...\n\
+     \u{20}  snd orchestrate --data FILE --checkpoint FILE [--workers N] [--listen ADDR]\n\
+     \u{20}      [--tile T] [--lease-timeout S] [--target-lease S] [--out FILE]\n\
+     \u{20}      [--ground MODEL] [--clusters K] [APPROX]\n\
+     \u{20}  snd work --data FILE --addr ADDR [--connect-retry S] [--read-timeout S]\n\
+     \u{20}      [--ground MODEL] [--clusters K] [APPROX]\n\
+     \n\
+     APPROX (certified [lower, upper] intervals instead of exact SND; per-bin banks only):\n\
+     \u{20}  --approx [--epsilon E] [--landmarks L] [--budget B]\n";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_tier_flag() {
+        for flag in commands::TIER_FLAGS {
+            assert!(
+                USAGE.split([' ', '[', ']', '\n']).any(|word| word == *flag),
+                "usage text does not list {flag}"
+            );
+        }
+    }
 }

@@ -319,8 +319,14 @@ pub fn work(args: &[String]) -> Result<(), String> {
     };
     let report = run_worker(&engine, &states, &flags.addr, &opts).map_err(|e| e.to_string())?;
     println!(
-        "work: {} lease(s), {} tile(s), compute {:.3}s, flush-wait {:.3}s",
-        report.leases, report.tiles, report.compute_s, report.flush_wait_s
+        "work: {} lease(s), {} tile(s), compute {:.3}s, flush-wait {:.3}s, \
+         rows {} fresh {} repaired",
+        report.leases,
+        report.tiles,
+        report.compute_s,
+        report.flush_wait_s,
+        report.fresh_rows,
+        report.repaired_rows
     );
     Ok(())
 }

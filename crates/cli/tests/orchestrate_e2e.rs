@@ -226,3 +226,97 @@ fn spawned_worker_fleet_completes_and_matches_the_reference() {
     assert!(resumed.contains("0 computed"), "{resumed}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint's `T` and `I` lines, sorted: its tiles and certified
+/// intervals without arrival order or `W` timings.
+fn sorted_value_lines(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("checkpoint");
+    let mut lines: Vec<String> = text
+        .lines()
+        .filter(|l| l.starts_with("T ") || l.starts_with("I "))
+        .map(str::to_string)
+        .collect();
+    lines.sort();
+    lines
+}
+
+#[test]
+fn one_tile_leases_match_the_shard_path_on_cluster_and_approx_runs() {
+    let dir = workdir("one_tile");
+    let data = dir.join("voting.json");
+    let data_s = data.to_str().unwrap();
+    snd_ok(&[
+        "simulate",
+        "--scenario",
+        "voting",
+        "--nodes",
+        "200",
+        "--steps",
+        "7",
+        "--seed",
+        "9",
+        "--out",
+        data_s,
+    ]);
+    // One tile per lease, so every lease after a worker's first starts
+    // next to its previous one and reuses that lease's bundles.
+    for (tag, tier) in [
+        ("clusters", &["--clusters", "8"][..]),
+        ("approx", &["--approx"]),
+    ] {
+        let path = |name: &str| dir.join(format!("{tag}_{name}"));
+        let (ref_ckpt, ref_json) = (path("ref.snd"), path("ref.json"));
+        let (orch_ckpt, orch_json) = (path("orch.snd"), path("orch.json"));
+        let mut shard = vec![
+            "shard",
+            "--data",
+            data_s,
+            "--shard",
+            "0/1",
+            "--tile",
+            "2",
+            "--checkpoint",
+            ref_ckpt.to_str().unwrap(),
+        ];
+        shard.extend(tier);
+        snd_ok(&shard);
+        snd_ok(&[
+            "shard",
+            "merge",
+            "--out",
+            ref_json.to_str().unwrap(),
+            ref_ckpt.to_str().unwrap(),
+        ]);
+        let mut orchestrate = vec![
+            "orchestrate",
+            "--data",
+            data_s,
+            "--checkpoint",
+            orch_ckpt.to_str().unwrap(),
+            "--workers",
+            "2",
+            "--tile",
+            "2",
+            "--target-lease",
+            "0.001",
+            "--out",
+            orch_json.to_str().unwrap(),
+        ];
+        orchestrate.extend(tier);
+        let stdout = snd_ok(&orchestrate);
+        assert!(stdout.contains("orchestrate: complete"), "{tag}: {stdout}");
+        assert_eq!(
+            std::fs::read(&orch_json).expect("orchestrated matrix"),
+            std::fs::read(&ref_json).expect("reference matrix"),
+            "{tag}: orchestrated matrix differs from the single-process shard path"
+        );
+        let lines = sorted_value_lines(&orch_ckpt);
+        assert_eq!(lines, sorted_value_lines(&ref_ckpt), "{tag}");
+        assert_eq!(
+            lines.iter().any(|l| l.starts_with("I ")),
+            tag == "approx",
+            "{tag}: interval lines exactly under --approx"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -24,13 +24,17 @@
 //!    state, opinion, direction and the heavier side's residual users.
 //! 2. **Rows.** The keys are grouped by `(opinion, direction, user)` and
 //!    the groups run in parallel. A group walks its ground states in
-//!    ascending snapshot order. Its first row is a cache hit or one fresh
-//!    Dial run. Each later row is the previous row passed through
-//!    [`snd_graph::repair_row`] with the edge-cost changes between the two
-//!    ground states. Snapshots of one series differ in a handful of users,
-//!    so a repair touches a small region where a Dial run touches the
-//!    whole graph. A row is computed fresh instead when the clamp domain
-//!    is not lossless ([`GroundGeometry::is_lossless`]) or when more than
+//!    ascending snapshot order. Each row after the first is the previous
+//!    row passed through [`snd_graph::repair_row`] with the edge-cost
+//!    changes between the two ground states. The first row is a cache
+//!    hit, or a repair of the same key's row cached in the nearest live
+//!    bundle (earlier or later in snapshot order: an earlier tile, or an
+//!    earlier lease of the same worker, filled it), or one fresh Dial run
+//!    when no live bundle holds the key. Snapshots of one series differ
+//!    in a handful of users, so a repair touches a small region where a
+//!    Dial run touches the whole graph. A row is computed fresh instead
+//!    when the clamp domain is not lossless
+//!    ([`GroundGeometry::is_lossless`]) or when more than
 //!    `m / REPAIR_EDGE_FRACTION` edge costs differ.
 //! 3. **Solve.** The four EMD\* terms of every pair fan out over the
 //!    thread pool individually through the engine's one term router,
@@ -149,7 +153,7 @@ impl<'g> SndEngine<'g> {
         let pairs: Vec<(usize, usize)> = (0..k)
             .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
             .collect();
-        let terms = self.price_pairs(states, |s| &geoms[s], &pairs);
+        let terms = self.price_pairs(states, |s| geoms.get(s), &pairs);
         DistanceMatrix::from_upper(k, &fold_terms(&terms, false).0)
     }
 
@@ -172,23 +176,26 @@ impl<'g> SndEngine<'g> {
     /// the pairs' terms read is written into the ground states' caches,
     /// then every term is priced as one work item. Returns four `[lo, hi]`
     /// envelopes per pair in [`SndBreakdown`] order; [`fold_terms`] turns
-    /// them into distances. `bundle(s)` is state `s`'s bundle and must
-    /// exist for every state in `pairs`. The matrix, every tile plan and
-    /// the series tiles all price through here.
+    /// them into distances. `live(s)` is state `s`'s bundle, or `None`
+    /// when it has none; it must have one for every state in `pairs`,
+    /// and the others seed rows. The matrix, every tile plan and the
+    /// series tiles all price through here.
     pub(crate) fn price_pairs<'a, G>(
         &self,
         states: &[NetworkState],
-        bundle: G,
+        live: G,
         pairs: &[(usize, usize)],
     ) -> Vec<(f64, f64)>
     where
-        G: Fn(usize) -> &'a StateGeometry + Sync,
+        G: Fn(usize) -> Option<&'a StateGeometry> + Sync,
     {
+        // lint:allow(no-unwrap) callers hold a live bundle for every state in `pairs`
+        let bundle = |s: usize| live(s).expect("a live bundle for every state in pairs");
         // An active approximate tier prices from landmark rows, not the
         // heavy side's SSSP rows: it skips phases 1 and 2.
         let approx = self.approx_if_active();
         if approx.is_none() {
-            self.fill_pair_rows(states, &bundle, pairs);
+            self.fill_pair_rows(states, &live, pairs);
         }
         // Fan out at term granularity (4 independent EMD* solves per pair):
         // term cost varies wildly with the pair's residual size, so finer
@@ -214,14 +221,24 @@ impl<'g> SndEngine<'g> {
     /// Phases 1 and 2 of [`price_pairs`](Self::price_pairs):
     /// writes into the ground states' caches every SSSP row the terms of
     /// `pairs` will read, repairing rows along the snapshot order where it
-    /// can. `geom(s)` is state `s`'s bundle and must exist for every state
-    /// in `pairs`.
-    fn fill_pair_rows<'a, G>(&self, states: &[NetworkState], geom: G, pairs: &[(usize, usize)])
+    /// can. `live` is as in [`price_pairs`](Self::price_pairs).
+    fn fill_pair_rows<'a, G>(&self, states: &[NetworkState], live: G, pairs: &[(usize, usize)])
     where
-        G: Fn(usize) -> &'a StateGeometry + Sync,
+        G: Fn(usize) -> Option<&'a StateGeometry> + Sync,
     {
         let g = self.graph();
         let n = g.node_count();
+        // lint:allow(no-unwrap) callers hold a live bundle for every state in `pairs`
+        let geom = |s: usize| live(s).expect("a live bundle for every state in pairs");
+        // The live bundle nearest `ground` in snapshot order (earlier
+        // first on a tie) that caches the row of `(op, reverse, node)`.
+        let nearest = |ground: usize, op: Opinion, reverse: bool, node: NodeId| {
+            (1..states.len())
+                .flat_map(|d| [ground.checked_sub(d), Some(ground + d)])
+                .flatten()
+                .filter(|&s| s < states.len())
+                .find_map(|s| Some((s, RowSource::Cached(live(s)?.cache.get(op, reverse, node)?))))
+        };
 
         // Phase 1: every term's row keys as (negative opinion, reverse,
         // user, ground state). Sorted, they are grouped by (opinion,
@@ -284,7 +301,9 @@ impl<'g> SndEngine<'g> {
                     continue;
                 }
                 let plane = bundle.plane(op);
-                let repair = prev.filter(|_| plane.is_lossless(n)).and_then(|(a, from)| {
+                // The group's first row seeds from the nearest live bundle.
+                let from = prev.or_else(|| nearest(ground, op, reverse, node));
+                let repair = from.filter(|_| plane.is_lossless(n)).and_then(|(a, from)| {
                     let id = *change_ids.entry((neg, a, ground)).or_insert_with(|| {
                         let list =
                             cost_changes(&geom(a).plane(op).edge_costs, &plane.edge_costs, limit)?;

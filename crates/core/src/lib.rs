@@ -147,6 +147,6 @@ pub use engine::{SndBreakdown, SndEngine, StateGeometry};
 pub use ordered::CandidateEvaluator;
 pub use shard::{
     auto_tile, states_fingerprint, Checkpoint, ShardError, ShardPlan, TileGrid, TileLine, TileSet,
-    DEFAULT_TILE,
+    TileWorkspace, DEFAULT_TILE,
 };
 pub use sparse::RowCache;

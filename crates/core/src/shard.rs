@@ -24,6 +24,10 @@
 //! through their delta where the plan walks forward, and built fresh
 //! where it jumps. The series entry point
 //! ([`SndEngine::series_tiles_checkpointed`]) is the superdiagonal plan.
+//! A caller that computes one plan after another (an orchestrated worker,
+//! lease after lease) keeps a [`TileWorkspace`]: the final tile's bundles
+//! and the chain head survive into the next call
+//! ([`SndEngine::pairwise_tiles_in`]).
 //!
 //! # Shard plans
 //!
@@ -1079,6 +1083,58 @@ fn parse_value(field: &str) -> Option<f64> {
     (v.is_finite() && v >= 0.0).then_some(v)
 }
 
+/// Tile state a caller carries across tile-plan calls: the bundle chain's
+/// head and the live per-state geometry bundles, with their SSSP row
+/// caches. [`SndEngine::pairwise_tiles_in`] reads and updates it under
+/// its retention rule; the other tile entry points run over a workspace
+/// of their own. A workspace belongs to one engine and one snapshot set.
+#[derive(Default)]
+pub struct TileWorkspace {
+    /// The chain head: the last state built, still repairable.
+    head: Option<(usize, DeltaStateGeometry)>,
+    /// The live bundles, by state index.
+    geoms: BTreeMap<usize, StateGeometry>,
+    /// Fresh and repaired rows of the bundles already dropped.
+    dropped_rows: (usize, usize),
+}
+
+impl TileWorkspace {
+    /// An empty workspace: no head, no live bundles.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// SSSP rows this workspace's bundles computed with a fresh Dial run,
+    /// live and dropped bundles alike.
+    pub fn fresh_rows(&self) -> usize {
+        self.dropped_rows.0
+            + self
+                .geoms
+                .values()
+                .map(|b| b.cached_rows() - b.repaired_rows())
+                .sum::<usize>()
+    }
+
+    /// SSSP rows this workspace's bundles repaired from another state's
+    /// row, live and dropped bundles alike.
+    pub fn repaired_rows(&self) -> usize {
+        self.dropped_rows.1
+            + self
+                .geoms
+                .values()
+                .map(StateGeometry::repaired_rows)
+                .sum::<usize>()
+    }
+
+    /// Drops state `s`'s bundle, keeping its row counts.
+    fn drop_bundle(&mut self, s: usize) {
+        if let Some(b) = self.geoms.remove(&s) {
+            self.dropped_rows.0 += b.cached_rows() - b.repaired_rows();
+            self.dropped_rows.1 += b.repaired_rows();
+        }
+    }
+}
+
 /// Outcome of a checkpointed shard run: the plan's tiles plus how much of
 /// the plan was resumed from the checkpoint versus computed fresh.
 #[derive(Debug)]
@@ -1125,10 +1181,10 @@ impl<'g> SndEngine<'g> {
 
     /// [`pairwise_tiles`](Self::pairwise_tiles) with a per-tile hook:
     /// `on_tile` sees each finished tile's lines (see [`OnTile`]) *before*
-    /// they are recorded in the returned set, in ascending tile-ID order. This is the streaming
-    /// entry point — an orchestrated worker serializes each tile onto its
-    /// socket from here, overlapping the send with the next tile's
-    /// compute. An error from the hook aborts the run.
+    /// they are recorded in the returned set, in ascending tile-ID order.
+    /// An error from the hook aborts the run. Runs over a workspace of its
+    /// own; [`pairwise_tiles_in`](Self::pairwise_tiles_in) is the same
+    /// loop over a caller-owned one.
     pub fn pairwise_tiles_with(
         &self,
         states: &[NetworkState],
@@ -1136,7 +1192,7 @@ impl<'g> SndEngine<'g> {
         on_tile: &mut OnTile<'_>,
     ) -> Result<TileSet, ShardError> {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_tiles(states, plan, &mut set, on_tile)?;
+        self.pairwise_tiles_in(states, plan, &mut TileWorkspace::new(), &mut set, on_tile)?;
         Ok(set)
     }
 
@@ -1158,7 +1214,10 @@ impl<'g> SndEngine<'g> {
             .iter()
             .filter(|id| set.contains(**id))
             .count();
-        self.compute_tiles(states, plan, &mut set, &mut |lines| ckpt.append(lines))?;
+        let mut ws = TileWorkspace::new();
+        self.pairwise_tiles_in(states, plan, &mut ws, &mut set, &mut |lines| {
+            ckpt.append(lines)
+        })?;
         Ok(ShardRun {
             tiles: set.restrict(plan.tile_ids()),
             resumed,
@@ -1167,24 +1226,43 @@ impl<'g> SndEngine<'g> {
     }
 
     /// The one tile loop: computes the plan's tiles missing from `set` in
-    /// ascending ID order, invoking `on_tile` (the checkpoint append hook)
-    /// before recording each one. Every tile is priced with
-    /// `price_pairs` over its pairs, exactly as the matrix prices all
-    /// pairs (see [`crate::batch`]; the matrix is this loop over one
-    /// tile): rows an earlier tile wrote into a live bundle are hits, the
-    /// rest are fresh or repaired along the snapshot order.
+    /// ascending ID order over the caller's workspace, invoking `on_tile`
+    /// (the checkpoint append or socket hook) before recording each one in
+    /// `set`. This is the streaming entry point: an orchestrated worker
+    /// keeps one workspace for its connection and serializes each tile
+    /// onto its socket from here, overlapping the send with the next
+    /// tile's compute. An error from the hook aborts the run.
     ///
-    /// A state's geometry bundle is built when the first tile needing it
-    /// comes up and dropped after the last, so a shard never holds
-    /// bundles for states only other shards touch. Bundles come from the
-    /// one snapshot-ordered materializer (`delta::chain_geometry`): a state
-    /// up to two blocks past the last one built is reached by delta
-    /// steps, anything else (a resumed gap, a round-robin plan jumping
-    /// back) is built fresh.
-    fn compute_tiles(
+    /// Every tile is priced with `price_pairs` over its pairs, exactly as
+    /// the matrix prices all pairs (see [`crate::batch`]; the matrix is
+    /// this loop over one tile): rows an earlier tile or call wrote into a
+    /// live bundle are hits, the rest are fresh or repaired along the
+    /// snapshot order, and a row group's first row repairs from the
+    /// nearest live bundle that holds its key.
+    ///
+    /// Bundles live in the workspace under one retention rule, so a
+    /// worker never holds more states between leases than one lease
+    /// touches:
+    ///
+    /// * at the start of a call, bundles of states no tile of the plan
+    ///   touches are dropped;
+    /// * a bundle is built when the first tile needing it comes up
+    ///   (unless an earlier call left it live) and dropped after the last
+    ///   one, except that the bundles of the plan's final tile stay for
+    ///   the next call.
+    ///
+    /// Bundles come from the one snapshot-ordered materializer
+    /// (`delta::chain_geometry`): a state up to two blocks past the chain
+    /// head is reached by delta steps, anything else (a resumed gap, a
+    /// plan jumping back) is built fresh. The head, too, outlives the
+    /// call.
+    ///
+    /// `ws` must only ever see this engine and this snapshot set.
+    pub fn pairwise_tiles_in(
         &self,
         states: &[NetworkState],
         plan: &ShardPlan,
+        ws: &mut TileWorkspace,
         set: &mut TileSet,
         on_tile: &mut OnTile<'_>,
     ) -> Result<(), ShardError> {
@@ -1204,7 +1282,6 @@ impl<'g> SndEngine<'g> {
         // envelope; persist those alongside the scalar tile values.
         let certified = self.approx_if_active().is_some();
 
-        let mut last_use = vec![usize::MAX; states.len()];
         let tile_states: Vec<Vec<usize>> = todo
             .iter()
             .map(|&id| {
@@ -1215,17 +1292,27 @@ impl<'g> SndEngine<'g> {
                 touched
             })
             .collect();
+        // The position of each state's last tile; the final tile's states
+        // never reach theirs, so their bundles outlive the call.
+        let mut last_use: Vec<Option<usize>> = vec![None; states.len()];
         for (pos, touched) in tile_states.iter().enumerate() {
             for &s in touched {
-                last_use[s] = pos;
+                last_use[s] = Some(pos);
             }
         }
+        for &s in tile_states.last().into_iter().flatten() {
+            last_use[s] = Some(usize::MAX);
+        }
+        let untouched: Vec<usize> = ws
+            .geoms
+            .keys()
+            .copied()
+            .filter(|&s| last_use.get(s).copied().flatten().is_none())
+            .collect();
+        for s in untouched {
+            ws.drop_bundle(s);
+        }
 
-        // The chain head: the last state built. Crossing a gap longer
-        // than two blocks (resumed tiles) costs more in steps than one
-        // fresh build.
-        let mut head: Option<(usize, DeltaStateGeometry)> = None;
-        let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
         // Per-tile wall clock for the `W` checkpoint lines: geometry
         // materialization counts against the tile that triggered it —
         // that is the true cost of scheduling the tile, which is what an
@@ -1233,17 +1320,16 @@ impl<'g> SndEngine<'g> {
         let mut mark = std::time::Instant::now();
         for (pos, (&id, touched)) in todo.iter().zip(&tile_states).enumerate() {
             for &s in touched {
-                if geoms[s].is_none() {
-                    let geom = chain_geometry(self, states, head.take(), s, 2 * grid.tile_size());
-                    geoms[s] = Some(geom.bundle(self));
-                    head = Some((s, geom));
+                if !ws.geoms.contains_key(&s) {
+                    let geom =
+                        chain_geometry(self, states, ws.head.take(), s, 2 * grid.tile_size());
+                    ws.geoms.insert(s, geom.bundle(self));
+                    ws.head = Some((s, geom));
                 }
             }
 
             let pairs = grid.pairs(id);
-            // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
-            let bundle = |s: usize| geoms[s].as_ref().expect("geometry materialized");
-            let terms = self.price_pairs(states, bundle, &pairs);
+            let terms = self.price_pairs(states, |s| ws.geoms.get(&s), &pairs);
             let (values, intervals) = fold_terms(&terms, certified);
 
             let mut lines = vec![TileLine::Values { id, values }];
@@ -1257,8 +1343,8 @@ impl<'g> SndEngine<'g> {
                 set.accept(line);
             }
             for &s in touched {
-                if last_use[s] == pos {
-                    geoms[s] = None;
+                if last_use[s] == Some(pos) {
+                    ws.drop_bundle(s);
                 }
             }
             mark = std::time::Instant::now();
@@ -2082,5 +2168,98 @@ mod tests {
             let m = set.to_matrix().unwrap();
             assert_eq!(m.size(), k);
         }
+    }
+
+    /// A low-churn series on a BA graph: two to four users change opinion
+    /// per snapshot, the regime the matrix repairs rows in.
+    fn low_churn(n: usize, k: usize, seed: u64) -> (snd_graph::CsrGraph, Vec<NetworkState>) {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = snd_graph::generators::barabasi_albert(n, 3, &mut rng);
+        let first: Vec<i8> = (0..n)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 1,
+                1 => -1,
+                _ => 0,
+            })
+            .collect();
+        let mut states = vec![NetworkState::from_values(&first)];
+        for _ in 1..k {
+            let mut next = states[states.len() - 1].clone();
+            for _ in 0..rng.gen_range(2..=4) {
+                let u = rng.gen_range(0..n as u32);
+                next.set(u, snd_models::Opinion::from_value(rng.gen_range(-1..=1)));
+            }
+            states.push(next);
+        }
+        (g, states)
+    }
+
+    /// Computes `plan` over `ws` into a fresh set.
+    fn tiles_in(
+        engine: &SndEngine<'_>,
+        states: &[NetworkState],
+        plan: &ShardPlan,
+        ws: &mut TileWorkspace,
+    ) -> TileSet {
+        let mut set = TileSet::empty(*plan.grid(), 0);
+        engine
+            .pairwise_tiles_in(states, plan, ws, &mut set, &mut |_| Ok(()))
+            .unwrap();
+        set
+    }
+
+    #[test]
+    fn tile_one_plan_seeds_rows_from_live_bundles() {
+        // At tile 1 every tile is one pair, whose two grounds read rows
+        // of opposite directions: no group has a second step to repair.
+        // Only seeding from the bundles earlier tiles filled repairs rows.
+        let (g, s) = low_churn(300, 8, 7);
+        for config in [
+            SndConfig::default(),
+            SndConfig {
+                clusters: crate::config::ClusterSpec::BfsPartition { clusters: 6 },
+                ..Default::default()
+            },
+        ] {
+            let engine = SndEngine::new(&g, config);
+            let grid = TileGrid::new(s.len(), 1);
+            let mut ws = TileWorkspace::new();
+            let set = tiles_in(&engine, &s, &ShardPlan::full(grid), &mut ws);
+            assert!(ws.repaired_rows() > 0, "tile-1 plan repaired no rows");
+            assert!(ws.fresh_rows() > 0);
+            assert_eq!(set.to_matrix().unwrap(), engine.pairwise_distances_seq(&s));
+        }
+    }
+
+    #[test]
+    fn a_workspace_carries_bundles_across_calls() {
+        let (g, s) = low_churn(300, 8, 11);
+        let engine = SndEngine::new(&g, SndConfig::default());
+        let grid = TileGrid::new(s.len(), 2);
+        // One tile per call, in an order that jumps around the grid.
+        let order = [0, 1, 4, 5, 2, 3, 7, 6, 9, 8];
+        assert_eq!(order.len(), grid.tile_count());
+        let (mut shared, mut separate_fresh) = (TileWorkspace::new(), 0);
+        for id in order {
+            let plan = ShardPlan::explicit(grid, vec![id]).unwrap();
+            let mut own = TileWorkspace::new();
+            let alone = tiles_in(&engine, &s, &plan, &mut own);
+            separate_fresh += own.fresh_rows();
+            let carried = tiles_in(&engine, &s, &plan, &mut shared);
+            assert_eq!(carried, alone, "tile {id}");
+            // Between calls the workspace holds the last tile's states.
+            let mut touched: Vec<usize> =
+                grid.pairs(id).iter().flat_map(|&(i, j)| [i, j]).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            assert_eq!(shared.geoms.keys().copied().collect::<Vec<_>>(), touched);
+        }
+        assert!(
+            shared.fresh_rows() < separate_fresh,
+            "{} fresh rows carried, {separate_fresh} fresh rows alone",
+            shared.fresh_rows()
+        );
+        assert!(shared.repaired_rows() > 0);
     }
 }

@@ -151,9 +151,11 @@ impl RowCache {
         })
     }
 
-    /// The cached row, if any — never computes.
+    /// The cached row, if any — never computes, and never allocates a
+    /// plane's slots.
     pub(crate) fn get(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<&[u32]> {
-        self.slot(op, reverse, node).get().map(|r| &r[..])
+        let slots = self.planes[Self::plane(op, reverse)].get()?;
+        slots[node as usize].get().map(|r| &r[..])
     }
 
     /// Stores a row built outside the cache (fresh or `repaired`). A slot

@@ -9,8 +9,10 @@
 //! * **Grid**: [`orchestrate_tile`] picks a *finer* base grid than
 //!   `auto_tile` (never coarser). Small tiles are the scheduling atoms;
 //!   what `auto_tile` buys with big tiles — amortized per-state geometry
-//!   — leases buy back by handing out *runs of adjacent tiles*, which
-//!   share block-row states inside one worker invocation.
+//!   — leases buy back twice: a lease is a *run of adjacent tiles*,
+//!   which share block-row states inside one worker invocation, and it
+//!   starts next to the connection's previous lease (*block affinity*),
+//!   whose final tile's bundles the worker still holds.
 //! * **Leases**: the [`Autotuner`] predicts each tile's cost from
 //!   observed wall times (its own run's, or `W` checkpoint lines from an
 //!   earlier run via [`warm_start`](Autotuner::warm_start)) and composes
@@ -115,17 +117,46 @@ impl Autotuner {
     /// as fast as the fleet average gets a lease twice as long, an idle
     /// or unknown worker gets the base target.
     ///
+    /// `after` is the connection's previous lease (empty for its first).
+    /// The lease starts at the lowest pending tile that shares a block
+    /// (a block row or block column) with it, whose states' bundles the
+    /// worker kept from that lease; with none, at the lowest pending tile.
+    ///
     /// Shape rules, in order:
     /// * no measurements at all → single tile (calibration);
     /// * a tile predicted ≥ target rides alone (split: a straggler tile
     ///   must not drag neighbours into its re-dispatch blast radius);
     /// * otherwise coalesce until the target (or [`MAX_LEASE_TILES`]) is
     ///   reached.
-    pub fn compose(&self, pending: &mut BTreeSet<usize>, speed: f64) -> Vec<usize> {
+    pub fn compose(
+        &self,
+        pending: &mut BTreeSet<usize>,
+        speed: f64,
+        after: &[usize],
+    ) -> Vec<usize> {
         let target = self.target_s * speed.clamp(0.25, 4.0);
+        let blocks: BTreeSet<usize> = after
+            .iter()
+            .flat_map(|&id| {
+                let (bi, bj) = self.grid.coords(id);
+                [bi, bj]
+            })
+            .collect();
+        let shares = |id: usize| {
+            let (bi, bj) = self.grid.coords(id);
+            blocks.contains(&bi) || blocks.contains(&bj)
+        };
+        let Some(start) = pending
+            .iter()
+            .copied()
+            .find(|&id| shares(id))
+            .or_else(|| pending.first().copied())
+        else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
         let mut sum = 0.0;
-        while let Some(&id) = pending.iter().next() {
+        while let Some(&id) = pending.range(start..).next() {
             let Some(p) = self.predict(id) else {
                 // Calibration: nothing measured yet — lease one tile.
                 if out.is_empty() {
@@ -194,7 +225,7 @@ mod tests {
 
         // Cold: calibration leases are singletons — exactly the static
         // one-tile-at-a-time behaviour auto_tile sharding gives.
-        let first = tuner.compose(&mut pending, 1.0);
+        let first = tuner.compose(&mut pending, 1.0, &[]);
         assert_eq!(first.len(), 1);
 
         // Measurements arrive: tile 0 took 1s, tiles 1..10 took 2ms.
@@ -207,7 +238,7 @@ mod tests {
         pending = (0..grid.tile_count()).collect();
         let mut leases = Vec::new();
         while !pending.is_empty() {
-            leases.push(tuner.compose(&mut pending, 1.0));
+            leases.push(tuner.compose(&mut pending, 1.0, &[]));
         }
         // The slow tile rides alone (split)...
         let with_zero = leases.iter().find(|l| l.contains(&0)).unwrap();
@@ -233,14 +264,49 @@ mod tests {
         }
         let mut slow_q: BTreeSet<usize> = (0..grid.tile_count()).collect();
         let mut fast_q = slow_q.clone();
-        let slow = tuner.compose(&mut slow_q, 0.25);
-        let fast = tuner.compose(&mut fast_q, 4.0);
+        let slow = tuner.compose(&mut slow_q, 0.25, &[]);
+        let fast = tuner.compose(&mut fast_q, 4.0, &[]);
         assert!(
             fast.len() > slow.len(),
             "fast {} vs slow {}",
             fast.len(),
             slow.len()
         );
+    }
+
+    #[test]
+    fn leases_start_next_to_the_previous_lease() {
+        // 16 states, tile 2 → 8 blocks, 36 tiles.
+        let grid = TileGrid::new(16, 2);
+        let mut tuner = Autotuner::new(grid, 0.1);
+        let all: BTreeSet<usize> = (0..grid.tile_count()).collect();
+        let after = [grid.id(3, 5)];
+
+        // Calibration leases are singletons: the lowest pending tile that
+        // shares block 3 or 5, not the lowest pending tile.
+        let mut pending = all.clone();
+        assert_eq!(
+            tuner.compose(&mut pending, 1.0, &after),
+            vec![grid.id(0, 3)]
+        );
+        assert_eq!(tuner.compose(&mut pending, 1.0, &[]), vec![0]);
+        // Tiles that share block 5 only (column 5, or row 5) count too.
+        let mut rest: BTreeSet<usize> = [grid.id(1, 2), grid.id(2, 5), grid.id(5, 6)].into();
+        assert_eq!(tuner.compose(&mut rest, 1.0, &after), vec![grid.id(2, 5)]);
+        assert_eq!(tuner.compose(&mut rest, 1.0, &after), vec![grid.id(5, 6)]);
+        // Nothing shares a block: fall back to the lowest pending tile.
+        let mut far: BTreeSet<usize> = [grid.id(6, 7), grid.id(1, 2)].into();
+        assert_eq!(tuner.compose(&mut far, 1.0, &after), vec![grid.id(1, 2)]);
+
+        // Measured: coalesce upward from the affine start, as without one.
+        for id in 0..grid.tile_count() {
+            tuner.observe(id, 0.01);
+        }
+        let mut pending = all;
+        let lease = tuner.compose(&mut pending, 1.0, &after);
+        let start = grid.id(0, 3);
+        assert!(lease.len() > 1, "{lease:?}");
+        assert_eq!(lease, (start..start + lease.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -264,8 +330,8 @@ mod tests {
         // The very first composed lease is already skew-shaped: tile 0
         // alone, despite zero observations in *this* run.
         let mut pending: BTreeSet<usize> = (0..grid.tile_count()).collect();
-        assert_eq!(tuner.compose(&mut pending, 1.0), vec![0]);
-        let next = tuner.compose(&mut pending, 1.0);
+        assert_eq!(tuner.compose(&mut pending, 1.0, &[]), vec![0]);
+        let next = tuner.compose(&mut pending, 1.0, &[]);
         assert!(next.len() > 1, "fast tiles coalesce from the warm start");
     }
 

@@ -102,6 +102,8 @@ struct Conn {
     pairs_done: f64,
     busy_s: f64,
     lease_started: Option<Instant>,
+    /// Tiles of the last lease granted, for the autotuner's affinity.
+    last_lease: Vec<usize>,
     closing: bool,
 }
 
@@ -230,6 +232,7 @@ impl Coordinator {
                 pairs_done: 0.0,
                 busy_s: 0.0,
                 lease_started: None,
+                last_lease: Vec::new(),
                 closing: false,
             });
             self.next_conn += 1;
@@ -439,7 +442,9 @@ impl Coordinator {
             return;
         }
         let speed = self.conn_speed(i);
-        let tiles = self.tuner.compose(&mut self.pending, speed);
+        let tiles = self
+            .tuner
+            .compose(&mut self.pending, speed, &self.conns[i].last_lease);
         if tiles.is_empty() {
             // Everything is leased out; outstanding leases may yet
             // expire back into the pool.
@@ -458,6 +463,7 @@ impl Coordinator {
             deadline: Instant::now() + timeout,
         };
         self.next_lease += 1;
+        self.conns[i].last_lease.clone_from(&tiles);
         let msg = CoordinatorMsg::Lease {
             lease: lease.id,
             tiles,

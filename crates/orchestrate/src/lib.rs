@@ -18,12 +18,15 @@
 //! * **[`run_worker`]** connects to a coordinator, validates the dataset
 //!   fingerprint, and streams each finished tile back while the next one
 //!   computes (the socket drain overlaps the engine's compute; an
-//!   end-of-lease blocking flush settles the remainder).
+//!   end-of-lease blocking flush settles the remainder). It keeps one
+//!   tile workspace for the connection, so a lease starts from the
+//!   geometry bundles and SSSP rows the previous lease left.
 //! * **[`Autotuner`]** replaces the static `auto_tile` shape heuristic
 //!   for orchestrated runs: observed per-tile wall times (persisted as
 //!   `W` checkpoint lines, so reruns warm-start) drive lease composition
-//!   — slow tiles ride alone, fast tiles coalesce, and fast workers get
-//!   proportionally larger leases.
+//!   — slow tiles ride alone, fast tiles coalesce, fast workers get
+//!   proportionally larger leases, and a lease starts next to the
+//!   connection's previous one.
 //!
 //! Concurrency model: the coordinator is a *single-threaded* nonblocking
 //! poll loop over `std::net` — no spawned threads, no async runtime.

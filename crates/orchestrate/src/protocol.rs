@@ -163,7 +163,10 @@ pub fn parse_worker_msg(line: &str, grid: &TileGrid) -> Result<WorkerMsg, Orches
                     "bad result line (id, pair count or value mismatch with the grid)",
                 )
             }),
-        Some(other) => Err(violation(line, format!("unknown message {other:?}"))),
+        Some(other) => Err(violation(
+            line,
+            format!("unknown message {:?}", clip(other)),
+        )),
         None => Err(violation(line, "empty line")),
     }
 }
@@ -214,7 +217,10 @@ pub fn parse_coordinator_msg(line: &str) -> Result<CoordinatorMsg, OrchestrateEr
         Some("ERR") => Ok(CoordinatorMsg::Err(
             trimmed.strip_prefix("ERR").unwrap_or("").trim().to_string(),
         )),
-        Some(other) => Err(violation(line, format!("unknown message {other:?}"))),
+        Some(other) => Err(violation(
+            line,
+            format!("unknown message {:?}", clip(other)),
+        )),
         None => Err(violation(line, "empty line")),
     }
 }

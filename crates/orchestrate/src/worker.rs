@@ -1,5 +1,13 @@
 //! The worker loop: handshake, lease, compute, stream, repeat.
 //!
+//! One [`TileWorkspace`] lives for the whole connection: the bundles of a
+//! lease's final tile, and the chain head, stay live into the next lease,
+//! whose first tiles find their rows cached or seed them by repair from
+//! the nearest live bundle instead of fresh Dial runs. The coordinator
+//! helps by leasing tiles that share a block with the previous lease
+//! (see [`crate::autotune`]). The dataset fingerprint is hashed once, for
+//! the handshake.
+//!
 //! Results are streamed with a double-buffered writer: each finished
 //! tile's `T`/`I`/`W` lines go into an output buffer which is drained
 //! *nonblocking* while the engine computes the next tile — the kernel's
@@ -11,7 +19,7 @@
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
-use snd_core::{ShardPlan, SndEngine, TileGrid, TileLine};
+use snd_core::{ShardPlan, SndEngine, TileGrid, TileLine, TileSet, TileWorkspace};
 use snd_models::NetworkState;
 
 use crate::net::{connect, Endpoint, Stream};
@@ -56,6 +64,10 @@ pub struct WorkerReport {
     pub compute_s: f64,
     /// Seconds blocked in the end-of-lease flush of results.
     pub flush_wait_s: f64,
+    /// SSSP rows computed with a fresh Dial run, across every lease.
+    pub fresh_rows: usize,
+    /// SSSP rows repaired from another snapshot's row, across every lease.
+    pub repaired_rows: usize,
 }
 
 /// Runs the worker loop against the coordinator at `addr` until `DONE`.
@@ -109,11 +121,16 @@ pub fn run_worker(
     };
 
     let mut report = WorkerReport::default();
+    let mut resident = Resident {
+        grid,
+        fingerprint,
+        ws: TileWorkspace::new(),
+    };
     loop {
         send_all(&mut stream, worker_line(&WorkerMsg::Next).as_bytes())?;
         match read_msg(&mut stream, &mut inbuf)? {
             CoordinatorMsg::Lease { tiles, .. } => {
-                compute_lease(engine, states, &grid, tiles, &mut stream, opts, &mut report)?;
+                resident.compute(engine, states, tiles, &mut stream, opts, &mut report)?;
                 report.leases += 1;
             }
             CoordinatorMsg::Wait(ms) => {
@@ -121,6 +138,8 @@ pub fn run_worker(
             }
             CoordinatorMsg::Done => {
                 let _ = send_all(&mut stream, worker_line(&WorkerMsg::Bye).as_bytes());
+                report.fresh_rows = resident.ws.fresh_rows();
+                report.repaired_rows = resident.ws.repaired_rows();
                 return Ok(report);
             }
             CoordinatorMsg::Err(m) => return Err(OrchestrateError::Failed(m)),
@@ -134,67 +153,81 @@ pub fn run_worker(
     }
 }
 
-/// Computes one lease, streaming each tile as it finishes.
-fn compute_lease(
-    engine: &SndEngine<'_>,
-    states: &[NetworkState],
-    grid: &TileGrid,
-    tiles: Vec<usize>,
-    stream: &mut Stream,
-    opts: &WorkerOpts,
-    report: &mut WorkerReport,
-) -> Result<(), OrchestrateError> {
-    let plan = ShardPlan::explicit(*grid, tiles)?;
-    let mut outbuf: Vec<u8> = Vec::new();
-    let mut io_err: Option<std::io::Error> = None;
-    let compute_started = Instant::now();
-    let result = engine.pairwise_tiles_with(states, &plan, &mut |lines| {
-        if !opts.throttle.is_zero() {
-            // Deterministic straggler hook for kill/re-dispatch tests.
-            std::thread::sleep(opts.throttle);
-        }
-        let mut text = String::new();
-        for line in lines {
-            match *line {
-                // The straggler's sleep counts in its reported timing.
-                TileLine::Timing { id, seconds } => TileLine::Timing {
-                    id,
-                    seconds: seconds + opts.throttle.as_secs_f64(),
+/// What a connection keeps from one lease to the next: the handshake's
+/// grid and fingerprint, and the tile workspace.
+struct Resident {
+    grid: TileGrid,
+    fingerprint: u64,
+    ws: TileWorkspace,
+}
+
+impl Resident {
+    /// Computes one lease, streaming each tile as it finishes.
+    fn compute(
+        &mut self,
+        engine: &SndEngine<'_>,
+        states: &[NetworkState],
+        tiles: Vec<usize>,
+        stream: &mut Stream,
+        opts: &WorkerOpts,
+        report: &mut WorkerReport,
+    ) -> Result<(), OrchestrateError> {
+        let plan = ShardPlan::explicit(self.grid, tiles)?;
+        let mut set = TileSet::empty(self.grid, self.fingerprint);
+        let mut outbuf: Vec<u8> = Vec::new();
+        let mut io_err: Option<std::io::Error> = None;
+        let compute_started = Instant::now();
+        let result =
+            engine.pairwise_tiles_in(states, &plan, &mut self.ws, &mut set, &mut |lines| {
+                if !opts.throttle.is_zero() {
+                    // Deterministic straggler hook for kill/re-dispatch
+                    // tests.
+                    std::thread::sleep(opts.throttle);
                 }
-                .write(&mut text),
-                _ => line.write(&mut text),
+                let mut text = String::new();
+                for line in lines {
+                    match *line {
+                        // The straggler's sleep counts in its reported timing.
+                        TileLine::Timing { id, seconds } => TileLine::Timing {
+                            id,
+                            seconds: seconds + opts.throttle.as_secs_f64(),
+                        }
+                        .write(&mut text),
+                        _ => line.write(&mut text),
+                    }
+                }
+                outbuf.extend_from_slice(text.as_bytes());
+                report.tiles += 1;
+                // Double-buffered: push what fits into the kernel's
+                // socket buffer and return to computing; the remainder
+                // rides along with the next tile or the end-of-lease
+                // flush.
+                if let Err(e) = drain_nonblocking(stream, &mut outbuf) {
+                    io_err = Some(e);
+                    // Any shard error aborts the engine loop; the real
+                    // cause is restored below.
+                    return Err(snd_core::ShardError::Format("socket write failed".into()));
+                }
+                Ok(())
+            });
+        match result {
+            Ok(_) => {}
+            Err(e) => {
+                return Err(match io_err {
+                    Some(io) => OrchestrateError::Io(io),
+                    None => e.into(),
+                })
             }
         }
-        outbuf.extend_from_slice(text.as_bytes());
-        report.tiles += 1;
-        // Double-buffered: push what fits into the kernel's socket buffer
-        // and return to computing; the remainder rides along with the
-        // next tile or the end-of-lease flush.
-        if let Err(e) = drain_nonblocking(stream, &mut outbuf) {
-            io_err = Some(e);
-            // Any shard error aborts the engine loop; the real cause is
-            // restored below.
-            return Err(snd_core::ShardError::Format("socket write failed".into()));
-        }
+        // End-of-lease settlement: everything the overlapped drain
+        // couldn't place goes out now, blocking. This is usually empty.
+        let t0 = Instant::now();
+        drain_blocking(stream, &mut outbuf)?;
+        let lease_flush = t0.elapsed().as_secs_f64();
+        report.flush_wait_s += lease_flush;
+        report.compute_s += (compute_started.elapsed().as_secs_f64() - lease_flush).max(0.0);
         Ok(())
-    });
-    match result {
-        Ok(_) => {}
-        Err(e) => {
-            return Err(match io_err {
-                Some(io) => OrchestrateError::Io(io),
-                None => e.into(),
-            })
-        }
     }
-    // End-of-lease settlement: everything the overlapped drain couldn't
-    // place goes out now, blocking. This is usually empty.
-    let t0 = Instant::now();
-    drain_blocking(stream, &mut outbuf)?;
-    let lease_flush = t0.elapsed().as_secs_f64();
-    report.flush_wait_s += lease_flush;
-    report.compute_s += (compute_started.elapsed().as_secs_f64() - lease_flush).max(0.0);
-    Ok(())
 }
 
 /// Nonblocking drain: writes what the socket accepts, keeps the rest.

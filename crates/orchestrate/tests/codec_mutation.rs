@@ -3,20 +3,22 @@
 //! a fixed budget of single-byte mutations. Every variant must load to
 //! `Ok` or a `ShardError` — never a panic — and an `Ok` set must survive
 //! `save` then `load` unchanged. The same lines, fed to the worker-wire
-//! parser, must each give `Ok` or a protocol error.
+//! parser, must each give `Ok` or a protocol error. A coordinator
+//! transcript (`GRID`, `LEASE`, `WAIT`, `DONE`, `ERR`) gets the same
+//! treatment through the worker-side parser.
 
 use snd_core::{ApproxConfig, ShardPlan, SndConfig, SndEngine, TileGrid, TileSet};
 use snd_graph::generators::path_graph;
 use snd_models::NetworkState;
-use snd_orchestrate::protocol::parse_worker_msg;
-use snd_orchestrate::OrchestrateError;
+use snd_orchestrate::protocol::{coordinator_line, parse_coordinator_msg, parse_worker_msg};
+use snd_orchestrate::{CoordinatorMsg, OrchestrateError};
 
 /// Single-byte mutations applied on top of the truncations.
 const MUTATIONS: usize = 2_000;
 
-/// Bytes a mutation writes: line and word breaks, a non-UTF-8 byte, and
-/// characters the format gives meaning to. Every fourth mutation writes a
-/// random byte instead.
+/// Bytes a checkpoint mutation writes: line and word breaks, a non-UTF-8
+/// byte, and characters the format gives meaning to. Every fourth
+/// mutation writes a random byte instead.
 const HOSTILE: &[u8] = b"\n \xff0fTIW-+";
 
 /// SplitMix64: a fixed-seed generator with no dependency.
@@ -72,20 +74,8 @@ fn mutated_checkpoints_and_wire_lines_never_panic() {
         assert!(text.lines().any(|l| l.starts_with(tag)), "no {tag}line");
     }
 
-    let mut rng = SplitMix(0x5eed);
-    let truncations = (0..=bytes.len()).map(|cut| bytes[..cut].to_vec());
-    let mutations = (0..MUTATIONS).map(|n| {
-        let mut v = bytes.clone();
-        let at = rng.below(v.len());
-        v[at] = if n % 4 == 3 {
-            rng.next() as u8
-        } else {
-            HOSTILE[rng.below(HOSTILE.len())]
-        };
-        v
-    });
     let (mut loaded, mut refused) = (0, 0);
-    for case in truncations.chain(mutations) {
+    for case in variants(&bytes, HOSTILE, 0x5eed) {
         std::fs::write(&mutated, &case).expect("write variant");
         match TileSet::load(&mutated) {
             Ok(set) => {
@@ -117,4 +107,92 @@ fn mutated_checkpoints_and_wire_lines_never_panic() {
     for path in [&base, &mutated, &resaved] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// Every prefix of `bytes`, then `MUTATIONS` seeded single-byte
+/// mutations of it (every fourth a random byte, the rest from `hostile`).
+fn variants<'a>(
+    bytes: &'a [u8],
+    hostile: &'a [u8],
+    seed: u64,
+) -> impl Iterator<Item = Vec<u8>> + 'a {
+    let mut rng = SplitMix(seed);
+    let truncations = (0..=bytes.len()).map(|cut| bytes[..cut].to_vec());
+    let mutations = (0..MUTATIONS).map(move |n| {
+        let mut v = bytes.to_vec();
+        let at = rng.below(v.len());
+        v[at] = if n % 4 == 3 {
+            rng.next() as u8
+        } else {
+            hostile[rng.below(hostile.len())]
+        };
+        v
+    });
+    truncations.chain(mutations)
+}
+
+#[test]
+fn mutated_coordinator_transcripts_never_panic() {
+    let transcript: String = [
+        CoordinatorMsg::Grid {
+            grid: TileGrid::new(12, 2),
+            fingerprint: 0x0123_4567_89ab_cdef,
+        },
+        CoordinatorMsg::Lease {
+            lease: 3,
+            tiles: vec![4, 5, 11],
+        },
+        CoordinatorMsg::Wait(50),
+        CoordinatorMsg::Lease {
+            lease: 4,
+            tiles: vec![7],
+        },
+        CoordinatorMsg::Done,
+        CoordinatorMsg::Err("dataset fingerprint mismatch".into()),
+    ]
+    .iter()
+    .map(coordinator_line)
+    .collect();
+    // Oversized lines: a verb glued to a long numeral, and a lease whose
+    // tile ID overflows.
+    let oversized = [
+        format!("LEASE{}\n", "9".repeat(10_000)),
+        format!("LEASE 1 1 {}\n", "9".repeat(10_000)),
+    ];
+    let cases = variants(transcript.as_bytes(), b"\n \xff0179ELGRDWTN-+", 0xc0de)
+        .chain(oversized.iter().map(|l| l.as_bytes().to_vec()));
+    let (mut parsed, mut refused) = (0, 0);
+    for case in cases {
+        // Lines as the worker reads them: cut at each newline, lossy UTF-8.
+        for line in case.split(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(line);
+            match parse_coordinator_msg(&line) {
+                Ok(msg) => {
+                    parsed += 1;
+                    // The value holds no more than the line carried.
+                    match &msg {
+                        CoordinatorMsg::Lease { tiles, .. } => {
+                            assert!(tiles.capacity() <= line.len(), "{line:?}")
+                        }
+                        CoordinatorMsg::Err(m) => assert!(m.len() <= line.len(), "{line:?}"),
+                        _ => {}
+                    }
+                    let back = parse_coordinator_msg(&coordinator_line(&msg));
+                    assert_eq!(back.ok().as_ref(), Some(&msg), "{line:?}");
+                }
+                Err(OrchestrateError::Protocol {
+                    line: shown,
+                    reason,
+                }) => {
+                    refused += 1;
+                    assert!(shown.len() <= 100 && reason.len() <= 200, "{line:?}");
+                }
+                Err(e) => panic!("{line:?}: {e}"),
+            }
+        }
+    }
+    assert!(
+        parsed > 0 && refused > 0,
+        "{parsed} parsed, {refused} refused"
+    );
 }
