@@ -18,7 +18,7 @@
 
 use std::path::Path;
 
-use snd_core::{DistanceMatrix, ShardError, ShardPlan, SndEngine, SndInterval, TileGrid};
+use snd_core::{DistanceMatrix, ShardError, ShardPlan, SndEngine, TileGrid};
 use snd_models::NetworkState;
 
 /// All-pairs SND matrix with checkpoint/resume: computes (or resumes) the
@@ -54,34 +54,15 @@ pub fn series_distances_checkpointed(
     if states.len() < 2 {
         return Ok(Vec::new());
     }
-    let run = engine.series_tiles_checkpointed(states, tile, checkpoint)?;
+    let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
+    let run = engine.pairwise_tiles_checkpointed(states, &plan, checkpoint)?;
     Ok((1..states.len())
         .map(|t| {
             run.tiles
                 .pair(t - 1, t)
-                // lint:allow(no-unwrap) series_tiles_checkpointed returns a superdiagonal plan whose tiles cover every (t-1, t) pair by construction
+                // lint:allow(no-unwrap) the superdiagonal plan's tiles cover every (t-1, t) pair by construction
                 .expect("superdiagonal plan covers every transition")
         })
-        .collect())
-}
-
-/// [`series_distances_checkpointed`] keeping the certified envelopes: one
-/// entry per transition, `Some([lo, hi])` when the checkpoint's tile
-/// carries interval certification (an approximate-tier run wrote it) and
-/// `None` for exact-tier tiles or tiles resumed from a pre-interval
-/// checkpoint — the scalar series is still available either way.
-pub fn series_intervals_checkpointed(
-    engine: &SndEngine<'_>,
-    states: &[NetworkState],
-    tile: usize,
-    checkpoint: &Path,
-) -> Result<Vec<Option<SndInterval>>, ShardError> {
-    if states.len() < 2 {
-        return Ok(Vec::new());
-    }
-    let run = engine.series_tiles_checkpointed(states, tile, checkpoint)?;
-    Ok((1..states.len())
-        .map(|t| run.tiles.pair_interval(t - 1, t))
         .collect())
 }
 
@@ -139,47 +120,6 @@ mod tests {
         assert!(series_distances_checkpointed(&engine, &s[..1], 2, &path)
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn checkpointed_series_intervals_certify_the_scalars() {
-        let g = path_graph(6);
-        let approx = SndConfig {
-            approx: Some(snd_core::ApproxConfig {
-                epsilon: 0.5,
-                min_nodes: 0,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let engine = SndEngine::new(&g, approx);
-        let s = states();
-        let path = temp_path("series_intervals.ckpt");
-        let _ = std::fs::remove_file(&path);
-
-        let scalars = series_distances_checkpointed(&engine, &s, 2, &path).unwrap();
-        // Resume off the same checkpoint: tiles (and their `I` lines) load
-        // rather than recompute, and every transition comes back certified.
-        let intervals = series_intervals_checkpointed(&engine, &s, 2, &path).unwrap();
-        assert_eq!(intervals.len(), scalars.len());
-        for (d, iv) in scalars.iter().zip(&intervals) {
-            let iv = iv.expect("approximate-tier checkpoints certify");
-            assert!(
-                iv.lower <= d + 1e-12 && *d <= iv.upper + 1e-12,
-                "{d} outside [{}, {}]",
-                iv.lower,
-                iv.upper
-            );
-        }
-        std::fs::remove_file(&path).unwrap();
-
-        // An exact-tier checkpoint yields scalars but no certification.
-        let exact = SndEngine::new(&g, SndConfig::default());
-        let path = temp_path("series_intervals_exact.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let intervals = series_intervals_checkpointed(&exact, &s, 2, &path).unwrap();
-        assert!(intervals.iter().all(|iv| iv.is_none()));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl<'g> WalkDist<'g> {
     }
 
     /// The contention vector `cnt(P)` of a state.
-    pub fn contention(&self, state: &NetworkState) -> Vec<f64> {
+    fn contention(&self, state: &NetworkState) -> Vec<f64> {
         let g = self.graph;
         (0..g.node_count() as u32)
             .map(|v| {

@@ -18,7 +18,7 @@ use snd_models::dynamics::{icc_step, random_activation_step, seed_initial_adopte
 use snd_models::{GroundCostConfig, IccParams, SpreadingModel};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--nodes", "--pairs"]);
     let nodes = args.get("--nodes", 3_000usize);
     let pairs = args.get("--pairs", 10usize);
     banner(

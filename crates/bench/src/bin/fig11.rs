@@ -16,7 +16,7 @@ use snd_models::dynamics::seed_initial_adopters;
 use snd_models::{NetworkState, Opinion};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--ndelta", "--dense-cap", "--paper"]);
     let ndelta = args.get("--ndelta", 1000usize);
     let sizes: Vec<usize> = if args.flag("--paper") {
         vec![

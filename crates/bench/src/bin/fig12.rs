@@ -14,7 +14,7 @@ use snd_models::dynamics::seed_initial_adopters;
 use snd_models::{NetworkState, Opinion};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--nodes", "--max-ndelta", "--paper"]);
     let nodes = if args.flag("--paper") {
         20_000
     } else {

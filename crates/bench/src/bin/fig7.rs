@@ -16,7 +16,7 @@ use snd_data::{generate_series, SyntheticSeries, SyntheticSeriesConfig};
 use snd_models::dynamics::VotingConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--nodes", "--steps", "--paper"]);
     let nodes = if args.flag("--paper") {
         20_000
     } else {

@@ -22,7 +22,7 @@ use snd_data::{generate_series, SyntheticSeries, SyntheticSeriesConfig};
 use snd_models::dynamics::VotingConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--nodes", "--steps", "--series", "--paper"]);
     let (nodes, steps, n_series): (usize, usize, usize) = if args.flag("--paper") {
         (30_000, 30, 10)
     } else {

@@ -18,7 +18,7 @@ use snd_core::{SndConfig, SndEngine};
 use snd_data::{simulate_twitter, EventKind, TwitterSim, TwitterSimConfig};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--users", "--avg-degree", "--paper"]);
     let (users, avg_degree) = if args.flag("--paper") {
         (10_000, 130)
     } else {

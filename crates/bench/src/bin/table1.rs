@@ -28,7 +28,7 @@ const TARGETS: usize = 20;
 const CANDIDATES: usize = 100;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["--nodes", "--reps", "--paper"]);
     let nodes = if args.flag("--paper") {
         10_000
     } else {

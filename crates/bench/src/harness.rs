@@ -11,10 +11,20 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        Args {
-            raw: std::env::args().skip(1).collect(),
+    /// Parses the process arguments. A `--` token not in `accepted` prints
+    /// an error naming it and exits 1, so a misspelt flag never runs the
+    /// defaults.
+    pub fn from_env(accepted: &[&str]) -> Self {
+        or_exit(Self::new(std::env::args().skip(1).collect(), accepted))
+    }
+
+    fn new(raw: Vec<String>, accepted: &[&str]) -> Result<Self, String> {
+        match raw
+            .iter()
+            .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+        {
+            Some(unknown) => Err(format!("unknown flag '{unknown}' (want {accepted:?})")),
+            None => Ok(Args { raw }),
         }
     }
 
@@ -27,10 +37,7 @@ impl Args {
     /// absent. A missing or malformed value prints an error naming the
     /// flag and exits 1.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.lookup(name, default).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1)
-        })
+        or_exit(self.lookup(name, default))
     }
 
     fn lookup<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -41,6 +48,14 @@ impl Args {
         raw.parse()
             .map_err(|_| format!("bad {name} '{raw}' (want {})", std::any::type_name::<T>()))
     }
+}
+
+/// The value, or the error printed and exit 1.
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// Times a closure, returning `(result, seconds)`.
@@ -83,6 +98,12 @@ mod tests {
         };
         let err = trailing.lookup("--nodes", 10usize).unwrap_err();
         assert!(err.contains("--nodes"), "{err}");
+
+        let accepted = ["--nodes", "--pairs"];
+        let raw = |line: &str| line.split_whitespace().map(String::from).collect();
+        assert!(Args::new(raw("--nodes 50 --pairs 1"), &accepted).is_ok());
+        let err = Args::new(raw("--node 50 --pairs 1"), &accepted).unwrap_err();
+        assert!(err.contains("'--node'"), "{err}");
     }
 
     #[test]

@@ -22,61 +22,8 @@ use snd_graph::NodeId;
 use snd_models::dynamics::VotingConfig;
 use snd_models::{flips_between, GroundCostConfig, NetworkState, Opinion};
 
+use crate::args::Args;
 use crate::dataset::{Dataset, ModelRecord};
-
-/// `--flag value` lookup over raw arguments: `Ok(None)` when the flag is
-/// absent, and an error naming the flag when its value is missing or does
-/// not parse — a malformed value never silently becomes the default.
-pub(crate) fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    if !flag(args, name) {
-        return Ok(None);
-    }
-    let raw = opt_raw(args, name).ok_or(format!("{name} needs a value"))?;
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("bad {name} '{raw}' (want {})", std::any::type_name::<T>()))
-}
-
-/// Rejects every `--` token of `args` that `command` does not accept:
-/// `accepted` is the command's flag list, given once per subcommand, so a
-/// misspelt flag (`--cluster` for `--clusters`, `--aprox`) is an error
-/// naming it and the command, never silently ignored.
-pub(crate) fn known_flags(
-    command: &str,
-    args: &[String],
-    accepted: &[&[&str]],
-) -> Result<(), String> {
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !accepted.iter().any(|list| list.contains(&a.as_str())))
-    {
-        Some(unknown) => Err(format!("unknown flag '{unknown}' for snd {command}")),
-        None => Ok(()),
-    }
-}
-
-/// The flags [`engine_config`] reads: every command that prices SND
-/// accepts them.
-pub(crate) const TIER_FLAGS: &[&str] = &[
-    "--ground",
-    "--clusters",
-    "--epsilon",
-    "--landmarks",
-    "--budget",
-    "--approx",
-];
-
-pub(crate) fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Raw `--flag value` lookup (no parsing).
-pub(crate) fn opt_raw<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-}
 
 /// Parses the approximate-tier flags: `--approx` opts in (forcing the
 /// sketch tier regardless of graph size), `--epsilon E` sets the certified
@@ -84,10 +31,10 @@ pub(crate) fn opt_raw<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// Returns `Ok(None)` when `--approx` is absent — and rejects the
 /// dependent flags in that case, so a typo'd invocation cannot silently
 /// run exact while the user believes an ε is in force.
-fn approx_config(args: &[String]) -> Result<Option<ApproxConfig>, String> {
-    if !flag(args, "--approx") {
+fn approx_config(args: &Args) -> Result<Option<ApproxConfig>, String> {
+    if !args.has("--approx") {
         for name in ["--epsilon", "--landmarks", "--budget"] {
-            if flag(args, name) {
+            if args.has(name) {
                 return Err(format!("{name} requires --approx"));
             }
         }
@@ -97,13 +44,13 @@ fn approx_config(args: &[String]) -> Result<Option<ApproxConfig>, String> {
         min_nodes: 0,
         ..Default::default()
     };
-    if let Some(epsilon) = opt(args, "--epsilon")? {
+    if let Some(epsilon) = args.get("--epsilon")? {
         approx.epsilon = epsilon;
     }
-    if let Some(landmarks) = opt(args, "--landmarks")? {
+    if let Some(landmarks) = args.get("--landmarks")? {
         approx.max_landmarks = landmarks;
     }
-    if let Some(budget) = opt(args, "--budget")? {
+    if let Some(budget) = args.get("--budget")? {
         approx.budget = budget;
     }
     // Library-level validation (NaN / infinite / negative ε, zero
@@ -112,28 +59,18 @@ fn approx_config(args: &[String]) -> Result<Option<ApproxConfig>, String> {
     Ok(Some(approx))
 }
 
+pub(crate) const GENERATE: &str = "generate [--nodes N] [--steps S] [--seeds K] [--p-nbr P] \
+     [--p-ext P] [--p-nbr-anomalous P] [--p-ext-anomalous P] [--twitter] [--avg-degree D] \
+     [--seed K] --out FILE";
+
 /// `snd generate`: writes a synthetic or simulated-Twitter dataset.
-pub fn generate(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[&str] = &[
-        "--out",
-        "--seed",
-        "--twitter",
-        "--nodes",
-        "--avg-degree",
-        "--steps",
-        "--p-nbr",
-        "--p-ext",
-        "--p-nbr-anomalous",
-        "--p-ext-anomalous",
-        "--seeds",
-    ];
-    known_flags("generate", args, &[FLAGS])?;
-    let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
-    let seed = opt(args, "--seed")?.unwrap_or(7u64);
-    let dataset = if flag(args, "--twitter") {
+pub fn generate(args: &Args) -> Result<(), String> {
+    let out: String = args.get("--out")?.ok_or("missing --out FILE")?;
+    let seed = args.get("--seed")?.unwrap_or(7u64);
+    let dataset = if args.has("--twitter") {
         let sim = simulate_twitter(&TwitterSimConfig {
-            users: opt(args, "--nodes")?.unwrap_or(4000),
-            avg_degree: opt(args, "--avg-degree")?.unwrap_or(50),
+            users: args.get("--nodes")?.unwrap_or(4000),
+            avg_degree: args.get("--avg-degree")?.unwrap_or(50),
             seed,
             ..Default::default()
         });
@@ -147,21 +84,21 @@ pub fn generate(args: &[String]) -> Result<(), String> {
             model: None,
         }
     } else {
-        let steps = opt(args, "--steps")?.unwrap_or(20usize);
-        let p_nbr = opt(args, "--p-nbr")?.unwrap_or(0.12);
-        let p_ext = opt(args, "--p-ext")?.unwrap_or(0.01);
+        let steps = args.get("--steps")?.unwrap_or(20usize);
+        let p_nbr = args.get("--p-nbr")?.unwrap_or(0.12);
+        let p_ext = args.get("--p-ext")?.unwrap_or(0.01);
         // Structured validation: a bad --p-nbr/--p-ext split comes back as
         // a printable CLI error, not a library panic.
         let normal = VotingConfig::new(p_nbr, p_ext).map_err(|e| e.to_string())?;
         let anomalous = VotingConfig::new(
-            opt(args, "--p-nbr-anomalous")?.unwrap_or(0.08),
-            opt(args, "--p-ext-anomalous")?.unwrap_or(0.05),
+            args.get("--p-nbr-anomalous")?.unwrap_or(0.08),
+            args.get("--p-ext-anomalous")?.unwrap_or(0.05),
         )
         .map_err(|e| e.to_string())?;
         let series = generate_series(&SyntheticSeriesConfig {
-            nodes: opt(args, "--nodes")?.unwrap_or(2000),
+            nodes: args.get("--nodes")?.unwrap_or(2000),
             steps,
-            initial_adopters: opt(args, "--seeds")?.unwrap_or(100),
+            initial_adopters: args.get("--seeds")?.unwrap_or(100),
             normal,
             anomalous,
             anomalous_steps: vec![steps / 3, (2 * steps) / 3],
@@ -199,25 +136,14 @@ fn dataset_from_series(series: &SyntheticSeries, model: Option<ModelRecord>) -> 
     }
 }
 
+pub(crate) const SIMULATE: &str =
+    "simulate --scenario NAME [--nodes N] [--steps T] [--seed S] --out FILE | --list";
+
 /// `snd simulate`: runs a named scenario from the registry and writes the
 /// resulting series in the dataset format, so `snd
 /// distance/anomaly/predict/shard` consume it directly.
-///
-/// ```text
-/// snd simulate --list
-/// snd simulate --scenario NAME [--nodes N] [--steps T] [--seed S] --out FILE
-/// ```
-pub fn simulate(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[&str] = &[
-        "--list",
-        "--scenario",
-        "--nodes",
-        "--steps",
-        "--seed",
-        "--out",
-    ];
-    known_flags("simulate", args, &[FLAGS])?;
-    if flag(args, "--list") {
+pub fn simulate(args: &Args) -> Result<(), String> {
+    if args.has("--list") {
         println!("{:<22} {:<20} description", "scenario", "model");
         for sc in registry() {
             println!(
@@ -229,18 +155,19 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    let name: String =
-        opt(args, "--scenario")?.ok_or("missing --scenario NAME (see snd simulate --list)")?;
+    let name: String = args
+        .get("--scenario")?
+        .ok_or("missing --scenario NAME (see snd simulate --list)")?;
     let mut scenario = find_scenario(&name)
         .ok_or_else(|| format!("unknown scenario '{name}' (see snd simulate --list)"))?;
-    if let Some(nodes) = opt(args, "--nodes")? {
+    if let Some(nodes) = args.get("--nodes")? {
         scenario.nodes = nodes;
     }
-    if let Some(steps) = opt(args, "--steps")? {
+    if let Some(steps) = args.get("--steps")? {
         scenario.steps = steps;
     }
-    let seed = opt(args, "--seed")?.unwrap_or(7u64);
-    let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
+    let seed = args.get("--seed")?.unwrap_or(7u64);
+    let out: String = args.get("--out")?.ok_or("missing --out FILE")?;
 
     let series = scenario.run(seed).map_err(|e| e.to_string())?;
     // Record the simulated model so later `--ground icc|ltc` runs reprice
@@ -326,15 +253,15 @@ fn ground_config_for(
 /// an optional `--clusters N` (cluster-bank mode instead of the per-bin
 /// default), and the approximate-tier flags (`--approx --epsilon E`).
 pub(crate) fn engine_config(
-    args: &[String],
+    args: &Args,
     graph: &snd_graph::CsrGraph,
     recorded: Option<&ModelRecord>,
 ) -> Result<SndConfig, String> {
-    let mut config = match opt::<String>(args, "--ground")? {
+    let mut config = match args.get::<String>("--ground")? {
         Some(name) => SndConfig::with_ground(ground_config_for(&name, graph, recorded)?),
         None => SndConfig::default(),
     };
-    if let Some(clusters) = opt(args, "--clusters")? {
+    if let Some(clusters) = args.get("--clusters")? {
         if clusters == 0 {
             return Err("--clusters must be at least 1".into());
         }
@@ -352,17 +279,17 @@ pub(crate) fn engine_config(
     Ok(config)
 }
 
+pub(crate) const DISTANCE: &str = "distance --data FILE [--t1 I] [--t2 J] [--series] [TIER]";
+
 /// `snd distance`: all measures between two states of a dataset, or —
 /// with `--series` — every adjacent transition of the series.
-pub fn distance(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[&str] = &["--data", "--series", "--t1", "--t2"];
-    known_flags("distance", args, &[FLAGS, TIER_FLAGS])?;
-    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
-    if flag(args, "--series") {
+pub fn distance(args: &Args) -> Result<(), String> {
+    let path: String = args.get("--data")?.ok_or("missing --data FILE")?;
+    if args.has("--series") {
         return distance_series(args, &path);
     }
-    let t1 = opt(args, "--t1")?.unwrap_or(0usize);
-    let t2 = opt(args, "--t2")?.unwrap_or(1usize);
+    let t1 = args.get("--t1")?.unwrap_or(0usize);
+    let t2 = args.get("--t2")?.unwrap_or(1usize);
     let dataset = Dataset::load(&path)?;
     let graph = dataset.graph();
     let states = dataset.network_states();
@@ -396,7 +323,7 @@ pub fn distance(args: &[String]) -> Result<(), String> {
 /// (`SndEngine::series_intervals`) — one sketch bundle repaired along the
 /// series — and prints each transition's `[lower, upper]`; without it,
 /// the exact delta series.
-fn distance_series(args: &[String], path: &str) -> Result<(), String> {
+fn distance_series(args: &Args, path: &str) -> Result<(), String> {
     let dataset = Dataset::load(path)?;
     let graph = dataset.graph();
     let states = dataset.network_states();
@@ -434,11 +361,12 @@ fn distance_series(args: &[String], path: &str) -> Result<(), String> {
     Ok(())
 }
 
+pub(crate) const ANOMALY: &str = "anomaly --data FILE [--top K] [TIER]";
+
 /// `snd anomaly`: score every transition of the dataset's series.
-pub fn anomaly(args: &[String]) -> Result<(), String> {
-    known_flags("anomaly", args, &[&["--data", "--top"], TIER_FLAGS])?;
-    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
-    let top: Option<usize> = opt(args, "--top")?;
+pub fn anomaly(args: &Args) -> Result<(), String> {
+    let path: String = args.get("--data")?.ok_or("missing --data FILE")?;
+    let top: Option<usize> = args.get("--top")?;
     let dataset = Dataset::load(&path)?;
     let graph = dataset.graph();
     let states = dataset.network_states();
@@ -494,24 +422,19 @@ pub fn anomaly(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub(crate) const SHARD: &str =
+    "shard --data FILE [--shard I/N] --checkpoint FILE [--tile T] [TIER]";
+
 /// `snd shard`: compute one shard of the all-pairs SND matrix with
-/// checkpoint/resume, or merge shard artifacts into the full matrix.
-///
-/// ```text
-/// snd shard --data FILE --shard I/N --checkpoint FILE [--tile T]
-/// snd shard merge --out FILE PART...
-/// ```
-pub fn shard(args: &[String]) -> Result<(), String> {
-    if args.first().is_some_and(|a| a == "merge") {
-        return shard_merge(&args[1..]);
-    }
-    const FLAGS: &[&str] = &["--data", "--checkpoint", "--shard", "--tile"];
-    known_flags("shard", args, &[FLAGS, TIER_FLAGS])?;
-    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
-    let checkpoint: String = opt(args, "--checkpoint")?.ok_or("missing --checkpoint FILE")?;
-    let spec: String = opt(args, "--shard")?.unwrap_or_else(|| "0/1".to_string());
+/// checkpoint/resume.
+pub fn shard(args: &Args) -> Result<(), String> {
+    let path: String = args.get("--data")?.ok_or("missing --data FILE")?;
+    let checkpoint: String = args
+        .get("--checkpoint")?
+        .ok_or("missing --checkpoint FILE")?;
+    let spec: String = args.get("--shard")?.unwrap_or_else(|| "0/1".to_string());
     let (index, count) = parse_shard_spec(&spec)?;
-    let tile: Option<usize> = opt(args, "--tile")?;
+    let tile: Option<usize> = args.get("--tile")?;
     if tile == Some(0) {
         return Err("--tile must be at least 1".into());
     }
@@ -557,27 +480,19 @@ pub fn shard(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub(crate) const SHARD_MERGE: &str = "shard merge --out FILE PART...";
+
 /// `snd shard merge`: reassemble shard artifacts, validate overlap/holes,
 /// and write the full matrix as JSON.
-fn shard_merge(args: &[String]) -> Result<(), String> {
-    known_flags("shard merge", args, &[&["--out"]])?;
-    let out: String = opt(args, "--out")?.ok_or("missing --out FILE")?;
-    let mut parts: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--out" {
-            i += 2;
-        } else {
-            parts.push(&args[i]);
-            i += 1;
-        }
-    }
+pub fn shard_merge(args: &Args) -> Result<(), String> {
+    let out: String = args.get("--out")?.ok_or("missing --out FILE")?;
+    let parts = &args.parts;
     if parts.is_empty() {
         return Err("merge needs at least one shard artifact".into());
     }
     let sets = parts
         .iter()
-        .map(|p| TileSet::load(Path::new(p.as_str())).map_err(|e| format!("{p}: {e}")))
+        .map(|p| TileSet::load(Path::new(p)).map_err(|e| format!("{p}: {e}")))
         .collect::<Result<Vec<_>, _>>()?;
     let merged = TileSet::merge(sets).map_err(|e| e.to_string())?;
     let matrix = merged.to_matrix().map_err(|e| e.to_string())?;
@@ -646,15 +561,15 @@ fn parse_shard_spec(spec: &str) -> Result<(usize, usize), String> {
     Ok((index, count))
 }
 
+pub(crate) const PREDICT: &str = "predict --data FILE [--targets K] [--candidates C] [--seed S]";
+
 /// `snd predict`: hide random active users in the final state and recover
 /// their opinions with SND.
-pub fn predict(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[&str] = &["--data", "--targets", "--candidates", "--seed"];
-    known_flags("predict", args, &[FLAGS])?;
-    let path: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
-    let n_targets = opt(args, "--targets")?.unwrap_or(20usize);
-    let candidates = opt(args, "--candidates")?.unwrap_or(100usize);
-    let seed = opt(args, "--seed")?.unwrap_or(5u64);
+pub fn predict(args: &Args) -> Result<(), String> {
+    let path: String = args.get("--data")?.ok_or("missing --data FILE")?;
+    let n_targets = args.get("--targets")?.unwrap_or(20usize);
+    let candidates = args.get("--candidates")?.unwrap_or(100usize);
+    let seed = args.get("--seed")?.unwrap_or(5u64);
     let dataset = Dataset::load(&path)?;
     let graph = dataset.graph();
     let states = dataset.network_states();
@@ -712,37 +627,30 @@ pub fn predict(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub(crate) const INTERVENE: &str = "intervene --scenario NAME [--budget K] [--beam B] [--nodes N] \
+     [--steps T] [--rollouts R] [--horizon H] [--seed S]";
+
 /// `snd intervene`: plan a budget of network edits (edge edits, stubborn
 /// placements) minimizing expected delta-SND drift on a registry scenario.
-pub fn intervene(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[&str] = &[
-        "--scenario",
-        "--nodes",
-        "--steps",
-        "--seed",
-        "--budget",
-        "--beam",
-        "--rollouts",
-        "--horizon",
-    ];
-    known_flags("intervene", args, &[FLAGS])?;
-    let name: String =
-        opt(args, "--scenario")?.ok_or("missing --scenario NAME (see snd simulate --list)")?;
+pub fn intervene(args: &Args) -> Result<(), String> {
+    let name: String = args
+        .get("--scenario")?
+        .ok_or("missing --scenario NAME (see snd simulate --list)")?;
     let mut scenario = find_scenario(&name)
         .ok_or_else(|| format!("unknown scenario '{name}' (see snd simulate --list)"))?;
-    if let Some(nodes) = opt(args, "--nodes")? {
+    if let Some(nodes) = args.get("--nodes")? {
         scenario.nodes = nodes;
     }
-    if let Some(steps) = opt(args, "--steps")? {
+    if let Some(steps) = args.get("--steps")? {
         scenario.steps = steps;
     }
-    let seed = opt(args, "--seed")?.unwrap_or(7u64);
+    let seed = args.get("--seed")?.unwrap_or(7u64);
     let defaults = InterventionConfig::default();
     let cfg = InterventionConfig {
-        budget: opt(args, "--budget")?.unwrap_or(defaults.budget),
-        beam: opt(args, "--beam")?.unwrap_or(defaults.beam),
-        rollouts: opt(args, "--rollouts")?.unwrap_or(defaults.rollouts),
-        horizon: opt(args, "--horizon")?.unwrap_or(defaults.horizon),
+        budget: args.get("--budget")?.unwrap_or(defaults.budget),
+        beam: args.get("--beam")?.unwrap_or(defaults.beam),
+        rollouts: args.get("--rollouts")?.unwrap_or(defaults.rollouts),
+        horizon: args.get("--horizon")?.unwrap_or(defaults.horizon),
         seed,
         ..defaults
     };
@@ -800,18 +708,14 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn opt_distinguishes_absent_valid_and_malformed_values() {
-        let args = argv(&["--nodes", "300", "--p-nbr", "0.25", "--steps"]);
-        assert_eq!(opt::<usize>(&args, "--nodes"), Ok(Some(300)));
-        assert_eq!(opt::<f64>(&args, "--p-nbr"), Ok(Some(0.25)));
-        assert_eq!(opt::<usize>(&args, "--seeds"), Ok(None));
-        assert!(opt::<usize>(&args, "--steps")
-            .unwrap_err()
-            .contains("--steps"));
-        assert!(opt::<u64>(&args, "--p-nbr")
-            .unwrap_err()
-            .contains("--p-nbr"));
+    /// `approx_config` over `snd distance` flags.
+    fn approx(parts: &[&str]) -> Result<Option<ApproxConfig>, String> {
+        approx_config(&Args::parse(DISTANCE, &argv(parts))?)
+    }
+
+    /// `engine_config` over `snd distance` flags.
+    fn config(parts: &[&str], g: &snd_graph::CsrGraph) -> Result<SndConfig, String> {
+        engine_config(&Args::parse(DISTANCE, &argv(parts))?, g, None)
     }
 
     /// Every numeric flag of the dataset commands: a malformed or missing
@@ -820,35 +724,32 @@ mod tests {
     /// default.
     #[test]
     fn malformed_numeric_flags_are_errors_naming_the_flag() {
-        type Command = fn(&[String]) -> Result<(), String>;
         let scenario = registry()[0].name;
         let out = std::env::temp_dir().join(format!("snd_cli_flags_{}.json", std::process::id()));
         let out = out.to_str().expect("utf-8 temp dir");
         let data = "no-such-dir/no-such-dataset.json";
-        let cases: [(Command, String, &str); 7] = [
+        let cases: [(String, &str); 7] = [
             (
-                generate,
-                format!("--out {out}"),
+                format!("generate --out {out}"),
                 "--seed --nodes --steps --p-nbr --p-ext --p-nbr-anomalous --p-ext-anomalous --seeds",
             ),
-            (generate, format!("--twitter --out {out}"), "--seed --nodes --avg-degree"),
-            (simulate, format!("--scenario {scenario} --out {out}"), "--nodes --steps --seed"),
-            (distance, format!("--data {data}"), "--t1 --t2"),
-            (anomaly, format!("--data {data}"), "--top"),
-            (predict, format!("--data {data}"), "--targets --candidates --seed"),
+            (format!("generate --twitter --out {out}"), "--seed --nodes --avg-degree"),
+            (format!("simulate --scenario {scenario} --out {out}"), "--nodes --steps --seed"),
+            (format!("distance --data {data}"), "--t1 --t2"),
+            (format!("anomaly --data {data}"), "--top"),
+            (format!("predict --data {data}"), "--targets --candidates --seed"),
             (
-                intervene,
-                format!("--scenario {scenario}"),
+                format!("intervene --scenario {scenario}"),
                 "--nodes --steps --seed --budget --beam --rollouts --horizon",
             ),
         ];
-        for (command, base, flags) in &cases {
+        for (base, flags) in &cases {
             for name in flags.split_whitespace() {
                 for bad in [Some("abc"), Some("x2"), Some("1.5e"), Some(""), None] {
                     let mut args: Vec<String> = base.split_whitespace().map(String::from).collect();
                     args.push(name.to_string());
                     args.extend(bad.map(String::from));
-                    let err = command(&args).expect_err("malformed value must be rejected");
+                    let err = crate::run(&args).expect_err("malformed value must be rejected");
                     assert!(err.contains(name), "{args:?}: {err}");
                 }
             }
@@ -858,16 +759,20 @@ mod tests {
         // A flag the command does not take is an error naming it and the
         // command, before any work: `--cluster` would otherwise price
         // per-bin banks while the user asked for clusters, and `--aprox`
-        // would run exact.
-        let unknown: [(Command, String, &str); 4] = [
-            (distance, format!("--data {data} --cluster 2"), "--cluster"),
-            (distance, format!("--data {data} --aprox"), "--aprox"),
-            (anomaly, format!("--data {data} --series"), "--series"),
-            (predict, format!("--data {data} --approx"), "--approx"),
+        // would run exact. So is a stray argument, a repeated flag and a
+        // switch given a value, which would otherwise run on as if unsaid.
+        let unknown: [(String, &str); 7] = [
+            (format!("distance --data {data} --cluster 2"), "'--cluster'"),
+            (format!("distance --data {data} --aprox"), "'--aprox'"),
+            (format!("anomaly --data {data} --series"), "'--series'"),
+            (format!("predict --data {data} --approx"), "'--approx'"),
+            (format!("distance --data {data} --t1 0 3"), "'3'"),
+            (format!("distance --data {data} --t2 1 --t2 3"), "'--t2'"),
+            (format!("distance --data {data} --series yes"), "'yes'"),
         ];
-        for (command, args, name) in &unknown {
+        for (args, name) in &unknown {
             let args: Vec<String> = args.split_whitespace().map(String::from).collect();
-            let err = command(&args).expect_err("unknown flag must be rejected");
+            let err = crate::run(&args).expect_err("unknown flag must be rejected");
             assert!(
                 err.contains(name) && err.contains("snd "),
                 "{args:?}: {err}"
@@ -877,11 +782,11 @@ mod tests {
 
     #[test]
     fn approx_flags_parse_and_validate() {
-        assert_eq!(approx_config(&argv(&[])).unwrap(), None);
-        let a = approx_config(&argv(&["--approx"])).unwrap().unwrap();
+        assert_eq!(approx(&[]).unwrap(), None);
+        let a = approx(&["--approx"]).unwrap().unwrap();
         assert_eq!(a.epsilon, ApproxConfig::default().epsilon);
         assert_eq!(a.min_nodes, 0, "explicit --approx forces the sketch tier");
-        let a = approx_config(&argv(&[
+        let a = approx(&[
             "--approx",
             "--epsilon",
             "0.1",
@@ -889,14 +794,14 @@ mod tests {
             "4",
             "--budget",
             "9",
-        ]))
+        ])
         .unwrap()
         .unwrap();
         assert_eq!(a.epsilon, 0.1);
         assert_eq!(a.max_landmarks, 4);
         assert_eq!(a.budget, 9);
         // ε = 0 is legal: refine to exact.
-        assert!(approx_config(&argv(&["--approx", "--epsilon", "0"])).is_ok());
+        assert!(approx(&["--approx", "--epsilon", "0"]).is_ok());
     }
 
     /// Fuzz the approximate-tier flag parser the way `dataset.rs` fuzzes
@@ -928,25 +833,10 @@ mod tests {
             &["--budget", "2"],                   // --budget without --approx
         ];
         for case in bad {
-            let args = argv(case);
-            let err = approx_config(&args);
+            let err = approx(case);
             assert!(err.is_err(), "{case:?} must be rejected, got {err:?}");
             // The error is printable and self-descriptive.
             assert!(!err.unwrap_err().is_empty());
-        }
-        // Every prefix truncation of a valid invocation either parses or
-        // errors cleanly — no index panics on dangling flags.
-        let full = argv(&[
-            "--approx",
-            "--epsilon",
-            "0.05",
-            "--landmarks",
-            "8",
-            "--budget",
-            "3",
-        ]);
-        for len in 0..=full.len() {
-            let _ = approx_config(&full[..len]);
         }
     }
 
@@ -982,17 +872,17 @@ mod tests {
     fn approx_rejects_cluster_bank_modes() {
         let g = snd_graph::generators::path_graph(6);
         // --clusters alone is fine (cluster-bank exact mode)...
-        let ok = engine_config(&argv(&["--clusters", "2"]), &g, None).unwrap();
+        let ok = config(&["--clusters", "2"], &g).unwrap();
         assert!(matches!(
             ok.clusters,
             ClusterSpec::BfsPartition { clusters: 2 }
         ));
         // ...but combining it with --approx is a structured error.
-        let err = engine_config(&argv(&["--approx", "--clusters", "2"]), &g, None).unwrap_err();
+        let err = config(&["--approx", "--clusters", "2"], &g).unwrap_err();
         assert!(err.contains("per-bin"), "{err}");
         // Malformed cluster counts error out too.
-        assert!(engine_config(&argv(&["--clusters", "0"]), &g, None).is_err());
-        assert!(engine_config(&argv(&["--clusters", "two"]), &g, None).is_err());
-        assert!(engine_config(&argv(&["--clusters"]), &g, None).is_err());
+        assert!(config(&["--clusters", "0"], &g).is_err());
+        assert!(config(&["--clusters", "two"], &g).is_err());
+        assert!(config(&["--clusters"], &g).is_err());
     }
 }

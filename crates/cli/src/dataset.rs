@@ -186,6 +186,9 @@ impl Dataset {
         p.end()?;
 
         let nodes = nodes.ok_or("missing field \"nodes\"")?;
+        if nodes >= u32::MAX as usize {
+            return Err(format!("node count {nodes} exceeds the u32 node-id range"));
+        }
         for &(u, v) in &edges {
             if u as usize >= nodes || v as usize >= nodes {
                 return Err(format!("edge ({u}, {v}) out of range for {nodes} nodes"));
@@ -195,6 +198,11 @@ impl Dataset {
             if s.len() != nodes {
                 return Err(format!("state of length {} for {nodes} nodes", s.len()));
             }
+        }
+        // Each state holds `nodes` entries, so the graph built from
+        // `nodes` stays bounded by the input's size.
+        if states.is_empty() {
+            return Err("no states (a dataset needs at least one)".into());
         }
         Ok(Dataset {
             nodes,
@@ -436,7 +444,7 @@ mod tests {
         let back = Dataset::from_json(&d.to_json()).unwrap();
         assert_eq!(back.model, d.model);
         let exp = Dataset::from_json(
-            r#"{"nodes":1,"model":{"family":"icc","params":{"eps":1e-6,"big":2.5E+2}}}"#,
+            r#"{"nodes":1,"states":[[0]],"model":{"family":"icc","params":{"eps":1e-6,"big":2.5E+2}}}"#,
         )
         .unwrap();
         let m = exp.model.unwrap();
@@ -468,6 +476,10 @@ mod tests {
         assert!(Dataset::from_json(r#"{"nodes":2,"edges":[[0,5]]}"#).is_err());
         assert!(Dataset::from_json(r#"{"nodes":2,"states":[[1]]}"#).is_err());
         assert!(Dataset::from_json(r#"{"mystery":1}"#).is_err());
+        let err = Dataset::from_json(r#"{"nodes":4294967295,"edges":[],"states":[]}"#).unwrap_err();
+        assert!(err.contains("u32"), "{err}");
+        let err = Dataset::from_json(r#"{"nodes":2,"edges":[],"states":[]}"#).unwrap_err();
+        assert!(err.contains("no states"), "{err}");
     }
 
     #[test]
@@ -491,6 +503,14 @@ mod tests {
                 r#"{"nodes":99999999999999999999999}"#,
             ),
             ("non-integer nodes", r#"{"nodes":"two"}"#),
+            (
+                "node count past the u32 id range",
+                r#"{"nodes":4294967295,"edges":[],"states":[]}"#,
+            ),
+            (
+                "huge node count without states",
+                r#"{"nodes":2000000000,"edges":[],"states":[]}"#,
+            ),
             ("opinion out of range", r#"{"nodes":1,"states":[[7]]}"#),
             ("opinion overflows i8", r#"{"nodes":1,"states":[[400]]}"#),
             ("bad boolean literal", r#"{"nodes":1,"labels":[maybe]}"#),

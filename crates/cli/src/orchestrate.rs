@@ -16,10 +16,15 @@ use snd_orchestrate::{
     orchestrate_tile, report_line, run_worker, Coordinator, CoordinatorOpts, Endpoint, WorkerOpts,
 };
 
-use crate::commands::{
-    engine_config, flag, known_flags, opt, opt_raw, write_matrix_json, TIER_FLAGS,
-};
+use crate::args::Args;
+use crate::commands::{engine_config, write_matrix_json};
 use crate::dataset::Dataset;
+
+pub(crate) const ORCHESTRATE: &str = "orchestrate --data FILE --checkpoint FILE [--workers N] \
+     [--listen ADDR] [--tile T] [--lease-timeout S] [--target-lease S] [--out FILE] [TIER]";
+
+pub(crate) const WORK: &str =
+    "work --data FILE --addr ADDR [--connect-retry S] [--read-timeout S] [TIER]";
 
 /// Validated `snd orchestrate` flags.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,56 +55,35 @@ pub(crate) struct WorkFlags {
     pub throttle: f64,
 }
 
-/// Parses a `--flag SECONDS` duration: explicit, finite, non-negative —
-/// a malformed value is a structured error, never a silent default.
-fn seconds_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
-    let secs = opt(args, name)?.unwrap_or(default);
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(format!(
-            "bad {name} '{secs}' (want seconds, a finite number >= 0)"
-        ));
-    }
-    Ok(secs)
-}
-
 /// Validates `snd orchestrate` arguments (the tier flags — `--ground`,
 /// `--approx`, … — are validated separately by [`engine_config`] once the
 /// dataset is loaded).
-pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, String> {
-    const FLAGS: &[&str] = &[
-        "--data",
-        "--checkpoint",
-        "--listen",
-        "--workers",
-        "--tile",
-        "--lease-timeout",
-        "--target-lease",
-        "--out",
-    ];
-    known_flags("orchestrate", args, &[FLAGS, TIER_FLAGS])?;
-    let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
-    let checkpoint: String = opt(args, "--checkpoint")?.ok_or("missing --checkpoint FILE")?;
-    let listen: Option<String> = opt(args, "--listen")?;
+pub(crate) fn orchestrate_flags(args: &Args) -> Result<OrchestrateFlags, String> {
+    let data: String = args.get("--data")?.ok_or("missing --data FILE")?;
+    let checkpoint: String = args
+        .get("--checkpoint")?
+        .ok_or("missing --checkpoint FILE")?;
+    let listen: Option<String> = args.get("--listen")?;
     if let Some(addr) = &listen {
         // Fail on a bad address before touching the dataset.
         Endpoint::parse(addr).map_err(|e| e.to_string())?;
     }
-    let workers = opt(args, "--workers")?.unwrap_or(0usize);
+    let workers = args.get("--workers")?.unwrap_or(0usize);
     if listen.is_none() && workers == 0 {
         return Err(
             "need --workers N (local fleet) and/or --listen ADDR (external workers)".into(),
         );
     }
-    let tile: Option<usize> = opt(args, "--tile")?;
+    let tile: Option<usize> = args.get("--tile")?;
     if tile == Some(0) {
         return Err("--tile must be at least 1".into());
     }
-    let lease_timeout = seconds_flag(args, "--lease-timeout", 30.0)?;
-    let target_lease = seconds_flag(args, "--target-lease", 2.0)?;
+    let lease_timeout = args.seconds_flag("--lease-timeout", 30.0)?;
+    let target_lease = args.seconds_flag("--target-lease", 2.0)?;
     if target_lease <= 0.0 {
         return Err("--target-lease must be positive".into());
     }
-    let out: Option<String> = opt(args, "--out")?;
+    let out: Option<String> = args.get("--out")?;
     Ok(OrchestrateFlags {
         data,
         checkpoint,
@@ -113,12 +97,11 @@ pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, Str
 }
 
 /// Validates `snd work` arguments.
-pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
-    const FLAGS: &[&str] = &["--data", "--addr", "--connect-retry", "--read-timeout"];
-    known_flags("work", args, &[FLAGS, TIER_FLAGS])?;
-    let data: String = opt(args, "--data")?.ok_or("missing --data FILE")?;
-    let addr: String =
-        opt(args, "--addr")?.ok_or("missing --addr ADDR (the coordinator's address)")?;
+pub(crate) fn work_flags(args: &Args) -> Result<WorkFlags, String> {
+    let data: String = args.get("--data")?.ok_or("missing --data FILE")?;
+    let addr: String = args
+        .get("--addr")?
+        .ok_or("missing --addr ADDR (the coordinator's address)")?;
     Endpoint::parse(&addr).map_err(|e| e.to_string())?;
     let throttle = match std::env::var("SND_WORK_THROTTLE_MS") {
         Ok(raw) => {
@@ -132,32 +115,14 @@ pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
     Ok(WorkFlags {
         data,
         addr,
-        connect_retry: seconds_flag(args, "--connect-retry", 10.0)?,
-        read_timeout: seconds_flag(args, "--read-timeout", 120.0)?,
+        connect_retry: args.seconds_flag("--connect-retry", 10.0)?,
+        read_timeout: args.seconds_flag("--read-timeout", 120.0)?,
         throttle,
     })
 }
 
-/// The tier flags a coordinator forwards verbatim to the workers it
-/// spawns — both sides must build the same engine config or the
-/// fingerprint handshake refuses the pairing.
-fn forwarded_tier_flags(args: &[String]) -> Vec<String> {
-    let mut fwd = Vec::new();
-    for &name in TIER_FLAGS {
-        if name == "--approx" {
-            if flag(args, name) {
-                fwd.push(name.to_string());
-            }
-        } else if let Some(v) = opt_raw(args, name) {
-            fwd.push(name.to_string());
-            fwd.push(v.to_string());
-        }
-    }
-    fwd
-}
-
 /// `snd orchestrate`: coordinate a distributed all-pairs run.
-pub fn orchestrate(args: &[String]) -> Result<(), String> {
+pub fn orchestrate(args: &Args) -> Result<(), String> {
     let flags = orchestrate_flags(args)?;
     let dataset = Dataset::load(&flags.data)?;
     let graph = dataset.graph();
@@ -256,10 +221,10 @@ pub fn orchestrate(args: &[String]) -> Result<(), String> {
 
 /// Spawns the `--workers N` local fleet: child `snd work` processes
 /// against this coordinator, tier flags forwarded so their fingerprints
-/// match.
+/// match (the handshake refuses a worker built under another config).
 fn spawn_local_workers(
     flags: &OrchestrateFlags,
-    args: &[String],
+    args: &Args,
     addr: &str,
 ) -> Result<Vec<Child>, String> {
     let mut children = Vec::new();
@@ -267,7 +232,7 @@ fn spawn_local_workers(
         return Ok(children);
     }
     let exe = std::env::current_exe().map_err(|e| format!("locating snd binary: {e}"))?;
-    let fwd = forwarded_tier_flags(args);
+    let fwd = args.tier_argv();
     for _ in 0..flags.workers {
         let mut cmd = Command::new(&exe);
         cmd.arg("work")
@@ -305,7 +270,7 @@ fn reap(children: &mut Vec<Child>) -> Result<(), String> {
 }
 
 /// `snd work`: one worker process against a coordinator.
-pub fn work(args: &[String]) -> Result<(), String> {
+pub fn work(args: &Args) -> Result<(), String> {
     let flags = work_flags(args)?;
     let dataset = Dataset::load(&flags.data)?;
     let graph = dataset.graph();
@@ -340,6 +305,14 @@ mod tests {
         line.split_whitespace().map(str::to_string).collect()
     }
 
+    fn orch(line: &str) -> Result<OrchestrateFlags, String> {
+        orchestrate_flags(&Args::parse(ORCHESTRATE, &words(line))?)
+    }
+
+    fn work(line: &str) -> Result<WorkFlags, String> {
+        work_flags(&Args::parse(WORK, &words(line))?)
+    }
+
     const FULL_ORCH: &str = "--data data.json --checkpoint run.snd --listen 127.0.0.1:7070 \
         --workers 2 --tile 4 --lease-timeout 15 --target-lease 1.5 --out matrix.json";
 
@@ -348,7 +321,7 @@ mod tests {
 
     #[test]
     fn orchestrate_flags_parse_the_full_invocation() {
-        let f = orchestrate_flags(&words(FULL_ORCH)).unwrap();
+        let f = orch(FULL_ORCH).unwrap();
         assert_eq!(
             f,
             OrchestrateFlags {
@@ -363,21 +336,19 @@ mod tests {
             }
         );
         // A local-fleet run needs no --listen: a private socket is used.
-        let f = orchestrate_flags(&words("--data d.json --checkpoint c.snd --workers 1")).unwrap();
+        let f = orch("--data d.json --checkpoint c.snd --workers 1").unwrap();
         assert_eq!(f.listen, None);
         assert_eq!(f.workers, 1);
         assert_eq!(f.lease_timeout, 30.0);
         // The benchmark's fleet invocation: sub-millisecond target lease.
-        let f = orchestrate_flags(&words(
-            "--data d.json --checkpoint c.snd --workers 2 --tile 2 --target-lease 0.001",
-        ))
-        .unwrap();
+        let f = orch("--data d.json --checkpoint c.snd --workers 2 --tile 2 --target-lease 0.001")
+            .unwrap();
         assert_eq!((f.workers, f.tile, f.target_lease), (2, Some(2), 0.001));
     }
 
     #[test]
     fn work_flags_parse_the_full_invocation() {
-        let f = work_flags(&words(FULL_WORK)).unwrap();
+        let f = work(FULL_WORK).unwrap();
         assert_eq!(f.data, "data.json");
         assert_eq!(f.addr, "127.0.0.1:7070");
         assert_eq!(f.connect_retry, 3.0);
@@ -416,15 +387,9 @@ mod tests {
             format!("{BASE} --workers 1 --no-overlap"), // removed flag
         ];
         for case in &bad {
-            let err = orchestrate_flags(&words(case));
+            let err = orch(case);
             assert!(err.is_err(), "{case:?} must be rejected, got {err:?}");
             assert!(!err.unwrap_err().is_empty());
-        }
-        // Every prefix truncation of the full valid invocation either
-        // parses or errors cleanly — no index panics on dangling flags.
-        let full = words(FULL_ORCH);
-        for len in 0..=full.len() {
-            let _ = orchestrate_flags(&full[..len]);
         }
     }
 
@@ -447,16 +412,12 @@ mod tests {
             format!("{BASE} --no-overlap"), // removed flag
         ];
         for case in &bad {
-            let err = work_flags(&words(case));
+            let err = work(case);
             assert!(err.is_err(), "{case:?} must be rejected, got {err:?}");
             assert!(!err.unwrap_err().is_empty());
         }
-        let full = words(FULL_WORK);
-        for len in 0..=full.len() {
-            let _ = work_flags(&full[..len]);
-        }
         // A Unix socket path is a valid --addr too.
-        let f = work_flags(&words("--data d.json --addr /tmp/coord.sock")).unwrap();
+        let f = work("--data d.json --addr /tmp/coord.sock").unwrap();
         assert_eq!(f.addr, "/tmp/coord.sock");
     }
 
@@ -466,12 +427,13 @@ mod tests {
             "--data d.json --checkpoint c.snd --workers 2 --approx --epsilon 0.05 --landmarks 8 \
              --ground icc",
         );
-        let fwd = forwarded_tier_flags(&args);
+        let fwd = Args::parse(ORCHESTRATE, &args).unwrap().tier_argv();
         assert_eq!(
             fwd,
             words("--ground icc --epsilon 0.05 --landmarks 8 --approx")
         );
         // No tier flags, nothing forwarded.
-        assert!(forwarded_tier_flags(&words("--data d.json")).is_empty());
+        let args = Args::parse(ORCHESTRATE, &words("--data d.json")).unwrap();
+        assert!(args.tier_argv().is_empty());
     }
 }

@@ -296,7 +296,6 @@ pub(crate) fn unsupported_bank_mode(config: &SndConfig) -> Option<String> {
     match config.clusters {
         ClusterSpec::PerBin => None,
         ClusterSpec::BfsPartition { .. } => Some("BfsPartition".into()),
-        ClusterSpec::LabelPropagation { .. } => Some("LabelPropagation".into()),
         ClusterSpec::Explicit(_) => Some("Explicit".into()),
         ClusterSpec::Single => Some("Single".into()),
     }

@@ -26,13 +26,6 @@ pub enum ClusterSpec {
         /// Number of clusters.
         clusters: usize,
     },
-    /// Label-propagation communities (natural but unbounded in count).
-    LabelPropagation {
-        /// Sweep budget.
-        max_sweeps: usize,
-        /// RNG seed for the sweep order.
-        seed: u64,
-    },
     /// Explicit cluster labels per node.
     Explicit(Vec<u32>),
     /// A single cluster (degenerates EMD\* to EMDα).

@@ -18,7 +18,7 @@ use crate::config::SndConfig;
 
 /// Materializes the full `n × n` ground distance matrix with one SSSP per
 /// node; unreachable pairs get the geometry's finite sentinel.
-pub fn full_ground_matrix(g: &CsrGraph, geom: &GroundGeometry) -> DenseCost {
+fn full_ground_matrix(g: &CsrGraph, geom: &GroundGeometry) -> DenseCost {
     let n = g.node_count();
     let mut data = Vec::with_capacity(n * n);
     for u in 0..n as NodeId {
@@ -30,7 +30,7 @@ pub fn full_ground_matrix(g: &CsrGraph, geom: &GroundGeometry) -> DenseCost {
 
 /// Converts the engine's clustering + geometry into the explicit
 /// [`StarGeometry`] consumed by `snd-emd`'s dense EMD\*.
-pub fn star_geometry(clustering: &Clustering, geom: &GroundGeometry) -> StarGeometry {
+fn star_geometry(clustering: &Clustering, geom: &GroundGeometry) -> StarGeometry {
     StarGeometry {
         labels: clustering.labels.clone(),
         cluster_count: clustering.cluster_count(),

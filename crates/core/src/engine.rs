@@ -35,7 +35,7 @@
 
 use std::sync::OnceLock;
 
-use snd_graph::{bfs_partition, label_propagation, whole_graph_cluster, Clustering, CsrGraph};
+use snd_graph::{bfs_partition, whole_graph_cluster, Clustering, CsrGraph};
 use snd_models::{NetworkState, Opinion, StateDelta};
 
 use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval, TermOutcome};
@@ -245,11 +245,6 @@ impl<'g> SndEngine<'g> {
             // straight from SSSP rows); keep a trivial one as a placeholder.
             ClusterSpec::PerBin => whole_graph_cluster(graph.node_count()),
             ClusterSpec::BfsPartition { clusters } => bfs_partition(graph, *clusters),
-            ClusterSpec::LabelPropagation { max_sweeps, seed } => {
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(*seed);
-                label_propagation(graph, *max_sweeps, &mut rng)
-            }
             ClusterSpec::Explicit(labels) => {
                 assert_eq!(labels.len(), graph.node_count(), "labels per node");
                 Clustering::from_labels(labels)

@@ -45,8 +45,8 @@
 //! settled — and identical
 //! consecutive states short-circuit to zero. The all-pairs matrix and
 //! every tile plan, the checkpoint-backed series path
-//! ([`SndEngine::series_tiles_checkpointed`], surfaced as
-//! `snd_analysis::resume::series_distances_checkpointed`) included,
+//! (`snd_analysis::resume::series_distances_checkpointed`, the
+//! superdiagonal plan) included,
 //! advance the same repairable bundles along the snapshot order and
 //! price through one tile loop.
 //!

@@ -22,8 +22,8 @@
 //! ([`SndEngine::pairwise_tiles_checkpointed`]). Bundles come from one
 //! snapshot-ordered materializer: each is the previous one advanced
 //! through their delta where the plan walks forward, and built fresh
-//! where it jumps. The series entry point
-//! ([`SndEngine::series_tiles_checkpointed`]) is the superdiagonal plan.
+//! where it jumps. A checkpointed series is the superdiagonal plan
+//! ([`ShardPlan::superdiagonal`]).
 //! A caller that computes one plan after another (an orchestrated worker,
 //! lease after lease) keeps a [`TileWorkspace`]: the final tile's bundles
 //! and the chain head survive into the next call
@@ -355,7 +355,7 @@ impl TileGrid {
 
     /// IDs of the tiles containing the superdiagonal pairs `(t−1, t)` —
     /// the tiles a series workload needs.
-    pub fn superdiagonal_tiles(&self) -> Vec<usize> {
+    fn superdiagonal_tiles(&self) -> Vec<usize> {
         let nb = self.blocks();
         let mut ids = Vec::new();
         for b in 0..nb {
@@ -1350,24 +1350,6 @@ impl<'g> SndEngine<'g> {
             mark = std::time::Instant::now();
         }
         Ok(())
-    }
-
-    /// Checkpoint-backed **series** run: computes (or resumes) exactly the
-    /// superdiagonal tiles, as
-    /// [`pairwise_tiles_checkpointed`](Self::pairwise_tiles_checkpointed)
-    /// over [`ShardPlan::superdiagonal`]. The plan walks the states in
-    /// order, so every bundle but the first is the previous one advanced
-    /// through their [`StateDelta`](snd_models::StateDelta). Checkpoints
-    /// written by either entry point resume under the other, and a later
-    /// full-matrix run reuses the series tiles.
-    pub fn series_tiles_checkpointed(
-        &self,
-        states: &[NetworkState],
-        tile: usize,
-        path: &Path,
-    ) -> Result<ShardRun, ShardError> {
-        let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
-        self.pairwise_tiles_checkpointed(states, &plan, path)
     }
 }
 

@@ -95,7 +95,7 @@ impl Default for TwitterSimConfig {
 
 /// The default event timeline, mirroring the Fig. 9 annotations
 /// (quarters run May'08 … Aug'11).
-pub fn default_timeline() -> Vec<Event> {
+fn default_timeline() -> Vec<Event> {
     vec![
         Event {
             quarter: 1,

@@ -67,11 +67,6 @@ impl Histogram {
         &self.masses
     }
 
-    /// Mutable raw masses.
-    pub fn masses_mut(&mut self) -> &mut [Mass] {
-        &mut self.masses
-    }
-
     /// Integer mass of bin `i`.
     #[inline]
     pub fn mass(&self, i: usize) -> Mass {
@@ -81,11 +76,6 @@ impl Histogram {
     /// Total integer mass.
     pub fn total(&self) -> Mass {
         self.masses.iter().sum()
-    }
-
-    /// Total mass in real units.
-    pub fn total_f64(&self) -> f64 {
-        self.total() as f64 / self.scale as f64
     }
 
     /// Real-valued mass of bin `i`.
@@ -127,7 +117,7 @@ mod tests {
         assert_eq!(h.mass(0), DEFAULT_SCALE);
         assert_eq!(h.mass(1), DEFAULT_SCALE / 2);
         assert_eq!(h.mass(2), 0);
-        assert!((h.total_f64() - 1.5).abs() < 1e-9);
+        assert_eq!(h.total(), DEFAULT_SCALE + DEFAULT_SCALE / 2);
         assert!((h.value(1) - 0.5).abs() < 1e-9);
     }
 

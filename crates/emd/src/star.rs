@@ -57,13 +57,13 @@ impl StarGeometry {
     }
 
     /// Total number of bank bins.
-    pub fn bank_count(&self) -> usize {
+    fn bank_count(&self) -> usize {
         self.cluster_count * self.banks_per_cluster()
     }
 
     /// Flat index of bank `b` of cluster `c` among all banks.
     #[inline]
-    pub fn bank_index(&self, c: usize, b: usize) -> usize {
+    fn bank_index(&self, c: usize, b: usize) -> usize {
         c * self.banks_per_cluster() + b
     }
 
@@ -74,7 +74,7 @@ impl StarGeometry {
     /// exactly; on directed (semimetric) grounds the two directions use the
     /// corresponding directed inter-cluster distances.
     #[inline]
-    pub fn bin_to_bank(&self, i: usize, c: usize, b: usize) -> u32 {
+    fn bin_to_bank(&self, i: usize, c: usize, b: usize) -> u32 {
         let ci = self.labels[i] as usize;
         self.gammas[c][b].saturating_add(self.inter_cluster.at(ci, c))
     }
@@ -82,14 +82,14 @@ impl StarGeometry {
     /// Ground distance from bank `(c, b)` to regular bin `i`:
     /// `γ_c[b] + d(c, cluster(i))`.
     #[inline]
-    pub fn bank_to_bin(&self, c: usize, b: usize, i: usize) -> u32 {
+    fn bank_to_bin(&self, c: usize, b: usize, i: usize) -> u32 {
         let ci = self.labels[i] as usize;
         self.gammas[c][b].saturating_add(self.inter_cluster.at(c, ci))
     }
 
     /// Ground distance between banks `(c, b)` and `(c2, b2)`.
     #[inline]
-    pub fn bank_to_bank(&self, c: usize, b: usize, c2: usize, b2: usize) -> u32 {
+    fn bank_to_bank(&self, c: usize, b: usize, c2: usize, b2: usize) -> u32 {
         if c == c2 && b == b2 {
             0
         } else {

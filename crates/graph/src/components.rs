@@ -7,7 +7,6 @@ use crate::csr::{CsrGraph, NodeId};
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -16,7 +15,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
-            sets: n,
         }
     }
 
@@ -44,13 +42,7 @@ impl UnionFind {
         if self.rank[hi as usize] == self.rank[lo as usize] {
             self.rank[hi as usize] += 1;
         }
-        self.sets -= 1;
         true
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn set_count(&self) -> usize {
-        self.sets
     }
 
     /// True if `a` and `b` are in the same set.
@@ -138,11 +130,9 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
-        assert_eq!(uf.set_count(), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
     }

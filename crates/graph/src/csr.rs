@@ -188,46 +188,6 @@ impl CsrGraph {
     }
 }
 
-/// Convenience builder that accumulates edges and can symmetrize them.
-#[derive(Default, Clone, Debug)]
-pub struct GraphBuilder {
-    n: usize,
-    edges: Vec<(NodeId, NodeId)>,
-}
-
-impl GraphBuilder {
-    /// Creates a builder for a graph with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        GraphBuilder {
-            n,
-            edges: Vec::new(),
-        }
-    }
-
-    /// Adds a directed edge.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> &mut Self {
-        self.edges.push((u, v));
-        self
-    }
-
-    /// Adds the reverse of every edge currently present.
-    pub fn symmetrize(&mut self) -> &mut Self {
-        let rev: Vec<(NodeId, NodeId)> = self.edges.iter().map(|&(u, v)| (v, u)).collect();
-        self.edges.extend(rev);
-        self
-    }
-
-    /// Number of edges accumulated so far (before deduplication).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Finalizes the graph.
-    pub fn build(&self) -> CsrGraph {
-        CsrGraph::from_edges(self.n, &self.edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,16 +257,6 @@ mod tests {
         assert!(r.has_edge(1, 0));
         assert!(r.has_edge(3, 2));
         assert!(!r.has_edge(0, 1));
-    }
-
-    #[test]
-    fn builder_symmetrize() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).add_edge(1, 2).symmetrize();
-        let g = b.build();
-        assert!(g.has_edge(1, 0));
-        assert!(g.has_edge(2, 1));
-        assert_eq!(g.edge_count(), 4);
     }
 
     #[test]

@@ -141,27 +141,6 @@ pub fn erdos_renyi_gnp<R: Rng>(n: usize, p: f64, bidirectional: bool, rng: &mut 
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct undirected ties, both arcs
-/// emitted.
-pub fn erdos_renyi_gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
-    let mut edges = Vec::with_capacity(2 * m);
-    let mut seen = std::collections::HashSet::with_capacity(m);
-    let mut guard = 0usize;
-    while seen.len() < m && guard < 100 * m + 1000 {
-        let u = rng.gen_range(0..n as NodeId);
-        let v = rng.gen_range(0..n as NodeId);
-        if u != v {
-            let key = if u < v { (u, v) } else { (v, u) };
-            if seen.insert(key) {
-                edges.push((u, v));
-                edges.push((v, u));
-            }
-        }
-        guard += 1;
-    }
-    CsrGraph::from_edges(n, &edges)
-}
-
 /// Two dense clusters joined by a few bridge ties — the topology of the
 /// paper's Fig. 5 example that motivates EMD\*.
 pub fn two_cluster_bridge<R: Rng>(
@@ -221,19 +200,6 @@ pub fn cycle_graph(n: usize) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Complete graph on `n` nodes (both arcs per pair).
-pub fn complete_graph(n: usize) -> CsrGraph {
-    let mut edges = Vec::with_capacity(n * n.saturating_sub(1));
-    for u in 0..n as NodeId {
-        for v in 0..n as NodeId {
-            if u != v {
-                edges.push((u, v));
-            }
-        }
-    }
-    CsrGraph::from_edges(n, &edges)
-}
-
 /// Undirected `rows × cols` grid, useful for spatially intuitive tests.
 pub fn grid_graph(rows: usize, cols: usize) -> CsrGraph {
     let n = rows * cols;
@@ -287,11 +253,9 @@ mod tests {
         }
         // Other size-reducing generators accept the degenerate sizes too.
         for n in [0, 1] {
-            assert_eq!(complete_graph(n).edge_count(), 0);
             assert_eq!(path_graph(n).edge_count(), 0);
             assert_eq!(grid_graph(n, n).edge_count(), 0);
             assert_eq!(erdos_renyi_gnp(n, 0.5, true, &mut rng).edge_count(), 0);
-            assert_eq!(erdos_renyi_gnm(n, 0, &mut rng).edge_count(), 0);
         }
     }
 
@@ -304,25 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn gnm_edge_count() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let g = erdos_renyi_gnm(100, 300, &mut rng);
-        assert_eq!(g.edge_count(), 600);
-    }
-
-    #[test]
     fn grid_has_expected_structure() {
         let g = grid_graph(3, 4);
         assert_eq!(g.node_count(), 12);
         // Corner degree 2, interior degree 4.
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.out_degree(5), 4);
-    }
-
-    #[test]
-    fn complete_graph_edges() {
-        let g = complete_graph(5);
-        assert_eq!(g.edge_count(), 20);
     }
 
     #[test]

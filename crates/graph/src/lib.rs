@@ -33,7 +33,7 @@ pub use clustering::{
     bfs_partition, label_propagation, quotient_graph, whole_graph_cluster, Clustering,
 };
 pub use components::{largest_weak_component, weak_components, UnionFind};
-pub use csr::{CsrGraph, EdgeId, GraphBuilder, NodeId};
+pub use csr::{CsrGraph, EdgeId, NodeId};
 pub use laplacian::{dense_laplacian, laplacian_quadratic_form};
 pub use shortest_paths::{
     bellman_ford, dial, dial_bounded_scratch, dial_reverse, dial_reverse_scratch, dial_scratch,

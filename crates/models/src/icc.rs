@@ -127,7 +127,7 @@ impl IccParams {
     }
 
     /// Distance of edge `e`.
-    pub fn distance_of(&self, e: u32) -> u32 {
+    fn distance_of(&self, e: u32) -> u32 {
         self.distances.as_ref().map_or(1, |d| d[e as usize])
     }
 }

@@ -72,11 +72,6 @@ impl NetworkState {
         }
     }
 
-    /// State from explicit opinions.
-    pub fn from_opinions(opinions: Vec<Opinion>) -> Self {
-        NetworkState { opinions }
-    }
-
     /// Number of users.
     pub fn len(&self) -> usize {
         self.opinions.len()
@@ -113,13 +108,6 @@ impl NetworkState {
     pub fn users_with(&self, op: Opinion) -> Vec<NodeId> {
         (0..self.opinions.len() as NodeId)
             .filter(|&u| self.opinions[u as usize] == op)
-            .collect()
-    }
-
-    /// All active (non-neutral) users.
-    pub fn active_users(&self) -> Vec<NodeId> {
-        (0..self.opinions.len() as NodeId)
-            .filter(|&u| self.opinions[u as usize].is_active())
             .collect()
     }
 

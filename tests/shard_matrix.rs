@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use snd::analysis::resume::series_distances_checkpointed;
 use snd::core::shard::{ShardPlan, TileGrid, TileSet};
 use snd::core::{ClusterSpec, GammaPolicy, SndConfig, SndEngine};
 use snd::graph::generators::barabasi_albert;
@@ -211,11 +212,10 @@ fn low_churn_tiles_merge_to_the_batch_matrix() {
     }
 }
 
-/// The series tile path (bundles advanced along the delta chain) and the
-/// plan path over `ShardPlan::superdiagonal` (bundles built from scratch)
-/// write the same checkpoint, byte for byte apart from the advisory `W`
-/// timing lines — on the exact tier in both bank modes and on the
-/// approximate tier, whose `I` lines must match too.
+/// The checkpointed series entry point and the plan path over
+/// `ShardPlan::superdiagonal` write the same checkpoint, byte for byte
+/// apart from the advisory `W` timing lines — on the exact tier in both
+/// bank modes and on the approximate tier, whose `I` lines must match too.
 #[test]
 fn series_tiles_equal_the_superdiagonal_plan_tiles_byte_for_byte() {
     let mut scenario = snd::data::registry()
@@ -257,9 +257,7 @@ fn series_tiles_equal_the_superdiagonal_plan_tiles_byte_for_byte() {
             let plan_path = temp_path("plan_tiles.ckpt", (c * 10 + tile) as u64);
             let _ = std::fs::remove_file(&series_path);
             let _ = std::fs::remove_file(&plan_path);
-            engine
-                .series_tiles_checkpointed(states, tile, &series_path)
-                .unwrap();
+            series_distances_checkpointed(&engine, states, tile, &series_path).unwrap();
             let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
             engine
                 .pairwise_tiles_checkpointed(states, &plan, &plan_path)
