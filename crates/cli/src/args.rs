@@ -103,6 +103,23 @@ impl Args {
             .map_err(|_| format!("bad {name} '{raw}' (want {})", std::any::type_name::<T>()))
     }
 
+    /// Rejects the first given flag that `mode` ignores, naming both: a
+    /// flag that would have no effect is an error, never silently
+    /// dropped.
+    pub(crate) fn reject_ignored(
+        &self,
+        mode: &str,
+        ignored: impl Fn(&str) -> bool,
+    ) -> Result<(), String> {
+        match self.given.iter().find(|(flag, _)| ignored(flag)) {
+            Some((flag, _)) => Err(format!(
+                "{flag} has no effect with {mode} for snd {}",
+                command(self.usage)
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Parses a `--flag SECONDS` duration: explicit, finite, non-negative —
     /// a malformed value is a structured error, never a silent default.
     pub(crate) fn seconds_flag(&self, name: &str, default: f64) -> Result<f64, String> {

@@ -68,6 +68,9 @@ pub fn generate(args: &Args) -> Result<(), String> {
     let out: String = args.get("--out")?.ok_or("missing --out FILE")?;
     let seed = args.get("--seed")?.unwrap_or(7u64);
     let dataset = if args.has("--twitter") {
+        args.reject_ignored("--twitter", |flag| {
+            flag == "--steps" || flag == "--seeds" || flag.starts_with("--p-")
+        })?;
         let sim = simulate_twitter(&TwitterSimConfig {
             users: args.get("--nodes")?.unwrap_or(4000),
             avg_degree: args.get("--avg-degree")?.unwrap_or(50),
@@ -84,6 +87,9 @@ pub fn generate(args: &Args) -> Result<(), String> {
             model: None,
         }
     } else {
+        args.reject_ignored("a synthetic series (no --twitter)", |flag| {
+            flag == "--avg-degree"
+        })?;
         let steps = args.get("--steps")?.unwrap_or(20usize);
         let p_nbr = args.get("--p-nbr")?.unwrap_or(0.12);
         let p_ext = args.get("--p-ext")?.unwrap_or(0.01);
@@ -144,6 +150,7 @@ pub(crate) const SIMULATE: &str =
 /// distance/anomaly/predict/shard` consume it directly.
 pub fn simulate(args: &Args) -> Result<(), String> {
     if args.has("--list") {
+        args.reject_ignored("--list", |flag| flag != "--list")?;
         println!("{:<22} {:<20} description", "scenario", "model");
         for sc in registry() {
             println!(
@@ -753,6 +760,26 @@ mod tests {
                     assert!(err.contains(name), "{args:?}: {err}");
                 }
             }
+        }
+        // A flag the chosen mode ignores is an error naming it, before
+        // any work: `--twitter` reads no voting parameters, a synthetic
+        // series no degree, and `--list` nothing else at all.
+        let ignored: [(String, &str); 4] = [
+            (
+                format!("generate --twitter --nodes 100 --avg-degree 5 --steps 3 --p-nbr 0.9 --out {out}"),
+                "--steps",
+            ),
+            (format!("generate --twitter --p-ext-anomalous 0.1 --seeds 3 --out {out}"), "--p-ext-anomalous"),
+            (format!("generate --avg-degree 5 --out {out}"), "--avg-degree"),
+            (format!("simulate --list --scenario nonexistent --out {out}"), "--scenario"),
+        ];
+        for (args, name) in &ignored {
+            let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+            let err = crate::run(&args).expect_err("an ignored flag must be rejected");
+            assert!(
+                err.contains(name) && err.contains("no effect"),
+                "{args:?}: {err}"
+            );
         }
         assert!(!Path::new(out).exists(), "no dataset may be written");
 

@@ -546,6 +546,103 @@ mod tests {
         }
     }
 
+    /// SplitMix64: a fixed-seed generator with no dependency.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Bytes a mutation writes: the characters the format gives meaning
+    /// to, and a non-UTF-8 byte. Every fourth mutation writes a random
+    /// byte instead.
+    const HOSTILE: &[u8] = b"{}[],:\"-+.eE019 tfn\xff";
+
+    /// Parses `bytes` as `Dataset::load` would see them (non-UTF-8
+    /// becomes replacement characters) and, on `Ok`, materializes the
+    /// graph and the states: every input ends in `Ok` or a non-empty
+    /// `Err`, and an `Ok` dataset is bounded by the input's size. Returns
+    /// whether it parsed.
+    fn parse_bounded(bytes: &[u8]) -> bool {
+        let text = String::from_utf8_lossy(bytes);
+        match Dataset::from_json(&text) {
+            Ok(d) => {
+                let size = text.len();
+                assert!(d.nodes <= size && d.edges.len() <= size, "{text:?}");
+                assert!(d.states.len() * d.nodes <= size, "{text:?}");
+                assert_eq!(d.graph().node_count(), d.nodes);
+                assert_eq!(d.network_states().len(), d.states.len());
+                true
+            }
+            Err(e) => {
+                assert!(!e.is_empty(), "{text:?}");
+                false
+            }
+        }
+    }
+
+    /// The seeded mutation fuzz: single-byte replacements, insertions and
+    /// deletions, oversized numerals spliced in, and splices of two valid
+    /// documents (a prefix of one, a suffix of the other).
+    #[test]
+    fn mutated_and_spliced_documents_never_panic_or_overallocate() {
+        let docs: Vec<Vec<u8>> = [
+            sample().to_json(),
+            r#" { "states" : [ [ 1 , -1 ] , [0,1] ] , "labels" : [ false ] ,
+                  "edges" : [ [ 0 , 1 ] , [ 1 , 0 ] ] , "nodes" : 2 } "#
+                .to_string(),
+            r#"{"nodes":1,"states":[[0]],"model":{"family":"icc","params":{"eps":1e-6,"big":2.5E+2}}}"#
+                .to_string(),
+        ]
+        .map(String::into_bytes)
+        .to_vec();
+        let mut rng = SplitMix(0x5eed_da7a);
+        let mut parsed = [0usize; 2];
+        for round in 0..4_000 {
+            let doc = &docs[rng.below(docs.len())];
+            let mut bytes = doc.clone();
+            let at = rng.below(bytes.len());
+            let byte = match round % 4 {
+                3 => rng.next() as u8,
+                _ => HOSTILE[rng.below(HOSTILE.len())],
+            };
+            match rng.below(5) {
+                0 | 1 => bytes[at] = byte,
+                2 => bytes.insert(at, byte),
+                3 => {
+                    bytes.remove(at);
+                }
+                _ => {
+                    let numeral = [
+                        "4294967296",
+                        "99999999999999999999999",
+                        "-9223372036854775809",
+                    ];
+                    let numeral = numeral[rng.below(numeral.len())];
+                    bytes.splice(at..at, numeral.bytes());
+                }
+            }
+            parsed[0] += usize::from(parse_bounded(&bytes));
+        }
+        for _ in 0..2_000 {
+            let (a, b) = (&docs[rng.below(docs.len())], &docs[rng.below(docs.len())]);
+            let spliced = [&a[..rng.below(a.len() + 1)], &b[rng.below(b.len() + 1)..]].concat();
+            parsed[1] += usize::from(parse_bounded(&spliced));
+        }
+        // Both kinds reach valid documents too, not only errors.
+        assert!(parsed.iter().all(|&n| n > 0), "{parsed:?}");
+    }
+
     #[test]
     fn graph_and_states_materialize() {
         let d = sample();

@@ -107,8 +107,10 @@ mod tests {
     /// written.
     const FULL: &[&str] = &[
         "generate --nodes 40 --steps 3 --seeds 4 --p-nbr 0.2 --p-ext 0.01 --p-nbr-anomalous 0.1 \
-         --p-ext-anomalous 0.05 --twitter --avg-degree 4 --seed 3 --out no-such-dir/g.json",
-        "simulate --list --scenario voting --nodes 40 --steps 2 --seed 3 --out no-such-dir/s.json",
+         --p-ext-anomalous 0.05 --seed 3 --out no-such-dir/g.json",
+        "generate --twitter --nodes 40 --avg-degree 4 --seed 3 --out no-such-dir/g.json",
+        "simulate --scenario voting --nodes 40 --steps 2 --seed 3 --out no-such-dir/s.json",
+        "simulate --list",
         "distance --data no-such-dir/d.json --t1 0 --t2 1 --series --ground icc --epsilon 0.1 \
          --landmarks 4 --budget 2 --approx",
         "distance --data no-such-dir/d.json --clusters 2",

@@ -639,11 +639,11 @@ pub(crate) fn emd_star_term_interval<'c>(
             LandmarkSketch::new(
                 ctx.landmarks
                     .iter()
-                    .map(|&l| cache.get_or_compute(g, geom, op, true, l))
+                    .map(|&l| cache.get_or_compute(g, geom, op, true, l).full())
                     .collect(),
                 ctx.landmarks
                     .iter()
-                    .map(|&l| cache.get_or_compute(g, geom, op, false, l))
+                    .map(|&l| cache.get_or_compute(g, geom, op, false, l).full())
                     .collect(),
                 inf,
             )
@@ -658,7 +658,7 @@ pub(crate) fn emd_star_term_interval<'c>(
     let fetch_exact = |node: NodeId| {
         singleton_fetches.set(singleton_fetches.get() + 1);
         time_phase(PHASE_EXACT_ROWS, || {
-            cache.get_or_compute(g, geom, op, reverse, node)
+            cache.get_or_compute(g, geom, op, reverse, node).full()
         })
     };
     let finest = ctx.levels.len();

@@ -24,18 +24,30 @@
 //!    state, opinion, direction and the heavier side's residual users.
 //! 2. **Rows.** The keys are grouped by `(opinion, direction, user)` and
 //!    the groups run in parallel. A group walks its ground states in
-//!    ascending snapshot order. Each row after the first is the previous
-//!    row passed through [`snd_graph::repair_row`] with the edge-cost
-//!    changes between the two ground states. The first row is a cache
-//!    hit, or a repair of the same key's row cached in the nearest live
-//!    bundle (earlier or later in snapshot order: an earlier tile, or an
-//!    earlier lease of the same worker, filled it), or one fresh Dial run
-//!    when no live bundle holds the key. Snapshots of one series differ
-//!    in a handful of users, so a repair touches a small region where a
-//!    Dial run touches the whole graph. A row is computed fresh instead
-//!    when the clamp domain is not lossless
-//!    ([`GroundGeometry::is_lossless`]) or when more than
-//!    `m / REPAIR_EDGE_FRACTION` edge costs differ.
+//!    ascending snapshot order in one full per-thread working row. Each
+//!    row after the first is the previous row repaired in place by
+//!    [`snd_graph::repair_row`] with the edge-cost changes between the two
+//!    ground states. The first row is a cache hit, or a repair of the
+//!    key's full row in another live bundle (an earlier tile, or an
+//!    earlier lease of the same worker, wrote it), or one fresh Dial run
+//!    when no live bundle holds one. Snapshots of one series differ in a
+//!    handful of users, so a repair touches a small region where a Dial
+//!    run touches the whole graph. A row is computed fresh instead when
+//!    the clamp domain is not lossless ([`GroundGeometry::is_lossless`])
+//!    or when more than `m / REPAIR_EDGE_FRACTION` edge costs differ.
+//!    After each step the working row is written into its ground state's
+//!    cache in that cache's form.
+//!
+//!    The tile paths, and so the matrix, keep rows *gathered*: only the
+//!    columns their snapshot set's terms read (per opinion, the users who
+//!    hold it in some state; every node when some state holds none, and
+//!    under the approximate tier). A gathered row cannot seed a repair,
+//!    so a gathered cache also keeps the full row of each key it wrote
+//!    last, and a group that seeds from it takes it and leaves its own
+//!    last row in its place. A workspace thus holds at most one full row
+//!    per key, dropped with its bundle. Caches of full rows
+//!    ([`SndEngine::state_geometry`], as `pairwise_distances_with` takes
+//!    them) seed from any hit, the nearest live one in snapshot order.
 //! 3. **Solve.** The four EMD\* terms of every pair fan out over the
 //!    thread pool individually through the engine's one term router,
 //!    `SndEngine::price_term` (the exact tier runs
@@ -57,13 +69,16 @@
 //! user)` groups, so phase 2 runs 220 Dial runs and 1,100 repairs where a
 //! term-by-term fill ran 1,320 Dial runs;
 //! [`RowCache::repaired_rows`](crate::sparse::RowCache::repaired_rows)
-//! reports the split. In the *warm* regime (`pairwise_distances_with` over
-//! pre-filled bundles) phase 2 finds only cache hits, and a term costs its
-//! exact transportation solve plus the assembly of its reduced cost
-//! matrix.
+//! reports the split. Its rows keep 253 (+) or 257 (−) of 10,000 columns,
+//! so the matrix holds 1,320 gathered rows and 220 full ones where it held
+//! 1,320 full rows. In the *warm* regime (a second call over the same
+//! workspace, or `pairwise_distances_with` over pre-filled bundles) phase 2
+//! finds only cache hits, and a term costs its exact transportation solve
+//! plus the assembly of its reduced cost matrix.
 //!
 //! [`GroundGeometry::is_lossless`]: crate::banks::GroundGeometry::is_lossless
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -230,14 +245,25 @@ impl<'g> SndEngine<'g> {
         let n = g.node_count();
         // lint:allow(no-unwrap) callers hold a live bundle for every state in `pairs`
         let geom = |s: usize| live(s).expect("a live bundle for every state in pairs");
-        // The live bundle nearest `ground` in snapshot order (earlier
-        // first on a tie) that caches the row of `(op, reverse, node)`.
+        // A full row of `(op, reverse, node)` to seed a repair from, in the
+        // live bundle nearest `ground` in snapshot order (earlier first on
+        // a tie): a hit in a cache of full rows, or the full row a
+        // gathered cache keeps for the key. A kept row is taken: the
+        // group's last row replaces it.
         let nearest = |ground: usize, op: Opinion, reverse: bool, node: NodeId| {
             (1..states.len())
                 .flat_map(|d| [ground.checked_sub(d), Some(ground + d)])
                 .flatten()
                 .filter(|&s| s < states.len())
-                .find_map(|s| Some((s, RowSource::Cached(live(s)?.cache.get(op, reverse, node)?))))
+                .find_map(|s| {
+                    let cache = &live(s)?.cache;
+                    let seed = if cache.is_gathered(op) {
+                        Seed::Kept(cache.take_full(op, reverse, node)?)
+                    } else {
+                        Seed::Cached(cache.get(op, reverse, node)?.full())
+                    };
+                    Some((s, seed))
+                })
         };
 
         // Phase 1: every term's row keys as (negative opinion, reverse,
@@ -290,19 +316,28 @@ impl<'g> SndEngine<'g> {
                 Opinion::Positive
             };
             let mut steps = Vec::with_capacity(run.len());
-            let mut writes = 0;
-            // The previous step's ground state and row.
+            let mut rows = Vec::with_capacity(run.len());
+            let mut seed = None;
+            let mut last = None;
+            // The previous row's ground state and where it lives.
             let mut prev: Option<(usize, RowSource<'a>)> = None;
             for &(.., ground) in run {
-                let bundle = geom(ground);
-                if let Some(row) = bundle.cache.get(op, reverse, node) {
+                let cache = &geom(ground).cache;
+                if let Some(row) = cache.get(op, reverse, node) {
                     steps.push(Step::Hit);
-                    prev = Some((ground, RowSource::Cached(row)));
+                    // A gathered hit cannot seed a repair: the working
+                    // row, or the key's kept full row, still can.
+                    if !cache.is_gathered(op) {
+                        prev = Some((ground, RowSource::Cached(row.full())));
+                    }
                     continue;
                 }
-                let plane = bundle.plane(op);
+                let plane = geom(ground).plane(op);
                 // The group's first row seeds from the nearest live bundle.
-                let from = prev.or_else(|| nearest(ground, op, reverse, node));
+                let from = prev.or_else(|| {
+                    let (s, found) = nearest(ground, op, reverse, node)?;
+                    Some((s, seed.insert(found).source()))
+                });
                 let repair = from.filter(|_| plane.is_lossless(n)).and_then(|(a, from)| {
                     let id = *change_ids.entry((neg, a, ground)).or_insert_with(|| {
                         let list =
@@ -320,72 +355,87 @@ impl<'g> SndEngine<'g> {
                     },
                     None => Step::Fresh(ground),
                 });
-                prev = Some((ground, RowSource::Row(writes)));
-                writes += 1;
+                // One buffer per written row in its cache's form,
+                // allocated here rather than in the pool: allocating in
+                // the workers fragmented the per-thread arenas and raised
+                // peak RSS.
+                rows.push(vec![0; cache.width(op)].into_boxed_slice());
+                prev = Some((ground, RowSource::Working));
+                last = Some(cache);
             }
-            if writes > 0 {
-                groups.push(RowGroup {
-                    op,
-                    reverse,
-                    node,
-                    steps,
-                    rows: Mutex::default(),
-                });
-            }
-        }
-        // One row buffer per step that writes a row, allocated here rather
-        // than in the pool and after the plan, so the rows the caches keep
-        // sit together in one heap arena. Allocating them in the workers
-        // fragmented the per-thread arenas and raised peak RSS.
-        for grp in &mut groups {
-            let writes = grp.steps.iter().filter(|s| !matches!(s, Step::Hit)).count();
-            *grp.rows.get_mut().unwrap_or_else(PoisonError::into_inner) =
-                (0..writes).map(|_| vec![0; n].into_boxed_slice()).collect();
+            let Some(last) = last else { continue };
+            // A gathered cache keeps the group's last row in full too, as
+            // the key's next repair source: in the seed's buffer, if the
+            // group took one. That buffer is the group's working row.
+            let full = match seed {
+                Some(Seed::Kept(row)) => Some(row),
+                _ => last.is_gathered(op).then(|| vec![0; n].into_boxed_slice()),
+            };
+            groups.push(RowGroup {
+                op,
+                reverse,
+                node,
+                steps,
+                rows: Mutex::new(GroupRows { steps: rows, full }),
+            });
         }
 
         // Phase 2: the groups in parallel, each walking its steps in order
-        // with its own repair scratch.
+        // in one full working row, with its own repair scratch: the full
+        // row its last cache keeps, else the thread's own. After each step
+        // the row is written in its cache's form.
         groups.par_iter().for_each(|grp| {
-            let mut rows = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut guard = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let GroupRows { steps: rows, full } = &mut *guard;
             let mut scratch = RepairScratch::new();
-            let mut k = 0; // the next row buffer to write
-            for step in &grp.steps {
-                match *step {
-                    Step::Hit => continue,
-                    Step::Fresh(ground) => {
-                        let plane = geom(ground).plane(grp.op);
-                        sparse::compute_row(g, plane, grp.reverse, grp.node, &mut rows[k]);
+            WORKING_ROW.with(|cell| {
+                let mut own = cell.borrow_mut();
+                let work: &mut [u32] = match full {
+                    Some(full) => full,
+                    None => {
+                        own.resize(n, 0);
+                        &mut own
                     }
-                    Step::Repair {
-                        ground,
-                        from,
-                        changes: id,
-                    } => {
-                        let plane = geom(ground).plane(grp.op);
-                        let (done, rest) = rows.split_at_mut(k);
-                        let out = &mut rest[0];
-                        out.copy_from_slice(match from {
-                            RowSource::Cached(row) => row,
-                            RowSource::Row(i) => &done[i],
-                        });
-                        repair_row(
-                            g,
-                            &plane.edge_costs,
-                            &changes[id],
-                            &[grp.node],
-                            grp.reverse,
-                            plane.unreachable,
-                            out,
-                            &mut scratch,
-                        );
-                    }
+                };
+                let mut k = 0; // the next row buffer to write
+                for step in &grp.steps {
+                    let ground = match *step {
+                        Step::Hit => continue,
+                        Step::Fresh(ground) => {
+                            let plane = geom(ground).plane(grp.op);
+                            sparse::compute_row(g, plane, grp.reverse, grp.node, work);
+                            ground
+                        }
+                        Step::Repair {
+                            ground,
+                            from,
+                            changes: id,
+                        } => {
+                            if let RowSource::Cached(row) = from {
+                                work.copy_from_slice(row);
+                            }
+                            let plane = geom(ground).plane(grp.op);
+                            repair_row(
+                                g,
+                                &plane.edge_costs,
+                                &changes[id],
+                                &[grp.node],
+                                grp.reverse,
+                                plane.unreachable,
+                                work,
+                                &mut scratch,
+                            );
+                            ground
+                        }
+                    };
+                    geom(ground).cache.gather_into(grp.op, work, &mut rows[k]);
+                    k += 1;
                 }
-                k += 1;
-            }
+            });
         });
 
         for grp in groups {
-            let rows = grp
+            let GroupRows { steps: rows, full } = grp
                 .rows
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner);
@@ -394,10 +444,18 @@ impl<'g> SndEngine<'g> {
                 Step::Fresh(ground) => Some((ground, false)),
                 Step::Repair { ground, .. } => Some((ground, true)),
             });
+            let mut last = None;
             for ((ground, repaired), row) in written.zip(rows) {
                 geom(ground)
                     .cache
                     .insert(grp.op, grp.reverse, grp.node, row, repaired);
+                last = Some(ground);
+            }
+            if let (Some(ground), Some(full)) = (last, full) {
+                let cache = &geom(ground).cache;
+                if cache.is_gathered(grp.op) {
+                    cache.keep_full(grp.op, grp.reverse, grp.node, full);
+                }
             }
         }
     }
@@ -448,6 +506,12 @@ pub(crate) fn fold_terms(
     (values, intervals)
 }
 
+thread_local! {
+    /// Per-thread full working row of phase 2, for the groups that keep
+    /// no full row: each walks its steps in it, repairing in place.
+    static WORKING_ROW: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The rows of one `(opinion, direction, user)` key across its ground
 /// states, in ascending snapshot order.
 struct RowGroup<'a> {
@@ -455,8 +519,17 @@ struct RowGroup<'a> {
     reverse: bool,
     node: NodeId,
     steps: Vec<Step<'a>>,
-    /// One buffer per non-hit step, in step order.
-    rows: Mutex<Vec<Box<[u32]>>>,
+    rows: Mutex<GroupRows>,
+}
+
+/// The buffers a [`RowGroup`] writes.
+struct GroupRows {
+    /// One per non-hit step in step order, each in its cache's form.
+    steps: Vec<Box<[u32]>>,
+    /// The group's working row when it has a full row to keep: the last
+    /// step goes to a gathered cache, or the group took a kept row as its
+    /// seed (which it then holds).
+    full: Option<Box<[u32]>>,
 }
 
 /// How one ground state's row of a [`RowGroup`] is obtained.
@@ -473,13 +546,31 @@ enum Step<'a> {
     },
 }
 
-/// Where a repair's starting row lives.
+/// Where a repair's starting row lives: always a full row.
 #[derive(Clone, Copy)]
 enum RowSource<'a> {
-    /// In a ground state's cache already.
+    /// In a cache of full rows.
     Cached(&'a [u32]),
-    /// In the group's own row buffers, at this index.
-    Row(usize),
+    /// In the group's working row: its previous row, or the kept full row
+    /// it took as its seed.
+    Working,
+}
+
+/// A group's seed, found by `nearest` in another live bundle.
+enum Seed<'a> {
+    /// A hit in a cache of full rows.
+    Cached(&'a [u32]),
+    /// The full row a gathered cache kept for the key, taken out of it.
+    Kept(Box<[u32]>),
+}
+
+impl<'a> Seed<'a> {
+    fn source(&self) -> RowSource<'a> {
+        match *self {
+            Seed::Cached(row) => RowSource::Cached(row),
+            Seed::Kept(_) => RowSource::Working,
+        }
+    }
 }
 
 /// The edges whose cost differs between two ground states, as

@@ -931,12 +931,13 @@ impl DeltaStateGeometry {
     /// so the clone is `O(L)`), keeping the approximate tile path on
     /// delta-repaired rows.
     pub fn bundle(&self, engine: &SndEngine<'_>) -> StateGeometry {
-        StateGeometry::new(
-            self.pos.geom.clone(),
-            self.neg.geom.clone(),
-            RowCache::new(engine.graph().node_count()),
-        )
-        .with_sketches(self.pos.sketch.clone(), self.neg.sketch.clone())
+        self.bundle_with(RowCache::new(engine.graph().node_count()))
+    }
+
+    /// [`bundle`](Self::bundle) around the given empty row cache.
+    pub(crate) fn bundle_with(&self, cache: RowCache) -> StateGeometry {
+        StateGeometry::new(self.pos.geom.clone(), self.neg.geom.clone(), cache)
+            .with_sketches(self.pos.sketch.clone(), self.neg.sketch.clone())
     }
 
     /// The live landmark-sketch bundle of one opinion plane, when this

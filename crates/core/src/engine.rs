@@ -290,7 +290,8 @@ impl<'g> SndEngine<'g> {
     }
 
     /// Computes the full per-state bundle — both opinion geometries (in
-    /// parallel) plus an empty shared row cache. This is the unit of reuse
+    /// parallel) plus an empty shared cache of full rows, which any later
+    /// comparison against this state can read. This is the unit of reuse
     /// for batch evaluation: every comparison grounded in `state` draws its
     /// SSSP rows from the bundle's cache, so each
     /// `(opinion, direction, node)` row is computed at most once per

@@ -117,13 +117,15 @@ use std::fmt::{self, Write as _};
 use std::io::{Seek, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
-use snd_models::NetworkState;
+use snd_models::{NetworkState, Opinion};
 
 use crate::approx::SndInterval;
 use crate::batch::{fold_terms, DistanceMatrix};
 use crate::delta::{chain_geometry, DeltaStateGeometry};
 use crate::engine::{SndEngine, StateGeometry};
+use crate::sparse::{Columns, RowCache};
 
 /// Default tile edge (states per block): `8 × 8` tiles hold up to 64
 /// pairs — coarse enough that checkpoint appends are rare, fine enough
@@ -1088,12 +1090,20 @@ fn parse_value(field: &str) -> Option<f64> {
 /// caches. [`SndEngine::pairwise_tiles_in`] reads and updates it under
 /// its retention rule; the other tile entry points run over a workspace
 /// of their own. A workspace belongs to one engine and one snapshot set.
+///
+/// The bundles' caches keep each row gathered to the columns pricing
+/// reads: per opinion, the users who hold it in some state of the
+/// snapshot set. That set depends on the snapshot set alone, so the
+/// workspace computes it once, on its first call.
 #[derive(Default)]
 pub struct TileWorkspace {
     /// The chain head: the last state built, still repairable.
     head: Option<(usize, DeltaStateGeometry)>,
     /// The live bundles, by state index.
     geoms: BTreeMap<usize, StateGeometry>,
+    /// The column map of each opinion's rows (positive, negative), once
+    /// computed; `None` inside keeps full rows.
+    cols: Option<[Option<Arc<Columns>>; 2]>,
     /// Fresh and repaired rows of the bundles already dropped.
     dropped_rows: (usize, usize),
 }
@@ -1237,8 +1247,9 @@ impl<'g> SndEngine<'g> {
     /// the matrix prices all pairs (see [`crate::batch`]; the matrix is
     /// this loop over one tile): rows an earlier tile or call wrote into a
     /// live bundle are hits, the rest are fresh or repaired along the
-    /// snapshot order, and a row group's first row repairs from the
-    /// nearest live bundle that holds its key.
+    /// snapshot order, and a row group's first row repairs from the full
+    /// row a live bundle keeps for its key. The bundles keep their rows
+    /// gathered to the workspace's column set (see [`TileWorkspace`]).
     ///
     /// Bundles live in the workspace under one retention rule, so a
     /// worker never holds more states between leases than one lease
@@ -1312,6 +1323,17 @@ impl<'g> SndEngine<'g> {
         for s in untouched {
             ws.drop_bundle(s);
         }
+        // The approximate tier reads rows at arbitrary nodes: full rows.
+        let cols = ws
+            .cols
+            .get_or_insert_with(|| {
+                if certified {
+                    [None, None]
+                } else {
+                    [Opinion::Positive, Opinion::Negative].map(|op| Columns::read_by(states, op))
+                }
+            })
+            .clone();
 
         // Per-tile wall clock for the `W` checkpoint lines: geometry
         // materialization counts against the tile that triggered it —
@@ -1323,7 +1345,8 @@ impl<'g> SndEngine<'g> {
                 if !ws.geoms.contains_key(&s) {
                     let geom =
                         chain_geometry(self, states, ws.head.take(), s, 2 * grid.tile_size());
-                    ws.geoms.insert(s, geom.bundle(self));
+                    let cache = RowCache::gathered(self.graph().node_count(), cols.clone());
+                    ws.geoms.insert(s, geom.bundle_with(cache));
                     ws.head = Some((s, geom));
                 }
             }
@@ -2243,5 +2266,115 @@ mod tests {
             shared.fresh_rows()
         );
         assert!(shared.repaired_rows() > 0);
+    }
+
+    /// Every cached row of a workspace's live bundles checked against a
+    /// fresh Dial run at every column it keeps, and every kept full row
+    /// in full; returns how many cached rows were checked.
+    fn check_rows(engine: &SndEngine<'_>, ws: &TileWorkspace) -> usize {
+        let g = engine.graph();
+        let mut kept_keys = Vec::new();
+        let mut checked = 0;
+        for bundle in ws.geoms.values() {
+            for op in [Opinion::Positive, Opinion::Negative] {
+                let plane = bundle.plane(op);
+                let fresh = |reverse, node| {
+                    let mut full = vec![0; g.node_count()];
+                    crate::sparse::compute_row(g, plane, reverse, node, &mut full);
+                    full
+                };
+                let cols = bundle.cache.columns(op);
+                for (reverse, node, row) in bundle.cache.rows(op) {
+                    let full = fresh(reverse, node);
+                    for &u in &cols {
+                        assert_eq!(row.at(u), full[u as usize], "row {node} at {u}");
+                    }
+                    checked += 1;
+                }
+                for (reverse, node, row) in bundle.cache.kept_rows(op) {
+                    assert_eq!(row, fresh(reverse, node), "kept row {node}");
+                    kept_keys.push((op == Opinion::Negative, reverse, node));
+                }
+            }
+        }
+        let keys = kept_keys.len();
+        kept_keys.sort_unstable();
+        kept_keys.dedup();
+        assert_eq!(kept_keys.len(), keys, "at most one full row per key");
+        checked
+    }
+
+    #[test]
+    fn gathered_rows_equal_fresh_rows_at_every_column() {
+        let (g, s) = low_churn(300, 8, 5);
+        for config in [
+            SndConfig::default(),
+            SndConfig {
+                clusters: crate::config::ClusterSpec::BfsPartition { clusters: 6 },
+                gamma: crate::config::GammaPolicy::Eccentricity,
+                ..Default::default()
+            },
+        ] {
+            let engine = SndEngine::new(&g, config);
+            let grid = TileGrid::new(s.len(), s.len());
+            let mut ws = TileWorkspace::new();
+            let set = tiles_in(&engine, &s, &ShardPlan::full(grid), &mut ws);
+            assert_eq!(set.to_matrix().unwrap(), engine.pairwise_distances_seq(&s));
+            for bundle in ws.geoms.values() {
+                for op in [Opinion::Positive, Opinion::Negative] {
+                    assert!(bundle.cache.columns(op).len() < g.node_count());
+                }
+            }
+            let checked = check_rows(&engine, &ws);
+            assert!(checked > 0);
+            assert_eq!(checked, ws.fresh_rows() + ws.repaired_rows());
+        }
+    }
+
+    #[test]
+    fn a_state_without_negative_users_keeps_full_negative_rows() {
+        // State 2 holds no − user: per-bin banks spread a − surplus over
+        // every bin against it, so − rows must stay full.
+        let (g, mut s) = low_churn(300, 6, 9);
+        for u in 0..300 {
+            if s[2].opinion(u) == Opinion::Negative {
+                s[2].set(u, Opinion::Neutral);
+            }
+        }
+        let engine = SndEngine::new(&g, SndConfig::default());
+        let seq = engine.pairwise_distances_seq(&s);
+        let grid = TileGrid::new(s.len(), s.len());
+        let mut ws = TileWorkspace::new();
+        let set = tiles_in(&engine, &s, &ShardPlan::full(grid), &mut ws);
+        assert_eq!(set.to_matrix().unwrap(), seq);
+        for bundle in ws.geoms.values() {
+            assert!(bundle.cache.is_gathered(Opinion::Positive));
+            assert!(!bundle.cache.is_gathered(Opinion::Negative));
+        }
+        check_rows(&engine, &ws);
+        assert_eq!(engine.pairwise_distances(&s), seq);
+    }
+
+    #[test]
+    fn a_second_call_over_a_filled_workspace_finds_only_hits() {
+        let (g, s) = low_churn(300, 8, 13);
+        for config in [
+            SndConfig::default(),
+            SndConfig {
+                clusters: crate::config::ClusterSpec::BfsPartition { clusters: 6 },
+                ..Default::default()
+            },
+        ] {
+            let engine = SndEngine::new(&g, config);
+            // One tile: every bundle outlives the call, as in the matrix.
+            let plan = ShardPlan::full(TileGrid::new(s.len(), s.len()));
+            let mut ws = TileWorkspace::new();
+            let first = tiles_in(&engine, &s, &plan, &mut ws);
+            let rows = (ws.fresh_rows(), ws.repaired_rows());
+            assert!(rows.0 > 0);
+            let second = tiles_in(&engine, &s, &plan, &mut ws);
+            assert_eq!((ws.fresh_rows(), ws.repaired_rows()), rows, "zero new rows");
+            assert_eq!(first, second);
+        }
     }
 }

@@ -30,8 +30,9 @@
 //!    matters.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use snd_emd::bank_capacities_from_cluster_masses;
 use snd_graph::{dial_reverse_scratch, dial_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
@@ -58,6 +59,89 @@ pub(crate) fn with_sssp_scratch<R>(f: impl FnOnce(&mut SsspScratch) -> R) -> R {
 /// One cached row slot: filled exactly once with the clamped SSSP row.
 type RowSlot = OnceLock<Box<[u32]>>;
 
+/// Full rows a gathered cache keeps as repair sources, by plane and node.
+type FullRows = HashMap<(usize, NodeId), Box<[u32]>>;
+
+/// The columns a row cache keeps of every row of one opinion: the users
+/// who hold that opinion in some state of a snapshot set. Pricing a pair
+/// of those states reads a row of that opinion only there — at the
+/// lighter side's residual users and, under per-bin banks, at its active
+/// bins — so a row gathered to these columns prices every such term
+/// exactly as the full row does.
+#[derive(Debug)]
+pub(crate) struct Columns {
+    /// The kept nodes, ascending.
+    nodes: Box<[NodeId]>,
+    /// `slot[u]` is node `u`'s index in a gathered row, `u32::MAX` for a
+    /// node outside the set.
+    slot: Box<[u32]>,
+}
+
+impl Columns {
+    /// The columns of opinion `op` that pricing any pair of `states`
+    /// reads, or `None` when that is every node: some state has no user
+    /// holding `op` (per-bin banks then spread its surplus over every
+    /// bin), or every node holds `op` somewhere.
+    pub(crate) fn read_by(states: &[NetworkState], op: Opinion) -> Option<Arc<Columns>> {
+        let n = states.first()?.len();
+        let mut kept = vec![false; n];
+        for state in states {
+            let mut any = false;
+            for (k, &o) in kept.iter_mut().zip(state.opinions()) {
+                if o == op {
+                    *k = true;
+                    any = true;
+                }
+            }
+            if !any {
+                return None;
+            }
+        }
+        let nodes: Box<[NodeId]> = (0..n as NodeId).filter(|&u| kept[u as usize]).collect();
+        if nodes.len() == n {
+            return None;
+        }
+        let mut slot = vec![u32::MAX; n].into_boxed_slice();
+        for (i, &u) in nodes.iter().enumerate() {
+            slot[u as usize] = i as u32;
+        }
+        Some(Arc::new(Columns { nodes, slot }))
+    }
+}
+
+/// One cached SSSP row and its column map: a full row (the identity map,
+/// `cols` is `None`) or a row gathered to a [`Columns`] set.
+#[derive(Clone, Copy)]
+pub(crate) struct Row<'a> {
+    values: &'a [u32],
+    cols: Option<&'a Columns>,
+}
+
+impl<'a> Row<'a> {
+    /// A full row, indexed by node.
+    pub(crate) fn identity(values: &'a [u32]) -> Self {
+        Row { values, cols: None }
+    }
+
+    /// The row's entry at `node`, which must be one of its columns (a
+    /// gathered row panics off its set rather than misprice).
+    #[inline]
+    pub(crate) fn at(&self, node: NodeId) -> u32 {
+        match self.cols {
+            None => self.values[node as usize],
+            Some(c) => self.values[c.slot[node as usize] as usize],
+        }
+    }
+
+    /// The row indexed by node. Only a full row has this form: the
+    /// approximate tier reads rows at arbitrary nodes, so it keeps full
+    /// rows.
+    pub(crate) fn full(self) -> &'a [u32] {
+        assert!(self.cols.is_none(), "a gathered row has no full form");
+        self.values
+    }
+}
+
 /// Thread-safe cache of clamped SSSP rows for one ground state, shared
 /// across every comparison grounded in that state (series evaluation,
 /// all-pairs matrices, [`crate::CandidateEvaluator`] candidate search).
@@ -70,8 +154,18 @@ type RowSlot = OnceLock<Box<[u32]>>;
 /// exactly once. A plane's slot slab (`n` slots, ~24 B each) is only
 /// allocated when the first row of that `(opinion, direction)` is
 /// requested — a typical comparison touches one direction per opinion, so
-/// usually two of the four planes stay empty. Rows are always full-length
-/// (`n` entries), so a row cached by one query serves every later one.
+/// usually two of the four planes stay empty.
+///
+/// Each opinion's rows carry one column map. A cache from
+/// [`RowCache::new`] keeps full rows (`n` entries, the identity map), so a
+/// row cached by one query serves every later one: series evaluation,
+/// candidate search, the approximate tier and caller-built bundles use
+/// these. The tile paths (and so the matrix) keep each row gathered to
+/// the columns their snapshot set's terms read (`Columns::read_by`), a
+/// few hundred entries instead of `n`. A gathered row cannot seed a
+/// repair, so a gathered cache also keeps the full row of each key whose
+/// newest row it wrote; the key's next row group takes it as its seed
+/// (see [`crate::batch`]).
 ///
 /// A row gets into the cache one of two ways: a fresh Dial run when a
 /// term asks for a row the cache lacks, or a row the all-pairs
@@ -84,16 +178,29 @@ type RowSlot = OnceLock<Box<[u32]>>;
 #[derive(Debug)]
 pub struct RowCache {
     planes: [OnceLock<Box<[RowSlot]>>; 4],
+    /// The column map of each opinion's rows (positive, negative); `None`
+    /// keeps full rows.
+    cols: [Option<Arc<Columns>>; 2],
+    /// Gathered opinions only: the full rows kept as repair sources.
+    full: Mutex<FullRows>,
     n: usize,
     computed: AtomicUsize,
     repaired: AtomicUsize,
 }
 
 impl RowCache {
-    /// Empty cache for a graph of `n` nodes.
+    /// Empty cache of full rows for a graph of `n` nodes.
     pub fn new(n: usize) -> Self {
+        Self::gathered(n, [None, None])
+    }
+
+    /// Empty cache for a graph of `n` nodes whose rows of each opinion
+    /// (positive, negative) keep only the given columns (`None`: all).
+    pub(crate) fn gathered(n: usize, cols: [Option<Arc<Columns>>; 2]) -> Self {
         RowCache {
             planes: std::array::from_fn(|_| OnceLock::new()),
+            cols,
+            full: Mutex::default(),
             n,
             computed: AtomicUsize::new(0),
             repaired: AtomicUsize::new(0),
@@ -131,6 +238,34 @@ impl RowCache {
         (op_bit << 1) | usize::from(reverse)
     }
 
+    /// The column map of `op`'s rows (`None`: full rows).
+    fn cols(&self, op: Opinion) -> Option<&Columns> {
+        self.cols[usize::from(op == Opinion::Negative)].as_deref()
+    }
+
+    /// True when `op`'s rows are gathered, not full.
+    pub(crate) fn is_gathered(&self, op: Opinion) -> bool {
+        self.cols(op).is_some()
+    }
+
+    /// Entries in one of `op`'s rows.
+    pub(crate) fn width(&self, op: Opinion) -> usize {
+        self.cols(op).map_or(self.n, |c| c.nodes.len())
+    }
+
+    /// Writes `full` (a full row of `op`) into `out` as this cache keeps
+    /// it: `out` is [`width`](Self::width) long.
+    pub(crate) fn gather_into(&self, op: Opinion, full: &[u32], out: &mut [u32]) {
+        match self.cols(op) {
+            None => out.copy_from_slice(full),
+            Some(c) => {
+                for (o, &u) in out.iter_mut().zip(&c.nodes[..]) {
+                    *o = full[u as usize];
+                }
+            }
+        }
+    }
+
     /// Row lookup-or-compute, shared with the approximate tier
     /// ([`crate::approx`]): landmark rows and refined exact rows live in
     /// the same planes as the exact path's rows, so the two tiers share
@@ -142,25 +277,40 @@ impl RowCache {
         op: Opinion,
         reverse: bool,
         node: NodeId,
-    ) -> &[u32] {
-        self.slot(op, reverse, node).get_or_init(|| {
+    ) -> Row<'_> {
+        let values = self.slot(op, reverse, node).get_or_init(|| {
             self.computed.fetch_add(1, Ordering::Relaxed);
-            let mut row = vec![0; self.n].into_boxed_slice();
-            compute_row(g, geom, reverse, node, &mut row);
-            row
-        })
+            let mut full = vec![0; self.n].into_boxed_slice();
+            compute_row(g, geom, reverse, node, &mut full);
+            if self.is_gathered(op) {
+                let mut row = vec![0; self.width(op)].into_boxed_slice();
+                self.gather_into(op, &full, &mut row);
+                row
+            } else {
+                full
+            }
+        });
+        Row {
+            values,
+            cols: self.cols(op),
+        }
     }
 
     /// The cached row, if any — never computes, and never allocates a
     /// plane's slots.
-    pub(crate) fn get(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<&[u32]> {
+    pub(crate) fn get(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<Row<'_>> {
         let slots = self.planes[Self::plane(op, reverse)].get()?;
-        slots[node as usize].get().map(|r| &r[..])
+        let values = slots[node as usize].get()?;
+        Some(Row {
+            values,
+            cols: self.cols(op),
+        })
     }
 
-    /// Stores a row built outside the cache (fresh or `repaired`). A slot
-    /// that is already filled keeps its row — both are exact, so nothing
-    /// is lost — and the counters do not move.
+    /// Stores a row built outside the cache (fresh or `repaired`), already
+    /// in this cache's form (see [`gather_into`](Self::gather_into)). A
+    /// slot that is already filled keeps its row — both are exact, so
+    /// nothing is lost — and the counters do not move.
     pub(crate) fn insert(
         &self,
         op: Opinion,
@@ -169,7 +319,7 @@ impl RowCache {
         row: Box<[u32]>,
         repaired: bool,
     ) {
-        debug_assert_eq!(row.len(), self.n, "rows are full-length");
+        debug_assert_eq!(row.len(), self.width(op), "rows match their column map");
         if self.slot(op, reverse, node).set(row).is_ok() {
             self.computed.fetch_add(1, Ordering::Relaxed);
             self.repaired
@@ -177,10 +327,71 @@ impl RowCache {
         }
     }
 
+    /// Keeps `full`, this state's full row of a gathered key, as the
+    /// source the key's next row repairs from.
+    pub(crate) fn keep_full(&self, op: Opinion, reverse: bool, node: NodeId, full: Box<[u32]>) {
+        debug_assert!(self.is_gathered(op) && full.len() == self.n);
+        self.full
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert((Self::plane(op, reverse), node), full);
+    }
+
+    /// Takes the full row kept for a key, if this cache holds it.
+    pub(crate) fn take_full(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<Box<[u32]>> {
+        self.full
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&(Self::plane(op, reverse), node))
+    }
+
     fn slot(&self, op: Opinion, reverse: bool, node: NodeId) -> &RowSlot {
         let slots = self.planes[Self::plane(op, reverse)]
             .get_or_init(|| (0..self.n).map(|_| OnceLock::new()).collect());
         &slots[node as usize]
+    }
+}
+
+#[cfg(test)]
+impl RowCache {
+    /// The columns `op`'s rows keep.
+    pub(crate) fn columns(&self, op: Opinion) -> Vec<NodeId> {
+        self.cols(op)
+            .map_or_else(|| (0..self.n as NodeId).collect(), |c| c.nodes.to_vec())
+    }
+
+    /// Every cached row of `op`, as `(reverse, node, row)`.
+    pub(crate) fn rows(&self, op: Opinion) -> Vec<(bool, NodeId, Row<'_>)> {
+        let mut out = Vec::new();
+        for reverse in [false, true] {
+            let Some(slots) = self.planes[Self::plane(op, reverse)].get() else {
+                continue;
+            };
+            for (u, slot) in slots.iter().enumerate() {
+                if let Some(values) = slot.get() {
+                    let row = Row {
+                        values,
+                        cols: self.cols(op),
+                    };
+                    out.push((reverse, u as NodeId, row));
+                }
+            }
+        }
+        out
+    }
+
+    /// The full rows kept for `op`'s keys, as `(reverse, node, row)`.
+    pub(crate) fn kept_rows(&self, op: Opinion) -> Vec<(bool, NodeId, Vec<u32>)> {
+        let full = self.full.lock().unwrap_or_else(PoisonError::into_inner);
+        [false, true]
+            .into_iter()
+            .flat_map(|reverse| {
+                let plane = Self::plane(op, reverse);
+                full.iter()
+                    .filter(move |((p, _), _)| *p == plane)
+                    .map(move |(&(_, u), row)| (reverse, u, row.to_vec()))
+            })
+            .collect()
     }
 }
 
@@ -474,15 +685,15 @@ pub(crate) fn solve_oriented(
         Vec::new()
     };
     for &node in row_nodes {
-        let row: &[u32] = match cache {
+        let row = match cache {
             Some(c) => c.get_or_compute(g, geom, op, term.reverse, node),
             None => {
                 compute_row(g, geom, term.reverse, node, &mut local_row);
-                &local_row
+                Row::identity(&local_row)
             }
         };
         for &cn in col_nodes {
-            data.push(row[cn as usize]);
+            data.push(row.at(cn));
         }
         if bank_caps.is_empty() {
             // Balanced masses: no bank columns at all.
@@ -493,7 +704,7 @@ pub(crate) fn solve_oriented(
             for &u in &term.bank_bins {
                 // Matches the dense path's `γ + D(·,·)` exactly, including
                 // `γ + sentinel` for unreachable pairs (saturating).
-                data.push(row[u as usize].saturating_add(config.per_bin_gamma));
+                data.push(row.at(u).saturating_add(config.per_bin_gamma));
             }
         } else {
             let node_cluster = clustering.labels[node as usize] as usize;
@@ -616,6 +827,7 @@ mod tests {
                 let node = (i % 12) as u32;
                 cache
                     .get_or_compute(&g, &geom, Opinion::Positive, false, node)
+                    .full()
                     .to_vec()
             })
             .collect();
