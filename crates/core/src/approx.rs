@@ -55,6 +55,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use snd_graph::{
     bfs_partition, quotient_graph, select_landmarks, Clustering, CsrGraph, GroupAggregate,
@@ -301,9 +302,11 @@ pub(crate) fn unsupported_bank_mode(config: &SndConfig) -> Option<String> {
     }
 }
 
-/// Whether `SND_APPROX_TRACE` diagnostics are on.
+/// Whether `SND_APPROX_TRACE` diagnostics are on: the environment is
+/// read once per process, on the first call.
 pub(crate) fn trace_enabled() -> bool {
-    std::env::var_os("SND_APPROX_TRACE").is_some()
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("SND_APPROX_TRACE").is_some())
 }
 
 /// Process-global aggregate counters behind `SND_APPROX_TRACE`: per-term
@@ -856,7 +859,7 @@ pub(crate) fn emd_star_term_interval<'c>(
 
         let round_no = rounds;
         let trace = |why: &str, interval: (f64, f64)| {
-            if std::env::var_os("SND_APPROX_TRACE").is_some() {
+            if trace_enabled() {
                 eprintln!(
                     "approx-trace: op={op:?} rev={reverse} {why}: rounds={round_no} \
                      dims={nr}x{nc} full_fetches={} ball_fetches={} interval=[{:.3}, {:.3}]",

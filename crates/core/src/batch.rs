@@ -23,14 +23,15 @@
 //!    (`sparse::classify_term`) and only its row keys are kept: ground
 //!    state, opinion, direction and the heavier side's residual users.
 //! 2. **Rows.** The keys are grouped by `(opinion, direction, user)` and
-//!    the groups run in parallel. A group walks its ground states in
-//!    ascending snapshot order in one full per-thread working row. Each
-//!    row after the first is the previous row repaired in place by
-//!    [`snd_graph::repair_row`] with the edge-cost changes between the two
-//!    ground states. The first row is a cache hit, or a repair of the
-//!    key's full row in another live bundle (an earlier tile, or an
-//!    earlier lease of the same worker, wrote it), or one fresh Dial run
-//!    when no live bundle holds one. Snapshots of one series differ in a
+//!    the groups run in parallel. A group skips the ground states whose
+//!    cache already holds its row and walks the rest in ascending snapshot
+//!    order in one full working row. Each row after the first is the
+//!    previous row repaired in place by [`snd_graph::repair_row`] with the
+//!    edge-cost changes between the two ground states. The first row
+//!    repairs the group's *seed*, a full row of the key from the live
+//!    bundle nearest in snapshot order (an earlier tile, an earlier lease
+//!    of the same worker, or the caller wrote it), or is one fresh Dial run
+//!    when no live bundle has one. Snapshots of one series differ in a
 //!    handful of users, so a repair touches a small region where a Dial
 //!    run touches the whole graph. A row is computed fresh instead when
 //!    the clamp domain is not lossless ([`GroundGeometry::is_lossless`])
@@ -38,16 +39,20 @@
 //!    After each step the working row is written into its ground state's
 //!    cache in that cache's form.
 //!
-//!    The tile paths, and so the matrix, keep rows *gathered*: only the
-//!    columns their snapshot set's terms read (per opinion, the users who
-//!    hold it in some state; every node when some state holds none, and
-//!    under the approximate tier). A gathered row cannot seed a repair,
-//!    so a gathered cache also keeps the full row of each key it wrote
-//!    last, and a group that seeds from it takes it and leaves its own
-//!    last row in its place. A workspace thus holds at most one full row
-//!    per key, dropped with its bundle. Caches of full rows
+//!    Seeding treats the two cache forms apart in one place only,
+//!    `RowCache::{take_full, keep_full}`. A cache of full rows
 //!    ([`SndEngine::state_geometry`], as `pairwise_distances_with` takes
-//!    them) seed from any hit, the nearest live one in snapshot order.
+//!    them) hands over a copy of its hit. The tile paths, and so the
+//!    matrix, keep rows *gathered*: only the columns their snapshot set's
+//!    terms read (per opinion, the users who hold it in some state; every
+//!    node when some state holds none, and under the approximate tier). A
+//!    gathered row cannot seed a repair, so a gathered cache keeps the
+//!    full row of each key it wrote last and hands that over, taken out of
+//!    the cache. Either way the seed becomes the group's working row, and
+//!    the group's last cache keeps it if that cache is gathered. A
+//!    workspace thus holds at most one full row per key, dropped with its
+//!    bundle, and a seedless group over caches of full rows walks in a
+//!    per-thread row, allocating no full row of its own.
 //! 3. **Solve.** The four EMD\* terms of every pair fan out over the
 //!    thread pool individually through the engine's one term router,
 //!    `SndEngine::price_term` (the exact tier runs
@@ -245,25 +250,15 @@ impl<'g> SndEngine<'g> {
         let n = g.node_count();
         // lint:allow(no-unwrap) callers hold a live bundle for every state in `pairs`
         let geom = |s: usize| live(s).expect("a live bundle for every state in pairs");
-        // A full row of `(op, reverse, node)` to seed a repair from, in the
-        // live bundle nearest `ground` in snapshot order (earlier first on
-        // a tie): a hit in a cache of full rows, or the full row a
-        // gathered cache keeps for the key. A kept row is taken: the
-        // group's last row replaces it.
+        // A full row of `(op, reverse, node)` to seed a repair from, taken
+        // from the live bundle nearest `ground` in snapshot order (earlier
+        // first on a tie), with that bundle's state.
         let nearest = |ground: usize, op: Opinion, reverse: bool, node: NodeId| {
             (1..states.len())
                 .flat_map(|d| [ground.checked_sub(d), Some(ground + d)])
                 .flatten()
                 .filter(|&s| s < states.len())
-                .find_map(|s| {
-                    let cache = &live(s)?.cache;
-                    let seed = if cache.is_gathered(op) {
-                        Seed::Kept(cache.take_full(op, reverse, node)?)
-                    } else {
-                        Seed::Cached(cache.get(op, reverse, node)?.full())
-                    };
-                    Some((s, seed))
-                })
+                .find_map(|s| Some((s, live(s)?.cache.take_full(op, reverse, node)?)))
         };
 
         // Phase 1: every term's row keys as (negative opinion, reverse,
@@ -307,7 +302,7 @@ impl<'g> SndEngine<'g> {
         let limit = g.edge_count() / REPAIR_EDGE_FRACTION;
         let mut change_ids: HashMap<(bool, usize, usize), Option<usize>> = HashMap::new();
         let mut changes: Vec<Vec<CostChange>> = Vec::new();
-        let mut groups: Vec<RowGroup<'a>> = Vec::new();
+        let mut groups: Vec<RowGroup> = Vec::new();
         for run in keys.chunk_by(|x, y| (x.0, x.1, x.2) == (y.0, y.1, y.2)) {
             let (neg, reverse, node, _) = run[0];
             let op = if neg {
@@ -318,59 +313,46 @@ impl<'g> SndEngine<'g> {
             let mut steps = Vec::with_capacity(run.len());
             let mut rows = Vec::with_capacity(run.len());
             let mut seed = None;
-            let mut last = None;
-            // The previous row's ground state and where it lives.
-            let mut prev: Option<(usize, RowSource<'a>)> = None;
+            // The ground state of the row in the working row. A hit never
+            // seeds a step: it is skipped.
+            let mut prev = None;
             for &(.., ground) in run {
                 let cache = &geom(ground).cache;
-                if let Some(row) = cache.get(op, reverse, node) {
-                    steps.push(Step::Hit);
-                    // A gathered hit cannot seed a repair: the working
-                    // row, or the key's kept full row, still can.
-                    if !cache.is_gathered(op) {
-                        prev = Some((ground, RowSource::Cached(row.full())));
-                    }
+                if cache.get(op, reverse, node).is_some() {
                     continue;
                 }
                 let plane = geom(ground).plane(op);
-                // The group's first row seeds from the nearest live bundle.
+                // The group's first row seeds from the nearest live bundle;
+                // the seed becomes the group's working row.
                 let from = prev.or_else(|| {
-                    let (s, found) = nearest(ground, op, reverse, node)?;
-                    Some((s, seed.insert(found).source()))
+                    let (s, row) = nearest(ground, op, reverse, node)?;
+                    seed = Some(row);
+                    Some(s)
                 });
-                let repair = from.filter(|_| plane.is_lossless(n)).and_then(|(a, from)| {
-                    let id = *change_ids.entry((neg, a, ground)).or_insert_with(|| {
+                let repair = from.filter(|_| plane.is_lossless(n)).and_then(|a| {
+                    *change_ids.entry((neg, a, ground)).or_insert_with(|| {
                         let list =
                             cost_changes(&geom(a).plane(op).edge_costs, &plane.edge_costs, limit)?;
                         changes.push(list);
                         Some(changes.len() - 1)
-                    });
-                    id.map(|changes| (from, changes))
+                    })
                 });
-                steps.push(match repair {
-                    Some((from, changes)) => Step::Repair {
-                        ground,
-                        from,
-                        changes,
-                    },
-                    None => Step::Fresh(ground),
-                });
+                steps.push(Step { ground, repair });
                 // One buffer per written row in its cache's form,
                 // allocated here rather than in the pool: allocating in
                 // the workers fragmented the per-thread arenas and raised
                 // peak RSS.
                 rows.push(vec![0; cache.width(op)].into_boxed_slice());
-                prev = Some((ground, RowSource::Working));
-                last = Some(cache);
+                prev = Some(ground);
             }
-            let Some(last) = last else { continue };
-            // A gathered cache keeps the group's last row in full too, as
-            // the key's next repair source: in the seed's buffer, if the
-            // group took one. That buffer is the group's working row.
-            let full = match seed {
-                Some(Seed::Kept(row)) => Some(row),
-                _ => last.is_gathered(op).then(|| vec![0; n].into_boxed_slice()),
-            };
+            let Some(last) = steps.last() else { continue };
+            // A seedless group gets a working row of its own only when its
+            // last cache keeps the group's last full row; the others walk
+            // in the thread's.
+            let full = seed.or_else(|| {
+                let keeps = geom(last.ground).cache.is_gathered(op);
+                keeps.then(|| vec![0; n].into_boxed_slice())
+            });
             groups.push(RowGroup {
                 op,
                 reverse,
@@ -381,9 +363,9 @@ impl<'g> SndEngine<'g> {
         }
 
         // Phase 2: the groups in parallel, each walking its steps in order
-        // in one full working row, with its own repair scratch: the full
-        // row its last cache keeps, else the thread's own. After each step
-        // the row is written in its cache's form.
+        // in one full working row (its own, else the thread's), with its
+        // own repair scratch. After each step the row is written in its
+        // cache's form.
         groups.par_iter().for_each(|grp| {
             let mut guard = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
             let GroupRows { steps: rows, full } = &mut *guard;
@@ -397,24 +379,11 @@ impl<'g> SndEngine<'g> {
                         &mut own
                     }
                 };
-                let mut k = 0; // the next row buffer to write
-                for step in &grp.steps {
-                    let ground = match *step {
-                        Step::Hit => continue,
-                        Step::Fresh(ground) => {
-                            let plane = geom(ground).plane(grp.op);
-                            sparse::compute_row(g, plane, grp.reverse, grp.node, work);
-                            ground
-                        }
-                        Step::Repair {
-                            ground,
-                            from,
-                            changes: id,
-                        } => {
-                            if let RowSource::Cached(row) = from {
-                                work.copy_from_slice(row);
-                            }
-                            let plane = geom(ground).plane(grp.op);
+                for (step, out) in grp.steps.iter().zip(rows.iter_mut()) {
+                    let plane = geom(step.ground).plane(grp.op);
+                    match step.repair {
+                        None => sparse::compute_row(g, plane, grp.reverse, grp.node, work),
+                        Some(id) => {
                             repair_row(
                                 g,
                                 &plane.edge_costs,
@@ -425,11 +394,9 @@ impl<'g> SndEngine<'g> {
                                 work,
                                 &mut scratch,
                             );
-                            ground
                         }
-                    };
-                    geom(ground).cache.gather_into(grp.op, work, &mut rows[k]);
-                    k += 1;
+                    }
+                    geom(step.ground).cache.gather_into(grp.op, work, out);
                 }
             });
         });
@@ -439,23 +406,16 @@ impl<'g> SndEngine<'g> {
                 .rows
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner);
-            let written = grp.steps.iter().filter_map(|step| match *step {
-                Step::Hit => None,
-                Step::Fresh(ground) => Some((ground, false)),
-                Step::Repair { ground, .. } => Some((ground, true)),
-            });
-            let mut last = None;
-            for ((ground, repaired), row) in written.zip(rows) {
-                geom(ground)
+            for (step, row) in grp.steps.iter().zip(rows) {
+                let repaired = step.repair.is_some();
+                geom(step.ground)
                     .cache
                     .insert(grp.op, grp.reverse, grp.node, row, repaired);
-                last = Some(ground);
             }
-            if let (Some(ground), Some(full)) = (last, full) {
-                let cache = &geom(ground).cache;
-                if cache.is_gathered(grp.op) {
-                    cache.keep_full(grp.op, grp.reverse, grp.node, full);
-                }
+            if let (Some(last), Some(full)) = (grp.steps.last(), full) {
+                geom(last.ground)
+                    .cache
+                    .keep_full(grp.op, grp.reverse, grp.node, full);
             }
         }
     }
@@ -507,70 +467,38 @@ pub(crate) fn fold_terms(
 }
 
 thread_local! {
-    /// Per-thread full working row of phase 2, for the groups that keep
-    /// no full row: each walks its steps in it, repairing in place.
+    /// Per-thread full working row of phase 2, for the groups without one
+    /// of their own: each walks its steps in it, repairing in place.
     static WORKING_ROW: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The rows of one `(opinion, direction, user)` key across its ground
-/// states, in ascending snapshot order.
-struct RowGroup<'a> {
+/// The rows of one `(opinion, direction, user)` key that its ground
+/// states' caches lack, in ascending snapshot order.
+struct RowGroup {
     op: Opinion,
     reverse: bool,
     node: NodeId,
-    steps: Vec<Step<'a>>,
+    steps: Vec<Step>,
     rows: Mutex<GroupRows>,
 }
 
 /// The buffers a [`RowGroup`] writes.
 struct GroupRows {
-    /// One per non-hit step in step order, each in its cache's form.
+    /// One per step, each in its cache's form.
     steps: Vec<Box<[u32]>>,
-    /// The group's working row when it has a full row to keep: the last
-    /// step goes to a gathered cache, or the group took a kept row as its
-    /// seed (which it then holds).
+    /// The group's own working row: the seed it took, or, for a seedless
+    /// group whose last cache is gathered, a fresh buffer. The last
+    /// step's cache keeps it (`RowCache::keep_full`).
     full: Option<Box<[u32]>>,
 }
 
-/// How one ground state's row of a [`RowGroup`] is obtained.
-enum Step<'a> {
-    /// Already cached.
-    Hit,
-    /// One fresh Dial run in this ground state.
-    Fresh(usize),
-    /// The previous step's row, repaired with change list `changes`.
-    Repair {
-        ground: usize,
-        from: RowSource<'a>,
-        changes: usize,
-    },
-}
-
-/// Where a repair's starting row lives: always a full row.
-#[derive(Clone, Copy)]
-enum RowSource<'a> {
-    /// In a cache of full rows.
-    Cached(&'a [u32]),
-    /// In the group's working row: its previous row, or the kept full row
-    /// it took as its seed.
-    Working,
-}
-
-/// A group's seed, found by `nearest` in another live bundle.
-enum Seed<'a> {
-    /// A hit in a cache of full rows.
-    Cached(&'a [u32]),
-    /// The full row a gathered cache kept for the key, taken out of it.
-    Kept(Box<[u32]>),
-}
-
-impl<'a> Seed<'a> {
-    fn source(&self) -> RowSource<'a> {
-        match *self {
-            Seed::Cached(row) => RowSource::Cached(row),
-            Seed::Kept(_) => RowSource::Working,
-        }
-    }
+/// One ground state's row of a [`RowGroup`].
+struct Step {
+    ground: usize,
+    /// The change list that repairs the working row (the previous step's
+    /// row, or the group's seed) into this one; `None` for a fresh Dial
+    /// run.
+    repair: Option<usize>,
 }
 
 /// The edges whose cost differs between two ground states, as
@@ -592,7 +520,10 @@ fn cost_changes(old: &[u32], new: &[u32], limit: usize) -> Option<Vec<CostChange
 mod tests {
     use super::*;
     use crate::config::SndConfig;
-    use snd_graph::generators::path_graph;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use snd_graph::generators::{barabasi_albert, path_graph};
+    use std::collections::BTreeSet;
 
     fn states() -> Vec<NetworkState> {
         vec![
@@ -654,6 +585,67 @@ mod tests {
         let rows_again: Vec<usize> = geoms.iter().map(|b| b.cached_rows()).collect();
         assert_eq!(rows_after, rows_again, "second evaluation: zero new SSSP");
         assert_eq!(first, second);
+    }
+
+    /// A group whose key a bundle of full rows already holds starts by
+    /// repairing a copy of that row: over a pre-filled middle bundle, only
+    /// the keys it lacks cost a fresh Dial run.
+    #[test]
+    fn a_prefilled_full_row_seeds_the_groups_around_it() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        let g = barabasi_albert(300, 3, &mut rng);
+        let mut s = vec![NetworkState::from_values(
+            &(0..300)
+                .map(|_| [1, -1, 0, 0, 0][rng.gen_range(0..5)])
+                .collect::<Vec<i8>>(),
+        )];
+        for _ in 1..6 {
+            let mut next = s[s.len() - 1].clone();
+            for _ in 0..4 {
+                next.set(
+                    rng.gen_range(0..300),
+                    Opinion::from_value(rng.gen_range(-1..=1)),
+                );
+            }
+            s.push(next);
+        }
+        let engine = SndEngine::new(&g, SndConfig::default());
+        let bundles =
+            || -> Vec<StateGeometry> { s.iter().map(|st| engine.state_geometry(st)).collect() };
+        let fresh = |bs: &[StateGeometry]| -> usize {
+            bs.iter().map(|b| b.cached_rows() - b.repaired_rows()).sum()
+        };
+        let keys = |b: &StateGeometry| -> BTreeSet<(bool, bool, NodeId)> {
+            [Opinion::Positive, Opinion::Negative]
+                .into_iter()
+                .flat_map(|op| {
+                    b.cache
+                        .rows(op)
+                        .into_iter()
+                        .map(move |(rev, u, _)| (op == Opinion::Negative, rev, u))
+                })
+                .collect()
+        };
+
+        let cold = bundles();
+        let matrix = engine.pairwise_distances_with(&s, &cold);
+        let all: BTreeSet<_> = cold.iter().flat_map(keys).collect();
+        assert_eq!(fresh(&cold), all.len(), "cold: one fresh row per key");
+
+        let mid = s.len() / 2;
+        let warm = bundles();
+        for op in [Opinion::Positive, Opinion::Negative] {
+            for (rev, u, row) in cold[mid].cache.rows(op) {
+                warm[mid].cache.insert(op, rev, u, row.full().into(), false);
+            }
+        }
+        let held = keys(&cold[mid]);
+        assert_eq!(engine.pairwise_distances_with(&s, &warm), matrix);
+        assert_eq!(
+            fresh(&warm) - held.len(),
+            all.difference(&held).count(),
+            "held keys repair from the pre-filled rows"
+        );
     }
 
     #[test]

@@ -19,11 +19,15 @@ pub enum ClusterSpec {
     /// extra geometry in the sparse path: bank columns are read off the
     /// same SSSP rows as regular columns.
     PerBin,
-    /// Balanced BFS partition into this many clusters — the coarse,
-    /// cluster-granular mode for very large graphs (bank distances resolve
-    /// positions only up to the clustering).
+    /// BFS partition ([`snd_graph::bfs_partition`]) with clusters of at
+    /// most ⌈n / `clusters`⌉ nodes — the coarse, cluster-granular mode for
+    /// very large graphs (bank distances resolve positions only up to the
+    /// clustering). Regions grow one after another and every node stranded
+    /// between full regions starts a new cluster, so the partition can hold
+    /// many more than `clusters` clusters.
     BfsPartition {
-        /// Number of clusters.
+        /// Target number of clusters: it sets the size budget, not the
+        /// count.
         clusters: usize,
     },
     /// Explicit cluster labels per node.

@@ -147,6 +147,6 @@ pub use engine::{SndBreakdown, SndEngine, StateGeometry};
 pub use ordered::CandidateEvaluator;
 pub use shard::{
     auto_tile, states_fingerprint, Checkpoint, ShardError, ShardPlan, TileGrid, TileLine, TileSet,
-    TileWorkspace, DEFAULT_TILE,
+    TileWorkspace,
 };
 pub use sparse::RowCache;

@@ -127,12 +127,6 @@ use crate::delta::{chain_geometry, DeltaStateGeometry};
 use crate::engine::{SndEngine, StateGeometry};
 use crate::sparse::{Columns, RowCache};
 
-/// Default tile edge (states per block): `8 × 8` tiles hold up to 64
-/// pairs — coarse enough that checkpoint appends are rare, fine enough
-/// that a killed run loses little work. Prefer [`auto_tile`], which sizes
-/// the tile from the workload instead.
-pub const DEFAULT_TILE: usize = 8;
-
 /// Picks a tile size from the workload shape — the first step of tile-size
 /// autotuning.
 ///
@@ -1093,8 +1087,11 @@ fn parse_value(field: &str) -> Option<f64> {
 ///
 /// The bundles' caches keep each row gathered to the columns pricing
 /// reads: per opinion, the users who hold it in some state of the
-/// snapshot set. That set depends on the snapshot set alone, so the
-/// workspace computes it once, on its first call.
+/// snapshot set (every node, in full rows, when some state holds none).
+/// That set depends on the snapshot set alone, so the workspace computes
+/// it once, on its first call. In either form a live bundle seeds a row
+/// group with the key's full row (see [`crate::batch`]), so rows written
+/// by one call repair the next call's rows.
 #[derive(Default)]
 pub struct TileWorkspace {
     /// The chain head: the last state built, still repairable.
@@ -1184,26 +1181,17 @@ impl<'g> SndEngine<'g> {
     /// plan partition, merged, is bit-identical to
     /// [`pairwise_distances_seq`](Self::pairwise_distances_seq).
     pub fn pairwise_tiles(&self, states: &[NetworkState], plan: &ShardPlan) -> TileSet {
-        self.pairwise_tiles_with(states, plan, &mut |_| Ok(()))
-            // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
-            .expect("in-memory tile computation performs no IO")
-    }
-
-    /// [`pairwise_tiles`](Self::pairwise_tiles) with a per-tile hook:
-    /// `on_tile` sees each finished tile's lines (see [`OnTile`]) *before*
-    /// they are recorded in the returned set, in ascending tile-ID order.
-    /// An error from the hook aborts the run. Runs over a workspace of its
-    /// own; [`pairwise_tiles_in`](Self::pairwise_tiles_in) is the same
-    /// loop over a caller-owned one.
-    pub fn pairwise_tiles_with(
-        &self,
-        states: &[NetworkState],
-        plan: &ShardPlan,
-        on_tile: &mut OnTile<'_>,
-    ) -> Result<TileSet, ShardError> {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.pairwise_tiles_in(states, plan, &mut TileWorkspace::new(), &mut set, on_tile)?;
-        Ok(set)
+        self.pairwise_tiles_in(
+            states,
+            plan,
+            &mut TileWorkspace::new(),
+            &mut set,
+            &mut |_| Ok(()),
+        )
+        // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
+        .expect("in-memory tile computation performs no IO");
+        set
     }
 
     /// [`pairwise_tiles`](Self::pairwise_tiles) with checkpointing: tiles
@@ -1247,8 +1235,8 @@ impl<'g> SndEngine<'g> {
     /// the matrix prices all pairs (see [`crate::batch`]; the matrix is
     /// this loop over one tile): rows an earlier tile or call wrote into a
     /// live bundle are hits, the rest are fresh or repaired along the
-    /// snapshot order, and a row group's first row repairs from the full
-    /// row a live bundle keeps for its key. The bundles keep their rows
+    /// snapshot order, and a row group's first row repairs from the key's
+    /// full row in the nearest live bundle. The bundles keep their rows
     /// gathered to the workspace's column set (see [`TileWorkspace`]).
     ///
     /// Bundles live in the workspace under one retention rule, so a

@@ -164,8 +164,9 @@ impl<'a> Row<'a> {
 /// the columns their snapshot set's terms read (`Columns::read_by`), a
 /// few hundred entries instead of `n`. A gathered row cannot seed a
 /// repair, so a gathered cache also keeps the full row of each key whose
-/// newest row it wrote; the key's next row group takes it as its seed
-/// (see [`crate::batch`]).
+/// newest row it wrote. Either form hands a row group its seed, a full row
+/// of the key, through one call: a copy of the hit, or the kept row taken
+/// out (see [`crate::batch`]).
 ///
 /// A row gets into the cache one of two ways: a fresh Dial run when a
 /// term asks for a row the cache lacks, or a row the all-pairs
@@ -327,18 +328,26 @@ impl RowCache {
         }
     }
 
-    /// Keeps `full`, this state's full row of a gathered key, as the
-    /// source the key's next row repairs from.
+    /// Keeps `full`, this state's full row of a key, as the source the
+    /// key's next row group repairs from. Only a gathered cache keeps it:
+    /// a cache of full rows already holds the row as its hit.
     pub(crate) fn keep_full(&self, op: Opinion, reverse: bool, node: NodeId, full: Box<[u32]>) {
-        debug_assert!(self.is_gathered(op) && full.len() == self.n);
-        self.full
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert((Self::plane(op, reverse), node), full);
+        debug_assert_eq!(full.len(), self.n);
+        if self.is_gathered(op) {
+            self.full
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert((Self::plane(op, reverse), node), full);
+        }
     }
 
-    /// Takes the full row kept for a key, if this cache holds it.
+    /// A full row of a key to seed a repair from, if this cache has one:
+    /// a copy of the hit in a cache of full rows, or the row a gathered
+    /// cache kept for the key, taken out of it.
     pub(crate) fn take_full(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<Box<[u32]>> {
+        if !self.is_gathered(op) {
+            return self.get(op, reverse, node).map(|row| row.values.into());
+        }
         self.full
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

@@ -36,33 +36,10 @@ pub fn bfs_levels(g: &CsrGraph, sources: &[NodeId], undirected: bool) -> Vec<u32
     level
 }
 
-/// Upper bound on the hop diameter via a double BFS sweep from `start`:
-/// BFS to the farthest node `f`, then BFS from `f`; the eccentricity of `f`
-/// lower-bounds the diameter and `2 * ecc(start)` upper-bounds it. Returns
-/// `(lower, upper)` over the reachable part.
-pub fn double_sweep_diameter(g: &CsrGraph, start: NodeId) -> (u32, u32) {
-    let l1 = bfs_levels(g, &[start], true);
-    let (far, ecc_start) = l1
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != u32::MAX)
-        .max_by_key(|(_, &d)| d)
-        .map(|(i, &d)| (i as NodeId, d))
-        .unwrap_or((start, 0));
-    let l2 = bfs_levels(g, &[far], true);
-    let ecc_far = l2
-        .iter()
-        .copied()
-        .filter(|&d| d != u32::MAX)
-        .max()
-        .unwrap_or(0);
-    (ecc_far, 2 * ecc_start.max(ecc_far))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{cycle_graph, path_graph};
+    use crate::generators::path_graph;
 
     #[test]
     fn levels_on_path() {
@@ -84,12 +61,5 @@ mod tests {
         assert_eq!(directed[1], u32::MAX);
         let undirected = bfs_levels(&g, &[0], true);
         assert_eq!(undirected, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn double_sweep_bounds_hold() {
-        let g = cycle_graph(10); // true diameter 5
-        let (lo, hi) = double_sweep_diameter(&g, 0);
-        assert!(lo <= 5 && 5 <= hi, "bounds ({lo}, {hi}) should bracket 5");
     }
 }

@@ -20,30 +20,30 @@ pub fn laplacian_quadratic_form(g: &CsrGraph, x: &[f64]) -> f64 {
     acc
 }
 
-/// Dense Laplacian matrix of the symmetrized graph; test oracle for
-/// [`laplacian_quadratic_form`]. Entry `(u,v)` of the adjacency is 1 if
-/// either arc exists.
-pub fn dense_laplacian(g: &CsrGraph) -> Vec<Vec<f64>> {
-    let n = g.node_count();
-    let mut a = vec![vec![0.0; n]; n];
-    for (u, v) in g.edges() {
-        a[u as usize][v as usize] = 1.0;
-        a[v as usize][u as usize] = 1.0;
-    }
-    let mut l = vec![vec![0.0; n]; n];
-    for u in 0..n {
-        let deg: f64 = a[u].iter().sum();
-        for v in 0..n {
-            l[u][v] = if u == v { deg } else { -a[u][v] };
-        }
-    }
-    l
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::path_graph;
+
+    /// Dense Laplacian matrix of the symmetrized graph; test oracle for
+    /// [`laplacian_quadratic_form`]. Entry `(u,v)` of the adjacency is 1 if
+    /// either arc exists.
+    fn dense_laplacian(g: &CsrGraph) -> Vec<Vec<f64>> {
+        let n = g.node_count();
+        let mut a = vec![vec![0.0; n]; n];
+        for (u, v) in g.edges() {
+            a[u as usize][v as usize] = 1.0;
+            a[v as usize][u as usize] = 1.0;
+        }
+        let mut l = vec![vec![0.0; n]; n];
+        for u in 0..n {
+            let deg: f64 = a[u].iter().sum();
+            for v in 0..n {
+                l[u][v] = if u == v { deg } else { -a[u][v] };
+            }
+        }
+        l
+    }
 
     fn quad_via_dense(g: &CsrGraph, x: &[f64]) -> f64 {
         let l = dense_laplacian(g);

@@ -50,12 +50,7 @@ fn mutated_checkpoints_and_wire_lines_never_panic() {
         ..Default::default()
     };
     let engine = SndEngine::new(&g, config);
-    let states: Vec<NetworkState> = (0..5)
-        .map(|t| {
-            let vals: Vec<i8> = (0..8).map(|u| ((u + t) % 3) as i8 - 1).collect();
-            NetworkState::from_values(&vals)
-        })
-        .collect();
+    let states = five_states();
     let grid = TileGrid::new(states.len(), 2);
     let dir = std::env::temp_dir();
     let pid = std::process::id();
@@ -107,6 +102,113 @@ fn mutated_checkpoints_and_wire_lines_never_panic() {
     for path in [&base, &mutated, &resaved] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// Line-level damage to a valid checkpoint, on the exact and the
+/// approximate tier: two `T` lines swapped, an `I` or `W` line moved
+/// ahead of its `T` line, a duplicated `T` line, and a `T` line torn in
+/// the middle of the file with the lines after it kept. Each variant must
+/// load to `Ok` (holding only clean values) or a `ShardError`; a
+/// checkpointed run resumed over it must recompute the damaged tiles,
+/// end with the clean run's matrix bytes and leave a file that loads
+/// complete.
+#[test]
+fn reordered_duplicated_and_torn_tile_lines_resume_to_the_clean_matrix() {
+    let g = path_graph(8);
+    let states = five_states();
+    let grid = TileGrid::new(states.len(), 2);
+    let plan = ShardPlan::full(grid);
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let (clean, damaged) = (
+        dir.join(format!("snd_codec_clean_{pid}.ckpt")),
+        dir.join(format!("snd_codec_damaged_{pid}.ckpt")),
+    );
+    let bits = |set: &TileSet| -> Vec<u64> {
+        let m = set.to_matrix().expect("a complete set");
+        (0..m.size() * m.size())
+            .map(|x| m.at(x / m.size(), x % m.size()).to_bits())
+            .collect()
+    };
+    let approx = ApproxConfig {
+        epsilon: 0.5,
+        min_nodes: 0,
+        ..Default::default()
+    };
+    for (approx, side) in [(None, "W "), (Some(approx), "I ")] {
+        let engine = SndEngine::new(
+            &g,
+            SndConfig {
+                approx,
+                ..Default::default()
+            },
+        );
+        let _ = std::fs::remove_file(&clean);
+        engine
+            .pairwise_tiles_checkpointed(&states, &plan, &clean)
+            .expect("clean checkpoint");
+        let want = TileSet::load(&clean).expect("load the clean checkpoint");
+        let text = std::fs::read_to_string(&clean).expect("read checkpoint");
+        let (head, body) = text.split_at(text.match_indices('\n').nth(1).expect("header").0 + 1);
+        let body: Vec<String> = body.split_inclusive('\n').map(String::from).collect();
+        let t: Vec<usize> = (0..body.len())
+            .filter(|&i| body[i].starts_with("T "))
+            .collect();
+        assert!(t.len() >= 3, "{text}");
+        // The first `I`/`W` line after the second `T` line: its tile's.
+        let own = (t[1]..body.len())
+            .find(|&i| body[i].starts_with(side))
+            .expect("a side line after the second tile");
+
+        let mut cases: Vec<(&str, Vec<String>)> = Vec::new();
+        let mut swapped = body.clone();
+        swapped.swap(t[0], t[1]);
+        cases.push(("swapped", swapped));
+        let mut early = body.clone();
+        let line = early.remove(own);
+        early.insert(t[1], line);
+        cases.push(("side line first", early));
+        let mut duplicated = body.clone();
+        duplicated.insert(t[1] + 1, body[t[1]].clone());
+        cases.push(("duplicated", duplicated));
+        let mut torn = body.clone();
+        torn[t[1]].truncate(body[t[1]].len() / 2);
+        cases.push(("torn", torn));
+
+        for (what, lines) in cases {
+            std::fs::write(&damaged, format!("{head}{}", lines.concat())).expect("write");
+            if let Ok(set) = TileSet::load(&damaged) {
+                for i in 0..states.len() {
+                    for j in (i + 1)..states.len() {
+                        if let Some(v) = set.pair(i, j) {
+                            assert_eq!(v.to_bits(), want.pair(i, j).expect("clean").to_bits());
+                        }
+                    }
+                }
+            }
+            let run = engine
+                .pairwise_tiles_checkpointed(&states, &plan, &damaged)
+                .unwrap_or_else(|e| panic!("{what}: resume: {e}"));
+            assert!(run.computed > 0, "{what}: the damage was not detected");
+            assert_eq!(bits(&run.tiles), bits(&want), "{what}");
+            let left = TileSet::load(&damaged).expect("the resumed file loads");
+            assert_eq!(bits(&left), bits(&want), "{what}: reloaded");
+        }
+    }
+    for path in [&clean, &damaged] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// The snapshot set both checkpoint tests run on: five states of an
+/// 8-node path.
+fn five_states() -> Vec<NetworkState> {
+    (0..5)
+        .map(|t| {
+            let vals: Vec<i8> = (0..8).map(|u| ((u + t) % 3) as i8 - 1).collect();
+            NetworkState::from_values(&vals)
+        })
+        .collect()
 }
 
 /// Every prefix of `bytes`, then `MUTATIONS` seeded single-byte

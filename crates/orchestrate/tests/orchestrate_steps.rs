@@ -10,7 +10,9 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use snd_core::{DistanceMatrix, ShardPlan, SndConfig, SndEngine, TileGrid, TileLine, TileSet};
+use snd_core::{
+    DistanceMatrix, ShardPlan, SndConfig, SndEngine, TileGrid, TileLine, TileSet, TileWorkspace,
+};
 use snd_graph::generators::path_graph;
 use snd_models::NetworkState;
 use snd_orchestrate::protocol::{parse_coordinator_msg, worker_line};
@@ -46,17 +48,38 @@ fn tile_lines(
     grid: TileGrid,
     ids: &[usize],
 ) -> String {
-    let plan = ShardPlan::explicit(grid, ids.to_vec()).expect("plan");
     let mut out = String::new();
-    engine
-        .pairwise_tiles_with(states, &plan, &mut |lines| {
-            for line in lines {
-                line.write(&mut out);
-            }
-            Ok(())
-        })
-        .expect("tiles");
+    each_tile(engine, states, grid, ids, &mut |lines| {
+        for line in lines {
+            line.write(&mut out);
+        }
+    });
     out
+}
+
+/// Computes the tiles `ids` over a fresh workspace, handing each finished
+/// tile's lines to `on_tile`.
+fn each_tile(
+    engine: &SndEngine<'_>,
+    states: &[NetworkState],
+    grid: TileGrid,
+    ids: &[usize],
+    on_tile: &mut dyn FnMut(&[TileLine]),
+) {
+    let plan = ShardPlan::explicit(grid, ids.to_vec()).expect("plan");
+    let mut set = TileSet::empty(grid, engine.shard_fingerprint(states));
+    engine
+        .pairwise_tiles_in(
+            states,
+            &plan,
+            &mut TileWorkspace::new(),
+            &mut set,
+            &mut |lines| {
+                on_tile(lines);
+                Ok(())
+            },
+        )
+        .expect("tiles");
 }
 
 fn assert_bit_identical(a: &DistanceMatrix, b: &DistanceMatrix) {
@@ -302,13 +325,9 @@ fn duplicate_results_keep_the_first_bits_and_certification_attribution() {
     // duplicate clears attribution, so the certification is dropped —
     // a losing worker can't certify the winner's values.
     let mut t1 = String::new();
-    let plan = ShardPlan::explicit(grid, vec![1]).expect("plan");
-    engine
-        .pairwise_tiles_with(&s, &plan, &mut |lines| {
-            lines[0].write(&mut t1);
-            Ok(())
-        })
-        .expect("tile 1");
+    each_tile(&engine, &s, grid, &[1], &mut |lines| {
+        lines[0].write(&mut t1)
+    });
     fake.send(&t1);
     fake.send(&t1);
     let mut stray_interval = String::new();
