@@ -193,6 +193,7 @@ pub fn update_edge_costs(
     assert!(op.is_active(), "ground costs require a polar opinion");
     assert_eq!(state.len(), g.node_count(), "state/graph size mismatch");
     assert_eq!(costs.len(), g.edge_count(), "one cost per edge");
+    crate::ground::assert_epsilon(config.epsilon);
 
     // Receiver-side aggregates are shared by every touched edge pointing
     // at the same node; memoize them per receiver.

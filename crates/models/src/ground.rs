@@ -98,17 +98,28 @@ impl GroundCostConfig {
 }
 
 /// Quantizes a spreading probability into `[0, span]` cost units:
-/// `p ≥ 1 → 0`, `p ≤ ε → span`, log-linear in between.
+/// `p ≥ 1 → 0`, `p ≤ ε → span`, log-linear in between. A NaN `p` is no
+/// evidence of spreading and costs `span`, like an impossible event.
 pub fn prob_to_cost(p: f64, epsilon: f64, span: u32) -> u32 {
     debug_assert!(epsilon > 0.0 && epsilon < 1.0);
     if p >= 1.0 {
         return 0;
     }
-    if p <= epsilon {
+    if p.is_nan() || p <= epsilon {
         return span;
     }
     let frac = p.ln() / epsilon.ln(); // in (0, 1)
     (frac * span as f64).round() as u32
+}
+
+/// Rejects an ε that is NaN, infinite or outside `(0, 1)`: in release
+/// builds such an ε would quietly set every quantized spreading cost to 0
+/// or `span`.
+pub(crate) fn assert_epsilon(epsilon: f64) {
+    assert!(
+        epsilon > 0.0 && epsilon < 1.0,
+        "epsilon must lie in (0, 1), got {epsilon}"
+    );
 }
 
 /// Builds the integer edge-cost vector (aligned with the graph's forward
@@ -122,6 +133,7 @@ pub fn edge_costs(
 ) -> Vec<u32> {
     assert!(op.is_active(), "ground costs require a polar opinion");
     assert_eq!(state.len(), g.node_count(), "state/graph size mismatch");
+    assert_epsilon(config.epsilon);
     if let Some(c) = &config.communication {
         assert_eq!(c.len(), g.edge_count(), "communication penalties per edge");
     }
@@ -169,6 +181,37 @@ mod tests {
         assert_eq!(prob_to_cost(0.0, 1e-6, 59), 59);
         let mid = prob_to_cost(1e-3, 1e-6, 58);
         assert_eq!(mid, 29); // half the log range
+    }
+
+    /// Everything not above ε — NaN, ε itself, −0.0 and the smallest
+    /// positive float — costs `span`; only `p ≥ 1` is free.
+    #[test]
+    fn prob_to_cost_boundaries() {
+        let eps = 1e-6;
+        assert_eq!(prob_to_cost(f64::NAN, eps, 59), 59);
+        assert_eq!(prob_to_cost(-f64::NAN, eps, 59), 59);
+        assert_eq!(prob_to_cost(eps, eps, 59), 59);
+        assert_eq!(prob_to_cost(-0.0, eps, 59), 59);
+        assert_eq!(prob_to_cost(f64::MIN_POSITIVE, eps, 59), 59);
+        assert_eq!(prob_to_cost(1.0, eps, 59), 0);
+        assert_eq!(prob_to_cost(f64::INFINITY, eps, 59), 0);
+        assert_eq!(prob_to_cost(f64::NEG_INFINITY, eps, 59), 59);
+    }
+
+    #[test]
+    fn edge_costs_reject_a_bad_epsilon() {
+        let g = path_graph(3);
+        let state = NetworkState::from_values(&[1, 0, -1]);
+        for epsilon in [f64::NAN, 0.0, -0.0, 1.0, 2.0, f64::INFINITY, -1e-6] {
+            let config = GroundCostConfig {
+                spreading: SpreadingModel::Icc(IccParams::default()),
+                epsilon,
+                ..Default::default()
+            };
+            let built =
+                std::panic::catch_unwind(|| edge_costs(&g, &state, Opinion::Positive, &config));
+            assert!(built.is_err(), "epsilon {epsilon} was accepted");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! results are exact and platform-independent. Three independent solvers are
 //! provided and cross-validated against each other:
 //!
-//! * [`simplex`] — the transportation simplex (row-minimum start, MODI
+//! * [`simplex`] — the transportation simplex (least-cost start, MODI
 //!   pivoting with block pricing on an incrementally maintained basis
 //!   tree). Default: fastest in practice on the dense bipartite problems
 //!   SND produces.
@@ -26,12 +26,12 @@
 //!
 //! # Overflow semantics
 //!
-//! No solver panics on instance magnitude. The simplex prices on the rayon
-//! pool for large instances ([`simplex::solve_par`] is property-tested
-//! bit-identical to [`simplex::solve_seq`]); cost-scaling widens its scaled
-//! potentials to `i128` when `u32`-sized costs on large node counts exceed
-//! the `i64` headroom, and falls back to SSP for masses beyond `i64::MAX`
-//! (see [`cost_scaling`]'s module docs).
+//! No solver panics on instance magnitude. The simplex can price on the
+//! rayon pool ([`simplex::solve_par`] is property-tested bit-identical to
+//! [`simplex::solve_seq`], which [`simplex::solve`] runs); cost-scaling
+//! widens its scaled potentials to `i128` when `u32`-sized costs on large
+//! node counts exceed the `i64` headroom, and falls back to SSP for masses
+//! beyond `i64::MAX` (see [`cost_scaling`]'s module docs).
 
 pub mod cost_scaling;
 pub mod dense;
@@ -72,21 +72,22 @@ pub const WIDE_ASPECT: usize = 128;
 /// shape-based, so selection is `O(1)`.
 ///
 /// Calibrated against the `solver_scaling` bench
-/// (`BENCH_solver_scaling.json`, 2 threads, so the 128×128 shapes price on
-/// the pool) on the dense bipartite shapes SND produces:
+/// (`BENCH_solver_scaling.json`, 2 threads) on the dense bipartite shapes
+/// SND produces:
 ///
 /// * The transportation simplex wins every near-square shape at every
 ///   measured size and cost magnitude — ~1.8× over SSP at 4×4 growing to
 ///   ~7× at 128×128, and 1.5× (small costs) to 2.7× (huge costs) over
 ///   cost-scaling there — so it is the default.
-/// * Cost-scaling wins *column-heavy* shapes, `cols ≳ 128·rows` (1.5× at
-///   2×256, 1.7× at 4×1024): the simplex's row-minimum start scans every
-///   open column per allocation, degrading toward `O(cols²)` when rows are
-///   few. These shapes are real in the warm path — a nearly-identical
-///   snapshot pair has few residual rows but bank columns on every active
-///   bin. At 8×512 (aspect 64) the simplex is 2.3× faster. The transposed
-///   case (`rows ≫ cols`) stays with the simplex, whose start is cheap
-///   there (measured 5× faster than cost-scaling at 256×4).
+/// * Cost-scaling won *column-heavy* shapes, `cols ≳ 128·rows` (1.5× at
+///   2×256, 1.7× at 4×1024), against the simplex this was calibrated on,
+///   whose row-minimum start scanned every open column per allocation.
+///   These shapes are real in the warm path — a nearly-identical snapshot
+///   pair has few residual rows but bank columns on every active bin.
+///   Since the simplex starts least-cost and prices by row segments, it
+///   wins these shapes too, random and `bank` costs alike (the `wide` and
+///   `bank` rows of `BENCH_solver_scaling.json`); the threshold stays
+///   until the routing is revisited as a whole.
 /// * SSP never wins a measured shape; it remains the cross-validation
 ///   oracle and the structured fallback for beyond-`i64` masses.
 ///
@@ -382,9 +383,10 @@ mod tests {
     /// θ is at most half the total mass: with every line positive, the
     /// largest θ a pivot can move is `Mass::MAX / 2 = i64::MAX`, and
     /// `Mass::MAX` itself is out of reach. The first instance's only pivot
-    /// moves exactly that θ (its row-minimum start ships row 0 along the
-    /// diagonal, and the optimum ships `i64::MAX` off it); the second
-    /// raises a basic cell to `Mass::MAX − 1`.
+    /// moves exactly that θ (its least-cost start ships both lines along
+    /// the diagonal, with a degenerate cell at (1, 0), and the optimum
+    /// ships `i64::MAX` off it); the second raises a basic cell to
+    /// `Mass::MAX − 1`.
     #[test]
     fn pivots_at_the_mass_boundary() {
         let theta = i64::MAX as Mass;
