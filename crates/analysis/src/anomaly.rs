@@ -5,6 +5,8 @@
 //! transitions score zero — a spike cannot be confirmed with only one
 //! neighbor (the paper likewise leaves the last quarter unmarked).
 
+use crate::nan_high_cmp;
+
 /// Anomaly scores per transition. Input is the processed distance series
 /// (one value per adjacent state pair); output has the same length, with
 /// zero scores at both boundaries.
@@ -76,10 +78,10 @@ pub fn evaluate_detection(scores: &[f64], labels: &[bool], k: usize) -> Detectio
 /// order (stable on ties by index).
 pub fn top_k_anomalies(scores: &[f64], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).collect();
-    // total_cmp: NaN scores order deterministically (above +inf) instead
-    // of collapsing to Equal, which would make the comparator
+    // A total order: NaN scores of either sign rank first (above +inf)
+    // instead of collapsing to Equal, which would make the comparator
     // non-transitive and the ranking permutation arbitrary.
-    idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    idx.sort_by(|&a, &b| nan_high_cmp(scores[b], scores[a]).then(a.cmp(&b)));
     idx.truncate(k);
     idx
 }
@@ -133,18 +135,22 @@ mod tests {
     #[test]
     fn nan_score_keeps_ranking_deterministic_and_auc_finite() {
         // Regression for the partial_cmp ranking: a NaN score must not
-        // panic or scramble the order. Under total_cmp a NaN sorts first
-        // (above +inf) and everything else keeps its relative order.
-        let scores = [0.1, f64::NAN, 0.9, 0.5];
-        assert_eq!(top_k_anomalies(&scores, 4), vec![1, 2, 3, 0]);
-        // Same input twice: identical ranking (determinism, not chance).
-        assert_eq!(top_k_anomalies(&scores, 4), top_k_anomalies(&scores, 4));
+        // panic or scramble the order. A NaN sorts first (above +inf) and
+        // everything else keeps its relative order — for the negative NaN
+        // that 0.0/0.0 yields on x86-64 too, which bare total_cmp would
+        // rank last.
+        for nan in [f64::NAN, -f64::NAN] {
+            let scores = [0.1, nan, 0.9, 0.5];
+            assert_eq!(top_k_anomalies(&scores, 4), vec![1, 2, 3, 0]);
+            // Same input twice: identical ranking (determinism, not chance).
+            assert_eq!(top_k_anomalies(&scores, 4), top_k_anomalies(&scores, 4));
 
-        let report = evaluate_detection(&scores, &[false, false, true, false], 2);
-        assert_eq!(report.k, 2);
-        assert_eq!(report.flagged, vec![1, 2]);
-        assert_eq!(report.hits, 1);
-        assert!(report.auc.expect("two-class labels").is_finite());
+            let report = evaluate_detection(&scores, &[false, false, true, false], 2);
+            assert_eq!(report.k, 2);
+            assert_eq!(report.flagged, vec![1, 2]);
+            assert_eq!(report.hits, 1);
+            assert!(report.auc.expect("two-class labels").is_finite());
+        }
     }
 
     #[test]

@@ -9,15 +9,7 @@
 use snd_baselines::StateDistance;
 use snd_models::NetworkState;
 
-/// Total order over distances in which NaN — of either sign — sits above
-/// every real value, so a poisoned distance (e.g. from an
-/// unreachable-node geometry) loses every `min` instead of panicking.
-/// (Bare `f64::total_cmp` would order a *negative* NaN below −∞ and let
-/// it win.)
-fn distance_cmp(a: f64, b: f64) -> std::cmp::Ordering {
-    let canon = |x: f64| if x.is_nan() { f64::INFINITY } else { x };
-    canon(a).total_cmp(&canon(b))
-}
+use crate::nan_high_cmp;
 
 /// Symmetric pairwise distance matrix over a set of states (row-major,
 /// `states.len()²`). Delegates to the measure's batch path
@@ -45,7 +37,7 @@ pub struct MedoidClustering {
 /// until no single-swap improvement exists (or `max_iters`).
 ///
 /// A NaN distance (e.g. from an unreachable-node geometry upstream) never
-/// panics the run — `distance_cmp` orders NaN above every real distance,
+/// panics the run — `nan_high_cmp` orders NaN above every real distance,
 /// so it simply loses every `min`.
 pub fn k_medoids(distances: &[Vec<f64>], k: usize, max_iters: usize) -> MedoidClustering {
     let n = distances.len();
@@ -56,7 +48,7 @@ pub fn k_medoids(distances: &[Vec<f64>], k: usize, max_iters: usize) -> MedoidCl
         .min_by(|&a, &b| {
             let sa: f64 = distances[a].iter().sum();
             let sb: f64 = distances[b].iter().sum();
-            distance_cmp(sa, sb)
+            nan_high_cmp(sa, sb)
         })
         .unwrap_or(0);
     let mut medoids = vec![first];
@@ -70,7 +62,7 @@ pub fn k_medoids(distances: &[Vec<f64>], k: usize, max_iters: usize) -> MedoidCl
                 .iter()
                 .map(|&m| distances[b][m])
                 .fold(f64::INFINITY, f64::min);
-            distance_cmp(da, db)
+            nan_high_cmp(da, db)
         });
         match next {
             Some(i) => medoids.push(i),
@@ -86,7 +78,7 @@ pub fn k_medoids(distances: &[Vec<f64>], k: usize, max_iters: usize) -> MedoidCl
                 .iter()
                 .enumerate()
                 .map(|(c, &m)| (c, distances[i][m]))
-                .min_by(|a, b| distance_cmp(a.1, b.1))
+                .min_by(|a, b| nan_high_cmp(a.1, b.1))
                 // lint:allow(no-unwrap) medoids is seeded with one element before assign() is ever called, so min_by sees a non-empty iterator
                 .expect("k >= 1");
             assignment[i] = best;
@@ -126,7 +118,7 @@ pub fn k_medoids(distances: &[Vec<f64>], k: usize, max_iters: usize) -> MedoidCl
 }
 
 /// Index of the state in `haystack` closest to `query` (linear scan).
-/// NaN distances order above every real distance (`distance_cmp`)
+/// NaN distances order above every real distance (`nan_high_cmp`)
 /// instead of panicking.
 pub fn nearest_neighbor<D: StateDistance>(
     dist: &D,
@@ -137,12 +129,12 @@ pub fn nearest_neighbor<D: StateDistance>(
         .iter()
         .enumerate()
         .map(|(i, s)| (i, dist.distance(query, s)))
-        .min_by(|a, b| distance_cmp(a.1, b.1))
+        .min_by(|a, b| nan_high_cmp(a.1, b.1))
 }
 
 /// 1-nearest-neighbor classification: returns the label of the closest
 /// labelled exemplar. NaN distances order above every real distance
-/// (`distance_cmp`) instead of panicking.
+/// (`nan_high_cmp`) instead of panicking.
 pub fn classify_1nn<D: StateDistance, L: Clone>(
     dist: &D,
     exemplars: &[(NetworkState, L)],
@@ -151,7 +143,7 @@ pub fn classify_1nn<D: StateDistance, L: Clone>(
     exemplars
         .iter()
         .map(|(s, l)| (dist.distance(query, s), l))
-        .min_by(|a, b| distance_cmp(a.0, b.0))
+        .min_by(|a, b| nan_high_cmp(a.0, b.0))
         .map(|(_, l)| l.clone())
 }
 

@@ -36,6 +36,7 @@ use snd_models::process::{OpinionDynamics, StubbornVoter};
 use snd_models::{flips_between, NetworkState, Opinion};
 
 use crate::error::AnalysisError;
+use crate::nan_high_cmp;
 
 /// One network edit the planner may spend budget on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -218,7 +219,7 @@ fn stubborn_candidates(
     let prices = evaluator.price_candidates(&flips);
     let mut ranked: Vec<usize> = (0..flips.len()).collect();
     // Stable sort: ties resolve to pool order, keeping the plan seeded.
-    ranked.sort_by(|&a, &b| prices[b].total_cmp(&prices[a]));
+    ranked.sort_by(|&a, &b| nan_high_cmp(prices[b], prices[a]));
     ranked
         .into_iter()
         .take(cfg.stubborn_keep)
@@ -357,7 +358,7 @@ pub fn search_interventions(
             break;
         }
         // Stable sort: equal drifts resolve to generation order.
-        expansions.sort_by(|a, b| a.drift.total_cmp(&b.drift));
+        expansions.sort_by(|a, b| nan_high_cmp(a.drift, b.drift));
         expansions.truncate(beam_width);
         if expansions[0].drift >= beam[0].drift {
             break;

@@ -54,3 +54,12 @@ pub use resume::{pairwise_distances_checkpointed, series_distances_checkpointed}
 pub use roc::{auc, roc_curve, tpr_at_fpr, RocPoint};
 pub use series::{normalize_by_activity, normalize_by_change, processed_adjacent, scale_to_unit};
 pub use snd_distance::SndDistance;
+
+/// Total order over scores and distances in which a NaN of either sign
+/// sits above every other value, `+∞` included. Bare `f64::total_cmp`
+/// orders a NaN by its sign bit, and the NaNs x86-64 computes at run time
+/// (`0.0 / 0.0`, `∞ − ∞`) carry it, so they would sort below `−∞`.
+pub(crate) fn nan_high_cmp(a: f64, b: f64) -> std::cmp::Ordering {
+    let canon = |x: f64| if x.is_nan() { f64::NAN } else { x };
+    canon(a).total_cmp(&canon(b))
+}

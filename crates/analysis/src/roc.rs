@@ -1,5 +1,7 @@
 //! ROC analysis for ranking-based anomaly detection (Fig. 8).
 
+use crate::nan_high_cmp;
+
 /// One point of a ROC curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RocPoint {
@@ -19,9 +21,9 @@ pub fn roc_curve(scores: &[f64], labels: &[bool]) -> Vec<RocPoint> {
     let positives = labels.iter().filter(|&&l| l).count();
     let negatives = labels.len() - positives;
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    // total_cmp: a NaN score sorts deterministically (first, above +inf)
+    // A total order: a NaN score of either sign sorts first (above +inf)
     // instead of making the comparator non-transitive.
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+    order.sort_by(|&a, &b| nan_high_cmp(scores[b], scores[a]));
 
     let mut curve = vec![RocPoint {
         fpr: 0.0,
@@ -33,11 +35,11 @@ pub fn roc_curve(scores: &[f64], labels: &[bool]) -> Vec<RocPoint> {
     let mut i = 0usize;
     while i < order.len() {
         // Process all items sharing this score together. Tie detection
-        // must be total_cmp equality: with `==`, a NaN score never equals
-        // itself, the inner loop consumes nothing, and the outer loop
-        // spins forever.
+        // must be the sort's own equality: with `==`, a NaN score never
+        // equals itself, the inner loop consumes nothing, and the outer
+        // loop spins forever.
         let score = scores[order[i]];
-        while i < order.len() && scores[order[i]].total_cmp(&score).is_eq() {
+        while i < order.len() && nan_high_cmp(scores[order[i]], score).is_eq() {
             if labels[order[i]] {
                 tp += 1;
             } else {
@@ -125,17 +127,26 @@ mod tests {
     fn nan_scores_terminate_and_grade_finite() {
         // Regression: tie grouping used `==`, and `NaN != NaN` meant the
         // inner loop consumed nothing while the outer loop never
-        // advanced — a NaN score hung roc_curve forever. total_cmp
-        // equality groups the NaNs into one threshold step.
-        let scores = [f64::NAN, 0.8, f64::NAN, 0.2];
-        let labels = [false, true, false, false];
-        let curve = roc_curve(&scores, &labels);
-        // Origin + three threshold groups: {NaN, NaN}, {0.8}, {0.2}.
-        assert_eq!(curve.len(), 4);
-        assert!(auc(&curve).is_finite());
-        let last = curve.last().expect("curve is never empty");
-        assert!((last.fpr - 1.0).abs() < 1e-12);
-        assert!((last.tpr - 1.0).abs() < 1e-12);
+        // advanced — a NaN score hung roc_curve forever. The NaNs, of
+        // either sign, group into one threshold step, ranked first.
+        for (a, b) in [
+            (f64::NAN, f64::NAN),
+            (-f64::NAN, -f64::NAN),
+            (f64::NAN, -f64::NAN),
+        ] {
+            let scores = [a, 0.8, b, 0.2];
+            let labels = [false, true, false, false];
+            let curve = roc_curve(&scores, &labels);
+            // Origin + three threshold groups: {NaN, NaN}, {0.8}, {0.2}.
+            assert_eq!(curve.len(), 4);
+            assert!(curve[1].threshold.is_nan());
+            assert!((curve[1].fpr - 2.0 / 3.0).abs() < 1e-12);
+            assert_eq!(curve[1].tpr, 0.0);
+            assert!(auc(&curve).is_finite());
+            let last = curve.last().expect("curve is never empty");
+            assert!((last.fpr - 1.0).abs() < 1e-12);
+            assert!((last.tpr - 1.0).abs() < 1e-12);
+        }
     }
 
     #[test]

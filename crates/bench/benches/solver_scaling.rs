@@ -1,15 +1,13 @@
-//! Solver-selection calibration: the three exact transportation solvers
-//! across instance sizes and cost magnitudes.
-//!
-//! This is the data `snd_transport::select_solver` (the `Solver::Auto`
-//! heuristic) is calibrated against: square `s × s` instances at two cost
+//! The exact transportation solvers, and `Solver::Auto`, across instance
+//! sizes, shapes and cost magnitudes: square `s × s` instances at two cost
 //! families — `small` (costs `1..50`, the tie-heavy regime reduced SND
 //! problems produce after clamping) and `huge` (costs within 1000 of
 //! `u32::MAX`, the cost-scaling widening regime) — plus column-heavy
 //! `m × n` shapes (`n ≫ m`: few residual rows, bank columns on every
-//! active bin), the shapes `select_solver` routes to cost-scaling. Mass
-//! magnitudes don't move any solver's pivot/augmentation counts, so the
-//! grid doesn't sweep them.
+//! active bin). Mass magnitudes don't move any solver's pivot/augmentation
+//! counts, so the grid doesn't sweep them. `Solver::Auto` runs the simplex
+//! on every shape here, so each `auto` row should read like its `simplex`
+//! row; SSP and cost-scaling are the oracles the simplex is tested against.
 //!
 //! The `bank` family has the shapes and the cost structure of the slow
 //! instances the figure binaries solve: every column is a per-bin bank
@@ -36,7 +34,7 @@ use snd_graph::{dial_scratch, NodeId, SsspScratch};
 use snd_transport::{solve_balanced, DenseCost, Solver};
 
 const SIZES: [usize; 5] = [4, 8, 16, 48, 128];
-/// Column-heavy shapes straddling the `WIDE_ASPECT` selection threshold.
+/// Column-heavy shapes: 64 to 256 columns per row.
 const WIDE_SHAPES: [(usize, usize); 3] = [(2, 256), (4, 1024), (8, 512)];
 /// Bank-family shapes: the row × column counts of slow solves dumped from
 /// fig7 (13 × 2218) and fig8.
@@ -109,9 +107,9 @@ fn bench_solver_scaling(c: &mut Criterion) {
     let max_size = knob("SND_BENCH_SOLVER_MAX", 128usize);
     let mut group = c.benchmark_group("solver_scaling");
     group
-        .sample_size(3)
-        .warmup_time(Duration::from_millis(40))
-        .measurement_time(Duration::from_millis(400));
+        .sample_size(12)
+        .warmup_time(Duration::from_millis(100))
+        .measurement_time(Duration::from_millis(1500));
 
     for &size in SIZES.iter().filter(|&&s| s <= max_size) {
         for (family, lo, hi) in [("small", 1u32, 50u32), ("huge", u32::MAX - 1000, u32::MAX)] {

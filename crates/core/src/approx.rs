@@ -88,10 +88,10 @@ pub struct ApproxConfig {
     /// On exhaustion the current (still certified) interval is returned
     /// even if wider than ε.
     pub budget: usize,
-    /// `Solver::Auto`-style routing threshold for the scalar surfaces
-    /// ([`distance`](crate::SndEngine::distance), series, tiles): graphs
-    /// with fewer nodes stay on the exact path, larger ones enter the
-    /// sketch tier. Interval queries
+    /// Node count from which the scalar surfaces
+    /// ([`distance`](crate::SndEngine::distance), series, tiles) take the
+    /// sketch tier: graphs with fewer nodes stay on the exact path. Interval
+    /// queries
     /// ([`distance_interval`](crate::SndEngine::distance_interval)) ignore
     /// this and always run the approximate machinery.
     ///

@@ -78,17 +78,16 @@ pub struct SndConfig {
     /// Fixed-point scale for histogram masses.
     pub scale: u64,
     /// Transportation solver for the (reduced or full) problem. The default
-    /// [`Solver::Auto`] sizes the choice per reduced instance (single-line
-    /// shortcut, cost-scaling for column-heavy shapes, block-priced simplex
-    /// otherwise — see `snd_transport::select_solver`); pin a concrete
-    /// solver for cross-validation runs.
+    /// [`Solver::Auto`] answers single-line instances directly and runs the
+    /// block-priced simplex on every other one (see
+    /// `snd_transport::select_solver`); pin a concrete solver for
+    /// cross-validation runs.
     pub solver: Solver,
     /// Optional approximate geometry tier (landmark sketches + coarsening +
     /// ε-refinement, see [`crate::approx`]). `None` (the default) keeps
     /// every query exact. `Some(_)` routes per-bin comparisons on graphs
     /// with at least [`ApproxConfig::min_nodes`](crate::ApproxConfig) nodes
-    /// through the sketch tier; smaller graphs stay exact
-    /// (`Solver::Auto`-style routing).
+    /// through the sketch tier; smaller graphs stay exact.
     pub approx: Option<crate::approx::ApproxConfig>,
 }
 

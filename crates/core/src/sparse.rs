@@ -21,13 +21,10 @@
 //!    needing no per-comparison SSSP.
 //! 4. **Exact solve** — the reduced problem (balanced by construction) goes
 //!    to the configured transportation solver. Under the default
-//!    `Solver::Auto` the choice is sized per reduced instance: single-line
-//!    shapes are answered directly, column-heavy shapes (few residual rows,
-//!    many bank columns — the nearly-identical-snapshot case) take
-//!    cost-scaling, and everything else runs the block-priced simplex
-//!    (parallel pricing above ~16k cells) — the warm-cache regime where
-//!    rows are cache hits and the solve dominates is exactly where this
-//!    matters.
+//!    `Solver::Auto` single-line shapes are answered directly and every
+//!    other shape runs the block-priced simplex, column-heavy ones (few
+//!    residual rows, many bank columns — the nearly-identical-snapshot
+//!    case) included.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -1,96 +1,25 @@
-//! The Earth Mover's Distance family used by SND.
+//! EMD\*, the Earth Mover's Distance variant SND is built on (paper §4).
 //!
-//! Four distances over histograms (paper §2 and §4), all computed with the
-//! exact integer transportation solvers of `snd-transport`:
-//!
-//! * [`emd`] — classic EMD (Rubner et al.): mean per-unit cost of the
-//!   optimal plan moving `min(ΣP, ΣQ)` mass. Ignores total-mass mismatch.
-//! * [`emd_hat`] — ÊMD (Pele–Werman): `EMD·min(ΣP,ΣQ) + γ·|ΣP−ΣQ|` with an
-//!   additive mismatch penalty `γ = α·max(D)`.
-//! * [`emd_alpha`] — EMDα (Ljosa et al.): one global "bank bin" per
-//!   histogram absorbs the mismatch. Theorem 2 of the paper shows it equals
-//!   ÊMD whenever both are metric; the test suite verifies that equality
-//!   exactly.
-//! * [`EmdStar`] — the paper's contribution: banks are *local*, one group of
-//!   `Nb` banks per cluster of bins, with capacities proportional to the
-//!   cluster's mass, so the mismatch penalty reflects *where* mass appeared
-//!   rather than only how much.
+//! EMD\* extends both histograms with *local* bank bins — one group of
+//! `Nb` banks per cluster of bins, with capacities proportional to the
+//! cluster's mass — so the mass-mismatch penalty reflects *where* mass
+//! appeared rather than only how much. [`emd_star`] solves the extended
+//! problem densely with the exact integer transportation solvers of
+//! `snd-transport`; it is the reference behind the engine's dense path.
+//! The engine's sparse path prices the same problem from the pieces
+//! exported here: [`bank_capacities_from_cluster_masses`] and
+//! [`proportional_split`].
 //!
 //! Masses are fixed-point integers (see [`Histogram`]); distances are
 //! returned as `f64` in ground-cost units.
-//!
-//! Every distance takes a [`Solver`]; pass [`Solver::Auto`] to let the
-//! transport layer size the choice per instance (the tests pin
-//! `Solver::Simplex` so cross-solver disagreements surface as test
-//! failures rather than silent selection changes).
 
-pub mod alpha;
-pub mod classic;
-pub mod hat;
 pub mod histogram;
-pub mod metric;
 pub mod star;
 
-pub use alpha::emd_alpha;
-pub use classic::{emd, emd_total_cost};
-pub use hat::emd_hat;
 pub use histogram::{Histogram, DEFAULT_SCALE};
 pub use star::{
-    bank_capacities, bank_capacities_from_cluster_masses, emd_star, emd_star_reduced,
-    extended_ground, proportional_split, BankCapacities, EmdStar, StarGeometry,
+    bank_capacities, bank_capacities_from_cluster_masses, emd_star, extended_ground,
+    proportional_split, BankCapacities, StarGeometry,
 };
 
 pub use snd_transport::{DenseCost, Solver};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Random metric cost matrix: distances between random points on a line,
-    /// which is always a metric.
-    fn random_line_metric(n: usize, rng: &mut SmallRng) -> DenseCost {
-        let pts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..100)).collect();
-        let mut d = DenseCost::filled(n, n, 0);
-        for i in 0..n {
-            for j in 0..n {
-                *d.at_mut(i, j) = pts[i].abs_diff(pts[j]);
-            }
-        }
-        d
-    }
-
-    #[test]
-    fn theorem_2_emd_alpha_equals_emd_hat() {
-        let mut rng = SmallRng::seed_from_u64(2017);
-        for trial in 0..40 {
-            let n = rng.gen_range(2..7);
-            let d = random_line_metric(n, &mut rng);
-            let p = Histogram::from_masses((0..n).map(|_| rng.gen_range(0..20)).collect(), 1);
-            let q = Histogram::from_masses((0..n).map(|_| rng.gen_range(0..20)).collect(), 1);
-            if p.total() == 0 && q.total() == 0 {
-                continue;
-            }
-            // γ = α·max(D) with α ≥ 0.5; use α = 1 (integral, metric-safe).
-            let gamma = d.max_entry();
-            let a = emd_alpha(&p, &q, &d, gamma, Solver::Simplex);
-            let h = emd_hat(&p, &q, &d, gamma, Solver::Simplex);
-            assert!((a - h).abs() < 1e-9, "trial {trial}: EMDα {a} vs ÊMD {h}");
-        }
-    }
-
-    #[test]
-    fn equal_mass_histograms_reduce_every_variant_to_plain_transport() {
-        let d = DenseCost::from_rows(&[&[0u32, 2][..], &[2, 0][..]]);
-        let p = Histogram::from_masses(vec![4, 0], 1);
-        let q = Histogram::from_masses(vec![0, 4], 1);
-        let base = emd(&p, &q, &d, Solver::Simplex); // mean cost = 2
-        assert!((base - 2.0).abs() < 1e-12);
-        // With equal masses the mismatch penalty vanishes.
-        let h = emd_hat(&p, &q, &d, 2, Solver::Simplex);
-        assert!((h - 8.0).abs() < 1e-12); // EMD·min-mass = 2·4
-        let a = emd_alpha(&p, &q, &d, 2, Solver::Simplex);
-        assert!((a - 8.0).abs() < 1e-12);
-    }
-}

@@ -298,150 +298,9 @@ pub fn emd_star(
     plan.total_cost as f64 / p.scale() as f64
 }
 
-/// EMD\* over the **net** mass differences only: the reduced-instance
-/// evaluation for nearly-identical histograms (consecutive snapshots of
-/// an evolving network — the delta-series regime).
-///
-/// The full extended problem of [`emd_star`] is `(n + banks)²` even when
-/// the two histograms agree almost everywhere. This variant shrinks the
-/// instance to the churned mass before solving:
-///
-/// * **Matched bin mass ships to itself** — `min(pᵢ, qᵢ)` cancels at
-///   every bin (the extended ground's diagonal is zero).
-/// * **Matched bank capacity ships to itself** — when both sides carry
-///   capacity at the same bank, the overlap cancels at zero cost
-///   (`bank_to_bank` is zero on the exact diagonal).
-/// * **Zero rows and columns are dropped** — neutral users and empty
-///   banks never enter the solver.
-///
-/// What remains is one supply per bin/bank of net-positive `P` mass and
-/// one demand per bin/bank of net-positive `Q` mass — `O(churn + banks)`
-/// a side instead of `O(n)`.
-///
-/// **Precondition:** the *extended* ground distance (bins and banks)
-/// must satisfy the directed triangle inequality. Under it, rerouting
-/// any optimal plan to ship matched mass in place never raises the cost
-/// (classic flow-rerouting argument through the matched node), so the
-/// reduced optimum **equals the full optimum exactly** — the integer
-/// costs are equal, hence the returned `f64` is bit-identical to
-/// [`emd_star`]; the property tests assert this.
-///
-/// Which geometries qualify, given a triangle-satisfying `ground`:
-///
-/// * **Per-bin** (every bin its own singleton cluster, `inter_cluster =
-///   ground` — SND's default mode): `D̃(i, bank_u) = γ + D(i, u)`
-///   inherits the triangle inequality directly. ✔
-/// * **Single cluster** (EMDα-style): bank distances are constant. ✔
-/// * **Coarse multi-bin clusters**: the min-pair inter-cluster distance
-///   lets bank traffic "teleport" through a cluster's best exit, which
-///   can break the triangle inequality `D̃(i, bank) ≤ D̃(i, j) + D̃(j,
-///   bank)` for a bin `j` far from its cluster's exit — an optimal plan
-///   may then genuinely route mass *through* a matched bin, and the
-///   reduction overestimates. Use [`emd_star`] there.
-pub fn emd_star_reduced(
-    p: &Histogram,
-    q: &Histogram,
-    ground: &DenseCost,
-    geom: &StarGeometry,
-    solver: Solver,
-) -> f64 {
-    let n = p.len();
-    assert_eq!(q.len(), n, "histogram length mismatch");
-    assert_eq!(p.scale(), q.scale(), "histogram scale mismatch");
-    assert_eq!(geom.labels.len(), n, "geometry covers all bins");
-    assert_eq!(ground.rows(), n, "ground distance shape");
-    assert_eq!(ground.cols(), n, "ground distance shape");
-
-    if p.total() == 0 && q.total() == 0 {
-        return 0.0;
-    }
-    let caps = bank_capacities(p, q, geom);
-    let nb = geom.banks_per_cluster();
-
-    // Net extended masses: matched supply/demand at a bin or bank ships
-    // to itself at zero cost and drops out.
-    let mut supplies: Vec<Mass> = Vec::new();
-    let mut supply_idx: Vec<usize> = Vec::new(); // extended index (< n: bin; >= n: bank)
-    let mut demands: Vec<Mass> = Vec::new();
-    let mut demand_idx: Vec<usize> = Vec::new();
-    let mut push_net = |idx: usize, s: Mass, d: Mass| {
-        let matched = s.min(d);
-        let (s, d) = (s - matched, d - matched);
-        if s > 0 {
-            supplies.push(s);
-            supply_idx.push(idx);
-        }
-        if d > 0 {
-            demands.push(d);
-            demand_idx.push(idx);
-        }
-    };
-    for i in 0..n {
-        push_net(i, p.masses()[i], q.masses()[i]);
-    }
-    for b in 0..geom.bank_count() {
-        push_net(n + b, caps.p_banks[b], caps.q_banks[b]);
-    }
-    if supplies.is_empty() {
-        debug_assert!(demands.is_empty(), "extended problem is balanced");
-        return 0.0;
-    }
-
-    // Reduced extended ground, materialized only on the surviving
-    // rows × columns.
-    let ext_at = |i: usize, j: usize| -> u32 {
-        match (i < n, j < n) {
-            (true, true) => ground.at(i, j),
-            (true, false) => {
-                let k = j - n;
-                geom.bin_to_bank(i, k / nb, k % nb)
-            }
-            (false, true) => {
-                let k = i - n;
-                geom.bank_to_bin(k / nb, k % nb, j)
-            }
-            (false, false) => {
-                let (k, k2) = (i - n, j - n);
-                geom.bank_to_bank(k / nb, k % nb, k2 / nb, k2 % nb)
-            }
-        }
-    };
-    let mut data = Vec::with_capacity(supplies.len() * demands.len());
-    for &i in &supply_idx {
-        for &j in &demand_idx {
-            data.push(ext_at(i, j));
-        }
-    }
-    let d = DenseCost::from_vec(supplies.len(), demands.len(), data);
-    let plan = solve_balanced(&supplies, &demands, &d, solver);
-    plan.total_cost as f64 / p.scale() as f64
-}
-
-/// Convenience wrapper bundling geometry and solver choice.
-#[derive(Clone, Debug)]
-pub struct EmdStar {
-    /// Bank geometry.
-    pub geometry: StarGeometry,
-    /// Transportation solver.
-    pub solver: Solver,
-}
-
-impl EmdStar {
-    /// Creates an EMD\* evaluator.
-    pub fn new(geometry: StarGeometry, solver: Solver) -> Self {
-        EmdStar { geometry, solver }
-    }
-
-    /// Computes EMD\*(p, q) over the given ground distance.
-    pub fn distance(&self, p: &Histogram, q: &Histogram, ground: &DenseCost) -> f64 {
-        emd_star(p, q, ground, &self.geometry, self.solver)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alpha::emd_alpha;
     use crate::histogram::DEFAULT_SCALE;
 
     fn line_metric(n: usize) -> DenseCost {
@@ -496,60 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn single_cluster_star_equals_alpha() {
-        // With one cluster and one bank, EMD* degenerates to EMDα.
-        let d = line_metric(4);
-        let gamma = d.max_entry();
-        let geom = StarGeometry::single_cluster(4, vec![gamma]);
-        let p = Histogram::from_f64(&[2.0, 0.0, 1.0, 0.0], DEFAULT_SCALE);
-        let q = Histogram::from_f64(&[0.0, 1.0, 0.0, 0.0], DEFAULT_SCALE);
-        let star = emd_star(&p, &q, &d, &geom, Solver::Simplex);
-        let alpha = emd_alpha(&p, &q, &d, gamma, Solver::Simplex);
-        assert!((star - alpha).abs() < 1e-9, "{star} vs {alpha}");
-    }
-
-    #[test]
-    fn equal_masses_ignore_banks() {
-        let d = line_metric(6);
-        let geom = two_cluster_line(6, 3);
-        let p = Histogram::from_f64(&[1.0, 1.0, 0.0, 0.0, 0.0, 0.0], DEFAULT_SCALE);
-        let q = Histogram::from_f64(&[0.0, 0.0, 1.0, 1.0, 0.0, 0.0], DEFAULT_SCALE);
-        let star = emd_star(&p, &q, &d, &geom, Solver::Simplex);
-        let plain = crate::classic::emd_total_cost(&p, &q, &d, Solver::Simplex);
-        assert!((star - plain).abs() < 1e-9);
-    }
-
-    #[test]
-    fn local_banks_prefer_mass_near_existing_mass() {
-        // Fig. 5 intuition on a line: P has mass in the left region only.
-        // Q_near adds extra mass adjacent to that region; Q_far adds it at
-        // the far end. EMD* must rank Q_near closer, while EMDα sees no
-        // difference. Note the clustering must be finer than the two
-        // "pronounced" regions: bank distances are cluster-granular, so
-        // position sensitivity comes from the inter-cluster distance matrix
-        // (see the geometry-granularity note in DESIGN.md).
-        let n = 8;
-        let d = line_metric(n);
-        let geom = line_clusters(n, 4, 1);
-        let p = Histogram::from_f64(&[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], DEFAULT_SCALE);
-        let q_near = Histogram::from_f64(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0], DEFAULT_SCALE);
-        let q_far = Histogram::from_f64(&[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0], DEFAULT_SCALE);
-        let near = emd_star(&p, &q_near, &d, &geom, Solver::Simplex);
-        let far = emd_star(&p, &q_far, &d, &geom, Solver::Simplex);
-        assert!(
-            near < far,
-            "EMD* should prefer propagated mass: near {near}, far {far}"
-        );
-        let gamma = d.max_entry();
-        let a_near = emd_alpha(&p, &q_near, &d, gamma, Solver::Simplex);
-        let a_far = emd_alpha(&p, &q_far, &d, gamma, Solver::Simplex);
-        assert!(
-            (a_near - a_far).abs() < 1e-9,
-            "EMDα cannot tell them apart: {a_near} vs {a_far}"
-        );
-    }
-
-    #[test]
     fn validate_rejects_small_gamma() {
         let d = line_metric(6);
         let good = two_cluster_line(6, 3);
@@ -569,79 +374,6 @@ mod tests {
         // cheaper bank is impossible (capacity 1 each), so cost = 3 + 5.
         let star = emd_star(&p, &q, &d, &geom, Solver::Simplex);
         assert!((star - 8.0).abs() < 1e-9, "{star}");
-    }
-
-    /// Per-bin geometry over a ground metric: every bin its own cluster,
-    /// `inter_cluster = D` — the extended ground inherits the triangle
-    /// inequality, the reduction's precondition.
-    fn per_bin_geometry(d: &DenseCost, gamma: u32) -> StarGeometry {
-        let n = d.rows();
-        StarGeometry {
-            labels: (0..n as u32).collect(),
-            cluster_count: n,
-            gammas: vec![vec![gamma]; n],
-            inter_cluster: d.clone(),
-        }
-    }
-
-    #[test]
-    fn reduced_instance_matches_full_on_triangle_grounds() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(404);
-        for trial in 0..60 {
-            let n = 2 + trial % 7;
-            let d = line_metric(n);
-            // Per-bin and single-cluster geometries both keep the
-            // extended ground triangle-satisfying.
-            let geom = if trial % 2 == 0 {
-                per_bin_geometry(&d, 1 + trial as u32 % 4)
-            } else {
-                StarGeometry::single_cluster(n, vec![d.max_entry().max(1)])
-            };
-            let p = Histogram::from_masses((0..n).map(|_| rng.gen_range(0..6)).collect(), 1);
-            let q = Histogram::from_masses((0..n).map(|_| rng.gen_range(0..6)).collect(), 1);
-            let full = emd_star(&p, &q, &d, &geom, Solver::Simplex);
-            let reduced = emd_star_reduced(&p, &q, &d, &geom, Solver::Simplex);
-            assert_eq!(full, reduced, "trial {trial}: exact equality");
-        }
-    }
-
-    #[test]
-    fn reduced_instance_shrinks_to_the_churn() {
-        // Histograms agreeing on every bin but two: the reduced instance
-        // must not touch the agreeing mass (equal distance, and the
-        // degenerate all-matched case returns zero without solving).
-        let n = 64;
-        let d = line_metric(n);
-        let geom = per_bin_geometry(&d, 2);
-        let base: Vec<u64> = (0..n as u64).map(|i| 1 + i % 3).collect();
-        let p = Histogram::from_masses(base.clone(), 1);
-        let mut moved = base.clone();
-        moved[3] += 2;
-        moved[60] -= 1;
-        let q = Histogram::from_masses(moved, 1);
-        assert_eq!(
-            emd_star(&p, &q, &d, &geom, Solver::Simplex),
-            emd_star_reduced(&p, &q, &d, &geom, Solver::Simplex),
-        );
-        let same = Histogram::from_masses(base, 1);
-        assert_eq!(emd_star_reduced(&p, &same, &d, &geom, Solver::Simplex), 0.0);
-    }
-
-    #[test]
-    fn coarse_clusters_can_break_the_reduction_precondition() {
-        // Documents why the precondition matters: with coarse min-pair
-        // cluster distances an optimal plan may route mass *through* a
-        // matched bin, so the reduced instance is only an upper bound.
-        let n = 6;
-        let d = line_metric(n);
-        let geom = line_clusters(n, 3, d.max_entry());
-        let p = Histogram::from_masses(vec![1, 0, 1, 0, 0, 0], 1);
-        let q = Histogram::from_masses(vec![0, 0, 1, 0, 0, 0], 1);
-        let full = emd_star(&p, &q, &d, &geom, Solver::Simplex);
-        let reduced = emd_star_reduced(&p, &q, &d, &geom, Solver::Simplex);
-        assert!(reduced >= full, "reduction is always an upper bound");
     }
 
     #[test]

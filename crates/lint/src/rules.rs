@@ -371,10 +371,11 @@ fn safety_comment(file: &SourceFile, report: &mut Report) {
 }
 
 /// L3: the bit-identity contract. Every exported `*_par` entry point
-/// must have an exported `*_seq` counterpart (`solve_par` ↔
-/// `solve_seq`), and every exported `*_seq` reference must be exercised
-/// by at least one test — otherwise nothing pins the parallel path to
-/// its reference semantics.
+/// must have an exported `*_seq` counterpart (`x_par` ↔ `x_seq`), and
+/// every exported `*_seq` reference (such as
+/// `SndEngine::series_distances_seq`, the reference of the parallel
+/// `series_distances`) must be exercised by at least one test —
+/// otherwise nothing pins the parallel path to its reference semantics.
 fn par_seq(ws: &Workspace, report: &mut Report) {
     struct Decl {
         file: usize,

@@ -2,22 +2,21 @@
 //!
 //! All arithmetic is integral: masses are fixed-point integers (`u64`) and
 //! per-unit costs are `u32`, with cost accumulation in `i128`, so solver
-//! results are exact and platform-independent. Three independent solvers are
-//! provided and cross-validated against each other:
+//! results are exact and platform-independent. One solver does the work:
 //!
 //! * [`simplex`] — the transportation simplex (least-cost start, MODI
 //!   pivoting with block pricing on an incrementally maintained basis
-//!   tree). Default: fastest in practice on the dense bipartite problems
-//!   SND produces.
+//!   tree). [`Solver::Auto`] runs it on every instance of two or more rows
+//!   and columns; single-row/column instances short-circuit to their
+//!   forced plan without running any solver.
+//!
+//! Two independent solvers cross-validate it:
+//!
 //! * [`ssp`] — successive shortest paths with Johnson potentials; compact
 //!   and obviously-correct, used as an oracle.
 //! * [`cost_scaling`] — Goldberg–Tarjan cost-scaling push–relabel, the
 //!   algorithm family behind the CS2 solver used by the paper (§6.5) and by
 //!   Theorem 4's complexity bound.
-//!
-//! [`Solver::Auto`] picks among them per instance (see [`select_solver`]),
-//! and single-row/column instances short-circuit to their forced plan
-//! without running any solver.
 //!
 //! The entry points are [`solve_balanced`] (total supply must equal total
 //! demand — the case produced by EMD\*'s bank-bin extension) and
@@ -26,11 +25,10 @@
 //!
 //! # Overflow semantics
 //!
-//! No solver panics on instance magnitude. The simplex can price on the
-//! rayon pool ([`simplex::solve_par`] is property-tested bit-identical to
-//! [`simplex::solve_seq`], which [`simplex::solve`] runs); cost-scaling
-//! widens its scaled potentials to `i128` when `u32`-sized costs on large
-//! node counts exceed the `i64` headroom, and falls back to SSP for masses
+//! No solver panics on instance magnitude. The simplex keeps flows in
+//! `u64` and potentials in `i64` (costs are `u32`); cost-scaling widens
+//! its scaled potentials to `i128` when `u32`-sized costs on large node
+//! counts exceed the `i64` headroom, and falls back to SSP for masses
 //! beyond `i64::MAX` (see [`cost_scaling`]'s module docs).
 
 pub mod cost_scaling;
@@ -55,54 +53,19 @@ pub enum Solver {
     Ssp,
     /// Cost-scaling push–relabel.
     CostScaling,
-    /// Pick per instance from its shape ([`select_solver`]); single-line
-    /// instances bypass the solvers entirely.
+    /// What the engine runs: single-line instances take their forced plan
+    /// without a solve, every other instance goes to [`select_solver`]'s
+    /// pick, the simplex.
     Auto,
 }
 
-/// Aspect ratio (`cols / rows`) from which [`select_solver`] prefers
-/// cost-scaling over the simplex.
-pub const WIDE_ASPECT: usize = 128;
-
-/// Picks the solver for a (zero-stripped) balanced instance.
-///
-/// Takes the instance itself rather than pre-extracted statistics so that
-/// magnitude scans (max cost is an `O(m·n)` pass) happen only if a
-/// threshold actually consults them — the current thresholds are purely
-/// shape-based, so selection is `O(1)`.
-///
-/// Calibrated against the `solver_scaling` bench
-/// (`BENCH_solver_scaling.json`, 2 threads) on the dense bipartite shapes
-/// SND produces:
-///
-/// * The transportation simplex wins every near-square shape at every
-///   measured size and cost magnitude — ~1.8× over SSP at 4×4 growing to
-///   ~7× at 128×128, and 1.5× (small costs) to 2.7× (huge costs) over
-///   cost-scaling there — so it is the default.
-/// * Cost-scaling won *column-heavy* shapes, `cols ≳ 128·rows` (1.5× at
-///   2×256, 1.7× at 4×1024), against the simplex this was calibrated on,
-///   whose row-minimum start scanned every open column per allocation.
-///   These shapes are real in the warm path — a nearly-identical snapshot
-///   pair has few residual rows but bank columns on every active bin.
-///   Since the simplex starts least-cost and prices by row segments, it
-///   wins these shapes too, random and `bank` costs alike (the `wide` and
-///   `bank` rows of `BENCH_solver_scaling.json`); the threshold stays
-///   until the routing is revisited as a whole.
-/// * SSP never wins a measured shape; it remains the cross-validation
-///   oracle and the structured fallback for beyond-`i64` masses.
-///
-/// Cost and mass magnitudes stay available through `cost`/`supplies` for
-/// future recalibration: cost magnitude moves cost-scaling's phase count
-/// (`∝ log(max_cost)`, which halves its wide-shape margin at `u32::MAX`
-/// costs) and total mass decides the fallback inside cost-scaling.
+/// Picks the solver for a (zero-stripped) balanced instance of two or more
+/// rows and columns: the transportation simplex, which is the fastest
+/// solver on every shape the `solver_scaling` bench measures.
 pub fn select_solver(supplies: &[Mass], demands: &[Mass], cost: &DenseCost) -> Solver {
     debug_assert_eq!(supplies.len(), cost.rows());
     debug_assert_eq!(demands.len(), cost.cols());
-    if demands.len() >= WIDE_ASPECT * supplies.len().max(1) {
-        Solver::CostScaling
-    } else {
-        Solver::Simplex
-    }
+    Solver::Simplex
 }
 
 /// The forced plan of a single-row or single-column balanced instance:
@@ -348,8 +311,8 @@ mod tests {
         assert_eq!(plan.total_cost, (big as i128) * ((u32::MAX / 4) as i128));
     }
 
-    /// Solves through every other solver — `Auto` routes these shapes to
-    /// the simplex — and checks each against SSP.
+    /// Solves through every other solver — `Auto` runs the simplex on
+    /// these shapes — and checks each against SSP.
     fn assert_solvers_match_ssp(supplies: &[Mass], demands: &[Mass], cost: &DenseCost) {
         let reference = solve_balanced(supplies, demands, cost, Solver::Ssp);
         verify_feasible(&reference, supplies, demands, cost).unwrap();

@@ -18,7 +18,7 @@ pub struct FlowEntry {
 /// An optimal transportation plan.
 ///
 /// Equality is exact (flow list, cost, and mass) — the relation the
-/// parallel-vs-sequential bit-identical property tests assert on.
+/// bit-identical property tests assert on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransportPlan {
     /// Non-zero flow cells.

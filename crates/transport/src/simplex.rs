@@ -42,12 +42,7 @@
 //!   the first block that contains one. Optimality is declared only after a
 //!   full wrap-around without a negative cell. The scan walks each block
 //!   one row segment at a time with the row's `u[i]` hoisted, so no cell
-//!   costs a division. [`solve_par`] scans the blocks of a pricing round
-//!   concurrently on the rayon pool in waves and reduces them
-//!   deterministically: the entering cell is always the same one the
-//!   sequential scan would pick, so [`solve_par`] and [`solve_seq`] are
-//!   bit-identical (property-tested in `tests/transport_properties.rs`).
-//!   [`solve`] prices sequentially (see its docs).
+//!   costs a division.
 //! * Anti-cycling: degenerate pivots are permitted, but a run of more than
 //!   `2·(m + n) + 32` consecutive non-improving pivots switches the pivot
 //!   to Bland's rule — entering on the first negative cell in (row, col)
@@ -66,7 +61,6 @@
 use crate::dense::DenseCost;
 use crate::plan::{FlowEntry, TransportPlan};
 use crate::Mass;
-use rayon::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
 struct BasisCell {
@@ -77,50 +71,16 @@ struct BasisCell {
 
 /// Solves a balanced transportation problem with all-positive supplies and
 /// demands (callers strip zeros first; see [`crate::solve_balanced`]).
-///
-/// Pricing runs on the calling thread ([`solve_seq`]). Scanning a round's
-/// blocks on the rayon pool ([`solve_par`]) returns the same plan but took
-/// 1.5–3.6× longer on every shape measured, up to 10⁶ cells on 2 threads:
-/// a pricing round usually ends in its first block, so the fan-out costs
-/// more than the scan it shares.
 pub fn solve(supplies: &[Mass], demands: &[Mass], cost: &DenseCost) -> TransportPlan {
-    solve_seq(supplies, demands, cost)
-}
-
-/// The simplex with sequential pricing — what [`solve`] runs, and the
-/// reference the parallel path is property-tested against.
-pub fn solve_seq(supplies: &[Mass], demands: &[Mass], cost: &DenseCost) -> TransportPlan {
-    solve_impl(
-        supplies,
-        demands,
-        cost,
-        false,
-        default_streak_limit(supplies, demands),
-    )
-}
-
-/// The simplex with each pricing round's blocks scanned on the rayon pool.
-/// Bit-identical to [`solve_seq`].
-pub fn solve_par(supplies: &[Mass], demands: &[Mass], cost: &DenseCost) -> TransportPlan {
-    solve_impl(
-        supplies,
-        demands,
-        cost,
-        true,
-        default_streak_limit(supplies, demands),
-    )
-}
-
-/// Consecutive degenerate pivots tolerated before Bland's rule takes over.
-fn default_streak_limit(supplies: &[Mass], demands: &[Mass]) -> usize {
-    2 * (supplies.len() + demands.len()) + 32
+    // Consecutive degenerate pivots tolerated before Bland's rule takes over.
+    let streak_limit = 2 * (supplies.len() + demands.len()) + 32;
+    solve_impl(supplies, demands, cost, streak_limit)
 }
 
 fn solve_impl(
     supplies: &[Mass],
     demands: &[Mass],
     cost: &DenseCost,
-    parallel: bool,
     streak_limit: usize,
 ) -> TransportPlan {
     let m = supplies.len();
@@ -148,7 +108,7 @@ fn solve_impl(
         let entering = if bland {
             price_bland(cost, u, v)
         } else {
-            price_blocks(cost, u, v, n, block, &mut scan_pos, parallel)
+            price_blocks(cost, u, v, n, block, &mut scan_pos)
         };
         let Some((ei, ej)) = entering else {
             break; // optimal
@@ -646,7 +606,7 @@ fn radix_pass(cost: &DenseCost, cells: impl Iterator<Item = u64> + Clone, shift:
 
 /// Scans scan-order offsets `lo..hi` (relative to `start`, wrapping at
 /// `total`) and returns the most negative reduced cost with the earliest
-/// offset achieving it. The shared kernel of both pricing paths.
+/// offset achieving it: one block of [`price_blocks`].
 ///
 /// The window is walked one row segment at a time with the row's `u[i]`
 /// hoisted, so no cell costs a division: a cell improves on the best
@@ -702,12 +662,8 @@ fn scan_cells(
 }
 
 /// Block pricing: scans cells cyclically in blocks, returning the most
-/// negative reduced-cost cell of the first block that has one.
-///
-/// `parallel` chooses how each wave of blocks is scanned — on the rayon
-/// pool or inline — but never *what* is returned: blocks are inspected in
-/// scan order and ties resolve to the earliest-scanned cell, so both modes
-/// pick the identical entering cell and leave `scan_pos` identical.
+/// negative reduced-cost cell of the first block that has one (the
+/// earliest-scanned one on a tie).
 fn price_blocks(
     cost: &DenseCost,
     u: &[i64],
@@ -715,42 +671,14 @@ fn price_blocks(
     n: usize,
     block: usize,
     scan_pos: &mut usize,
-    parallel: bool,
 ) -> Option<(usize, usize)> {
     let total = u.len() * n;
     let start = *scan_pos;
-    let num_blocks = total.div_ceil(block);
-    let scan_block = |bk: usize| {
+    let (bk, off) = (0..total.div_ceil(block)).find_map(|bk| {
         let lo = bk * block;
-        scan_cells(cost, u, v, n, start, total, lo, (lo + block).min(total))
-    };
-    let mut hit: Option<(usize, usize)> = None; // (block, offset)
-    if parallel {
-        // Waves of blocks fan out over the pool; the first block (in scan
-        // order) containing a negative cell wins, exactly as sequentially.
-        let wave = (rayon::current_num_threads() * 2).max(1);
-        let mut bk0 = 0;
-        'waves: while bk0 < num_blocks {
-            let bk1 = (bk0 + wave).min(num_blocks);
-            let results: Vec<Option<(i64, usize)>> =
-                (bk0..bk1).into_par_iter().map(scan_block).collect();
-            for (i, res) in results.into_iter().enumerate() {
-                if let Some((_, off)) = res {
-                    hit = Some((bk0 + i, off));
-                    break 'waves;
-                }
-            }
-            bk0 = bk1;
-        }
-    } else {
-        for bk in 0..num_blocks {
-            if let Some((_, off)) = scan_block(bk) {
-                hit = Some((bk, off));
-                break;
-            }
-        }
-    }
-    let (bk, off) = hit?;
+        let hit = scan_cells(cost, u, v, n, start, total, lo, (lo + block).min(total));
+        hit.map(|(_, off)| (bk, off))
+    })?;
     *scan_pos = (start + ((bk + 1) * block).min(total)) % total;
     let mut pos = start + off;
     if pos >= total {
@@ -1003,7 +931,7 @@ mod tests {
                 supplies[m - 1] += td - ts;
             }
             let reference = crate::ssp::solve(&supplies, &demands, &cost);
-            let plan = solve_impl(&supplies, &demands, &cost, false, 0);
+            let plan = solve_impl(&supplies, &demands, &cost, 0);
             assert_eq!(plan.total_cost, reference.total_cost, "trial {trial}");
         }
     }
@@ -1018,32 +946,8 @@ mod tests {
             let cost = DenseCost::random(m, n, 20..34, &mut rng);
             let (supplies, demands) = (vec![n as Mass; m], vec![m as Mass; n]);
             let reference = crate::ssp::solve(&supplies, &demands, &cost);
-            let plan = solve_seq(&supplies, &demands, &cost);
+            let plan = solve(&supplies, &demands, &cost);
             assert_eq!(plan.total_cost, reference.total_cost, "{m}×{n}");
-            assert_eq!(plan, solve_par(&supplies, &demands, &cost), "{m}×{n}");
-        }
-    }
-
-    /// In-module smoke check of parallel/sequential pricing equivalence;
-    /// the full property test lives in `tests/transport_properties.rs`.
-    #[test]
-    fn parallel_pricing_matches_sequential() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        for trial in 0..10 {
-            let m = rng.gen_range(1..20);
-            let n = rng.gen_range(1..20);
-            let cost = DenseCost::random(m, n, 0..30, &mut rng);
-            let mut supplies: Vec<u64> = (0..m).map(|_| rng.gen_range(1..40)).collect();
-            let mut demands: Vec<u64> = (0..n).map(|_| rng.gen_range(1..40)).collect();
-            let (ts, td): (u64, u64) = (supplies.iter().sum(), demands.iter().sum());
-            if ts > td {
-                demands[n - 1] += ts - td;
-            } else {
-                supplies[m - 1] += td - ts;
-            }
-            let seq = solve_seq(&supplies, &demands, &cost);
-            let par = solve_par(&supplies, &demands, &cost);
-            assert_eq!(seq, par, "trial {trial}: plans must be bit-identical");
         }
     }
 }

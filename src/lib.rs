@@ -12,7 +12,7 @@
 //!
 //! * [`graph`] — CSR graphs, generators, shortest paths, clustering;
 //! * [`transport`] — exact transportation-problem solvers;
-//! * [`emd`] — the EMD family (classic, ÊMD, EMDα, EMD\*);
+//! * [`emd`] — EMD\*, the transport distance with local cluster banks;
 //! * [`models`] — network states and opinion-dynamics ground costs;
 //! * [`core`] — the [`SndEngine`](core::SndEngine) itself;
 //! * [`baselines`] — competitor distances and predictors;

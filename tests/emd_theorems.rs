@@ -1,10 +1,10 @@
 //! Property-based verification of the paper's EMD theorems (§2, §4).
 
+mod emd_baselines;
+
+use emd_baselines::{emd, emd_alpha, emd_hat, emd_star_reduced, emd_total_cost};
 use proptest::prelude::*;
-use snd::emd::{
-    emd, emd_alpha, emd_hat, emd_star, emd_star_reduced, emd_total_cost, DenseCost, Histogram,
-    Solver, StarGeometry,
-};
+use snd::emd::{emd_star, DenseCost, Histogram, Solver, StarGeometry};
 
 /// Random metric: pairwise distances of points on a line.
 fn line_points_metric(points: &[u32]) -> DenseCost {

@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use snd::transport::{
-    simplex, solve_balanced, solve_unbalanced, verify_feasible, DenseCost, Solver,
-};
+use snd::transport::{solve_balanced, solve_unbalanced, verify_feasible, DenseCost, Solver};
 
 fn balanced_instance(
     m: usize,
@@ -30,7 +28,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// All three solvers find plans with the same optimal cost, and every
-    /// plan is feasible.
+    /// plan is feasible. `Auto` returns the simplex's plan, flow for flow,
+    /// whenever two or more rows and two or more columns are nonzero.
     #[test]
     fn solvers_agree_and_are_feasible(
         m in 1usize..7,
@@ -47,16 +46,22 @@ proptest! {
             verify_feasible(&plan, &supplies, &demands, &cost).unwrap();
             prop_assert_eq!(plan.total_cost, reference.total_cost, "{:?}", solver);
         }
+        let nonzero = |masses: &[u64]| masses.iter().filter(|&&x| x > 0).count();
+        if nonzero(&supplies) >= 2 && nonzero(&demands) >= 2 {
+            prop_assert_eq!(
+                solve_balanced(&supplies, &demands, &cost, Solver::Auto),
+                solve_balanced(&supplies, &demands, &cost, Solver::Simplex)
+            );
+        }
     }
 
-    /// The parallel pricing path returns the *bit-identical* plan of the
-    /// sequential reference path — same entering cells, same basis walk,
-    /// same flow list — on shapes spanning both sides of the block size.
-    /// One case in six is scaled past the parallel-pricing threshold
-    /// (16–39 rows, ≥ 16,384 cells), where basis trees are deep and
-    /// pivots re-hang large subtrees.
+    /// The simplex finds SSP's optimum, with a feasible plan, on shapes
+    /// spanning both sides of the pricing block size. One case in six has
+    /// 16–39 rows and ≥ 16,384 cells, where basis trees are deep and pivots
+    /// re-hang large subtrees (each re-checked by the debug-build tree
+    /// audit).
     #[test]
-    fn parallel_simplex_pricing_is_bit_identical(
+    fn simplex_matches_ssp_on_deep_basis_trees(
         m in 1usize..24,
         n in 1usize..24,
         large in 0u32..6,
@@ -70,14 +75,14 @@ proptest! {
         };
         let mut rng = SmallRng::seed_from_u64(seed);
         let cost = DenseCost::random(m, n, 0..80, &mut rng);
-        // The simplex entry points require all-positive lines.
         let mut supplies: Vec<u64> = (0..m).map(|_| rng.gen_range(1..61)).collect();
         let mut demands: Vec<u64> = (0..n).map(|_| rng.gen_range(1..61)).collect();
         let (ts, td): (u64, u64) = (supplies.iter().sum(), demands.iter().sum());
         if ts > td { demands[n - 1] += ts - td; } else { supplies[m - 1] += td - ts; }
-        let seq = simplex::solve_seq(&supplies, &demands, &cost);
-        let par = simplex::solve_par(&supplies, &demands, &cost);
-        prop_assert_eq!(seq, par);
+        let plan = solve_balanced(&supplies, &demands, &cost, Solver::Simplex);
+        verify_feasible(&plan, &supplies, &demands, &cost).unwrap();
+        let reference = solve_balanced(&supplies, &demands, &cost, Solver::Ssp);
+        prop_assert_eq!(plan.total_cost, reference.total_cost);
     }
 
     /// Unbalanced solves move exactly min(ΣP, ΣQ) mass and never exceed the
@@ -122,5 +127,33 @@ proptest! {
         let plan = solve_balanced(&supplies, &demands, &cost, Solver::Simplex);
         prop_assert!(plan.total_cost as f64 <= proportional + 1e-6,
             "optimum {} exceeds proportional {proportional}", plan.total_cost);
+    }
+}
+
+/// `Auto` runs the simplex on column-heavy shapes too: on 2×256, 4×1024
+/// and a bank-shaped 13×2218 it returns the simplex's plan, flow for flow.
+/// Few distinct costs give each instance many optimal plans, so another
+/// solver's optimum would differ.
+#[test]
+fn auto_returns_the_simplex_plan_on_wide_shapes() {
+    let mut rng = SmallRng::seed_from_u64(2218);
+    for (m, n) in [(2, 256), (4, 1024), (13, 2218)] {
+        let raw_c: Vec<u32> = (0..m * n).map(|_| rng.gen_range(12..28)).collect();
+        let (supplies, demands, cost) = if m == 13 {
+            // Equal capacities, as on a reduced EMD* term's bank columns.
+            let cost = DenseCost::from_vec(m, n, raw_c);
+            (vec![n as u64; m], vec![m as u64; n], cost)
+        } else {
+            let raw_s: Vec<u64> = (0..m).map(|_| rng.gen_range(1..100)).collect();
+            let raw_d: Vec<u64> = (0..n).map(|_| rng.gen_range(1..100)).collect();
+            balanced_instance(m, n, &raw_s, &raw_d, &raw_c)
+        };
+        let auto = solve_balanced(&supplies, &demands, &cost, Solver::Auto);
+        verify_feasible(&auto, &supplies, &demands, &cost).unwrap();
+        assert_eq!(
+            auto,
+            solve_balanced(&supplies, &demands, &cost, Solver::Simplex),
+            "{m}×{n}"
+        );
     }
 }
