@@ -220,6 +220,10 @@ fn bench_scale_approx(c: &mut Criterion) {
         "scale_approx: error check at n={err_n}: max relative error {max_rel_error:.5} \
          (ε = {epsilon}), intervals bracket exact: {bracketed}"
     );
+    assert!(
+        bracketed,
+        "scale_approx: a certified interval missed the exact SND at n={err_n}"
+    );
 
     let mut record = Record::new("scale_approx");
     let speedups: Vec<f64> = ladder

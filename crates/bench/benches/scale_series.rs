@@ -5,14 +5,15 @@
 //! for: a ~10⁵-node graph whose snapshots differ by a few hundred
 //! balanced flips around one cascade epicenter.
 //! `SndEngine::series_intervals` advances a single sketch bundle through
-//! each transition (landmark rows repaired through the touched edges,
-//! landmarks adapted from term feedback). The baseline, [`fresh_series`],
-//! builds a fresh `state_geometry` per snapshot (two live at a time) and
-//! prices each transition with `pairwise_distances_with` over its two
-//! bundles, which fetches the 2·L landmark rows through the bundles' row
-//! caches, with no adaptation. Both price every term as a certified
-//! envelope, and a subsampled instance small enough to price exactly
-//! checks that the delta path's intervals still bracket the exact SND.
+//! each transition: its landmark rows, over the first `min(L, 3)` of the
+//! engine's landmarks, are repaired through the touched edges. The
+//! baseline, [`fresh_series`], builds a fresh `state_geometry` per
+//! snapshot (two live at a time) and prices each transition with
+//! `pairwise_distances_with` over its two bundles, which fetches all
+//! 2·L landmark rows through the bundles' row caches. Both price every
+//! term as a certified envelope, and a subsampled instance small enough
+//! to price exactly asserts that the delta path's intervals still
+//! bracket the exact SND.
 //!
 //! Results land in `BENCH_scale_series.json` at the repo root.
 //!
@@ -22,11 +23,10 @@
 //! `SND_BENCH_EPSILON` (default 0.5), `SND_BENCH_LANDMARKS` (default 24),
 //! `SND_BENCH_GRAPH` (`ba`/`grid`, default `ba`).
 //!
-//! Default geometry: Barabási–Albert with 24 landmarks — enough rows
-//! that the re-sketch baseline's per-snapshot bill dominates, while the
-//! delta path's feedback-driven repair budget keeps only the handful of
-//! pairs the pricing leans on current. 24 transitions amortize the one
-//! shared initial sketch build.
+//! Default geometry: Barabási–Albert with 24 landmarks, the set the
+//! re-sketch baseline pays for at every snapshot, against the 3 the
+//! carried series repairs. 24 transitions amortize the one shared
+//! initial sketch build.
 
 use std::time::Duration;
 
@@ -230,6 +230,11 @@ fn bench_scale_series(c: &mut Criterion) {
         .all(|(d, iv)| iv.lower <= d + 1e-9 && *d <= iv.upper + 1e-9);
     println!(
         "scale_series: bracket check at n={}: intervals bracket exact: {bracketed}",
+        small_graph.node_count()
+    );
+    assert!(
+        bracketed,
+        "scale_series: a series interval missed the exact SND at n={}",
         small_graph.node_count()
     );
 

@@ -27,7 +27,8 @@ use crate::dataset::{Dataset, ModelRecord};
 
 /// Parses the approximate-tier flags: `--approx` opts in (forcing the
 /// sketch tier regardless of graph size), `--epsilon E` sets the certified
-/// relative gap, `--landmarks L` and `--budget B` bound the sketch.
+/// relative gap, `--landmarks L` and `--budget B` bound the sketch (a
+/// certified series carries only the first `min(L, 3)` landmarks).
 /// Returns `Ok(None)` when `--approx` is absent — and rejects the
 /// dependent flags in that case, so a typo'd invocation cannot silently
 /// run exact while the user believes an ε is in force.

@@ -91,7 +91,9 @@ fn help() -> String {
          \u{20} --ground: agnostic | icc | ltc | a model family from `snd simulate --list`\n\
          \u{20} --clusters: K BFS cluster banks instead of one bank per bin\n\
          \u{20} --approx: certified [lower, upper] intervals instead of exact SND, per-bin\n\
-         \u{20}   banks only; --epsilon, --landmarks and --budget require it"
+         \u{20}   banks only; --epsilon, --landmarks and --budget require it\n\
+         \u{20} --landmarks: landmarks per sketch (default 8); a certified series\n\
+         \u{20}   (distance --series, anomaly) carries the first min(L, 3) of them"
     )
 }
 

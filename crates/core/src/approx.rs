@@ -62,7 +62,7 @@ use snd_graph::{
     LandmarkSketch, NodeId,
 };
 use snd_models::{NetworkState, Opinion};
-use snd_transport::{solve_balanced, DenseCost, Mass, TransportPlan};
+use snd_transport::{solve_balanced, DenseCost, Mass};
 
 use snd_graph::{dial_bounded_scratch, Dist};
 
@@ -82,6 +82,10 @@ pub struct ApproxConfig {
     pub epsilon: f64,
     /// Landmarks per sketch (`2·max_landmarks` SSSPs per ground
     /// state/opinion/direction). More landmarks tighten the envelopes.
+    /// A certified series
+    /// ([`series_intervals`](crate::SndEngine::series_intervals)) carries
+    /// only the first `min(max_landmarks, 3)` of them, a prefix fixed for
+    /// the whole series; every other surface prices over all of them.
     pub max_landmarks: usize,
     /// Maximum refinement rounds per term; each round solves the coarse
     /// problem twice and splits a batch of the worst boundary clusters.
@@ -179,6 +183,12 @@ impl SndInterval {
         self.upper - self.lower
     }
 
+    /// The zero-width interval at `v`: the exact tier's, or a term the
+    /// approximate tier answered exactly.
+    pub(crate) fn exact(v: f64) -> SndInterval {
+        SndInterval { lower: v, upper: v }
+    }
+
     /// Whether `value` lies inside the interval (inclusive, with a tiny
     /// float tolerance on both ends).
     pub fn contains(&self, value: f64) -> bool {
@@ -198,13 +208,20 @@ const QUOTIENT_CLUSTERS: usize = 64;
 /// refinement split replaces one group by a bounded handful of children.
 const QUOTIENT_FANOUT: usize = 8;
 
-/// Target member count of the finest level's clusters. Depth grows (up to
-/// [`MAX_QUOTIENT_LEVELS`]) until the expected finest cluster size drops
-/// to this, so splits stay topology-aware almost down to singletons.
+/// Target member count of the finest level's clusters. The finest
+/// level's cluster target grows by [`QUOTIENT_FANOUT`] (at most
+/// `MAX_QUOTIENT_LEVELS − 1` times, see [`MAX_QUOTIENT_LEVELS`]) until
+/// the expected finest cluster size drops to this, so splits stay
+/// topology-aware almost down to singletons.
 const QUOTIENT_LEAF: usize = 256;
 
-/// Hierarchy depth cap: 64·8⁵ ≈ 2·10⁶ finest clusters cover n ≈ 5·10⁸ at
-/// [`QUOTIENT_LEAF`] granularity — beyond any graph this engine prices.
+/// Caps the finest level's cluster target at 64·8⁵ ≈ 2·10⁶, which covers
+/// n ≈ 5·10⁸ at [`QUOTIENT_LEAF`] granularity. It does not bound the
+/// hierarchy's depth: the coarsening loop of [`build_levels`] never reads
+/// it and runs until a level fits [`QUOTIENT_CLUSTERS`] or stops
+/// contracting. Because `bfs_partition` overshoots its target on
+/// Barabási–Albert graphs, that loop builds about 1,900 levels on
+/// BA(99,856) (ROADMAP item 1).
 const MAX_QUOTIENT_LEVELS: usize = 6;
 
 /// First-ball stop budget for bounded row materialization, as a multiple
@@ -323,7 +340,6 @@ struct TraceStats {
     ladder: [AtomicUsize; 4],
     sketch_repaired: AtomicUsize,
     sketch_reused: AtomicUsize,
-    sketch_stale: AtomicUsize,
     sketch_rebuilt: AtomicUsize,
     /// Final relative gap per term: 0 / ≤1% / ≤5% / ≤20% / >20%.
     gap_hist: [AtomicUsize; 5],
@@ -363,7 +379,6 @@ static TRACE_STATS: TraceStats = TraceStats {
     ],
     sketch_repaired: AtomicUsize::new(0),
     sketch_reused: AtomicUsize::new(0),
-    sketch_stale: AtomicUsize::new(0),
     sketch_rebuilt: AtomicUsize::new(0),
     gap_hist: [
         AtomicUsize::new(0),
@@ -414,10 +429,9 @@ fn record_term(rounds: usize, balls: usize, reballs: usize, exacts: usize, lo: f
 }
 
 /// Records how a delta step maintained the 2·L sketch rows of one plane:
-/// rows repaired through the change batch, rows provably untouched and
-/// `Arc`-shared, and rows the feedback-driven policy left stale (parked
-/// outside the envelope instead of paying a repair).
-pub(crate) fn record_sketch_step(repaired: usize, reused: usize, stale: usize) {
+/// rows repaired through the change batch, and rows provably untouched
+/// and `Arc`-shared.
+pub(crate) fn record_sketch_step(repaired: usize, reused: usize) {
     if !trace_enabled() {
         return;
     }
@@ -427,7 +441,6 @@ pub(crate) fn record_sketch_step(repaired: usize, reused: usize, stale: usize) {
     TRACE_STATS
         .sketch_reused
         .fetch_add(reused, Ordering::Relaxed);
-    TRACE_STATS.sketch_stale.fetch_add(stale, Ordering::Relaxed);
 }
 
 /// Records a fresh sketch build (initial bundle or high-churn fallback).
@@ -454,7 +467,6 @@ pub(crate) fn emit_trace_summary(context: &str) {
     let ladder: Vec<usize> = TRACE_STATS.ladder.iter().map(take).collect();
     let repaired = take(&TRACE_STATS.sketch_repaired);
     let reused = take(&TRACE_STATS.sketch_reused);
-    let stale = take(&TRACE_STATS.sketch_stale);
     let rebuilt = take(&TRACE_STATS.sketch_rebuilt);
     let gaps: Vec<usize> = TRACE_STATS.gap_hist.iter().map(take).collect();
     let ms: Vec<f64> = TRACE_STATS
@@ -465,7 +477,7 @@ pub(crate) fn emit_trace_summary(context: &str) {
     eprintln!(
         "approx-summary [{context}]: terms={terms} (+{tiny} tiny-exact) \
          refinement_rounds={rounds} ladder[sketch/ball/reball/exact]={}/{}/{}/{} \
-         sketch_rows[repaired/reused/stale/rebuilt]={repaired}/{reused}/{stale}/{rebuilt} \
+         sketch_rows[repaired/reused/rebuilt]={repaired}/{reused}/{rebuilt} \
          gap_hist[0,\u{2264}1%,\u{2264}5%,\u{2264}20%,>20%]={}/{}/{}/{}/{} \
          phase_ms[sketch/rows/balls/solves/exact]={:.0}/{:.0}/{:.0}/{:.0}/{:.0}",
         ladder[0],
@@ -484,52 +496,6 @@ pub(crate) fn emit_trace_summary(context: &str) {
         ms[4],
     );
 }
-
-/// Adaptive-placement feedback out of one term: representatives of the
-/// worst `gap × flow` cells at convergence (hot spots the sketch should
-/// cover next) plus per-landmark usefulness credit (was the landmark the
-/// binding envelope of a hot cell). Indices in `landmark_useful` follow
-/// the landmark order the term was priced with.
-pub(crate) struct TermFeedback {
-    pub(crate) hot_nodes: Vec<NodeId>,
-    pub(crate) landmark_useful: Vec<bool>,
-}
-
-impl TermFeedback {
-    fn empty() -> TermFeedback {
-        TermFeedback {
-            hot_nodes: Vec::new(),
-            landmark_useful: Vec::new(),
-        }
-    }
-}
-
-/// One priced term: the certified interval plus adaptive feedback.
-pub(crate) struct TermOutcome {
-    pub(crate) lower: f64,
-    pub(crate) upper: f64,
-    pub(crate) feedback: TermFeedback,
-}
-
-impl TermOutcome {
-    /// A zero-width outcome: the exact tier's, or a term the approximate
-    /// tier answered exactly.
-    pub(crate) fn exact(v: f64) -> TermOutcome {
-        TermOutcome {
-            lower: v,
-            upper: v,
-            feedback: TermFeedback::empty(),
-        }
-    }
-
-    /// The `[lower, upper]` envelope, feedback dropped.
-    pub(crate) fn envelope(&self) -> (f64, f64) {
-        (self.lower, self.upper)
-    }
-}
-
-/// How many of the worst cells feed [`TermFeedback`].
-const FEEDBACK_CELLS: usize = 8;
 
 /// How precisely a (singleton) row group's ground distances are known.
 /// Refinement escalates rows along `Sketch → Partial → … → Full` — each
@@ -602,7 +568,7 @@ pub(crate) fn emd_star_term_interval<'c>(
     approx: &ApproxConfig,
     cache: &'c RowCache,
     sketch_rows: Option<&'c SketchRows>,
-) -> TermOutcome {
+) -> SndInterval {
     let n = g.node_count();
     assert!(geom.per_bin, "the approximate tier requires per-bin banks");
     assert_eq!(p_state.len(), n, "state size mismatch");
@@ -613,23 +579,23 @@ pub(crate) fn emd_star_term_interval<'c>(
     // exact sparse path's own code: both tiers price one reduced problem.
     let term = sparse::classify_term(clustering, true, p_state, q_state, op, scale);
     let Some(term) = term.orient(n, config) else {
-        return TermOutcome::exact(0.0);
+        return SndInterval::exact(0.0);
     };
     let reverse = term.reverse;
 
     // Tiny reduced problems: exact rows cost fewer SSSPs than the sketch
     // would — answer exactly (zero-width interval). The threshold follows
     // the landmark set that would actually price this term (the bundle's
-    // live adapted set when present).
+    // when present).
     let n_landmarks = sketch_rows
-        .map_or(ctx.landmarks.len(), SketchRows::live_count)
+        .map_or(ctx.landmarks.len(), SketchRows::landmark_count)
         .max(1);
     if term.row_nodes.len() <= 2 * n_landmarks {
         let v = sparse::solve_oriented(g, clustering, geom, op, config, Some(cache), &term);
         if trace_enabled() {
             TRACE_STATS.tiny_exact.fetch_add(1, Ordering::Relaxed);
         }
-        return TermOutcome::exact(v);
+        return SndInterval::exact(v);
     }
 
     // Landmark rows: a delta-repaired bundle when the series path carries
@@ -871,9 +837,8 @@ pub(crate) fn emd_star_term_interval<'c>(
             }
         };
 
-        // Certified return: per-term trace line, run-level aggregates,
-        // and the adaptive-placement feedback off the final hi plan.
-        let finish = |why: &str, lower: f64, upper: f64| -> TermOutcome {
+        // Certified return: per-term trace line and run-level aggregates.
+        let finish = |why: &str, lower: f64, upper: f64| -> SndInterval {
             trace(why, (lower, upper));
             record_term(
                 round_no,
@@ -883,11 +848,7 @@ pub(crate) fn emd_star_term_interval<'c>(
                 lower,
                 upper,
             );
-            TermOutcome {
-                lower,
-                upper,
-                feedback: collect_feedback(&plan_hi, &bounds, &rows, &cols, &sketch, reverse),
-            }
+            SndInterval { lower, upper }
         };
 
         // Cheap gap probe: price the hi-optimal plan at the lower bounds.
@@ -1110,62 +1071,6 @@ pub(crate) fn emd_star_term_interval<'c>(
                 }
             }
         }
-    }
-}
-
-/// Ranks the final hi plan's flowing cells by `gap × flow` and extracts
-/// the adaptive-placement feedback: the worst cells' row representatives
-/// (residual groups only — bank bins are not mass sources the sketch
-/// should chase) and the landmarks binding those cells' envelopes.
-fn collect_feedback(
-    plan: &TransportPlan,
-    bounds: &[Vec<(u32, u32)>],
-    rows: &[Group<'_>],
-    cols: &[Group<'_>],
-    sketch: &LandmarkSketch<'_>,
-    reverse: bool,
-) -> TermFeedback {
-    let mut cells: Vec<(u128, usize, usize)> = plan
-        .flows
-        .iter()
-        .filter_map(|f| {
-            let (i, j) = (f.row as usize, f.col as usize);
-            let (lo, hi) = bounds[i][j];
-            (hi > lo && f.flow > 0).then(|| (((hi - lo) as u128) * f.flow as u128, i, j))
-        })
-        .collect();
-    cells.sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
-    // Credit stops once the walked cells carry half the residual gap
-    // mass: landmarks binding only the long tail of near-converged cells
-    // are not worth keeping on the repair payroll.
-    let total_gap: u128 = cells.iter().map(|c| c.0).sum();
-    let mut credited: u128 = 0;
-    let mut hot_nodes = Vec::new();
-    let mut landmark_useful = vec![false; sketch.landmark_count()];
-    for &(score, i, j) in cells.iter().take(FEEDBACK_CELLS) {
-        if credited * 2 >= total_gap {
-            break;
-        }
-        credited += score;
-        let rep = rows[i].members[0];
-        if rows[i].gamma == 0 && !hot_nodes.contains(&rep) {
-            hot_nodes.push(rep);
-        }
-        let (a, b) = if reverse {
-            (&cols[j].agg, &rows[i].agg)
-        } else {
-            (&rows[i].agg, &cols[j].agg)
-        };
-        if let Some(l) = sketch.group_upper_arg(a, b) {
-            landmark_useful[l] = true;
-        }
-        if let Some(l) = sketch.group_lower_arg(a, b) {
-            landmark_useful[l] = true;
-        }
-    }
-    TermFeedback {
-        hot_nodes,
-        landmark_useful,
     }
 }
 

@@ -232,8 +232,8 @@ impl<'g> SndEngine<'g> {
                 let (forward, op) = term_role(t % 4);
                 let (ground, other) = if forward { (i, j) } else { (j, i) };
                 let (p, q) = (&states[ground], &states[other]);
-                self.price_term(bundle(ground).ground(op), p, q, op, approx.as_ref())
-                    .envelope()
+                let iv = self.price_term(bundle(ground).ground(op), p, q, op, approx.as_ref());
+                (iv.lower, iv.upper)
             })
             .collect()
     }

@@ -192,88 +192,35 @@ impl OpGeometry {
 /// which is bit-identical to a fresh SSSP because the clamp domain is
 /// lossless whenever a sketch exists (`tests/sketch_repair.rs`).
 ///
-/// Adaptive landmark placement (`DeltaStateGeometry::adapt_sketch`)
-/// appends and evicts whole row pairs between snapshots; the usefulness
-/// clock (`last_useful` / `tick`) travels with the bundle, including
-/// through the high-churn fresh-rebuild fallback.
-///
-/// Repair is **feedback-driven**: a triangle-inequality envelope over a
-/// *subset* of the landmarks is still sound (an upper bound minimized
-/// over fewer landmarks only loosens, a lower bound maximized over fewer
-/// only loosens), so a transition does not have to repair all `2·L`
-/// rows. Pairs whose landmark recently bound a hot cell — plus a small
-/// floor — are repaired; the rest are parked `stale`, dropped from the
-/// envelope, and cost nothing until adaptive placement evicts them (a
-/// stale pair's `last_useful` ages, so eviction finds it first). Until
-/// the first pricing signal arrives (`tick == 0`) every pair is
-/// advanced, which keeps un-priced stepping bit-identical to a fresh
-/// build across every row.
+/// The landmark set is a prefix of the engine's, fixed when the bundle
+/// is built: every transition repairs every row it fires, so a stepped
+/// bundle always equals a fresh build at the same state, whatever the
+/// series behind it.
 #[derive(Clone)]
 pub struct SketchRows {
-    pub(crate) landmarks: Vec<NodeId>,
-    pub(crate) to: Vec<Arc<Vec<u32>>>,
-    pub(crate) from: Vec<Arc<Vec<u32>>>,
-    /// Last tick each landmark was the binding envelope of a hot cell.
-    pub(crate) last_useful: Vec<u64>,
-    /// Adaptation clock, bumped once per priced snapshot.
-    pub(crate) tick: u64,
-    /// Pairs whose rows a repair policy skipped across some fired
-    /// transition: no longer valid for the current costs, excluded from
-    /// [`sketch`](Self::sketch) until replaced (only a full rebuild or
-    /// eviction revives the slot — repair needs a valid starting row).
-    pub(crate) stale: Vec<bool>,
+    landmarks: Vec<NodeId>,
+    to: Vec<Arc<Vec<u32>>>,
+    from: Vec<Arc<Vec<u32>>>,
 }
 
-/// Per-transition repair budget of [`SketchRows::advanced`]: the number
-/// of row pairs kept live once pricing feedback exists, chosen
-/// most-recently-useful first. Enough for a serviceable envelope, small
-/// enough that a series whose refinement never leans on the sketch stops
-/// paying for its upkeep; pairs the feedback keeps crediting always rank
-/// inside the budget.
-const REPAIR_PAIR_BUDGET: usize = 3;
-
-/// One adaptive promotion costs two full SSSPs plus membership in the
-/// repair budget, so placement moves at most one landmark per plane
-/// every this many snapshots — a genuinely hot region stays hot long
-/// enough to be covered one landmark at a time.
-const PROMOTE_PERIOD: u64 = 4;
+/// Landmarks a certified series carries
+/// ([`SndEngine::series_intervals`]): the sketch rows of its bundles
+/// cover this prefix of the engine's landmark set. Each carried pair
+/// costs a repair on every transition that reaches it, so the series
+/// keeps only enough relays for a serviceable envelope; the other
+/// surfaces price over all
+/// [`ApproxConfig::max_landmarks`](crate::ApproxConfig).
+pub(crate) const SERIES_LANDMARKS: usize = 3;
 
 impl SketchRows {
-    /// Number of landmarks (row pairs), live or stale.
+    /// Number of landmarks (row pairs).
     pub fn landmark_count(&self) -> usize {
         self.landmarks.len()
-    }
-
-    /// Number of live (repair-current) row pairs — the envelope width
-    /// pricing actually sees.
-    pub fn live_count(&self) -> usize {
-        self.stale.iter().filter(|&&s| !s).count()
     }
 
     /// The landmark set, in row order.
     pub fn landmarks(&self) -> &[NodeId] {
         &self.landmarks
-    }
-
-    /// Bundle indices of the live pairs, in row order — position `j` in
-    /// the borrowed [`sketch`](Self::sketch) (and in any feedback derived
-    /// from it) maps to bundle pair `live_indices()[j]`.
-    fn live_indices(&self) -> Vec<usize> {
-        (0..self.landmarks.len())
-            .filter(|&i| !self.stale[i])
-            .collect()
-    }
-
-    /// Records pricing feedback: `useful[j]` refers to the `j`-th *live*
-    /// pair (the subset the envelope served), credited at the current
-    /// tick.
-    pub(crate) fn note_useful(&mut self, useful: &[bool]) {
-        let live = self.live_indices();
-        for (&i, &u) in live.iter().zip(useful) {
-            if u {
-                self.last_useful[i] = self.tick;
-            }
-        }
     }
 
     /// One stored row: the reverse row `d̂(v → landmark)` when `reverse`,
@@ -286,30 +233,24 @@ impl SketchRows {
         }
     }
 
-    /// Borrows the **live** rows as a
-    /// [`LandmarkSketch`](snd_graph::LandmarkSketch) with sentinel `inf`.
-    /// Stale pairs are excluded — the envelope over the remaining
-    /// landmarks is looser but still sound.
+    /// Borrows the rows as a [`LandmarkSketch`](snd_graph::LandmarkSketch)
+    /// with sentinel `inf`.
     pub(crate) fn sketch(&self, inf: u32) -> snd_graph::LandmarkSketch<'_> {
-        let live = self.live_indices();
         snd_graph::LandmarkSketch::new(
-            live.iter().map(|&i| self.to[i].as_slice()).collect(),
-            live.iter().map(|&i| self.from[i].as_slice()).collect(),
+            self.to.iter().map(|r| r.as_slice()).collect(),
+            self.from.iter().map(|r| r.as_slice()).collect(),
             inf,
         )
     }
 
     /// Builds every row pair from scratch (2·L SSSPs, parallel over
-    /// landmarks). `last_useful`/`tick` are carried, not reset, so the
-    /// high-churn fallback keeps the adaptation history.
+    /// landmarks).
     fn build(
         g: &CsrGraph,
         costs: &[u32],
         max_edge_cost: u32,
         unreachable: u32,
         landmarks: Vec<NodeId>,
-        last_useful: Vec<u64>,
-        tick: u64,
     ) -> SketchRows {
         let n = g.node_count();
         // One (to-landmark, from-landmark) row pair per landmark.
@@ -331,65 +272,16 @@ impl SketchRows {
             });
         crate::approx::record_sketch_rebuild(rows.len() * 2);
         let (to, from) = rows.into_iter().unzip();
-        let stale = vec![false; landmarks.len()];
         SketchRows {
             landmarks,
             to,
             from,
-            last_useful,
-            tick,
-            stale,
         }
-    }
-
-    /// Fresh rebuild over new costs at the *same* (possibly adapted)
-    /// landmark set — the high-churn fallback.
-    fn rebuilt(
-        &self,
-        g: &CsrGraph,
-        costs: &[u32],
-        max_edge_cost: u32,
-        unreachable: u32,
-    ) -> SketchRows {
-        SketchRows::build(
-            g,
-            costs,
-            max_edge_cost,
-            unreachable,
-            self.landmarks.clone(),
-            self.last_useful.clone(),
-            self.tick,
-        )
-    }
-
-    /// The pairs the feedback-driven policy repairs across the next
-    /// transition: the [`REPAIR_PAIR_BUDGET`] most recently useful live
-    /// pairs (ties broken by slot, so the budget does not wander across
-    /// equally-idle pairs). Before any pricing signal exists
-    /// (`tick == 0`) every pair is wanted, so un-priced stepping stays
-    /// exhaustive.
-    fn repair_wanted(&self) -> Vec<bool> {
-        let n = self.landmarks.len();
-        if self.tick == 0 {
-            return vec![true; n];
-        }
-        let mut want: Vec<bool> = vec![false; n];
-        let mut live: Vec<usize> = (0..n).filter(|&i| !self.stale[i]).collect();
-        live.sort_unstable_by_key(|&i| (std::cmp::Reverse(self.last_useful[i]), i));
-        for &i in live.iter().take(REPAIR_PAIR_BUDGET) {
-            want[i] = true;
-        }
-        want
     }
 
     /// Advances the row pairs across a transition. Rows a change provably
-    /// cannot perturb are `Arc`-shared; rows of pairs the feedback policy
-    /// ([`repair_wanted`](Self::repair_wanted)) retains are repaired in
-    /// place — bit-identical to [`build`](Self::build) over the new
-    /// costs; fired pairs the policy lets go are carried unrepaired and
-    /// marked stale (a stale pair stays stale: repair needs a valid
-    /// starting row, so only eviction or a full rebuild revives the
-    /// slot).
+    /// cannot perturb are `Arc`-shared; the rest are repaired in place —
+    /// bit-identical to [`build`](Self::build) over the new costs.
     fn advanced(
         &self,
         g: &CsrGraph,
@@ -398,58 +290,36 @@ impl SketchRows {
         unreachable: u32,
     ) -> SketchRows {
         let index = ChangeIndex::new(g, changes, new_costs, unreachable);
-        let want = self.repair_wanted();
-        // Per pair: (to, from, repaired, reused, went_stale).
-        type Advanced = (Arc<Vec<u32>>, Arc<Vec<u32>>, usize, usize, bool);
+        // Per pair: (to, from, rows repaired).
+        type Advanced = (Arc<Vec<u32>>, Arc<Vec<u32>>, usize);
         let pairs: Vec<Advanced> =
             crate::approx::time_phase(crate::approx::PHASE_SKETCH_MAINT, || {
                 (0..self.landmarks.len())
                     .into_par_iter()
                     .map(|i| {
-                        let (t, f) = (&self.to[i], &self.from[i]);
-                        if self.stale[i] {
-                            return (Arc::clone(t), Arc::clone(f), 0, 0, true);
-                        }
                         let l = self.landmarks[i];
-                        let fires_to = index.fires(t, true, unreachable);
-                        let fires_from = index.fires(f, false, unreachable);
-                        let fired = usize::from(fires_to) + usize::from(fires_from);
-                        if fired > 0 && !want[i] {
-                            return (Arc::clone(t), Arc::clone(f), 0, 0, true);
-                        }
                         // The previous bundle still prices with these rows,
                         // so a fired row is repaired on a copy.
-                        let (mut t, mut f) = (Arc::clone(t), Arc::clone(f));
+                        let (mut t, mut f) = (Arc::clone(&self.to[i]), Arc::clone(&self.from[i]));
+                        let fires_to = index.fires(&t, true, unreachable);
+                        let fires_from = index.fires(&f, false, unreachable);
                         if fires_to {
                             index.repair(Arc::make_mut(&mut t).as_mut_slice(), &[l], true);
                         }
                         if fires_from {
                             index.repair(Arc::make_mut(&mut f).as_mut_slice(), &[l], false);
                         }
-                        (t, f, fired, 2 - fired, false)
+                        (t, f, usize::from(fires_to) + usize::from(fires_from))
                     })
                     .collect()
             });
-        let mut to = Vec::with_capacity(pairs.len());
-        let mut from = Vec::with_capacity(pairs.len());
-        let mut stale = Vec::with_capacity(pairs.len());
-        let (mut repaired, mut reused, mut parked) = (0usize, 0usize, 0usize);
-        for (t, f, rep, reu, s) in pairs {
-            repaired += rep;
-            reused += reu;
-            parked += usize::from(s) * 2;
-            stale.push(s);
-            to.push(t);
-            from.push(f);
-        }
-        crate::approx::record_sketch_step(repaired, reused, parked);
+        let repaired: usize = pairs.iter().map(|p| p.2).sum();
+        crate::approx::record_sketch_step(repaired, 2 * pairs.len() - repaired);
+        let (to, from) = pairs.into_iter().map(|(t, f, _)| (t, f)).unzip();
         SketchRows {
             landmarks: self.landmarks.clone(),
             to,
             from,
-            last_useful: self.last_useful.clone(),
-            tick: self.tick,
-            stale,
         }
     }
 }
@@ -650,21 +520,27 @@ impl<'a> ChangeIndex<'a> {
 
 impl OpGeometry {
     /// Builds the geometry from scratch, retaining its repair state when
-    /// `keep`. Bit-identical to
+    /// `keep`, with sketch rows over every landmark. Bit-identical to
     /// [`compute_geometry`](crate::banks::compute_geometry).
+    #[cfg(test)]
     fn fresh(engine: &SndEngine<'_>, state: &NetworkState, op: Opinion, keep: bool) -> OpGeometry {
         let costs = edge_costs(engine.graph(), state, op, &engine.config().ground);
-        Self::from_costs(engine, costs, keep)
+        Self::from_costs(engine, costs, keep, usize::MAX)
     }
 
     /// Builds the geometry from already-derived edge costs through the
     /// one fresh builder, keeping its repair state (when `keep` and
     /// repairable) as shared per-cluster state. Approximate-tier engines
-    /// in per-bin mode get a live sketch bundle alongside the costs —
-    /// only in a lossless clamp domain, the repair precondition
-    /// (otherwise the approx path falls back to cache fetches, still
-    /// certified).
-    fn from_costs(engine: &SndEngine<'_>, costs: Vec<u32>, keep: bool) -> OpGeometry {
+    /// in per-bin mode get a live sketch bundle over the first
+    /// `landmarks` of the engine's landmarks alongside the costs — only
+    /// in a lossless clamp domain, the repair precondition (otherwise the
+    /// approx path falls back to cache fetches, still certified).
+    fn from_costs(
+        engine: &SndEngine<'_>,
+        costs: Vec<u32>,
+        keep: bool,
+        landmarks: usize,
+    ) -> OpGeometry {
         let g = engine.graph();
         let (geom, kept) =
             build_geometry(g, engine.clustering(), costs, engine.config(), true, keep);
@@ -672,14 +548,13 @@ impl OpGeometry {
             .then(|| engine.delta_sketch_ctx())
             .flatten()
             .map(|ctx| {
+                let prefix = &ctx.landmarks[..landmarks.min(ctx.landmarks.len())];
                 SketchRows::build(
                     g,
                     &geom.edge_costs,
                     geom.max_edge_cost,
                     geom.unreachable,
-                    ctx.landmarks.clone(),
-                    vec![0; ctx.landmarks.len()],
-                    0,
+                    prefix.to_vec(),
                 )
             });
         OpGeometry {
@@ -800,20 +675,25 @@ pub struct DeltaStateGeometry {
 impl DeltaStateGeometry {
     /// Builds the bundle from scratch (both opinions in parallel).
     pub fn fresh(engine: &SndEngine<'_>, state: &NetworkState) -> DeltaStateGeometry {
-        Self::fresh_keeping(engine, state, true)
+        Self::fresh_keeping(engine, state, true, usize::MAX)
     }
 
     /// [`fresh`](Self::fresh) that keeps the repair state only when
-    /// `keep` — a series loop passes whether its next transition repairs.
+    /// `keep` — a series loop passes whether its next transition repairs
+    /// — and whose sketch rows, if any, cover the first `landmarks` of
+    /// the engine's landmarks (`usize::MAX`: all of them). Steps from the
+    /// bundle carry that landmark set unchanged.
     pub(crate) fn fresh_keeping(
         engine: &SndEngine<'_>,
         state: &NetworkState,
         keep: bool,
+        landmarks: usize,
     ) -> DeltaStateGeometry {
-        let (pos, neg) = rayon::join(
-            || OpGeometry::fresh(engine, state, Opinion::Positive, keep),
-            || OpGeometry::fresh(engine, state, Opinion::Negative, keep),
-        );
+        let fresh = |op| {
+            let costs = edge_costs(engine.graph(), state, op, &engine.config().ground);
+            OpGeometry::from_costs(engine, costs, keep, landmarks)
+        };
+        let (pos, neg) = rayon::join(|| fresh(Opinion::Positive), || fresh(Opinion::Negative));
         DeltaStateGeometry { pos, neg }
     }
 
@@ -863,7 +743,8 @@ impl DeltaStateGeometry {
             );
             if !prev.geom.per_bin && (high_churn || clusters.is_empty()) {
                 drop(clusters);
-                return OpGeometry::from_costs(engine, new_costs, keep);
+                // Cluster banks carry no sketch rows.
+                return OpGeometry::from_costs(engine, new_costs, keep, 0);
             }
             let changes: Vec<CostChange> = delta
                 .touched_edges()
@@ -883,9 +764,10 @@ impl DeltaStateGeometry {
                 let (max_edge_cost, unreachable) = (prev.geom.max_edge_cost, prev.geom.unreachable);
                 let sketch = prev.sketch.as_ref().map(|s| {
                     if high_churn {
-                        s.rebuilt(g, &new_costs, max_edge_cost, unreachable)
+                        let landmarks = s.landmarks.clone();
+                        SketchRows::build(g, &new_costs, max_edge_cost, unreachable, landmarks)
                     } else if changes.is_empty() {
-                        crate::approx::record_sketch_step(0, s.live_count() * 2, 0);
+                        crate::approx::record_sketch_step(0, s.landmark_count() * 2);
                         s.clone()
                     } else {
                         s.advanced(g, &new_costs, &changes, unreachable)
@@ -949,94 +831,6 @@ impl DeltaStateGeometry {
             _ => self.neg.sketch.as_ref(),
         }
     }
-
-    /// Adaptive landmark placement: folds one term's refinement feedback
-    /// (hot `gap × flow` cell representatives + per-landmark usefulness
-    /// credit) into the `op` plane's sketch. Up to two hot nodes are
-    /// promoted to landmarks per call (two SSSPs each over this plane's
-    /// costs); past `max_landmarks` the least-recently-useful landmark is
-    /// evicted — unless every landmark was useful this very snapshot, in
-    /// which case the set is left alone rather than churned.
-    pub(crate) fn adapt_sketch(
-        &mut self,
-        engine: &SndEngine<'_>,
-        op: Opinion,
-        feedback: &crate::approx::TermFeedback,
-        max_landmarks: usize,
-    ) {
-        let plane = match op {
-            Opinion::Positive => &mut self.pos,
-            _ => &mut self.neg,
-        };
-        let Some(sketch) = plane.sketch.as_mut() else {
-            return;
-        };
-        sketch.tick += 1;
-        let tick = sketch.tick;
-        // Feedback indices refer to the live pairs the term was priced
-        // with; `note_useful` maps them back onto bundle slots.
-        sketch.note_useful(&feedback.landmark_useful);
-        // Promotion is gated on the envelope earning its keep (some
-        // landmark bound a hot cell) and paced by [`PROMOTE_PERIOD`]:
-        // when the pricing does not lean on the sketch, two SSSPs per
-        // promotion buy rows nothing will read, and even a hot streak
-        // only justifies moving placement one landmark at a time.
-        let any_useful = feedback.landmark_useful.iter().any(|&u| u);
-        let full = sketch.landmarks.len() >= max_landmarks.max(1);
-        if full && (!any_useful || tick % PROMOTE_PERIOD != 0) {
-            return;
-        }
-        let g = engine.graph();
-        let n = g.node_count();
-        let costs = &plane.geom.edge_costs;
-        let max_edge_cost = plane.geom.max_edge_cost;
-        let unreachable = plane.geom.unreachable;
-        // Paced to one promotion per snapshot: each costs two SSSPs, and
-        // a genuinely hot region stays hot long enough to be covered one
-        // landmark at a time.
-        let mut promoted = 0usize;
-        for &v in &feedback.hot_nodes {
-            if promoted >= 1 {
-                break;
-            }
-            if sketch.landmarks.contains(&v) {
-                continue;
-            }
-            if sketch.landmarks.len() >= max_landmarks.max(1) {
-                let Some((evict, &least)) = sketch
-                    .last_useful
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(i, &lu)| (lu, i))
-                else {
-                    break;
-                };
-                if least >= tick {
-                    break;
-                }
-                sketch.landmarks.swap_remove(evict);
-                sketch.to.swap_remove(evict);
-                sketch.from.swap_remove(evict);
-                sketch.last_useful.swap_remove(evict);
-                sketch.stale.swap_remove(evict);
-            }
-            let (to, from) = crate::approx::time_phase(crate::approx::PHASE_SKETCH_MAINT, || {
-                with_sssp_scratch(|scratch| {
-                    dial_reverse_scratch(g, costs, &[v], max_edge_cost, scratch);
-                    let to = clamped_row(scratch, n, unreachable);
-                    dial_scratch(g, costs, &[v], max_edge_cost, scratch);
-                    let from = clamped_row(scratch, n, unreachable);
-                    (to, from)
-                })
-            });
-            sketch.landmarks.push(v);
-            sketch.to.push(Arc::new(to));
-            sketch.from.push(Arc::new(from));
-            sketch.last_useful.push(tick);
-            sketch.stale.push(false);
-            promoted += 1;
-        }
-    }
 }
 
 /// The one snapshot-ordered bundle materializer behind every tile plan
@@ -1072,7 +866,7 @@ pub(crate) fn chain_geometry(
             }
             head
         }
-        _ => DeltaStateGeometry::fresh_keeping(engine, &states[s], keeps(s)),
+        _ => DeltaStateGeometry::fresh_keeping(engine, &states[s], keeps(s), usize::MAX),
     }
 }
 

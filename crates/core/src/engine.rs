@@ -28,21 +28,21 @@
 //! at a time through the same router.
 //!
 //! Parallelism nests safely: terms running on the shared rayon pool may
-//! themselves hit the transportation simplex's parallel pricing (large
-//! reduced instances under the default `Solver::Auto`); the pool's
-//! caller-participation guarantee means inner fan-outs always progress
-//! even with every worker busy on outer terms.
+//! themselves fan out (the landmark rows of a sketch build, for one);
+//! the pool's caller-participation guarantee means inner fan-outs always
+//! progress even with every worker busy on outer terms. Every
+//! transportation solve prices on its calling thread.
 
 use std::sync::OnceLock;
 
 use snd_graph::{bfs_partition, whole_graph_cluster, Clustering, CsrGraph};
 use snd_models::{NetworkState, Opinion, StateDelta};
 
-use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval, TermOutcome};
+use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval};
 use crate::banks::{compute_geometry, GroundGeometry};
 use crate::batch::{term_role, term_value};
 use crate::config::{ClusterSpec, SndConfig};
-use crate::delta::{keeps_repair_state, DeltaStateGeometry, SketchRows};
+use crate::delta::{keeps_repair_state, DeltaStateGeometry, SketchRows, SERIES_LANDMARKS};
 use crate::sparse::RowCache;
 use crate::{approx, dense, sparse};
 
@@ -79,13 +79,13 @@ impl SndBreakdown {
 
 /// The scalar breakdown of four priced terms, each read off its envelope
 /// by [`term_value`].
-fn breakdown_of(terms: &[TermOutcome; 4]) -> SndBreakdown {
-    SndBreakdown::from_terms(terms, |t| term_value(t.envelope()))
+fn breakdown_of(terms: &[SndInterval; 4]) -> SndBreakdown {
+    SndBreakdown::from_terms(terms, |t| term_value((t.lower, t.upper)))
 }
 
 /// The certified SND interval of four priced terms: `½·Σ` of each
 /// envelope end (interval arithmetic over independent certified bounds).
-fn interval_of(terms: &[TermOutcome; 4]) -> SndInterval {
+fn interval_of(terms: &[SndInterval; 4]) -> SndInterval {
     SndInterval {
         lower: SndBreakdown::from_terms(terms, |t| t.lower).total(),
         upper: SndBreakdown::from_terms(terms, |t| t.upper).total(),
@@ -401,9 +401,9 @@ impl<'g> SndEngine<'g> {
     }
 
     /// The one EMD\* term router: prices `EMD*(Pᵒᵖ, Qᵒᵖ, D(ground, op))`
-    /// on the exact tier when `approx` is `None` (a zero-width outcome),
-    /// else on the approximate tier (its certified interval plus the
-    /// adaptive-placement feedback). Every surface prices its terms here:
+    /// on the exact tier when `approx` is `None` (a zero-width interval),
+    /// else on the approximate tier (its certified interval). Every
+    /// surface prices its terms here:
     /// the scalar ones pass [`approx_if_active`](Self::approx_if_active),
     /// the interval ones their validated config. Without a row cache the
     /// approximate tier prices through a term-local one (the interval is
@@ -415,9 +415,9 @@ impl<'g> SndEngine<'g> {
         q: &NetworkState,
         op: Opinion,
         approx: Option<&ApproxConfig>,
-    ) -> TermOutcome {
+    ) -> SndInterval {
         let Some(approx_cfg) = approx else {
-            return TermOutcome::exact(sparse::emd_star_term(
+            return SndInterval::exact(sparse::emd_star_term(
                 self.graph,
                 &self.clustering,
                 ground.geom,
@@ -459,7 +459,7 @@ impl<'g> SndEngine<'g> {
         b: &NetworkState,
         grounds: [TermGround<'_>; 4],
         approx: Option<&ApproxConfig>,
-    ) -> [TermOutcome; 4] {
+    ) -> [SndInterval; 4] {
         let term = |which: usize| {
             let (forward, op) = term_role(which);
             let (p, q) = if forward { (a, b) } else { (b, a) };
@@ -537,10 +537,11 @@ impl<'g> SndEngine<'g> {
     /// **delta-aware** by the one series walker (≤ 2 live repairable
     /// [`DeltaStateGeometry`] bundles), so edge costs are re-derived on
     /// touched edges only and — when the engine carries an approx config —
-    /// the 2·L landmark sketch rows are *repaired* across each transition
-    /// instead of recomputed. After each priced transition the refinement
-    /// loop's worst-cell feedback adapts the next ground state's landmark
-    /// set (`DeltaStateGeometry::adapt_sketch`).
+    /// the landmark sketch rows are *repaired* across each transition
+    /// instead of recomputed. The series carries a fixed prefix of the
+    /// engine's landmarks, the first `min(L, 3)` of
+    /// [`ApproxConfig::max_landmarks`], so every transition's interval
+    /// equals the interval of that transition priced on its own.
     pub fn series_intervals(
         &self,
         states: &[NetworkState],
@@ -550,13 +551,7 @@ impl<'g> SndEngine<'g> {
             lower: 0.0,
             upper: 0.0,
         };
-        let out = self.walk_series(states, Some(&approx_cfg), zero, |terms, cur| {
-            // The backward terms ground in `cur`, which is exactly the
-            // next transition's forward ground state — fold their hot
-            // cells into its landmark set before stepping on.
-            let max = approx_cfg.max_landmarks;
-            cur.adapt_sketch(self, Opinion::Positive, &terms[2].feedback, max);
-            cur.adapt_sketch(self, Opinion::Negative, &terms[3].feedback, max);
+        let out = self.walk_series(states, Some(&approx_cfg), SERIES_LANDMARKS, zero, |terms| {
             interval_of(&terms)
         });
         approx::emit_trace_summary("series_intervals");
@@ -601,7 +596,7 @@ impl<'g> SndEngine<'g> {
     /// never cloned per transition.
     pub fn series_distances(&self, states: &[NetworkState]) -> Vec<f64> {
         let approx = self.approx_if_active();
-        self.walk_series(states, approx.as_ref(), 0.0, |terms, _| {
+        self.walk_series(states, approx.as_ref(), usize::MAX, 0.0, |terms| {
             breakdown_of(&terms).total()
         })
     }
@@ -613,17 +608,19 @@ impl<'g> SndEngine<'g> {
     /// [`StateDelta`] — keeping repair state only when the next transition
     /// (peeked one ahead) repairs — and prices the four terms through
     /// [`pair_terms`](Self::pair_terms) with one fresh row cache per
-    /// ground state. `fold` turns them into the transition's value and may
-    /// update the new bundle before it becomes the next ground state. An
-    /// empty delta yields `zero`: every EMD\* term over equal states is
-    /// exactly zero, and the bundle and its cache carry over untouched. At
-    /// most two bundles and two caches are live at any point.
+    /// ground state. The bundles' sketch rows, if any, cover the first
+    /// `landmarks` of the engine's landmarks. `fold` turns the terms into
+    /// the transition's value. An empty delta yields `zero`: every EMD\*
+    /// term over equal states is exactly zero, and the bundle and its
+    /// cache carry over untouched. At most two bundles and two caches are
+    /// live at any point.
     fn walk_series<T: Copy>(
         &self,
         states: &[NetworkState],
         approx: Option<&ApproxConfig>,
+        landmarks: usize,
         zero: T,
-        mut fold: impl FnMut([TermOutcome; 4], &mut DeltaStateGeometry) -> T,
+        fold: impl Fn([SndInterval; 4]) -> T,
     ) -> Vec<T> {
         if states.len() < 2 {
             return Vec::new();
@@ -634,7 +631,7 @@ impl<'g> SndEngine<'g> {
             .map(|t| (t, StateDelta::between(g, &states[t - 1], &states[t])))
             .peekable();
         let keep = keeps_repair_state(g, deltas.peek());
-        let mut prev = DeltaStateGeometry::fresh_keeping(self, &states[0], keep);
+        let mut prev = DeltaStateGeometry::fresh_keeping(self, &states[0], keep, landmarks);
         let mut prev_rows = RowCache::new(g.node_count());
         while let Some((t, delta)) = deltas.next() {
             if delta.is_empty() {
@@ -642,7 +639,7 @@ impl<'g> SndEngine<'g> {
                 continue;
             }
             let keep = keeps_repair_state(g, deltas.peek());
-            let mut cur = prev.step_keeping(self, &states[t], &delta, keep);
+            let cur = prev.step_keeping(self, &states[t], &delta, keep);
             let cur_rows = RowCache::new(g.node_count());
             let grounds = [
                 prev.pos.ground(&prev_rows),
@@ -651,7 +648,7 @@ impl<'g> SndEngine<'g> {
                 cur.neg.ground(&cur_rows),
             ];
             let terms = self.pair_terms(&states[t - 1], &states[t], grounds, approx);
-            out.push(fold(terms, &mut cur));
+            out.push(fold(terms));
             prev = cur;
             prev_rows = cur_rows; // the old cache drops here
         }

@@ -93,37 +93,37 @@
 //! per opinion plane along the series instead of re-sketching every
 //! snapshot:
 //!
-//! 1. **Build** — the first snapshot runs `2·L` landmark SSSPs per plane
-//!    (one to-landmark, one from-landmark row per landmark);
-//! 2. **Repair** — each transition repairs rows through the touched
-//!    edges ([`snd_graph::repair_row`]), under the same contract as the
-//!    cluster-geometry rows: repaired rows are **bit-identical** to
-//!    fresh SSSPs (`tests/sketch_repair.rs`). Repair is
-//!    **feedback-driven**: once pricing signal exists, only a small
-//!    budget of the most-recently-useful landmark pairs is kept
-//!    current; the rest are parked *stale* and excluded from envelopes
-//!    (a subset envelope is looser but still sound), so a series whose
-//!    refinement does not lean on the sketch stops paying for its
-//!    upkeep;
-//! 3. **Adapt** — term feedback credits the landmarks binding the
-//!    worst remaining `gap × flow` cells (these stay inside the repair
-//!    budget) and periodically promotes the hottest residual nodes into
-//!    the landmark set, evicting the least-recently-useful landmark —
-//!    stale pairs age fastest — once [`ApproxConfig::max_landmarks`] is
-//!    reached;
-//! 4. **Fall back** — high-churn transitions (touched edges above
+//! 1. **Build** — the first snapshot runs `2·k` landmark SSSPs per plane
+//!    (one to-landmark, one from-landmark row per landmark) over a
+//!    **fixed prefix** of the engine's landmark set: the first
+//!    `k = min(L, 3)` of [`ApproxConfig::max_landmarks`]. The set never
+//!    changes along the series;
+//! 2. **Repair** — each transition repairs every row its touched edges
+//!    reach ([`snd_graph::repair_row`]) and `Arc`-shares the rest, under
+//!    the same contract as the cluster-geometry rows: repaired rows are
+//!    **bit-identical** to fresh SSSPs (`tests/sketch_repair.rs`), so
+//!    every transition's interval equals that transition priced on its
+//!    own (`tests/series_history.rs`);
+//! 3. **Fall back** — high-churn transitions (touched edges above
 //!    `1/`[`REPAIR_EDGE_FRACTION`] of the graph) rebuild the sketch
-//!    fresh — every pair, reviving stale ones — exactly like the
-//!    cluster rows.
+//!    fresh over the same landmarks, exactly like the cluster rows.
+//!
+//! The other surfaces keep all `L` landmarks: the scalar
+//! [`SndEngine::series_distances`] under an active tier and the tile
+//! paths carry every landmark's rows, so they equal
+//! [`SndEngine::distance`] and [`SndEngine::distance_interval`].
 //!
 //! The envelope solves behind each term run on a **recursive quotient**:
-//! the quotient graph is itself `bfs_partition`-coarsened (fanout 8, up
-//! to 6 levels) so the coarse solve stays bounded for `n ≥ 10⁷`, with
-//! per-level `[lo, hi]` cost propagation keeping every interval
-//! certified. Shard checkpoints written under an active approximate tier
-//! persist each tile's `[lo, hi]` pairs (`I` lines, see [`shard`]), so
-//! merged matrices stay re-certifiable; `SND_APPROX_TRACE=1` prints a
-//! per-run summary of sketch repairs/reuses/stale parks/rebuilds, the
+//! the quotient graph is itself `bfs_partition`-coarsened (fanout 8)
+//! until the top level holds at most 64 clusters, so the coarse solve
+//! stays bounded however large the graph, with per-level `[lo, hi]` cost
+//! propagation keeping every interval certified. The depth is not
+//! capped: a level that barely contracts still counts, and
+//! Barabási–Albert graphs build about 1,900 levels at 10⁵ nodes
+//! (ROADMAP item 1). Shard checkpoints written under an active
+//! approximate tier persist each tile's `[lo, hi]` pairs (`I` lines, see
+//! [`shard`]), so merged matrices stay re-certifiable; `SND_APPROX_TRACE=1` prints a
+//! per-run summary of sketch repairs/reuses/rebuilds, the
 //! sketch→ball→re-ball→exact refinement ladder, and per-phase wall
 //! time.
 

@@ -169,41 +169,6 @@ impl<'a> LandmarkSketch<'a> {
         best
     }
 
-    /// The landmark index achieving [`group_upper`](Self::group_upper) —
-    /// the binding relay landmark of the cell, or `None` when no landmark
-    /// beats the sentinel. Adaptive placement uses this as the usefulness
-    /// credit: a landmark that is never binding for any hot cell is a
-    /// candidate for eviction.
-    pub fn group_upper_arg(&self, a: &GroupAggregate, b: &GroupAggregate) -> Option<usize> {
-        let mut best = self.inf;
-        let mut arg = None;
-        for l in 0..self.landmark_count() {
-            let v = a.max_to[l].saturating_add(b.max_from[l]);
-            if v < best {
-                best = v;
-                arg = Some(l);
-            }
-        }
-        arg
-    }
-
-    /// The landmark index achieving [`group_lower`](Self::group_lower), or
-    /// `None` when no landmark lifts the bound above the trivial 0.
-    pub fn group_lower_arg(&self, a: &GroupAggregate, b: &GroupAggregate) -> Option<usize> {
-        let mut best = 0u32;
-        let mut arg = None;
-        for l in 0..self.landmark_count() {
-            let v = b.min_from[l]
-                .saturating_sub(a.max_from[l])
-                .max(a.min_to[l].saturating_sub(b.max_to[l]));
-            if v > best {
-                best = v;
-                arg = Some(l);
-            }
-        }
-        arg
-    }
-
     /// Point-pair upper bound `d̂(x, y) ≤ min_l d̂(x,l) + d̂(l,y)`.
     pub fn upper(&self, x: NodeId, y: NodeId) -> u32 {
         let mut best = self.inf;
@@ -350,18 +315,6 @@ mod tests {
                     lo <= dmin && dmax <= hi,
                     "trial {trial}: group [{dmin},{dmax}] ∉ [{lo},{hi}]"
                 );
-                // The argmin/argmax accessors must reproduce the bounds.
-                if let Some(l) = sketch.group_upper_arg(&aa, &ab) {
-                    assert_eq!(hi, aa.max_to[l].saturating_add(ab.max_from[l]));
-                }
-                if let Some(l) = sketch.group_lower_arg(&aa, &ab) {
-                    let v = ab.min_from[l]
-                        .saturating_sub(aa.max_from[l])
-                        .max(aa.min_to[l].saturating_sub(ab.max_to[l]));
-                    assert_eq!(lo, v);
-                } else {
-                    assert_eq!(lo, 0);
-                }
             }
         }
     }
