@@ -9,11 +9,18 @@
 //! engine's landmarks, are repaired through the touched edges. The
 //! baseline, [`fresh_series`], builds a fresh `state_geometry` per
 //! snapshot (two live at a time) and prices each transition with
-//! `pairwise_distances_with` over its two bundles, which fetches all
-//! 2·L landmark rows through the bundles' row caches. Both price every
-//! term as a certified envelope, and a subsampled instance small enough
-//! to price exactly asserts that the delta path's intervals still
-//! bracket the exact SND.
+//! `pairwise_distances_with` over its two bundles, which fetches the
+//! landmark rows through the bundles' row caches; its engine keeps only
+//! `min(L, 3)` landmarks, so both sides price over the same prefix and
+//! the speedup is what repair saves. Both price every term as a
+//! certified envelope, and a subsampled instance small enough to price
+//! exactly asserts that the delta path's intervals still bracket the
+//! exact SND.
+//!
+//! Two derived figures describe a cold run: `first_call_s` times one
+//! `series_intervals` call on a fresh engine, landmark selection
+//! included, and `peak_rss_mib` is the process's peak resident set
+//! (`VmHWM`).
 //!
 //! Results land in `BENCH_scale_series.json` at the repo root.
 //!
@@ -23,12 +30,11 @@
 //! `SND_BENCH_EPSILON` (default 0.5), `SND_BENCH_LANDMARKS` (default 24),
 //! `SND_BENCH_GRAPH` (`ba`/`grid`, default `ba`).
 //!
-//! Default geometry: Barabási–Albert with 24 landmarks, the set the
-//! re-sketch baseline pays for at every snapshot, against the 3 the
-//! carried series repairs. 24 transitions amortize the one shared
+//! Default geometry: Barabási–Albert with 24 landmarks, of which both
+//! series price over the first 3. 24 transitions amortize the one shared
 //! initial sketch build.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
@@ -163,6 +169,15 @@ fn approx_config(epsilon: f64, landmarks: usize) -> SndConfig {
     }
 }
 
+/// The process's peak resident set in MiB (`VmHWM`), when the platform
+/// reports it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// The re-sketch baseline: every snapshot's geometry and landmark rows
 /// built from scratch, each transition priced over its two bundles.
 fn fresh_series(engine: &SndEngine<'_>, states: &[NetworkState]) -> Vec<f64> {
@@ -202,13 +217,17 @@ fn bench_scale_series(c: &mut Criterion) {
         states.len()
     );
     let engine = SndEngine::new(&graph, approx_config(epsilon, landmarks));
+    let start = Instant::now();
+    engine.series_intervals(&states).unwrap();
+    let first_call_s = start.elapsed().as_secs_f64();
+    let fresh_engine = SndEngine::new(&graph, approx_config(epsilon, landmarks.min(3)));
 
     let mut group = c.benchmark_group("scale_series");
     group
         .sample_size(2)
         .warmup_time(Duration::from_millis(1))
         .measurement_time(Duration::from_secs(1));
-    group.bench_function("fresh", |b| b.iter(|| fresh_series(&engine, &states)));
+    group.bench_function("fresh", |b| b.iter(|| fresh_series(&fresh_engine, &states)));
     group.bench_function("delta", |b| {
         b.iter(|| engine.series_intervals(&states).unwrap())
     });
@@ -253,6 +272,8 @@ fn bench_scale_series(c: &mut Criterion) {
         .param("landmarks", landmarks)
         .param("bracket_check_nodes", small_graph.node_count())
         .derived("speedup", speedup)
+        .derived("first_call_s", first_call_s)
+        .derived("peak_rss_mib", peak_rss_mib())
         .derived("intervals_bracket_exact", bracketed)
         .write();
 }

@@ -14,11 +14,14 @@
 //!    distance without further SSSPs. Landmark rows live in the same
 //!    [`RowCache`] planes as the exact path's rows, so series and batch
 //!    workloads share them across comparisons.
-//! 2. **Opinion-community coarsening** — residual users (all holding the
-//!    term's opinion on one side) are contracted by a topology-only
-//!    quotient partition ([`snd_graph::bfs_partition`]); the reduced
-//!    transportation problem is priced on the quotient with per-cell
-//!    `[lower, upper]` ground-cost bounds from the group-level sketch.
+//! 2. **Sketch-coordinate coarsening** — a residual side larger than
+//!    1,024 users, and the bank side at any size, starts as one group
+//!    that is cut until it holds 64: each cut splits a group at the
+//!    midpoint of the landmark coordinate whose distances spread widest
+//!    over its members ([`snd_graph::GroupAggregate::widest`]). The
+//!    reduced transportation problem is priced over the groups with
+//!    per-cell `[lower, upper]` ground-cost bounds from the group-level
+//!    sketch, which are sound for any grouping.
 //!    Solving the coarse problem twice — once per envelope — yields
 //!    certified bounds on the exact term: the lower solve is dominated by
 //!    the projection of the exact optimal plan, the upper solve dominates
@@ -26,10 +29,11 @@
 //!    the standard coarsening sandwich, since the transportation optimum
 //!    is monotone in the cost matrix).
 //! 3. **Progressive refinement** — while the interval is wider than the
-//!    caller's ε, a batch of the worst boundary clusters (largest
-//!    `cell gap × flow` over both optimal plans) is split and the
-//!    quotient re-priced; cell bounds are maintained incrementally, so a
-//!    round costs two coarse solves plus only the split groups' cells.
+//!    caller's ε, a batch of the worst boundary groups (largest
+//!    `cell gap × flow` over both optimal plans) is split by the same
+//!    rule and the coarse problem re-priced; cell bounds are maintained
+//!    incrementally, so a round costs two coarse solves plus only the
+//!    split groups' cells.
 //!    Row groups refined down to singletons escalate to *bounded-radius
 //!    SSSP balls* ([`snd_graph::dial_bounded_scratch`]): the ball prices
 //!    the row's nearby consumers exactly and its radius floors everything
@@ -52,15 +56,12 @@
 //! The tier supports the default [`ClusterSpec::PerBin`] bank mode only;
 //! cluster-bank modes report [`ApproxError::UnsupportedBankMode`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use snd_graph::{
-    bfs_partition, quotient_graph, select_landmarks, Clustering, CsrGraph, GroupAggregate,
-    LandmarkSketch, NodeId,
-};
+use snd_graph::{select_landmarks, Clustering, CsrGraph, GroupAggregate, LandmarkSketch, NodeId};
 use snd_models::{NetworkState, Opinion};
 use snd_transport::{solve_balanced, DenseCost, Mass};
 
@@ -88,7 +89,7 @@ pub struct ApproxConfig {
     /// the whole series; every other surface prices over all of them.
     pub max_landmarks: usize,
     /// Maximum refinement rounds per term; each round solves the coarse
-    /// problem twice and splits a batch of the worst boundary clusters.
+    /// problem twice and splits a batch of the worst boundary groups.
     /// On exhaustion the current (still certified) interval is returned
     /// even if wider than ε.
     pub budget: usize,
@@ -102,8 +103,8 @@ pub struct ApproxConfig {
     /// The default is the crossover the `scale_approx` bench measured on
     /// one thread: 0.84–0.90× of exact below 5·10⁴ nodes, 2.9× at 5·10⁴.
     /// Its two-thread record, `BENCH_scale_approx.json`, moves the
-    /// crossover down: 1.01× at 2·10³, 1.42× at 10⁴, 4.1× at 5·10⁴ and
-    /// 6.3× at 10⁵. The default is unchanged until it is retuned.
+    /// crossover down: 1.12× at 2·10³, 3.4× at 10⁴, 5.8× at 5·10⁴ and
+    /// 7.4× at 10⁵. The default is unchanged until it is retuned.
     pub min_nodes: usize,
 }
 
@@ -197,32 +198,10 @@ impl SndInterval {
     }
 }
 
-/// Initial quotient granularity: residual users are contracted into at
-/// most this many topology communities before refinement, regardless of
-/// graph size — the envelope transportation solves stay bounded even at
-/// n ≥ 10⁷ because seeding always happens on the coarsest level.
+/// Seeding granularity: a side that does not start at singletons is cut
+/// into at most this many groups before refinement, regardless of graph
+/// size, so the first envelope solves stay bounded even at n ≥ 10⁷.
 const QUOTIENT_CLUSTERS: usize = 64;
-
-/// Branching factor between adjacent quotient levels: each coarse cluster
-/// is the union of about this many clusters of the next finer level, so a
-/// refinement split replaces one group by a bounded handful of children.
-const QUOTIENT_FANOUT: usize = 8;
-
-/// Target member count of the finest level's clusters. The finest
-/// level's cluster target grows by [`QUOTIENT_FANOUT`] (at most
-/// `MAX_QUOTIENT_LEVELS − 1` times, see [`MAX_QUOTIENT_LEVELS`]) until
-/// the expected finest cluster size drops to this, so splits stay
-/// topology-aware almost down to singletons.
-const QUOTIENT_LEAF: usize = 256;
-
-/// Caps the finest level's cluster target at 64·8⁵ ≈ 2·10⁶, which covers
-/// n ≈ 5·10⁸ at [`QUOTIENT_LEAF`] granularity. It does not bound the
-/// hierarchy's depth: the coarsening loop of [`build_levels`] never reads
-/// it and runs until a level fits [`QUOTIENT_CLUSTERS`] or stops
-/// contracting. Because `bfs_partition` overshoots its target on
-/// Barabási–Albert graphs, that loop builds about 1,900 levels on
-/// BA(99,856) (ROADMAP item 1).
-const MAX_QUOTIENT_LEVELS: usize = 6;
 
 /// First-ball stop budget for bounded row materialization, as a multiple
 /// of the row's own mass: the ball grows until it has settled this much
@@ -232,80 +211,53 @@ const MAX_QUOTIENT_LEVELS: usize = 6;
 const BALL_CAPACITY_FACTOR: u64 = 8;
 
 /// Residual sides at most this large start refinement at singleton
-/// granularity instead of on the quotient — the coarse rounds only pay
-/// for themselves when contraction actually shrinks the problem.
+/// granularity; larger ones start as at most [`QUOTIENT_CLUSTERS`]
+/// groups cut by `split_members`, since coarse rounds only pay for
+/// themselves when grouping actually shrinks the problem.
 const SINGLETON_INIT_MAX: usize = 1024;
 
 /// Topology-only sketch context, computed once per engine: the landmark
-/// node set and the recursive quotient hierarchy. Distance rows are per
-/// ground state and live in that state's [`RowCache`] (or ride a
-/// delta-repaired [`SketchRows`] bundle on the series path).
+/// node set. Distance rows are per ground state and live in that state's
+/// [`RowCache`] (or ride a delta-repaired [`SketchRows`] bundle on the
+/// series path).
 #[derive(Debug)]
 pub(crate) struct ApproxCtx {
     pub(crate) landmarks: Vec<NodeId>,
-    /// Nested quotient hierarchy, coarsest first: every cluster of
-    /// `levels[d]` is a union of clusters of `levels[d + 1]` (built by
-    /// [`bfs_partition`] on the [`quotient_graph`] of the finer level and
-    /// composing labels). Seeding contracts by `levels[0]`; refinement
-    /// splits descend the hierarchy before falling back to positional
-    /// halves past the finest level.
-    pub(crate) levels: Vec<Clustering>,
-}
-
-impl ApproxCtx {
-    /// The coarsest level — the seeding quotient.
-    pub(crate) fn quotient(&self) -> &Clustering {
-        &self.levels[0]
-    }
 }
 
 pub(crate) fn build_ctx(g: &CsrGraph, approx: &ApproxConfig) -> ApproxCtx {
     ApproxCtx {
         landmarks: select_landmarks(g, approx.max_landmarks.max(1)),
-        levels: build_levels(g),
     }
 }
 
-/// Builds the nested quotient hierarchy: a finest [`bfs_partition`] sized
-/// by [`QUOTIENT_LEAF`], then repeated [`quotient_graph`] + coarsening
-/// with composed labels until the top level fits [`QUOTIENT_CLUSTERS`].
-fn build_levels(g: &CsrGraph) -> Vec<Clustering> {
-    let n = g.node_count().max(1);
-    let mut fine = QUOTIENT_CLUSTERS;
-    let mut depth = 1;
-    while n.div_ceil(fine) > QUOTIENT_LEAF && depth < MAX_QUOTIENT_LEVELS {
-        fine *= QUOTIENT_FANOUT;
-        depth += 1;
+/// The one split rule: cuts a group at the midpoint of the landmark
+/// coordinate whose values spread widest over its members (members at or
+/// below it go first), or into positional halves when no coordinate
+/// separates them. Both halves are non-empty for two or more members,
+/// and each member keeps its mass.
+fn split_members(
+    sketch: &LandmarkSketch,
+    agg: &GroupAggregate,
+    members: &[NodeId],
+    masses: &[Mass],
+) -> [(Vec<NodeId>, Vec<Mass>); 2] {
+    let Some(spread) = agg.widest() else {
+        let mid = members.len() / 2;
+        return [
+            (members[..mid].to_vec(), masses[..mid].to_vec()),
+            (members[mid..].to_vec(), masses[mid..].to_vec()),
+        ];
+    };
+    let row = sketch.coordinate(spread.landmark, spread.to);
+    let cut = spread.min + (spread.max - spread.min) / 2;
+    let mut halves: [(Vec<NodeId>, Vec<Mass>); 2] = Default::default();
+    for (&v, &m) in members.iter().zip(masses) {
+        let half = &mut halves[usize::from(row[v as usize] > cut)];
+        half.0.push(v);
+        half.1.push(m);
     }
-    let mut levels = vec![bfs_partition(g, fine.min(n))];
-    loop {
-        let composed = {
-            let finer = &levels[levels.len() - 1];
-            if finer.cluster_count() <= QUOTIENT_CLUSTERS {
-                break;
-            }
-            let q = quotient_graph(g, finer);
-            let target = (finer.cluster_count() / QUOTIENT_FANOUT).max(QUOTIENT_CLUSTERS);
-            let coarse_of = bfs_partition(&q, target);
-            let labels: Vec<u32> = finer
-                .labels
-                .iter()
-                .map(|&l| coarse_of.labels[l as usize])
-                .collect();
-            let c = Clustering::from_labels(&labels);
-            if c.cluster_count() >= finer.cluster_count() {
-                // A heavily disconnected quotient can refuse to contract
-                // (bfs_partition may exceed its target by one cluster per
-                // component); keep the certified machinery with a shallower
-                // hierarchy rather than loop.
-                break;
-            }
-            c
-        };
-        levels.push(composed);
-    }
-    levels.reverse();
-    levels
+    halves
 }
 
 /// Returns the bank-mode name for [`ApproxError::UnsupportedBankMode`],
@@ -530,10 +482,6 @@ struct Group<'c> {
     gamma: u32,
     agg: GroupAggregate,
     dists: RowDists<'c>,
-    /// Quotient-hierarchy level this group is a (subset of a) cluster of;
-    /// `levels.len()` means "finer than the finest level" — further
-    /// splits fall back to positional halves.
-    level: usize,
 }
 
 impl<'c> Group<'c> {
@@ -630,8 +578,7 @@ pub(crate) fn emd_star_term_interval<'c>(
             cache.get_or_compute(g, geom, op, reverse, node).full()
         })
     };
-    let finest = ctx.levels.len();
-    let make_group = |members: Vec<NodeId>, masses: Vec<Mass>, gamma: u32, level: usize| {
+    let make_group = |members: Vec<NodeId>, masses: Vec<Mass>, gamma: u32| {
         debug_assert_eq!(members.len(), masses.len());
         Group {
             agg: sketch.aggregate(&members),
@@ -639,50 +586,57 @@ pub(crate) fn emd_star_term_interval<'c>(
             masses,
             gamma,
             dists: RowDists::Sketch,
-            level,
         }
     };
+    let split_group = |gr: Group<'c>| -> [Group<'c>; 2] {
+        let [(m1, s1), (m2, s2)] = split_members(&sketch, &gr.agg, &gr.members, &gr.masses);
+        [make_group(m1, s1, gr.gamma), make_group(m2, s2, gr.gamma)]
+    };
 
-    // Opinion-community coarsening: contract each side by the coarsest
-    // quotient level (bank bins grouped separately — their γ offset
-    // differs). The solve dimensions start bounded by the level's cluster
-    // count no matter how large the graph is.
-    let partition = |items: &[NodeId], masses: Option<&[Mass]>| -> Vec<(Vec<NodeId>, Vec<Mass>)> {
-        let quotient = ctx.quotient();
-        let nc = quotient.cluster_count();
-        let mut buckets: Vec<(Vec<NodeId>, Vec<Mass>)> = vec![(Vec::new(), Vec::new()); nc];
-        for (i, &v) in items.iter().enumerate() {
-            let c = quotient.labels[v as usize] as usize;
-            buckets[c].0.push(v);
-            buckets[c].1.push(masses.map_or(scale, |m| m[i]));
+    // Sketch-coordinate coarsening: a side starts as one group, and the
+    // group whose widest coordinate spreads most is cut until the side
+    // holds QUOTIENT_CLUSTERS groups or no group spreads. The solve
+    // dimensions start bounded by that count no matter how large the
+    // graph is.
+    let coarse_groups = |members: Vec<NodeId>, masses: Vec<Mass>, gamma: u32| -> Vec<Group<'c>> {
+        if members.is_empty() {
+            return Vec::new();
         }
-        buckets.retain(|(m, _)| !m.is_empty());
-        buckets
+        let mut groups = vec![make_group(members, masses, gamma)];
+        while groups.len() < QUOTIENT_CLUSTERS {
+            let widest = groups
+                .iter()
+                .enumerate()
+                .filter_map(|(i, gr)| Some((gr.agg.widest()?, i)))
+                .max_by_key(|(s, i)| (s.max - s.min, std::cmp::Reverse(*i)));
+            let Some((_, i)) = widest else { break };
+            let gr = groups.swap_remove(i);
+            groups.extend(split_group(gr));
+        }
+        groups
     };
     // Small residual sides skip the coarse rounds entirely: starting at
     // singleton granularity costs one full-size solve per round but saves
     // the split-only rounds whose solves refinement would pay anyway. The
-    // (potentially huge) bank side always starts on the quotient.
-    let seed_groups = |nodes: &[NodeId]| -> Vec<Group> {
+    // (potentially huge) bank side is always cut coarse, its bins grouped
+    // apart from the residual users because their γ offset differs.
+    let seed_groups = |nodes: &[NodeId]| -> Vec<Group<'c>> {
         if nodes.len() <= SINGLETON_INIT_MAX {
             nodes
                 .iter()
-                .map(|&v| make_group(vec![v], vec![scale], 0, finest))
+                .map(|&v| make_group(vec![v], vec![scale], 0))
                 .collect()
         } else {
-            partition(nodes, None)
-                .into_iter()
-                .map(|(m, ms)| make_group(m, ms, 0, 0))
-                .collect()
+            coarse_groups(nodes.to_vec(), vec![scale; nodes.len()], 0)
         }
     };
     let mut rows: Vec<Group> = seed_groups(&term.row_nodes);
     let mut cols: Vec<Group> = seed_groups(&term.col_nodes);
-    cols.extend(
-        partition(&term.bank_bins, Some(&term.bank_caps))
-            .into_iter()
-            .map(|(m, ms)| make_group(m, ms, config.per_bin_gamma, 0)),
-    );
+    cols.extend(coarse_groups(
+        term.bank_bins,
+        term.bank_caps,
+        config.per_bin_gamma,
+    ));
 
     // Column-member table for bounded materialization: every node a row
     // could ever ship to, its total transportation mass (a residual col
@@ -884,7 +838,7 @@ pub(crate) fn emd_star_term_interval<'c>(
         }
         rounds += 1;
 
-        // Worst boundary clusters: rank flowing cells (in either optimal
+        // Worst boundary groups: rank flowing cells (in either optimal
         // plan) by `gap × flow`, skipping cells that no action can tighten
         // (both sides singleton *and* the row's exact SSSP row already
         // materialized ⇒ the cell is exact ⇒ zero gap anyway). Acting on
@@ -906,43 +860,11 @@ pub(crate) fn emd_star_term_interval<'c>(
         }
         scored.sort_unstable_by_key(|b| std::cmp::Reverse(b.0));
         let best = scored.first().copied();
-        // Splitting descends the quotient hierarchy: a group at level `d`
-        // is partitioned by the first finer level that actually separates
-        // its members (fanout ≤ QUOTIENT_FANOUT by construction), so the
-        // children follow community boundaries instead of member-array
-        // positions. Past the finest level, positional halves.
-        let split_group = |gr: Group<'c>| -> Vec<Group<'c>> {
-            let mut lv = gr.level + 1;
-            while lv < finest {
-                let labels = &ctx.levels[lv].labels;
-                let first = labels[gr.members[0] as usize];
-                if gr.members.iter().any(|&v| labels[v as usize] != first) {
-                    let mut buckets: BTreeMap<u32, (Vec<NodeId>, Vec<Mass>)> = BTreeMap::new();
-                    for (k, &v) in gr.members.iter().enumerate() {
-                        let e = buckets.entry(labels[v as usize]).or_default();
-                        e.0.push(v);
-                        e.1.push(gr.masses[k]);
-                    }
-                    return buckets
-                        .into_values()
-                        .map(|(m, ms)| make_group(m, ms, gr.gamma, lv))
-                        .collect();
-                }
-                lv += 1;
-            }
-            let mid = gr.members.len() / 2;
-            let (m1, m2) = (gr.members[..mid].to_vec(), gr.members[mid..].to_vec());
-            let (s1, s2) = (gr.masses[..mid].to_vec(), gr.masses[mid..].to_vec());
-            vec![
-                make_group(m1, s1, gr.gamma, finest),
-                make_group(m2, s2, gr.gamma, finest),
-            ]
-        };
-        // Per-level cost propagation: a child's member pairs are a subset
-        // of the parent's, so the parent's certified cell interval still
-        // brackets the child's min/max — intersecting it with the child's
-        // own sketch bounds keeps every cell certified while inheriting
-        // whatever tightness the coarser levels already established.
+        // Parent-to-child cost propagation: a child's member pairs are a
+        // subset of the parent's, so the parent's certified cell interval
+        // still brackets the child's min/max — intersecting it with the
+        // child's own sketch bounds keeps every cell certified while
+        // inheriting whatever tightness earlier rounds established.
         let clip = |(lo, hi): (u32, u32), (plo, phi): (u32, u32)| -> (u32, u32) {
             (lo.max(plo), hi.min(phi))
         };
@@ -1114,6 +1036,46 @@ mod tests {
         assert_eq!(iv.width(), 4.0);
         assert!(iv.contains(2.0) && iv.contains(6.0) && iv.contains(3.5));
         assert!(!iv.contains(1.0) && !iv.contains(7.0));
+    }
+
+    #[test]
+    fn split_members_cuts_the_widest_coordinate_at_its_midpoint() {
+        // One landmark over six nodes: `to` spreads 0..=9 over the members
+        // below, `from` only 4..=6, so the cut is `to` ≤ 4.
+        let to = [9u32, 0, 4, 5, 2, 7];
+        let from = [4u32, 5, 6, 4, 5, 6];
+        let sketch = LandmarkSketch::new(vec![&to[..]], vec![&from[..]], 100);
+        let members: Vec<NodeId> = vec![0, 1, 2, 3, 4, 5];
+        let masses: Vec<Mass> = vec![10, 11, 12, 13, 14, 15];
+        let agg = sketch.aggregate(&members);
+        let [low, high] = split_members(&sketch, &agg, &members, &masses);
+        assert_eq!(low, (vec![1, 2, 4], vec![11, 12, 14]));
+        assert_eq!(high, (vec![0, 3, 5], vec![10, 13, 15]));
+
+        // Any spread leaves both halves non-empty, covering the members
+        // once with their masses.
+        for pair in [[0, 3], [2, 3], [1, 5]] {
+            let masses = [7, 8];
+            let agg = sketch.aggregate(&pair);
+            let [x, y] = split_members(&sketch, &agg, &pair, &masses);
+            assert_eq!((x.0.len(), y.0.len()), (1, 1), "{pair:?}");
+            let mut all: Vec<(NodeId, Mass)> =
+                x.0.iter()
+                    .zip(&x.1)
+                    .chain(y.0.iter().zip(&y.1))
+                    .map(|(&v, &m)| (v, m))
+                    .collect();
+            all.sort_unstable();
+            assert_eq!(all, vec![(pair[0], 7), (pair[1], 8)]);
+        }
+
+        // No coordinate separates twins: positional halves.
+        let twin = LandmarkSketch::new(vec![&[3u32, 3, 3][..]], vec![&[1u32, 1, 1][..]], 100);
+        let members = [0, 1, 2];
+        let agg = twin.aggregate(&members);
+        let [x, y] = split_members(&twin, &agg, &members, &[1, 2, 3]);
+        assert_eq!(x, (vec![0], vec![1]));
+        assert_eq!(y, (vec![1, 2], vec![2, 3]));
     }
 
     #[test]

@@ -232,8 +232,8 @@ pub struct SndEngine<'g> {
     graph: &'g CsrGraph,
     config: SndConfig,
     clustering: Clustering,
-    /// Lazily-built approximate-tier context (landmarks + quotient
-    /// partition) — topology-only, so one build serves every query.
+    /// Lazily-built approximate-tier context (the landmark set) —
+    /// topology-only, so one build serves every query.
     approx_ctx: OnceLock<ApproxCtx>,
 }
 
@@ -489,7 +489,7 @@ impl<'g> SndEngine<'g> {
         Some(a.clone())
     }
 
-    /// The lazily-built sketch context (landmark set + quotient hierarchy).
+    /// The lazily-built sketch context (the landmark set).
     pub(crate) fn approx_ctx(&self) -> &ApproxCtx {
         self.approx_ctx.get_or_init(|| {
             let a = self.config.approx.clone().unwrap_or_default();
@@ -712,7 +712,7 @@ mod tests {
     fn approx_activation_honors_the_measured_min_nodes_crossover() {
         // The default floor is the one-thread scale_approx crossover
         // (between 10⁴ and 5·10⁴ nodes); BENCH_scale_approx.json, on two
-        // threads, already measures 1.42× at 10⁴ (see `min_nodes`). This
+        // threads, already measures 3.4× at 10⁴ (see `min_nodes`). This
         // pins both the constant and the boundary it gates.
         assert_eq!(ApproxConfig::default().min_nodes, 50_000);
         let config = SndConfig {

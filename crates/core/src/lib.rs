@@ -68,7 +68,7 @@
 //! [`SndConfig::approx`] ([`ApproxConfig`]) enables the third tier
 //! (module [`approx`]): landmark SSSP sketches bound node-to-node
 //! distances by triangle-inequality envelopes, differing users are
-//! contracted into quotient-graph clusters, each EMD* term is priced
+//! grouped by their landmark distances, each EMD* term is priced
 //! **twice** — once over the lower envelope, once over the upper — and
 //! the worst cluster is split and re-priced until the certified relative
 //! gap meets `epsilon` (`epsilon = 0` refines all the way to exact).
@@ -113,14 +113,13 @@
 //! paths carry every landmark's rows, so they equal
 //! [`SndEngine::distance`] and [`SndEngine::distance_interval`].
 //!
-//! The envelope solves behind each term run on a **recursive quotient**:
-//! the quotient graph is itself `bfs_partition`-coarsened (fanout 8)
-//! until the top level holds at most 64 clusters, so the coarse solve
-//! stays bounded however large the graph, with per-level `[lo, hi]` cost
-//! propagation keeping every interval certified. The depth is not
-//! capped: a level that barely contracts still counts, and
-//! Barabási–Albert graphs build about 1,900 levels at 10⁵ nodes
-//! (ROADMAP item 1). Shard checkpoints written under an active
+//! The envelope solves behind each term start **coarse**: a side of more
+//! than 1,024 residual users, and the bank side at any size, is cut into
+//! at most 64 groups, each cut splitting a group at the midpoint of the
+//! landmark coordinate whose distances spread widest over it. Refinement
+//! splits by the same rule, and a child's `[lo, hi]` cells are clipped to
+//! its parent's, so every interval stays certified. The only context
+//! built per engine is the landmark set. Shard checkpoints written under an active
 //! approximate tier persist each tile's `[lo, hi]` pairs (`I` lines, see
 //! [`shard`]), so merged matrices stay re-certifiable; `SND_APPROX_TRACE=1` prints a
 //! per-run summary of sketch repairs/reuses/rebuilds, the

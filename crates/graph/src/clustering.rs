@@ -166,27 +166,6 @@ pub fn bfs_partition(g: &CsrGraph, num_clusters: usize) -> Clustering {
     Clustering::from_labels(&labels)
 }
 
-/// The quotient (cluster) graph of a partition: one node per cluster, one
-/// edge per ordered pair of clusters connected by at least one original
-/// edge (self-loops dropped, parallels deduplicated). Applying
-/// [`bfs_partition`] to the quotient and composing labels coarsens a
-/// partition hierarchically while keeping every coarse cluster a union of
-/// fine clusters.
-pub fn quotient_graph(g: &CsrGraph, c: &Clustering) -> CsrGraph {
-    let mut edges: Vec<(NodeId, NodeId)> = (0..g.edge_count() as u32)
-        .map(|e| {
-            (
-                c.cluster_of(g.edge_source(e)),
-                c.cluster_of(g.edge_target(e)),
-            )
-        })
-        .filter(|&(a, b)| a != b)
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    CsrGraph::from_edges(c.cluster_count(), &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,40 +213,6 @@ mod tests {
         let c = bfs_partition(&g, 1);
         assert_eq!(c.cluster_count(), 1);
         assert_eq!(c.members(0).len(), 10);
-    }
-
-    #[test]
-    fn quotient_graph_connects_adjacent_clusters_only() {
-        // Path 0-1-2-3-4-5 split as [0,1] [2,3] [4,5]: the quotient is the
-        // 3-node path, with no self-loops and no duplicate edges.
-        // `path_graph` stores both directed arcs per undirected edge, and
-        // the quotient preserves directions, so the 3-node path carries 4
-        // arcs.
-        let g = path_graph(6);
-        let c = Clustering::from_labels(&[0, 0, 1, 1, 2, 2]);
-        let q = quotient_graph(&g, &c);
-        assert_eq!(q.node_count(), 3);
-        assert_eq!(q.edge_count(), 4);
-        assert_eq!(q.out_neighbors(0), &[1]);
-        assert_eq!(q.out_neighbors(1), &[0, 2]);
-        assert_eq!(q.out_neighbors(2), &[1]);
-        // Coarsening the quotient composes into a nested partition.
-        let coarse = bfs_partition(&q, 2);
-        let composed: Vec<u32> = c
-            .labels
-            .iter()
-            .map(|&l| coarse.labels[l as usize])
-            .collect();
-        let nested = Clustering::from_labels(&composed);
-        assert_eq!(nested.labels.len(), 6);
-        for (v, &l) in c.labels.iter().enumerate() {
-            // Same fine cluster ⇒ same coarse cluster.
-            for (u, &l2) in c.labels.iter().enumerate() {
-                if l == l2 {
-                    assert_eq!(nested.labels[v], nested.labels[u]);
-                }
-            }
-        }
     }
 
     #[test]

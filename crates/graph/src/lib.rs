@@ -29,14 +29,12 @@ pub mod laplacian;
 pub mod shortest_paths;
 
 pub use bfs::bfs_levels;
-pub use clustering::{
-    bfs_partition, label_propagation, quotient_graph, whole_graph_cluster, Clustering,
-};
+pub use clustering::{bfs_partition, label_propagation, whole_graph_cluster, Clustering};
 pub use components::{largest_weak_component, weak_components, UnionFind};
 pub use csr::{CsrGraph, EdgeId, NodeId};
 pub use laplacian::laplacian_quadratic_form;
 pub use shortest_paths::{
     bellman_ford, dial, dial_bounded_scratch, dial_reverse, dial_reverse_scratch, dial_scratch,
     floyd_warshall, repair_row, select_landmarks, CostChange, Dist, GroupAggregate, LandmarkSketch,
-    RepairScratch, SsspScratch, UNREACHABLE,
+    RepairScratch, Spread, SsspScratch, UNREACHABLE,
 };

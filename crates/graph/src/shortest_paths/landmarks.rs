@@ -99,6 +99,47 @@ pub struct GroupAggregate {
     max_from: Vec<u32>,
 }
 
+impl GroupAggregate {
+    /// The (landmark, direction) coordinate whose values spread widest
+    /// over the members: the largest `max − min` of `d̂(v → l)` or
+    /// `d̂(l → v)`, ties to the lower landmark and then to `to`. `None`
+    /// when every coordinate is constant over the members.
+    pub fn widest(&self) -> Option<Spread> {
+        let mut best: Option<Spread> = None;
+        for l in 0..self.min_to.len() {
+            for (to, min, max) in [
+                (true, self.min_to[l], self.max_to[l]),
+                (false, self.min_from[l], self.max_from[l]),
+            ] {
+                if max > min && best.is_none_or(|b| max - min > b.max - b.min) {
+                    best = Some(Spread {
+                        landmark: l,
+                        to,
+                        min,
+                        max,
+                    });
+                }
+            }
+        }
+        best
+    }
+}
+
+/// One coordinate of a group's sketch and the range its values span over
+/// the members, as [`GroupAggregate::widest`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Spread {
+    /// Landmark index.
+    pub landmark: usize,
+    /// `true` for the distances to the landmark, `false` for the
+    /// distances from it (see [`LandmarkSketch::coordinate`]).
+    pub to: bool,
+    /// Smallest value of the coordinate over the members.
+    pub min: u32,
+    /// Largest value of the coordinate over the members.
+    pub max: u32,
+}
+
 /// A landmark sketch over one weighting: for each landmark `l`, the
 /// clamped distance rows `to[l][v] = d̂(v → l)` and `from[l][v] = d̂(l → v)`.
 /// Rows are borrowed — they normally live in the caller's SSSP row cache,
@@ -122,6 +163,16 @@ impl<'a> LandmarkSketch<'a> {
     /// Number of landmarks.
     pub fn landmark_count(&self) -> usize {
         self.to.len()
+    }
+
+    /// One coordinate row over all nodes: `d̂(v → l)` for `to`, else
+    /// `d̂(l → v)`, for landmark index `landmark`.
+    pub fn coordinate(&self, landmark: usize, to: bool) -> &'a [u32] {
+        if to {
+            self.to[landmark]
+        } else {
+            self.from[landmark]
+        }
     }
 
     /// Aggregates the per-landmark distances over a member set. `O(|members| · L)`.
@@ -241,6 +292,42 @@ mod tests {
         // Star: node 0 has degree 5, everything else 1.
         let g = CsrGraph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
         assert_eq!(select_landmarks(&g, 1), vec![0]);
+    }
+
+    #[test]
+    fn widest_picks_the_largest_spread_and_coordinate_returns_its_row() {
+        // Two landmarks over five nodes; rows indexed by node.
+        let to = [vec![3, 3, 4, 9, 3], vec![0, 2, 2, 2, 5]];
+        let from = [vec![1, 8, 1, 1, 5], vec![7, 7, 7, 7, 7]];
+        let sketch = LandmarkSketch::new(
+            to.iter().map(|r| r.as_slice()).collect(),
+            from.iter().map(|r| r.as_slice()).collect(),
+            100,
+        );
+        // Over nodes {0, 1, 2}: spreads are to₀ 1, from₀ 7, to₁ 2, from₁ 0.
+        let spread = sketch.aggregate(&[0, 1, 2]).widest();
+        assert_eq!(
+            spread,
+            Some(Spread {
+                landmark: 0,
+                to: false,
+                min: 1,
+                max: 8
+            })
+        );
+        assert_eq!(sketch.coordinate(0, false), from[0].as_slice());
+        assert_eq!(sketch.coordinate(1, true), to[1].as_slice());
+        // Over {0, 3, 4}: to₀ spreads 6, from₀ 4, to₁ 5, from₁ 0.
+        let spread = sketch.aggregate(&[0, 3, 4]).widest().unwrap();
+        assert_eq!((spread.landmark, spread.to), (0, true));
+        assert_eq!((spread.min, spread.max), (3, 9));
+        // Over {1, 4}, from₀ and to₁ both spread 3: the lower landmark wins.
+        let spread = sketch.aggregate(&[1, 4]).widest().unwrap();
+        assert_eq!((spread.landmark, spread.to), (0, false));
+        // One member, or members with identical rows: nothing spreads.
+        assert_eq!(sketch.aggregate(&[3]).widest(), None);
+        let twin = LandmarkSketch::new(vec![&[5, 5][..]], vec![&[2, 2][..]], 100);
+        assert_eq!(twin.aggregate(&[0, 1]).widest(), None);
     }
 
     #[test]

@@ -21,7 +21,7 @@ mod oracle;
 mod repair;
 mod scratch;
 
-pub use landmarks::{select_landmarks, GroupAggregate, LandmarkSketch};
+pub use landmarks::{select_landmarks, GroupAggregate, LandmarkSketch, Spread};
 pub use oracle::{bellman_ford, floyd_warshall};
 pub use repair::{repair_row, CostChange, RepairScratch};
 pub use scratch::{

@@ -9,11 +9,11 @@
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use snd::core::{ApproxConfig, SndConfig, SndEngine};
 use snd::data::registry;
-use snd::graph::generators::erdos_renyi_gnp;
-use snd::models::NetworkState;
+use snd::graph::generators::{barabasi_albert, erdos_renyi_gnp};
+use snd::models::{NetworkState, Opinion};
 
 /// An approximate-tier config that actually exercises the sketch on tiny
 /// graphs: no minimum node count, few landmarks so envelopes are loose
@@ -106,6 +106,78 @@ fn epsilon_zero_refines_to_exact_on_every_registry_scenario() {
     }
 }
 
+/// A pair on `n` users where `+` is held by `a` alone, by both states or
+/// by `b` alone with the given percentages and nobody holds `−`: `a` is
+/// the heavier `+` histogram, its users outside `b` are the rows of both
+/// `+` terms, and the per-bin banks sit on `b`'s `+` bins.
+fn imbalanced_pair(n: usize, pct: [u32; 3], rng: &mut SmallRng) -> (NetworkState, NetworkState) {
+    let (mut va, mut vb) = (vec![0i8; n], vec![0i8; n]);
+    for (x, y) in va.iter_mut().zip(vb.iter_mut()) {
+        let r = rng.gen_range(0..100);
+        if r < pct[0] + pct[1] {
+            *x = 1;
+        }
+        if (pct[0]..pct[0] + pct[1] + pct[2]).contains(&r) {
+            *y = 1;
+        }
+    }
+    (
+        NetworkState::from_values(&va),
+        NetworkState::from_values(&vb),
+    )
+}
+
+/// Sides past the singleton-seeding limit (1,024 residual users) and bank
+/// sides of hundreds to over a thousand bins start as coarse groups cut
+/// on their widest landmark coordinate; the scenario tests above stay far
+/// below that size. The first pair checks the bracket and ε at coarse
+/// granularity; refining 1,000+ rows all the way to exact would cost
+/// hundreds of envelope solves of about 1,000 × 1,000 cells, so ε = 0 runs
+/// on a pair whose rows start as singletons and whose bank side is cut.
+#[test]
+fn coarse_seeded_sides_bracket_exact_and_refine_to_exact() {
+    let mut rng = SmallRng::seed_from_u64(30);
+    let g = barabasi_albert(3_000, 1, &mut rng);
+    let exact_engine = SndEngine::new(&g, SndConfig::default());
+    let plus = Opinion::Positive;
+
+    let (a, b) = imbalanced_pair(3_000, [35, 34, 2], &mut rng);
+    let rows = (0..3_000)
+        .filter(|&v| a.opinion(v) == plus && b.opinion(v) != plus)
+        .count();
+    assert!(rows > 1_024, "the heavier side must seed coarse: {rows}");
+    assert!(b.count(plus) > 1_000, "bank bins: {}", b.count(plus));
+    let exact = exact_engine.distance(&a, &b);
+    let iv = SndEngine::new(&g, approx(0.9, 8))
+        .distance_interval(&a, &b)
+        .unwrap();
+    assert!(
+        iv.contains(exact),
+        "exact {exact} outside [{}, {}]",
+        iv.lower,
+        iv.upper
+    );
+    assert!(
+        iv.width() <= 0.9 * iv.upper + 1e-9,
+        "width {} over ε·upper {}",
+        iv.width(),
+        0.9 * iv.upper
+    );
+
+    let (a, b) = imbalanced_pair(3_000, [2, 10, 1], &mut rng);
+    let exact = exact_engine.distance(&a, &b);
+    let iv = SndEngine::new(&g, approx(0.0, 4))
+        .distance_interval(&a, &b)
+        .unwrap();
+    let tol = 1e-9 * (1.0 + exact.abs());
+    assert!(
+        iv.width() <= tol && (iv.midpoint() - exact).abs() <= tol,
+        "ε = 0 must collapse to exact {exact}, got [{}, {}]",
+        iv.lower,
+        iv.upper
+    );
+}
+
 fn arb_state(n: usize) -> impl Strategy<Value = NetworkState> {
     proptest::collection::vec(-1i8..=1, n).prop_map(|v| NetworkState::from_values(&v))
 }
@@ -125,7 +197,9 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = erdos_renyi_gnp(36, 0.12, true, &mut rng);
-        let exact = SndEngine::new(&g, SndConfig::default()).distance(&a, &b);
+        let t0 = std::time::Instant::now();
+    let exact = SndEngine::new(&g, SndConfig::default()).distance(&a, &b);
+    eprintln!("XX exact {:?}", t0.elapsed());
         let iv = SndEngine::new(&g, approx(epsilon, landmarks))
             .distance_interval(&a, &b)
             .unwrap();
