@@ -23,13 +23,17 @@
 //!   states, then `pairwise_distances_with` over the bundles;
 //! * `chain`, `high_churn/chain` — `pairwise_distances`, which is the
 //!   full plan over one tile;
-//! * `tiles/1`, `tiles/2`, `tiles/11` — full-plan `pairwise_tiles` at
-//!   tile edge 1, 2 and 11, merged with `TileSet::to_matrix` (`tiles/11`
-//!   is `chain`'s plan).
+//! * `tiles/1`, `tiles/2`, `tiles/11` — the full plan at tile edge 1, 2
+//!   and 11 over one `TileWorkspace`, merged with `TileSet::to_matrix`
+//!   (`tiles/11` is `chain`'s plan).
 //!
 //! Every matrix is asserted equal to its series' fresh one before
-//! anything is timed. Results land in `BENCH_bundle_chain.json` at the
-//! repo root.
+//! anything is timed. The record's derived figures also give the fresh
+//! and repaired SSSP rows of each tile edge's plan. A workspace keeps one
+//! full row per `(opinion, direction, user)` key as a repair seed, so the
+//! fresh-row count does not depend on the tile edge; the bench asserts
+//! that it is the same at every edge. Results land in
+//! `BENCH_bundle_chain.json` at the repo root.
 
 use std::time::Duration;
 
@@ -40,7 +44,7 @@ use rayon::prelude::*;
 use snd_bench::record::Record;
 use snd_core::{
     ClusterSpec, DistanceMatrix, GammaPolicy, ShardPlan, SndConfig, SndEngine, StateGeometry,
-    TileGrid, REPAIR_EDGE_FRACTION,
+    TileGrid, TileSet, TileWorkspace, REPAIR_EDGE_FRACTION,
 };
 use snd_graph::generators::barabasi_albert;
 use snd_graph::{CsrGraph, NodeId};
@@ -123,12 +127,21 @@ fn fresh_matrix(engine: &SndEngine<'_>, states: &[NetworkState]) -> DistanceMatr
     engine.pairwise_distances_with(states, &geoms)
 }
 
-fn tiles_matrix(engine: &SndEngine<'_>, states: &[NetworkState], tile: usize) -> DistanceMatrix {
+/// The full plan at tile edge `tile` over a fresh workspace: the matrix,
+/// and the fresh and repaired SSSP rows it computed.
+fn tiles_matrix(
+    engine: &SndEngine<'_>,
+    states: &[NetworkState],
+    tile: usize,
+) -> (DistanceMatrix, usize, usize) {
     let plan = ShardPlan::full(TileGrid::new(states.len(), tile));
+    let mut ws = TileWorkspace::new();
+    let mut set = TileSet::empty(*plan.grid(), 0);
     engine
-        .pairwise_tiles(states, &plan)
-        .to_matrix()
-        .expect("a full plan covers every tile")
+        .pairwise_tiles_in(states, &plan, &mut ws, &mut set, &mut |_| Ok(()))
+        .expect("an in-memory plan performs no IO");
+    let matrix = set.to_matrix().expect("a full plan covers every tile");
+    (matrix, ws.fresh_rows(), ws.repaired_rows())
 }
 
 fn bench_bundle_chain(c: &mut Criterion) {
@@ -162,9 +175,18 @@ fn bench_bundle_chain(c: &mut Criterion) {
 
     let fresh = fresh_matrix(&engine, &states);
     assert_eq!(engine.pairwise_distances(&states), fresh, "chain matrix");
+    let (mut fresh_rows, mut repaired_rows) = (Vec::new(), Vec::new());
     for tile in TILES {
-        assert_eq!(tiles_matrix(&engine, &states, tile), fresh, "tile {tile}");
+        let (matrix, f, r) = tiles_matrix(&engine, &states, tile);
+        assert_eq!(matrix, fresh, "tile {tile}");
+        println!("bundle_chain: tile {tile}: {f} fresh and {r} repaired rows");
+        fresh_rows.push(f);
+        repaired_rows.push(r);
     }
+    assert!(
+        fresh_rows.iter().all(|&f| f == fresh_rows[0]),
+        "fresh rows depend on the tile edge: {fresh_rows:?} at tiles {TILES:?}"
+    );
     assert_eq!(
         churn_engine.pairwise_distances(&churned),
         fresh_matrix(&churn_engine, &churned),
@@ -216,6 +238,8 @@ fn bench_bundle_chain(c: &mut Criterion) {
         .derived("chain_speedup", chain_speedup)
         .derived("tile_speedups", tile_speedups)
         .derived("high_churn_chain_speedup", high_churn_speedup)
+        .derived("fresh_rows", fresh_rows)
+        .derived("repaired_rows", repaired_rows)
         .derived("matrices_equal", true)
         .write();
 }

@@ -28,10 +28,8 @@
 //!    order in one full working row. Each row after the first is the
 //!    previous row repaired in place by [`snd_graph::repair_row`] with the
 //!    edge-cost changes between the two ground states. The first row
-//!    repairs the group's *seed*, a full row of the key from the live
-//!    bundle nearest in snapshot order (an earlier tile, an earlier lease
-//!    of the same worker, or the caller wrote it), or is one fresh Dial run
-//!    when no live bundle has one. Snapshots of one series differ in a
+//!    repairs the group's *seed*, a full row of the key, or is one fresh
+//!    Dial run when there is none. Snapshots of one series differ in a
 //!    handful of users, so a repair touches a small region where a Dial
 //!    run touches the whole graph. A row is computed fresh instead when
 //!    the clamp domain is not lossless ([`GroundGeometry::is_lossless`])
@@ -39,20 +37,25 @@
 //!    After each step the working row is written into its ground state's
 //!    cache in that cache's form.
 //!
-//!    Seeding treats the two cache forms apart in one place only,
-//!    `RowCache::{take_full, keep_full}`. A cache of full rows
-//!    ([`SndEngine::state_geometry`], as `pairwise_distances_with` takes
-//!    them) hands over a copy of its hit. The tile paths, and so the
-//!    matrix, keep rows *gathered*: only the columns their snapshot set's
-//!    terms read (per opinion, the users who hold it in some state; every
-//!    node when some state holds none, and under the approximate tier). A
-//!    gathered row cannot seed a repair, so a gathered cache keeps the
-//!    full row of each key it wrote last and hands that over, taken out of
-//!    the cache. Either way the seed becomes the group's working row, and
-//!    the group's last cache keeps it if that cache is gathered. A
-//!    workspace thus holds at most one full row per key, dropped with its
-//!    bundle, and a seedless group over caches of full rows walks in a
-//!    per-thread row, allocating no full row of its own.
+//!    Seeds come from two places. The tile paths, and so the matrix, keep
+//!    cached rows *gathered*: only the columns their snapshot set's terms
+//!    read (per opinion, the users who hold it in some state; every node
+//!    when some state holds none, and under the approximate tier). A
+//!    gathered row cannot seed a repair, so a seed store (`SeedRows`, which
+//!    a [`TileWorkspace`](crate::TileWorkspace) keeps for its whole life)
+//!    holds the newest full row of each key with the state it belongs to.
+//!    A cache of full rows ([`SndEngine::state_geometry`], as
+//!    `pairwise_distances_with` takes them) hands over a copy of its hit.
+//!    A group seeds from whichever of these lies nearest its first ground
+//!    state in snapshot order, works in the seed, and after its last step
+//!    leaves its working row in the store in place of the key's old row.
+//!    The stored row's state may have no live bundle any more (an earlier
+//!    tile or lease dropped it). Its change list then comes from the two
+//!    states: their `StateDelta`, then `update_edge_costs` on a copy of the
+//!    ground's costs, under the same cap. A workspace thus holds at most
+//!    one full row per key and no geometry of a dropped state. On a series
+//!    whose change lists stay under the cap, a full plan computes one
+//!    fresh row per key at every tile edge.
 //! 3. **Solve.** The four EMD\* terms of every pair fan out over the
 //!    thread pool individually through the engine's one term router,
 //!    `SndEngine::price_term` (the exact tier runs
@@ -75,21 +78,22 @@
 //! term-by-term fill ran 1,320 Dial runs;
 //! [`RowCache::repaired_rows`](crate::sparse::RowCache::repaired_rows)
 //! reports the split. Its rows keep 253 (+) or 257 (−) of 10,000 columns,
-//! so the matrix holds 1,320 gathered rows and 220 full ones where it held
-//! 1,320 full rows. In the *warm* regime (a second call over the same
-//! workspace, or `pairwise_distances_with` over pre-filled bundles) phase 2
-//! finds only cache hits, and a term costs its exact transportation solve
-//! plus the assembly of its reduced cost matrix.
+//! and each cache plane as many slots, so the matrix holds 1,320 gathered
+//! rows and 220 full ones where it held 1,320 full rows. The full plan
+//! computes the same 220 fresh rows at every tile edge, and so does each
+//! worker of an orchestrated run. In the *warm* regime (a second call
+//! over the same workspace, or `pairwise_distances_with` over pre-filled
+//! bundles) phase 2 finds only cache hits, and a term costs its exact
+//! transportation solve plus the assembly of its reduced cost matrix.
 //!
 //! [`GroundGeometry::is_lossless`]: crate::banks::GroundGeometry::is_lossless
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use rayon::prelude::*;
-use snd_graph::{repair_row, CostChange, EdgeId, NodeId, RepairScratch};
-use snd_models::{NetworkState, Opinion};
+use snd_graph::{repair_row, CostChange, CsrGraph, EdgeId, NodeId, RepairScratch};
+use snd_models::{update_edge_costs, GroundCostConfig, NetworkState, Opinion, StateDelta};
 
 use crate::delta::REPAIR_EDGE_FRACTION;
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
@@ -173,7 +177,8 @@ impl<'g> SndEngine<'g> {
         let pairs: Vec<(usize, usize)> = (0..k)
             .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
             .collect();
-        let terms = self.price_pairs(states, |s| geoms.get(s), &pairs);
+        let mut seeds = SeedRows::default();
+        let terms = self.price_pairs(states, |s| geoms.get(s), &mut seeds, &pairs);
         DistanceMatrix::from_upper(k, &fold_terms(&terms, false).0)
     }
 
@@ -197,13 +202,15 @@ impl<'g> SndEngine<'g> {
     /// then every term is priced as one work item. Returns four `[lo, hi]`
     /// envelopes per pair in [`SndBreakdown`] order; [`fold_terms`] turns
     /// them into distances. `live(s)` is state `s`'s bundle, or `None`
-    /// when it has none; it must have one for every state in `pairs`,
-    /// and the others seed rows. The matrix, every tile plan and the
-    /// series tiles all price through here.
+    /// when it has none; it must have one for every state in `pairs`.
+    /// `seeds` holds full rows to repair from and takes the newest full
+    /// row of every key phase 2 writes. The matrix, every tile plan and
+    /// the series tiles all price through here.
     pub(crate) fn price_pairs<'a, G>(
         &self,
         states: &[NetworkState],
         live: G,
+        seeds: &mut SeedRows,
         pairs: &[(usize, usize)],
     ) -> Vec<(f64, f64)>
     where
@@ -215,7 +222,7 @@ impl<'g> SndEngine<'g> {
         // heavy side's SSSP rows: it skips phases 1 and 2.
         let approx = self.approx_if_active();
         if approx.is_none() {
-            self.fill_pair_rows(states, &live, pairs);
+            self.fill_pair_rows(states, &live, seeds, pairs);
         }
         // Fan out at term granularity (4 independent EMD* solves per pair):
         // term cost varies wildly with the pair's residual size, so finer
@@ -241,24 +248,36 @@ impl<'g> SndEngine<'g> {
     /// Phases 1 and 2 of [`price_pairs`](Self::price_pairs):
     /// writes into the ground states' caches every SSSP row the terms of
     /// `pairs` will read, repairing rows along the snapshot order where it
-    /// can. `live` is as in [`price_pairs`](Self::price_pairs).
-    fn fill_pair_rows<'a, G>(&self, states: &[NetworkState], live: G, pairs: &[(usize, usize)])
-    where
+    /// can. `live` and `seeds` are as in [`price_pairs`](Self::price_pairs).
+    fn fill_pair_rows<'a, G>(
+        &self,
+        states: &[NetworkState],
+        live: G,
+        seeds: &mut SeedRows,
+        pairs: &[(usize, usize)],
+    ) where
         G: Fn(usize) -> Option<&'a StateGeometry> + Sync,
     {
         let g = self.graph();
         let n = g.node_count();
         // lint:allow(no-unwrap) callers hold a live bundle for every state in `pairs`
         let geom = |s: usize| live(s).expect("a live bundle for every state in pairs");
-        // A full row of `(op, reverse, node)` to seed a repair from, taken
-        // from the live bundle nearest `ground` in snapshot order (earlier
-        // first on a tie), with that bundle's state.
-        let nearest = |ground: usize, op: Opinion, reverse: bool, node: NodeId| {
-            (1..states.len())
+        // A full row of `(op, reverse, node)` to seed a repair from, with
+        // its state: of the key's row in `seeds`, taken out, and the hits
+        // of live caches of full rows, the one nearest `ground` in
+        // snapshot order (earlier first on a tie).
+        let mut nearest = |ground: usize, op: Opinion, reverse: bool, node: NodeId| {
+            let mut stored = seeds.0.remove(&(op == Opinion::Negative, reverse, node));
+            (0..states.len())
                 .flat_map(|d| [ground.checked_sub(d), Some(ground + d)])
                 .flatten()
                 .filter(|&s| s < states.len())
-                .find_map(|s| Some((s, live(s)?.cache.take_full(op, reverse, node)?)))
+                .find_map(|s| {
+                    if stored.as_ref().is_some_and(|(at, _)| *at == s) {
+                        return stored.take();
+                    }
+                    Some((s, live(s)?.cache.full_copy(op, reverse, node)?))
+                })
         };
 
         // Phase 1: every term's row keys as (negative opinion, reverse,
@@ -298,7 +317,9 @@ impl<'g> SndEngine<'g> {
 
         // Phase 2 plan, on the calling thread: each group's steps, and one
         // change list per (opinion, a, b) shared by every group repairing
-        // across it.
+        // across it. A seed's state may have no live bundle (it was
+        // dropped after an earlier tile or call): its change list then
+        // comes from the two states.
         let limit = g.edge_count() / REPAIR_EDGE_FRACTION;
         let mut change_ids: HashMap<(bool, usize, usize), Option<usize>> = HashMap::new();
         let mut changes: Vec<Vec<CostChange>> = Vec::new();
@@ -322,8 +343,8 @@ impl<'g> SndEngine<'g> {
                     continue;
                 }
                 let plane = geom(ground).plane(op);
-                // The group's first row seeds from the nearest live bundle;
-                // the seed becomes the group's working row.
+                // The group's first row seeds from the nearest full row of
+                // the key; the seed becomes the group's working row.
                 let from = prev.or_else(|| {
                     let (s, row) = nearest(ground, op, reverse, node)?;
                     seed = Some(row);
@@ -331,8 +352,19 @@ impl<'g> SndEngine<'g> {
                 });
                 let repair = from.filter(|_| plane.is_lossless(n)).and_then(|a| {
                     *change_ids.entry((neg, a, ground)).or_insert_with(|| {
-                        let list =
-                            cost_changes(&geom(a).plane(op).edge_costs, &plane.edge_costs, limit)?;
+                        let list = match live(a) {
+                            Some(b) => {
+                                cost_changes(&b.plane(op).edge_costs, &plane.edge_costs, limit)
+                            }
+                            None => state_changes(
+                                g,
+                                &self.config().ground,
+                                (&states[a], &states[ground]),
+                                op,
+                                &plane.edge_costs,
+                                limit,
+                            ),
+                        }?;
                         changes.push(list);
                         Some(changes.len() - 1)
                     })
@@ -345,14 +377,12 @@ impl<'g> SndEngine<'g> {
                 rows.push(vec![0; cache.width(op)].into_boxed_slice());
                 prev = Some(ground);
             }
-            let Some(last) = steps.last() else { continue };
-            // A seedless group gets a working row of its own only when its
-            // last cache keeps the group's last full row; the others walk
-            // in the thread's.
-            let full = seed.or_else(|| {
-                let keeps = geom(last.ground).cache.is_gathered(op);
-                keeps.then(|| vec![0; n].into_boxed_slice())
-            });
+            if steps.is_empty() {
+                continue;
+            }
+            // The group walks in its seed, or in a fresh buffer, allocated
+            // here for the reason above. Either way `seeds` keeps it.
+            let full = seed.unwrap_or_else(|| vec![0; n].into_boxed_slice());
             groups.push(RowGroup {
                 op,
                 reverse,
@@ -363,42 +393,31 @@ impl<'g> SndEngine<'g> {
         }
 
         // Phase 2: the groups in parallel, each walking its steps in order
-        // in one full working row (its own, else the thread's), with its
-        // own repair scratch. After each step the row is written in its
-        // cache's form.
+        // in its full working row, with its own repair scratch. After each
+        // step the row is written in its cache's form.
         groups.par_iter().for_each(|grp| {
             let mut guard = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
             let GroupRows { steps: rows, full } = &mut *guard;
             let mut scratch = RepairScratch::new();
-            WORKING_ROW.with(|cell| {
-                let mut own = cell.borrow_mut();
-                let work: &mut [u32] = match full {
-                    Some(full) => full,
-                    None => {
-                        own.resize(n, 0);
-                        &mut own
+            for (step, out) in grp.steps.iter().zip(rows.iter_mut()) {
+                let plane = geom(step.ground).plane(grp.op);
+                match step.repair {
+                    None => sparse::compute_row(g, plane, grp.reverse, grp.node, full),
+                    Some(id) => {
+                        repair_row(
+                            g,
+                            &plane.edge_costs,
+                            &changes[id],
+                            &[grp.node],
+                            grp.reverse,
+                            plane.unreachable,
+                            full,
+                            &mut scratch,
+                        );
                     }
-                };
-                for (step, out) in grp.steps.iter().zip(rows.iter_mut()) {
-                    let plane = geom(step.ground).plane(grp.op);
-                    match step.repair {
-                        None => sparse::compute_row(g, plane, grp.reverse, grp.node, work),
-                        Some(id) => {
-                            repair_row(
-                                g,
-                                &plane.edge_costs,
-                                &changes[id],
-                                &[grp.node],
-                                grp.reverse,
-                                plane.unreachable,
-                                work,
-                                &mut scratch,
-                            );
-                        }
-                    }
-                    geom(step.ground).cache.gather_into(grp.op, work, out);
                 }
-            });
+                geom(step.ground).cache.gather_into(grp.op, full, out);
+            }
         });
 
         for grp in groups {
@@ -412,12 +431,30 @@ impl<'g> SndEngine<'g> {
                     .cache
                     .insert(grp.op, grp.reverse, grp.node, row, repaired);
             }
-            if let (Some(last), Some(full)) = (grp.steps.last(), full) {
-                geom(last.ground)
-                    .cache
-                    .keep_full(grp.op, grp.reverse, grp.node, full);
+            if let Some(last) = grp.steps.last() {
+                let key = (grp.op == Opinion::Negative, grp.reverse, grp.node);
+                seeds.0.insert(key, (last.ground, full));
             }
         }
+    }
+}
+
+/// An `(opinion, direction, user)` row key as `(negative, reverse, user)`.
+type RowKey = (bool, bool, NodeId);
+
+/// The repair seeds a tile workspace keeps for its whole life: the newest
+/// full row phase 2 wrote of each key, with the state it belongs to. At
+/// most one row per key and no geometry: a seed whose state has no live
+/// bundle repairs through the change list of the two states
+/// (`state_changes`).
+#[derive(Default)]
+pub(crate) struct SeedRows(HashMap<RowKey, (usize, Box<[u32]>)>);
+
+#[cfg(test)]
+impl SeedRows {
+    /// Every stored row as `((negative, reverse, user), state, row)`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (RowKey, usize, &[u32])> {
+        self.0.iter().map(|(&key, (s, row))| (key, *s, &row[..]))
     }
 }
 
@@ -466,12 +503,6 @@ pub(crate) fn fold_terms(
     (values, intervals)
 }
 
-thread_local! {
-    /// Per-thread full working row of phase 2, for the groups without one
-    /// of their own: each walks its steps in it, repairing in place.
-    static WORKING_ROW: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-}
-
 /// The rows of one `(opinion, direction, user)` key that its ground
 /// states' caches lack, in ascending snapshot order.
 struct RowGroup {
@@ -486,10 +517,9 @@ struct RowGroup {
 struct GroupRows {
     /// One per step, each in its cache's form.
     steps: Vec<Box<[u32]>>,
-    /// The group's own working row: the seed it took, or, for a seedless
-    /// group whose last cache is gathered, a fresh buffer. The last
-    /// step's cache keeps it (`RowCache::keep_full`).
-    full: Option<Box<[u32]>>,
+    /// The group's full working row: the seed it took, or a fresh
+    /// buffer. The workspace's seed store keeps it after the last step.
+    full: Box<[u32]>,
 }
 
 /// One ground state's row of a [`RowGroup`].
@@ -504,14 +534,43 @@ struct Step {
 /// The edges whose cost differs between two ground states, as
 /// `(edge, old cost)`, or `None` once more than `limit` differ.
 fn cost_changes(old: &[u32], new: &[u32], limit: usize) -> Option<Vec<CostChange>> {
+    let costs = old.iter().zip(new).enumerate();
+    differing(costs.map(|(e, (&o, &c))| (e as EdgeId, o, c)), limit)
+}
+
+/// [`cost_changes`] from `old`'s costs to `new_costs` (those of `new`, for
+/// opinion `op`) without `old`'s cost vector: the edges the two states'
+/// delta touches are re-derived under `old` on a copy of `new_costs`.
+fn state_changes(
+    g: &CsrGraph,
+    config: &GroundCostConfig,
+    (old, new): (&NetworkState, &NetworkState),
+    op: Opinion,
+    new_costs: &[u32],
+    limit: usize,
+) -> Option<Vec<CostChange>> {
+    let delta = StateDelta::between(g, new, old);
+    let mut old_costs = new_costs.to_vec();
+    update_edge_costs(g, old, op, config, delta.touched_edges(), &mut old_costs);
+    let costs = delta.touched_edges().iter();
+    differing(
+        costs.map(|&e| (e, old_costs[e as usize], new_costs[e as usize])),
+        limit,
+    )
+}
+
+/// `(edge, old cost)` of each `(edge, old cost, new cost)` whose two costs
+/// differ, in input order, or `None` once more than `limit` differ.
+fn differing(
+    costs: impl Iterator<Item = (EdgeId, u32, u32)>,
+    limit: usize,
+) -> Option<Vec<CostChange>> {
     let mut out = Vec::new();
-    for (e, (&o, &c)) in old.iter().zip(new).enumerate() {
-        if o != c {
-            if out.len() == limit {
-                return None;
-            }
-            out.push((e as EdgeId, o));
+    for (e, o, _) in costs.filter(|&(_, o, c)| o != c) {
+        if out.len() == limit {
+            return None;
         }
+        out.push((e, o));
     }
     Some(out)
 }
@@ -646,6 +705,54 @@ mod tests {
             all.difference(&held).count(),
             "held keys repair from the pre-filled rows"
         );
+    }
+
+    /// The change list derived from two states equals the one read off
+    /// their full cost vectors, edge for edge, under every spreading
+    /// model, and both keep a list of exactly `limit` changes and give
+    /// up at `limit + 1`.
+    #[test]
+    fn state_changes_equal_cost_changes_under_every_ground() {
+        use snd_models::{edge_costs, IccParams, LtcParams, SpreadingModel};
+        let mut rng = SmallRng::seed_from_u64(31);
+        let g = barabasi_albert(200, 3, &mut rng);
+        let grounds = [
+            GroundCostConfig::default(),
+            GroundCostConfig::with_model(SpreadingModel::Icc(IccParams::default())),
+            GroundCostConfig::with_model(SpreadingModel::Ltc(LtcParams::default())),
+        ];
+        let mut checked = 0;
+        for trial in 0..24 {
+            let a: Vec<i8> = (0..200).map(|_| rng.gen_range(-1..=1)).collect();
+            let a = NetworkState::from_values(&a);
+            let mut b = a.clone();
+            for _ in 0..1 + trial % 6 {
+                b.set(
+                    rng.gen_range(0..200),
+                    Opinion::from_value(rng.gen_range(-1..=1)),
+                );
+            }
+            for ground in &grounds {
+                for op in [Opinion::Positive, Opinion::Negative] {
+                    let (old, new) = (
+                        edge_costs(&g, &a, op, ground),
+                        edge_costs(&g, &b, op, ground),
+                    );
+                    let derived = |limit| state_changes(&g, ground, (&a, &b), op, &new, limit);
+                    let full = cost_changes(&old, &new, usize::MAX).unwrap();
+                    assert_eq!(derived(usize::MAX), Some(full.clone()), "trial {trial}");
+                    let count = full.len();
+                    assert_eq!(cost_changes(&old, &new, count), Some(full.clone()));
+                    assert_eq!(derived(count), Some(full));
+                    if count > 0 {
+                        assert_eq!(cost_changes(&old, &new, count - 1), None);
+                        assert_eq!(derived(count - 1), None);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} cases changed a cost");
     }
 
     #[test]

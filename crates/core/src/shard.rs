@@ -122,7 +122,7 @@ use std::sync::Arc;
 use snd_models::{NetworkState, Opinion};
 
 use crate::approx::SndInterval;
-use crate::batch::{fold_terms, DistanceMatrix};
+use crate::batch::{fold_terms, DistanceMatrix, SeedRows};
 use crate::delta::{chain_geometry, DeltaStateGeometry};
 use crate::engine::{SndEngine, StateGeometry};
 use crate::sparse::{Columns, RowCache};
@@ -1089,15 +1089,22 @@ fn parse_value(field: &str) -> Option<f64> {
 /// reads: per opinion, the users who hold it in some state of the
 /// snapshot set (every node, in full rows, when some state holds none).
 /// That set depends on the snapshot set alone, so the workspace computes
-/// it once, on its first call. In either form a live bundle seeds a row
-/// group with the key's full row (see [`crate::batch`]), so rows written
-/// by one call repair the next call's rows.
+/// it once, on its first call. A gathered row cannot seed a repair, so
+/// the workspace also keeps, for its whole life, the newest full row of
+/// each `(opinion, direction, user)` key and the state that row belongs
+/// to, but none of that state's geometry (see [`crate::batch`]). That is
+/// at most one full row per key, as many as a one-tile matrix holds. Rows
+/// written by one tile or call thus repair the rows of the next, also
+/// after the bundle that wrote them was dropped, and a worker computes
+/// each key's row fresh once.
 #[derive(Default)]
 pub struct TileWorkspace {
     /// The chain head: the last state built, still repairable.
     head: Option<(usize, DeltaStateGeometry)>,
     /// The live bundles, by state index.
     geoms: BTreeMap<usize, StateGeometry>,
+    /// The newest full row of each key, the repair seeds of later rows.
+    seeds: SeedRows,
     /// The column map of each opinion's rows (positive, negative), once
     /// computed; `None` inside keeps full rows.
     cols: Option<[Option<Arc<Columns>>; 2]>,
@@ -1235,8 +1242,8 @@ impl<'g> SndEngine<'g> {
     /// the matrix prices all pairs (see [`crate::batch`]; the matrix is
     /// this loop over one tile): rows an earlier tile or call wrote into a
     /// live bundle are hits, the rest are fresh or repaired along the
-    /// snapshot order, and a row group's first row repairs from the key's
-    /// full row in the nearest live bundle. The bundles keep their rows
+    /// snapshot order, and a row group's first row repairs from the full
+    /// row of the key the workspace keeps. The bundles keep their rows
     /// gathered to the workspace's column set (see [`TileWorkspace`]).
     ///
     /// Bundles live in the workspace under one retention rule, so a
@@ -1340,7 +1347,7 @@ impl<'g> SndEngine<'g> {
             }
 
             let pairs = grid.pairs(id);
-            let terms = self.price_pairs(states, |s| ws.geoms.get(&s), &pairs);
+            let terms = self.price_pairs(states, |s| ws.geoms.get(&s), &mut ws.seeds, &pairs);
             let (values, intervals) = fold_terms(&terms, certified);
 
             let mut lines = vec![TileLine::Values { id, values }];
@@ -2256,39 +2263,56 @@ mod tests {
         assert!(shared.repaired_rows() > 0);
     }
 
+    /// A fresh Dial row of `(op, reverse, node)` over `plane`, in full.
+    fn fresh_row(
+        engine: &SndEngine<'_>,
+        plane: &crate::banks::GroundGeometry,
+        reverse: bool,
+        node: snd_graph::NodeId,
+    ) -> Vec<u32> {
+        let mut full = vec![0; engine.graph().node_count()];
+        crate::sparse::compute_row(engine.graph(), plane, reverse, node, &mut full);
+        full
+    }
+
     /// Every cached row of a workspace's live bundles checked against a
-    /// fresh Dial run at every column it keeps, and every kept full row
-    /// in full; returns how many cached rows were checked.
-    fn check_rows(engine: &SndEngine<'_>, ws: &TileWorkspace) -> usize {
-        let g = engine.graph();
-        let mut kept_keys = Vec::new();
+    /// fresh Dial run at every column it keeps, and every full row of its
+    /// seed store (there must be some) in full against a fresh Dial run
+    /// of the state it records; returns how many cached rows were checked.
+    fn check_rows(engine: &SndEngine<'_>, states: &[NetworkState], ws: &TileWorkspace) -> usize {
         let mut checked = 0;
         for bundle in ws.geoms.values() {
             for op in [Opinion::Positive, Opinion::Negative] {
-                let plane = bundle.plane(op);
-                let fresh = |reverse, node| {
-                    let mut full = vec![0; g.node_count()];
-                    crate::sparse::compute_row(g, plane, reverse, node, &mut full);
-                    full
-                };
                 let cols = bundle.cache.columns(op);
                 for (reverse, node, row) in bundle.cache.rows(op) {
-                    let full = fresh(reverse, node);
+                    let full = fresh_row(engine, bundle.plane(op), reverse, node);
                     for &u in &cols {
                         assert_eq!(row.at(u), full[u as usize], "row {node} at {u}");
                     }
                     checked += 1;
                 }
-                for (reverse, node, row) in bundle.cache.kept_rows(op) {
-                    assert_eq!(row, fresh(reverse, node), "kept row {node}");
-                    kept_keys.push((op == Opinion::Negative, reverse, node));
-                }
             }
         }
-        let keys = kept_keys.len();
-        kept_keys.sort_unstable();
-        kept_keys.dedup();
-        assert_eq!(kept_keys.len(), keys, "at most one full row per key");
+        let mut built = BTreeMap::new();
+        let mut keys = Vec::new();
+        for ((neg, reverse, node), s, row) in ws.seeds.rows() {
+            let op = if neg {
+                Opinion::Negative
+            } else {
+                Opinion::Positive
+            };
+            let bundle = built
+                .entry(s)
+                .or_insert_with(|| engine.state_geometry(&states[s]));
+            let full = fresh_row(engine, bundle.plane(op), reverse, node);
+            assert_eq!(row, &full[..], "seed row {node} of state {s}");
+            keys.push((neg, reverse, node));
+        }
+        assert!(!keys.is_empty(), "the seed store holds no row");
+        let stored = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), stored, "at most one full row per key");
         checked
     }
 
@@ -2313,7 +2337,7 @@ mod tests {
                     assert!(bundle.cache.columns(op).len() < g.node_count());
                 }
             }
-            let checked = check_rows(&engine, &ws);
+            let checked = check_rows(&engine, &s, &ws);
             assert!(checked > 0);
             assert_eq!(checked, ws.fresh_rows() + ws.repaired_rows());
         }
@@ -2339,8 +2363,93 @@ mod tests {
             assert!(bundle.cache.is_gathered(Opinion::Positive));
             assert!(!bundle.cache.is_gathered(Opinion::Negative));
         }
-        check_rows(&engine, &ws);
+        check_rows(&engine, &s, &ws);
         assert_eq!(engine.pairwise_distances(&s), seq);
+    }
+
+    /// The two bank forms the accounting tests run under: per-bin, and
+    /// BFS clusters with eccentricity γ.
+    fn accounting_configs() -> [SndConfig; 2] {
+        [
+            SndConfig::default(),
+            SndConfig {
+                clusters: crate::config::ClusterSpec::BfsPartition { clusters: 6 },
+                gamma: crate::config::GammaPolicy::Eccentricity,
+                ..Default::default()
+            },
+        ]
+    }
+
+    /// The `(negative, reverse, user)` keys of every row the live bundles
+    /// of `ws` cache.
+    fn cached_keys(ws: &TileWorkspace) -> std::collections::BTreeSet<(bool, bool, u32)> {
+        let mut keys = std::collections::BTreeSet::new();
+        for bundle in ws.geoms.values() {
+            for op in [Opinion::Positive, Opinion::Negative] {
+                for (reverse, node, _) in bundle.cache.rows(op) {
+                    keys.insert((op == Opinion::Negative, reverse, node));
+                }
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn a_full_plan_computes_one_fresh_row_per_key_at_every_tile_edge() {
+        let (g, s) = low_churn(300, 8, 17);
+        for config in accounting_configs() {
+            let engine = SndEngine::new(&g, config);
+            let seq = engine.pairwise_distances_seq(&s);
+            // The one-tile plan keeps every bundle live: its caches hold
+            // every key the matrix reads.
+            let mut whole = TileWorkspace::new();
+            let plan = ShardPlan::full(TileGrid::new(s.len(), s.len()));
+            tiles_in(&engine, &s, &plan, &mut whole);
+            let keys = cached_keys(&whole).len();
+            assert!(keys > 0);
+            for tile in 1..=s.len() {
+                let mut ws = TileWorkspace::new();
+                let plan = ShardPlan::full(TileGrid::new(s.len(), tile));
+                let set = tiles_in(&engine, &s, &plan, &mut ws);
+                assert_eq!(set.to_matrix().unwrap(), seq, "tile {tile}");
+                assert_eq!(ws.fresh_rows(), keys, "fresh rows at tile {tile}");
+                assert_eq!(ws.seeds.rows().count(), keys, "seed rows at tile {tile}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_run_of_one_tile_plans_computes_at_most_one_fresh_row_per_key() {
+        let (g, s) = low_churn(300, 8, 19);
+        for config in accounting_configs() {
+            let engine = SndEngine::new(&g, config);
+            let mut whole = TileWorkspace::new();
+            let plan = ShardPlan::full(TileGrid::new(s.len(), s.len()));
+            tiles_in(&engine, &s, &plan, &mut whole);
+            let keys = cached_keys(&whole).len();
+            for tile in [1, 2, 3] {
+                let grid = TileGrid::new(s.len(), tile);
+                // One tile per call, as leases arrive: from both ends of
+                // the grid towards its middle.
+                let n = grid.tile_count();
+                let order = (0..n).map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 });
+                let mut ws = TileWorkspace::new();
+                let mut set = TileSet::empty(grid, 0);
+                for id in order {
+                    let plan = ShardPlan::explicit(grid, vec![id]).unwrap();
+                    engine
+                        .pairwise_tiles_in(&s, &plan, &mut ws, &mut set, &mut |_| Ok(()))
+                        .unwrap();
+                }
+                assert_eq!(set.to_matrix().unwrap(), engine.pairwise_distances_seq(&s));
+                assert!(
+                    ws.fresh_rows() <= keys,
+                    "tile {tile}: {} fresh rows for {keys} keys",
+                    ws.fresh_rows()
+                );
+                assert!(ws.repaired_rows() > 0);
+            }
+        }
     }
 
     #[test]

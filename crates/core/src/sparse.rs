@@ -27,9 +27,8 @@
 //!    case) included.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use snd_emd::bank_capacities_from_cluster_masses;
 use snd_graph::{dial_reverse_scratch, dial_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
@@ -55,9 +54,6 @@ pub(crate) fn with_sssp_scratch<R>(f: impl FnOnce(&mut SsspScratch) -> R) -> R {
 
 /// One cached row slot: filled exactly once with the clamped SSSP row.
 type RowSlot = OnceLock<Box<[u32]>>;
-
-/// Full rows a gathered cache keeps as repair sources, by plane and node.
-type FullRows = HashMap<(usize, NodeId), Box<[u32]>>;
 
 /// The columns a row cache keeps of every row of one opinion: the users
 /// who hold that opinion in some state of a snapshot set. Pricing a pair
@@ -104,6 +100,13 @@ impl Columns {
         }
         Some(Arc::new(Columns { nodes, slot }))
     }
+
+    /// Node `node`'s index among the kept columns; panics (off the end of
+    /// any gathered row or slot slab) for a node outside the set.
+    #[inline]
+    pub(crate) fn slot(&self, node: NodeId) -> usize {
+        self.slot[node as usize] as usize
+    }
 }
 
 /// One cached SSSP row and its column map: a full row (the identity map,
@@ -126,7 +129,7 @@ impl<'a> Row<'a> {
     pub(crate) fn at(&self, node: NodeId) -> u32 {
         match self.cols {
             None => self.values[node as usize],
-            Some(c) => self.values[c.slot[node as usize] as usize],
+            Some(c) => self.values[c.slot(node)],
         }
     }
 
@@ -144,26 +147,27 @@ impl<'a> Row<'a> {
 /// all-pairs matrices, [`crate::CandidateEvaluator`] candidate search).
 ///
 /// Layout: four lazily-allocated dense planes — one per `(opinion,
-/// direction)` — each a slab of [`OnceLock`] slots indexed directly by
-/// node id. Lookups are two array indexes, and synchronization is per
-/// *row* (each slot is its own lock), so concurrent readers of different
-/// rows never contend and concurrent requests for the same row compute it
-/// exactly once. A plane's slot slab (`n` slots, ~24 B each) is only
-/// allocated when the first row of that `(opinion, direction)` is
-/// requested — a typical comparison touches one direction per opinion, so
-/// usually two of the four planes stay empty.
+/// direction)` — each a slab of [`OnceLock`] slots, one per column its
+/// opinion's rows keep. Lookups are a few array indexes, and
+/// synchronization is per *row* (each slot is its own lock), so
+/// concurrent readers of different rows never contend and concurrent
+/// requests for the same row compute it exactly once. A plane's slot slab
+/// (~24 B a slot) is only allocated when the first row of that `(opinion,
+/// direction)` is requested — a typical comparison touches one direction
+/// per opinion, so usually two of the four planes stay empty.
 ///
 /// Each opinion's rows carry one column map. A cache from
-/// [`RowCache::new`] keeps full rows (`n` entries, the identity map), so a
-/// row cached by one query serves every later one: series evaluation,
-/// candidate search, the approximate tier and caller-built bundles use
-/// these. The tile paths (and so the matrix) keep each row gathered to
-/// the columns their snapshot set's terms read (`Columns::read_by`), a
-/// few hundred entries instead of `n`. A gathered row cannot seed a
-/// repair, so a gathered cache also keeps the full row of each key whose
-/// newest row it wrote. Either form hands a row group its seed, a full row
-/// of the key, through one call: a copy of the hit, or the kept row taken
-/// out (see [`crate::batch`]).
+/// [`RowCache::new`] keeps full rows (`n` entries, the identity map) in
+/// `n` slots indexed by node, so a row cached by one query serves every
+/// later one: series evaluation, candidate search, the approximate tier
+/// and caller-built bundles use these, and such a cache hands a row group
+/// a copy of its hit as a repair seed. The tile paths (and so the matrix)
+/// keep each row gathered to the columns their snapshot set's terms read
+/// (`Columns::read_by`), a few hundred entries instead of `n`, in as many
+/// slots, indexed through the column set: a row's user holds its opinion
+/// in one of the term's two states, so a gathered cache's row keys are
+/// always among its columns. A gathered row cannot seed a repair; the
+/// tile workspace keeps the full rows that do (see [`crate::batch`]).
 ///
 /// A row gets into the cache one of two ways: a fresh Dial run when a
 /// term asks for a row the cache lacks, or a row the all-pairs
@@ -179,8 +183,6 @@ pub struct RowCache {
     /// The column map of each opinion's rows (positive, negative); `None`
     /// keeps full rows.
     cols: [Option<Arc<Columns>>; 2],
-    /// Gathered opinions only: the full rows kept as repair sources.
-    full: Mutex<FullRows>,
     n: usize,
     computed: AtomicUsize,
     repaired: AtomicUsize,
@@ -198,7 +200,6 @@ impl RowCache {
         RowCache {
             planes: std::array::from_fn(|_| OnceLock::new()),
             cols,
-            full: Mutex::default(),
             n,
             computed: AtomicUsize::new(0),
             repaired: AtomicUsize::new(0),
@@ -298,7 +299,7 @@ impl RowCache {
     /// plane's slots.
     pub(crate) fn get(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<Row<'_>> {
         let slots = self.planes[Self::plane(op, reverse)].get()?;
-        let values = slots[node as usize].get()?;
+        let values = slots[self.index(op, node)].get()?;
         Some(Row {
             values,
             cols: self.cols(op),
@@ -325,36 +326,23 @@ impl RowCache {
         }
     }
 
-    /// Keeps `full`, this state's full row of a key, as the source the
-    /// key's next row group repairs from. Only a gathered cache keeps it:
-    /// a cache of full rows already holds the row as its hit.
-    pub(crate) fn keep_full(&self, op: Opinion, reverse: bool, node: NodeId, full: Box<[u32]>) {
-        debug_assert_eq!(full.len(), self.n);
-        if self.is_gathered(op) {
-            self.full
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert((Self::plane(op, reverse), node), full);
-        }
+    /// A copy of the cached row of a key to seed a repair from, when this
+    /// cache keeps `op`'s rows full and holds the key.
+    pub(crate) fn full_copy(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<Box<[u32]>> {
+        self.get(op, reverse, node)
+            .filter(|row| row.cols.is_none())
+            .map(|row| row.values.into())
     }
 
-    /// A full row of a key to seed a repair from, if this cache has one:
-    /// a copy of the hit in a cache of full rows, or the row a gathered
-    /// cache kept for the key, taken out of it.
-    pub(crate) fn take_full(&self, op: Opinion, reverse: bool, node: NodeId) -> Option<Box<[u32]>> {
-        if !self.is_gathered(op) {
-            return self.get(op, reverse, node).map(|row| row.values.into());
-        }
-        self.full
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&(Self::plane(op, reverse), node))
+    /// The slot of `node` in a plane of `op`'s rows.
+    fn index(&self, op: Opinion, node: NodeId) -> usize {
+        self.cols(op).map_or(node as usize, |c| c.slot(node))
     }
 
     fn slot(&self, op: Opinion, reverse: bool, node: NodeId) -> &RowSlot {
         let slots = self.planes[Self::plane(op, reverse)]
-            .get_or_init(|| (0..self.n).map(|_| OnceLock::new()).collect());
-        &slots[node as usize]
+            .get_or_init(|| (0..self.width(op)).map(|_| OnceLock::new()).collect());
+        &slots[self.index(op, node)]
     }
 }
 
@@ -368,36 +356,23 @@ impl RowCache {
 
     /// Every cached row of `op`, as `(reverse, node, row)`.
     pub(crate) fn rows(&self, op: Opinion) -> Vec<(bool, NodeId, Row<'_>)> {
+        let nodes = self.columns(op);
         let mut out = Vec::new();
         for reverse in [false, true] {
             let Some(slots) = self.planes[Self::plane(op, reverse)].get() else {
                 continue;
             };
-            for (u, slot) in slots.iter().enumerate() {
+            for (&u, slot) in nodes.iter().zip(&slots[..]) {
                 if let Some(values) = slot.get() {
                     let row = Row {
                         values,
                         cols: self.cols(op),
                     };
-                    out.push((reverse, u as NodeId, row));
+                    out.push((reverse, u, row));
                 }
             }
         }
         out
-    }
-
-    /// The full rows kept for `op`'s keys, as `(reverse, node, row)`.
-    pub(crate) fn kept_rows(&self, op: Opinion) -> Vec<(bool, NodeId, Vec<u32>)> {
-        let full = self.full.lock().unwrap_or_else(PoisonError::into_inner);
-        [false, true]
-            .into_iter()
-            .flat_map(|reverse| {
-                let plane = Self::plane(op, reverse);
-                full.iter()
-                    .filter(move |((p, _), _)| *p == plane)
-                    .map(move |(&(_, u), row)| (reverse, u, row.to_vec()))
-            })
-            .collect()
     }
 }
 

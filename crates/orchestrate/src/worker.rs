@@ -2,8 +2,9 @@
 //!
 //! One [`TileWorkspace`] lives for the whole connection: the bundles of a
 //! lease's final tile, and the chain head, stay live into the next lease,
-//! whose first tiles find their rows cached or seed them by repair from
-//! the nearest live bundle instead of fresh Dial runs. The coordinator
+//! whose first tiles find their rows cached. Every other row is repaired
+//! from the full row of its key the workspace kept from an earlier lease,
+//! so a worker runs each key's Dial run once. The coordinator
 //! helps by leasing tiles that share a block with the previous lease
 //! (see [`crate::autotune`]). The dataset fingerprint is hashed once, for
 //! the handshake.
