@@ -42,17 +42,18 @@
 //!    read (per opinion, the users who hold it in some state; every node
 //!    when some state holds none, and under the approximate tier). A
 //!    gathered row cannot seed a repair, so a seed store (`SeedRows`, which
-//!    a [`TileWorkspace`](crate::TileWorkspace) keeps for its whole life)
-//!    holds the newest full row of each key with the state it belongs to.
-//!    A cache of full rows ([`SndEngine::state_geometry`], as
+//!    a [`TileWorkspace`](crate::TileWorkspace) keeps across its calls)
+//!    holds the newest full row of each such key with the state it
+//!    belongs to. A cache of full rows ([`SndEngine::state_geometry`], as
 //!    `pairwise_distances_with` takes them) hands over a copy of its hit.
 //!    A group seeds from whichever of these lies nearest its first ground
-//!    state in snapshot order, works in the seed, and after its last step
-//!    leaves its working row in the store in place of the key's old row.
-//!    The stored row's state may have no live bundle any more (an earlier
-//!    tile or lease dropped it). Its change list then comes from the two
-//!    states: their `StateDelta`, then `update_edge_costs` on a copy of the
-//!    ground's costs, under the same cap. A workspace thus holds at most
+//!    state in snapshot order and works in the seed. After its last step
+//!    the working row becomes that step's cached row if the cache keeps
+//!    full rows, and replaces the key's row in the store otherwise. A
+//!    stored row's state may have no live bundle any more (an earlier tile
+//!    or lease dropped it), so every change list comes from the two
+//!    states: their `StateDelta`, then `update_edge_costs` on a copy of
+//!    the ground's costs, under the same cap. The store thus holds at most
 //!    one full row per key and no geometry of a dropped state. On a series
 //!    whose change lists stay under the cap, a full plan computes one
 //!    fresh row per key at every tile edge.
@@ -92,7 +93,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use rayon::prelude::*;
-use snd_graph::{repair_row, CostChange, CsrGraph, EdgeId, NodeId, RepairScratch};
+use snd_graph::{repair_row, CostChange, CsrGraph, NodeId, RepairScratch};
 use snd_models::{update_edge_costs, GroundCostConfig, NetworkState, Opinion, StateDelta};
 
 use crate::delta::REPAIR_EDGE_FRACTION;
@@ -204,8 +205,8 @@ impl<'g> SndEngine<'g> {
     /// them into distances. `live(s)` is state `s`'s bundle, or `None`
     /// when it has none; it must have one for every state in `pairs`.
     /// `seeds` holds full rows to repair from and takes the newest full
-    /// row of every key phase 2 writes. The matrix, every tile plan and
-    /// the series tiles all price through here.
+    /// row of every key phase 2 caches gathered. The matrix, every tile
+    /// plan and the series tiles all price through here.
     pub(crate) fn price_pairs<'a, G>(
         &self,
         states: &[NetworkState],
@@ -317,9 +318,8 @@ impl<'g> SndEngine<'g> {
 
         // Phase 2 plan, on the calling thread: each group's steps, and one
         // change list per (opinion, a, b) shared by every group repairing
-        // across it. A seed's state may have no live bundle (it was
-        // dropped after an earlier tile or call): its change list then
-        // comes from the two states.
+        // across it, derived from the two states (a seed's state may have
+        // no live bundle: an earlier tile or call dropped it).
         let limit = g.edge_count() / REPAIR_EDGE_FRACTION;
         let mut change_ids: HashMap<(bool, usize, usize), Option<usize>> = HashMap::new();
         let mut changes: Vec<Vec<CostChange>> = Vec::new();
@@ -332,7 +332,6 @@ impl<'g> SndEngine<'g> {
                 Opinion::Positive
             };
             let mut steps = Vec::with_capacity(run.len());
-            let mut rows = Vec::with_capacity(run.len());
             let mut seed = None;
             // The ground state of the row in the working row. A hit never
             // seeds a step: it is skipped.
@@ -352,36 +351,34 @@ impl<'g> SndEngine<'g> {
                 });
                 let repair = from.filter(|_| plane.is_lossless(n)).and_then(|a| {
                     *change_ids.entry((neg, a, ground)).or_insert_with(|| {
-                        let list = match live(a) {
-                            Some(b) => {
-                                cost_changes(&b.plane(op).edge_costs, &plane.edge_costs, limit)
-                            }
-                            None => state_changes(
-                                g,
-                                &self.config().ground,
-                                (&states[a], &states[ground]),
-                                op,
-                                &plane.edge_costs,
-                                limit,
-                            ),
-                        }?;
+                        let list = state_changes(
+                            g,
+                            &self.config().ground,
+                            (&states[a], &states[ground]),
+                            op,
+                            &plane.edge_costs,
+                            limit,
+                        )?;
                         changes.push(list);
                         Some(changes.len() - 1)
                     })
                 });
                 steps.push(Step { ground, repair });
-                // One buffer per written row in its cache's form,
-                // allocated here rather than in the pool: allocating in
-                // the workers fragmented the per-thread arenas and raised
-                // peak RSS.
-                rows.push(vec![0; cache.width(op)].into_boxed_slice());
                 prev = Some(ground);
             }
-            if steps.is_empty() {
-                continue;
-            }
-            // The group walks in its seed, or in a fresh buffer, allocated
-            // here for the reason above. Either way `seeds` keeps it.
+            let Some(last) = steps.last() else { continue };
+            // One buffer per written row in its cache's form, allocated
+            // here rather than in the pool: allocating in the workers
+            // fragmented the per-thread arenas and raised peak RSS. A
+            // cache of full rows takes the working row itself as the last
+            // step's row; a gathered one gets a buffer, and `seeds` keeps
+            // the working row.
+            let written = steps.len() - usize::from(!geom(last.ground).cache.is_gathered(op));
+            let rows = steps[..written]
+                .iter()
+                .map(|s| vec![0; geom(s.ground).cache.width(op)].into_boxed_slice())
+                .collect();
+            // The group walks in its seed, or in a fresh buffer.
             let full = seed.unwrap_or_else(|| vec![0; n].into_boxed_slice());
             groups.push(RowGroup {
                 op,
@@ -399,7 +396,7 @@ impl<'g> SndEngine<'g> {
             let mut guard = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
             let GroupRows { steps: rows, full } = &mut *guard;
             let mut scratch = RepairScratch::new();
-            for (step, out) in grp.steps.iter().zip(rows.iter_mut()) {
+            for (at, step) in grp.steps.iter().enumerate() {
                 let plane = geom(step.ground).plane(grp.op);
                 match step.repair {
                     None => sparse::compute_row(g, plane, grp.reverse, grp.node, full),
@@ -416,7 +413,9 @@ impl<'g> SndEngine<'g> {
                         );
                     }
                 }
-                geom(step.ground).cache.gather_into(grp.op, full, out);
+                if let Some(out) = rows.get_mut(at) {
+                    geom(step.ground).cache.gather_into(grp.op, full, out);
+                }
             }
         });
 
@@ -425,13 +424,17 @@ impl<'g> SndEngine<'g> {
                 .rows
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner);
-            for (step, row) in grp.steps.iter().zip(rows) {
+            let mut full = Some(full);
+            let mut rows = rows.into_iter();
+            for step in &grp.steps {
+                // lint:allow(no-unwrap) only the last step goes without a buffer
+                let row = rows.next().or_else(|| full.take()).expect("a row per step");
                 let repaired = step.repair.is_some();
                 geom(step.ground)
                     .cache
                     .insert(grp.op, grp.reverse, grp.node, row, repaired);
             }
-            if let Some(last) = grp.steps.last() {
+            if let (Some(last), Some(full)) = (grp.steps.last(), full) {
                 let key = (grp.op == Opinion::Negative, grp.reverse, grp.node);
                 seeds.0.insert(key, (last.ground, full));
             }
@@ -442,17 +445,21 @@ impl<'g> SndEngine<'g> {
 /// An `(opinion, direction, user)` row key as `(negative, reverse, user)`.
 type RowKey = (bool, bool, NodeId);
 
-/// The repair seeds a tile workspace keeps for its whole life: the newest
-/// full row phase 2 wrote of each key, with the state it belongs to. At
-/// most one row per key and no geometry: a seed whose state has no live
-/// bundle repairs through the change list of the two states
-/// (`state_changes`).
+/// The repair seeds a tile workspace keeps across its calls: the newest
+/// full row phase 2 wrote of each key whose rows are cached gathered,
+/// with the state it belongs to. At most one row per key and no geometry:
+/// every change list comes from the two states (`state_changes`).
 #[derive(Default)]
 pub(crate) struct SeedRows(HashMap<RowKey, (usize, Box<[u32]>)>);
 
-#[cfg(test)]
 impl SeedRows {
+    /// Drops the rows of every user `keep` rejects.
+    pub(crate) fn retain_users(&mut self, keep: impl Fn(NodeId) -> bool) {
+        self.0.retain(|&(_, _, node), _| keep(node));
+    }
+
     /// Every stored row as `((negative, reverse, user), state, row)`.
+    #[cfg(test)]
     pub(crate) fn rows(&self) -> impl Iterator<Item = (RowKey, usize, &[u32])> {
         self.0.iter().map(|(&key, (s, row))| (key, *s, &row[..]))
     }
@@ -515,10 +522,12 @@ struct RowGroup {
 
 /// The buffers a [`RowGroup`] writes.
 struct GroupRows {
-    /// One per step, each in its cache's form.
+    /// One per step, each in its cache's form, but for a last step whose
+    /// cache keeps full rows.
     steps: Vec<Box<[u32]>>,
     /// The group's full working row: the seed it took, or a fresh
-    /// buffer. The workspace's seed store keeps it after the last step.
+    /// buffer. After the last step, that step's cache keeps it if it
+    /// keeps full rows, and the seed store otherwise.
     full: Box<[u32]>,
 }
 
@@ -531,16 +540,11 @@ struct Step {
     repair: Option<usize>,
 }
 
-/// The edges whose cost differs between two ground states, as
-/// `(edge, old cost)`, or `None` once more than `limit` differ.
-fn cost_changes(old: &[u32], new: &[u32], limit: usize) -> Option<Vec<CostChange>> {
-    let costs = old.iter().zip(new).enumerate();
-    differing(costs.map(|(e, (&o, &c))| (e as EdgeId, o, c)), limit)
-}
-
-/// [`cost_changes`] from `old`'s costs to `new_costs` (those of `new`, for
-/// opinion `op`) without `old`'s cost vector: the edges the two states'
-/// delta touches are re-derived under `old` on a copy of `new_costs`.
+/// The edges whose cost differs between states `old` and `new` for
+/// opinion `op`, as `(edge, old cost)` in edge order, or `None` once more
+/// than `limit` differ. `new_costs` are `new`'s costs; the edges the two
+/// states' delta touches are re-derived under `old` on a copy of them, so
+/// `old` needs no geometry.
 fn state_changes(
     g: &CsrGraph,
     config: &GroundCostConfig,
@@ -552,25 +556,15 @@ fn state_changes(
     let delta = StateDelta::between(g, new, old);
     let mut old_costs = new_costs.to_vec();
     update_edge_costs(g, old, op, config, delta.touched_edges(), &mut old_costs);
-    let costs = delta.touched_edges().iter();
-    differing(
-        costs.map(|&e| (e, old_costs[e as usize], new_costs[e as usize])),
-        limit,
-    )
-}
-
-/// `(edge, old cost)` of each `(edge, old cost, new cost)` whose two costs
-/// differ, in input order, or `None` once more than `limit` differ.
-fn differing(
-    costs: impl Iterator<Item = (EdgeId, u32, u32)>,
-    limit: usize,
-) -> Option<Vec<CostChange>> {
     let mut out = Vec::new();
-    for (e, o, _) in costs.filter(|&(_, o, c)| o != c) {
-        if out.len() == limit {
-            return None;
+    for &e in delta.touched_edges() {
+        let o = old_costs[e as usize];
+        if o != new_costs[e as usize] {
+            if out.len() == limit {
+                return None;
+            }
+            out.push((e, o));
         }
-        out.push((e, o));
     }
     Some(out)
 }
@@ -582,6 +576,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use snd_graph::generators::{barabasi_albert, path_graph};
+    use snd_graph::EdgeId;
     use std::collections::BTreeSet;
 
     fn states() -> Vec<NetworkState> {
@@ -705,6 +700,15 @@ mod tests {
             all.difference(&held).count(),
             "held keys repair from the pre-filled rows"
         );
+    }
+
+    /// The reference change list: every edge whose cost differs between
+    /// two full cost vectors, as `(edge, old cost)`, or `None` once more
+    /// than `limit` differ.
+    fn cost_changes(old: &[u32], new: &[u32], limit: usize) -> Option<Vec<CostChange>> {
+        let changed = old.iter().zip(new).enumerate().filter(|(_, (o, c))| o != c);
+        let list: Vec<CostChange> = changed.map(|(e, (&o, _))| (e as EdgeId, o)).collect();
+        (list.len() <= limit).then_some(list)
     }
 
     /// The change list derived from two states equals the one read off

@@ -113,12 +113,14 @@
 //! ```
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::io::{Seek, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
+use snd_graph::NodeId;
 use snd_models::{NetworkState, Opinion};
 
 use crate::approx::SndInterval;
@@ -1090,13 +1092,25 @@ fn parse_value(field: &str) -> Option<f64> {
 /// snapshot set (every node, in full rows, when some state holds none).
 /// That set depends on the snapshot set alone, so the workspace computes
 /// it once, on its first call. A gathered row cannot seed a repair, so
-/// the workspace also keeps, for its whole life, the newest full row of
+/// the workspace also keeps, across its calls, the newest full row of
 /// each `(opinion, direction, user)` key and the state that row belongs
-/// to, but none of that state's geometry (see [`crate::batch`]). That is
-/// at most one full row per key, as many as a one-tile matrix holds. Rows
+/// to, but none of that state's geometry (see [`crate::batch`]). Rows
 /// written by one tile or call thus repair the rows of the next, also
-/// after the bundle that wrote them was dropped, and a worker computes
-/// each key's row fresh once.
+/// after the bundle that wrote them was dropped.
+///
+/// A workspace from [`new`](Self::new), which a caller carries across
+/// calls as an orchestrated worker does, never drops a stored row: it
+/// holds one full row per key it has priced, at most as many as a
+/// one-tile matrix holds, and computes each key's row fresh once. The
+/// entry points that run one plan over a workspace of their own
+/// ([`SndEngine::pairwise_tiles`],
+/// [`SndEngine::pairwise_tiles_checkpointed`]) bound the store by the
+/// plan instead. A pair reads a user's rows only if its two states
+/// differ at that user, so after each tile the store drops the rows of
+/// every user that no later tile of the plan may read. A superdiagonal
+/// plan over a series thus holds only the keys of users that change
+/// again ahead, where a workspace from `new` would hold every key of the
+/// series.
 #[derive(Default)]
 pub struct TileWorkspace {
     /// The chain head: the last state built, still repairable.
@@ -1110,12 +1124,24 @@ pub struct TileWorkspace {
     cols: Option<[Option<Arc<Columns>>; 2]>,
     /// Fresh and repaired rows of the bundles already dropped.
     dropped_rows: (usize, usize),
+    /// Whether the workspace lives for one plan, so the seed store keeps
+    /// only the rows a later tile of that plan may read.
+    one_plan: bool,
 }
 
 impl TileWorkspace {
     /// An empty workspace: no head, no live bundles.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty workspace for one plan, whose seed store drops the rows
+    /// no later tile of the plan reads.
+    fn for_one_plan() -> Self {
+        TileWorkspace {
+            one_plan: true,
+            ..Self::default()
+        }
     }
 
     /// SSSP rows this workspace's bundles computed with a fresh Dial run,
@@ -1183,16 +1209,17 @@ impl<'g> SndEngine<'g> {
 
     /// Computes the tiles of a [`ShardPlan`] in memory: rayon fan-out at
     /// EMD\* term granularity inside each tile, per-state geometry bundles
-    /// (with their shared SSSP row caches) reused across every tile of the
-    /// run and freed once no remaining tile needs them. The union of any
-    /// plan partition, merged, is bit-identical to
+    /// (with their shared SSSP row caches) and per-key repair seeds reused
+    /// across every tile of the run and freed once no remaining tile needs
+    /// them (see [`TileWorkspace`]). The union of any plan partition,
+    /// merged, is bit-identical to
     /// [`pairwise_distances_seq`](Self::pairwise_distances_seq).
     pub fn pairwise_tiles(&self, states: &[NetworkState], plan: &ShardPlan) -> TileSet {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
         self.pairwise_tiles_in(
             states,
             plan,
-            &mut TileWorkspace::new(),
+            &mut TileWorkspace::for_one_plan(),
             &mut set,
             &mut |_| Ok(()),
         )
@@ -1219,7 +1246,7 @@ impl<'g> SndEngine<'g> {
             .iter()
             .filter(|id| set.contains(**id))
             .count();
-        let mut ws = TileWorkspace::new();
+        let mut ws = TileWorkspace::for_one_plan();
         self.pairwise_tiles_in(states, plan, &mut ws, &mut set, &mut |lines| {
             ckpt.append(lines)
         })?;
@@ -1244,7 +1271,8 @@ impl<'g> SndEngine<'g> {
     /// live bundle are hits, the rest are fresh or repaired along the
     /// snapshot order, and a row group's first row repairs from the full
     /// row of the key the workspace keeps. The bundles keep their rows
-    /// gathered to the workspace's column set (see [`TileWorkspace`]).
+    /// gathered to the workspace's column set, and the workspace keeps
+    /// the newest full row of each key (see [`TileWorkspace`]).
     ///
     /// Bundles live in the workspace under one retention rule, so a
     /// worker never holds more states between leases than one lease
@@ -1309,6 +1337,10 @@ impl<'g> SndEngine<'g> {
         for &s in tile_states.last().into_iter().flatten() {
             last_use[s] = Some(usize::MAX);
         }
+        // A workspace for one plan drops, after each tile but the final
+        // one (the workspace goes with the plan), the seeds of every user
+        // no later tile of the plan may read.
+        let last_read = ws.one_plan.then(|| last_reads(states, &tile_states));
         let untouched: Vec<usize> = ws
             .geoms
             .keys()
@@ -1365,10 +1397,40 @@ impl<'g> SndEngine<'g> {
                     ws.drop_bundle(s);
                 }
             }
+            if let Some(last_read) = last_read.as_ref().filter(|_| pos + 1 < todo.len()) {
+                ws.seeds
+                    .retain_users(|u| last_read.get(&u).is_some_and(|&last| last > pos));
+            }
             mark = std::time::Instant::now();
         }
         Ok(())
     }
+}
+
+/// For each user the states of some tile disagree on, the position in
+/// `tiles` (each tile's states, in plan order) of the last such tile. A
+/// pair reads a user's rows only if its two states differ at that user
+/// (`sparse::classify_term`), so no tile after that position reads them.
+fn last_reads(states: &[NetworkState], tiles: &[Vec<usize>]) -> HashMap<NodeId, usize> {
+    let mut last = HashMap::new();
+    let Some(head) = states.first() else {
+        return last;
+    };
+    for u in 0..head.len() as NodeId {
+        // A user every state agrees on is read by no tile: skip the scan.
+        let op = head.opinion(u);
+        if states.iter().all(|s| s.opinion(u) == op) {
+            continue;
+        }
+        let differs = |tile: &Vec<usize>| {
+            let ops = tile.iter().map(|&s| states[s].opinion(u));
+            ops.clone().zip(ops.skip(1)).any(|(a, b)| a != b)
+        };
+        if let Some(pos) = tiles.iter().rposition(differs) {
+            last.insert(u, pos);
+        }
+    }
+    last
 }
 
 #[cfg(test)]
@@ -2414,8 +2476,73 @@ mod tests {
                 assert_eq!(set.to_matrix().unwrap(), seq, "tile {tile}");
                 assert_eq!(ws.fresh_rows(), keys, "fresh rows at tile {tile}");
                 assert_eq!(ws.seeds.rows().count(), keys, "seed rows at tile {tile}");
+                // A workspace for one plan drops the rows no later tile
+                // reads, and computes no more fresh rows for it.
+                let mut own = TileWorkspace::for_one_plan();
+                tiles_in(&engine, &s, &plan, &mut own);
+                assert_eq!(own.fresh_rows(), keys, "one-plan fresh rows at tile {tile}");
+                let last = final_tile_users(&plan, &s);
+                assert!(own.seeds.rows().all(|((_, _, u), ..)| last.contains(&u)));
             }
         }
+    }
+
+    /// The users on which the states of `plan`'s last tile disagree: after
+    /// a plan of more than one tile over a workspace for one plan, the
+    /// only users whose full rows its seed store may still hold.
+    fn final_tile_users(plan: &ShardPlan, s: &[NetworkState]) -> std::collections::BTreeSet<u32> {
+        let id = *plan.tile_ids().last().unwrap();
+        let touched: Vec<usize> = plan
+            .grid()
+            .pairs(id)
+            .iter()
+            .flat_map(|&(i, j)| [i, j])
+            .collect();
+        (0..s[0].len() as u32)
+            .filter(|&u| {
+                touched
+                    .iter()
+                    .any(|&t| s[t].opinion(u) != s[touched[0]].opinion(u))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_superdiagonal_plan_drops_the_rows_of_users_that_stop_changing() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // Every step flips users no other step flips: each pair reads
+        // keys of its own, and none is read again.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let (n, k) = (400, 12);
+        let g = snd_graph::generators::barabasi_albert(n, 3, &mut rng);
+        // Both opinions held in every state, so rows are cached gathered.
+        let held = |u: usize| if u.is_multiple_of(2) { 1 } else { -1 };
+        let first: Vec<i8> = (0..n).map(|u| if u < 300 { 0 } else { held(u) }).collect();
+        let mut states = vec![NetworkState::from_values(&first)];
+        for step in 1..k {
+            let mut next = states[step - 1].clone();
+            for u in (step * 5..step * 5 + 5).map(|u| u as u32) {
+                next.set(u, Opinion::from_value(rng.gen_range(0..2) * 2 - 1));
+            }
+            states.push(next);
+        }
+        let engine = SndEngine::new(&g, SndConfig::default());
+        let seq = engine.pairwise_distances_seq(&states);
+        let plan = ShardPlan::superdiagonal(TileGrid::new(k, 2));
+        let mut ws = TileWorkspace::for_one_plan();
+        let set = tiles_in(&engine, &states, &plan, &mut ws);
+        for t in 1..k {
+            assert_eq!(set.pair(t - 1, t), Some(seq.at(t - 1, t)));
+        }
+        let last = final_tile_users(&plan, &states);
+        let stored: Vec<u32> = ws.seeds.rows().map(|((_, _, u), ..)| u).collect();
+        assert!(!stored.is_empty());
+        assert!(stored.iter().all(|u| last.contains(u)), "{stored:?}");
+        assert!(
+            stored.len() * 3 < ws.fresh_rows(),
+            "{} rows kept",
+            stored.len()
+        );
     }
 
     #[test]
