@@ -18,7 +18,7 @@
 
 use std::path::Path;
 
-use snd_core::{DistanceMatrix, ShardError, ShardPlan, SndEngine, TileGrid};
+use snd_core::{DistanceMatrix, ShardError, ShardPlan, SndEngine, TileGrid, TileSet};
 use snd_models::NetworkState;
 
 /// All-pairs SND matrix with checkpoint/resume: computes (or resumes) the
@@ -56,14 +56,7 @@ pub fn series_distances_checkpointed(
     }
     let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
     let run = engine.pairwise_tiles_checkpointed(states, &plan, checkpoint)?;
-    Ok((1..states.len())
-        .map(|t| {
-            run.tiles
-                .pair(t - 1, t)
-                // lint:allow(no-unwrap) the superdiagonal plan's tiles cover every (t-1, t) pair by construction
-                .expect("superdiagonal plan covers every transition")
-        })
-        .collect())
+    Ok(run.tiles.adjacent(TileSet::pair))
 }
 
 #[cfg(test)]

@@ -1,21 +1,20 @@
-//! Certified series pricing at scale: one delta-repaired sketch bundle
-//! carried along the series vs re-sketching every snapshot from scratch.
+//! Certified series pricing at scale: landmark rows repaired along the
+//! series vs re-sketching every snapshot from scratch.
 //!
-//! The workload is the low-churn regime the sketch-repair path is built
-//! for: a ~10⁵-node graph whose snapshots differ by a few hundred
-//! balanced flips around one cascade epicenter.
-//! `SndEngine::series_intervals` advances a single sketch bundle through
-//! each transition: its landmark rows, over the first `min(L, 3)` of the
-//! engine's landmarks, are repaired through the touched edges. The
-//! baseline, [`fresh_series`], builds a fresh `state_geometry` per
-//! snapshot (two live at a time) and prices each transition with
-//! `pairwise_distances_with` over its two bundles, which fetches the
-//! landmark rows through the bundles' row caches; its engine keeps only
-//! `min(L, 3)` landmarks, so both sides price over the same prefix and
-//! the speedup is what repair saves. Both price every term as a
-//! certified envelope, and a subsampled instance small enough to price
-//! exactly asserts that the delta path's intervals still bracket the
-//! exact SND.
+//! The workload is the low-churn regime row repair is built for: a
+//! ~10⁵-node graph whose snapshots differ by a few hundred balanced flips
+//! around one cascade epicenter. `SndEngine::series_intervals` is the
+//! superdiagonal tile plan: before each transition's solves it writes
+//! the new state's `2·L` landmark rows, each repaired from the previous
+//! state's row through the edge costs that changed. The baseline,
+//! [`fresh_series`], builds a fresh `state_geometry` per snapshot (two
+//! live at a time) and prices each transition with `breakdown_with` over
+//! its two bundles, which computes each snapshot's landmark rows from
+//! scratch through its bundle's row cache. Both sides run one engine, so
+//! they price over the same `L` landmarks, and the speedup is what repair
+//! saves. Both price every term on the certified tier, and a subsampled
+//! instance small enough to price exactly asserts that the series
+//! intervals bracket the exact SND.
 //!
 //! Two derived figures describe a cold run: `first_call_s` times one
 //! `series_intervals` call on a fresh engine, landmark selection
@@ -27,12 +26,11 @@
 //! Scale knobs (env): `SND_BENCH_SERIES_NODES` (default ~10⁵),
 //! `SND_BENCH_SERIES_STEPS` (snapshots − 1, default 24),
 //! `SND_BENCH_DELTA` (flips per step, default 256),
-//! `SND_BENCH_EPSILON` (default 0.5), `SND_BENCH_LANDMARKS` (default 24),
+//! `SND_BENCH_EPSILON` (default 0.5), `SND_BENCH_LANDMARKS` (default 3),
 //! `SND_BENCH_GRAPH` (`ba`/`grid`, default `ba`).
 //!
-//! Default geometry: Barabási–Albert with 24 landmarks, of which both
-//! series price over the first 3. 24 transitions amortize the one shared
-//! initial sketch build.
+//! Default geometry: Barabási–Albert with 3 landmarks. 24 transitions
+//! amortize the first state's fresh landmark rows.
 
 use std::time::{Duration, Instant};
 
@@ -181,16 +179,13 @@ fn peak_rss_mib() -> Option<f64> {
 /// The re-sketch baseline: every snapshot's geometry and landmark rows
 /// built from scratch, each transition priced over its two bundles.
 fn fresh_series(engine: &SndEngine<'_>, states: &[NetworkState]) -> Vec<f64> {
-    let mut live = vec![engine.state_geometry(&states[0])];
+    let mut prev = engine.state_geometry(&states[0]);
     let mut out = Vec::with_capacity(states.len() - 1);
     for t in 1..states.len() {
-        live.push(engine.state_geometry(&states[t]));
-        out.push(
-            engine
-                .pairwise_distances_with(&states[t - 1..=t], &live)
-                .at(0, 1),
-        );
-        live.remove(0);
+        let cur = engine.state_geometry(&states[t]);
+        let pair = engine.breakdown_with(&states[t - 1], &states[t], &prev, &cur);
+        out.push(pair.total());
+        prev = cur;
     }
     out
 }
@@ -205,7 +200,7 @@ fn bench_scale_series(c: &mut Criterion) {
     let steps = knob("SND_BENCH_SERIES_STEPS", if test { 3usize } else { 24 });
     let n_delta = knob("SND_BENCH_DELTA", if test { 64usize } else { 256 });
     let epsilon = knob("SND_BENCH_EPSILON", 0.5f64);
-    let landmarks = knob("SND_BENCH_LANDMARKS", 24usize);
+    let landmarks = knob("SND_BENCH_LANDMARKS", 3usize);
 
     let mut rng = SmallRng::seed_from_u64(2017);
     let graph = build_graph(&kind, nodes, &mut rng);
@@ -220,21 +215,20 @@ fn bench_scale_series(c: &mut Criterion) {
     let start = Instant::now();
     engine.series_intervals(&states).unwrap();
     let first_call_s = start.elapsed().as_secs_f64();
-    let fresh_engine = SndEngine::new(&graph, approx_config(epsilon, landmarks.min(3)));
 
     let mut group = c.benchmark_group("scale_series");
     group
         .sample_size(2)
         .warmup_time(Duration::from_millis(1))
         .measurement_time(Duration::from_secs(1));
-    group.bench_function("fresh", |b| b.iter(|| fresh_series(&fresh_engine, &states)));
+    group.bench_function("fresh", |b| b.iter(|| fresh_series(&engine, &states)));
     group.bench_function("delta", |b| {
         b.iter(|| engine.series_intervals(&states).unwrap())
     });
     group.finish();
 
     // Certification spot-check on an instance small enough to price
-    // exactly: delta-path intervals must bracket the exact series.
+    // exactly: series intervals must bracket the exact series.
     let check_nodes = if test { 900 } else { 10_000 };
     let mut rng = SmallRng::seed_from_u64(4242);
     let small_graph = build_graph(&kind, check_nodes, &mut rng);

@@ -27,8 +27,7 @@ use crate::dataset::{Dataset, ModelRecord};
 
 /// Parses the approximate-tier flags: `--approx` opts in (forcing the
 /// sketch tier regardless of graph size), `--epsilon E` sets the certified
-/// relative gap, `--landmarks L` and `--budget B` bound the sketch (a
-/// certified series carries only the first `min(L, 3)` landmarks).
+/// relative gap, `--landmarks L` and `--budget B` bound the sketch.
 /// Returns `Ok(None)` when `--approx` is absent — and rejects the
 /// dependent flags in that case, so a typo'd invocation cannot silently
 /// run exact while the user believes an ε is in force.
@@ -327,10 +326,11 @@ pub fn distance(args: &Args) -> Result<(), String> {
 }
 
 /// `snd distance --series`: SND for every adjacent transition. Under
-/// `--approx` this runs the delta-sketched certified series path
-/// (`SndEngine::series_intervals`) — one sketch bundle repaired along the
-/// series — and prints each transition's `[lower, upper]`; without it,
-/// the exact delta series.
+/// `--approx` this runs the certified series path
+/// (`SndEngine::series_intervals`), whose landmark rows are repaired
+/// along the series, and prints each transition's `[lower, upper]`,
+/// equal to that pair's `snd distance --approx`; without it, the exact
+/// delta series.
 fn distance_series(args: &Args, path: &str) -> Result<(), String> {
     let dataset = Dataset::load(path)?;
     let graph = dataset.graph();

@@ -92,8 +92,8 @@ fn help() -> String {
          \u{20} --clusters: K BFS cluster banks instead of one bank per bin\n\
          \u{20} --approx: certified [lower, upper] intervals instead of exact SND, per-bin\n\
          \u{20}   banks only; --epsilon, --landmarks and --budget require it\n\
-         \u{20} --landmarks: landmarks per sketch (default 8); a certified series\n\
-         \u{20}   (distance --series, anomaly) carries the first min(L, 3) of them"
+         \u{20} --landmarks: landmarks per sketch (default 8), on every surface\n\
+         \u{20}   (a certified series, distance --series and anomaly, included)"
     )
 }
 

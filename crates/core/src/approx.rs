@@ -13,7 +13,9 @@
 //!    ([`snd_graph::LandmarkSketch`]) then bound any pairwise ground
 //!    distance without further SSSPs. Landmark rows live in the same
 //!    [`RowCache`] planes as the exact path's rows, so series and batch
-//!    workloads share them across comparisons.
+//!    workloads share them across comparisons, and the all-pairs path
+//!    ([`crate::batch`]) writes them ahead of its solves like any other
+//!    row key, repairing each from the previous state's row.
 //! 2. **Sketch-coordinate coarsening** — a residual side larger than
 //!    1,024 users, and the bank side at any size, starts as one group
 //!    that is cut until it holds 64: each cut splits a group at the
@@ -44,8 +46,8 @@
 //!    sparse answer (property-tested in `tests/approx_bounds.rs`).
 //!
 //! Tiny reduced problems (residual rows ≤ 2·L, where sketching would cost
-//! more SSSPs than exactness) short-circuit to the exact sparse path and
-//! return a zero-width interval.
+//! more SSSPs than exactness, see `prices_exactly`) short-circuit to the
+//! exact sparse path and return a zero-width interval.
 //!
 //! A term enters this tier only through the engine's one term router,
 //! `SndEngine::price_term`, which every surface calls; the tier shares
@@ -69,7 +71,6 @@ use snd_graph::{dial_bounded_scratch, Dist};
 
 use crate::banks::GroundGeometry;
 use crate::config::{ClusterSpec, SndConfig};
-use crate::delta::SketchRows;
 use crate::sparse::{self, with_sssp_scratch, RowCache};
 
 /// Configuration of the approximate tier (attached to
@@ -81,12 +82,9 @@ pub struct ApproxConfig {
     /// relative error of the midpoint estimate by ε. `0.0` refines all the
     /// way to the exact value.
     pub epsilon: f64,
-    /// Landmarks per sketch (`2·max_landmarks` SSSPs per ground
-    /// state/opinion/direction). More landmarks tighten the envelopes.
-    /// A certified series
-    /// ([`series_intervals`](crate::SndEngine::series_intervals)) carries
-    /// only the first `min(max_landmarks, 3)` of them, a prefix fixed for
-    /// the whole series; every other surface prices over all of them.
+    /// Landmarks per sketch (`2·max_landmarks` SSSP rows per ground
+    /// state and opinion). More landmarks tighten the envelopes. Every
+    /// surface, a certified series included, prices over all of them.
     pub max_landmarks: usize,
     /// Maximum refinement rounds per term; each round solves the coarse
     /// problem twice and splits a batch of the worst boundary groups.
@@ -218,8 +216,7 @@ const SINGLETON_INIT_MAX: usize = 1024;
 
 /// Topology-only sketch context, computed once per engine: the landmark
 /// node set. Distance rows are per ground state and live in that state's
-/// [`RowCache`] (or ride a delta-repaired [`SketchRows`] bundle on the
-/// series path).
+/// [`RowCache`].
 #[derive(Debug)]
 pub(crate) struct ApproxCtx {
     pub(crate) landmarks: Vec<NodeId>,
@@ -229,6 +226,14 @@ pub(crate) fn build_ctx(g: &CsrGraph, approx: &ApproxConfig) -> ApproxCtx {
     ApproxCtx {
         landmarks: select_landmarks(g, approx.max_landmarks.max(1)),
     }
+}
+
+/// Whether a term with `rows` residual rows is priced on the exact path
+/// rather than sketched over `landmarks` landmarks: its exact rows cost
+/// no more SSSPs than the sketch's `2·L`. Such a term reads its residual
+/// users' rows, any other term its landmarks' rows.
+pub(crate) fn prices_exactly(rows: usize, landmarks: usize) -> bool {
+    rows <= 2 * landmarks.max(1)
 }
 
 /// The one split rule: cuts a group at the midpoint of the landmark
@@ -280,9 +285,8 @@ pub(crate) fn trace_enabled() -> bool {
 
 /// Process-global aggregate counters behind `SND_APPROX_TRACE`: per-term
 /// lines show individual refinements, this accumulates the run-level
-/// story (how many terms, how deep the escalation ladder went, how the
-/// sketch bundle was maintained) and is drained once per run by
-/// [`emit_trace_summary`].
+/// story (how many terms, how deep the escalation ladder went) and is
+/// drained once per run by [`emit_trace_summary`].
 struct TraceStats {
     terms: AtomicUsize,
     tiny_exact: AtomicUsize,
@@ -290,26 +294,22 @@ struct TraceStats {
     /// Deepest escalation per term: sketch-only / Dial ball / reball /
     /// full exact row.
     ladder: [AtomicUsize; 4],
-    sketch_repaired: AtomicUsize,
-    sketch_reused: AtomicUsize,
-    sketch_rebuilt: AtomicUsize,
     /// Final relative gap per term: 0 / ≤1% / ≤5% / ≤20% / >20%.
     gap_hist: [AtomicUsize; 5],
     /// Wall-clock nanoseconds per cost phase (see the `PHASE_*` slots).
-    phase_ns: [AtomicU64; 5],
+    phase_ns: [AtomicU64; 4],
 }
 
-/// [`TraceStats::phase_ns`] slots: sketch build/repair (delta bundles),
-/// landmark row SSSPs (sketchless fetches), bounded Dial balls,
-/// envelope transportation solves, and exact singleton rows.
-pub(crate) const PHASE_SKETCH_MAINT: usize = 0;
-pub(crate) const PHASE_LANDMARK_ROWS: usize = 1;
-pub(crate) const PHASE_BALLS: usize = 2;
-pub(crate) const PHASE_SOLVES: usize = 3;
-pub(crate) const PHASE_EXACT_ROWS: usize = 4;
+/// [`TraceStats::phase_ns`] slots: landmark rows (cache hits, or rows
+/// computed on first use), bounded Dial balls, envelope transportation
+/// solves, and exact singleton rows.
+const PHASE_LANDMARK_ROWS: usize = 0;
+const PHASE_BALLS: usize = 1;
+const PHASE_SOLVES: usize = 2;
+const PHASE_EXACT_ROWS: usize = 3;
 
 /// Runs `f`, charging its wall time to `phase` when tracing is on.
-pub(crate) fn time_phase<T>(phase: usize, f: impl FnOnce() -> T) -> T {
+fn time_phase<T>(phase: usize, f: impl FnOnce() -> T) -> T {
     if !trace_enabled() {
         return f();
     }
@@ -329,9 +329,6 @@ static TRACE_STATS: TraceStats = TraceStats {
         AtomicUsize::new(0),
         AtomicUsize::new(0),
     ],
-    sketch_repaired: AtomicUsize::new(0),
-    sketch_reused: AtomicUsize::new(0),
-    sketch_rebuilt: AtomicUsize::new(0),
     gap_hist: [
         AtomicUsize::new(0),
         AtomicUsize::new(0),
@@ -340,7 +337,6 @@ static TRACE_STATS: TraceStats = TraceStats {
         AtomicUsize::new(0),
     ],
     phase_ns: [
-        AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
@@ -380,31 +376,6 @@ fn record_term(rounds: usize, balls: usize, reballs: usize, exacts: usize, lo: f
     TRACE_STATS.gap_hist[bucket].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records how a delta step maintained the 2·L sketch rows of one plane:
-/// rows repaired through the change batch, and rows provably untouched
-/// and `Arc`-shared.
-pub(crate) fn record_sketch_step(repaired: usize, reused: usize) {
-    if !trace_enabled() {
-        return;
-    }
-    TRACE_STATS
-        .sketch_repaired
-        .fetch_add(repaired, Ordering::Relaxed);
-    TRACE_STATS
-        .sketch_reused
-        .fetch_add(reused, Ordering::Relaxed);
-}
-
-/// Records a fresh sketch build (initial bundle or high-churn fallback).
-pub(crate) fn record_sketch_rebuild(rows: usize) {
-    if !trace_enabled() {
-        return;
-    }
-    TRACE_STATS
-        .sketch_rebuilt
-        .fetch_add(rows, Ordering::Relaxed);
-}
-
 /// Emits (and resets) the per-run aggregate summary. The interval
 /// surfaces call this once per run, so a series prints one block instead
 /// of only the per-term lines.
@@ -417,9 +388,6 @@ pub(crate) fn emit_trace_summary(context: &str) {
     let tiny = take(&TRACE_STATS.tiny_exact);
     let rounds = take(&TRACE_STATS.rounds);
     let ladder: Vec<usize> = TRACE_STATS.ladder.iter().map(take).collect();
-    let repaired = take(&TRACE_STATS.sketch_repaired);
-    let reused = take(&TRACE_STATS.sketch_reused);
-    let rebuilt = take(&TRACE_STATS.sketch_rebuilt);
     let gaps: Vec<usize> = TRACE_STATS.gap_hist.iter().map(take).collect();
     let ms: Vec<f64> = TRACE_STATS
         .phase_ns
@@ -429,9 +397,8 @@ pub(crate) fn emit_trace_summary(context: &str) {
     eprintln!(
         "approx-summary [{context}]: terms={terms} (+{tiny} tiny-exact) \
          refinement_rounds={rounds} ladder[sketch/ball/reball/exact]={}/{}/{}/{} \
-         sketch_rows[repaired/reused/rebuilt]={repaired}/{reused}/{rebuilt} \
          gap_hist[0,\u{2264}1%,\u{2264}5%,\u{2264}20%,>20%]={}/{}/{}/{}/{} \
-         phase_ms[sketch/rows/balls/solves/exact]={:.0}/{:.0}/{:.0}/{:.0}/{:.0}",
+         phase_ms[rows/balls/solves/exact]={:.0}/{:.0}/{:.0}/{:.0}",
         ladder[0],
         ladder[1],
         ladder[2],
@@ -445,7 +412,6 @@ pub(crate) fn emit_trace_summary(context: &str) {
         ms[1],
         ms[2],
         ms[3],
-        ms[4],
     );
 }
 
@@ -499,10 +465,10 @@ impl<'c> Group<'c> {
 /// budget runs out). Its one caller is the engine's term router,
 /// `SndEngine::price_term`.
 ///
-/// `sketch_rows` supplies prebuilt (delta-repaired) landmark rows; when
-/// absent the rows are fetched through the ground state's shared
-/// [`RowCache`] (2·L SSSPs on first use). Both sources are bit-identical
-/// rows, so the interval does not depend on which one priced it.
+/// The landmark rows are read through the ground state's shared
+/// [`RowCache`]: hits when the all-pairs path wrote them ahead of the
+/// solves, else 2·L SSSPs on first use. Either way they are the exact
+/// rows, so the interval does not depend on where they came from.
 #[allow(clippy::too_many_arguments)] // mirrors the exact term signature plus the approx knobs
 pub(crate) fn emd_star_term_interval<'c>(
     g: &CsrGraph,
@@ -515,7 +481,6 @@ pub(crate) fn emd_star_term_interval<'c>(
     config: &SndConfig,
     approx: &ApproxConfig,
     cache: &'c RowCache,
-    sketch_rows: Option<&'c SketchRows>,
 ) -> SndInterval {
     let n = g.node_count();
     assert!(geom.per_bin, "the approximate tier requires per-bin banks");
@@ -532,13 +497,8 @@ pub(crate) fn emd_star_term_interval<'c>(
     let reverse = term.reverse;
 
     // Tiny reduced problems: exact rows cost fewer SSSPs than the sketch
-    // would — answer exactly (zero-width interval). The threshold follows
-    // the landmark set that would actually price this term (the bundle's
-    // when present).
-    let n_landmarks = sketch_rows
-        .map_or(ctx.landmarks.len(), SketchRows::landmark_count)
-        .max(1);
-    if term.row_nodes.len() <= 2 * n_landmarks {
+    // would — answer exactly (zero-width interval).
+    if prices_exactly(term.row_nodes.len(), ctx.landmarks.len()) {
         let v = sparse::solve_oriented(g, clustering, geom, op, config, Some(cache), &term);
         if trace_enabled() {
             TRACE_STATS.tiny_exact.fetch_add(1, Ordering::Relaxed);
@@ -546,26 +506,17 @@ pub(crate) fn emd_star_term_interval<'c>(
         return SndInterval::exact(v);
     }
 
-    // Landmark rows: a delta-repaired bundle when the series path carries
-    // one, else 2·L SSSPs shared with the exact path through the ground
-    // state's row cache. Either source yields bit-identical rows.
-    let inf = geom.unreachable;
-    let sketch = match sketch_rows {
-        Some(rows) => rows.sketch(inf),
-        None => time_phase(PHASE_LANDMARK_ROWS, || {
-            LandmarkSketch::new(
-                ctx.landmarks
-                    .iter()
-                    .map(|&l| cache.get_or_compute(g, geom, op, true, l).full())
-                    .collect(),
-                ctx.landmarks
-                    .iter()
-                    .map(|&l| cache.get_or_compute(g, geom, op, false, l).full())
-                    .collect(),
-                inf,
-            )
-        }),
-    };
+    // Landmark rows: 2·L rows shared with the exact path through the
+    // ground state's row cache.
+    let sketch = time_phase(PHASE_LANDMARK_ROWS, || {
+        let rows = |reverse| {
+            ctx.landmarks
+                .iter()
+                .map(|&l| cache.get_or_compute(g, geom, op, reverse, l).full())
+                .collect()
+        };
+        LandmarkSketch::new(rows(true), rows(false), geom.unreachable)
+    });
 
     // Exact SSSP row of a singleton row group — the same row the exact
     // path would compute, fetched lazily through the shared cache.

@@ -22,6 +22,10 @@
 //! 1. **Keys.** Every EMD\* term is classified
 //!    (`sparse::classify_term`) and only its row keys are kept: ground
 //!    state, opinion, direction and the heavier side's residual users.
+//!    Under an approximate tier, a term the tier sketches
+//!    (`approx::prices_exactly` says it does not) reads its landmarks'
+//!    rows instead: its keys are the `2·L` landmark keys, one per
+//!    landmark and direction, of its ground state and opinion.
 //! 2. **Rows.** The keys are grouped by `(opinion, direction, user)` and
 //!    the groups run in parallel. A group skips the ground states whose
 //!    cache already holds its row and walks the rest in ascending snapshot
@@ -64,8 +68,9 @@
 //!    Fanning out per term load-balances well because term cost varies
 //!    with the pair's residual size. Each term comes back as a `[lo, hi]`
 //!    envelope (zero width on the exact tier); `fold_terms` turns four
-//!    envelopes into one distance. Under an active approximate tier,
-//!    phases 1 and 2 are skipped: that tier prices from landmark rows.
+//!    envelopes into one distance. Under an approximate tier, phase 2 has
+//!    written every landmark row, and the rows refinement escalates to
+//!    are computed on first use.
 //!
 //! Results are **bit-identical** to the sequential naive loop: each term is
 //! an exact integer transportation solve, cached rows — fresh or repaired
@@ -96,6 +101,7 @@ use rayon::prelude::*;
 use snd_graph::{repair_row, CostChange, CsrGraph, NodeId, RepairScratch};
 use snd_models::{update_edge_costs, GroundCostConfig, NetworkState, Opinion, StateDelta};
 
+use crate::approx::{self, ApproxConfig};
 use crate::delta::REPAIR_EDGE_FRACTION;
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
 use crate::shard::{ShardPlan, TileGrid};
@@ -179,7 +185,14 @@ impl<'g> SndEngine<'g> {
             .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
             .collect();
         let mut seeds = SeedRows::default();
-        let terms = self.price_pairs(states, |s| geoms.get(s), &mut seeds, &pairs);
+        let approx = self.approx_if_active();
+        let terms = self.price_pairs(
+            states,
+            |s| geoms.get(s),
+            &mut seeds,
+            &pairs,
+            approx.as_ref(),
+        );
         DistanceMatrix::from_upper(k, &fold_terms(&terms, false).0)
     }
 
@@ -205,26 +218,23 @@ impl<'g> SndEngine<'g> {
     /// them into distances. `live(s)` is state `s`'s bundle, or `None`
     /// when it has none; it must have one for every state in `pairs`.
     /// `seeds` holds full rows to repair from and takes the newest full
-    /// row of every key phase 2 caches gathered. The matrix, every tile
-    /// plan and the series tiles all price through here.
+    /// row of every key phase 2 caches gathered. `approx` prices every
+    /// term on the approximate tier (`None`: exact). The matrix, every
+    /// tile plan and both series surfaces price through here.
     pub(crate) fn price_pairs<'a, G>(
         &self,
         states: &[NetworkState],
         live: G,
         seeds: &mut SeedRows,
         pairs: &[(usize, usize)],
+        approx: Option<&ApproxConfig>,
     ) -> Vec<(f64, f64)>
     where
         G: Fn(usize) -> Option<&'a StateGeometry> + Sync,
     {
         // lint:allow(no-unwrap) callers hold a live bundle for every state in `pairs`
         let bundle = |s: usize| live(s).expect("a live bundle for every state in pairs");
-        // An active approximate tier prices from landmark rows, not the
-        // heavy side's SSSP rows: it skips phases 1 and 2.
-        let approx = self.approx_if_active();
-        if approx.is_none() {
-            self.fill_pair_rows(states, &live, seeds, pairs);
-        }
+        self.fill_pair_rows(states, &live, seeds, pairs, approx);
         // Fan out at term granularity (4 independent EMD* solves per pair):
         // term cost varies wildly with the pair's residual size, so finer
         // work items load-balance better than whole pairs.
@@ -240,7 +250,7 @@ impl<'g> SndEngine<'g> {
                 let (forward, op) = term_role(t % 4);
                 let (ground, other) = if forward { (i, j) } else { (j, i) };
                 let (p, q) = (&states[ground], &states[other]);
-                let iv = self.price_term(bundle(ground).ground(op), p, q, op, approx.as_ref());
+                let iv = self.price_term(bundle(ground).ground(op), p, q, op, approx);
                 (iv.lower, iv.upper)
             })
             .collect()
@@ -249,13 +259,15 @@ impl<'g> SndEngine<'g> {
     /// Phases 1 and 2 of [`price_pairs`](Self::price_pairs):
     /// writes into the ground states' caches every SSSP row the terms of
     /// `pairs` will read, repairing rows along the snapshot order where it
-    /// can. `live` and `seeds` are as in [`price_pairs`](Self::price_pairs).
+    /// can. `live`, `seeds` and `approx` are as in
+    /// [`price_pairs`](Self::price_pairs).
     fn fill_pair_rows<'a, G>(
         &self,
         states: &[NetworkState],
         live: G,
         seeds: &mut SeedRows,
         pairs: &[(usize, usize)],
+        approx: Option<&ApproxConfig>,
     ) where
         G: Fn(usize) -> Option<&'a StateGeometry> + Sync,
     {
@@ -285,6 +297,7 @@ impl<'g> SndEngine<'g> {
         // user, ground state). Sorted, they are grouped by (opinion,
         // direction, user) in ascending snapshot order. A term's bank
         // lists are dropped as soon as its keys are read off.
+        let landmarks = approx.map(|_| &self.approx_ctx().landmarks[..]);
         let keys: Vec<Vec<(bool, bool, NodeId, usize)>> = (0..pairs.len() * 4)
             .into_par_iter()
             .map(|t| {
@@ -306,10 +319,17 @@ impl<'g> SndEngine<'g> {
                     term.residual_p
                 };
                 let neg = op == Opinion::Negative;
-                users
-                    .into_iter()
-                    .map(|u| (neg, reverse, u, ground))
-                    .collect()
+                match landmarks {
+                    // A sketched term reads both rows of every landmark.
+                    Some(ls) if !approx::prices_exactly(users.len(), ls.len()) => ls
+                        .iter()
+                        .flat_map(|&l| [(neg, false, l, ground), (neg, true, l, ground)])
+                        .collect(),
+                    _ => users
+                        .into_iter()
+                        .map(|u| (neg, reverse, u, ground))
+                        .collect(),
+                }
             })
             .collect();
         let mut keys: Vec<(bool, bool, NodeId, usize)> = keys.into_iter().flatten().collect();

@@ -27,20 +27,18 @@
 //!    ball; `HalfExactDiameter` re-runs its bounded Dials at every step.
 //!    Repaired geometry is bit-identical to
 //!    [`compute_geometry`](crate::banks::compute_geometry) because
-//!    shortest-path distances are unique. Landmark sketch rows
-//!    ([`SketchRows`], approximate tier) are repaired the same way.
+//!    shortest-path distances are unique.
 //! 3. **Transitions** ([`SndEngine::series_distances`],
-//!    [`SndEngine::series_intervals`]): one series walker,
-//!    `SndEngine::walk_series`, drives both. Identical consecutive states
-//!    (empty delta) short-circuit to zero; otherwise the four EMD\* terms
-//!    go through the engine's one term router, `SndEngine::price_term`,
-//!    over the incrementally-derived geometries, exactly as a one-off
-//!    distance would. The walker keeps at most **two** of this module's
-//!    bundles (and two row caches) live at any point. It builds no batch
-//!    [`StateGeometry`], which is what `tests/series_memory.rs` checks:
-//!    that test counts live `StateGeometry` bundles, so it guards against
-//!    a series falling back to per-state batch bundles, not the count of
-//!    delta bundles.
+//!    [`SndEngine::series_intervals`]): both are the superdiagonal
+//!    [`ShardPlan`](crate::ShardPlan) at tile edge 1, run through the one
+//!    tile loop. Its bundles come from `chain_geometry` below, so each
+//!    state's geometry is stepped from the previous one, and
+//!    [`StateGeometry`] shares that geometry (`Arc`) instead of copying
+//!    it. The SSSP rows the terms read, landmark rows of an approximate
+//!    tier included, are repaired along the snapshot order by the batch
+//!    path's row groups (see [`crate::batch`]). A pair of identical
+//!    consecutive states prices to zero. The plan keeps at most **two**
+//!    bundles live at any point, which `tests/series_memory.rs` checks.
 //!
 //! A step advances the repair state **in place**: it moves the cluster
 //! rows and balls out of the previous bundle, which keeps only its
@@ -48,7 +46,7 @@
 //! uniquely owned chain copies none of them. The state is `Arc`-shared
 //! per cluster, so a clone of a bundle (the candidate evaluator's patch)
 //! stays repairable and a step on the clone copies only the clusters a
-//! change reaches. The series loops look one transition ahead and keep
+//! change reaches. The bundle chain looks one transition ahead and keeps
 //! repair state only for a bundle whose next transition repairs.
 //!
 //! # When the fast path falls back
@@ -76,19 +74,16 @@ use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use rayon::prelude::*;
-use snd_graph::{
-    dial_reverse_scratch, dial_scratch, repair_row, Clustering, CostChange, CsrGraph, NodeId,
-    RepairScratch,
-};
+use snd_graph::{repair_row, Clustering, CostChange, CsrGraph, NodeId, RepairScratch};
 use snd_models::{edge_costs, update_edge_costs, NetworkState, Opinion, StateDelta};
 use snd_transport::DenseCost;
 
 use crate::banks::{
-    bank_gammas, base_gamma, build_geometry, clamped_row, ecc_run, min_reduce, write_inter_row,
-    GroundGeometry, KeptCluster,
+    bank_gammas, base_gamma, build_geometry, ecc_run, min_reduce, write_inter_row, GroundGeometry,
+    KeptCluster,
 };
 use crate::config::SndConfig;
-use crate::engine::{SndEngine, StateGeometry, TermGround};
+use crate::engine::{SndEngine, StateGeometry};
 use crate::sparse::{with_sssp_scratch, RowCache};
 
 /// Fallback knob: the repair path engages only when touched edges are at
@@ -100,14 +95,6 @@ pub const REPAIR_EDGE_FRACTION: usize = 4;
 /// past the repair threshold and rebuilds fresh.
 pub(crate) fn high_churn(touched: usize, m: usize) -> bool {
     touched * REPAIR_EDGE_FRACTION > m
-}
-
-/// Whether a series bundle keeps its repair state: only when its next
-/// transition `next` (`(t, delta)`, `None` past the last) repairs instead
-/// of falling back, so a run of fallbacks keeps no rows or balls it never
-/// uses.
-pub(crate) fn keeps_repair_state(g: &CsrGraph, next: Option<&(usize, StateDelta)>) -> bool {
-    next.is_some_and(|(_, d)| !high_churn(d.touched_edges().len(), g.edge_count()))
 }
 
 thread_local! {
@@ -155,181 +142,25 @@ impl std::ops::Add for BallSteps {
 /// uniquely owned cluster copies nothing), while the previous bundle
 /// keeps its [`GroundGeometry`] for pricing. A clone (the candidate
 /// evaluator's patch) shares every cluster, and a step on it copies only
-/// the clusters a change reaches.
+/// the clusters a change reaches. The geometry itself is `Arc`-shared
+/// with the [`StateGeometry`] bundles built from it.
 #[derive(Clone)]
 pub(crate) struct OpGeometry {
-    pub(crate) geom: GroundGeometry,
+    pub(crate) geom: Arc<GroundGeometry>,
     /// Per-cluster repair state (empty when not kept: per-bin mode, a
     /// lossy clamp domain, a build whose next transition falls back, or
     /// a bundle a step already advanced).
     clusters: Vec<Arc<KeptCluster>>,
-    /// Approximate-tier landmark rows (per-bin mode with an approx config
-    /// and a lossless clamp domain only), repaired across steps like the
-    /// cluster rows above.
-    pub(crate) sketch: Option<SketchRows>,
     /// γ-ball outcomes of the step that produced this geometry.
     balls: BallSteps,
-}
-
-impl OpGeometry {
-    /// This plane as a term ground, its SSSP rows going through `cache`.
-    pub(crate) fn ground<'a>(&'a self, cache: &'a RowCache) -> TermGround<'a> {
-        TermGround {
-            geom: &self.geom,
-            cache: Some(cache),
-            sketch: self.sketch.as_ref(),
-        }
-    }
-}
-
-/// Repair-compatible landmark sketch rows of one `(state, opinion)`
-/// geometry plane: per landmark `l`, the clamped reverse row
-/// `to[l][v] = d̂(v → l)` and forward row `from[l][v] = d̂(l → v)` — exactly
-/// what a [`LandmarkSketch`](snd_graph::LandmarkSketch) borrows. Rows are
-/// `Arc`-shared so a transition that provably cannot perturb one (same
-/// `ChangeIndex::fires` contract as the cluster rows) carries it into
-/// the next bundle in `O(1)`; the rest are repaired with [`repair_row`],
-/// which is bit-identical to a fresh SSSP because the clamp domain is
-/// lossless whenever a sketch exists (`tests/sketch_repair.rs`).
-///
-/// The landmark set is a prefix of the engine's, fixed when the bundle
-/// is built: every transition repairs every row it fires, so a stepped
-/// bundle always equals a fresh build at the same state, whatever the
-/// series behind it.
-#[derive(Clone)]
-pub struct SketchRows {
-    landmarks: Vec<NodeId>,
-    to: Vec<Arc<Vec<u32>>>,
-    from: Vec<Arc<Vec<u32>>>,
-}
-
-/// Landmarks a certified series carries
-/// ([`SndEngine::series_intervals`]): the sketch rows of its bundles
-/// cover this prefix of the engine's landmark set. Each carried pair
-/// costs a repair on every transition that reaches it, so the series
-/// keeps only enough relays for a serviceable envelope; the other
-/// surfaces price over all
-/// [`ApproxConfig::max_landmarks`](crate::ApproxConfig).
-pub(crate) const SERIES_LANDMARKS: usize = 3;
-
-impl SketchRows {
-    /// Number of landmarks (row pairs).
-    pub fn landmark_count(&self) -> usize {
-        self.landmarks.len()
-    }
-
-    /// The landmark set, in row order.
-    pub fn landmarks(&self) -> &[NodeId] {
-        &self.landmarks
-    }
-
-    /// One stored row: the reverse row `d̂(v → landmark)` when `reverse`,
-    /// else the forward row `d̂(landmark → v)`.
-    pub fn row(&self, idx: usize, reverse: bool) -> &[u32] {
-        if reverse {
-            &self.to[idx]
-        } else {
-            &self.from[idx]
-        }
-    }
-
-    /// Borrows the rows as a [`LandmarkSketch`](snd_graph::LandmarkSketch)
-    /// with sentinel `inf`.
-    pub(crate) fn sketch(&self, inf: u32) -> snd_graph::LandmarkSketch<'_> {
-        snd_graph::LandmarkSketch::new(
-            self.to.iter().map(|r| r.as_slice()).collect(),
-            self.from.iter().map(|r| r.as_slice()).collect(),
-            inf,
-        )
-    }
-
-    /// Builds every row pair from scratch (2·L SSSPs, parallel over
-    /// landmarks).
-    fn build(
-        g: &CsrGraph,
-        costs: &[u32],
-        max_edge_cost: u32,
-        unreachable: u32,
-        landmarks: Vec<NodeId>,
-    ) -> SketchRows {
-        let n = g.node_count();
-        // One (to-landmark, from-landmark) row pair per landmark.
-        type RowPair = (Arc<Vec<u32>>, Arc<Vec<u32>>);
-        let rows: Vec<RowPair> =
-            crate::approx::time_phase(crate::approx::PHASE_SKETCH_MAINT, || {
-                landmarks
-                    .par_iter()
-                    .map(|&l| {
-                        with_sssp_scratch(|scratch| {
-                            dial_reverse_scratch(g, costs, &[l], max_edge_cost, scratch);
-                            let to = clamped_row(scratch, n, unreachable);
-                            dial_scratch(g, costs, &[l], max_edge_cost, scratch);
-                            let from = clamped_row(scratch, n, unreachable);
-                            (Arc::new(to), Arc::new(from))
-                        })
-                    })
-                    .collect()
-            });
-        crate::approx::record_sketch_rebuild(rows.len() * 2);
-        let (to, from) = rows.into_iter().unzip();
-        SketchRows {
-            landmarks,
-            to,
-            from,
-        }
-    }
-
-    /// Advances the row pairs across a transition. Rows a change provably
-    /// cannot perturb are `Arc`-shared; the rest are repaired in place —
-    /// bit-identical to [`build`](Self::build) over the new costs.
-    fn advanced(
-        &self,
-        g: &CsrGraph,
-        new_costs: &[u32],
-        changes: &[CostChange],
-        unreachable: u32,
-    ) -> SketchRows {
-        let index = ChangeIndex::new(g, changes, new_costs, unreachable);
-        // Per pair: (to, from, rows repaired).
-        type Advanced = (Arc<Vec<u32>>, Arc<Vec<u32>>, usize);
-        let pairs: Vec<Advanced> =
-            crate::approx::time_phase(crate::approx::PHASE_SKETCH_MAINT, || {
-                (0..self.landmarks.len())
-                    .into_par_iter()
-                    .map(|i| {
-                        let l = self.landmarks[i];
-                        // The previous bundle still prices with these rows,
-                        // so a fired row is repaired on a copy.
-                        let (mut t, mut f) = (Arc::clone(&self.to[i]), Arc::clone(&self.from[i]));
-                        let fires_to = index.fires(&t, true, unreachable);
-                        let fires_from = index.fires(&f, false, unreachable);
-                        if fires_to {
-                            index.repair(Arc::make_mut(&mut t).as_mut_slice(), &[l], true);
-                        }
-                        if fires_from {
-                            index.repair(Arc::make_mut(&mut f).as_mut_slice(), &[l], false);
-                        }
-                        (t, f, usize::from(fires_to) + usize::from(fires_from))
-                    })
-                    .collect()
-            });
-        let repaired: usize = pairs.iter().map(|p| p.2).sum();
-        crate::approx::record_sketch_step(repaired, 2 * pairs.len() - repaired);
-        let (to, from) = pairs.into_iter().map(|(t, f, _)| (t, f)).unzip();
-        SketchRows {
-            landmarks: self.landmarks.clone(),
-            to,
-            from,
-        }
-    }
 }
 
 /// One transition's exact change batch, indexed in relaxation terms:
 /// `(tail, head, old, new)` per change, endpoints precomputed once in
 /// forward orientation. [`fires`](ChangeIndex::fires) tells in
 /// `O(|changes|)`, without touching the row, whether a batch can move a
-/// row at all, so a cluster or landmark the batch cannot reach skips its
-/// repair outright.
+/// row at all, so a cluster the batch cannot reach skips its repair
+/// outright.
 struct ChangeIndex<'a> {
     g: &'a CsrGraph,
     new_costs: &'a [u32],
@@ -520,47 +351,29 @@ impl<'a> ChangeIndex<'a> {
 
 impl OpGeometry {
     /// Builds the geometry from scratch, retaining its repair state when
-    /// `keep`, with sketch rows over every landmark. Bit-identical to
+    /// `keep`. Bit-identical to
     /// [`compute_geometry`](crate::banks::compute_geometry).
     #[cfg(test)]
     fn fresh(engine: &SndEngine<'_>, state: &NetworkState, op: Opinion, keep: bool) -> OpGeometry {
         let costs = edge_costs(engine.graph(), state, op, &engine.config().ground);
-        Self::from_costs(engine, costs, keep, usize::MAX)
+        Self::from_costs(engine, costs, keep)
     }
 
     /// Builds the geometry from already-derived edge costs through the
     /// one fresh builder, keeping its repair state (when `keep` and
-    /// repairable) as shared per-cluster state. Approximate-tier engines
-    /// in per-bin mode get a live sketch bundle over the first
-    /// `landmarks` of the engine's landmarks alongside the costs — only
-    /// in a lossless clamp domain, the repair precondition (otherwise the
-    /// approx path falls back to cache fetches, still certified).
-    fn from_costs(
-        engine: &SndEngine<'_>,
-        costs: Vec<u32>,
-        keep: bool,
-        landmarks: usize,
-    ) -> OpGeometry {
-        let g = engine.graph();
-        let (geom, kept) =
-            build_geometry(g, engine.clustering(), costs, engine.config(), true, keep);
-        let sketch = (geom.per_bin && geom.is_lossless(g.node_count()))
-            .then(|| engine.delta_sketch_ctx())
-            .flatten()
-            .map(|ctx| {
-                let prefix = &ctx.landmarks[..landmarks.min(ctx.landmarks.len())];
-                SketchRows::build(
-                    g,
-                    &geom.edge_costs,
-                    geom.max_edge_cost,
-                    geom.unreachable,
-                    prefix.to_vec(),
-                )
-            });
+    /// repairable) as shared per-cluster state.
+    fn from_costs(engine: &SndEngine<'_>, costs: Vec<u32>, keep: bool) -> OpGeometry {
+        let (geom, kept) = build_geometry(
+            engine.graph(),
+            engine.clustering(),
+            costs,
+            engine.config(),
+            true,
+            keep,
+        );
         OpGeometry {
+            geom: Arc::new(geom),
             clusters: kept.into_iter().map(Arc::new).collect(),
-            geom,
-            sketch,
             balls: BallSteps::default(),
         }
     }
@@ -646,16 +459,15 @@ impl OpGeometry {
             |m: Mutex<Arc<KeptCluster>>| m.into_inner().unwrap_or_else(PoisonError::into_inner);
 
         OpGeometry {
-            geom: GroundGeometry {
+            geom: Arc::new(GroundGeometry {
                 edge_costs: new_costs,
                 max_edge_cost,
                 unreachable,
                 per_bin: false,
                 gammas,
                 inter_cluster: inter,
-            },
+            }),
             clusters: slots.into_iter().map(unlock).collect(),
-            sketch: None,
             balls,
         }
     }
@@ -675,23 +487,20 @@ pub struct DeltaStateGeometry {
 impl DeltaStateGeometry {
     /// Builds the bundle from scratch (both opinions in parallel).
     pub fn fresh(engine: &SndEngine<'_>, state: &NetworkState) -> DeltaStateGeometry {
-        Self::fresh_keeping(engine, state, true, usize::MAX)
+        Self::fresh_keeping(engine, state, true)
     }
 
     /// [`fresh`](Self::fresh) that keeps the repair state only when
-    /// `keep` — a series loop passes whether its next transition repairs
-    /// — and whose sketch rows, if any, cover the first `landmarks` of
-    /// the engine's landmarks (`usize::MAX`: all of them). Steps from the
-    /// bundle carry that landmark set unchanged.
+    /// `keep` — the bundle chain passes whether its next transition
+    /// repairs.
     pub(crate) fn fresh_keeping(
         engine: &SndEngine<'_>,
         state: &NetworkState,
         keep: bool,
-        landmarks: usize,
     ) -> DeltaStateGeometry {
         let fresh = |op| {
             let costs = edge_costs(engine.graph(), state, op, &engine.config().ground);
-            OpGeometry::from_costs(engine, costs, keep, landmarks)
+            OpGeometry::from_costs(engine, costs, keep)
         };
         let (pos, neg) = rayon::join(|| fresh(Opinion::Positive), || fresh(Opinion::Negative));
         DeltaStateGeometry { pos, neg }
@@ -714,7 +523,7 @@ impl DeltaStateGeometry {
     }
 
     /// [`step`](Self::step) that keeps the repair state in the returned
-    /// bundle only when `keep` — a series loop passes whether its next
+    /// bundle only when `keep` — the bundle chain passes whether its next
     /// transition repairs, so a run of fallbacks keeps nothing it never
     /// uses.
     pub(crate) fn step_keeping(
@@ -743,8 +552,7 @@ impl DeltaStateGeometry {
             );
             if !prev.geom.per_bin && (high_churn || clusters.is_empty()) {
                 drop(clusters);
-                // Cluster banks carry no sketch rows.
-                return OpGeometry::from_costs(engine, new_costs, keep, 0);
+                return OpGeometry::from_costs(engine, new_costs, keep);
             }
             let changes: Vec<CostChange> = delta
                 .touched_edges()
@@ -758,32 +566,17 @@ impl DeltaStateGeometry {
             } else {
                 // Per-bin banks (the costs are the geometry) or no cost
                 // moved for this opinion: the cluster geometry carries
-                // over. A live sketch bundle advances under the same
-                // contract as cluster rows — Arc-share provable no-ops,
-                // repair the rest, fresh rebuild past the churn threshold.
-                let (max_edge_cost, unreachable) = (prev.geom.max_edge_cost, prev.geom.unreachable);
-                let sketch = prev.sketch.as_ref().map(|s| {
-                    if high_churn {
-                        let landmarks = s.landmarks.clone();
-                        SketchRows::build(g, &new_costs, max_edge_cost, unreachable, landmarks)
-                    } else if changes.is_empty() {
-                        crate::approx::record_sketch_step(0, s.landmark_count() * 2);
-                        s.clone()
-                    } else {
-                        s.advanced(g, &new_costs, &changes, unreachable)
-                    }
-                });
+                // over.
                 OpGeometry {
-                    geom: GroundGeometry {
+                    geom: Arc::new(GroundGeometry {
                         edge_costs: new_costs,
-                        max_edge_cost,
-                        unreachable,
+                        max_edge_cost: prev.geom.max_edge_cost,
+                        unreachable: prev.geom.unreachable,
                         per_bin: prev.geom.per_bin,
                         gammas: prev.geom.gammas.clone(),
                         inter_cluster: prev.geom.inter_cluster.clone(),
-                    },
+                    }),
                     clusters,
-                    sketch,
                     balls: BallSteps::default(),
                 }
             };
@@ -807,29 +600,20 @@ impl DeltaStateGeometry {
     }
 
     /// Materializes the batch-path bundle for this state: both geometries
-    /// (cloned) plus an empty shared row cache. Feeding these to
-    /// [`SndEngine::breakdown_with`] prices transitions exactly as the
-    /// batch path does. Live sketch bundles ride along (Arc-shared rows,
-    /// so the clone is `O(L)`), keeping the approximate tile path on
-    /// delta-repaired rows.
+    /// (shared, not copied) plus an empty shared row cache. Feeding these
+    /// to [`SndEngine::breakdown_with`] prices transitions exactly as the
+    /// batch path does.
     pub fn bundle(&self, engine: &SndEngine<'_>) -> StateGeometry {
         self.bundle_with(RowCache::new(engine.graph().node_count()))
     }
 
     /// [`bundle`](Self::bundle) around the given empty row cache.
     pub(crate) fn bundle_with(&self, cache: RowCache) -> StateGeometry {
-        StateGeometry::new(self.pos.geom.clone(), self.neg.geom.clone(), cache)
-            .with_sketches(self.pos.sketch.clone(), self.neg.sketch.clone())
-    }
-
-    /// The live landmark-sketch bundle of one opinion plane, when this
-    /// engine maintains one (per-bin banks + approx config + lossless
-    /// clamp domain).
-    pub fn sketch(&self, op: Opinion) -> Option<&SketchRows> {
-        match op {
-            Opinion::Positive => self.pos.sketch.as_ref(),
-            _ => self.neg.sketch.as_ref(),
-        }
+        StateGeometry::shared(
+            Arc::clone(&self.pos.geom),
+            Arc::clone(&self.neg.geom),
+            cache,
+        )
     }
 }
 
@@ -839,10 +623,9 @@ impl DeltaStateGeometry {
 /// (`(state, geometry)`). A state at most `max_gap` past the head is
 /// reached by stepping the head through each non-empty [`StateDelta`];
 /// any other state is built fresh. Either way the geometry is
-/// bit-identical to a fresh build, and under an approximate tier it
-/// carries the chain's live sketch rows. As in the series walker, a
-/// geometry keeps its repair state only when the transition right after
-/// it repairs: every later step from it passes through that transition.
+/// bit-identical to a fresh build. A geometry keeps its repair state only
+/// when the transition right after it repairs: every later step from it
+/// passes through that transition.
 pub(crate) fn chain_geometry(
     engine: &SndEngine<'_>,
     states: &[NetworkState],
@@ -852,9 +635,10 @@ pub(crate) fn chain_geometry(
 ) -> DeltaStateGeometry {
     let g = engine.graph();
     let delta = |t: usize| StateDelta::between(g, &states[t - 1], &states[t]);
+    // Only when the next transition repairs instead of falling back, so a
+    // run of fallbacks keeps no rows or balls it never uses.
     let keeps = |t: usize| {
-        let next = (t + 1 < states.len()).then(|| (t + 1, delta(t + 1)));
-        keeps_repair_state(g, next.as_ref())
+        t + 1 < states.len() && !high_churn(delta(t + 1).touched_edges().len(), g.edge_count())
     };
     match head {
         Some((at, mut head)) if at < s && s - at <= max_gap => {
@@ -866,7 +650,7 @@ pub(crate) fn chain_geometry(
             }
             head
         }
-        _ => DeltaStateGeometry::fresh_keeping(engine, &states[s], keeps(s), usize::MAX),
+        _ => DeltaStateGeometry::fresh_keeping(engine, &states[s], keeps(s)),
     }
 }
 
@@ -926,7 +710,7 @@ mod tests {
             let state = NetworkState::from_values(&vals);
             for op in [Opinion::Positive, Opinion::Negative] {
                 let fresh = OpGeometry::fresh(&engine, &state, op, true);
-                assert_eq!(fresh.geom, engine.geometry_seq(&state, op));
+                assert_eq!(*fresh.geom, engine.geometry_seq(&state, op));
             }
         }
     }
@@ -943,12 +727,12 @@ mod tests {
                 let delta = StateDelta::between(&g, &states[t - 1], &states[t]);
                 cache = cache.step(&engine, &states[t], &delta);
                 assert_eq!(
-                    cache.pos.geom,
+                    *cache.pos.geom,
                     engine.geometry_seq(&states[t], Opinion::Positive),
                     "t={t}"
                 );
                 assert_eq!(
-                    cache.neg.geom,
+                    *cache.neg.geom,
                     engine.geometry_seq(&states[t], Opinion::Negative),
                     "t={t}"
                 );
@@ -1026,7 +810,7 @@ mod tests {
                 } else {
                     &next.neg.geom
                 };
-                assert_eq!(*geom, engine.geometry_seq(&states[t], op), "t={t}");
+                assert_eq!(**geom, engine.geometry_seq(&states[t], op), "t={t}");
             }
             cache = next;
         }
@@ -1126,9 +910,8 @@ mod tests {
             let (geom, kept) = build_geometry(&g, &clustering, costs.clone(), &config, true, true);
             assert!(geom.is_lossless(n));
             let mut op = OpGeometry {
-                geom,
+                geom: Arc::new(geom),
                 clusters: kept.into_iter().map(Arc::new).collect(),
-                sketch: None,
                 balls: BallSteps::default(),
             };
             for step in 0..8 {

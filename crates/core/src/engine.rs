@@ -8,41 +8,40 @@
 //! EMD\* terms concurrently, and
 //! [`pairwise_distances`](SndEngine::pairwise_distances) fans comparisons
 //! out over all cores. [`series_distances`](SndEngine::series_distances)
-//! instead walks the series *incrementally* (delta-aware, see
-//! [`crate::delta`]) with per-transition parallelism only. Results are
-//! bit-identical to a sequential evaluation either way: every term is an
-//! independent exact computation and reductions happen in a fixed order.
+//! is the superdiagonal tile plan (see [`crate::shard`]): it walks the
+//! series *incrementally* (delta-aware, see [`crate::delta`]) with
+//! per-transition parallelism only. Results are bit-identical to a
+//! sequential evaluation either way: every term is an independent exact
+//! computation and reductions happen in a fixed order.
 //!
 //! # One path per term
 //!
 //! Every EMD\* term of every surface is priced by one router,
-//! `SndEngine::price_term`: it takes the term's ground (geometry, optional
-//! row cache, optional delta-repaired landmark rows), its states, its
-//! opinion and the approximate-tier config, if any, and runs the exact
-//! sparse path or the certified approximate one. The scalar surfaces pass
-//! the config only when the approximate tier is active for this engine;
-//! the interval surfaces always pass it. The four terms of one pair fan
-//! out through one helper, `SndEngine::pair_terms`, and both series
-//! surfaces walk their deltas with one loop, `SndEngine::walk_series`.
-//! The all-pairs path ([`crate::batch`]) prices its terms one work item
-//! at a time through the same router.
+//! `SndEngine::price_term`: it takes the term's ground (geometry and
+//! optional row cache), its states, its opinion and the approximate-tier
+//! config, if any, and runs the exact sparse path or the certified
+//! approximate one. The scalar surfaces pass the config only when the
+//! approximate tier is active for this engine; the interval surfaces
+//! always pass it. The four terms of one pair fan out through one helper,
+//! `SndEngine::pair_terms`. The all-pairs path ([`crate::batch`]), and
+//! with it every tile plan and both series surfaces, prices its terms
+//! one work item at a time through the same router.
 //!
 //! Parallelism nests safely: terms running on the shared rayon pool may
-//! themselves fan out (the landmark rows of a sketch build, for one);
-//! the pool's caller-participation guarantee means inner fan-outs always
-//! progress even with every worker busy on outer terms. Every
-//! transportation solve prices on its calling thread.
+//! themselves fan out; the pool's caller-participation guarantee means
+//! inner fan-outs always progress even with every worker busy on outer
+//! terms. Every transportation solve prices on its calling thread.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use snd_graph::{bfs_partition, whole_graph_cluster, Clustering, CsrGraph};
-use snd_models::{NetworkState, Opinion, StateDelta};
+use snd_models::{NetworkState, Opinion};
 
 use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval};
 use crate::banks::{compute_geometry, GroundGeometry};
 use crate::batch::{term_role, term_value};
 use crate::config::{ClusterSpec, SndConfig};
-use crate::delta::{keeps_repair_state, DeltaStateGeometry, SketchRows, SERIES_LANDMARKS};
+use crate::shard::{ShardPlan, TileGrid, TileSet};
 use crate::sparse::RowCache;
 use crate::{approx, dense, sparse};
 
@@ -92,15 +91,12 @@ fn interval_of(terms: &[SndInterval; 4]) -> SndInterval {
     }
 }
 
-/// Where one EMD\* term reads its ground from: the ground geometry, the
-/// row cache its SSSP rows go through (`None`: computed term-locally), and
-/// delta-repaired landmark rows for the approximate tier (`None`: fetched
-/// through the cache).
+/// Where one EMD\* term reads its ground from: the ground geometry and
+/// the row cache its SSSP rows go through (`None`: computed term-locally).
 #[derive(Clone, Copy)]
 pub(crate) struct TermGround<'a> {
     pub(crate) geom: &'a GroundGeometry,
     pub(crate) cache: Option<&'a RowCache>,
-    pub(crate) sketch: Option<&'a SketchRows>,
 }
 
 /// The four term grounds of pair `(a, b)` in [`SndBreakdown`] order, from
@@ -116,21 +112,18 @@ fn pair_grounds<'a>(ga: &'a StateGeometry, gb: &'a StateGeometry) -> [TermGround
 
 /// Per-state evaluation bundle: both opinion geometries plus the shared,
 /// thread-safe SSSP row cache for comparisons grounded in that state.
-/// Built by [`SndEngine::state_geometry`] (or [`StateGeometry::new`] —
-/// the only constructors, so the live/peak accounting below stays
-/// balanced with the `Drop` impl), consumed by
+/// Built by [`SndEngine::state_geometry`] (or [`StateGeometry::new`] and
+/// the crate's `StateGeometry::shared` — the only constructors, so the
+/// live/peak accounting below stays balanced with the `Drop` impl),
+/// consumed by
 /// [`SndEngine::breakdown_with`] and the batch entry points.
 pub struct StateGeometry {
-    /// `D(state, +)` geometry.
-    pub(crate) pos: GroundGeometry,
-    /// `D(state, −)` geometry.
-    pub(crate) neg: GroundGeometry,
+    /// `D(state, +)` geometry, shared with the delta bundle it came from.
+    pub(crate) pos: Arc<GroundGeometry>,
+    /// `D(state, −)` geometry, shared likewise.
+    pub(crate) neg: Arc<GroundGeometry>,
     /// Shared row cache (one slot per `(opinion, direction, node)`).
     pub(crate) cache: RowCache,
-    /// Delta-repaired landmark rows per opinion plane (series/tile paths
-    /// only — `None` bundles fall back to cache-fetched landmark rows).
-    pub(crate) sketch_pos: Option<SketchRows>,
-    pub(crate) sketch_neg: Option<SketchRows>,
 }
 
 /// Live [`StateGeometry`] bundles right now — each holds O(n) geometry
@@ -142,28 +135,21 @@ static PEAK_BUNDLES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicU
 impl StateGeometry {
     /// Assembles a bundle, tracking it in the live/peak accounting.
     pub fn new(pos: GroundGeometry, neg: GroundGeometry, cache: RowCache) -> StateGeometry {
+        Self::shared(Arc::new(pos), Arc::new(neg), cache)
+    }
+
+    /// [`new`](Self::new) over geometries shared with their owner (a
+    /// [`DeltaStateGeometry`](crate::DeltaStateGeometry) of the bundle
+    /// chain), so the bundle copies neither.
+    pub(crate) fn shared(
+        pos: Arc<GroundGeometry>,
+        neg: Arc<GroundGeometry>,
+        cache: RowCache,
+    ) -> StateGeometry {
         use std::sync::atomic::Ordering;
         let live = LIVE_BUNDLES.fetch_add(1, Ordering::Relaxed) + 1;
         PEAK_BUNDLES.fetch_max(live, Ordering::Relaxed);
-        StateGeometry {
-            pos,
-            neg,
-            cache,
-            sketch_pos: None,
-            sketch_neg: None,
-        }
-    }
-
-    /// Attaches delta-repaired landmark-row bundles (used by
-    /// [`DeltaStateGeometry::bundle`]).
-    pub(crate) fn with_sketches(
-        mut self,
-        pos: Option<SketchRows>,
-        neg: Option<SketchRows>,
-    ) -> StateGeometry {
-        self.sketch_pos = pos;
-        self.sketch_neg = neg;
-        self
+        StateGeometry { pos, neg, cache }
     }
 
     /// Number of SSSP rows written into this bundle's cache so far, fresh
@@ -186,17 +172,12 @@ impl StateGeometry {
         }
     }
 
-    /// One opinion plane as a term ground: its geometry, the shared row
-    /// cache and the plane's landmark rows.
+    /// One opinion plane as a term ground: its geometry and the shared
+    /// row cache.
     pub(crate) fn ground(&self, op: Opinion) -> TermGround<'_> {
-        let (geom, sketch) = match op {
-            Opinion::Positive => (&self.pos, &self.sketch_pos),
-            _ => (&self.neg, &self.sketch_neg),
-        };
         TermGround {
-            geom,
+            geom: self.plane(op),
             cache: Some(&self.cache),
-            sketch: sketch.as_ref(),
         }
     }
 
@@ -373,11 +354,7 @@ impl<'g> SndEngine<'g> {
                 )
             },
         );
-        let ground = |geom| TermGround {
-            geom,
-            cache: None,
-            sketch: None,
-        };
+        let ground = |geom| TermGround { geom, cache: None };
         let grounds = [&ga_pos, &ga_neg, &gb_pos, &gb_neg].map(ground);
         let terms = self.pair_terms(a, b, grounds, self.approx_if_active().as_ref());
         breakdown_of(&terms)
@@ -386,8 +363,8 @@ impl<'g> SndEngine<'g> {
     /// [`breakdown`](Self::breakdown) over per-state bundles: `ga` must be
     /// `a`'s geometry and `gb` must be `b`'s. SSSP rows come from, and
     /// stay in, the bundles' caches for later comparisons sharing either
-    /// ground state. The bundles' landmark rows are not used: an active
-    /// approximate tier fetches its landmark rows through the caches.
+    /// ground state; an active approximate tier fetches its landmark rows
+    /// through the caches too.
     pub fn breakdown_with(
         &self,
         a: &NetworkState,
@@ -395,7 +372,7 @@ impl<'g> SndEngine<'g> {
         ga: &StateGeometry,
         gb: &StateGeometry,
     ) -> SndBreakdown {
-        let grounds = pair_grounds(ga, gb).map(|g| TermGround { sketch: None, ..g });
+        let grounds = pair_grounds(ga, gb);
         let terms = self.pair_terms(a, b, grounds, self.approx_if_active().as_ref());
         breakdown_of(&terms)
     }
@@ -440,7 +417,6 @@ impl<'g> SndEngine<'g> {
                 &self.config,
                 approx_cfg,
                 cache,
-                ground.sketch,
             )
         };
         match ground.cache {
@@ -497,19 +473,6 @@ impl<'g> SndEngine<'g> {
         })
     }
 
-    /// The sketch context when the delta series path should maintain a
-    /// live landmark-row bundle: an approx config is present, valid, and
-    /// the bank mode is per-bin. Deliberately *not* gated on `min_nodes` —
-    /// interval surfaces run the sketch machinery on any size, so the
-    /// bundle must exist whenever intervals might be priced.
-    pub(crate) fn delta_sketch_ctx(&self) -> Option<&ApproxCtx> {
-        let a = self.config.approx.as_ref()?;
-        if a.validate().is_err() || approx::unsupported_bank_mode(&self.config).is_some() {
-            return None;
-        }
-        Some(self.approx_ctx())
-    }
-
     /// Certified SND interval `lower ≤ SND(a, b) ≤ upper` via the
     /// approximate tier (landmark sketches + coarsening + ε-refinement,
     /// see [`crate::approx`]).
@@ -533,27 +496,21 @@ impl<'g> SndEngine<'g> {
 
     /// Certified intervals for every adjacent transition of a series —
     /// the interval-carrying analogue of
-    /// [`series_distances`](Self::series_distances), and like it walked
-    /// **delta-aware** by the one series walker (≤ 2 live repairable
-    /// [`DeltaStateGeometry`] bundles), so edge costs are re-derived on
-    /// touched edges only and — when the engine carries an approx config —
-    /// the landmark sketch rows are *repaired* across each transition
-    /// instead of recomputed. The series carries a fixed prefix of the
-    /// engine's landmarks, the first `min(L, 3)` of
-    /// [`ApproxConfig::max_landmarks`], so every transition's interval
-    /// equals the interval of that transition priced on its own.
+    /// [`series_distances`](Self::series_distances), and like it the
+    /// superdiagonal tile plan, priced **delta-aware**: edge costs are
+    /// re-derived on touched edges only, and each landmark row is
+    /// *repaired* from the previous state's instead of recomputed. Every
+    /// transition prices over all [`ApproxConfig::max_landmarks`]
+    /// landmarks, so its interval equals
+    /// [`distance_interval`](Self::distance_interval) on that pair.
     pub fn series_intervals(
         &self,
         states: &[NetworkState],
     ) -> Result<Vec<SndInterval>, ApproxError> {
         let approx_cfg = self.validated_approx()?;
-        let zero = SndInterval {
-            lower: 0.0,
-            upper: 0.0,
-        };
-        let out = self.walk_series(states, Some(&approx_cfg), SERIES_LANDMARKS, zero, |terms| {
-            interval_of(&terms)
-        });
+        let out = self
+            .series_tiles(states, Some(&approx_cfg))
+            .adjacent(TileSet::pair_interval);
         approx::emit_trace_summary("series_intervals");
         Ok(out)
     }
@@ -582,77 +539,29 @@ impl<'g> SndEngine<'g> {
             + term(b, b, a, Opinion::Negative))
     }
 
-    /// Distances between adjacent states of a series (sparse path),
-    /// evaluated **delta-aware**: consecutive snapshots share everything
-    /// their [`StateDelta`] leaves untouched —
-    /// edge costs are re-derived only on touched edges, cluster-bank SSSP
-    /// rows are *repaired* rather than recomputed, identical states
-    /// short-circuit to zero — with an automatic fallback to a fresh
-    /// rebuild on high-churn transitions (see [`crate::delta`]). Returns
-    /// `states.len() − 1` values, bit-identical to
-    /// [`series_distances_seq`](Self::series_distances_seq). Exactly two
-    /// repairable geometry bundles (and two row caches) are live at any
-    /// point; the geometries are *borrowed* into the term evaluation —
-    /// never cloned per transition.
+    /// Distances between adjacent states of a series (sparse path): the
+    /// superdiagonal [`ShardPlan`] at tile edge 1, evaluated
+    /// **delta-aware**. Consecutive snapshots share everything their
+    /// [`StateDelta`](snd_models::StateDelta) leaves untouched: edge costs
+    /// are re-derived only on touched edges, cluster-bank SSSP rows and
+    /// each residual user's SSSP row are *repaired* rather than
+    /// recomputed, and identical states price to zero, with an automatic
+    /// fallback to a fresh rebuild on high-churn transitions (see
+    /// [`crate::delta`]). Returns `states.len() − 1` values, bit-identical
+    /// to [`series_distances_seq`](Self::series_distances_seq). At most
+    /// two geometry bundles are live at any point, and each shares its
+    /// geometry with the repairable chain head instead of copying it.
     pub fn series_distances(&self, states: &[NetworkState]) -> Vec<f64> {
-        let approx = self.approx_if_active();
-        self.walk_series(states, approx.as_ref(), usize::MAX, 0.0, |terms| {
-            breakdown_of(&terms).total()
-        })
+        self.series_tiles(states, self.approx_if_active().as_ref())
+            .adjacent(TileSet::pair)
     }
 
-    /// The one delta-series walker behind
-    /// [`series_distances`](Self::series_distances) and
-    /// [`series_intervals`](Self::series_intervals). It builds the first
-    /// state's bundle fresh, steps it through each transition's
-    /// [`StateDelta`] — keeping repair state only when the next transition
-    /// (peeked one ahead) repairs — and prices the four terms through
-    /// [`pair_terms`](Self::pair_terms) with one fresh row cache per
-    /// ground state. The bundles' sketch rows, if any, cover the first
-    /// `landmarks` of the engine's landmarks. `fold` turns the terms into
-    /// the transition's value. An empty delta yields `zero`: every EMD\*
-    /// term over equal states is exactly zero, and the bundle and its
-    /// cache carry over untouched. At most two bundles and two caches are
-    /// live at any point.
-    fn walk_series<T: Copy>(
-        &self,
-        states: &[NetworkState],
-        approx: Option<&ApproxConfig>,
-        landmarks: usize,
-        zero: T,
-        fold: impl Fn([SndInterval; 4]) -> T,
-    ) -> Vec<T> {
-        if states.len() < 2 {
-            return Vec::new();
-        }
-        let g = self.graph;
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut deltas = (1..states.len())
-            .map(|t| (t, StateDelta::between(g, &states[t - 1], &states[t])))
-            .peekable();
-        let keep = keeps_repair_state(g, deltas.peek());
-        let mut prev = DeltaStateGeometry::fresh_keeping(self, &states[0], keep, landmarks);
-        let mut prev_rows = RowCache::new(g.node_count());
-        while let Some((t, delta)) = deltas.next() {
-            if delta.is_empty() {
-                out.push(zero);
-                continue;
-            }
-            let keep = keeps_repair_state(g, deltas.peek());
-            let cur = prev.step_keeping(self, &states[t], &delta, keep);
-            let cur_rows = RowCache::new(g.node_count());
-            let grounds = [
-                prev.pos.ground(&prev_rows),
-                prev.neg.ground(&prev_rows),
-                cur.pos.ground(&cur_rows),
-                cur.neg.ground(&cur_rows),
-            ];
-            let terms = self.pair_terms(&states[t - 1], &states[t], grounds, approx);
-            out.push(fold(terms));
-            prev = cur;
-            prev_rows = cur_rows; // the old cache drops here
-        }
-        out
+    /// The superdiagonal plan at tile edge 1 over `states`, priced with
+    /// `approx` (`None`: exact), in memory: the one series path behind
+    /// both series surfaces.
+    fn series_tiles(&self, states: &[NetworkState], approx: Option<&ApproxConfig>) -> TileSet {
+        let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), 1));
+        self.plan_tiles(states, &plan, approx)
     }
 
     /// Sequential reference implementation of

@@ -43,12 +43,13 @@
 //! their previous inter-cluster row verbatim, and γ comes from
 //! member-bounded runs that stop once the cluster's members are
 //! settled — and identical
-//! consecutive states short-circuit to zero. The all-pairs matrix and
-//! every tile plan, the checkpoint-backed series path
-//! (`snd_analysis::resume::series_distances_checkpointed`, the
-//! superdiagonal plan) included,
-//! advance the same repairable bundles along the snapshot order and
-//! price through one tile loop.
+//! consecutive states short-circuit to zero. The series is the
+//! superdiagonal tile plan: the all-pairs matrix, every tile plan and
+//! both series surfaces (the checkpoint-backed
+//! `snd_analysis::resume::series_distances_checkpointed` included)
+//! advance the same repairable bundles along the snapshot order, repair
+//! each user's SSSP row from the previous state's, and price through one
+//! tile loop.
 //!
 //! Every fast path is **exact** (shortest-path distances are the unique
 //! relaxation fixpoint, so repaired geometry is bit-identical to a
@@ -86,32 +87,31 @@
 //! short: small graph → exact; series → delta; huge graph + `approx` →
 //! certified intervals.
 //!
-//! ## Certified series: the sketch lifecycle
+//! ## Certified series: landmark rows along the snapshot order
 //!
-//! An approximate **series** run composes the two fast paths.
-//! [`SndEngine::series_intervals`] carries one live [`SketchRows`] bundle
-//! per opinion plane along the series instead of re-sketching every
-//! snapshot:
+//! An approximate **series** run composes the two fast paths. Both
+//! series surfaces are the superdiagonal tile plan, and the tile loop
+//! writes every SSSP row its terms read before it solves them (see
+//! [`batch`]). Under an approximate tier a term the tier sketches reads
+//! its ground state's `2·L` landmark rows, one to-landmark and one
+//! from-landmark row per landmark of [`ApproxConfig::max_landmarks`], so
+//! those rows are ordinary row keys:
 //!
-//! 1. **Build** — the first snapshot runs `2·k` landmark SSSPs per plane
-//!    (one to-landmark, one from-landmark row per landmark) over a
-//!    **fixed prefix** of the engine's landmark set: the first
-//!    `k = min(L, 3)` of [`ApproxConfig::max_landmarks`]. The set never
-//!    changes along the series;
-//! 2. **Repair** — each transition repairs every row its touched edges
-//!    reach ([`snd_graph::repair_row`]) and `Arc`-shares the rest, under
-//!    the same contract as the cluster-geometry rows: repaired rows are
-//!    **bit-identical** to fresh SSSPs (`tests/sketch_repair.rs`), so
-//!    every transition's interval equals that transition priced on its
-//!    own (`tests/series_history.rs`);
-//! 3. **Fall back** — high-churn transitions (touched edges above
-//!    `1/`[`REPAIR_EDGE_FRACTION`] of the graph) rebuild the sketch
-//!    fresh over the same landmarks, exactly like the cluster rows.
+//! 1. **First state** — each landmark row is one fresh Dial run;
+//! 2. **Repair** — each later state's row is the previous state's row
+//!    repaired through the edge costs that changed
+//!    ([`snd_graph::repair_row`]). Repaired rows are **bit-identical** to
+//!    fresh SSSPs, so every transition's interval equals that
+//!    transition priced on its own ([`SndEngine::distance_interval`],
+//!    `tests/sketch_repair.rs`, `tests/series_history.rs`);
+//! 3. **Fall back** — past `1/`[`REPAIR_EDGE_FRACTION`] of the edges
+//!    changed, or in a lossy clamp domain, a row is computed fresh,
+//!    exactly like every other row key.
 //!
-//! The other surfaces keep all `L` landmarks: the scalar
-//! [`SndEngine::series_distances`] under an active tier and the tile
-//! paths carry every landmark's rows, so they equal
-//! [`SndEngine::distance`] and [`SndEngine::distance_interval`].
+//! Every surface prices over all `L` landmarks, so the scalar
+//! [`SndEngine::series_distances`] under an active tier equals
+//! [`SndEngine::distance`] on each transition. An engine whose tier is
+//! inactive builds no landmark row.
 //!
 //! The envelope solves behind each term start **coarse**: a side of more
 //! than 1,024 residual users, and the bank side at any size, is cut into
@@ -122,9 +122,8 @@
 //! built per engine is the landmark set. Shard checkpoints written under an active
 //! approximate tier persist each tile's `[lo, hi]` pairs (`I` lines, see
 //! [`shard`]), so merged matrices stay re-certifiable; `SND_APPROX_TRACE=1` prints a
-//! per-run summary of sketch repairs/reuses/rebuilds, the
-//! sketch→ball→re-ball→exact refinement ladder, and per-phase wall
-//! time.
+//! per-run summary of the sketch→ball→re-ball→exact refinement ladder
+//! and per-phase wall time.
 
 pub mod approx;
 pub mod banks;
@@ -141,7 +140,7 @@ pub use approx::{ApproxConfig, ApproxError, SndInterval};
 pub use banks::GroundGeometry;
 pub use batch::DistanceMatrix;
 pub use config::{ClusterSpec, GammaPolicy, SndConfig};
-pub use delta::{BallSteps, DeltaStateGeometry, SketchRows, REPAIR_EDGE_FRACTION};
+pub use delta::{BallSteps, DeltaStateGeometry, REPAIR_EDGE_FRACTION};
 pub use engine::{SndBreakdown, SndEngine, StateGeometry};
 pub use ordered::CandidateEvaluator;
 pub use shard::{

@@ -123,7 +123,7 @@ use std::sync::Arc;
 use snd_graph::NodeId;
 use snd_models::{NetworkState, Opinion};
 
-use crate::approx::SndInterval;
+use crate::approx::{ApproxConfig, SndInterval};
 use crate::batch::{fold_terms, DistanceMatrix, SeedRows};
 use crate::delta::{chain_geometry, DeltaStateGeometry};
 use crate::engine::{SndEngine, StateGeometry};
@@ -590,6 +590,24 @@ impl TileSet {
         let (id, idx) = self.pair_slot(i, j)?;
         let (lower, upper) = self.tiles.get(&id)?.intervals.as_ref()?[idx];
         Some(SndInterval { lower, upper })
+    }
+
+    /// The adjacent transitions `(t − 1, t)` read off the superdiagonal
+    /// through `read` ([`pair`](Self::pair) for distances,
+    /// [`pair_interval`](Self::pair_interval) for certified intervals),
+    /// `states − 1` values in series order.
+    ///
+    /// # Panics
+    /// If `read` finds no value for some transition: the set must hold
+    /// every superdiagonal tile, as a superdiagonal plan's run leaves it.
+    pub fn adjacent<T>(&self, read: impl Fn(&Self, usize, usize) -> Option<T>) -> Vec<T> {
+        (1..self.grid.k)
+            .map(|t| {
+                read(self, t - 1, t)
+                    // lint:allow(no-unwrap) documented panic: callers run a superdiagonal plan first
+                    .expect("the tile set covers every transition")
+            })
+            .collect()
     }
 
     /// `(tile id, index into the tile's pair order)` of an off-diagonal
@@ -1215,16 +1233,23 @@ impl<'g> SndEngine<'g> {
     /// merged, is bit-identical to
     /// [`pairwise_distances_seq`](Self::pairwise_distances_seq).
     pub fn pairwise_tiles(&self, states: &[NetworkState], plan: &ShardPlan) -> TileSet {
+        self.plan_tiles(states, plan, self.approx_if_active().as_ref())
+    }
+
+    /// [`pairwise_tiles`](Self::pairwise_tiles) priced with `approx`
+    /// (`None`: exact) instead of the engine's active tier: the entry
+    /// the series surfaces run their superdiagonal plan through.
+    pub(crate) fn plan_tiles(
+        &self,
+        states: &[NetworkState],
+        plan: &ShardPlan,
+        approx: Option<&ApproxConfig>,
+    ) -> TileSet {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.pairwise_tiles_in(
-            states,
-            plan,
-            &mut TileWorkspace::for_one_plan(),
-            &mut set,
-            &mut |_| Ok(()),
-        )
-        // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
-        .expect("in-memory tile computation performs no IO");
+        let mut ws = TileWorkspace::for_one_plan();
+        self.tiles_in(states, plan, approx, &mut ws, &mut set, &mut |_| Ok(()))
+            // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
+            .expect("in-memory tile computation performs no IO");
         set
     }
 
@@ -1300,6 +1325,21 @@ impl<'g> SndEngine<'g> {
         set: &mut TileSet,
         on_tile: &mut OnTile<'_>,
     ) -> Result<(), ShardError> {
+        let approx = self.approx_if_active();
+        self.tiles_in(states, plan, approx.as_ref(), ws, set, on_tile)
+    }
+
+    /// The tile loop of [`pairwise_tiles_in`](Self::pairwise_tiles_in),
+    /// pricing every term with `approx` (`None`: exact).
+    fn tiles_in(
+        &self,
+        states: &[NetworkState],
+        plan: &ShardPlan,
+        approx: Option<&ApproxConfig>,
+        ws: &mut TileWorkspace,
+        set: &mut TileSet,
+        on_tile: &mut OnTile<'_>,
+    ) -> Result<(), ShardError> {
         let grid = plan.grid();
         assert_eq!(
             grid.states(),
@@ -1312,9 +1352,9 @@ impl<'g> SndEngine<'g> {
             .copied()
             .filter(|id| !set.contains(*id))
             .collect();
-        // An active approximate tier prices every term as a certified
-        // envelope; persist those alongside the scalar tile values.
-        let certified = self.approx_if_active().is_some();
+        // The approximate tier prices every term as a certified envelope;
+        // persist those alongside the scalar tile values.
+        let certified = approx.is_some();
 
         let tile_states: Vec<Vec<usize>> = todo
             .iter()
@@ -1379,7 +1419,8 @@ impl<'g> SndEngine<'g> {
             }
 
             let pairs = grid.pairs(id);
-            let terms = self.price_pairs(states, |s| ws.geoms.get(&s), &mut ws.seeds, &pairs);
+            let live = |s| ws.geoms.get(&s);
+            let terms = self.price_pairs(states, live, &mut ws.seeds, &pairs, approx);
             let (values, intervals) = fold_terms(&terms, certified);
 
             let mut lines = vec![TileLine::Values { id, values }];

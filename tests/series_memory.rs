@@ -1,8 +1,9 @@
-//! Series evaluation memory contract: `SndEngine::series_distances` holds
-//! at most **two** `StateGeometry` bundles alive at any instant — each
-//! bundle carries O(n) geometry per opinion plus its SSSP row cache, so a
-//! long series on a large graph must never hold T of them (mirroring the
-//! PR 3 tile behavior of dropping bundles at last use).
+//! Series evaluation memory contract: `SndEngine::series_distances`, the
+//! superdiagonal tile plan, holds at most **two** `StateGeometry` bundles
+//! alive at any instant — each bundle carries its row cache and shares
+//! O(n) geometry per opinion with the bundle chain, so a long series on a
+//! large graph must never hold T of them: the plan drops each bundle
+//! after the last transition that reads it.
 //!
 //! This test lives alone in its own integration binary: the live/peak
 //! accounting is process-wide, and concurrent tests creating bundles
@@ -31,10 +32,10 @@ fn series_evaluation_keeps_at_most_two_bundles_alive() {
         StateGeometry::reset_peak_live();
         let distances = engine.series_distances(&series.states);
         assert_eq!(distances.len(), series.states.len() - 1);
-        // The delta path borrows its two repairable bundles into the term
-        // evaluation and materializes no batch `StateGeometry` at all —
-        // the bound catches any regression back to per-state (O(T))
-        // bundle materialization.
+        // The superdiagonal plan builds each state's bundle when its first
+        // transition comes up and drops it after its last, so two are
+        // live at once — the bound catches any regression back to
+        // per-state (O(T)) bundle materialization.
         assert!(
             StateGeometry::peak_live() <= 2,
             "series evaluation must keep at most 2 bundles alive, saw {}",

@@ -1,18 +1,19 @@
-//! Delta-repaired landmark sketches are bit-identical to fresh builds.
+//! Landmark rows repaired along a series price exactly as fresh ones.
 //!
-//! The certified series path carries one sketch bundle along the series,
-//! repairing the `2·L` landmark SSSP rows through each transition's
-//! touched edges instead of resketching every snapshot. Shortest-path
-//! distances are the unique relaxation fixpoint, so a repaired row must
-//! equal a from-scratch row **bit for bit** — these tests pin that for
-//! every registry scenario (all model families and graph generators),
-//! both opinion planes, both row directions (to- and from-landmark), and
-//! across the high-churn boundary where the repair path gives way to the
-//! fresh-rebuild fallback.
+//! Under an approximate tier the tile plans, and with them both series
+//! surfaces, write each state's `2·L` landmark SSSP rows ahead of the
+//! solves, repairing every row from the previous state's row through the
+//! edge costs that changed. Shortest-path distances are the unique
+//! relaxation fixpoint, so a repaired row equals a from-scratch row bit
+//! for bit, and every transition of a series must price exactly as the
+//! same pair priced on its own from fresh bundles — for every registry
+//! scenario (all model families and graph generators) and across the
+//! high-churn boundary where repair gives way to fresh rows.
 
-use snd::core::{ApproxConfig, DeltaStateGeometry, ShardPlan, SndConfig, SndEngine, TileGrid};
+use snd::core::{ApproxConfig, ShardPlan, SndConfig, SndEngine, TileGrid, TileSet, TileWorkspace};
 use snd::data::registry;
-use snd::models::{NetworkState, Opinion, StateDelta};
+use snd::graph::CsrGraph;
+use snd::models::NetworkState;
 
 /// Approximate-tier config that builds sketches on tiny test graphs.
 fn approx(epsilon: f64, landmarks: usize) -> SndConfig {
@@ -24,97 +25,6 @@ fn approx(epsilon: f64, landmarks: usize) -> SndConfig {
             ..Default::default()
         }),
         ..SndConfig::default()
-    }
-}
-
-/// Every landmark row of the stepped bundle's sketches must equal the
-/// corresponding row of a bundle built from scratch at the same state.
-fn assert_sketches_match(
-    name: &str,
-    t: usize,
-    stepped: &DeltaStateGeometry,
-    fresh: &DeltaStateGeometry,
-) {
-    for op in [Opinion::Positive, Opinion::Negative] {
-        let (s, f) = match (stepped.sketch(op), fresh.sketch(op)) {
-            (Some(s), Some(f)) => (s, f),
-            (None, None) => continue,
-            (s, f) => panic!(
-                "{name} t={t} {op:?}: sketch presence diverged (stepped {}, fresh {})",
-                s.is_some(),
-                f.is_some()
-            ),
-        };
-        assert_eq!(
-            s.landmarks(),
-            f.landmarks(),
-            "{name} t={t} {op:?}: landmark sets"
-        );
-        for idx in 0..s.landmark_count() {
-            for reverse in [false, true] {
-                assert_eq!(
-                    s.row(idx, reverse),
-                    f.row(idx, reverse),
-                    "{name} t={t} {op:?} landmark {idx} reverse={reverse}: repaired row diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn stepped_sketches_equal_fresh_builds_on_every_registry_scenario() {
-    for mut sc in registry() {
-        sc.nodes = 60;
-        sc.steps = 4;
-        let series = sc.run(11).expect(sc.name);
-        let engine = SndEngine::new(&series.graph, approx(0.25, 3));
-        let mut cur = DeltaStateGeometry::fresh(&engine, &series.states[0]);
-        assert!(
-            cur.sketch(Opinion::Positive).is_some() && cur.sketch(Opinion::Negative).is_some(),
-            "{}: per-bin banks on a lossless domain must carry sketches",
-            sc.name
-        );
-        for t in 1..series.states.len() {
-            let delta =
-                StateDelta::between(&series.graph, &series.states[t - 1], &series.states[t]);
-            if !delta.is_empty() {
-                cur = cur.step(&engine, &series.states[t], &delta);
-            }
-            let fresh = DeltaStateGeometry::fresh(&engine, &series.states[t]);
-            assert_sketches_match(sc.name, t, &cur, &fresh);
-        }
-    }
-}
-
-#[test]
-fn sketch_repair_survives_the_high_churn_fallback_boundary() {
-    // A hand-built series that straddles `REPAIR_EDGE_FRACTION`: single
-    // flips touch a handful of path edges (repair path), a global flip
-    // touches every edge (fresh-rebuild fallback), then a single flip
-    // repairs on top of the rebuilt sketch again.
-    let n = 48usize;
-    let g = snd::graph::generators::path_graph(n);
-    let engine = SndEngine::new(&g, approx(0.25, 3));
-
-    let base: Vec<i8> = (0..n).map(|u| (u % 3) as i8 - 1).collect();
-    let mut one_flip = base.clone();
-    one_flip[0] = 1;
-    let all_flip: Vec<i8> = one_flip.iter().map(|v| -v).collect();
-    let mut settle = all_flip.clone();
-    settle[n - 1] = 0;
-    let states: Vec<NetworkState> = [base, one_flip, all_flip, settle]
-        .iter()
-        .map(|v| NetworkState::from_values(v))
-        .collect();
-
-    let mut cur = DeltaStateGeometry::fresh(&engine, &states[0]);
-    for t in 1..states.len() {
-        let delta = StateDelta::between(&g, &states[t - 1], &states[t]);
-        assert!(!delta.is_empty());
-        cur = cur.step(&engine, &states[t], &delta);
-        let fresh = DeltaStateGeometry::fresh(&engine, &states[t]);
-        assert_sketches_match("high-churn boundary", t, &cur, &fresh);
     }
 }
 
@@ -148,29 +58,114 @@ fn epsilon_zero_series_midpoints_match_the_exact_series() {
     }
 }
 
-/// The scalar series routes each term exactly as a one-off distance does:
-/// with the approximate tier active for scalar queries (`min_nodes` 0),
-/// every transition of `series_distances` — priced over delta-repaired
-/// sketch rows — equals `distance` on the same pair, which fetches fresh
-/// landmark rows, bit for bit.
+/// Every transition of both series surfaces equals the same pair priced
+/// on its own: `series_distances` equals `distance` and `series_intervals`
+/// equals `distance_interval`, bit for bit. Returns how many transitions
+/// were priced as proper (non-zero-width) intervals.
+fn assert_series_equal_pairs(name: &str, engine: &SndEngine<'_>, states: &[NetworkState]) -> usize {
+    let values = engine.series_distances(states);
+    let intervals = engine.series_intervals(states).expect("per-bin banks");
+    assert_eq!(values.len(), states.len() - 1);
+    assert_eq!(intervals.len(), states.len() - 1);
+    let mut widened = 0;
+    for (t, w) in states.windows(2).enumerate() {
+        let d = engine.distance(&w[0], &w[1]);
+        assert_eq!(
+            values[t].to_bits(),
+            d.to_bits(),
+            "{name} t={t}: series {} vs distance {d}",
+            values[t]
+        );
+        let (iv, fresh) = (
+            intervals[t],
+            engine.distance_interval(&w[0], &w[1]).unwrap(),
+        );
+        assert_eq!(
+            (iv.lower.to_bits(), iv.upper.to_bits()),
+            (fresh.lower.to_bits(), fresh.upper.to_bits()),
+            "{name} t={t}: series {iv:?} vs distance_interval {fresh:?}"
+        );
+        widened += usize::from(iv.width() > 0.0);
+    }
+    widened
+}
+
+/// Both series surfaces route each term exactly as a one-off pair does:
+/// with the approximate tier active for scalar queries (`min_nodes` 0)
+/// and more than three landmarks, every transition's value and certified
+/// interval — priced over landmark rows repaired along the series —
+/// equal `distance` and `distance_interval` on the same pair, which build
+/// every row from scratch, bit for bit.
 #[test]
 fn active_tier_series_equals_pairwise_distance_bit_for_bit() {
+    let mut widened = 0;
     for mut sc in registry().into_iter().take(4) {
         sc.nodes = 300;
         sc.steps = 6;
         let series = sc.run(3).expect(sc.name);
         let engine = SndEngine::new(&series.graph, approx(0.2, 4));
-        let values = engine.series_distances(&series.states);
-        assert_eq!(values.len(), series.states.len() - 1);
-        for (t, (w, v)) in series.states.windows(2).zip(&values).enumerate() {
-            let d = engine.distance(&w[0], &w[1]);
-            assert_eq!(
-                v.to_bits(),
-                d.to_bits(),
-                "{} t={t}: series {v} vs distance {d}",
-                sc.name
-            );
-        }
+        widened += assert_series_equal_pairs(sc.name, &engine, &series.states);
+    }
+    // The sketch tier, not only its tiny-problem exact shortcut, ran.
+    assert!(widened > 0, "no transition was priced as a proper interval");
+
+    // A hand-built series that straddles `REPAIR_EDGE_FRACTION`: single
+    // flips touch a handful of path edges (rows repair), a global flip
+    // touches every edge (rows are computed fresh), then a single flip
+    // repairs on top of the fresh rows again.
+    let n = 48usize;
+    let g = snd::graph::generators::path_graph(n);
+    let base: Vec<i8> = (0..n).map(|u| (u % 3) as i8 - 1).collect();
+    let mut one_flip = base.clone();
+    one_flip[0] = 1;
+    let all_flip: Vec<i8> = one_flip.iter().map(|v| -v).collect();
+    let mut settle = all_flip.clone();
+    settle[n - 1] = 0;
+    let states: Vec<NetworkState> = [base, one_flip, all_flip, settle]
+        .iter()
+        .map(|v| NetworkState::from_values(v))
+        .collect();
+    let engine = SndEngine::new(&g, approx(0.2, 4));
+    assert_series_equal_pairs("high-churn boundary", &engine, &states);
+}
+
+/// An approx config whose `min_nodes` the graph does not reach leaves the
+/// engine exact: its tile plans price the same values from the same rows
+/// as the engine without the config, and build no landmark row.
+#[test]
+fn an_inactive_tier_builds_no_landmark_rows() {
+    let run = |g: &CsrGraph, config: SndConfig, s: &[NetworkState]| {
+        let engine = SndEngine::new(g, config);
+        let plan = ShardPlan::full(TileGrid::new(s.len(), 2));
+        let mut ws = TileWorkspace::new();
+        let fp = engine.shard_fingerprint(s);
+        let mut set = TileSet::empty(*plan.grid(), fp);
+        engine
+            .pairwise_tiles_in(s, &plan, &mut ws, &mut set, &mut |_| Ok(()))
+            .unwrap();
+        assert_eq!(
+            set.certified_tile_count(),
+            0,
+            "the exact tier certifies nothing"
+        );
+        (set.to_matrix().unwrap(), ws.fresh_rows())
+    };
+    for mut sc in registry().into_iter().take(3) {
+        sc.nodes = 200;
+        sc.steps = 5;
+        let series = sc.run(5).expect(sc.name);
+        let inactive = SndConfig {
+            approx: Some(ApproxConfig {
+                min_nodes: series.graph.node_count() + 1,
+                ..Default::default()
+            }),
+            ..SndConfig::default()
+        };
+        let (exact, exact_rows) = run(&series.graph, SndConfig::default(), &series.states);
+        let (gated, gated_rows) = run(&series.graph, inactive, &series.states);
+        assert_eq!(gated, exact, "{}: values", sc.name);
+        assert_eq!(gated_rows, exact_rows, "{}: fresh rows", sc.name);
+        assert!(exact_rows > 0, "{}: the plan computed no row", sc.name);
     }
 }
 
