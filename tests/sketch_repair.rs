@@ -108,11 +108,15 @@ fn active_tier_series_equals_pairwise_distance_bit_for_bit() {
     }
     // The sketch tier, not only its tiny-problem exact shortcut, ran.
     assert!(widened > 0, "no transition was priced as a proper interval");
+}
 
-    // A hand-built series that straddles `REPAIR_EDGE_FRACTION`: single
-    // flips touch a handful of path edges (rows repair), a global flip
-    // touches every edge (rows are computed fresh), then a single flip
-    // repairs on top of the fresh rows again.
+/// The same series-equals-pairs check on a hand-built series that
+/// straddles `REPAIR_EDGE_FRACTION`: single flips touch a handful of path
+/// edges (rows repair), a global flip touches every edge (rows are
+/// computed fresh), then a single flip repairs on top of the fresh rows
+/// again.
+#[test]
+fn sketch_repair_survives_the_high_churn_fallback_boundary() {
     let n = 48usize;
     let g = snd::graph::generators::path_graph(n);
     let base: Vec<i8> = (0..n).map(|u| (u % 3) as i8 - 1).collect();
