@@ -15,9 +15,10 @@
 //! their delta (`delta::chain_geometry`), and every `(ground state,
 //! opinion, direction, user)` SSSP row is written at most once into the
 //! bundle's shared [`RowCache`](crate::sparse::RowCache). Pairs are then
-//! priced in one place, `SndEngine::price_pairs`, which runs three
-//! phases, once per tile over the tile's pairs. Pairs of identical
-//! states price to zero without a solve.
+//! priced in one place, `SndEngine::price_pairs` (a single pair too, as
+//! the pair `(0, 1)` of `[a, b]`), which runs three phases, once per tile
+//! over the tile's pairs. Pairs of identical states price to zero without
+//! a solve.
 //!
 //! 1. **Keys.** Every EMD\* term is classified
 //!    (`sparse::classify_term`) and only its row keys are kept: ground
@@ -53,14 +54,22 @@
 //!    A group seeds from whichever of these lies nearest its first ground
 //!    state in snapshot order and works in the seed. After its last step
 //!    the working row becomes that step's cached row if the cache keeps
-//!    full rows, and replaces the key's row in the store otherwise. A
-//!    stored row's state may have no live bundle any more (an earlier tile
-//!    or lease dropped it), so every change list comes from the two
-//!    states: their `StateDelta`, then `update_edge_costs` on a copy of
-//!    the ground's costs, under the same cap. The store thus holds at most
-//!    one full row per key and no geometry of a dropped state. On a series
-//!    whose change lists stay under the cap, a full plan computes one
-//!    fresh row per key at every tile edge.
+//!    full rows. Otherwise it replaces the key's row in the store if the
+//!    caller keeps the key, and is dropped if not. A stored row's state
+//!    may have no live bundle any more (an earlier tile or lease dropped
+//!    it), so every change list comes from the two states: their
+//!    `StateDelta`, then `update_edge_costs` on a copy of the ground's
+//!    costs, under the same cap. The store thus holds at most one full
+//!    row per key and no geometry of a dropped state. On a series whose
+//!    change lists stay under the cap, a full plan computes one fresh row
+//!    per key at every tile edge.
+//!
+//!    Which keys the store keeps is the caller's rule, by user: a carried
+//!    workspace keeps every key, a workspace for one plan the users a
+//!    later tile reads (none after its final tile), a single pair none.
+//!    A group without a seed owns a full working row, allocated on the
+//!    calling thread, only when that row outlives it; any other group
+//!    walks in its thread's transient row.
 //! 3. **Solve.** The four EMD\* terms of every pair fan out over the
 //!    thread pool individually through the engine's one term router,
 //!    `SndEngine::price_term` (the exact tier runs
@@ -85,15 +94,18 @@
 //! [`RowCache::repaired_rows`](crate::sparse::RowCache::repaired_rows)
 //! reports the split. Its rows keep 253 (+) or 257 (−) of 10,000 columns,
 //! and each cache plane as many slots, so the matrix holds 1,320 gathered
-//! rows and 220 full ones where it held 1,320 full rows. The full plan
-//! computes the same 220 fresh rows at every tile edge, and so does each
-//! worker of an orchestrated run. In the *warm* regime (a second call
-//! over the same workspace, or `pairwise_distances_with` over pre-filled
-//! bundles) phase 2 finds only cache hits, and a term costs its exact
-//! transportation solve plus the assembly of its reduced cost matrix.
+//! rows where it held 1,320 full rows. Its one tile is its plan's final
+//! tile, so its 220 groups walk in transient rows and it keeps no seed.
+//! The full plan computes the same 220 fresh rows at every tile edge,
+//! and so does each worker of an orchestrated run. In the *warm* regime
+//! (a second call over the same workspace, or `pairwise_distances_with`
+//! over pre-filled bundles) phase 2 finds only cache hits, and a term
+//! costs its exact transportation solve plus the assembly of its reduced
+//! cost matrix.
 //!
 //! [`GroundGeometry::is_lossless`]: crate::banks::GroundGeometry::is_lossless
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -184,12 +196,12 @@ impl<'g> SndEngine<'g> {
         let pairs: Vec<(usize, usize)> = (0..k)
             .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
             .collect();
-        let mut seeds = SeedRows::default();
         let approx = self.approx_if_active();
         let terms = self.price_pairs(
             states,
             |s| geoms.get(s),
-            &mut seeds,
+            &mut SeedRows::default(),
+            |_| false,
             &pairs,
             approx.as_ref(),
         );
@@ -217,15 +229,17 @@ impl<'g> SndEngine<'g> {
     /// envelopes per pair in [`SndBreakdown`] order; [`fold_terms`] turns
     /// them into distances. `live(s)` is state `s`'s bundle, or `None`
     /// when it has none; it must have one for every state in `pairs`.
-    /// `seeds` holds full rows to repair from and takes the newest full
-    /// row of every key phase 2 caches gathered. `approx` prices every
-    /// term on the approximate tier (`None`: exact). The matrix, every
-    /// tile plan and both series surfaces price through here.
+    /// `seeds` holds full rows to repair from; afterwards it holds only
+    /// rows of users `keep` accepts, and takes the newest full row of
+    /// each such key phase 2 caches gathered. `approx` prices every term
+    /// on the approximate tier (`None`: exact). Every surface prices
+    /// through here.
     pub(crate) fn price_pairs<'a, G>(
         &self,
         states: &[NetworkState],
         live: G,
         seeds: &mut SeedRows,
+        keep: impl Fn(NodeId) -> bool,
         pairs: &[(usize, usize)],
         approx: Option<&ApproxConfig>,
     ) -> Vec<(f64, f64)>
@@ -234,7 +248,7 @@ impl<'g> SndEngine<'g> {
     {
         // lint:allow(no-unwrap) callers hold a live bundle for every state in `pairs`
         let bundle = |s: usize| live(s).expect("a live bundle for every state in pairs");
-        self.fill_pair_rows(states, &live, seeds, pairs, approx);
+        self.fill_pair_rows(states, &live, seeds, keep, pairs, approx);
         // Fan out at term granularity (4 independent EMD* solves per pair):
         // term cost varies wildly with the pair's residual size, so finer
         // work items load-balance better than whole pairs.
@@ -250,7 +264,8 @@ impl<'g> SndEngine<'g> {
                 let (forward, op) = term_role(t % 4);
                 let (ground, other) = if forward { (i, j) } else { (j, i) };
                 let (p, q) = (&states[ground], &states[other]);
-                let iv = self.price_term(bundle(ground).ground(op), p, q, op, approx);
+                let b = bundle(ground);
+                let iv = self.price_term(b.plane(op), &b.cache, p, q, op, approx);
                 (iv.lower, iv.upper)
             })
             .collect()
@@ -259,13 +274,14 @@ impl<'g> SndEngine<'g> {
     /// Phases 1 and 2 of [`price_pairs`](Self::price_pairs):
     /// writes into the ground states' caches every SSSP row the terms of
     /// `pairs` will read, repairing rows along the snapshot order where it
-    /// can. `live`, `seeds` and `approx` are as in
+    /// can. `live`, `seeds`, `keep` and `approx` are as in
     /// [`price_pairs`](Self::price_pairs).
     fn fill_pair_rows<'a, G>(
         &self,
         states: &[NetworkState],
         live: G,
         seeds: &mut SeedRows,
+        keep: impl Fn(NodeId) -> bool,
         pairs: &[(usize, usize)],
         approx: Option<&ApproxConfig>,
     ) where
@@ -391,21 +407,23 @@ impl<'g> SndEngine<'g> {
             // here rather than in the pool: allocating in the workers
             // fragmented the per-thread arenas and raised peak RSS. A
             // cache of full rows takes the working row itself as the last
-            // step's row; a gathered one gets a buffer, and `seeds` keeps
-            // the working row.
-            let written = steps.len() - usize::from(!geom(last.ground).cache.is_gathered(op));
+            // step's row; a gathered one gets a buffer.
+            let last_full = !geom(last.ground).cache.is_gathered(op);
+            let written = steps.len() - usize::from(last_full);
             let rows = steps[..written]
                 .iter()
                 .map(|s| vec![0; geom(s.ground).cache.width(op)].into_boxed_slice())
                 .collect();
-            // The group walks in its seed, or in a fresh buffer.
-            let full = seed.unwrap_or_else(|| vec![0; n].into_boxed_slice());
+            // The group walks in its seed. Without one it owns a buffer
+            // only when its row outlives it (see the module docs).
+            let full =
+                seed.or_else(|| (last_full || keep(node)).then(|| vec![0; n].into_boxed_slice()));
             groups.push(RowGroup {
                 op,
                 reverse,
                 node,
                 steps,
-                rows: Mutex::new(GroupRows { steps: rows, full }),
+                rows: Mutex::new(GroupRows { rows, full }),
             });
         }
 
@@ -414,7 +432,14 @@ impl<'g> SndEngine<'g> {
         // step the row is written in its cache's form.
         groups.par_iter().for_each(|grp| {
             let mut guard = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
-            let GroupRows { steps: rows, full } = &mut *guard;
+            let GroupRows { rows, full: own } = &mut *guard;
+            // A group that owns no working row walks in its thread's
+            // transient one and hands it back afterwards.
+            let transient = own.is_none();
+            let full = own.get_or_insert_with(|| {
+                let row = WORK_ROW.take().filter(|row| row.len() == n);
+                row.unwrap_or_else(|| vec![0; n].into_boxed_slice())
+            });
             let mut scratch = RepairScratch::new();
             for (at, step) in grp.steps.iter().enumerate() {
                 let plane = geom(step.ground).plane(grp.op);
@@ -437,14 +462,16 @@ impl<'g> SndEngine<'g> {
                     geom(step.ground).cache.gather_into(grp.op, full, out);
                 }
             }
+            if transient {
+                WORK_ROW.set(own.take());
+            }
         });
 
         for grp in groups {
-            let GroupRows { steps: rows, full } = grp
+            let GroupRows { rows, mut full } = grp
                 .rows
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner);
-            let mut full = Some(full);
             let mut rows = rows.into_iter();
             for step in &grp.steps {
                 // lint:allow(no-unwrap) only the last step goes without a buffer
@@ -459,27 +486,32 @@ impl<'g> SndEngine<'g> {
                 seeds.0.insert(key, (last.ground, full));
             }
         }
+        // The store keeps the users `keep` accepts: the other users' older
+        // rows go, and so do the seeds their groups walked in.
+        seeds.0.retain(|&(_, _, node), _| keep(node));
     }
+}
+
+thread_local! {
+    /// The working row of a group that owns none (see `GroupRows::full`):
+    /// one per thread, reused by every such group the thread walks.
+    static WORK_ROW: Cell<Option<Box<[u32]>>> = const { Cell::new(None) };
 }
 
 /// An `(opinion, direction, user)` row key as `(negative, reverse, user)`.
 type RowKey = (bool, bool, NodeId);
 
 /// The repair seeds a tile workspace keeps across its calls: the newest
-/// full row phase 2 wrote of each key whose rows are cached gathered,
-/// with the state it belongs to. At most one row per key and no geometry:
-/// every change list comes from the two states (`state_changes`).
+/// full row phase 2 wrote of each key whose rows are cached gathered and
+/// whose user the caller keeps, with the state it belongs to. At most one
+/// row per key and no geometry: every change list comes from the two
+/// states (`state_changes`).
 #[derive(Default)]
 pub(crate) struct SeedRows(HashMap<RowKey, (usize, Box<[u32]>)>);
 
+#[cfg(test)]
 impl SeedRows {
-    /// Drops the rows of every user `keep` rejects.
-    pub(crate) fn retain_users(&mut self, keep: impl Fn(NodeId) -> bool) {
-        self.0.retain(|&(_, _, node), _| keep(node));
-    }
-
     /// Every stored row as `((negative, reverse, user), state, row)`.
-    #[cfg(test)]
     pub(crate) fn rows(&self) -> impl Iterator<Item = (RowKey, usize, &[u32])> {
         self.0.iter().map(|(&key, (s, row))| (key, *s, &row[..]))
     }
@@ -544,11 +576,12 @@ struct RowGroup {
 struct GroupRows {
     /// One per step, each in its cache's form, but for a last step whose
     /// cache keeps full rows.
-    steps: Vec<Box<[u32]>>,
-    /// The group's full working row: the seed it took, or a fresh
-    /// buffer. After the last step, that step's cache keeps it if it
-    /// keeps full rows, and the seed store otherwise.
-    full: Box<[u32]>,
+    rows: Vec<Box<[u32]>>,
+    /// The group's full working row: the seed it took, a fresh buffer
+    /// when the row outlives the group, or `None` to walk in the thread's
+    /// transient row. After the last step, that step's cache keeps it if
+    /// it keeps full rows, and the seed store otherwise.
+    full: Option<Box<[u32]>>,
 }
 
 /// One ground state's row of a [`RowGroup`].
@@ -593,6 +626,7 @@ fn state_changes(
 mod tests {
     use super::*;
     use crate::config::SndConfig;
+    use crate::sparse::{Columns, RowCache};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use snd_graph::generators::{barabasi_albert, path_graph};
@@ -719,6 +753,63 @@ mod tests {
             fresh(&warm) - held.len(),
             all.difference(&held).count(),
             "held keys repair from the pre-filled rows"
+        );
+    }
+
+    /// A keep-nothing rule leaves the seed store empty and prices every
+    /// term bit for bit as a keep-everything rule does, over bundles that
+    /// cache rows gathered, as the tile paths' do: its groups walk in
+    /// transient rows, which no cache or store keeps.
+    #[test]
+    fn a_keep_nothing_rule_stores_no_seed_and_prices_identically() {
+        let mut rng = SmallRng::seed_from_u64(33);
+        let g = barabasi_albert(300, 3, &mut rng);
+        let values: Vec<i8> = (0..300)
+            .map(|_| [1, -1, 0, 0][rng.gen_range(0..4)])
+            .collect();
+        let mut s = vec![NetworkState::from_values(&values)];
+        for _ in 1..5 {
+            let mut next = s[s.len() - 1].clone();
+            for _ in 0..4 {
+                next.set(
+                    rng.gen_range(0..300),
+                    Opinion::from_value(rng.gen_range(-1..=1)),
+                );
+            }
+            s.push(next);
+        }
+        let engine = SndEngine::new(&g, SndConfig::default());
+        let cols = Columns::read_by(&s, false);
+        assert!(cols.iter().all(Option::is_some), "rows are cached gathered");
+        let pairs: Vec<(usize, usize)> = (0..s.len())
+            .flat_map(|i| ((i + 1)..s.len()).map(move |j| (i, j)))
+            .collect();
+        let price = |keep: fn(NodeId) -> bool| {
+            let bundles: Vec<StateGeometry> = s
+                .iter()
+                .map(|st| {
+                    let plane = |op| engine.geometry(st, op);
+                    let cache = RowCache::gathered(300, cols.clone());
+                    StateGeometry::new(plane(Opinion::Positive), plane(Opinion::Negative), cache)
+                })
+                .collect();
+            let mut seeds = SeedRows::default();
+            let terms = engine.price_pairs(&s, |i| bundles.get(i), &mut seeds, keep, &pairs, None);
+            let bits: Vec<(u64, u64)> = terms
+                .iter()
+                .map(|t| (t.0.to_bits(), t.1.to_bits()))
+                .collect();
+            (bits, terms, seeds.rows().count())
+        };
+        let (all, terms, stored) = price(|_| true);
+        let (none, _, empty) = price(|_| false);
+        assert!(stored > 0, "a keep-everything rule stores seeds");
+        assert_eq!(empty, 0, "a keep-nothing rule stores none");
+        assert_eq!(none, all, "bit-identical terms");
+        let seq = engine.pairwise_distances_seq(&s);
+        assert_eq!(
+            DistanceMatrix::from_upper(s.len(), &fold_terms(&terms, false).0),
+            seq
         );
     }
 

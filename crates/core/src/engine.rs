@@ -4,8 +4,9 @@
 //!
 //! [`SndEngine`] is immutable after construction and `Sync`: share one
 //! engine by reference across any number of threads. Per-call parallelism
-//! is internal — [`breakdown`](SndEngine::breakdown) evaluates its four
-//! EMD\* terms concurrently, and
+//! is internal — [`breakdown`](SndEngine::breakdown) builds its two
+//! bundles concurrently, then fills their SSSP rows and prices its four
+//! EMD\* terms over the thread pool, and
 //! [`pairwise_distances`](SndEngine::pairwise_distances) fans comparisons
 //! out over all cores. [`series_distances`](SndEngine::series_distances)
 //! is the superdiagonal tile plan (see [`crate::shard`]): it walks the
@@ -17,15 +18,18 @@
 //! # One path per term
 //!
 //! Every EMD\* term of every surface is priced by one router,
-//! `SndEngine::price_term`: it takes the term's ground (geometry and
-//! optional row cache), its states, its opinion and the approximate-tier
-//! config, if any, and runs the exact sparse path or the certified
-//! approximate one. The scalar surfaces pass the config only when the
-//! approximate tier is active for this engine; the interval surfaces
-//! always pass it. The four terms of one pair fan out through one helper,
-//! `SndEngine::pair_terms`. The all-pairs path ([`crate::batch`]), and
-//! with it every tile plan and both series surfaces, prices its terms
-//! one work item at a time through the same router.
+//! `SndEngine::price_term`: it takes the term's ground plane and row
+//! cache, its states, its opinion and the approximate-tier config, if
+//! any, and runs the exact sparse path or the certified approximate one.
+//! The scalar surfaces pass the config only when the approximate tier is
+//! active for this engine; the interval surfaces always pass it. Its one
+//! caller is `SndEngine::price_pairs` ([`crate::batch`]): a single pair
+//! is the pair `(0, 1)` of `[a, b]`, and the matrix, every tile plan and
+//! both series surfaces price their tiles' pairs. The `*_seq` references
+//! and [`CandidateEvaluator::price`](crate::CandidateEvaluator::price)
+//! stay outside it; the latter solves through
+//! `sparse::solve_reduced_term`, so it prices exactly even when the
+//! engine's approximate tier is active.
 //!
 //! Parallelism nests safely: terms running on the shared rayon pool may
 //! themselves fan out; the pool's caller-participation guarantee means
@@ -39,10 +43,10 @@ use snd_models::{NetworkState, Opinion};
 
 use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval};
 use crate::banks::{compute_geometry, GroundGeometry};
-use crate::batch::{term_role, term_value};
+use crate::batch::{term_value, SeedRows};
 use crate::config::{ClusterSpec, SndConfig};
 use crate::shard::{ShardPlan, TileGrid, TileSet};
-use crate::sparse::RowCache;
+use crate::sparse::{Columns, RowCache};
 use crate::{approx, dense, sparse};
 
 /// The four EMD\* terms of Eq. 3.
@@ -74,40 +78,6 @@ impl SndBreakdown {
             backward_neg: value(&terms[3]),
         }
     }
-}
-
-/// The scalar breakdown of four priced terms, each read off its envelope
-/// by [`term_value`].
-fn breakdown_of(terms: &[SndInterval; 4]) -> SndBreakdown {
-    SndBreakdown::from_terms(terms, |t| term_value((t.lower, t.upper)))
-}
-
-/// The certified SND interval of four priced terms: `½·Σ` of each
-/// envelope end (interval arithmetic over independent certified bounds).
-fn interval_of(terms: &[SndInterval; 4]) -> SndInterval {
-    SndInterval {
-        lower: SndBreakdown::from_terms(terms, |t| t.lower).total(),
-        upper: SndBreakdown::from_terms(terms, |t| t.upper).total(),
-    }
-}
-
-/// Where one EMD\* term reads its ground from: the ground geometry and
-/// the row cache its SSSP rows go through (`None`: computed term-locally).
-#[derive(Clone, Copy)]
-pub(crate) struct TermGround<'a> {
-    pub(crate) geom: &'a GroundGeometry,
-    pub(crate) cache: Option<&'a RowCache>,
-}
-
-/// The four term grounds of pair `(a, b)` in [`SndBreakdown`] order, from
-/// the two states' bundles.
-fn pair_grounds<'a>(ga: &'a StateGeometry, gb: &'a StateGeometry) -> [TermGround<'a>; 4] {
-    [
-        ga.ground(Opinion::Positive),
-        ga.ground(Opinion::Negative),
-        gb.ground(Opinion::Positive),
-        gb.ground(Opinion::Negative),
-    ]
 }
 
 /// Per-state evaluation bundle: both opinion geometries plus the shared,
@@ -169,15 +139,6 @@ impl StateGeometry {
         match op {
             Opinion::Positive => &self.pos,
             _ => &self.neg,
-        }
-    }
-
-    /// One opinion plane as a term ground: its geometry and the shared
-    /// row cache.
-    pub(crate) fn ground(&self, op: Opinion) -> TermGround<'_> {
-        TermGround {
-            geom: self.plane(op),
-            cache: Some(&self.cache),
         }
     }
 
@@ -278,11 +239,17 @@ impl<'g> SndEngine<'g> {
     /// `(opinion, direction, node)` row is computed at most once per
     /// ground state no matter how many comparisons touch it.
     pub fn state_geometry(&self, state: &NetworkState) -> StateGeometry {
+        self.bundle(state, RowCache::new(self.graph.node_count()))
+    }
+
+    /// [`state_geometry`](Self::state_geometry) around the given empty
+    /// row cache.
+    fn bundle(&self, state: &NetworkState, cache: RowCache) -> StateGeometry {
         let (pos, neg) = rayon::join(
             || self.geometry(state, Opinion::Positive),
             || self.geometry(state, Opinion::Negative),
         );
-        StateGeometry::new(pos, neg, RowCache::new(self.graph.node_count()))
+        StateGeometry::new(pos, neg, cache)
     }
 
     /// SND between two states via the sparse (Theorem 4) path.
@@ -336,28 +303,13 @@ impl<'g> SndEngine<'g> {
         }
     }
 
-    /// The four Eq. 3 terms via the sparse path. Geometries and terms are
-    /// evaluated concurrently; the result is bit-identical to a sequential
+    /// The four Eq. 3 terms via the sparse path: `price_pairs` (see
+    /// [`crate::batch`]) over the one pair `(a, b)`, on two bundles built
+    /// concurrently. The result is bit-identical to a sequential
     /// evaluation.
     pub fn breakdown(&self, a: &NetworkState, b: &NetworkState) -> SndBreakdown {
-        let ((ga_pos, ga_neg), (gb_pos, gb_neg)) = rayon::join(
-            || {
-                rayon::join(
-                    || self.geometry(a, Opinion::Positive),
-                    || self.geometry(a, Opinion::Negative),
-                )
-            },
-            || {
-                rayon::join(
-                    || self.geometry(b, Opinion::Positive),
-                    || self.geometry(b, Opinion::Negative),
-                )
-            },
-        );
-        let ground = |geom| TermGround { geom, cache: None };
-        let grounds = [&ga_pos, &ga_neg, &gb_pos, &gb_neg].map(ground);
-        let terms = self.pair_terms(a, b, grounds, self.approx_if_active().as_ref());
-        breakdown_of(&terms)
+        let terms = self.price_fresh_pair(a, b, self.approx_if_active().as_ref());
+        SndBreakdown::from_terms(&terms, |&t| term_value(t))
     }
 
     /// [`breakdown`](Self::breakdown) over per-state bundles: `ga` must be
@@ -372,22 +324,53 @@ impl<'g> SndEngine<'g> {
         ga: &StateGeometry,
         gb: &StateGeometry,
     ) -> SndBreakdown {
-        let grounds = pair_grounds(ga, gb);
-        let terms = self.pair_terms(a, b, grounds, self.approx_if_active().as_ref());
-        breakdown_of(&terms)
+        let states = [a.clone(), b.clone()];
+        let terms = self.price_pair(&states, [ga, gb], self.approx_if_active().as_ref());
+        SndBreakdown::from_terms(&terms, |&t| term_value(t))
+    }
+
+    /// The four term envelopes of the pair `states` in [`SndBreakdown`]
+    /// order, by `price_pairs` over its two bundles with `approx` (`None`:
+    /// exact). The seed store lives for the call: it keeps no row.
+    fn price_pair(
+        &self,
+        states: &[NetworkState; 2],
+        bundles: [&StateGeometry; 2],
+        approx: Option<&ApproxConfig>,
+    ) -> Vec<(f64, f64)> {
+        let live = |s: usize| bundles.get(s).copied();
+        let seeds = &mut SeedRows::default();
+        self.price_pairs(states, live, seeds, |_| false, &[(0, 1)], approx)
+    }
+
+    /// [`price_pair`](Self::price_pair) on two fresh bundles, built
+    /// concurrently, whose caches keep rows as the tile paths' do
+    /// (`Columns::read_by`).
+    fn price_fresh_pair(
+        &self,
+        a: &NetworkState,
+        b: &NetworkState,
+        approx: Option<&ApproxConfig>,
+    ) -> Vec<(f64, f64)> {
+        let states = [a.clone(), b.clone()];
+        let cols = Columns::read_by(&states, approx.is_some());
+        let n = self.graph.node_count();
+        let bundle = |s| self.bundle(s, RowCache::gathered(n, cols.clone()));
+        let (ga, gb) = rayon::join(|| bundle(a), || bundle(b));
+        self.price_pair(&states, [&ga, &gb], approx)
     }
 
     /// The one EMD\* term router: prices `EMD*(Pᵒᵖ, Qᵒᵖ, D(ground, op))`
-    /// on the exact tier when `approx` is `None` (a zero-width interval),
-    /// else on the approximate tier (its certified interval). Every
-    /// surface prices its terms here:
-    /// the scalar ones pass [`approx_if_active`](Self::approx_if_active),
-    /// the interval ones their validated config. Without a row cache the
-    /// approximate tier prices through a term-local one (the interval is
-    /// certified either way; a shared cache just reuses SSSPs).
+    /// over the ground's plane `geom` and row `cache` on the exact tier
+    /// when `approx` is `None` (a zero-width interval), else on the
+    /// approximate tier (its certified interval). Every surface prices
+    /// its terms here, through `price_pairs`: the scalar ones pass
+    /// [`approx_if_active`](Self::approx_if_active), the interval ones
+    /// their validated config.
     pub(crate) fn price_term(
         &self,
-        ground: TermGround<'_>,
+        geom: &GroundGeometry,
+        cache: &RowCache,
         p: &NetworkState,
         q: &NetworkState,
         op: Opinion,
@@ -397,55 +380,26 @@ impl<'g> SndEngine<'g> {
             return SndInterval::exact(sparse::emd_star_term(
                 self.graph,
                 &self.clustering,
-                ground.geom,
+                geom,
                 p,
                 q,
                 op,
                 &self.config,
-                ground.cache,
+                Some(cache),
             ));
         };
-        let interval = |cache: &RowCache| {
-            approx::emd_star_term_interval(
-                self.graph,
-                &self.clustering,
-                self.approx_ctx(),
-                ground.geom,
-                p,
-                q,
-                op,
-                &self.config,
-                approx_cfg,
-                cache,
-            )
-        };
-        match ground.cache {
-            Some(cache) => interval(cache),
-            None => interval(&RowCache::new(self.graph.node_count())),
-        }
-    }
-
-    /// The one four-term fan-out: the Eq. 3 terms of `(a, b)` through
-    /// [`price_term`](Self::price_term), concurrently, in [`SndBreakdown`]
-    /// order. `grounds[which]` is term `which`'s ground — `a`'s planes for
-    /// the forward terms, `b`'s for the backward ones.
-    fn pair_terms(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        grounds: [TermGround<'_>; 4],
-        approx: Option<&ApproxConfig>,
-    ) -> [SndInterval; 4] {
-        let term = |which: usize| {
-            let (forward, op) = term_role(which);
-            let (p, q) = if forward { (a, b) } else { (b, a) };
-            self.price_term(grounds[which], p, q, op, approx)
-        };
-        let ((t0, t1), (t2, t3)) = rayon::join(
-            || rayon::join(|| term(0), || term(1)),
-            || rayon::join(|| term(2), || term(3)),
-        );
-        [t0, t1, t2, t3]
+        approx::emd_star_term_interval(
+            self.graph,
+            &self.clustering,
+            self.approx_ctx(),
+            geom,
+            p,
+            q,
+            op,
+            &self.config,
+            approx_cfg,
+            cache,
+        )
     }
 
     /// The approx config when the approximate tier handles this engine's
@@ -488,10 +442,15 @@ impl<'g> SndEngine<'g> {
         b: &NetworkState,
     ) -> Result<SndInterval, ApproxError> {
         let approx_cfg = self.validated_approx()?;
-        let (ga, gb) = rayon::join(|| self.state_geometry(a), || self.state_geometry(b));
-        let terms = self.pair_terms(a, b, pair_grounds(&ga, &gb), Some(&approx_cfg));
+        let terms = self.price_fresh_pair(a, b, Some(&approx_cfg));
         approx::emit_trace_summary("distance_interval");
-        Ok(interval_of(&terms))
+        // `½·Σ` of each envelope end: interval arithmetic over independent
+        // certified bounds.
+        let total = |end: fn(&(f64, f64)) -> f64| SndBreakdown::from_terms(&terms, end).total();
+        Ok(SndInterval {
+            lower: total(|e| e.0),
+            upper: total(|e| e.1),
+        })
     }
 
     /// Certified intervals for every adjacent transition of a series —

@@ -184,7 +184,9 @@ impl<'e, 'g> CandidateEvaluator<'e, 'g> {
     /// Ordered SND from the anchor to the candidate described by `flips`
     /// (`(node, new opinion)`, any order, last-wins on duplicates, no-op
     /// entries ignored). Bit-identical to the sequential scan of
-    /// `apply_flips(anchor, flips)` against the anchor's geometry.
+    /// `apply_flips(anchor, flips)` against the anchor's geometry, and
+    /// exact even when the engine's approximate tier is active: both terms
+    /// solve through `sparse::solve_reduced_term`, not the term router.
     pub fn price(&self, flips: &[(NodeId, Opinion)]) -> f64 {
         let flips = normalize_flips(&self.anchor, flips);
         self.price_normalized(&flips, true)
@@ -376,6 +378,53 @@ mod tests {
                 term(&geoms[0]) + term(&geoms[1])
             })
             .collect()
+    }
+
+    /// `price` solves through `sparse::solve_reduced_term`, not the
+    /// engine's term router: on an engine whose approximate tier is
+    /// active (and sketches these terms), it still prices exactly.
+    #[test]
+    fn pricing_stays_exact_under_an_active_approximate_tier() {
+        let mut rng = SmallRng::seed_from_u64(43);
+        let n = 400;
+        let g = barabasi_albert(n, 3, &mut rng);
+        let config = SndConfig {
+            approx: Some(crate::ApproxConfig {
+                min_nodes: 0,
+                ..Default::default()
+            }),
+            ..SndConfig::default()
+        };
+        let engine = SndEngine::new(&g, config);
+        assert!(engine.approx_if_active().is_some());
+        let values: Vec<i8> = (0..n).map(|_| [1, -1, 0, 0][rng.gen_range(0..4)]).collect();
+        let anchor = NetworkState::from_values(&values);
+        let candidates: Vec<Vec<(NodeId, Opinion)>> = (0..4)
+            .map(|_| {
+                (0..60)
+                    .map(|_| {
+                        let u = rng.gen_range(0..n as NodeId);
+                        (u, Opinion::from_value(rng.gen_range(-1..=1)))
+                    })
+                    .collect()
+            })
+            .collect();
+        let evaluator = CandidateEvaluator::new(&engine, anchor.clone());
+        let to: Vec<NetworkState> = candidates.iter().map(|f| apply_flips(&anchor, f)).collect();
+        let prices: Vec<u64> = candidates
+            .iter()
+            .map(|f| evaluator.price(f).to_bits())
+            .collect();
+        let exact: Vec<u64> = scan_prices(&engine, &anchor, &to)
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
+        assert_eq!(prices, exact);
+        // The tier is not idle here: it sketches some term of these pairs.
+        assert!(to.iter().any(|t| {
+            let iv = engine.distance_interval(&anchor, t).unwrap();
+            iv.lower < iv.upper
+        }));
     }
 
     #[test]

@@ -121,7 +121,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use snd_graph::NodeId;
-use snd_models::{NetworkState, Opinion};
+use snd_models::NetworkState;
 
 use crate::approx::{ApproxConfig, SndInterval};
 use crate::batch::{fold_terms, DistanceMatrix, SeedRows};
@@ -1124,11 +1124,12 @@ fn parse_value(field: &str) -> Option<f64> {
 /// ([`SndEngine::pairwise_tiles`],
 /// [`SndEngine::pairwise_tiles_checkpointed`]) bound the store by the
 /// plan instead. A pair reads a user's rows only if its two states
-/// differ at that user, so after each tile the store drops the rows of
-/// every user that no later tile of the plan may read. A superdiagonal
-/// plan over a series thus holds only the keys of users that change
-/// again ahead, where a workspace from `new` would hold every key of the
-/// series.
+/// differ at that user, so after each tile the store keeps only the rows
+/// of users a later tile of the plan may read, and after the final tile
+/// none. A superdiagonal plan over a series thus holds only the keys of
+/// users that change again ahead, where a workspace from `new` would
+/// hold every key of the series, and a row group whose key no later tile
+/// reads walks in a transient row instead of a full row of its own.
 #[derive(Default)]
 pub struct TileWorkspace {
     /// The chain head: the last state built, still repairable.
@@ -1377,9 +1378,9 @@ impl<'g> SndEngine<'g> {
         for &s in tile_states.last().into_iter().flatten() {
             last_use[s] = Some(usize::MAX);
         }
-        // A workspace for one plan drops, after each tile but the final
-        // one (the workspace goes with the plan), the seeds of every user
-        // no later tile of the plan may read.
+        // A workspace for one plan keeps, after each tile, only the seeds
+        // of users a later tile of the plan may read: none after the
+        // final tile. A carried workspace keeps every seed.
         let last_read = ws.one_plan.then(|| last_reads(states, &tile_states));
         let untouched: Vec<usize> = ws
             .geoms
@@ -1390,16 +1391,9 @@ impl<'g> SndEngine<'g> {
         for s in untouched {
             ws.drop_bundle(s);
         }
-        // The approximate tier reads rows at arbitrary nodes: full rows.
         let cols = ws
             .cols
-            .get_or_insert_with(|| {
-                if certified {
-                    [None, None]
-                } else {
-                    [Opinion::Positive, Opinion::Negative].map(|op| Columns::read_by(states, op))
-                }
-            })
+            .get_or_insert_with(|| Columns::read_by(states, certified))
             .clone();
 
         // Per-tile wall clock for the `W` checkpoint lines: geometry
@@ -1420,7 +1414,11 @@ impl<'g> SndEngine<'g> {
 
             let pairs = grid.pairs(id);
             let live = |s| ws.geoms.get(&s);
-            let terms = self.price_pairs(states, live, &mut ws.seeds, &pairs, approx);
+            let keep = |u| match &last_read {
+                Some(last) => last.get(&u).is_some_and(|&last| last > pos),
+                None => true,
+            };
+            let terms = self.price_pairs(states, live, &mut ws.seeds, keep, &pairs, approx);
             let (values, intervals) = fold_terms(&terms, certified);
 
             let mut lines = vec![TileLine::Values { id, values }];
@@ -1437,10 +1435,6 @@ impl<'g> SndEngine<'g> {
                 if last_use[s] == Some(pos) {
                     ws.drop_bundle(s);
                 }
-            }
-            if let Some(last_read) = last_read.as_ref().filter(|_| pos + 1 < todo.len()) {
-                ws.seeds
-                    .retain_users(|u| last_read.get(&u).is_some_and(|&last| last > pos));
             }
             mark = std::time::Instant::now();
         }
@@ -1479,6 +1473,8 @@ mod tests {
     use super::*;
     use crate::config::SndConfig;
     use snd_graph::generators::path_graph;
+    use snd_models::Opinion;
+    use std::collections::BTreeSet;
 
     /// Each present tile's values.
     fn values(set: &TileSet) -> BTreeMap<usize, &[f64]> {
@@ -2518,27 +2514,20 @@ mod tests {
                 assert_eq!(ws.fresh_rows(), keys, "fresh rows at tile {tile}");
                 assert_eq!(ws.seeds.rows().count(), keys, "seed rows at tile {tile}");
                 // A workspace for one plan drops the rows no later tile
-                // reads, and computes no more fresh rows for it.
+                // reads, none left after the final tile, and computes no
+                // more fresh rows for it.
                 let mut own = TileWorkspace::for_one_plan();
                 tiles_in(&engine, &s, &plan, &mut own);
                 assert_eq!(own.fresh_rows(), keys, "one-plan fresh rows at tile {tile}");
-                let last = final_tile_users(&plan, &s);
-                assert!(own.seeds.rows().all(|((_, _, u), ..)| last.contains(&u)));
+                assert_eq!(own.seeds.rows().count(), 0, "seeds kept at tile {tile}");
             }
         }
     }
 
-    /// The users on which the states of `plan`'s last tile disagree: after
-    /// a plan of more than one tile over a workspace for one plan, the
-    /// only users whose full rows its seed store may still hold.
-    fn final_tile_users(plan: &ShardPlan, s: &[NetworkState]) -> std::collections::BTreeSet<u32> {
-        let id = *plan.tile_ids().last().unwrap();
-        let touched: Vec<usize> = plan
-            .grid()
-            .pairs(id)
-            .iter()
-            .flat_map(|&(i, j)| [i, j])
-            .collect();
+    /// The users on which the states of tile `id` disagree: the users
+    /// whose rows its pairs may read.
+    fn differing_users(grid: &TileGrid, id: usize, s: &[NetworkState]) -> BTreeSet<u32> {
+        let touched: Vec<usize> = grid.pairs(id).iter().flat_map(|&(i, j)| [i, j]).collect();
         (0..s[0].len() as u32)
             .filter(|&u| {
                 touched
@@ -2551,8 +2540,9 @@ mod tests {
     #[test]
     fn a_superdiagonal_plan_drops_the_rows_of_users_that_stop_changing() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
-        // Every step flips users no other step flips: each pair reads
-        // keys of its own, and none is read again.
+        // Every step flips users of its own, and from step 3 on flips back
+        // two users of the step two before: a later tile reads those
+        // users' rows again, and no other user's.
         let mut rng = SmallRng::seed_from_u64(23);
         let (n, k) = (400, 12);
         let g = snd_graph::generators::barabasi_albert(n, 3, &mut rng);
@@ -2565,25 +2555,50 @@ mod tests {
             for u in (step * 5..step * 5 + 5).map(|u| u as u32) {
                 next.set(u, Opinion::from_value(rng.gen_range(0..2) * 2 - 1));
             }
+            if step >= 3 {
+                for u in [(step - 2) * 5, (step - 2) * 5 + 1].map(|u| u as u32) {
+                    next.set(u, Opinion::from_value(-next.opinion(u).value()));
+                }
+            }
             states.push(next);
         }
         let engine = SndEngine::new(&g, SndConfig::default());
         let seq = engine.pairwise_distances_seq(&states);
         let plan = ShardPlan::superdiagonal(TileGrid::new(k, 2));
+        let ids = plan.tile_ids();
         let mut ws = TileWorkspace::for_one_plan();
-        let set = tiles_in(&engine, &states, &plan, &mut ws);
+        let mut set = TileSet::empty(*plan.grid(), 0);
+        let mut kept = 0;
+        for (pos, &id) in ids.iter().enumerate() {
+            // The hook stops each call after its first tile, so the store
+            // is seen as that tile left it; the next call goes on with the
+            // plan's remaining tiles.
+            let mut lines = Vec::new();
+            let stop = engine.tiles_in(&states, &plan, None, &mut ws, &mut set, &mut |l| {
+                lines.extend_from_slice(l);
+                Err(ShardError::Format("stop".into()))
+            });
+            assert!(stop.is_err());
+            for line in lines {
+                set.accept(line);
+            }
+            assert!(set.contains(id));
+            let later: BTreeSet<u32> = ids[pos + 1..]
+                .iter()
+                .flat_map(|&t| differing_users(plan.grid(), t, &states))
+                .collect();
+            let stored: Vec<u32> = ws.seeds.rows().map(|((_, _, u), ..)| u).collect();
+            assert!(
+                stored.iter().all(|u| later.contains(u)),
+                "tile {id}: {stored:?}"
+            );
+            kept = kept.max(stored.len());
+        }
+        assert!(kept > 0, "no tile kept the seed of a user read again");
+        assert_eq!(ws.seeds.rows().count(), 0, "the final tile keeps no seed");
         for t in 1..k {
             assert_eq!(set.pair(t - 1, t), Some(seq.at(t - 1, t)));
         }
-        let last = final_tile_users(&plan, &states);
-        let stored: Vec<u32> = ws.seeds.rows().map(|((_, _, u), ..)| u).collect();
-        assert!(!stored.is_empty());
-        assert!(stored.iter().all(|u| last.contains(u)), "{stored:?}");
-        assert!(
-            stored.len() * 3 < ws.fresh_rows(),
-            "{} rows kept",
-            stored.len()
-        );
     }
 
     #[test]

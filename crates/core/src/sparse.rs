@@ -14,8 +14,8 @@
 //!    always columns and the number of SSSP runs is always the residual
 //!    count of the *heavier* side.
 //! 3. **Rows** — one Dial's-algorithm run per row node over the bounded
-//!    integer costs, unless the [`RowCache`] already holds the row (the
-//!    all-pairs path fills it ahead of the solves, repairing rows across
+//!    integer costs, unless the [`RowCache`] already holds the row (every
+//!    engine surface fills it ahead of the solves, repairing rows across
 //!    ground states — see [`crate::batch`]); bank columns come from the
 //!    precomputed [`GroundGeometry`] (`γ + inter-cluster distance`),
 //!    needing no per-comparison SSSP.
@@ -71,34 +71,41 @@ pub(crate) struct Columns {
 }
 
 impl Columns {
-    /// The columns of opinion `op` that pricing any pair of `states`
-    /// reads, or `None` when that is every node: some state has no user
-    /// holding `op` (per-bin banks then spread its surplus over every
-    /// bin), or every node holds `op` somewhere.
-    pub(crate) fn read_by(states: &[NetworkState], op: Opinion) -> Option<Arc<Columns>> {
-        let n = states.first()?.len();
-        let mut kept = vec![false; n];
-        for state in states {
-            let mut any = false;
-            for (k, &o) in kept.iter_mut().zip(state.opinions()) {
-                if o == op {
-                    *k = true;
-                    any = true;
-                }
-            }
-            if !any {
+    /// The columns of each opinion (positive, negative) that pricing any
+    /// pair of `states` reads, or `None` for full rows: under a
+    /// `certified` tier, which reads rows at arbitrary nodes (landmarks,
+    /// refined rows), and where that is every node: some state has no
+    /// user holding the opinion (per-bin banks then spread its surplus
+    /// over every bin), or every node holds it somewhere.
+    pub(crate) fn read_by(states: &[NetworkState], certified: bool) -> [Option<Arc<Columns>>; 2] {
+        [Opinion::Positive, Opinion::Negative].map(|op| {
+            if certified {
                 return None;
             }
-        }
-        let nodes: Box<[NodeId]> = (0..n as NodeId).filter(|&u| kept[u as usize]).collect();
-        if nodes.len() == n {
-            return None;
-        }
-        let mut slot = vec![u32::MAX; n].into_boxed_slice();
-        for (i, &u) in nodes.iter().enumerate() {
-            slot[u as usize] = i as u32;
-        }
-        Some(Arc::new(Columns { nodes, slot }))
+            let n = states.first()?.len();
+            let mut kept = vec![false; n];
+            for state in states {
+                let mut any = false;
+                for (k, &o) in kept.iter_mut().zip(state.opinions()) {
+                    if o == op {
+                        *k = true;
+                        any = true;
+                    }
+                }
+                if !any {
+                    return None;
+                }
+            }
+            let nodes: Box<[NodeId]> = (0..n as NodeId).filter(|&u| kept[u as usize]).collect();
+            if nodes.len() == n {
+                return None;
+            }
+            let mut slot = vec![u32::MAX; n].into_boxed_slice();
+            for (i, &u) in nodes.iter().enumerate() {
+                slot[u as usize] = i as u32;
+            }
+            Some(Arc::new(Columns { nodes, slot }))
+        })
     }
 
     /// Node `node`'s index among the kept columns; panics (off the end of
@@ -159,21 +166,24 @@ impl<'a> Row<'a> {
 /// Each opinion's rows carry one column map. A cache from
 /// [`RowCache::new`] keeps full rows (`n` entries, the identity map) in
 /// `n` slots indexed by node, so a row cached by one query serves every
-/// later one: series evaluation, candidate search, the approximate tier
-/// and caller-built bundles use these, and such a cache hands a row group
-/// a copy of its hit as a repair seed. The tile paths (and so the matrix)
-/// keep each row gathered to the columns their snapshot set's terms read
+/// later one: candidate search, caller-built bundles
+/// ([`SndEngine::state_geometry`](crate::SndEngine::state_geometry)) and
+/// every bundle of the approximate tier use these, and such a cache hands
+/// a row group a copy of its hit as a repair seed. The engine's own
+/// exact bundles (every tile plan, and so the matrix and both series
+/// surfaces, and a single pair's two fresh bundles) keep each row
+/// gathered to the columns their snapshot set's terms read
 /// (`Columns::read_by`), a few hundred entries instead of `n`, in as many
 /// slots, indexed through the column set: a row's user holds its opinion
 /// in one of the term's two states, so a gathered cache's row keys are
-/// always among its columns. A gathered row cannot seed a repair; the
-/// tile workspace keeps the full rows that do (see [`crate::batch`]).
+/// always among its columns. A gathered row cannot seed a repair; a tile
+/// workspace keeps the full rows that do (see [`crate::batch`]).
 ///
 /// A row gets into the cache one of two ways: a fresh Dial run when a
-/// term asks for a row the cache lacks, or a row the all-pairs
-/// path built ahead of its solves — fresh, or *repaired* from the same
-/// user's row under another ground state with [`snd_graph::repair_row`]
-/// (see [`crate::batch`]). Both kinds are exact, so readers cannot tell
+/// term asks for a row the cache lacks, or a row `price_pairs` built
+/// ahead of its solves — fresh, or *repaired* from the same user's row
+/// under another ground state with [`snd_graph::repair_row`] (see
+/// [`crate::batch`]). Both kinds are exact, so readers cannot tell
 /// them apart. [`computed_rows`](RowCache::computed_rows) counts every
 /// row written, fresh or repaired; [`repaired_rows`](RowCache::repaired_rows)
 /// counts the repaired subset. A cache hit moves neither.
@@ -204,16 +214,6 @@ impl RowCache {
             computed: AtomicUsize::new(0),
             repaired: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of cached rows.
-    pub fn len(&self) -> usize {
-        self.computed_rows()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of rows written into this cache — fresh SSSP runs plus
