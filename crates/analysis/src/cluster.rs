@@ -11,14 +11,6 @@ use snd_models::NetworkState;
 
 use crate::nan_high_cmp;
 
-/// Symmetric pairwise distance matrix over a set of states (row-major,
-/// `states.len()²`). Delegates to the measure's batch path
-/// ([`StateDistance::pairwise`]) — for SND that is the cached, parallel
-/// all-pairs pipeline of `SndEngine::pairwise_distances`.
-pub fn pairwise_distances<D: StateDistance>(dist: &D, states: &[NetworkState]) -> Vec<Vec<f64>> {
-    dist.pairwise(states)
-}
-
 /// Result of k-medoids clustering.
 #[derive(Clone, Debug)]
 pub struct MedoidClustering {
@@ -30,7 +22,8 @@ pub struct MedoidClustering {
     pub cost: f64,
 }
 
-/// k-medoids (PAM-style alternation) over a precomputed distance matrix.
+/// k-medoids (PAM-style alternation) over a precomputed distance matrix,
+/// such as [`StateDistance::pairwise`] returns.
 ///
 /// Deterministic: initial medoids are chosen by maximin spreading from the
 /// state with the smallest total distance to all others; swaps proceed
@@ -159,7 +152,7 @@ mod tests {
     #[test]
     fn pairwise_matrix_is_symmetric_with_zero_diagonal() {
         let states = vec![state(&[1, 0, 0]), state(&[0, 1, 0]), state(&[1, 1, 0])];
-        let m = pairwise_distances(&Hamming, &states);
+        let m = Hamming.pairwise(&states);
         for (i, row) in m.iter().enumerate() {
             assert_eq!(row[i], 0.0);
             for (j, &v) in row.iter().enumerate() {
@@ -184,7 +177,7 @@ mod tests {
             state(&[0, 0, 0, 0, 0, -1, -1, -1]),
         ];
         let states: Vec<NetworkState> = group_a.iter().chain(group_b.iter()).cloned().collect();
-        let m = pairwise_distances(&Hamming, &states);
+        let m = Hamming.pairwise(&states);
         let clustering = k_medoids(&m, 2, 20);
         // All of group A shares a cluster; all of group B the other.
         let a_cluster = clustering.assignment[0];
@@ -197,7 +190,7 @@ mod tests {
     #[test]
     fn k_medoids_single_cluster_minimizes_total_distance() {
         let states = vec![state(&[1, 0, 0]), state(&[1, 1, 0]), state(&[1, 1, 1])];
-        let m = pairwise_distances(&Hamming, &states);
+        let m = Hamming.pairwise(&states);
         let clustering = k_medoids(&m, 1, 10);
         // The middle state is the 1-medoid optimum (total distance 2).
         assert_eq!(clustering.medoids, vec![1]);
@@ -282,7 +275,7 @@ mod tests {
     #[test]
     fn k_equals_n_gives_zero_cost() {
         let states = vec![state(&[1, 0]), state(&[0, 1]), state(&[-1, 0])];
-        let m = pairwise_distances(&Hamming, &states);
+        let m = Hamming.pairwise(&states);
         let clustering = k_medoids(&m, 3, 10);
         assert_eq!(clustering.cost, 0.0);
         let mut sorted = clustering.medoids.clone();

@@ -39,9 +39,7 @@ pub use anomaly::{
     anomaly_scores, anomaly_scores_from_matrix, evaluate_detection, top_k_anomalies,
     DetectionReport,
 };
-pub use cluster::{
-    classify_1nn, k_medoids, nearest_neighbor, pairwise_distances, MedoidClustering,
-};
+pub use cluster::{classify_1nn, k_medoids, nearest_neighbor, MedoidClustering};
 pub use error::AnalysisError;
 pub use intervene::{
     search_interventions, Intervention, InterventionConfig, InterventionPlan, PlannedAction,

@@ -13,13 +13,15 @@
 //!   which share block-row states inside one worker invocation, and it
 //!   starts next to the connection's previous lease (*block affinity*),
 //!   whose final tile's bundles the worker still holds.
-//! * **Leases**: the [`Autotuner`] predicts each tile's cost from
-//!   observed wall times (its own run's, or `W` checkpoint lines from an
-//!   earlier run via [`warm_start`](Autotuner::warm_start)) and composes
+//! * **Leases**: the [`Autotuner`] predicts each tile's cost from the
+//!   compute seconds of `W` lines (its own run's, or an earlier run's
+//!   checkpoint via [`warm_start`](Autotuner::warm_start)) and composes
 //!   leases to a target duration — slow tiles ride alone (the "split"),
-//!   fast tiles coalesce (the "merge"), and a worker's measured
-//!   throughput scales its lease (fast workers get more, stragglers
-//!   less, which is also what keeps re-dispatch cheap).
+//!   fast tiles coalesce (the "merge"), and a worker's speed scales its
+//!   lease (fast workers get more, stragglers less, which is also what
+//!   keeps re-dispatch cheap). The same `W` seconds give that speed
+//!   ([`speed`](Autotuner::speed)): the fleet's seconds per pair over
+//!   the worker's own.
 //!
 //! Until the first measurement lands, every lease is a single tile: the
 //! first round of results *is* the calibration run.
@@ -102,6 +104,16 @@ impl Autotuner {
         }
     }
 
+    /// A worker's speed relative to the fleet, from the seconds and pairs
+    /// of the `W` lines it won: the fleet's seconds per pair over its
+    /// own, 1.0 until it has timed a pair. `compose` clamps it.
+    pub fn speed(&self, secs: f64, pairs: usize) -> f64 {
+        match self.rate {
+            Some(fleet) if pairs > 0 && secs > 0.0 => fleet * pairs as f64 / secs,
+            _ => 1.0,
+        }
+    }
+
     /// Predicted cost of a tile: its own measurement, else the rate
     /// model, else `None` (nothing measured yet anywhere).
     pub fn predict(&self, id: usize) -> Option<f64> {
@@ -113,9 +125,9 @@ impl Autotuner {
 
     /// Composes the next lease from `pending` (ascending, so a lease is
     /// a run of adjacent tiles sharing block-row geometry), removing the
-    /// chosen tiles. `speed` scales the target: a worker measured twice
-    /// as fast as the fleet average gets a lease twice as long, an idle
-    /// or unknown worker gets the base target.
+    /// chosen tiles. `speed` ([`speed`](Self::speed)) scales the target,
+    /// clamped to 0.25–4×: a worker measured twice as fast as the fleet
+    /// gets a lease twice as long, an unmeasured worker the base target.
     ///
     /// `after` is the connection's previous lease (empty for its first).
     /// The lease starts at the lowest pending tile that shares a block

@@ -2,11 +2,12 @@
 //! re-dispatches stragglers, dedups duplicates first-result-wins.
 //!
 //! Single-threaded nonblocking poll loop — [`Coordinator::poll_once`]
-//! accepts connections, drains readable bytes, handles complete lines,
-//! and expires leases; [`Coordinator::run`] wraps it in a sleep loop.
-//! Tests drive `poll_once` directly against in-process fake workers, so
-//! every race (expiry vs. late result, duplicate submission, kill
-//! mid-lease) is steppable and deterministic.
+//! accepts connections, handles every complete line, writes replies, and
+//! releases leases; its caller loops it (`snd orchestrate` does, reaping
+//! its local workers between polls). Tests drive `poll_once` directly
+//! against in-process fake workers, so every race (expiry vs. late
+//! result, duplicate submission, kill mid-lease) is steppable and
+//! deterministic.
 //!
 //! Correctness invariants:
 //! * a tile enters the [`TileSet`] (and the checkpoint file) exactly
@@ -23,16 +24,15 @@
 //!   tile lost the dedup race cannot corrupt the winner's certification.
 
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use snd_core::{Checkpoint, ShardError, TileGrid, TileLine, TileSet};
 
 use crate::autotune::Autotuner;
-use crate::net::{Endpoint, Listener, Stream};
+use crate::net::{Endpoint, LineStream, Listener};
 use crate::protocol::{
-    coordinator_line, parse_worker_msg, CoordinatorMsg, WorkerMsg, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    coordinator_line, parse_worker_msg, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION,
 };
 use crate::OrchestrateError;
 
@@ -45,8 +45,9 @@ pub struct CoordinatorOpts {
     pub lease_timeout: Duration,
     /// Target lease duration the autotuner composes toward.
     pub target_lease: Duration,
-    /// How long `run` lingers after completion so connected workers can
-    /// collect their `DONE` (exits early once every connection closes).
+    /// How long [`Coordinator::finish`] lingers after completion so
+    /// connected workers can collect their `DONE` (it returns early once
+    /// every connection closes).
     pub grace: Duration,
 }
 
@@ -90,18 +91,16 @@ struct Lease {
 
 struct Conn {
     id: u64,
-    stream: Stream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
+    lines: LineStream,
     hello: bool,
     /// Tile of the last `T` line accepted fresh from this connection —
     /// the only tile its `I`/`W` lines may certify/time.
     last_tile: Option<usize>,
-    /// Throughput model: pairs completed and busy seconds, for lease
-    /// scaling.
-    pairs_done: f64,
-    busy_s: f64,
-    lease_started: Option<Instant>,
+    /// Seconds and pairs of the `W` lines this connection won: its own
+    /// seconds per pair, which [`Autotuner::speed`] weighs against the
+    /// fleet's to scale its leases.
+    timed_s: f64,
+    timed_pairs: usize,
     /// Tiles of the last lease granted, for the autotuner's affinity.
     last_lease: Vec<usize>,
     closing: bool,
@@ -109,14 +108,14 @@ struct Conn {
 
 impl Conn {
     fn send(&mut self, msg: &CoordinatorMsg) {
-        self.outbuf
-            .extend_from_slice(coordinator_line(msg).as_bytes());
+        self.lines.queue(&coordinator_line(msg));
     }
 }
 
 /// The coordinator. See the module docs for the model; construct with
-/// [`Coordinator::new`], then either [`run`](Coordinator::run) to
-/// completion or step [`poll_once`](Coordinator::poll_once) manually.
+/// [`Coordinator::new`], step [`poll_once`](Coordinator::poll_once)
+/// until [`is_complete`](Coordinator::is_complete), then
+/// [`finish`](Coordinator::finish).
 pub struct Coordinator {
     grid: TileGrid,
     fingerprint: u64,
@@ -137,8 +136,6 @@ pub struct Coordinator {
     duplicates: usize,
     workers: usize,
     rejected: usize,
-    /// Global mean throughput (pairs/s EWMA) for worker speed scaling.
-    fleet_rate: Option<f64>,
 }
 
 impl Coordinator {
@@ -181,7 +178,6 @@ impl Coordinator {
             duplicates: 0,
             workers: 0,
             rejected: 0,
-            fleet_rate: None,
         })
     }
 
@@ -215,23 +211,20 @@ impl Coordinator {
         }
     }
 
-    /// One poll step: accept, read, handle, expire, flush. Returns
-    /// whether anything happened (callers sleep briefly on `false`).
-    /// Per-connection protocol violations close that connection;
-    /// checkpoint IO errors abort the run.
+    /// One poll step: accept, handle lines, write replies, release
+    /// leases. Returns whether anything happened (callers sleep briefly
+    /// on `false`). Per-connection protocol violations close that
+    /// connection; checkpoint IO errors abort the run.
     pub fn poll_once(&mut self) -> Result<bool, OrchestrateError> {
         let mut progress = false;
         while let Some(stream) = self.listener.accept()? {
             self.conns.push(Conn {
                 id: self.next_conn,
-                stream,
-                inbuf: Vec::new(),
-                outbuf: Vec::new(),
+                lines: LineStream::new(stream),
                 hello: false,
                 last_tile: None,
-                pairs_done: 0.0,
-                busy_s: 0.0,
-                lease_started: None,
+                timed_s: 0.0,
+                timed_pairs: 0,
                 last_lease: Vec::new(),
                 closing: false,
             });
@@ -242,38 +235,20 @@ impl Coordinator {
         for i in 0..self.conns.len() {
             progress |= self.service_conn(i)?;
         }
-        progress |= self.expire_leases();
 
-        // Drop connections that hit EOF or a violation, releasing their
-        // leases immediately — a killed worker's tiles go straight back
-        // into the pool, no need to wait out the deadline.
-        let mut released: Vec<u64> = Vec::new();
+        // Drop closed connections. Their leases go back into the pool at
+        // once, with those past their deadline: a killed worker's tiles
+        // need not wait out the deadline.
+        let mut dead = Vec::new();
         self.conns.retain(|c| {
-            if c.closing && c.outbuf.is_empty() {
-                released.push(c.id);
-                false
-            } else {
-                true
+            if c.closing {
+                dead.push(c.id);
             }
+            !c.closing
         });
-        for conn in released {
-            progress |= self.release_conn_leases(conn);
-        }
+        let now = Instant::now();
+        progress |= self.release_leases(|l| l.deadline <= now || dead.contains(&l.conn));
         Ok(progress)
-    }
-
-    /// Polls until complete, then lingers `grace` for workers to collect
-    /// `DONE`. Errors out if every connection is gone, nothing is
-    /// leased, and nothing is pending-able — which cannot happen while
-    /// tiles remain, so the only exit without completion is an IO error.
-    pub fn run(&mut self) -> Result<OrchestrateReport, OrchestrateError> {
-        while !self.is_complete() {
-            if !self.poll_once()? {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        self.finish()?;
-        Ok(self.report())
     }
 
     /// Post-completion linger: keep answering `NEXT` with `DONE` until
@@ -288,92 +263,35 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Reads, parses, and answers one connection; returns progress.
+    /// Handles every line one connection has sent, then writes what is
+    /// queued for it (nonblocking; small control lines almost always fit
+    /// the socket buffer in one write). Returns progress.
     fn service_conn(&mut self, i: usize) -> Result<bool, OrchestrateError> {
         let mut progress = false;
-        // Drain pending output first (nonblocking): small control lines
-        // almost always fit the socket buffer in one write.
-        {
-            let c = &mut self.conns[i];
-            while !c.outbuf.is_empty() {
-                match c.stream.write(&c.outbuf) {
-                    Ok(0) => {
-                        c.closing = true;
-                        c.outbuf.clear();
-                        break;
-                    }
-                    Ok(n) => {
-                        c.outbuf.drain(..n);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        c.closing = true;
-                        c.outbuf.clear();
-                        break;
-                    }
-                }
+        while !self.conns[i].closing {
+            match self.conns[i].lines.read_line() {
+                Ok(Some(line)) => self.handle_line(i, line.trim_end())?,
+                Ok(None) => break,
+                Err(OrchestrateError::Protocol { reason, .. }) => self.reject(i, &reason),
+                // EOF or a socket error: the worker exited or was killed.
+                Err(_) => self.conns[i].closing = true,
             }
-        }
-
-        // Read what's available.
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            let c = &mut self.conns[i];
-            if c.closing {
-                break;
-            }
-            match c.stream.read(&mut buf) {
-                Ok(0) => {
-                    // EOF: the worker exited or was killed.
-                    c.closing = true;
-                    c.outbuf.clear();
-                    progress = true;
-                    break;
-                }
-                Ok(n) => {
-                    c.inbuf.extend_from_slice(&buf[..n]);
-                    progress = true;
-                    if c.inbuf.len() > MAX_LINE_BYTES {
-                        self.reject(i, "line exceeds maximum length");
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.conns[i].closing = true;
-                    break;
-                }
-            }
-        }
-
-        // Handle every complete line buffered so far.
-        loop {
-            let c = &mut self.conns[i];
-            if c.closing {
-                break;
-            }
-            let Some(nl) = c.inbuf.iter().position(|&b| b == b'\n') else {
-                break;
-            };
-            let line_bytes: Vec<u8> = c.inbuf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..nl]).into_owned();
             progress = true;
-            self.handle_line(i, line.trim_end())?;
+        }
+        let c = &mut self.conns[i];
+        match c.lines.write_queued() {
+            Ok(wrote) => progress |= wrote,
+            Err(_) => c.closing = true,
         }
         Ok(progress)
     }
 
-    /// Sends `ERR` and schedules the connection for closing.
+    /// Queues `ERR` and closes the connection: the `ERR` line gets this
+    /// poll's one write attempt.
     fn reject(&mut self, i: usize, why: &str) {
         self.rejected += 1;
         let c = &mut self.conns[i];
         c.send(&CoordinatorMsg::Err(why.to_string()));
-        // Give the ERR line one direct flush attempt, then close.
-        let _ = c.stream.write(&c.outbuf);
-        c.outbuf.clear();
         c.closing = true;
     }
 
@@ -441,10 +359,9 @@ impl Coordinator {
             self.conns[i].send(&CoordinatorMsg::Done);
             return;
         }
-        let speed = self.conn_speed(i);
-        let tiles = self
-            .tuner
-            .compose(&mut self.pending, speed, &self.conns[i].last_lease);
+        let c = &self.conns[i];
+        let speed = self.tuner.speed(c.timed_s, c.timed_pairs);
+        let tiles = self.tuner.compose(&mut self.pending, speed, &c.last_lease);
         if tiles.is_empty() {
             // Everything is leased out; outstanding leases may yet
             // expire back into the pool.
@@ -469,7 +386,6 @@ impl Coordinator {
             tiles,
         };
         self.leases.push(lease);
-        self.conns[i].lease_started = Some(Instant::now());
         self.conns[i].send(&msg);
     }
 
@@ -488,6 +404,9 @@ impl Coordinator {
         if accepted {
             if let TileLine::Timing { seconds, .. } = line {
                 self.tuner.observe(id, seconds);
+                let c = &mut self.conns[i];
+                c.timed_s += seconds;
+                c.timed_pairs += self.grid.pair_count(id);
             }
             self.ckpt.append(&[line])?;
         }
@@ -501,73 +420,29 @@ impl Coordinator {
         }
         self.conns[i].last_tile = accepted.then_some(id);
         // Either way the tile is no longer owed by any lease.
-        let conn_id = self.conns[i].id;
-        let mut finished_pairs = 0usize;
         for lease in &mut self.leases {
-            if lease.missing.remove(&id) && lease.conn == conn_id {
-                finished_pairs = self.grid.pair_count(id);
-            }
+            lease.missing.remove(&id);
         }
         self.leases.retain(|l| !l.missing.is_empty());
-        if finished_pairs > 0 {
-            let c = &mut self.conns[i];
-            if let Some(t0) = c.lease_started {
-                c.pairs_done += finished_pairs as f64;
-                c.busy_s += t0.elapsed().as_secs_f64();
-                c.lease_started = Some(Instant::now());
-                let rate = c.pairs_done / c.busy_s.max(1e-6);
-                self.fleet_rate = Some(match self.fleet_rate {
-                    Some(old) => 0.7 * old + 0.3 * rate,
-                    None => rate,
-                });
-            }
-        }
         Ok(())
     }
 
-    /// This connection's measured speed relative to the fleet (1.0 when
-    /// unknown) — the autotuner's idle/fast-worker bias.
-    fn conn_speed(&self, i: usize) -> f64 {
-        let c = &self.conns[i];
-        match (self.fleet_rate, c.busy_s > 0.0) {
-            (Some(fleet), true) if fleet > 0.0 => (c.pairs_done / c.busy_s.max(1e-6)) / fleet,
-            _ => 1.0,
-        }
-    }
-
-    /// Returns expired leases' missing tiles to the pool.
-    fn expire_leases(&mut self) -> bool {
-        let now = Instant::now();
-        let mut progress = false;
-        let mut keep = Vec::with_capacity(self.leases.len());
-        for lease in self.leases.drain(..) {
-            if lease.deadline <= now {
-                self.redispatched += lease.missing.len();
-                self.pending.extend(lease.missing.iter().copied());
-                progress = true;
-            } else {
-                keep.push(lease);
+    /// Returns the missing tiles of every lease `lapsed` picks to the
+    /// pool, counting them as re-dispatched; the one path by which a
+    /// lease ends unfinished, whether its deadline passed or its
+    /// connection died.
+    fn release_leases(&mut self, lapsed: impl Fn(&Lease) -> bool) -> bool {
+        let before = self.leases.len();
+        let (pending, redispatched) = (&mut self.pending, &mut self.redispatched);
+        self.leases.retain(|lease| {
+            if !lapsed(lease) {
+                return true;
             }
-        }
-        self.leases = keep;
-        progress
-    }
-
-    /// Releases every lease held by a dead connection.
-    fn release_conn_leases(&mut self, conn: u64) -> bool {
-        let mut progress = false;
-        let mut keep = Vec::with_capacity(self.leases.len());
-        for lease in self.leases.drain(..) {
-            if lease.conn == conn {
-                self.redispatched += lease.missing.len();
-                self.pending.extend(lease.missing.iter().copied());
-                progress = true;
-            } else {
-                keep.push(lease);
-            }
-        }
-        self.leases = keep;
-        progress
+            *redispatched += lease.missing.len();
+            pending.extend(lease.missing.iter().copied());
+            false
+        });
+        self.leases.len() < before
     }
 }
 

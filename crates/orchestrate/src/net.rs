@@ -1,6 +1,7 @@
 //! TCP/Unix socket plumbing shared by coordinator and worker: one
-//! [`Endpoint`] type both sides parse the same way, plus listener/stream
-//! enums so the rest of the crate is transport-agnostic. `std::net` and
+//! [`Endpoint`] type both sides parse the same way, listener/stream enums
+//! so the rest of the crate is transport-agnostic, and [`LineStream`], the
+//! one newline framing both sides speak through. `std::net` and
 //! `std::os::unix::net` only — no async runtime.
 
 use std::io::{Read, Write};
@@ -9,7 +10,11 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use crate::protocol::MAX_LINE_BYTES;
 use crate::OrchestrateError;
+
+/// Bytes one `read` call asks the socket for.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// A listen/connect address: a TCP socket address (`host:port`) or a
 /// Unix socket path (anything containing a `/`). Tests and the CI smoke
@@ -173,6 +178,104 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.flush(),
             Stream::Unix(s) => s.flush(),
+        }
+    }
+}
+
+/// A [`Stream`] framed into newline-terminated protocol lines. Output is
+/// queued and written as the socket takes it; input is buffered until a
+/// line completes. A line still without its newline past
+/// [`MAX_LINE_BYTES`] is a protocol error, raised at most one read chunk
+/// past the bound, so a peer cannot make either side buffer without
+/// limit. Whether a call blocks is the stream's mode: the coordinator
+/// polls nonblocking streams, a worker blocks except while it computes.
+pub struct LineStream {
+    stream: Stream,
+    inbuf: Vec<u8>,
+    /// Length of the `inbuf` prefix already searched for a newline.
+    scanned: usize,
+    outbuf: Vec<u8>,
+}
+
+impl LineStream {
+    /// Frames `stream`.
+    pub fn new(stream: Stream) -> LineStream {
+        LineStream {
+            stream,
+            inbuf: Vec::new(),
+            scanned: 0,
+            outbuf: Vec::new(),
+        }
+    }
+
+    /// The framed stream, for its mode and read timeout.
+    pub fn stream(&self) -> &Stream {
+        &self.stream
+    }
+
+    /// Queues `text` (whole lines) for [`write_queued`](Self::write_queued).
+    pub fn queue(&mut self, text: &str) {
+        self.outbuf.extend_from_slice(text.as_bytes());
+    }
+
+    /// Writes queued output until none is left or a nonblocking socket is
+    /// full; returns whether anything was written.
+    pub fn write_queued(&mut self) -> std::io::Result<bool> {
+        let mut wrote = false;
+        while !self.outbuf.is_empty() {
+            match self.stream.write(&self.outbuf) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::WriteZero,
+                        "peer closed the connection",
+                    ))
+                }
+                Ok(n) => {
+                    self.outbuf.drain(..n);
+                    wrote = true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(wrote)
+    }
+
+    /// The next line, newline stripped, invalid UTF-8 replaced: a buffered
+    /// one, else read until one completes. `Ok(None)` when the socket has
+    /// nothing more for now (a nonblocking stream is drained, or a
+    /// blocking one's read timeout passed). End of stream is
+    /// [`OrchestrateError::Failed`]; an overlong line is
+    /// [`OrchestrateError::Protocol`].
+    pub fn read_line(&mut self) -> Result<Option<String>, OrchestrateError> {
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            if let Some(nl) = self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + nl;
+                let line = String::from_utf8_lossy(&self.inbuf[..end]).into_owned();
+                self.inbuf.drain(..=end);
+                self.scanned = 0;
+                return Ok(Some(line));
+            }
+            self.scanned = self.inbuf.len();
+            if self.inbuf.len() > MAX_LINE_BYTES {
+                return Err(OrchestrateError::Protocol {
+                    line: "<oversized>".into(),
+                    reason: "line exceeds maximum length".into(),
+                });
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(OrchestrateError::Failed(
+                        "peer closed the connection".into(),
+                    ))
+                }
+                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
     }
 }

@@ -34,7 +34,8 @@ pub const PROTOCOL_VERSION: u32 = 1;
 
 /// Longest line either side accepts: a tile line holds `pair_count`
 /// 16-hex-digit words, so even huge tiles fit well under this; anything
-/// longer is garbage and is rejected before it can exhaust memory.
+/// longer is garbage, and [`LineStream`](crate::net::LineStream) rejects
+/// it before it can exhaust memory.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// A message from a worker to the coordinator.

@@ -9,23 +9,24 @@
 //! (see [`crate::autotune`]). The dataset fingerprint is hashed once, for
 //! the handshake.
 //!
-//! Results are streamed with a double-buffered writer: each finished
-//! tile's `T`/`I`/`W` lines go into an output buffer which is drained
-//! *nonblocking* while the engine computes the next tile — the kernel's
-//! socket buffer does the sending, so tile *k*'s flush overlaps tile
-//! *k+1*'s compute with no second thread. Whatever the drain could not
-//! place is settled by one blocking flush at lease end; the time spent
-//! there is the reported `flush_wait_s`.
+//! Results are streamed double-buffered: while a lease computes, the
+//! connection's [`LineStream`] is nonblocking, and each finished tile's
+//! `T`/`I`/`W` lines are queued and written as far as the socket takes
+//! them — the kernel's socket buffer does the sending, so tile *k*'s
+//! flush overlaps tile *k+1*'s compute with no second thread. Whatever
+//! is still queued at lease end goes out in one blocking write; the time
+//! spent there is the reported `flush_wait_s`. Outside a lease the
+//! stream blocks: each request waits for its reply, up to the read
+//! timeout.
 
-use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use snd_core::{ShardPlan, SndEngine, TileGrid, TileLine, TileSet, TileWorkspace};
 use snd_models::NetworkState;
 
-use crate::net::{connect, Endpoint, Stream};
+use crate::net::{connect, Endpoint, LineStream};
 use crate::protocol::{
-    parse_coordinator_msg, worker_line, CoordinatorMsg, WorkerMsg, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    parse_coordinator_msg, worker_line, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION,
 };
 use crate::OrchestrateError;
 
@@ -84,21 +85,16 @@ pub fn run_worker(
     opts: &WorkerOpts,
 ) -> Result<WorkerReport, OrchestrateError> {
     let ep = Endpoint::parse(addr)?;
-    let mut stream = connect(&ep, opts.connect_retry)?;
-    stream.set_read_timeout(Some(opts.read_timeout))?;
+    let mut lines = LineStream::new(connect(&ep, opts.connect_retry)?);
+    lines.stream().set_read_timeout(Some(opts.read_timeout))?;
     let fingerprint = engine.shard_fingerprint(states);
 
-    send_all(
-        &mut stream,
-        worker_line(&WorkerMsg::Hello {
-            version: PROTOCOL_VERSION,
-            fingerprint,
-            k: states.len(),
-        })
-        .as_bytes(),
-    )?;
-    let mut inbuf = Vec::new();
-    let grid = match read_msg(&mut stream, &mut inbuf)? {
+    let hello = WorkerMsg::Hello {
+        version: PROTOCOL_VERSION,
+        fingerprint,
+        k: states.len(),
+    };
+    let grid = match request(&mut lines, &hello)? {
         CoordinatorMsg::Grid {
             grid,
             fingerprint: fp,
@@ -128,17 +124,17 @@ pub fn run_worker(
         ws: TileWorkspace::new(),
     };
     loop {
-        send_all(&mut stream, worker_line(&WorkerMsg::Next).as_bytes())?;
-        match read_msg(&mut stream, &mut inbuf)? {
+        match request(&mut lines, &WorkerMsg::Next)? {
             CoordinatorMsg::Lease { tiles, .. } => {
-                resident.compute(engine, states, tiles, &mut stream, opts, &mut report)?;
+                resident.compute(engine, states, tiles, &mut lines, opts, &mut report)?;
                 report.leases += 1;
             }
             CoordinatorMsg::Wait(ms) => {
                 std::thread::sleep(Duration::from_millis(ms.min(1_000)));
             }
             CoordinatorMsg::Done => {
-                let _ = send_all(&mut stream, worker_line(&WorkerMsg::Bye).as_bytes());
+                lines.queue(&worker_line(&WorkerMsg::Bye));
+                let _ = lines.write_queued();
                 report.fresh_rows = resident.ws.fresh_rows();
                 report.repaired_rows = resident.ws.repaired_rows();
                 return Ok(report);
@@ -169,48 +165,47 @@ impl Resident {
         engine: &SndEngine<'_>,
         states: &[NetworkState],
         tiles: Vec<usize>,
-        stream: &mut Stream,
+        lines: &mut LineStream,
         opts: &WorkerOpts,
         report: &mut WorkerReport,
     ) -> Result<(), OrchestrateError> {
         let plan = ShardPlan::explicit(self.grid, tiles)?;
         let mut set = TileSet::empty(self.grid, self.fingerprint);
-        let mut outbuf: Vec<u8> = Vec::new();
         let mut io_err: Option<std::io::Error> = None;
         let compute_started = Instant::now();
-        let result =
-            engine.pairwise_tiles_in(states, &plan, &mut self.ws, &mut set, &mut |lines| {
-                if !opts.throttle.is_zero() {
-                    // Deterministic straggler hook for kill/re-dispatch
-                    // tests.
-                    std::thread::sleep(opts.throttle);
-                }
-                let mut text = String::new();
-                for line in lines {
-                    match *line {
-                        // The straggler's sleep counts in its reported timing.
-                        TileLine::Timing { id, seconds } => TileLine::Timing {
-                            id,
-                            seconds: seconds + opts.throttle.as_secs_f64(),
-                        }
-                        .write(&mut text),
-                        _ => line.write(&mut text),
+        lines.stream().set_nonblocking(true)?;
+        let result = engine.pairwise_tiles_in(states, &plan, &mut self.ws, &mut set, &mut |tile| {
+            if !opts.throttle.is_zero() {
+                // Deterministic straggler hook for kill/re-dispatch
+                // tests.
+                std::thread::sleep(opts.throttle);
+            }
+            let mut text = String::new();
+            for line in tile {
+                match *line {
+                    // The straggler's sleep counts in its reported timing.
+                    TileLine::Timing { id, seconds } => TileLine::Timing {
+                        id,
+                        seconds: seconds + opts.throttle.as_secs_f64(),
                     }
+                    .write(&mut text),
+                    _ => line.write(&mut text),
                 }
-                outbuf.extend_from_slice(text.as_bytes());
-                report.tiles += 1;
-                // Double-buffered: push what fits into the kernel's
-                // socket buffer and return to computing; the remainder
-                // rides along with the next tile or the end-of-lease
-                // flush.
-                if let Err(e) = drain_nonblocking(stream, &mut outbuf) {
-                    io_err = Some(e);
-                    // Any shard error aborts the engine loop; the real
-                    // cause is restored below.
-                    return Err(snd_core::ShardError::Format("socket write failed".into()));
-                }
-                Ok(())
-            });
+            }
+            lines.queue(&text);
+            report.tiles += 1;
+            // Double-buffered: push what fits into the kernel's
+            // socket buffer and return to computing; the remainder
+            // rides along with the next tile or the end-of-lease
+            // flush.
+            if let Err(e) = lines.write_queued() {
+                io_err = Some(e);
+                // Any shard error aborts the engine loop; the real
+                // cause is restored below.
+                return Err(snd_core::ShardError::Format("socket write failed".into()));
+            }
+            Ok(())
+        });
         match result {
             Ok(_) => {}
             Err(e) => {
@@ -220,10 +215,11 @@ impl Resident {
                 })
             }
         }
-        // End-of-lease settlement: everything the overlapped drain
-        // couldn't place goes out now, blocking. This is usually empty.
+        // End-of-lease settlement: everything the overlapped writes
+        // couldn't place goes out now, blocking. This is usually nothing.
         let t0 = Instant::now();
-        drain_blocking(stream, &mut outbuf)?;
+        lines.stream().set_nonblocking(false)?;
+        lines.write_queued()?;
         let lease_flush = t0.elapsed().as_secs_f64();
         report.flush_wait_s += lease_flush;
         report.compute_s += (compute_started.elapsed().as_secs_f64() - lease_flush).max(0.0);
@@ -231,74 +227,15 @@ impl Resident {
     }
 }
 
-/// Nonblocking drain: writes what the socket accepts, keeps the rest.
-fn drain_nonblocking(stream: &mut Stream, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    stream.set_nonblocking(true)?;
-    loop {
-        if buf.is_empty() {
-            break;
-        }
-        match stream.write(buf) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "coordinator closed the connection",
-                ))
-            }
-            Ok(n) => {
-                buf.drain(..n);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.set_nonblocking(false)?;
-    Ok(())
-}
-
-/// Blocking drain: settles the whole buffer.
-fn drain_blocking(stream: &mut Stream, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.write_all(buf)?;
-    buf.clear();
-    stream.flush()?;
-    Ok(())
-}
-
-fn send_all(stream: &mut Stream, bytes: &[u8]) -> Result<(), OrchestrateError> {
-    stream.set_nonblocking(false)?;
-    stream.write_all(bytes)?;
-    stream.flush()?;
-    Ok(())
-}
-
-/// Reads one newline-terminated coordinator message (blocking, bounded
-/// by the stream's read timeout).
-fn read_msg(stream: &mut Stream, inbuf: &mut Vec<u8>) -> Result<CoordinatorMsg, OrchestrateError> {
-    stream.set_nonblocking(false)?;
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(nl) = inbuf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = inbuf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..nl]).into_owned();
-            return parse_coordinator_msg(&line);
-        }
-        if inbuf.len() > MAX_LINE_BYTES {
-            return Err(OrchestrateError::Protocol {
-                line: "<oversized>".into(),
-                reason: "coordinator line exceeds maximum length".into(),
-            });
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(OrchestrateError::Failed(
-                    "coordinator closed the connection".into(),
-                ))
-            }
-            Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+/// Sends one message and reads the coordinator's reply, blocking up to
+/// the stream's read timeout.
+fn request(lines: &mut LineStream, msg: &WorkerMsg) -> Result<CoordinatorMsg, OrchestrateError> {
+    lines.queue(&worker_line(msg));
+    lines.write_queued()?;
+    match lines.read_line()? {
+        Some(line) => parse_coordinator_msg(&line),
+        None => Err(OrchestrateError::Failed(
+            "no reply from the coordinator within the read timeout".into(),
+        )),
     }
 }

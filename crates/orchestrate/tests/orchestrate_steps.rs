@@ -523,7 +523,13 @@ fn real_worker_loop_completes_against_a_live_coordinator() {
         )
     });
 
-    let report = coord.run().expect("orchestrated run");
+    while !coord.is_complete() {
+        if !coord.poll_once().expect("poll") {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    coord.finish().expect("finish");
+    let report = coord.report();
     let worker_report = worker.join().expect("worker thread").expect("worker run");
     assert_eq!(report.computed, grid.tile_count());
     assert_eq!(worker_report.tiles, grid.tile_count());

@@ -14,7 +14,7 @@ use snd::core::{CandidateEvaluator, SndConfig, SndEngine};
 use snd::data::{generate_series, SyntheticSeriesConfig};
 use snd::graph::NodeId;
 use snd::models::dynamics::VotingConfig;
-use snd::models::{flips_between, Opinion};
+use snd::models::{flips_between, NetworkState, Opinion};
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(23);
@@ -43,12 +43,17 @@ fn main() {
 
     let engine = SndEngine::new(&series.graph, SndConfig::default());
 
-    // Extrapolate the recent SND trend (3 most recent complete states).
+    // Extrapolate the recent SND trend (3 most recent complete states) on
+    // the scale the search ranks candidates by: ordered SND, the two
+    // forward terms that `CandidateEvaluator::price` returns.
     let t = states.len() - 1;
-    let d1 = engine.distance(&states[t - 3], &states[t - 2]);
-    let d2 = engine.distance(&states[t - 2], &states[t - 1]);
+    let ordered = |from: &NetworkState, to: &NetworkState| {
+        CandidateEvaluator::new(&engine, from.clone()).price(&flips_between(from, to))
+    };
+    let d1 = ordered(&states[t - 3], &states[t - 2]);
+    let d2 = ordered(&states[t - 2], &states[t - 1]);
     let d_star = extrapolate_linear(&[d1, d2]).expect("two-point series");
-    println!("recent SND distances: {d1:.2}, {d2:.2}  ->  d* = {d_star:.2}");
+    println!("recent ordered SND distances: {d1:.2}, {d2:.2}  ->  d* = {d_star:.2}");
 
     // Randomized assignment search: every candidate is a flip-list priced
     // in parallel against the anchor's delta geometry — no candidate state

@@ -4,8 +4,9 @@
 //!
 //! Run with `cargo run --release --example state_clustering`.
 
-use snd::analysis::cluster::{classify_1nn, k_medoids, pairwise_distances};
+use snd::analysis::cluster::{classify_1nn, k_medoids};
 use snd::analysis::SndDistance;
+use snd::baselines::StateDistance;
 use snd::core::{SndConfig, SndEngine};
 use snd::data::{generate_series, SyntheticSeriesConfig};
 use snd::models::dynamics::VotingConfig;
@@ -47,7 +48,7 @@ fn main() {
         regime_a,
         states.len() - regime_a
     );
-    let matrix = pairwise_distances(&dist, &states);
+    let matrix = dist.pairwise(&states);
     let clustering = k_medoids(&matrix, 2, 30);
     println!("medoids: {:?}", clustering.medoids);
     println!("assignment: {:?}", clustering.assignment);
