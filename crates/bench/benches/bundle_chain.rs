@@ -3,8 +3,8 @@
 //!
 //! The all-pairs matrix and every tile plan build each state's geometry
 //! bundle through one materializer that steps the previous state's
-//! bundle through their delta (touched-edge costs, cluster-row and γ-ball
-//! repair) instead of rebuilding it. Two series on Barabási–Albert
+//! bundle through their delta (touched-edge costs and γ-ball repair)
+//! instead of rebuilding it. Two series on Barabási–Albert
 //! graphs with 64 BFS cluster banks and eccentricity γ:
 //!
 //! * low churn — the shape of the repo benchmark's `series` input, where
@@ -32,7 +32,10 @@
 //! and repaired SSSP rows of each tile edge's plan. A workspace keeps one
 //! full row per `(opinion, direction, user)` key as a repair seed, so the
 //! fresh-row count does not depend on the tile edge; the bench asserts
-//! that it is the same at every edge. Results land in
+//! that it is the same at every edge. They also give the inter-cluster
+//! rows each plan computed, of both series, next to the `k × states × 2`
+//! rows of an eager build: the bundles compute only the rows of the
+//! clusters that hold a term's row node. Results land in
 //! `BENCH_bundle_chain.json` at the repo root.
 
 use std::time::Duration;
@@ -127,13 +130,21 @@ fn fresh_matrix(engine: &SndEngine<'_>, states: &[NetworkState]) -> DistanceMatr
     engine.pairwise_distances_with(states, &geoms)
 }
 
+/// What one plan computed: its fresh and repaired SSSP rows, and its
+/// inter-cluster rows.
+struct PlanRows {
+    fresh: usize,
+    repaired: usize,
+    cluster: usize,
+}
+
 /// The full plan at tile edge `tile` over a fresh workspace: the matrix,
-/// and the fresh and repaired SSSP rows it computed.
+/// and the rows it computed.
 fn tiles_matrix(
     engine: &SndEngine<'_>,
     states: &[NetworkState],
     tile: usize,
-) -> (DistanceMatrix, usize, usize) {
+) -> (DistanceMatrix, PlanRows) {
     let plan = ShardPlan::full(TileGrid::new(states.len(), tile));
     let mut ws = TileWorkspace::new();
     let mut set = TileSet::empty(*plan.grid(), 0);
@@ -141,7 +152,18 @@ fn tiles_matrix(
         .pairwise_tiles_in(states, &plan, &mut ws, &mut set, &mut |_| Ok(()))
         .expect("an in-memory plan performs no IO");
     let matrix = set.to_matrix().expect("a full plan covers every tile");
-    (matrix, ws.fresh_rows(), ws.repaired_rows())
+    let rows = PlanRows {
+        fresh: ws.fresh_rows(),
+        repaired: ws.repaired_rows(),
+        cluster: ws.cluster_rows(),
+    };
+    (matrix, rows)
+}
+
+/// The inter-cluster rows an eager build computes: every cluster's row,
+/// per state and opinion.
+fn eager_cluster_rows(engine: &SndEngine<'_>, states: &[NetworkState]) -> usize {
+    engine.clustering().cluster_count() * states.len() * 2
 }
 
 fn bench_bundle_chain(c: &mut Criterion) {
@@ -175,22 +197,39 @@ fn bench_bundle_chain(c: &mut Criterion) {
 
     let fresh = fresh_matrix(&engine, &states);
     assert_eq!(engine.pairwise_distances(&states), fresh, "chain matrix");
-    let (mut fresh_rows, mut repaired_rows) = (Vec::new(), Vec::new());
+    let (mut fresh_rows, mut repaired_rows, mut cluster_rows) =
+        (Vec::new(), Vec::new(), Vec::new());
     for tile in TILES {
-        let (matrix, f, r) = tiles_matrix(&engine, &states, tile);
+        let (matrix, rows) = tiles_matrix(&engine, &states, tile);
         assert_eq!(matrix, fresh, "tile {tile}");
-        println!("bundle_chain: tile {tile}: {f} fresh and {r} repaired rows");
-        fresh_rows.push(f);
-        repaired_rows.push(r);
+        println!(
+            "bundle_chain: tile {tile}: {} fresh, {} repaired and {} inter-cluster rows",
+            rows.fresh, rows.repaired, rows.cluster
+        );
+        fresh_rows.push(rows.fresh);
+        repaired_rows.push(rows.repaired);
+        cluster_rows.push(rows.cluster);
     }
     assert!(
         fresh_rows.iter().all(|&f| f == fresh_rows[0]),
         "fresh rows depend on the tile edge: {fresh_rows:?} at tiles {TILES:?}"
     );
+    let churn_fresh = fresh_matrix(&churn_engine, &churned);
     assert_eq!(
         churn_engine.pairwise_distances(&churned),
-        fresh_matrix(&churn_engine, &churned),
+        churn_fresh,
         "high-churn chain matrix"
+    );
+    let (matrix, churn_rows) = tiles_matrix(&churn_engine, &churned, churned.len());
+    assert_eq!(matrix, churn_fresh, "high-churn tile matrix");
+    let (eager_rows, churn_eager_rows) = (
+        eager_cluster_rows(&engine, &states),
+        eager_cluster_rows(&churn_engine, &churned),
+    );
+    println!(
+        "bundle_chain: inter-cluster rows: low churn {cluster_rows:?} of {eager_rows} eager, \
+         high churn {} of {churn_eager_rows} eager",
+        churn_rows.cluster
     );
 
     let mut group = c.benchmark_group("bundle_chain");
@@ -240,6 +279,10 @@ fn bench_bundle_chain(c: &mut Criterion) {
         .derived("high_churn_chain_speedup", high_churn_speedup)
         .derived("fresh_rows", fresh_rows)
         .derived("repaired_rows", repaired_rows)
+        .derived("cluster_rows", cluster_rows)
+        .derived("eager_cluster_rows", eager_rows)
+        .derived("high_churn_cluster_rows", churn_rows.cluster)
+        .derived("high_churn_eager_cluster_rows", churn_eager_rows)
         .derived("matrices_equal", true)
         .write();
 }

@@ -8,33 +8,43 @@
 //! across comparisons ([`crate::SndEngine::series_distances`],
 //! [`crate::CandidateEvaluator`]).
 //!
-//! `build_geometry` is the one fresh builder of cluster-bank geometry:
-//! per cluster, one multi-source SSSP for its inter-cluster row and the
-//! γ policy's runs for its bank distances (Theorems 3–4 of the paper rest
-//! on both). γ only reads member-to-member distances, so every γ run is
-//! *member-bounded* ([`snd_graph::dial_bounded_scratch`] with unit weight
-//! on the members): it stops at the first bucket boundary where every
-//! member is settled instead of settling the whole graph. The work is
-//! embarrassingly parallel across clusters; [`compute_geometry`] fans it
-//! out over the rayon pool (each worker reuses its thread-local SSSP
-//! scratch and member weights), [`compute_geometry_seq`] is the kept
-//! sequential reference, and the two are property-tested bit-identical
-//! (`tests/shard_matrix.rs`). The delta series path ([`crate::delta`])
-//! calls the same builder and asks it to keep what it later repairs: each
-//! cluster's multi-source row and, under `Eccentricity` γ, the *balls* of
-//! its two bounded runs — the settled nodes with their exact distances
-//! and the run's radius, collected in `O(|ball|)` from the scratch's
-//! settle order. No full γ rows are kept.
+//! Cluster-bank geometry has two parts, each with one kernel:
+//!
+//! * **γ** (`build_geometry`, the one γ builder): the γ policy's runs for
+//!   every cluster's bank distances (Theorem 3). γ only reads
+//!   member-to-member distances, so every γ run is *member-bounded*
+//!   ([`snd_graph::dial_bounded_scratch`] with unit weight on the
+//!   members): it stops at the first bucket boundary where every member
+//!   is settled instead of settling the whole graph. The delta series
+//!   path ([`crate::delta`]) calls the same builder and asks it to keep,
+//!   under `Eccentricity` γ, the *balls* of each cluster's two bounded
+//!   runs — the settled nodes with their exact distances and the run's
+//!   radius, collected in `O(|ball|)` from the scratch's settle order —
+//!   which it later repairs.
+//! * **Inter-cluster rows** (`cluster_row`): cluster `c`'s distance to
+//!   every cluster, one multi-source Dial from its members (a reverse
+//!   Dial for the distances *to* them) min-reduced to one entry per
+//!   cluster. A term reads only the rows of the clusters holding its row
+//!   nodes, so the engine's bundles compute them lazily, as keys of the
+//!   row cache ([`crate::sparse::RowCache`], filled by [`crate::batch`]);
+//!   their geometry's `inter_cluster` matrix stays empty.
+//!
+//! [`compute_geometry`] and [`compute_geometry_seq`] are the eager
+//! reference: γ plus the forward `cluster_row` of every cluster as the
+//! `inter_cluster` matrix. The first fans the per-cluster work out over
+//! the rayon pool (each worker reuses its thread-local SSSP scratch and
+//! member weights), the second runs it on one scratch, and the two are
+//! property-tested bit-identical (`tests/shard_matrix.rs`).
 
 use std::cell::RefCell;
 
 use rayon::prelude::*;
-use snd_graph::{dial_bounded_scratch, dial_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
+use snd_graph::{dial_bounded_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
 use snd_models::{edge_costs, NetworkState, Opinion};
 use snd_transport::DenseCost;
 
 use crate::config::{ClusterSpec, GammaPolicy, SndConfig};
-use crate::sparse::with_sssp_scratch;
+use crate::sparse::{sssp, with_sssp_scratch};
 
 /// Opinion-dependent ground geometry for one network state.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,7 +63,8 @@ pub struct GroundGeometry {
     /// per-bin mode).
     pub gammas: Vec<Vec<u32>>,
     /// `inter_cluster.at(c, c2) = min_{p∈c, q∈c2} D(p, q)` (zero diagonal;
-    /// empty in per-bin mode).
+    /// empty in per-bin mode and in bundle-chain geometries, whose terms
+    /// read these rows from their row cache instead).
     pub inter_cluster: DenseCost,
 }
 
@@ -95,26 +106,43 @@ pub(crate) fn clamp(d: u64, unreachable: u32) -> u32 {
     }
 }
 
-/// Collects the scratch's last run as a clamped row.
-pub(crate) fn clamped_row(scratch: &SsspScratch, n: usize, unreachable: u32) -> Vec<u32> {
-    scratch
-        .distances(n)
-        .map(|d| clamp(d, unreachable))
-        .collect()
-}
-
-/// Per-cluster minimum of a clamped row — one inter-cluster distance row.
+/// Cluster `c`'s inter-cluster row, written into `out` (one entry per
+/// cluster): the per-cluster minimum of `row`, the clamped multi-source
+/// row of `c`'s members, with the zero diagonal.
 pub(crate) fn min_reduce(
     row: impl Iterator<Item = u32>,
     clustering: &Clustering,
     unreachable: u32,
-) -> Vec<u32> {
-    let mut mins = vec![unreachable; clustering.cluster_count()];
+    c: usize,
+    out: &mut [u32],
+) {
+    out.fill(unreachable);
     for (x, d) in row.enumerate() {
-        let c = clustering.labels[x] as usize;
-        mins[c] = mins[c].min(d);
+        let c2 = clustering.labels[x] as usize;
+        out[c2] = out[c2].min(d);
     }
-    mins
+    out[c] = 0;
+}
+
+/// Cluster `c`'s inter-cluster row over `geom`'s edge costs: one
+/// multi-source Dial from its members, min-reduced. Entry `c2` is
+/// `min_{p∈c, q∈c2} D(p, q)`, or `D(q, p)` when `reverse` (the Dial then
+/// runs on reversed edges: distances *to* the members), so the reverse
+/// row of `c` is column `c` of the forward rows' matrix.
+pub(crate) fn cluster_row(
+    g: &CsrGraph,
+    clustering: &Clustering,
+    geom: &GroundGeometry,
+    c: usize,
+    reverse: bool,
+) -> Box<[u32]> {
+    let mut out = vec![0; clustering.cluster_count()].into_boxed_slice();
+    with_sssp_scratch(|scratch| {
+        sssp(g, geom, reverse, clustering.members(c as u32), scratch);
+        let row = scratch.distances(g.node_count()).map(|d| geom.clamp(d));
+        min_reduce(row, clustering, geom.unreachable, c, &mut out);
+    });
+    out
 }
 
 thread_local! {
@@ -150,12 +178,11 @@ impl Ball {
 }
 
 /// What the delta path keeps of one cluster to repair it at the next
-/// step: the clamped multi-source row and, under `Eccentricity` γ, the
-/// forward and reverse γ balls of the representative `members[0]`
-/// (empty under any other policy and for an empty cluster).
+/// step: under `Eccentricity` γ, the forward and reverse γ balls of the
+/// representative `members[0]` (empty under any other policy and for an
+/// empty cluster).
 #[derive(Clone, Debug)]
 pub(crate) struct KeptCluster {
-    pub(crate) row: Vec<u32>,
     pub(crate) balls: Vec<Ball>,
 }
 
@@ -293,14 +320,6 @@ pub(crate) fn base_gamma(
     }
 }
 
-/// Writes cluster `c`'s inter-cluster row, with its zero diagonal.
-pub(crate) fn write_inter_row(inter: &mut DenseCost, c: usize, mins: &[u32]) {
-    for (c2, &d) in mins.iter().enumerate() {
-        *inter.at_mut(c, c2) = d;
-    }
-    *inter.at_mut(c, c) = 0;
-}
-
 /// The bank distances of one cluster: `base·(b+1)` for each of `nb` banks,
 /// capped at the sentinel.
 pub(crate) fn bank_gammas(base: u32, nb: usize, unreachable: u32) -> Vec<u32> {
@@ -309,9 +328,9 @@ pub(crate) fn bank_gammas(base: u32, nb: usize, unreachable: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Computes the geometry for `(state, op)`: one multi-source bounded-cost
-/// SSSP per cluster for the inter-cluster matrix, plus the γ policy's runs.
-/// Per-cluster work fans out over the rayon pool; the result is
+/// Computes the eager geometry for `(state, op)`: the γ policy's runs plus
+/// the forward `cluster_row` of every cluster as the `inter_cluster`
+/// matrix. Per-cluster work fans out over the rayon pool; the result is
 /// bit-identical to [`compute_geometry_seq`].
 pub fn compute_geometry(
     g: &CsrGraph,
@@ -321,12 +340,13 @@ pub fn compute_geometry(
     config: &SndConfig,
 ) -> GroundGeometry {
     let costs = edge_costs(g, state, op, &config.ground);
-    build_geometry(g, clustering, costs, config, true, false).0
+    let (geom, _) = build_geometry(g, clustering, costs, config, true, false);
+    with_inter_cluster(g, clustering, geom, true)
 }
 
-/// Fully sequential [`compute_geometry`]: one scratch, one cluster at a
-/// time, no thread fan-out. Kept as the determinism reference and for
-/// single-core baselines.
+/// Fully sequential [`compute_geometry`]: one cluster at a time on the
+/// calling thread, no thread fan-out. Kept as the determinism reference
+/// and for single-core baselines.
 pub fn compute_geometry_seq(
     g: &CsrGraph,
     clustering: &Clustering,
@@ -335,23 +355,40 @@ pub fn compute_geometry_seq(
     config: &SndConfig,
 ) -> GroundGeometry {
     let costs = edge_costs(g, state, op, &config.ground);
-    build_geometry(g, clustering, costs, config, false, false).0
+    let (geom, _) = build_geometry(g, clustering, costs, config, false, false);
+    with_inter_cluster(g, clustering, geom, false)
 }
 
-/// One cluster's share of a build: its inter-cluster row, base γ and,
-/// when kept, its repair state.
-struct ClusterOut {
-    mins: Vec<u32>,
-    base: u32,
-    kept: Option<KeptCluster>,
+/// `geom` with its `inter_cluster` matrix filled: row `c` is the forward
+/// [`cluster_row`] of cluster `c` (nothing in per-bin mode). The rows fan
+/// out over the rayon pool when `parallel`.
+fn with_inter_cluster(
+    g: &CsrGraph,
+    clustering: &Clustering,
+    mut geom: GroundGeometry,
+    parallel: bool,
+) -> GroundGeometry {
+    if geom.per_bin {
+        return geom;
+    }
+    let nc = clustering.cluster_count();
+    let row = |c: usize| cluster_row(g, clustering, &geom, c, false);
+    let rows: Vec<Box<[u32]>> = if parallel {
+        (0..nc).into_par_iter().map(row).collect()
+    } else {
+        (0..nc).map(row).collect()
+    };
+    geom.inter_cluster = DenseCost::from_vec(nc, nc, rows.concat());
+    geom
 }
 
-/// The fresh geometry builder over already-derived edge costs. Cluster
-/// work fans out over the rayon pool when `parallel`, else runs on one
-/// scratch; both orders give identical outputs. With `keep_rows`, each
-/// cluster's repair state comes back too ([`KeptCluster`]: the clamped
-/// multi-source row the delta path repairs and, under `Eccentricity` γ,
-/// the γ balls it repairs) — but only when the geometry is repairable:
+/// The one γ builder over already-derived edge costs: every cluster's
+/// base γ, as bank distances, and no inter-cluster rows (`inter_cluster`
+/// stays empty). Cluster work fans out over the rayon pool when
+/// `parallel`, else runs on the calling thread; both orders give
+/// identical outputs. With `keep_balls`, each cluster's repair state
+/// comes back too ([`KeptCluster`]: under `Eccentricity` γ, the γ balls
+/// the delta path repairs) — but only when the geometry is repairable:
 /// cluster banks and a lossless clamp domain. Otherwise the returned
 /// state is empty.
 pub(crate) fn build_geometry(
@@ -360,7 +397,7 @@ pub(crate) fn build_geometry(
     costs: Vec<u32>,
     config: &SndConfig,
     parallel: bool,
-    keep_rows: bool,
+    keep_balls: bool,
 ) -> (GroundGeometry, Vec<KeptCluster>) {
     let max_edge_cost = config.ground.max_edge_cost();
     let n = g.node_count();
@@ -383,57 +420,29 @@ pub(crate) fn build_geometry(
         return (geom, kept);
     }
 
-    let keep = keep_rows && geom.is_lossless(n);
+    let keep = keep_balls && geom.is_lossless(n);
     let nc = clustering.cluster_count();
     let costs = &geom.edge_costs;
-    let work = |c: usize, scratch: &mut SsspScratch| {
-        cluster_geometry(g, clustering, costs, config, unreachable, keep, c, scratch)
+    let work = |c: usize| {
+        let members = clustering.members(c as u32);
+        with_sssp_scratch(|scratch| {
+            base_gamma(g, costs, config, members, unreachable, keep, scratch)
+        })
     };
-    let per_cluster: Vec<ClusterOut> = if parallel {
-        (0..nc)
-            .into_par_iter()
-            .map(|c| with_sssp_scratch(|scratch| work(c, scratch)))
-            .collect()
+    let per_cluster: Vec<(u32, Vec<Ball>)> = if parallel {
+        (0..nc).into_par_iter().map(work).collect()
     } else {
-        // One scratch serves every SSSP this geometry needs — no per-run
-        // `dist` allocation.
-        let mut scratch = SsspScratch::new();
-        (0..nc).map(|c| work(c, &mut scratch)).collect()
+        (0..nc).map(work).collect()
     };
 
     let nb = config.banks_per_cluster.max(1);
-    let mut inter = DenseCost::filled(nc, nc, unreachable);
-    for (c, out) in per_cluster.into_iter().enumerate() {
-        write_inter_row(&mut inter, c, &out.mins);
-        geom.gammas.push(bank_gammas(out.base, nb, unreachable));
-        kept.extend(out.kept);
+    for (base, balls) in per_cluster {
+        geom.gammas.push(bank_gammas(base, nb, unreachable));
+        if keep {
+            kept.push(KeptCluster { balls });
+        }
     }
-    geom.inter_cluster = inter;
     (geom, kept)
-}
-
-/// Cluster `c`'s inter-cluster row and base γ — the unit of per-cluster
-/// fan-out — plus its repair state when `keep`.
-#[allow(clippy::too_many_arguments)] // internal helper mirroring the geometry inputs
-fn cluster_geometry(
-    g: &CsrGraph,
-    clustering: &Clustering,
-    costs: &[u32],
-    config: &SndConfig,
-    unreachable: u32,
-    keep: bool,
-    c: usize,
-    scratch: &mut SsspScratch,
-) -> ClusterOut {
-    let n = g.node_count();
-    let members = clustering.members(c as u32);
-    dial_scratch(g, costs, members, config.ground.max_edge_cost(), scratch);
-    let clamped = scratch.distances(n).map(|d| clamp(d, unreachable));
-    let mins = min_reduce(clamped, clustering, unreachable);
-    let row = keep.then(|| clamped_row(scratch, n, unreachable));
-    let (base, balls) = base_gamma(g, costs, config, members, unreachable, keep, scratch);
-    let kept = row.map(|row| KeptCluster { row, balls });
-    ClusterOut { mins, base, kept }
 }
 
 #[cfg(test)]
@@ -709,7 +718,7 @@ pub(crate) mod tests {
         let (geom, kept) = build_geometry(&g, &clustering, costs.clone(), &config, true, true);
         assert!(!geom.is_lossless(n), "sentinel must be capped");
         assert_eq!(geom.unreachable, u32::MAX / 4);
-        assert!(kept.is_empty(), "a capped domain keeps no rows");
+        assert!(kept.is_empty(), "a capped domain keeps no repair state");
         let sentinel_gammas =
             check_gammas_against_full_rows(&g, &clustering, &costs, &config, "capped");
         assert!(sentinel_gammas > 0, "cluster 0 must read the sentinel");

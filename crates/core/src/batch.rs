@@ -26,9 +26,14 @@
 //!    Under an approximate tier, a term the tier sketches
 //!    (`approx::prices_exactly` says it does not) reads its landmarks'
 //!    rows instead: its keys are the `2·L` landmark keys, one per
-//!    landmark and direction, of its ground state and opinion.
+//!    landmark and direction, of its ground state and opinion. On
+//!    cluster banks a term with banks (a balanced term has none) also
+//!    reads the inter-cluster row of each row node's cluster, so it keys
+//!    `(ground state, opinion, direction, cluster)` for each: only those
+//!    of the `k` rows per `(state, opinion)` are ever computed.
 //! 2. **Rows.** The keys are grouped by `(opinion, direction, user)` and
-//!    the groups run in parallel. A group skips the ground states whose
+//!    `(opinion, direction, cluster)`, and the groups run in parallel, each
+//!    on its thread's repair scratch. A group skips the ground states whose
 //!    cache already holds its row and walks the rest in ascending snapshot
 //!    order in one full working row. Each row after the first is the
 //!    previous row repaired in place by [`snd_graph::repair_row`] with the
@@ -41,6 +46,12 @@
 //!    or when more than `m / REPAIR_EDGE_FRACTION` edge costs differ.
 //!    After each step the working row is written into its ground state's
 //!    cache in that cache's form.
+//!
+//!    A cluster's group walks the same way over one multi-source row from
+//!    the cluster's members, with the same change lists. It has no seed,
+//!    so its first row is a fresh Dial run, and what its cache keeps
+//!    after each step is the row min-reduced to one entry per cluster
+//!    (`banks::min_reduce`), a `k`-entry row no seed store holds.
 //!
 //!    Seeds come from two places. The tile paths, and so the matrix, keep
 //!    cached rows *gathered*: only the columns their snapshot set's terms
@@ -110,14 +121,15 @@ use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use rayon::prelude::*;
-use snd_graph::{repair_row, CostChange, CsrGraph, NodeId, RepairScratch};
+use snd_graph::{repair_row, CostChange, CsrGraph, NodeId};
 use snd_models::{update_edge_costs, GroundCostConfig, NetworkState, Opinion, StateDelta};
 
 use crate::approx::{self, ApproxConfig};
+use crate::banks::min_reduce;
 use crate::delta::REPAIR_EDGE_FRACTION;
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
 use crate::shard::{ShardPlan, TileGrid};
-use crate::sparse;
+use crate::sparse::{self, with_repair_scratch, BankBins};
 
 /// Symmetric all-pairs distance matrix over a snapshot set (row-major,
 /// zero diagonal).
@@ -309,19 +321,21 @@ impl<'g> SndEngine<'g> {
                 })
         };
 
-        // Phase 1: every term's row keys as (negative opinion, reverse,
-        // user, ground state). Sorted, they are grouped by (opinion,
-        // direction, user) in ascending snapshot order. A term's bank
-        // lists are dropped as soon as its keys are read off.
+        // Phase 1: every term's row keys as (cluster row, negative opinion,
+        // reverse, user or cluster, ground state). Sorted, they are
+        // grouped by (kind, opinion, direction, user or cluster) in
+        // ascending snapshot order. A term's bank lists are dropped as
+        // soon as its keys are read off.
+        let clustering = self.clustering();
         let landmarks = approx.map(|_| &self.approx_ctx().landmarks[..]);
-        let keys: Vec<Vec<(bool, bool, NodeId, usize)>> = (0..pairs.len() * 4)
+        let keys: Vec<Vec<TermKey>> = (0..pairs.len() * 4)
             .into_par_iter()
             .map(|t| {
                 let (i, j) = pairs[t / 4];
                 let (forward, op) = term_role(t % 4);
                 let (ground, other) = if forward { (i, j) } else { (j, i) };
                 let term = sparse::classify_term(
-                    self.clustering(),
+                    clustering,
                     geom(ground).plane(op).per_bin,
                     &states[ground],
                     &states[other],
@@ -335,20 +349,34 @@ impl<'g> SndEngine<'g> {
                     term.residual_p
                 };
                 let neg = op == Opinion::Negative;
-                match landmarks {
+                // A term with banks on cluster banks reads the cluster
+                // row of each row node's cluster, in its direction.
+                let clusters = matches!(term.banks, BankBins::Cluster(_)).then(|| {
+                    users
+                        .iter()
+                        .map(|&u| (true, neg, reverse, clustering.labels[u as usize], ground))
+                        .collect::<Vec<_>>()
+                });
+                let rows = match landmarks {
                     // A sketched term reads both rows of every landmark.
                     Some(ls) if !approx::prices_exactly(users.len(), ls.len()) => ls
                         .iter()
-                        .flat_map(|&l| [(neg, false, l, ground), (neg, true, l, ground)])
+                        .flat_map(|&l| {
+                            [
+                                (false, neg, false, l, ground),
+                                (false, neg, true, l, ground),
+                            ]
+                        })
                         .collect(),
                     _ => users
                         .into_iter()
-                        .map(|u| (neg, reverse, u, ground))
+                        .map(|u| (false, neg, reverse, u, ground))
                         .collect(),
-                }
+                };
+                [rows, clusters.unwrap_or_default()].concat()
             })
             .collect();
-        let mut keys: Vec<(bool, bool, NodeId, usize)> = keys.into_iter().flatten().collect();
+        let mut keys: Vec<TermKey> = keys.into_iter().flatten().collect();
         keys.sort_unstable();
         keys.dedup();
 
@@ -360,8 +388,8 @@ impl<'g> SndEngine<'g> {
         let mut change_ids: HashMap<(bool, usize, usize), Option<usize>> = HashMap::new();
         let mut changes: Vec<Vec<CostChange>> = Vec::new();
         let mut groups: Vec<RowGroup> = Vec::new();
-        for run in keys.chunk_by(|x, y| (x.0, x.1, x.2) == (y.0, y.1, y.2)) {
-            let (neg, reverse, node, _) = run[0];
+        for run in keys.chunk_by(|x, y| (x.0, x.1, x.2, x.3) == (y.0, y.1, y.2, y.3)) {
+            let (cluster, neg, reverse, node, _) = run[0];
             let op = if neg {
                 Opinion::Negative
             } else {
@@ -374,13 +402,22 @@ impl<'g> SndEngine<'g> {
             let mut prev = None;
             for &(.., ground) in run {
                 let cache = &geom(ground).cache;
-                if cache.get(op, reverse, node).is_some() {
+                let hit = if cluster {
+                    cache.get_cluster(op, reverse, node).is_some()
+                } else {
+                    cache.get(op, reverse, node).is_some()
+                };
+                if hit {
                     continue;
                 }
                 let plane = geom(ground).plane(op);
-                // The group's first row seeds from the nearest full row of
-                // the key; the seed becomes the group's working row.
+                // A user group's first row seeds from the nearest full row
+                // of the key; the seed becomes the group's working row. A
+                // cluster group has no seed: its first row is fresh.
                 let from = prev.or_else(|| {
+                    if cluster {
+                        return None;
+                    }
                     let (s, row) = nearest(ground, op, reverse, node)?;
                     seed = Some(row);
                     Some(s)
@@ -407,18 +444,25 @@ impl<'g> SndEngine<'g> {
             // here rather than in the pool: allocating in the workers
             // fragmented the per-thread arenas and raised peak RSS. A
             // cache of full rows takes the working row itself as the last
-            // step's row; a gathered one gets a buffer.
-            let last_full = !geom(last.ground).cache.is_gathered(op);
+            // user step's row; a gathered one gets a buffer, and so does
+            // every cluster step (a `k`-entry row).
+            let last_full = !cluster && !geom(last.ground).cache.is_gathered(op);
             let written = steps.len() - usize::from(last_full);
+            let width = |s: &Step| match cluster {
+                true => clustering.cluster_count(),
+                false => geom(s.ground).cache.width(op),
+            };
             let rows = steps[..written]
                 .iter()
-                .map(|s| vec![0; geom(s.ground).cache.width(op)].into_boxed_slice())
+                .map(|s| vec![0; width(s)].into_boxed_slice())
                 .collect();
             // The group walks in its seed. Without one it owns a buffer
-            // only when its row outlives it (see the module docs).
-            let full =
-                seed.or_else(|| (last_full || keep(node)).then(|| vec![0; n].into_boxed_slice()));
+            // only when its row outlives it (see the module docs); a
+            // cluster group's never does.
+            let outlives = last_full || (!cluster && keep(node));
+            let full = seed.or_else(|| outlives.then(|| vec![0; n].into_boxed_slice()));
             groups.push(RowGroup {
+                cluster,
                 op,
                 reverse,
                 node,
@@ -428,8 +472,9 @@ impl<'g> SndEngine<'g> {
         }
 
         // Phase 2: the groups in parallel, each walking its steps in order
-        // in its full working row, with its own repair scratch. After each
-        // step the row is written in its cache's form.
+        // in its full working row, on its thread's repair scratch. After
+        // each step the row is written in its cache's form: gathered for a
+        // user row, min-reduced to one entry per cluster for a cluster's.
         groups.par_iter().for_each(|grp| {
             let mut guard = grp.rows.lock().unwrap_or_else(PoisonError::into_inner);
             let GroupRows { rows, full: own } = &mut *guard;
@@ -440,25 +485,35 @@ impl<'g> SndEngine<'g> {
                 let row = WORK_ROW.take().filter(|row| row.len() == n);
                 row.unwrap_or_else(|| vec![0; n].into_boxed_slice())
             });
-            let mut scratch = RepairScratch::new();
+            let sources = match grp.cluster {
+                true => clustering.members(grp.node),
+                false => std::slice::from_ref(&grp.node),
+            };
             for (at, step) in grp.steps.iter().enumerate() {
                 let plane = geom(step.ground).plane(grp.op);
                 match step.repair {
-                    None => sparse::compute_row(g, plane, grp.reverse, grp.node, full),
-                    Some(id) => {
+                    None => sparse::compute_row(g, plane, grp.reverse, sources, full),
+                    Some(id) => with_repair_scratch(|scratch| {
+                        let (costs, inf) = (&plane.edge_costs, plane.unreachable);
                         repair_row(
                             g,
-                            &plane.edge_costs,
+                            costs,
                             &changes[id],
-                            &[grp.node],
+                            sources,
                             grp.reverse,
-                            plane.unreachable,
+                            inf,
                             full,
-                            &mut scratch,
+                            scratch,
                         );
-                    }
+                    }),
                 }
-                if let Some(out) = rows.get_mut(at) {
+                let Some(out) = rows.get_mut(at) else {
+                    continue;
+                };
+                if grp.cluster {
+                    let c = grp.node as usize;
+                    min_reduce(full.iter().copied(), clustering, plane.unreachable, c, out);
+                } else {
                     geom(step.ground).cache.gather_into(grp.op, full, out);
                 }
             }
@@ -477,9 +532,11 @@ impl<'g> SndEngine<'g> {
                 // lint:allow(no-unwrap) only the last step goes without a buffer
                 let row = rows.next().or_else(|| full.take()).expect("a row per step");
                 let repaired = step.repair.is_some();
-                geom(step.ground)
-                    .cache
-                    .insert(grp.op, grp.reverse, grp.node, row, repaired);
+                let cache = &geom(step.ground).cache;
+                match grp.cluster {
+                    true => cache.insert_cluster(grp.op, grp.reverse, grp.node, row, repaired),
+                    false => cache.insert(grp.op, grp.reverse, grp.node, row, repaired),
+                }
             }
             if let (Some(last), Some(full)) = (grp.steps.last(), full) {
                 let key = (grp.op == Opinion::Negative, grp.reverse, grp.node);
@@ -500,6 +557,10 @@ thread_local! {
 
 /// An `(opinion, direction, user)` row key as `(negative, reverse, user)`.
 type RowKey = (bool, bool, NodeId);
+
+/// One row a term reads, as phase 1 keys it: `(cluster row, negative,
+/// reverse, user or cluster, ground state)`.
+type TermKey = (bool, bool, bool, NodeId, usize);
 
 /// The repair seeds a tile workspace keeps across its calls: the newest
 /// full row phase 2 wrote of each key whose rows are cached gathered and
@@ -562,9 +623,13 @@ pub(crate) fn fold_terms(
     (values, intervals)
 }
 
-/// The rows of one `(opinion, direction, user)` key that its ground
-/// states' caches lack, in ascending snapshot order.
+/// The rows of one `(opinion, direction, user)` key, or of one
+/// `(opinion, direction, cluster)` key, that its ground states' caches
+/// lack, in ascending snapshot order.
 struct RowGroup {
+    /// `node` is a cluster, and the rows are its inter-cluster rows: a
+    /// multi-source row from its members, min-reduced.
+    cluster: bool,
     op: Opinion,
     reverse: bool,
     node: NodeId,
@@ -868,6 +933,218 @@ mod tests {
             }
         }
         assert!(checked > 100, "only {checked} cases changed a cost");
+    }
+
+    /// `steps + 1` states over `n` nodes whose first `active` users hold
+    /// opinions, each step setting three of them at random.
+    fn low_churn_series(
+        n: usize,
+        active: usize,
+        steps: usize,
+        rng: &mut SmallRng,
+    ) -> Vec<NetworkState> {
+        let mut values = vec![0i8; n];
+        for v in &mut values[..active] {
+            *v = [1, -1, 0][rng.gen_range(0..3)];
+        }
+        let mut s = vec![NetworkState::from_values(&values)];
+        for _ in 0..steps {
+            let mut next = s[s.len() - 1].clone();
+            for _ in 0..3 {
+                let u = rng.gen_range(0..active as NodeId);
+                next.set(u, Opinion::from_value(rng.gen_range(-1..=1)));
+            }
+            s.push(next);
+        }
+        s
+    }
+
+    /// Every bundle's cached inter-cluster rows, as `(ground state,
+    /// negative, reverse, cluster)`.
+    fn cluster_keys(bundles: &[StateGeometry]) -> BTreeSet<(usize, bool, bool, u32)> {
+        let mut keys = BTreeSet::new();
+        for (s, b) in bundles.iter().enumerate() {
+            for op in [Opinion::Positive, Opinion::Negative] {
+                for (rev, c, _) in b.cache.cluster_rows_of(op) {
+                    keys.insert((s, op == Opinion::Negative, rev, c));
+                }
+            }
+        }
+        keys
+    }
+
+    /// Phases 1–2 write exactly the inter-cluster rows the terms with
+    /// banks read, once each: the rows the same terms compute on first use
+    /// over empty caches, so the solves that follow add none. Each equals
+    /// its row (forward) or column (reverse) of the eager matrix, and the
+    /// terms price bit for bit as over the eager geometry. Under every γ
+    /// policy, with a cluster that has no members, on a disconnected graph
+    /// whose rows read the sentinel, and in a capped clamp domain, whose
+    /// rows are all fresh.
+    #[test]
+    fn cluster_rows_are_the_rows_terms_read_of_the_eager_matrix() {
+        use crate::config::{ClusterSpec, GammaPolicy};
+        let mut rng = SmallRng::seed_from_u64(41);
+        let bfs = |gamma| SndConfig {
+            clusters: ClusterSpec::BfsPartition { clusters: 8 },
+            gamma,
+            ..Default::default()
+        };
+        let ba = barabasi_albert(150, 2, &mut rng);
+        // Two components of random directed edges: many cluster pairs are
+        // unreachable.
+        let split: Vec<(NodeId, NodeId)> = (0..240)
+            .map(|e| {
+                let base = if e % 2 == 0 { 0 } else { 60 };
+                (base + rng.gen_range(0..60), base + rng.gen_range(0..60))
+            })
+            .collect();
+        let split = CsrGraph::from_edges(120, &split);
+        // U·n + 1 past `u32::MAX / 4`: a 2¹⁵-node graph with U = 2¹⁵,
+        // every edge on a 40-node core, the isolated nodes in cluster 0.
+        let n_capped = 1usize << 15;
+        let core: Vec<(NodeId, NodeId)> = (0..120)
+            .map(|_| (rng.gen_range(0..40), rng.gen_range(0..40)))
+            .collect();
+        let capped_graph = CsrGraph::from_edges(n_capped, &core);
+        let labels = (0..n_capped)
+            .map(|v| if v < 40 { rng.gen_range(0..4) } else { 0 })
+            .collect();
+        let mut capped = SndConfig {
+            clusters: ClusterSpec::Explicit(labels),
+            ..Default::default()
+        };
+        capped.ground.communication = Some(vec![1 << 15; capped_graph.edge_count()]);
+        // (name, graph, config, users holding opinions, add an empty cluster)
+        let cases = [
+            (
+                "eccentricity",
+                &ba,
+                bfs(GammaPolicy::Eccentricity),
+                150,
+                false,
+            ),
+            (
+                "half diameter",
+                &ba,
+                bfs(GammaPolicy::HalfExactDiameter),
+                150,
+                false,
+            ),
+            ("constant", &ba, bfs(GammaPolicy::Constant(3)), 150, false),
+            (
+                "empty cluster",
+                &ba,
+                bfs(GammaPolicy::Eccentricity),
+                150,
+                true,
+            ),
+            (
+                "disconnected",
+                &split,
+                bfs(GammaPolicy::Eccentricity),
+                120,
+                false,
+            ),
+            ("capped", &capped_graph, capped, 40, false),
+        ];
+        for (name, g, config, active, empty) in cases {
+            let mut engine = SndEngine::new(g, config);
+            if empty {
+                engine.clustering_mut().clusters.push(Vec::new());
+            }
+            let (clustering, config) = (engine.clustering(), engine.config());
+            let s = low_churn_series(g.node_count(), active, 6, &mut rng);
+            let pairs: Vec<(usize, usize)> = (0..s.len())
+                .flat_map(|i| ((i + 1)..s.len()).map(move |j| (i, j)))
+                .collect();
+            let bundles =
+                || -> Vec<StateGeometry> { s.iter().map(|st| engine.state_geometry(st)).collect() };
+            // Every term of every pair, as the bits of its value: over the
+            // bundles' caches, or over the eager geometry without one.
+            let solve = |bundles: Option<&[StateGeometry]>| -> Vec<u64> {
+                let terms = pairs
+                    .iter()
+                    .flat_map(|&(i, j)| (0..4).map(move |t| (i, j, t)));
+                terms
+                    .map(|(i, j, t)| {
+                        let (forward, op) = term_role(t);
+                        let (ground, other) = if forward { (i, j) } else { (j, i) };
+                        let (p, q) = (&s[ground], &s[other]);
+                        let v = match bundles {
+                            Some(b) => {
+                                let (geom, cache) = (b[ground].plane(op), Some(&b[ground].cache));
+                                sparse::emd_star_term(g, clustering, geom, p, q, op, config, cache)
+                            }
+                            None => {
+                                let geom = &engine.geometry_seq(p, op);
+                                sparse::emd_star_term(g, clustering, geom, p, q, op, config, None)
+                            }
+                        };
+                        v.to_bits()
+                    })
+                    .collect()
+            };
+
+            let lazy = bundles();
+            let terms = solve(Some(&lazy));
+            assert_eq!(terms, solve(None), "{name}: the eager reference");
+            let filled = bundles();
+            let mut seeds = SeedRows::default();
+            engine.fill_pair_rows(&s, |i| filled.get(i), &mut seeds, |_| false, &pairs, None);
+            let written: Vec<usize> = filled.iter().map(|b| b.cache.cluster_rows()).collect();
+            let keys = cluster_keys(&filled);
+            assert!(
+                keys.iter().any(|k| k.2),
+                "{name}: no reverse term read a row"
+            );
+            assert_eq!(
+                keys,
+                cluster_keys(&lazy),
+                "{name}: the keys of terms with banks"
+            );
+            assert_eq!(
+                written.iter().sum::<usize>(),
+                keys.len(),
+                "{name}: one write per key"
+            );
+            assert_eq!(solve(Some(&filled)), terms, "{name}");
+            let after: Vec<usize> = filled.iter().map(|b| b.cache.cluster_rows()).collect();
+            assert_eq!(after, written, "{name}: a solve missed a cluster row");
+
+            let mut sentinel = 0;
+            for (ground, b) in filled.iter().enumerate() {
+                for op in [Opinion::Positive, Opinion::Negative] {
+                    let eager = engine.geometry_seq(&s[ground], op);
+                    for (rev, c, row) in b.cache.cluster_rows_of(op) {
+                        let c = c as usize;
+                        for (c2, &d) in row.iter().enumerate() {
+                            let want = match rev {
+                                true => eager.inter_cluster.at(c2, c),
+                                false => eager.inter_cluster.at(c, c2),
+                            };
+                            assert_eq!(
+                                d, want,
+                                "{name}: state {ground} {op:?} rev={rev} ({c},{c2})"
+                            );
+                            sentinel += usize::from(d == eager.unreachable);
+                        }
+                    }
+                }
+            }
+            if empty || name == "disconnected" {
+                assert!(sentinel > 0, "{name}: no row read the sentinel");
+            }
+            let repaired: usize = filled.iter().map(|b| b.cache.repaired_cluster_rows()).sum();
+            if name == "capped" {
+                assert!(!filled[0]
+                    .plane(Opinion::Positive)
+                    .is_lossless(g.node_count()));
+                assert_eq!(repaired, 0, "{name}: a lossy row was repaired");
+            } else {
+                assert!(repaired > 0, "{name}: no cluster row was repaired");
+            }
+        }
     }
 
     #[test]

@@ -4,30 +4,30 @@
 //! The series workloads (anomaly detection over `d(G_t, G_{t+1})`,
 //! prediction, the paper's Fig. 10–12) price *consecutive* snapshots of
 //! one evolving network. A simulation step flips a handful of opinions,
-//! yet the batch path rebuilds each state's full ground geometry — per
-//! opinion: an `O(m)` edge-cost sweep, plus (in cluster-bank mode) one
-//! multi-source SSSP per cluster and the γ policy's member-bounded runs —
-//! from scratch. A series builds fresh geometry only for its first state
-//! and past the fallback conditions below, through the one fresh builder
-//! `banks::build_geometry`, which keeps each cluster's repair state. This
-//! module owns what happens between snapshots — repair:
+//! yet a fresh build re-derives each state's ground geometry — per
+//! opinion: an `O(m)` edge-cost sweep, plus (in cluster-bank mode) the γ
+//! policy's member-bounded runs — from scratch. A series builds fresh
+//! geometry only for its first state and past the fallback conditions
+//! below, through the one γ builder `banks::build_geometry`, which keeps
+//! each cluster's repair state. This module owns what happens between
+//! snapshots — repair:
 //!
 //! 1. **Edge costs** ([`snd_models::StateDelta`]): only the touched edges
 //!    (incident to flipped nodes, plus receiver-side aggregate spill for
 //!    activity flips) are re-derived, bit-identical to the full sweep.
-//! 2. **Cluster geometry** ([`DeltaStateGeometry`]): the kept per-cluster
-//!    SSSP rows (sources = the cluster's members — *static* across
-//!    snapshots) are repaired with [`snd_graph::repair_row`] instead of
-//!    recomputed; a cluster whose row the repair reports unchanged
-//!    reuses its previous inter-cluster row verbatim. Under
-//!    `Eccentricity` γ each cluster also keeps the *balls* of its two
-//!    member-bounded γ runs (`banks::base_gamma`: the nodes a run settled,
-//!    their exact distances and the run's radius) and repairs them the
-//!    same way, re-running a bounded Dial only when a member leaves its
-//!    ball; `HalfExactDiameter` re-runs its bounded Dials at every step.
-//!    Repaired geometry is bit-identical to
-//!    [`compute_geometry`](crate::banks::compute_geometry) because
-//!    shortest-path distances are unique.
+//! 2. **γ** ([`DeltaStateGeometry`]): under `Eccentricity` γ each cluster
+//!    keeps the *balls* of its two member-bounded γ runs
+//!    (`banks::base_gamma`: the nodes a run settled, their exact
+//!    distances and the run's radius) and repairs them with
+//!    [`snd_graph::repair_row`], re-running a bounded Dial only when a
+//!    member leaves its ball; `HalfExactDiameter` re-runs its bounded
+//!    Dials at every step. Repaired γ is bit-identical to
+//!    [`compute_geometry`](crate::banks::compute_geometry)'s because
+//!    shortest-path distances are unique. The geometries of this module
+//!    carry γ only: their `inter_cluster` matrix is empty, and the
+//!    inter-cluster rows a term reads are keys of its ground state's row
+//!    cache, computed or repaired along the snapshot order with the user
+//!    rows (see [`crate::batch`]).
 //! 3. **Transitions** ([`SndEngine::series_distances`],
 //!    [`SndEngine::series_intervals`]): both are the superdiagonal
 //!    [`ShardPlan`](crate::ShardPlan) at tile edge 1, run through the one
@@ -40,14 +40,14 @@
 //!    consecutive states prices to zero. The plan keeps at most **two**
 //!    bundles live at any point, which `tests/series_memory.rs` checks.
 //!
-//! A step advances the repair state **in place**: it moves the cluster
-//! rows and balls out of the previous bundle, which keeps only its
-//! [`GroundGeometry`] for pricing, so each row and ball exists once and a
-//! uniquely owned chain copies none of them. The state is `Arc`-shared
-//! per cluster, so a clone of a bundle (the candidate evaluator's patch)
-//! stays repairable and a step on the clone copies only the clusters a
-//! change reaches. The bundle chain looks one transition ahead and keeps
-//! repair state only for a bundle whose next transition repairs.
+//! A step advances the repair state **in place**: it moves the γ balls
+//! out of the previous bundle, which keeps only its [`GroundGeometry`]
+//! for pricing, so each ball exists once and a uniquely owned chain
+//! copies none of them. The state is `Arc`-shared per cluster, so a clone
+//! of a bundle (the candidate evaluator's patch) stays repairable and a
+//! step on the clone copies only the clusters a change reaches. The
+//! bundle chain looks one transition ahead and keeps repair state only
+//! for a bundle whose next transition repairs.
 //!
 //! # When the fast path falls back
 //!
@@ -63,8 +63,8 @@
 //!   [`GroundGeometry::is_lossless`]).
 //!
 //! Per-bin mode (the default [`ClusterSpec`](crate::ClusterSpec)) has no
-//! cluster SSSPs at all; its delta win is the touched-edge cost sweep and
-//! the empty-delta shortcut.
+//! cluster geometry at all; its delta win is the touched-edge cost sweep
+//! and the empty-delta shortcut.
 //!
 //! Everything here is property-tested bit-identical to
 //! [`series_distances_seq`](crate::SndEngine::series_distances_seq)
@@ -74,17 +74,14 @@ use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use rayon::prelude::*;
-use snd_graph::{repair_row, Clustering, CostChange, CsrGraph, NodeId, RepairScratch};
+use snd_graph::{repair_row, Clustering, CostChange, CsrGraph, NodeId};
 use snd_models::{edge_costs, update_edge_costs, NetworkState, Opinion, StateDelta};
 use snd_transport::DenseCost;
 
-use crate::banks::{
-    bank_gammas, base_gamma, build_geometry, ecc_run, min_reduce, write_inter_row, GroundGeometry,
-    KeptCluster,
-};
+use crate::banks::{bank_gammas, base_gamma, build_geometry, ecc_run, GroundGeometry, KeptCluster};
 use crate::config::SndConfig;
 use crate::engine::{SndEngine, StateGeometry};
-use crate::sparse::{with_sssp_scratch, RowCache};
+use crate::sparse::{with_repair_scratch, with_sssp_scratch, RowCache};
 
 /// Fallback knob: the repair path engages only when touched edges are at
 /// most `edge_count / REPAIR_EDGE_FRACTION` — beyond that the affected
@@ -98,7 +95,6 @@ pub(crate) fn high_churn(touched: usize, m: usize) -> bool {
 }
 
 thread_local! {
-    static REPAIR_SCRATCH: RefCell<RepairScratch> = RefCell::new(RepairScratch::new());
     /// Per-thread dense view of one γ ball, paired with its fill value:
     /// between uses every entry holds the fill (the sentinel of the
     /// geometry last served), so a ball no change reaches costs
@@ -137,7 +133,8 @@ impl std::ops::Add for BallSteps {
 
 /// The cached, repairable geometry of one `(state, opinion)` pair.
 ///
-/// The repair state is `Arc`-shared per cluster: a step *moves* it out of
+/// Its geometry carries γ only (`inter_cluster` is empty). The repair
+/// state is `Arc`-shared per cluster: a step *moves* it out of
 /// the previous bundle and repairs it in place ([`Arc::make_mut`] on a
 /// uniquely owned cluster copies nothing), while the previous bundle
 /// keeps its [`GroundGeometry`] for pricing. A clone (the candidate
@@ -147,9 +144,9 @@ impl std::ops::Add for BallSteps {
 #[derive(Clone)]
 pub(crate) struct OpGeometry {
     pub(crate) geom: Arc<GroundGeometry>,
-    /// Per-cluster repair state (empty when not kept: per-bin mode, a
-    /// lossy clamp domain, a build whose next transition falls back, or
-    /// a bundle a step already advanced).
+    /// Per-cluster repair state, the γ balls (empty when not kept:
+    /// per-bin mode, a lossy clamp domain, a build whose next transition
+    /// falls back, or a bundle a step already advanced).
     clusters: Vec<Arc<KeptCluster>>,
     /// γ-ball outcomes of the step that produced this geometry.
     balls: BallSteps,
@@ -159,7 +156,7 @@ pub(crate) struct OpGeometry {
 /// `(tail, head, old, new)` per change, endpoints precomputed once in
 /// forward orientation. [`fires`](ChangeIndex::fires) tells in
 /// `O(|changes|)`, without touching the row, whether a batch can move a
-/// row at all, so a cluster the batch cannot reach skips its repair
+/// γ ball at all, so a ball the batch cannot reach skips its repair
 /// outright.
 struct ChangeIndex<'a> {
     g: &'a CsrGraph,
@@ -221,30 +218,6 @@ impl<'a> ChangeIndex<'a> {
         })
     }
 
-    /// [`repair_row`]s `row` — the clamped row of an SSSP from `sources`,
-    /// in the direction given by `reverse` — in place; returns the number
-    /// of nodes whose distance moved.
-    fn repair(&self, row: &mut [u32], sources: &[NodeId], reverse: bool) -> usize {
-        REPAIR_SCRATCH.with(|cell| {
-            let scratch = &mut cell.borrow_mut();
-            self.repair_below(row, sources, reverse, self.unreachable, scratch)
-        })
-    }
-
-    /// [`repair_row`] with `limit` as the row's sentinel: the sentinel
-    /// itself for a full row, a γ ball's radius for a ball.
-    fn repair_below(
-        &self,
-        row: &mut [u32],
-        sources: &[NodeId],
-        reverse: bool,
-        limit: u32,
-        scratch: &mut RepairScratch,
-    ) -> usize {
-        let (g, costs, changes) = (self.g, self.new_costs, self.changes);
-        repair_row(g, costs, changes, sources, reverse, limit, row, scratch)
-    }
-
     /// Advances one γ ball of the non-empty cluster `members` across the
     /// batch, in place — copying the cluster's repair state first only
     /// when it is shared and the ball actually moves. Returns the
@@ -300,9 +273,10 @@ impl<'a> ChangeIndex<'a> {
                 row.fill(r);
                 scatter(row);
             }
-            REPAIR_SCRATCH.with(|cell| {
-                let scratch = &mut cell.borrow_mut();
-                self.repair_below(row, &members[..1], reverse, r, scratch);
+            with_repair_scratch(|scratch| {
+                let (costs, changes) = (self.new_costs, self.changes);
+                let rep = &members[..1];
+                repair_row(g, costs, changes, rep, reverse, r, row, scratch);
                 if r < inf && members.iter().any(|&m| row[m as usize] >= r) {
                     row.fill(inf);
                     return None;
@@ -379,11 +353,10 @@ impl OpGeometry {
     }
 
     /// Advances `clusters` — the repair state `prev` was built with, moved
-    /// out of it — to the next state: repairs each cluster row and γ ball
-    /// in place with the actually-changed edge costs, and recomputes γ
-    /// from bounded runs where no ball is kept. Caller guarantees
-    /// `changes` is exact (see [`DeltaStateGeometry::step`]) and that
-    /// `clusters` is not empty.
+    /// out of it — to the next state: repairs each γ ball in place with
+    /// the actually-changed edge costs, and recomputes γ from bounded runs
+    /// where no ball is kept. Caller guarantees `changes` is exact (see
+    /// [`DeltaStateGeometry::step`]) and that `clusters` is not empty.
     fn advanced(
         prev: &GroundGeometry,
         clusters: Vec<Arc<KeptCluster>>,
@@ -398,63 +371,51 @@ impl OpGeometry {
         let max_edge_cost = prev.max_edge_cost;
         debug_assert!(!prev.per_bin && clusters.len() == nc);
 
-        // Index the batch once; each cluster then answers "can any change
-        // touch my row?" in O(|changes|) instead of repairing just to
-        // find out.
+        // Index the batch once; each ball then answers "can any change
+        // touch me?" in O(|changes|) instead of repairing just to find
+        // out.
         let index = ChangeIndex::new(g, changes, &new_costs, unreachable);
         // The rayon stand-in lends items only by shared reference; a
         // per-cluster lock (never contended) hands each worker its own
         // cluster mutably.
         let slots: Vec<Mutex<Arc<KeptCluster>>> = clusters.into_iter().map(Mutex::new).collect();
-        // Per cluster: the new inter-cluster row (None: unchanged), base γ
-        // and the γ-ball outcomes.
-        let per_cluster: Vec<(Option<Vec<u32>>, u32, BallSteps)> = (0..nc)
+        // Per cluster: base γ and the γ-ball outcomes.
+        let per_cluster: Vec<(u32, BallSteps)> = (0..nc)
             .into_par_iter()
             .map(|c| {
                 let members = clustering.members(c as u32);
                 let mut slot = slots[c].lock().unwrap_or_else(PoisonError::into_inner);
                 let kept: &mut Arc<KeptCluster> = &mut slot;
-                let mut mins = None;
-                if index.fires(&kept.row, false, unreachable) {
-                    let row = &mut Arc::make_mut(kept).row;
-                    if index.repair(row, members, false) > 0 {
-                        mins = Some(min_reduce(row.iter().copied(), clustering, unreachable));
-                    }
-                }
                 let mut steps = BallSteps::default();
-                let base = if !kept.balls.is_empty() {
-                    let mut base = 0;
-                    for side in 0..kept.balls.len() {
-                        let e = index.advance_ball(kept, side, members, max_edge_cost, &mut steps);
-                        base = base.max(e);
-                    }
-                    steps.drained = kept
-                        .balls
-                        .iter()
-                        .filter(|b| b.radius == unreachable)
-                        .count();
-                    base
-                } else {
-                    with_sssp_scratch(|scratch| {
+                if kept.balls.is_empty() {
+                    let base = with_sssp_scratch(|scratch| {
                         base_gamma(g, &new_costs, config, members, unreachable, false, scratch).0
-                    })
-                };
-                (mins, base, steps)
+                    });
+                    return (base, steps);
+                }
+                let mut base = 0;
+                for side in 0..kept.balls.len() {
+                    let e = index.advance_ball(kept, side, members, max_edge_cost, &mut steps);
+                    base = base.max(e);
+                }
+                steps.drained = kept
+                    .balls
+                    .iter()
+                    .filter(|b| b.radius == unreachable)
+                    .count();
+                (base, steps)
             })
             .collect();
 
         let nb = config.banks_per_cluster.max(1);
-        let mut inter = DenseCost::filled(nc, nc, unreachable);
-        let mut gammas = Vec::with_capacity(nc);
         let mut balls = BallSteps::default();
-        for (c, (mins, base, steps)) in per_cluster.into_iter().enumerate() {
-            // Rows the repair left unchanged reuse the previous state's
-            // inter-cluster row verbatim.
-            let prev_mins = prev.inter_cluster.row(c);
-            write_inter_row(&mut inter, c, mins.as_deref().unwrap_or(prev_mins));
-            gammas.push(bank_gammas(base, nb, unreachable));
-            balls = balls + steps;
-        }
+        let gammas = per_cluster
+            .into_iter()
+            .map(|(base, steps)| {
+                balls = balls + steps;
+                bank_gammas(base, nb, unreachable)
+            })
+            .collect();
         let unlock =
             |m: Mutex<Arc<KeptCluster>>| m.into_inner().unwrap_or_else(PoisonError::into_inner);
 
@@ -465,7 +426,7 @@ impl OpGeometry {
                 unreachable,
                 per_bin: false,
                 gammas,
-                inter_cluster: inter,
+                inter_cluster: DenseCost::filled(0, 0, 0),
             }),
             clusters: slots.into_iter().map(unlock).collect(),
             balls,
@@ -474,7 +435,8 @@ impl OpGeometry {
 }
 
 /// The repairable geometry bundle of one state: both opinion geometries
-/// plus the repair state (cluster rows, γ balls) they were derived from.
+/// (γ only, no inter-cluster rows) plus the repair state (γ balls) they
+/// were derived from.
 /// The delta-series unit of reuse — [`step`](Self::step) derives the next
 /// state's bundle from this one. Cloning shares the repair state, so a
 /// step on a clone leaves the original repairable.
@@ -507,7 +469,7 @@ impl DeltaStateGeometry {
     }
 
     /// Derives the next state's bundle: touched-edge cost rederivation,
-    /// then row and γ-ball repair — or a fresh rebuild past the fallback
+    /// then γ-ball repair — or a fresh rebuild past the fallback
     /// conditions (see the module docs). Exact either way.
     ///
     /// The repair state moves from `self` into the returned bundle and is
@@ -565,8 +527,7 @@ impl DeltaStateGeometry {
                 OpGeometry::advanced(geom, clusters, g, clustering, config, new_costs, &changes)
             } else {
                 // Per-bin banks (the costs are the geometry) or no cost
-                // moved for this opinion: the cluster geometry carries
-                // over.
+                // moved for this opinion: γ carries over.
                 OpGeometry {
                     geom: Arc::new(GroundGeometry {
                         edge_costs: new_costs,
@@ -574,7 +535,7 @@ impl DeltaStateGeometry {
                         unreachable: prev.geom.unreachable,
                         per_bin: prev.geom.per_bin,
                         gammas: prev.geom.gammas.clone(),
-                        inter_cluster: prev.geom.inter_cluster.clone(),
+                        inter_cluster: DenseCost::filled(0, 0, 0),
                     }),
                     clusters,
                     balls: BallSteps::default(),
@@ -600,8 +561,9 @@ impl DeltaStateGeometry {
     }
 
     /// Materializes the batch-path bundle for this state: both geometries
-    /// (shared, not copied) plus an empty shared row cache. Feeding these
-    /// to [`SndEngine::breakdown_with`] prices transitions exactly as the
+    /// (shared, not copied) plus an empty shared row cache, which also
+    /// takes the inter-cluster rows its terms read. Feeding these to
+    /// [`SndEngine::breakdown_with`] prices transitions exactly as the
     /// batch path does.
     pub fn bundle(&self, engine: &SndEngine<'_>) -> StateGeometry {
         self.bundle_with(RowCache::new(engine.graph().node_count()))
@@ -678,6 +640,13 @@ mod tests {
         states
     }
 
+    /// The eager reference geometry as the bundle chain carries it: γ
+    /// only, its `inter_cluster` matrix empty.
+    fn gamma_only(mut geom: GroundGeometry) -> GroundGeometry {
+        geom.inter_cluster = DenseCost::filled(0, 0, 0);
+        geom
+    }
+
     fn configs() -> Vec<SndConfig> {
         vec![
             SndConfig::default(), // per-bin
@@ -710,7 +679,7 @@ mod tests {
             let state = NetworkState::from_values(&vals);
             for op in [Opinion::Positive, Opinion::Negative] {
                 let fresh = OpGeometry::fresh(&engine, &state, op, true);
-                assert_eq!(*fresh.geom, engine.geometry_seq(&state, op));
+                assert_eq!(*fresh.geom, gamma_only(engine.geometry_seq(&state, op)));
             }
         }
     }
@@ -726,16 +695,13 @@ mod tests {
             for t in 1..states.len() {
                 let delta = StateDelta::between(&g, &states[t - 1], &states[t]);
                 cache = cache.step(&engine, &states[t], &delta);
-                assert_eq!(
-                    *cache.pos.geom,
-                    engine.geometry_seq(&states[t], Opinion::Positive),
-                    "t={t}"
-                );
-                assert_eq!(
-                    *cache.neg.geom,
-                    engine.geometry_seq(&states[t], Opinion::Negative),
-                    "t={t}"
-                );
+                for (geom, op) in [
+                    (&cache.pos.geom, Opinion::Positive),
+                    (&cache.neg.geom, Opinion::Negative),
+                ] {
+                    let want = gamma_only(engine.geometry_seq(&states[t], op));
+                    assert_eq!(**geom, want, "t={t}");
+                }
             }
         }
     }
@@ -770,11 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn uniquely_owned_chain_repairs_rows_in_place() {
+    fn uniquely_owned_chain_repairs_balls_in_place() {
         // A step moves the repair state out of the previous bundle and
-        // repairs it in place: on a chain nothing else shares, no cluster
-        // row is copied, so every row keeps its buffer — while the
-        // geometry stays bit-identical to a from-scratch build.
+        // repairs it in place: on a chain nothing else shares, no
+        // cluster's state is copied, so every cluster keeps its
+        // allocation — while γ stays bit-identical to a from-scratch
+        // build.
         let mut rng = SmallRng::seed_from_u64(77);
         let g = barabasi_albert(48, 2, &mut rng);
         let states = random_series(48, 10, 13);
@@ -784,38 +751,44 @@ mod tests {
             ..Default::default()
         };
         let engine = SndEngine::new(&g, config);
-        let rows = |b: &DeltaStateGeometry| -> Vec<(*const u32, Vec<u32>)> {
+        let kept = |b: &DeltaStateGeometry| -> Vec<*const KeptCluster> {
             let clusters = b.pos.clusters.iter().chain(&b.neg.clusters);
-            clusters.map(|k| (k.row.as_ptr(), k.row.clone())).collect()
+            clusters.map(Arc::as_ptr).collect()
         };
         let mut cache = DeltaStateGeometry::fresh(&engine, &states[0]);
         let (mut in_place, mut moved) = (0usize, 0usize);
         for t in 1..states.len() {
             let delta = StateDelta::between(&g, &states[t - 1], &states[t]);
-            let before = rows(&cache);
+            let before = kept(&cache);
             let next = cache.step(&engine, &states[t], &delta);
             assert!(cache.pos.clusters.is_empty() && cache.neg.clusters.is_empty());
             if !high_churn(delta.touched_edges().len(), g.edge_count()) {
-                let after = rows(&next);
+                let after = kept(&next);
                 assert_eq!(after.len(), before.len(), "t={t}");
-                for ((p0, r0), (p1, r1)) in before.iter().zip(&after) {
-                    assert_eq!(p0, p1, "t={t}: a cluster row was copied");
-                    moved += usize::from(r0 != r1);
+                for (p0, p1) in before.iter().zip(&after) {
+                    assert_eq!(p0, p1, "t={t}: a cluster's balls were copied");
                 }
+                moved += next.ball_steps().repaired + next.ball_steps().rerun;
                 in_place += 1;
             }
-            for op in [Opinion::Positive, Opinion::Negative] {
-                let geom = if op == Opinion::Positive {
-                    &next.pos.geom
-                } else {
-                    &next.neg.geom
-                };
-                assert_eq!(**geom, engine.geometry_seq(&states[t], op), "t={t}");
+            for (geom, op) in [
+                (&next.pos.geom, Opinion::Positive),
+                (&next.neg.geom, Opinion::Negative),
+            ] {
+                assert!(
+                    geom.inter_cluster.rows() == 0,
+                    "t={t}: a chain geometry kept rows"
+                );
+                assert_eq!(
+                    **geom,
+                    gamma_only(engine.geometry_seq(&states[t], op)),
+                    "t={t}"
+                );
             }
             cache = next;
         }
         assert!(in_place > 0, "no transition took the repair path");
-        assert!(moved > 0, "no repaired row changed");
+        assert!(moved > 0, "no ball moved");
     }
 
     /// Draws an edge cost in `[0, max]`, zero two times in five.

@@ -71,7 +71,7 @@ pub fn emd_star_term(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::banks::compute_geometry;
+    use crate::banks::{cluster_row, compute_geometry};
     use snd_graph::bfs_partition;
     use snd_graph::floyd_warshall;
     use snd_graph::generators::path_graph;
@@ -102,10 +102,12 @@ mod tests {
     #[test]
     fn inter_cluster_matrix_agrees_with_full_matrix() {
         // The geometry read off the full matrix is the oracle for both the
-        // batch build and the delta path's fresh build: inter-cluster
-        // distances are min-pair distances, and each γ policy's base is
-        // what its definition says — the constant, the representative's
-        // two-way eccentricity, or half the exact diameter rounded up.
+        // eager build and the delta path's fresh build: inter-cluster
+        // distances are min-pair distances — the eager matrix, and each
+        // build's forward cluster rows and reverse cluster rows (the
+        // matrix's columns) — and each γ policy's base is what its
+        // definition says — the constant, the representative's two-way
+        // eccentricity, or half the exact diameter rounded up.
         use crate::config::{ClusterSpec, GammaPolicy};
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
@@ -158,17 +160,27 @@ mod tests {
                     let geom = compute_geometry(&g, clustering, &state, op, &config);
                     let dense = full_ground_matrix(&g, &geom);
                     let d = |p: NodeId, q: NodeId| dense.at(p as usize, q as usize);
+                    assert_eq!(fresh.inter_cluster.rows(), 0, "the chain keeps no matrix");
+                    let k = clustering.cluster_count();
                     for built in [&geom, fresh] {
-                        for c in 0..clustering.cluster_count() {
+                        let rows = |reverse| -> Vec<Box<[u32]>> {
+                            (0..k)
+                                .map(|c| cluster_row(&g, clustering, built, c, reverse))
+                                .collect()
+                        };
+                        let (forward, reverse) = (rows(false), rows(true));
+                        for c in 0..k {
                             let members = clustering.members(c as u32);
-                            for c2 in 0..clustering.cluster_count() {
+                            for c2 in 0..k {
                                 let mut expected = u32::MAX;
                                 for &p in members {
                                     for &q in clustering.members(c2 as u32) {
                                         expected = expected.min(d(p, q));
                                     }
                                 }
-                                assert_eq!(built.inter_cluster.at(c, c2), expected, "({c},{c2})");
+                                assert_eq!(forward[c][c2], expected, "forward ({c},{c2})");
+                                assert_eq!(reverse[c2][c], expected, "reverse ({c},{c2})");
+                                assert_eq!(geom.inter_cluster.at(c, c2), expected, "({c},{c2})");
                             }
                             let rep = members[0];
                             let base = match gamma {

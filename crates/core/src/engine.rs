@@ -45,6 +45,7 @@ use crate::approx::{ApproxConfig, ApproxCtx, ApproxError, SndInterval};
 use crate::banks::{compute_geometry, GroundGeometry};
 use crate::batch::{term_value, SeedRows};
 use crate::config::{ClusterSpec, SndConfig};
+use crate::delta::DeltaStateGeometry;
 use crate::shard::{ShardPlan, TileGrid, TileSet};
 use crate::sparse::{Columns, RowCache};
 use crate::{approx, dense, sparse};
@@ -92,7 +93,8 @@ pub struct StateGeometry {
     pub(crate) pos: Arc<GroundGeometry>,
     /// `D(state, −)` geometry, shared likewise.
     pub(crate) neg: Arc<GroundGeometry>,
-    /// Shared row cache (one slot per `(opinion, direction, node)`).
+    /// Shared row cache (one slot per `(opinion, direction, node)`, and
+    /// on cluster banks one per `(opinion, direction, cluster)`).
     pub(crate) cache: RowCache,
 }
 
@@ -132,6 +134,13 @@ impl StateGeometry {
     /// from another ground state's row ([`RowCache::repaired_rows`]).
     pub fn repaired_rows(&self) -> usize {
         self.cache.repaired_rows()
+    }
+
+    /// Number of inter-cluster rows written into this bundle's cache so
+    /// far, fresh or repaired ([`RowCache::cluster_rows`]; none in
+    /// per-bin mode). Not part of [`cached_rows`](Self::cached_rows).
+    pub fn cluster_rows(&self) -> usize {
+        self.cache.cluster_rows()
     }
 
     /// The ground geometry of one opinion plane.
@@ -216,9 +225,17 @@ impl<'g> SndEngine<'g> {
         &self.clustering
     }
 
-    /// Computes the ground geometry for `(state, op)` — reusable across
-    /// comparisons whose ground state is `state`. Per-cluster SSSPs fan out
-    /// over the rayon pool; bit-identical to
+    /// The bank clustering, mutably: tests add a cluster with no members,
+    /// which no constructor builds.
+    #[cfg(test)]
+    pub(crate) fn clustering_mut(&mut self) -> &mut Clustering {
+        &mut self.clustering
+    }
+
+    /// Computes the eager ground geometry for `(state, op)`, its full
+    /// inter-cluster matrix included — reusable across comparisons whose
+    /// ground state is `state`. Per-cluster SSSPs fan out over the rayon
+    /// pool; bit-identical to
     /// [`geometry_seq`](Self::geometry_seq).
     pub fn geometry(&self, state: &NetworkState, op: Opinion) -> GroundGeometry {
         compute_geometry(self.graph, &self.clustering, state, op, &self.config)
@@ -237,19 +254,17 @@ impl<'g> SndEngine<'g> {
     /// for batch evaluation: every comparison grounded in `state` draws its
     /// SSSP rows from the bundle's cache, so each
     /// `(opinion, direction, node)` row is computed at most once per
-    /// ground state no matter how many comparisons touch it.
+    /// ground state no matter how many comparisons touch it. On cluster
+    /// banks the geometries carry γ only: the inter-cluster rows a
+    /// comparison reads are computed into the cache too, once each.
     pub fn state_geometry(&self, state: &NetworkState) -> StateGeometry {
         self.bundle(state, RowCache::new(self.graph.node_count()))
     }
 
     /// [`state_geometry`](Self::state_geometry) around the given empty
-    /// row cache.
+    /// row cache: the bundle chain's fresh build, keeping no repair state.
     fn bundle(&self, state: &NetworkState, cache: RowCache) -> StateGeometry {
-        let (pos, neg) = rayon::join(
-            || self.geometry(state, Opinion::Positive),
-            || self.geometry(state, Opinion::Negative),
-        );
-        StateGeometry::new(pos, neg, cache)
+        DeltaStateGeometry::fresh_keeping(self, state, false).bundle_with(cache)
     }
 
     /// SND between two states via the sparse (Theorem 4) path.
@@ -502,10 +517,11 @@ impl<'g> SndEngine<'g> {
     /// superdiagonal [`ShardPlan`] at tile edge 1, evaluated
     /// **delta-aware**. Consecutive snapshots share everything their
     /// [`StateDelta`](snd_models::StateDelta) leaves untouched: edge costs
-    /// are re-derived only on touched edges, cluster-bank SSSP rows and
-    /// each residual user's SSSP row are *repaired* rather than
-    /// recomputed, and identical states price to zero, with an automatic
-    /// fallback to a fresh rebuild on high-churn transitions (see
+    /// are re-derived only on touched edges, the γ balls of cluster banks,
+    /// the inter-cluster rows the terms read and each residual user's SSSP
+    /// row are *repaired* rather than recomputed, and identical states
+    /// price to zero, with an automatic fallback to a fresh rebuild on
+    /// high-churn transitions (see
     /// [`crate::delta`]). Returns `states.len() − 1` values, bit-identical
     /// to [`series_distances_seq`](Self::series_distances_seq). At most
     /// two geometry bundles are live at any point, and each shares its

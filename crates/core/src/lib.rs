@@ -24,10 +24,13 @@
 //!   columns from precomputed cluster geometry, and an exact reduced
 //!   transportation solve. Linear in `n` for bounded `n∆` on sparse graphs.
 //!
-//! [`GroundGeometry`] (per state and opinion) carries the edge costs, the
-//! per-cluster bank distances γ, and the inter-cluster distance matrix; it
-//! is reusable across comparisons involving the same state — see
-//! [`SndEngine::series_distances`] and [`CandidateEvaluator`].
+//! [`GroundGeometry`] (per state and opinion) carries the edge costs and
+//! the per-cluster bank distances γ; it is reusable across comparisons
+//! involving the same state — see [`SndEngine::series_distances`] and
+//! [`CandidateEvaluator`]. The inter-cluster distances a term reads are
+//! rows of its ground state's row cache, one multi-source Dial per
+//! cluster that holds a row node; only the eager reference geometry
+//! ([`SndEngine::geometry`]) carries them as a full matrix.
 //!
 //! # The delta pipeline (time-series workloads)
 //!
@@ -36,13 +39,12 @@
 //! thousands. [`SndEngine::series_distances`] therefore evaluates
 //! **delta-aware** (module [`delta`]): a
 //! [`StateDelta`](snd_models::StateDelta) names the flipped nodes and the
-//! touched edges, edge costs are re-derived on touched edges only, the
-//! per-cluster SSSP rows behind the cluster-bank geometry are *repaired*
-//! ([`snd_graph::repair_row`], Ramalingam–Reps style) rather than
-//! recomputed — clusters whose rows the repair leaves untouched reuse
-//! their previous inter-cluster row verbatim, and γ comes from
-//! member-bounded runs that stop once the cluster's members are
-//! settled — and identical
+//! touched edges, edge costs are re-derived on touched edges only, the γ
+//! runs behind the cluster-bank geometry stop once the cluster's members
+//! are settled and their balls are *repaired*
+//! ([`snd_graph::repair_row`], Ramalingam–Reps style) rather than re-run,
+//! the inter-cluster rows the terms read are repaired along the snapshot
+//! order like the users' rows, and identical
 //! consecutive states short-circuit to zero. The series is the
 //! superdiagonal tile plan: the all-pairs matrix, every tile plan and
 //! both series surfaces (the checkpoint-backed

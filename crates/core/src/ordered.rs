@@ -29,7 +29,7 @@
 //! action), [`patch`](CandidateEvaluator::patch) advances a *clone* of
 //! the bundle through the delta repair machinery — touched-edge cost
 //! rederivation plus [`repair_row`](snd_graph::repair_row) on exactly the
-//! cluster rows and γ balls a change can move. The clone shares the
+//! γ balls a change can move. The clone shares the
 //! per-cluster repair state through `Arc`s, so the step copies only the
 //! clusters a change reaches (copy-on-write) and leaves the original
 //! untouched. The original is pushed on a stack, so
@@ -128,8 +128,8 @@ pub struct CandidateEvaluator<'e, 'g> {
     engine: &'e SndEngine<'g>,
     anchor: NetworkState,
     /// The anchor's repairable geometry bundle (delta machinery): both
-    /// opinion geometries plus the `Arc`-shared cluster rows and γ balls
-    /// `patch` repairs instead of recomputing.
+    /// opinion geometries (γ only) plus the `Arc`-shared γ balls `patch`
+    /// repairs instead of recomputing.
     bundle: DeltaStateGeometry,
     /// SSSP row cache for the *current* bundle's geometry. Swapped (never
     /// reused) across patches: rows priced under old edge costs are

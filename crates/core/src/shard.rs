@@ -1141,8 +1141,9 @@ pub struct TileWorkspace {
     /// The column map of each opinion's rows (positive, negative), once
     /// computed; `None` inside keeps full rows.
     cols: Option<[Option<Arc<Columns>>; 2]>,
-    /// Fresh and repaired rows of the bundles already dropped.
-    dropped_rows: (usize, usize),
+    /// Fresh, repaired and inter-cluster rows of the bundles already
+    /// dropped.
+    dropped_rows: (usize, usize, usize),
     /// Whether the workspace lives for one plan, so the seed store keeps
     /// only the rows a later tile of that plan may read.
     one_plan: bool,
@@ -1185,11 +1186,24 @@ impl TileWorkspace {
                 .sum::<usize>()
     }
 
+    /// Inter-cluster rows this workspace's bundles computed, fresh or
+    /// repaired, live and dropped bundles alike
+    /// ([`StateGeometry::cluster_rows`]).
+    pub fn cluster_rows(&self) -> usize {
+        self.dropped_rows.2
+            + self
+                .geoms
+                .values()
+                .map(StateGeometry::cluster_rows)
+                .sum::<usize>()
+    }
+
     /// Drops state `s`'s bundle, keeping its row counts.
     fn drop_bundle(&mut self, s: usize) {
         if let Some(b) = self.geoms.remove(&s) {
             self.dropped_rows.0 += b.cached_rows() - b.repaired_rows();
             self.dropped_rows.1 += b.repaired_rows();
+            self.dropped_rows.2 += b.cluster_rows();
         }
     }
 }
@@ -2370,7 +2384,7 @@ mod tests {
         node: snd_graph::NodeId,
     ) -> Vec<u32> {
         let mut full = vec![0; engine.graph().node_count()];
-        crate::sparse::compute_row(engine.graph(), plane, reverse, node, &mut full);
+        crate::sparse::compute_row(engine.graph(), plane, reverse, &[node], &mut full);
         full
     }
 

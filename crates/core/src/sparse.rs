@@ -16,9 +16,12 @@
 //! 3. **Rows** — one Dial's-algorithm run per row node over the bounded
 //!    integer costs, unless the [`RowCache`] already holds the row (every
 //!    engine surface fills it ahead of the solves, repairing rows across
-//!    ground states — see [`crate::batch`]); bank columns come from the
-//!    precomputed [`GroundGeometry`] (`γ + inter-cluster distance`),
-//!    needing no per-comparison SSSP.
+//!    ground states — see [`crate::batch`]). Bank columns are `γ +
+//!    inter-cluster distance`: γ from the precomputed [`GroundGeometry`],
+//!    the distance from the inter-cluster row of the row node's cluster,
+//!    which the cache holds too (one multi-source Dial per cluster a term
+//!    reads, not per comparison). Without a cache (the `_seq` references)
+//!    it comes from the geometry's eager `inter_cluster` matrix.
 //! 4. **Exact solve** — the reduced problem (balanced by construction) goes
 //!    to the configured transportation solver. Under the default
 //!    `Solver::Auto` single-line shapes are answered directly and every
@@ -31,17 +34,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use snd_emd::bank_capacities_from_cluster_masses;
-use snd_graph::{dial_reverse_scratch, dial_scratch, Clustering, CsrGraph, NodeId, SsspScratch};
+use snd_graph::{
+    dial_reverse_scratch, dial_scratch, Clustering, CsrGraph, NodeId, RepairScratch, SsspScratch,
+};
 use snd_models::{NetworkState, Opinion};
 use snd_transport::{solve_balanced, DenseCost, Mass};
 
-use crate::banks::GroundGeometry;
+use crate::banks::{cluster_row, GroundGeometry};
 use crate::config::SndConfig;
 
 thread_local! {
     /// Per-thread SSSP scratch: `dist`/bucket buffers are reused across
     /// every row a thread computes instead of being reallocated per call.
     static SSSP_SCRATCH: RefCell<SsspScratch> = RefCell::new(SsspScratch::new());
+    /// Per-thread [`snd_graph::repair_row`] scratch, reused likewise: its
+    /// `n`-entry stamp array, heap and map grow once per thread.
+    static REPAIR_SCRATCH: RefCell<RepairScratch> = RefCell::new(RepairScratch::new());
 }
 
 /// Runs `f` with the calling thread's reusable SSSP scratch. Shared by row
@@ -50,6 +58,13 @@ thread_local! {
 /// thread.
 pub(crate) fn with_sssp_scratch<R>(f: impl FnOnce(&mut SsspScratch) -> R) -> R {
     SSSP_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// Runs `f` with the calling thread's reusable repair scratch: every row
+/// repair in the crate (phase-2 row groups, γ balls) reuses one per
+/// thread.
+pub(crate) fn with_repair_scratch<R>(f: impl FnOnce(&mut RepairScratch) -> R) -> R {
+    REPAIR_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// One cached row slot: filled exactly once with the clamped SSSP row.
@@ -187,15 +202,30 @@ impl<'a> Row<'a> {
 /// them apart. [`computed_rows`](RowCache::computed_rows) counts every
 /// row written, fresh or repaired; [`repaired_rows`](RowCache::repaired_rows)
 /// counts the repaired subset. A cache hit moves neither.
+///
+/// On cluster banks the cache also holds inter-cluster rows: four more
+/// planes, one per `(opinion, direction)`, each with one slot per cluster
+/// for that cluster's `k`-entry row (`banks::cluster_row`, min-reduced
+/// from a multi-source Dial from its members). A term reads the row of
+/// each of its row nodes' clusters in its own direction, so only those
+/// are ever computed: by `price_pairs` ahead of the solves, fresh or
+/// repaired like user rows, or on a miss. They are counted apart, by
+/// [`cluster_rows`](RowCache::cluster_rows), so the user-row counts keep
+/// their meaning.
 #[derive(Debug)]
 pub struct RowCache {
     planes: [OnceLock<Box<[RowSlot]>>; 4],
+    /// The inter-cluster rows, one plane per `(opinion, direction)` with
+    /// one slot per cluster.
+    cluster_planes: [OnceLock<Box<[RowSlot]>>; 4],
     /// The column map of each opinion's rows (positive, negative); `None`
     /// keeps full rows.
     cols: [Option<Arc<Columns>>; 2],
     n: usize,
     computed: AtomicUsize,
     repaired: AtomicUsize,
+    cluster_computed: AtomicUsize,
+    cluster_repaired: AtomicUsize,
 }
 
 impl RowCache {
@@ -209,10 +239,13 @@ impl RowCache {
     pub(crate) fn gathered(n: usize, cols: [Option<Arc<Columns>>; 2]) -> Self {
         RowCache {
             planes: std::array::from_fn(|_| OnceLock::new()),
+            cluster_planes: std::array::from_fn(|_| OnceLock::new()),
             cols,
             n,
             computed: AtomicUsize::new(0),
             repaired: AtomicUsize::new(0),
+            cluster_computed: AtomicUsize::new(0),
+            cluster_repaired: AtomicUsize::new(0),
         }
     }
 
@@ -227,6 +260,19 @@ impl RowCache {
     /// repaired from another ground state's row instead of run fresh.
     pub fn repaired_rows(&self) -> usize {
         self.repaired.load(Ordering::Relaxed)
+    }
+
+    /// Number of inter-cluster rows written into this cache, fresh or
+    /// repaired: one per `(opinion, direction, cluster)` a term read.
+    /// Not part of [`computed_rows`](Self::computed_rows).
+    pub fn cluster_rows(&self) -> usize {
+        self.cluster_computed.load(Ordering::Relaxed)
+    }
+
+    /// How many of the [`cluster_rows`](Self::cluster_rows) were
+    /// repaired from another ground state's multi-source row.
+    pub fn repaired_cluster_rows(&self) -> usize {
+        self.cluster_repaired.load(Ordering::Relaxed)
     }
 
     fn plane(op: Opinion, reverse: bool) -> usize {
@@ -280,7 +326,7 @@ impl RowCache {
         let values = self.slot(op, reverse, node).get_or_init(|| {
             self.computed.fetch_add(1, Ordering::Relaxed);
             let mut full = vec![0; self.n].into_boxed_slice();
-            compute_row(g, geom, reverse, node, &mut full);
+            compute_row(g, geom, reverse, &[node], &mut full);
             if self.is_gathered(op) {
                 let mut row = vec![0; self.width(op)].into_boxed_slice();
                 self.gather_into(op, &full, &mut row);
@@ -344,6 +390,61 @@ impl RowCache {
             .get_or_init(|| (0..self.width(op)).map(|_| OnceLock::new()).collect());
         &slots[self.index(op, node)]
     }
+
+    /// Cluster `c`'s inter-cluster row lookup-or-compute
+    /// (`banks::cluster_row` over `geom`, the `(state, op)` geometry).
+    pub(crate) fn cluster_row(
+        &self,
+        g: &CsrGraph,
+        clustering: &Clustering,
+        geom: &GroundGeometry,
+        op: Opinion,
+        reverse: bool,
+        c: u32,
+    ) -> &[u32] {
+        let k = clustering.cluster_count();
+        self.cluster_slot(op, reverse, c, k).get_or_init(|| {
+            self.cluster_computed.fetch_add(1, Ordering::Relaxed);
+            cluster_row(g, clustering, geom, c as usize, reverse)
+        })
+    }
+
+    /// The cached inter-cluster row of cluster `c`, if any — never
+    /// computes, and never allocates a plane's slots.
+    pub(crate) fn get_cluster(&self, op: Opinion, reverse: bool, c: u32) -> Option<&[u32]> {
+        let slots = self.cluster_planes[Self::plane(op, reverse)].get()?;
+        slots[c as usize].get().map(|row| &row[..])
+    }
+
+    /// Stores cluster `c`'s inter-cluster row built outside the cache
+    /// (fresh or `repaired`), one entry per cluster. A filled slot keeps
+    /// its row and the counters do not move, as in
+    /// [`insert`](Self::insert).
+    pub(crate) fn insert_cluster(
+        &self,
+        op: Opinion,
+        reverse: bool,
+        c: u32,
+        row: Box<[u32]>,
+        repaired: bool,
+    ) {
+        if self
+            .cluster_slot(op, reverse, c, row.len())
+            .set(row)
+            .is_ok()
+        {
+            self.cluster_computed.fetch_add(1, Ordering::Relaxed);
+            self.cluster_repaired
+                .fetch_add(usize::from(repaired), Ordering::Relaxed);
+        }
+    }
+
+    /// The slot of cluster `c` in a plane of `k` cluster rows.
+    fn cluster_slot(&self, op: Opinion, reverse: bool, c: u32, k: usize) -> &RowSlot {
+        let slots = self.cluster_planes[Self::plane(op, reverse)]
+            .get_or_init(|| (0..k).map(|_| OnceLock::new()).collect());
+        &slots[c as usize]
+    }
 }
 
 #[cfg(test)]
@@ -374,23 +475,53 @@ impl RowCache {
         }
         out
     }
+
+    /// Every cached inter-cluster row of `op`, as `(reverse, cluster, row)`.
+    pub(crate) fn cluster_rows_of(&self, op: Opinion) -> Vec<(bool, u32, &[u32])> {
+        let mut out = Vec::new();
+        for reverse in [false, true] {
+            let Some(slots) = self.cluster_planes[Self::plane(op, reverse)].get() else {
+                continue;
+            };
+            for (c, slot) in slots.iter().enumerate() {
+                if let Some(row) = slot.get() {
+                    out.push((reverse, c as u32, &row[..]));
+                }
+            }
+        }
+        out
+    }
 }
 
-/// One clamped SSSP row written into `out` (length `n`), computed on the
-/// calling thread's reusable scratch.
+/// One multi-source Dial over `geom`'s edge costs into `scratch`: from
+/// `sources`, or on reversed edges (distances *to* `sources`) when
+/// `reverse`. The one SSSP behind every user and cluster row.
+pub(crate) fn sssp(
+    g: &CsrGraph,
+    geom: &GroundGeometry,
+    reverse: bool,
+    sources: &[NodeId],
+    scratch: &mut SsspScratch,
+) {
+    let (costs, max) = (&geom.edge_costs, geom.max_edge_cost);
+    if reverse {
+        dial_reverse_scratch(g, costs, sources, max, scratch);
+    } else {
+        dial_scratch(g, costs, sources, max, scratch);
+    }
+}
+
+/// One clamped SSSP row of `sources` ([`sssp`]) written into `out`
+/// (length `n`), computed on the calling thread's reusable scratch.
 pub(crate) fn compute_row(
     g: &CsrGraph,
     geom: &GroundGeometry,
     reverse: bool,
-    node: NodeId,
+    sources: &[NodeId],
     out: &mut [u32],
 ) {
     with_sssp_scratch(|scratch| {
-        if reverse {
-            dial_reverse_scratch(g, &geom.edge_costs, &[node], geom.max_edge_cost, scratch);
-        } else {
-            dial_scratch(g, &geom.edge_costs, &[node], geom.max_edge_cost, scratch);
-        }
+        sssp(g, geom, reverse, sources, scratch);
         for (o, d) in out.iter_mut().zip(scratch.distances(g.node_count())) {
             *o = geom.clamp(d);
         }
@@ -669,7 +800,7 @@ pub(crate) fn solve_oriented(
         let row = match cache {
             Some(c) => c.get_or_compute(g, geom, op, term.reverse, node),
             None => {
-                compute_row(g, geom, term.reverse, node, &mut local_row);
+                compute_row(g, geom, term.reverse, &[node], &mut local_row);
                 Row::identity(&local_row)
             }
         };
@@ -688,14 +819,19 @@ pub(crate) fn solve_oriented(
                 data.push(row.at(u).saturating_add(config.per_bin_gamma));
             }
         } else {
-            let node_cluster = clustering.labels[node as usize] as usize;
+            // Forward: D̃[node, bank(c,b)] = γ_c[b] + d(cluster(node), c).
+            // Transposed: D̃[bank(c,b), node] = γ_c[b] + d(c, cluster(node)).
+            // Either way the entries are the cluster row of `node`'s
+            // cluster in the term's direction: a cache row, or a row or
+            // column of the eager matrix.
+            let home = clustering.labels[node as usize];
+            let cached = cache.map(|c| c.cluster_row(g, clustering, geom, op, term.reverse, home));
+            let home = home as usize;
             for c in 0..nc {
-                // Forward: D̃[node, bank(c,b)] = γ_c[b] + d(cluster(node), c).
-                // Transposed: D̃[bank(c,b), node] = γ_c[b] + d(c, cluster(node)).
-                let d_cc = if term.reverse {
-                    geom.inter_cluster.at(c, node_cluster)
-                } else {
-                    geom.inter_cluster.at(node_cluster, c)
+                let d_cc = match cached {
+                    Some(row) => row[c],
+                    None if term.reverse => geom.inter_cluster.at(c, home),
+                    None => geom.inter_cluster.at(home, c),
                 };
                 for b in 0..nb {
                     data.push(geom.gammas[c][b].saturating_add(d_cc));
