@@ -447,7 +447,9 @@ pub struct DeltaStateGeometry {
 }
 
 impl DeltaStateGeometry {
-    /// Builds the bundle from scratch (both opinions in parallel).
+    /// Builds the bundle from scratch: both opinions' cost sweeps in
+    /// parallel, then one opinion's γ after the other, each fanned out
+    /// over the whole pool.
     pub fn fresh(engine: &SndEngine<'_>, state: &NetworkState) -> DeltaStateGeometry {
         Self::fresh_keeping(engine, state, true)
     }
@@ -460,12 +462,13 @@ impl DeltaStateGeometry {
         state: &NetworkState,
         keep: bool,
     ) -> DeltaStateGeometry {
-        let fresh = |op| {
-            let costs = edge_costs(engine.graph(), state, op, &engine.config().ground);
-            OpGeometry::from_costs(engine, costs, keep)
-        };
-        let (pos, neg) = rayon::join(|| fresh(Opinion::Positive), || fresh(Opinion::Negative));
-        DeltaStateGeometry { pos, neg }
+        let costs = |op| edge_costs(engine.graph(), state, op, &engine.config().ground);
+        let (pos, neg) = rayon::join(|| costs(Opinion::Positive), || costs(Opinion::Negative));
+        // γ one opinion at a time, as in `step_keeping`.
+        DeltaStateGeometry {
+            pos: OpGeometry::from_costs(engine, pos, keep),
+            neg: OpGeometry::from_costs(engine, neg, keep),
+        }
     }
 
     /// Derives the next state's bundle: touched-edge cost rederivation,
@@ -547,11 +550,14 @@ impl DeltaStateGeometry {
             out
         };
 
-        let (pos, neg) = (&mut self.pos, &mut self.neg);
-        let (pos, neg) = rayon::join(
-            || advance_op(pos, Opinion::Positive),
-            || advance_op(neg, Opinion::Negative),
-        );
+        // The opinions take turns, each fanning its clusters out over the
+        // whole pool. Joined, each would run its clusters on one thread
+        // (the pool lends a nested call's items only to threads that are
+        // idle in the pool, and a thread waiting on a join is not), so
+        // the step would last as long as the slower opinion on the
+        // slower core.
+        let pos = advance_op(&mut self.pos, Opinion::Positive);
+        let neg = advance_op(&mut self.neg, Opinion::Negative);
         DeltaStateGeometry { pos, neg }
     }
 
